@@ -9,9 +9,12 @@ import pytest
 
 from benchtable import write_table
 from repro.bench import experiments
-from repro.compiler import ExecutionContext, PlanStats, compile_query
+from repro.compiler import ExecOptions, ExecutionContext, PlanStats, compile_query
 
 from repro.bench.experiments import e14_planner_cases
+
+SYNTACTIC = ExecOptions(optimizer="syntactic")
+COST = ExecOptions(optimizer="cost")
 
 
 @pytest.fixture(scope="module")
@@ -28,15 +31,15 @@ def _execute(db, plan):
 @pytest.mark.benchmark(group="E14-planner")
 def test_e14_syntactic_order(benchmark, cases):
     name, db, query = cases[0]  # BOM grandparents — the most skewed case
-    plan = compile_query(db, query, optimizer="syntactic")
+    plan = compile_query(db, query, options=SYNTACTIC)
     benchmark(lambda: _execute(db, plan)[0])
 
 
 @pytest.mark.benchmark(group="E14-planner")
 def test_e14_cost_based_order(benchmark, cases):
     name, db, query = cases[0]
-    plan_cost = compile_query(db, query, optimizer="cost")
-    plan_syn = compile_query(db, query, optimizer="syntactic")
+    plan_cost = compile_query(db, query, options=COST)
+    plan_syn = compile_query(db, query, options=SYNTACTIC)
     rows = benchmark(lambda: _execute(db, plan_cost)[0])
     # identical answers, far less work
     rows_syn, stats_syn = _execute(db, plan_syn)
@@ -49,8 +52,8 @@ def test_e14_cost_beats_syntactic_everywhere(cases):
     """The planner's whole point: never worse, much better under skew."""
     best_speedup = 0.0
     for name, db, query in cases:
-        rows_syn, stats_syn = _execute(db, compile_query(db, query, optimizer="syntactic"))
-        rows_cost, stats_cost = _execute(db, compile_query(db, query, optimizer="cost"))
+        rows_syn, stats_syn = _execute(db, compile_query(db, query, options=SYNTACTIC))
+        rows_cost, stats_cost = _execute(db, compile_query(db, query, options=COST))
         assert rows_syn == rows_cost, name
         assert stats_cost.rows_scanned <= stats_syn.rows_scanned, name
         best_speedup = max(best_speedup, stats_syn.rows_scanned / max(1, stats_cost.rows_scanned))
@@ -59,7 +62,7 @@ def test_e14_cost_beats_syntactic_everywhere(cases):
 
 def test_e14_explain_reports_estimates(cases):
     name, db, query = cases[0]
-    plan = compile_query(db, query, optimizer="cost")
+    plan = compile_query(db, query, options=COST)
     _execute(db, plan)
     text = plan.explain()
     assert "optimizer=cost" in text

@@ -37,9 +37,10 @@ def _analyze_plain(path: str, kind: str) -> FileReport:
                 "DBPL000", f"syntax error: {exc}", span=Span(exc.line, exc.column)
             )
     else:
+        from ..compiler.options import ExecOptions
         from ..dbpl.session import Session
 
-        diags = Session(analysis="lint").check(text)
+        diags = Session(options=ExecOptions(analysis="lint")).check(text)
     report.diagnostics.extend((snippet, diag) for diag in diags)
     return report
 

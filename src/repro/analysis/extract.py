@@ -121,6 +121,7 @@ def analyze_file(path: str, text: str | None = None) -> FileReport:
     the queries that follow, exactly as they are when the file runs.
     """
     from ..datalog.parser import parse_atom, parse_program
+    from ..compiler.options import ExecOptions
     from ..dbpl.session import Session
     from .rules import analyze_datalog
 
@@ -128,7 +129,7 @@ def analyze_file(path: str, text: str | None = None) -> FileReport:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     report = FileReport(path)
-    session = Session(analysis="lint")
+    session = Session(options=ExecOptions(analysis="lint"))
     for snippet in extract_snippets(text, filename=path):
         if snippet.kind == "dbpl":
             diags = session.check(snippet.source)

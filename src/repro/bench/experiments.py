@@ -17,6 +17,7 @@ from __future__ import annotations
 from .. import paper
 from ..calculus import Evaluator, dsl as d
 from ..compiler import (
+    ExecOptions,
     ExecutionContext,
     LogicalAccessPath,
     PhysicalAccessPath,
@@ -663,8 +664,8 @@ def e14_planner() -> Table:
          "scan cost", "speedup", "equal"],
     )
     for name, db, query in e14_planner_cases():
-        plan_syn = compile_query(db, query, optimizer="syntactic")
-        plan_cost = compile_query(db, query, optimizer="cost")
+        plan_syn = compile_query(db, query, options=ExecOptions(optimizer="syntactic"))
+        plan_cost = compile_query(db, query, options=ExecOptions(optimizer="cost"))
         stats_syn, stats_cost = PlanStats(), PlanStats()
         rows_syn, t_syn = measure(
             lambda p=plan_syn, d_=db, s=stats_syn: p.execute(
@@ -686,8 +687,8 @@ def e14_planner() -> Table:
     # differential fixpoint program (delta-driven vs written-order nests).
     bom_db = bom_database(generate_bom(assemblies=6, depth=5, fanout=3, seed=9))
     system = instantiate(bom_db, d.constructed("Contains", "explode"))
-    prog_syn = compile_fixpoint(bom_db, system, optimizer="syntactic")
-    prog_cost = compile_fixpoint(bom_db, system, optimizer="cost")
+    prog_syn = compile_fixpoint(bom_db, system, options=ExecOptions(optimizer="syntactic"))
+    prog_cost = compile_fixpoint(bom_db, system, options=ExecOptions(optimizer="cost"))
     vals_syn, t_syn = measure(prog_syn.run)
     vals_cost, t_cost = measure(prog_cost.run)
     table.add("BOM explode (fixpoint)", len(vals_cost[system.root]), t_syn, t_cost,
@@ -898,11 +899,11 @@ def e16_batched() -> Table:
     edges = e15_drift_edges()
     tuple_db = _tc_db(edges)
     tuple_sys = instantiate(tuple_db, d.constructed("Infront", "ahead"))
-    tuple_prog = compile_fixpoint(tuple_db, tuple_sys, executor="tuple")
+    tuple_prog = compile_fixpoint(tuple_db, tuple_sys, options=ExecOptions(executor="tuple"))
     tuple_vals, t_tuple = measure(tuple_prog.run)
     batch_db = _tc_db(edges)
     batch_sys = instantiate(batch_db, d.constructed("Infront", "ahead"))
-    batch_prog = compile_fixpoint(batch_db, batch_sys, executor="batch")
+    batch_prog = compile_fixpoint(batch_db, batch_sys, options=ExecOptions(executor="batch"))
     batch_vals, t_batch = measure(batch_prog.run)
     table.add(
         "TC fixpoint (drift edges)", len(edges),
@@ -1066,7 +1067,7 @@ def e17_columnar() -> Table:
     def run_fixpoint(executor):
         db = _tc_db(edges)
         system = instantiate(db, d.constructed("Infront", "ahead"))
-        program = compile_fixpoint(db, system, executor=executor)
+        program = compile_fixpoint(db, system, options=ExecOptions(executor=executor))
         return program, program.run()[system.root]
 
     (row_prog, row_rows), t_row = measure(lambda: run_fixpoint("rowbatch"), repeat=3)
@@ -1213,7 +1214,7 @@ def e18_sharded() -> Table:
         db2 = _tc_db(edges)
         system = instantiate(db2, d.constructed("Infront", "ahead"))
         program = compile_fixpoint(
-            db2, system, executor=executor, shard_config=config
+            db2, system, options=ExecOptions(executor=executor, shard_config=config)
         )
         return program.run()[system.root]
 

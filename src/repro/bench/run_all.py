@@ -57,9 +57,17 @@ def bench_record(name: str, elapsed: float, calibration: float, metrics: dict) -
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    only = set(argv[1:])
+    unknown = sorted(only - set(ALL_EXPERIMENTS))
+    if unknown:
+        print(
+            f"unknown experiment id(s): {', '.join(unknown)}; "
+            f"valid ids: {', '.join(ALL_EXPERIMENTS)}",
+            file=sys.stderr,
+        )
+        return 2
     out_dir = pathlib.Path(argv[0]) if argv else pathlib.Path("results")
     out_dir.mkdir(parents=True, exist_ok=True)
-    only = set(argv[1:]) if len(argv) > 1 else None
     calibration = calibrate()
     print(f"[calibration: {calibration * 1000:.1f} ms]\n")
     for name, runner in ALL_EXPERIMENTS.items():

@@ -1,11 +1,7 @@
 """Executor backends: the one registry every physical layer plugs into.
 
-PRs 3 and 4 grew three ways to run a compiled :class:`~.plans.BranchPlan`
-— the tuple-at-a-time interpreter, the row-major batched pipelines, and
-the columnar struct-of-arrays pipelines — dispatched by string compares
-scattered across ``plans.py``, ``fixpoint.py``, and the Datalog engine.
-This module makes that contract explicit: an :class:`ExecutorBackend`
-knows how to run one branch against an execution context, backends are
+An :class:`ExecutorBackend` knows how to run one compiled
+:class:`~.plans.BranchPlan` against an execution context; backends are
 looked up by name in one registry, and every entry point
 (``QueryPlan.execute``, the fixpoint driver, ``DatalogEngine.solve``)
 dispatches through :func:`get_backend`.
@@ -18,30 +14,34 @@ fixpoint driver, and Datalog inherit it with no further changes.
 
 Built-in backends:
 
-``tuple``
-    The original interpreted loop nest (benchmark E16's baseline).
-``rowbatch``
-    PR 3's row-major flat-carry operator pipelines (E17's baseline).
 ``batch``
     The columnar struct-of-arrays pipelines with operator fusion — the
     default everywhere.
 ``vector``
     Dictionary-encoded int-id pipelines over typed column buffers
     (PR 8), with an optional numpy fast path; falls back per branch to
-    the columnar pipelines for shapes outside the vector coverage rules
-    (residuals, computed ranges, multi-column keys).
+    ``batch`` for shapes outside the vector coverage rules (residuals,
+    computed ranges, multi-column keys).
 ``sharded``
     Hash-partitioned parallel execution of the columnar pipelines in a
     worker pool (see :mod:`repro.compiler.sharded`), registered when
     the :mod:`repro.compiler` package imports (with a lazy fallback in
     :func:`get_backend` for bare uses of this module).
+``tuple``
+    The original interpreted loop nest (benchmark E16's baseline) and
+    the floor of every fallback chain.
+``rowbatch``
+    PR 3's row-major flat-carry operator pipelines: a measurement
+    baseline (E17) that runs only when asked for by name — no other
+    backend falls back to it.
 
-Fallbacks degrade gracefully and in one direction: ``sharded`` runs
-unsharded (``batch``) when a branch is too small or untranslatable,
-``vector`` falls to ``batch`` when a branch is outside the vector
-coverage rules, ``batch`` falls to ``rowbatch`` when a branch cannot be
-expressed columnar, and every batched mode falls to ``tuple`` when no
-pipeline can be generated at all.
+The fallback order is data, not inheritance: each backend names its one
+:attr:`~ExecutorBackend.lowering` and the backend a branch drops to when
+that lowering yields no pipeline (:attr:`~ExecutorBackend.fallback`),
+and :meth:`ExecutorBackend.pipeline_for` walks the chain.  Spelled out:
+``vector → batch → tuple``, ``sharded → batch``, ``rowbatch → tuple``.
+Reaching the interpreter from a batched backend is reported through
+``ctx.note_fallback("lowering", ...)``, never silent.
 """
 
 from __future__ import annotations
@@ -60,15 +60,52 @@ class ExecutorBackend:
     the owning query plan's duplicate-elimination operator; backends
     that produce whole batches route them through it so the union
     counters stay correct, while the tuple interpreter adds rows to
-    ``out`` directly (exactly as before the registry existed).
+    ``out`` directly.
     """
 
     #: Registry key; subclasses override.
     name: str = "?"
+    #: The ``BranchPlan`` method that lowers a branch for this backend
+    #: (None: the tuple interpreter, which needs no pipeline).
+    lowering: str | None = None
+    #: The backend a branch drops to when ``lowering`` yields no pipeline.
+    fallback: str = "tuple"
+
+    def pipeline_for(self, branch, ctx):
+        """The pipeline this backend runs ``branch`` on, or None for the
+        tuple interpreter.
+
+        Walks the fallback chain from this backend: the first lowering
+        that yields a pipeline wins (lowerings are memoized on the
+        branch).  A chain that tried a lowering and still ended at the
+        interpreter is a degradation, reported through
+        ``ctx.note_fallback`` — paid only when it happens.
+        """
+        backend = self
+        while backend.lowering is not None:
+            pipeline = getattr(branch, backend.lowering)()
+            if pipeline is not None:
+                return pipeline
+            backend = get_backend(backend.fallback)
+        if backend is not self:
+            ctx.note_fallback(
+                "lowering",
+                "no operator pipeline could be generated for a branch; "
+                f"executor={self.name!r} ran it on the tuple interpreter",
+            )
+        return None
 
     def execute_branch(self, branch, ctx, out: set, dedup=None) -> None:
         """Run ``branch`` under ``ctx``, adding result tuples to ``out``."""
-        raise NotImplementedError
+        pipeline = self.pipeline_for(branch, ctx)
+        if pipeline is None:
+            branch.execute_tuple(ctx, out)
+            return
+        batch = branch.execute_batch(ctx, pipeline)
+        if dedup is not None:
+            dedup.absorb(batch, out)
+        else:
+            out.update(batch)
 
     def describe(self) -> str:
         return self.name
@@ -79,57 +116,32 @@ class TupleBackend(ExecutorBackend):
 
     name = "tuple"
 
-    def execute_branch(self, branch, ctx, out: set, dedup=None) -> None:
-        branch.execute_tuple(ctx, out)
-
 
 class RowBatchBackend(ExecutorBackend):
     """Row-major flat-carry batched pipelines (PR 3's layout)."""
 
     name = "rowbatch"
-
-    def _pipeline(self, branch):
-        return branch.ensure_row_pipeline()
-
-    def execute_branch(self, branch, ctx, out: set, dedup=None) -> None:
-        pipeline = self._pipeline(branch)
-        if pipeline is None:
-            branch.execute_tuple(ctx, out)
-            return
-        batch = branch.execute_batch(ctx, pipeline)
-        if dedup is not None:
-            dedup.absorb(batch, out)
-        else:
-            out.update(batch)
+    lowering = "ensure_row_pipeline"
 
 
-class BatchBackend(RowBatchBackend):
+class BatchBackend(ExecutorBackend):
     """Columnar struct-of-arrays pipelines with fusion — the default."""
 
     name = "batch"
-
-    def _pipeline(self, branch):
-        pipeline = branch.ensure_pipeline()
-        if pipeline is not None:
-            return pipeline
-        return branch.ensure_row_pipeline()
+    lowering = "ensure_pipeline"
 
 
-class VectorBackend(BatchBackend):
+class VectorBackend(ExecutorBackend):
     """Dictionary-encoded int-id pipelines (PR 8's typed vectors).
 
     Branches the vector lowering covers run over encoded column buffers;
-    everything else takes the inherited columnar → row-major → tuple
-    fallback chain, so ``executor="vector"`` is always safe to request.
+    everything else drops to ``batch``, so ``executor="vector"`` is
+    always safe to request.
     """
 
     name = "vector"
-
-    def _pipeline(self, branch):
-        pipeline = branch.ensure_vector_pipeline()
-        if pipeline is not None:
-            return pipeline
-        return super()._pipeline(branch)
+    lowering = "ensure_vector_pipeline"
+    fallback = "batch"
 
 
 _BACKENDS: dict[str, ExecutorBackend] = {}

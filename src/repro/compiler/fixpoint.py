@@ -20,9 +20,9 @@ iteration's delta sets are hashed once per execution context and probed
 through C-level column kernels, residual quantifiers are checked once
 per distinct binding (grouped index probes), and the differential
 projections fuse into their producing joins.  ``executor="rowbatch"``
-keeps the PR 3 row-major batches and ``executor="tuple"`` the original
-interpreter, both for measurement (benchmarks E16/E17); the executor is
-preserved across mid-fixpoint re-plans.
+(the PR 3 row-major batches) and ``executor="tuple"`` (the original
+interpreter) are by-name measurement baselines (benchmarks E16/E17);
+the executor is preserved across mid-fixpoint re-plans.
 
 Differential plans are additionally **re-optimized mid-fixpoint**: the
 delta cardinalities a plan was priced with are compared against the
@@ -55,7 +55,7 @@ from ..constructors.instantiate import (
 from ..errors import ConvergenceError, PositivityError
 from ..relational import Database, DeltaStats
 from .operators import DeltaApply
-from .options import _UNSET, ExecOptions, resolve_options
+from .options import DEFAULT_OPTIONS, ExecOptions
 from .plans import (
     DEFAULT_EXECUTOR,
     DEFAULT_OPTIMIZER,
@@ -378,10 +378,7 @@ def fixpoint_apply_estimates(
 def compile_fixpoint(
     db: Database,
     system: InstantiatedSystem,
-    optimizer: str = _UNSET,
     replan_drift: float | None = REPLAN_DRIFT,
-    executor: str = _UNSET,
-    shard_config: object | None = _UNSET,
     *,
     options: ExecOptions | None = None,
 ) -> CompiledFixpoint:
@@ -397,15 +394,11 @@ def compile_fixpoint(
     for the cost-based optimizer — the legacy orders ignore estimates —
     so it is disabled for the others.
 
-    Execution knobs arrive on ``options``; the loose
-    ``optimizer=``/``executor=``/``shard_config=`` keywords still work
-    through the shared deprecation adapter.  ``replan_drift`` stays a
+    Execution knobs arrive on ``options``.  ``replan_drift`` stays a
     separate argument — it tunes the fixpoint driver, not execution.
     """
-    options = resolve_options(
-        options, "compile_fixpoint",
-        optimizer=optimizer, executor=executor, shard_config=shard_config,
-    )
+    if options is None:
+        options = DEFAULT_OPTIONS
     optimizer = options.resolved_optimizer
     if not seminaive_eligible(system):
         raise PositivityError(
@@ -457,10 +450,7 @@ def construct_compiled(
     db: Database,
     application: ast.Constructed,
     max_iterations: int = 100_000,
-    optimizer: str = _UNSET,
     replan_drift: float | None = REPLAN_DRIFT,
-    executor: str = _UNSET,
-    shard_config: object | None = _UNSET,
     *,
     options: ExecOptions | None = None,
 ):
@@ -468,10 +458,6 @@ def construct_compiled(
     from ..constructors.api import ConstructionResult
     from ..constructors.positivity import is_system_positive
 
-    options = resolve_options(
-        options, "construct_compiled",
-        optimizer=optimizer, executor=executor, shard_config=shard_config,
-    )
     system = instantiate(db, application)
     if not is_system_positive(system):
         raise PositivityError(

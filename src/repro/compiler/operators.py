@@ -47,13 +47,15 @@ Two batch layouts are generated from the same priced plans:
 
 2. **Row-major flat carries** — PR 3's layout, kept as
    ``executor="rowbatch"`` so benchmark E17 can measure what the
-   columnar conversion buys.  A batch row is a flat tuple of exactly
-   the live values; each operator is one generated list comprehension
-   with attribute access inlined as constant indexing.
+   columnar conversion buys, and reachable only by that name.  A batch
+   row is a flat tuple of exactly the live values; each operator is one
+   generated list comprehension with attribute access inlined as
+   constant indexing.
 
-Both lower lazily and degrade gracefully: an untranslatable term falls
-from columnar to row-major to the tuple-at-a-time interpreter
-(``executor="tuple"``, benchmark E16's baseline).
+Both lower lazily.  A branch with an untranslatable term falls from its
+pipeline straight to the tuple-at-a-time interpreter
+(``executor="tuple"``, benchmark E16's baseline) — the row-major layout
+is never a fallback for the columnar one.
 
 Every operator accumulates the **actual row count** it produced, which
 ``explain()`` reports next to the optimizer's estimates — the batched
@@ -1132,8 +1134,7 @@ def lower_branch_columnar(
     """Lower priced loop steps into the columnar operator pipeline.
 
     Returns None when some term cannot be expressed as generated code
-    (the executor then falls back to the row-major pipeline, and from
-    there to tuple-at-a-time interpretation).
+    (the executor then falls back to tuple-at-a-time interpretation).
     """
     if not steps:
         return None
@@ -2275,7 +2276,7 @@ def lower_branch_vector(
     """Lower priced loop steps into the vector (int-id) pipeline.
 
     Coverage rules — anything outside them returns None and the branch
-    falls back to the columnar pipeline (then row-major, then tuple):
+    falls back to the columnar pipeline (then tuple):
 
     * every step reads a stored relation, except that a fixpoint
       variable may supply the *leading scan* (its delta rows encode per

@@ -1,33 +1,26 @@
 """One execution-options surface for every compilation entry point.
 
-Eight PRs of planner/executor growth each added a knob — ``executor=``,
-``optimizer=``, ``shard_config=``, ``analysis=``, ``snapshot=`` — and by
-PR 8 every front door (``Session.query``/``prepare``, ``compile_query``,
-``compile_fixpoint``, ``construct_compiled``, ``DatalogEngine.solve``)
-accepted a different, drifting subset of them as loose keyword
-arguments.  :class:`ExecOptions` replaces the sprawl: one frozen
-dataclass accepted uniformly as ``options=`` by all of them (plus the
-new ``Session.subscribe``), with ``None`` fields meaning "inherit the
-caller's default" so partial options compose — a session can fix the
-executor while a single call overrides the optimizer.
-
-The loose keywords keep working through :func:`resolve_options`, the
-shared adapter every entry point routes them through: passing one emits
-a :class:`DeprecationWarning` naming the replacement, merges the value
-into the (possibly absent) ``options``, and rejects contradictions
-between the two spellings instead of silently picking one.
+Every front door (``Session``/``Session.query``/``prepare``/
+``subscribe``, ``compile_query``, ``run_query``, ``compile_fixpoint``,
+``construct_compiled``, ``DatalogEngine.solve``/``solve_compiled``)
+takes its execution knobs — executor, optimizer, shard configuration,
+analysis policy, snapshot — one way: a frozen :class:`ExecOptions`
+passed as ``options=``.  ``None`` fields mean "inherit the caller's
+default", so partial options compose — a session can fix the executor
+while a single call overrides the optimizer.  There is no second
+spelling: a loose ``executor=`` (or any other knob) on one of those
+entry points is Python's own ``TypeError``.
 
 Frozen and hashable on purpose: :meth:`ExecOptions.cache_key` is the
 normalized plan-cache fingerprint — two calls that resolve to the same
-executor/optimizer/shard configuration share one cached plan no matter
-which spelling produced them (``snapshot`` and ``analysis`` are
-per-execution concerns and deliberately excluded from the key).
+executor/optimizer/shard configuration share one cached plan
+(``snapshot`` and ``analysis`` are per-execution concerns and
+deliberately excluded from the key).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 #: The default optimizer for every compilation entry point.
@@ -37,10 +30,6 @@ DEFAULT_OPTIMIZER = "cost"
 #: operator pipeline with fused projection; see
 #: :mod:`repro.compiler.executors` for the full registry.
 DEFAULT_EXECUTOR = "batch"
-
-#: Distinguishes "keyword not passed" from any real value (None is a
-#: meaningful value for most of these knobs).
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -117,43 +106,3 @@ class ExecOptions:
 
 #: The all-defaults options object (shared: ExecOptions is frozen).
 DEFAULT_OPTIONS = ExecOptions()
-
-
-def resolve_options(
-    options: ExecOptions | None,
-    where: str,
-    **legacy,
-) -> ExecOptions:
-    """The shared legacy-keyword adapter of every execution entry point.
-
-    ``legacy`` maps option-field names to the values the caller's loose
-    keyword arguments carried, with :data:`_UNSET` meaning "not passed".
-    Any genuinely passed loose keyword emits one
-    :class:`DeprecationWarning` naming ``where`` and the replacement
-    spelling; a loose keyword that contradicts the same field already
-    set on ``options`` raises :class:`ValueError` (two spellings, two
-    values — refusing beats guessing).  Returns the merged options,
-    never ``None``.
-    """
-    supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if not supplied:
-        return options if options is not None else DEFAULT_OPTIONS
-    names = ", ".join(sorted(supplied))
-    warnings.warn(
-        f"{where}: the loose keyword(s) {names} are deprecated; pass "
-        f"options=ExecOptions({names}=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if options is None:
-        return ExecOptions(**supplied)
-    conflicts = [
-        k for k, v in supplied.items()
-        if getattr(options, k) is not None and getattr(options, k) != v
-    ]
-    if conflicts:
-        raise ValueError(
-            f"{where}: {', '.join(sorted(conflicts))} passed both as loose "
-            f"keyword(s) and on options= with different values"
-        )
-    return options.replace(**supplied)

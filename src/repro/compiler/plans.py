@@ -39,10 +39,13 @@ by C-level kernels, grouped residual probes, and projection fused into
 the producing join or filter — with fusion decisions cost-gated by the
 :class:`CostModel`.  ``executor="sharded"`` runs the same columnar
 pipelines hash-partitioned across a worker pool
-(:mod:`repro.compiler.sharded`, benchmark E18); ``executor="rowbatch"``
-keeps the row-major batched pipelines (PR 3) and ``executor="tuple"``
-the original tuple-at-a-time interpreter, so benchmarks E16/E17 can
-measure each layer on identical plans.
+(:mod:`repro.compiler.sharded`, benchmark E18).  A branch no columnar
+pipeline can be generated for drops to the tuple-at-a-time interpreter
+(``executor="tuple"``) — one hop, reported through
+:meth:`ExecutionContext.note_fallback`.  ``executor="rowbatch"`` (the
+PR 3 row-major batched pipelines) runs only when asked for by name: it
+and ``"tuple"`` are the baselines benchmarks E16/E17 measure each layer
+against on identical plans.
 """
 
 from __future__ import annotations
@@ -59,11 +62,10 @@ from ..relational import Database, HashIndex
 from ..types import RecordType
 from .executors import EXECUTOR_NAMES, get_backend
 from .options import (
-    _UNSET,
     DEFAULT_EXECUTOR,
     DEFAULT_OPTIMIZER,
+    DEFAULT_OPTIONS,
     ExecOptions,
-    resolve_options,
 )
 from .operators import (
     Dedup,
@@ -80,12 +82,6 @@ DP_LIMIT = 6
 
 #: The execution defaults live in :mod:`repro.compiler.options` (the
 #: canonical knob surface); re-exported here for the many importers.
-#: "batch" runs the columnar (struct-of-arrays) operator pipeline with
-#: fused projection, "rowbatch" the row-major batched pipeline it
-#: replaced (benchmark E17's baseline), "tuple" the original
-#: interpreted loop nest (E16's baseline), and "sharded" the
-#: hash-partitioned parallel backend (E18).  Dispatch goes through the
-#: :mod:`repro.compiler.executors` registry.
 
 #: Every accepted executor mode (see :mod:`repro.compiler.executors`).
 EXECUTORS = EXECUTOR_NAMES
@@ -158,7 +154,8 @@ class ExecutionContext:
         #: the serving layer (see ``Session._note_exec_fallback``) so
         #: silent executor degradations — process pool falling back to
         #: threads, the shipped-shard path falling back to fork-time
-        #: inheritance — surface as counters and DBPL9xx hints.
+        #: inheritance, a branch with no generated pipeline dropping to
+        #: the tuple interpreter — surface as counters and DBPL9xx hints.
         self.on_fallback = None
         # The residual evaluator shares params/apply values with the plan.
         self.evaluator = Evaluator(db, self.params, self.apply_values)
@@ -882,11 +879,11 @@ class BranchPlan:
     params: dict = field(default_factory=dict)
     #: The lowered columnar physical-operator pipeline: _PENDING until
     #: first use, then a BranchPipeline, or None when some term could not
-    #: be generated (the row-major pipeline, then the tuple interpreter,
-    #: are the fallbacks).
+    #: be generated (the tuple interpreter is the fallback).
     pipeline: object | None = None
     #: The row-major batched pipeline of PR 3, kept as benchmark E17's
-    #: measurement baseline (``executor="rowbatch"``).
+    #: measurement baseline — lowered only when ``executor="rowbatch"``
+    #: is requested by name, never as a fallback.
     row_pipeline: object | None = None
     #: The dictionary-encoded vector pipeline (``executor="vector"``):
     #: _PENDING until first use, then a BranchPipeline, or None when the
@@ -1557,24 +1554,19 @@ def compile_query(
     db: Database,
     query: ast.Query,
     params: dict | None = None,
-    optimizer: str = _UNSET,
     cost_model: CostModel | None = None,
-    executor: str = _UNSET,
     *,
     options: ExecOptions | None = None,
 ) -> QueryPlan:
     """Compile every branch of a query into an executable plan.
 
     Execution knobs arrive on ``options`` (an
-    :class:`~repro.compiler.options.ExecOptions`); the loose
-    ``optimizer=``/``executor=`` keywords still work through the shared
-    deprecation adapter.  ``cost_model`` stays a separate argument — it
-    is compiler plumbing (estimate reuse across related compilations),
-    not a client-facing knob.
+    :class:`~repro.compiler.options.ExecOptions`).  ``cost_model`` stays
+    a separate argument — it is compiler plumbing (estimate reuse across
+    related compilations), not a client-facing knob.
     """
-    options = resolve_options(
-        options, "compile_query", optimizer=optimizer, executor=executor
-    )
+    if options is None:
+        options = DEFAULT_OPTIONS
     if cost_model is None:
         cost_model = CostModel(db)
     optimizer = options.resolved_optimizer
@@ -1594,18 +1586,14 @@ def run_query(
     params: dict | None = None,
     apply_values: dict | None = None,
     stats: PlanStats | None = None,
-    optimizer: str = _UNSET,
     cost_model: CostModel | None = None,
-    executor: str = _UNSET,
     *,
     options: ExecOptions | None = None,
 ) -> set[tuple]:
     """Compile and execute a query in one call."""
-    options = resolve_options(
-        options, "run_query", optimizer=optimizer, executor=executor
-    )
+    if options is None:
+        options = DEFAULT_OPTIONS
     plan = compile_query(db, query, params, cost_model=cost_model, options=options)
     ctx = ExecutionContext(db, params, apply_values, stats)
-    if options.shard_config is not None:
-        ctx.shard_config = options.shard_config
+    ctx.shard_config = options.shard_config
     return plan.execute(ctx)

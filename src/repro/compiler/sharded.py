@@ -64,7 +64,7 @@ from ..calculus.analysis import free_tuple_vars
 from ..errors import DBPLError
 from ..relational.indexes import ShardView, partition_rows, partition_views
 from ..relational.vectors import ColumnVector, EncodedTable, get_numpy
-from .executors import BatchBackend, register_backend
+from .executors import BatchBackend, get_backend, register_backend
 from .operators import VectorHashJoin, _batch_len, _encode_apply
 from .plans import ExecutionContext, PlanStats, _compile_value
 
@@ -561,11 +561,8 @@ class ShardedBackend(BatchBackend):
 
     def execute_branch(self, branch, ctx, out: set, dedup=None) -> None:
         config = ctx.shard_config or DEFAULT_CONFIG
-        pipeline = None
-        if config.inner == "vector":
-            pipeline = branch.ensure_vector_pipeline()
-        if pipeline is None:
-            pipeline = self._pipeline(branch)
+        inner = get_backend("vector") if config.inner == "vector" else self
+        pipeline = inner.pipeline_for(branch, ctx)
         if pipeline is None:
             branch.execute_tuple(ctx, out)
             return

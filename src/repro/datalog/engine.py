@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.diagnostics import Diagnostics
-from ..compiler.options import _UNSET as _OPT_UNSET
-from ..compiler.options import ExecOptions, resolve_options
+from ..compiler.options import ExecOptions
 from ..errors import DatalogAnalysisError, TranslationError
 from .ast import Atom, Comparison, Const, Program, Rule
 
@@ -263,11 +262,8 @@ class DatalogEngine:
     def solve_compiled(
         self,
         stats: DatalogStats | None = None,
-        optimizer: str = _OPT_UNSET,
-        executor: str = _OPT_UNSET,
-        shard_config: object | None = _OPT_UNSET,
         *,
-        options: "ExecOptions | None" = None,
+        options: ExecOptions | None = None,
     ) -> dict[str, frozenset]:
         """Evaluate through the constructor translation and the batched
         fixpoint executor (see :mod:`repro.compiler`).
@@ -277,19 +273,15 @@ class DatalogEngine:
         instantiated system, so every strongly connected component is
         solved exactly once.  ``options.executor`` names a backend in
         the :mod:`repro.compiler.executors` registry — ``"batch"``
-        (columnar struct-of-arrays pipelines, the default),
-        ``"rowbatch"`` (row-major batches), ``"tuple"``, or ``"sharded"``
-        (hash-partitioned parallel execution; ``options.shard_config``
-        tunes its worker pool) — so Datalog programs inherit every
-        executor improvement unchanged.
+        (columnar struct-of-arrays pipelines, the default), ``"vector"``,
+        ``"sharded"`` (hash-partitioned parallel execution;
+        ``options.shard_config`` tunes its worker pool), or the
+        ``"tuple"``/``"rowbatch"`` baselines — so Datalog programs
+        inherit every executor improvement unchanged.
         """
         from ..compiler.fixpoint import construct_compiled
         from .to_constructors import datalog_to_database
 
-        options = resolve_options(
-            options, "DatalogEngine.solve_compiled",
-            optimizer=optimizer, executor=executor, shard_config=shard_config,
-        )
         stats = stats if stats is not None else DatalogStats()
         stats.mode = "compiled"
         db, applications = datalog_to_database(self.program, self.edb)
@@ -317,15 +309,9 @@ class DatalogEngine:
         self,
         mode: str = "seminaive",
         stats: DatalogStats | None = None,
-        executor: str = _OPT_UNSET,
-        shard_config: object | None = _OPT_UNSET,
         *,
-        options: "ExecOptions | None" = None,
+        options: ExecOptions | None = None,
     ) -> dict[str, frozenset]:
-        options = resolve_options(
-            options, "DatalogEngine.solve",
-            executor=executor, shard_config=shard_config,
-        )
         if mode == "naive":
             return self.solve_naive(stats)
         if mode == "seminaive":

@@ -49,7 +49,7 @@ from ..calculus import ast
 from ..calculus.subst import transform
 from ..compiler import ExecutionContext, compile_query
 from ..compiler.executors import get_backend
-from ..compiler.options import ExecOptions
+from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
 from ..compiler.plans import PlanStats
 from ..errors import BindingError
 from ..relational import Database
@@ -157,14 +157,12 @@ class PreparedPlan:
         db: Database,
         shape: ast.Query,
         constants: tuple,
-        executor: str | None = None,
-        optimizer: str | None = None,
         epoch: int | None = None,
         *,
         options: ExecOptions | None = None,
     ) -> None:
         if options is None:
-            options = ExecOptions(executor=executor, optimizer=optimizer)
+            options = DEFAULT_OPTIONS
         self.options = options
         executor = options.resolved_executor
         get_backend(executor)  # validate the name before paying for a compile

@@ -21,14 +21,16 @@ the compiled fixpoint engine.  The knobs:
   evaluator (the semantic baseline every backend is tested against);
   ``mode="naive"``/``"seminaive"`` pick an interpreted fixpoint engine
   for constructed ranges.
-* ``query(..., executor=...)`` / ``Session(executor=...)`` select a
-  registered backend (``batch``, ``rowbatch``, ``tuple``, ``sharded``).
+* ``options=ExecOptions(executor=...)`` on ``Session(...)`` or a single
+  ``query``/``prepare``/``subscribe`` call selects a registered backend
+  (``batch``, ``vector``, ``sharded``; ``tuple``/``rowbatch`` baselines).
 * ``prepare(source)`` compiles once and returns a
   :class:`~repro.dbpl.serving.PreparedQuery` handle for repeated
   execution with rebound constants.
 * ``snapshot()`` pins the current committed state of every relation;
-  pass it to ``query``/``execute`` for repeatable reads under
-  concurrent writers.
+  pass it as ``ExecOptions(snapshot=...)`` to ``query`` (or to
+  ``PreparedQuery.execute``) for repeatable reads under concurrent
+  writers.
 
 Query shapes the compiler cannot translate fall back to the interpreted
 evaluator transparently (compile-time errors only — runtime errors
@@ -37,7 +39,7 @@ propagate).
 Every query and declaration also passes through the static analyzer
 (:mod:`repro.analysis`) before touching the planner.  ``Session.check``
 returns the diagnostics for a source string without executing it; the
-``analysis`` knob picks the gate policy (``"strict"`` rejects
+``ExecOptions.analysis`` knob picks the gate policy (``"strict"`` rejects
 error-level diagnostics with a span-carrying
 :class:`~repro.errors.AnalysisError`, ``"lint"`` reports without
 rejecting, ``"off"`` skips analysis); ``on_diagnostic`` observes every
@@ -55,7 +57,7 @@ from ..analysis.diagnostics import Diagnostic, Diagnostics, Span
 from ..calculus import ast
 from ..calculus.evaluator import Evaluator
 from ..compiler import construct_compiled
-from ..compiler.options import _UNSET, ExecOptions, resolve_options
+from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
 from ..constructors import construct
 from ..constructors.definition import Constructor
 from ..errors import (
@@ -132,6 +134,7 @@ _EXEC_FALLBACK_CODES = {
     "process_pool": "DBPL902",
     "ship": "DBPL903",
     "snapshot_sharded": "DBPL904",
+    "lowering": "DBPL905",
 }
 
 
@@ -142,16 +145,13 @@ class Session:
         self,
         db: Database | None = None,
         name: str = "session",
-        executor: str | None = _UNSET,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-        analysis: str = _UNSET,
         on_diagnostic=None,
         *,
         options: ExecOptions | None = None,
     ) -> None:
-        options = resolve_options(
-            options, "Session", executor=executor, analysis=analysis
-        )
+        if options is None:
+            options = DEFAULT_OPTIONS
         if options.analysis is None:
             options = options.replace(analysis="strict")
         if options.analysis not in ANALYSIS_MODES:
@@ -163,9 +163,7 @@ class Session:
         self.options = options
         self.db = db if db is not None else Database(name)
         self.types: dict[str, Type] = dict(ATOMIC_TYPES)
-        self.executor = options.executor
         self.plan_cache = PlanCache(plan_cache_size)
-        self.analysis = options.analysis
         self.on_diagnostic = on_diagnostic
         self.last_diagnostics = Diagnostics()
         #: How many times execution left the requested path: "interpreted"
@@ -174,14 +172,17 @@ class Session:
         #: "process_pool" counts shard pools degrading to threads (no
         #: fork), "ship" counts shipped vector shards reverting to
         #: fork-time inheritance, "snapshot_sharded" counts snapshot
-        #: executions demoting executor="sharded" to "batch".  Each
-        #: increment also emits a DBPL90x hint to ``on_diagnostic``.
+        #: executions demoting executor="sharded" to "batch", "lowering"
+        #: counts branches no operator pipeline could be generated for
+        #: running on the tuple interpreter.  Each increment also emits a
+        #: DBPL90x hint to ``on_diagnostic``.
         self.fallbacks = {
             "interpreted": 0,
             "construct": 0,
             "process_pool": 0,
             "ship": 0,
             "snapshot_sharded": 0,
+            "lowering": 0,
         }
         self._analysis_cache: OrderedDict[tuple, AnalysisResult] = OrderedDict()
         self._anon = 0
@@ -236,19 +237,16 @@ class Session:
             self._analysis_cache.popitem(last=False)
         return result
 
-    def _gate(
-        self, node, source: str, analysis: str | None = None
-    ) -> AnalysisResult | None:
+    def _gate(self, node, source: str, mode: str) -> AnalysisResult | None:
         """The analyzer front gate for :meth:`query` and :meth:`prepare`.
 
         strict — error diagnostics raise :class:`AnalysisError` (with the
         first error's span) before any compilation; lint — everything is
         reported but nothing raises; off — returns None untouched.
         Diagnostics that do not raise go to the ``on_diagnostic`` hook.
-        ``analysis`` overrides the session policy for one call
-        (``ExecOptions.analysis`` on query/prepare/subscribe).
+        ``mode`` is the call's resolved ``ExecOptions.analysis`` (the
+        session policy unless query/prepare/subscribe overrode it).
         """
-        mode = analysis if analysis is not None else self.analysis
         if mode == "off":
             return None
         result = self._analysis_result(node, source)
@@ -293,11 +291,11 @@ class Session:
 
         The compiled path was kept, but not the requested physical
         strategy: a process pool ran on threads (DBPL902), a shippable
-        shard pipeline reverted to fork-time inheritance (DBPL903), or a
+        shard pipeline reverted to fork-time inheritance (DBPL903), a
         snapshot execution demoted the sharded executor to batch
-        (DBPL904).  These used to happen silently; counters plus
-        hint-severity diagnostics make them observable without changing
-        any result.
+        (DBPL904), or a branch with no generated operator pipeline ran
+        on the tuple interpreter (DBPL905).  Counters plus hint-severity
+        diagnostics make them observable without changing any result.
         """
         if kind not in self.fallbacks:
             self.fallbacks[kind] = 0
@@ -319,7 +317,7 @@ class Session:
         binder accepts.
         """
         module = parse_module(source)
-        if self.analysis != "off":
+        if self.options.analysis != "off":
             checks = _checks()
             diags = checks.analyze_module(
                 module, checks.Scope.from_session(self)
@@ -426,12 +424,14 @@ class Session:
 
     # -- queries and statements ------------------------------------------------------
 
+    def _call_options(self, options: ExecOptions | None) -> ExecOptions:
+        """One call's options layered over the session's (set fields win)."""
+        return self.options if options is None else options.over(self.options)
+
     def query(
         self,
         source: str,
         mode: str = "auto",
-        executor: str | None = _UNSET,
-        snapshot: DatabaseSnapshot | None = _UNSET,
         *,
         options: ExecOptions | None = None,
     ) -> set[tuple]:
@@ -456,11 +456,9 @@ class Session:
         fallback; an :class:`EvaluationError` mid-execution propagates
         (re-running after partial evaluation would hide real bugs).
         """
-        options = resolve_options(
-            options, "Session.query", executor=executor, snapshot=snapshot
-        ).over(self.options)
+        options = self._call_options(options)
         node = parse_expression(source)
-        analysis = self._gate(node, source, analysis=options.analysis)
+        analysis = self._gate(node, source, options.analysis)
         if mode == "interpreted":
             return self._query_interpreted(node, source)
         if isinstance(node, ast.Constructed):
@@ -529,7 +527,6 @@ class Session:
     def prepare(
         self,
         source: str,
-        executor: str | None = _UNSET,
         *,
         options: ExecOptions | None = None,
     ) -> PreparedQuery:
@@ -543,9 +540,7 @@ class Session:
         result is recomputed state, not a parameterized scan; evaluate
         them with :meth:`query`.
         """
-        options = resolve_options(
-            options, "Session.prepare", executor=executor
-        ).over(self.options)
+        options = self._call_options(options)
         node = parse_expression(source)
         if isinstance(node, (ast.RelRef, ast.Selected, ast.QueryRange)):
             node = range_query(node)
@@ -556,7 +551,7 @@ class Session:
             )
         if not isinstance(node, ast.Query):
             raise BindingError(f"not a query expression: {source!r}")
-        self._gate(node, source, analysis=options.analysis)
+        self._gate(node, source, options.analysis)
         plan, constants = self._prepared_plan(node, options)
         return PreparedQuery(plan, constants, source)
 
@@ -564,7 +559,6 @@ class Session:
         self,
         source: str,
         on_change=None,
-        executor: str | None = _UNSET,
         *,
         options: ExecOptions | None = None,
     ):
@@ -586,15 +580,13 @@ class Session:
         untranslatable shape raises rather than silently degrading to
         per-write recomputation on the reference evaluator.
         """
-        options = resolve_options(
-            options, "Session.subscribe", executor=executor
-        ).over(self.options)
+        options = self._call_options(options)
         if options.snapshot is not None:
             raise ValueError(
                 "subscriptions maintain live state; snapshot= does not apply"
             )
         node = parse_expression(source)
-        analysis = self._gate(node, source, analysis=options.analysis)
+        analysis = self._gate(node, source, options.analysis)
         registry = SubscriptionRegistry.ensure(self.db)
         if isinstance(node, ast.Constructed):
             return registry.subscribe_fixpoint(node, source, options, on_change)

@@ -54,6 +54,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace as dc_replace
 
 from ..calculus import ast
+from ..compiler.executors import get_backend
 from ..compiler.fixpoint import REPLAN_DRIFT, compile_fixpoint
 from ..compiler.options import ExecOptions
 from ..compiler.plans import CostModel, ExecutionContext, PlanStats, compile_query
@@ -164,12 +165,9 @@ def _execute_bag(plan, ctx: ExecutionContext, executor: str) -> list:
     concatenated projected batches of every branch, duplicates kept
     (``execute_batch`` returns the pre-dedup batch by contract)."""
     out: list = []
+    backend = get_backend(executor)
     for branch in plan.branches:
-        pipeline = None
-        if executor == "batch":
-            pipeline = branch.ensure_pipeline() or branch.ensure_row_pipeline()
-        elif executor == "rowbatch":
-            pipeline = branch.ensure_row_pipeline()
+        pipeline = backend.pipeline_for(branch, ctx)
         if pipeline is not None:
             out.extend(branch.execute_batch(ctx, pipeline))
         else:
@@ -477,15 +475,7 @@ class FixpointSubscription(Subscription):
                 f"instantiated system for {self._system.root.describe()} "
                 "is not positive"
             )
-        self._program = compile_fixpoint(
-            db,
-            self._system,
-            options=ExecOptions(
-                optimizer=options.resolved_optimizer,
-                executor=options.resolved_executor,
-                shard_config=options.shard_config,
-            ),
-        )
+        self._program = compile_fixpoint(db, self._system, options=options)
         self.watched = tuple(sorted(base_relation_names(db, self._system)))
         self._values = {
             key: set(rows) for key, rows in self._program.run().items()

@@ -27,8 +27,6 @@ from .stats import ColumnStats, DeltaStats, Histogram, StatsCatalog, TableStats
 from .storage import (
     RelationStore,
     open_database,
-    pyarrow_enabled,
-    set_pyarrow_enabled,
     spill_database,
 )
 from .vectors import (
@@ -59,9 +57,7 @@ __all__ = [
     "TableStats",
     "numpy_enabled",
     "open_database",
-    "pyarrow_enabled",
     "set_numpy_enabled",
-    "set_pyarrow_enabled",
     "spill_database",
     "antijoin",
     "partition_rows",

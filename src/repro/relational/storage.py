@@ -29,12 +29,8 @@ partitions only.  Predicate pushdown prunes whole partitions against
 the manifest's per-column min/max before any page is read, then filters
 the surviving partitions' decoded values row by row.
 
-The optional **parquet codec** mirrors the numpy feature gate of
-:mod:`repro.relational.vectors`: when pyarrow is importable *and*
-enabled (:func:`set_pyarrow_enabled` / ``REPRO_STORAGE_PARQUET``),
-spills write ``part-NNNN.parquet`` id pages instead; readers dispatch
-on the file extension.  The stdlib ``.bin`` codec is first-class — the
-CI ``test-no-pyarrow`` leg runs the whole suite without pyarrow.
+``.bin`` is the only page codec: a manifest naming any other page file
+is rejected with a :class:`~repro.errors.StorageError` naming the file.
 """
 
 from __future__ import annotations
@@ -52,10 +48,7 @@ from ..errors import StorageError
 
 __all__ = [
     "RelationStore",
-    "get_pyarrow",
     "open_database",
-    "pyarrow_enabled",
-    "set_pyarrow_enabled",
     "spill_database",
 ]
 
@@ -66,83 +59,6 @@ _FORMAT_VERSION = 1
 #: Partition page header: magic, format version, columns, rows.
 _PAGE_MAGIC = b"RPC1"
 _PAGE_HEADER = struct.Struct("<4sBIQ")
-
-#: Environment kill switch for the parquet codec, mirroring
-#: ``REPRO_VECTOR_NUMPY``: unset/``0`` keeps the stdlib ``.bin`` codec
-#: even when pyarrow is importable (parquet is opt-in, not opt-out —
-#: the stdlib format is the one every environment can read back).
-_PARQUET_ENV = "REPRO_STORAGE_PARQUET"
-
-#: Tri-state override installed by :func:`set_pyarrow_enabled`.
-_PYARROW_OVERRIDE: bool | None = None
-
-#: Lazily imported pyarrow module, or False once the import failed.
-_PYARROW_MODULE = None
-
-
-def _env_allows_parquet() -> bool:
-    return os.environ.get(_PARQUET_ENV, "0").strip().lower() in (
-        "1",
-        "true",
-        "on",
-        "yes",
-    )
-
-
-def set_pyarrow_enabled(flag: bool | None) -> None:
-    """Force the parquet codec on/off, or None to restore auto-detect.
-
-    Forcing True still degrades cleanly when pyarrow is not importable —
-    the gate can enable the codec, never conjure the dependency.
-    """
-    global _PYARROW_OVERRIDE
-    _PYARROW_OVERRIDE = flag
-
-
-def get_pyarrow():
-    """The pyarrow module when the parquet codec is enabled, else None."""
-    global _PYARROW_MODULE
-    if _PYARROW_OVERRIDE is False:
-        return None
-    if _PYARROW_OVERRIDE is None and not _env_allows_parquet():
-        return None
-    if _PYARROW_MODULE is None:
-        try:
-            import pyarrow
-            import pyarrow.parquet  # noqa: F401 - submodule import
-        except ImportError:
-            pyarrow = False
-        _PYARROW_MODULE = pyarrow
-    return _PYARROW_MODULE or None
-
-
-def pyarrow_enabled() -> bool:
-    """True when spills will write parquet id pages."""
-    return get_pyarrow() is not None
-
-
-def _load_parquet_module():
-    """pyarrow for *reading* an existing ``.parquet`` page.
-
-    Reading dispatches on the file extension, not the write gate: a
-    database spilled with parquet pages must stay openable even when
-    the gate has since been switched off — but it genuinely needs the
-    module.
-    """
-    global _PYARROW_MODULE
-    if _PYARROW_MODULE is None:
-        try:
-            import pyarrow
-            import pyarrow.parquet  # noqa: F401 - submodule import
-        except ImportError:
-            pyarrow = False
-        _PYARROW_MODULE = pyarrow
-    if not _PYARROW_MODULE:
-        raise StorageError(
-            "partition page is parquet-encoded but pyarrow is not "
-            "importable; re-spill with the stdlib codec or install pyarrow"
-        )
-    return _PYARROW_MODULE
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +282,11 @@ class RelationStore:
     def _read_columns(self, part: dict, live: tuple) -> dict:
         """``{pos: array('q')}`` of the partition's live id pages."""
         filename = os.path.join(self.path, part["file"])
-        if filename.endswith(".parquet"):
-            return self._read_parquet_columns(filename, part, live)
+        if not filename.endswith(".bin"):
+            raise StorageError(
+                f"partition page {filename!r} is not a .bin id page "
+                "(the only page codec)"
+            )
         nrows = part["rows"]
         out = {}
         try:
@@ -400,29 +319,6 @@ class RelationStore:
         self.counters.rows_decoded += nrows
         self.counters.cells_decoded += nrows * len(live)
         self.counters.bytes_read += _PAGE_HEADER.size + 8 * nrows * len(live)
-        return out
-
-    def _read_parquet_columns(self, filename: str, part: dict, live: tuple) -> dict:
-        pa = _load_parquet_module()
-        try:
-            table = pa.parquet.read_table(
-                filename, columns=[f"c{pos}" for pos in live]
-            )
-        except (OSError, pa.lib.ArrowInvalid) as exc:
-            raise StorageError(f"unreadable partition page {filename!r}: {exc}") from exc
-        nrows = part["rows"]
-        out = {}
-        for pos in live:
-            ids = array("q", table.column(f"c{pos}").to_pylist())
-            if len(ids) != nrows:
-                raise StorageError(
-                    f"truncated id page in {filename!r} (column {pos})"
-                )
-            out[pos] = ids
-        self.counters.partitions_read += 1
-        self.counters.rows_decoded += nrows
-        self.counters.cells_decoded += nrows * len(live)
-        self.counters.bytes_read += 8 * nrows * len(live)
         return out
 
     # -- scanning -----------------------------------------------------------
@@ -660,7 +556,7 @@ class RelationStore:
 # ---------------------------------------------------------------------------
 
 
-def _write_partition(path: str, chunk: list, dicts: tuple, parquet) -> dict:
+def _write_partition(path: str, chunk: list, dicts: tuple) -> dict:
     """Write one partition's id pages; return its manifest entry."""
     nrows = len(chunk)
     ncols = len(dicts)
@@ -672,22 +568,14 @@ def _write_partition(path: str, chunk: list, dicts: tuple, parquet) -> dict:
         bounds = _chunk_minmax(map(itemgetter(pos), chunk))
         if bounds is not None:
             minmax[str(pos)] = bounds
-    if parquet is not None:
-        filename = path + ".parquet"
-        table = parquet.table(
-            {f"c{pos}": parquet.array(pages[pos], type=parquet.int64())
-             for pos in range(ncols)}
-        )
-        parquet.parquet.write_table(table, filename)
-    else:
-        filename = path + ".bin"
-        with open(filename, "wb") as fh:
-            fh.write(_PAGE_HEADER.pack(_PAGE_MAGIC, _FORMAT_VERSION, ncols, nrows))
-            for page in pages:
-                if sys.byteorder != "little":
-                    page = array("q", page)
-                    page.byteswap()
-                fh.write(page.tobytes())
+    filename = path + ".bin"
+    with open(filename, "wb") as fh:
+        fh.write(_PAGE_HEADER.pack(_PAGE_MAGIC, _FORMAT_VERSION, ncols, nrows))
+        for page in pages:
+            if sys.byteorder != "little":
+                page = array("q", page)
+                page.byteswap()
+            fh.write(page.tobytes())
     return {
         "file": os.path.basename(filename),
         "rows": nrows,
@@ -700,7 +588,6 @@ def spill_relation(rel, path: str, rows_per_partition: int = 4096) -> RelationSt
     if rows_per_partition < 1:
         raise StorageError("rows_per_partition must be at least 1")
     os.makedirs(path, exist_ok=True)
-    parquet = get_pyarrow()
     # Deterministic partitioning: sorted rows spill identically across
     # runs, and sorting clusters values so per-partition min/max prune.
     try:
@@ -715,7 +602,6 @@ def spill_relation(rel, path: str, rows_per_partition: int = 4096) -> RelationSt
             os.path.join(path, f"part-{len(partitions):04d}"),
             chunk,
             dicts,
-            parquet,
         )
         partitions.append(entry)
     element = rel.rtype.element
@@ -725,7 +611,7 @@ def spill_relation(rel, path: str, rows_per_partition: int = 4096) -> RelationSt
         "attributes": list(element.attribute_names),
         "key": list(rel.rtype.key),
         "row_count": len(rows),
-        "codec": "parquet" if parquet is not None else "bin",
+        "codec": "bin",
         "partitions": partitions,
     }
     with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:

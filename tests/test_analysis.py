@@ -35,6 +35,7 @@ from repro.datalog.parser import parse_program
 from repro.dbpl.parser import parse_expression
 from repro.dbpl.session import Session
 from repro.errors import BindingError, TranslationError
+from repro.compiler.options import ExecOptions
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -49,7 +50,7 @@ BEGIN EACH r IN Rel: r.name = N END named;
 
 
 def lint_session() -> Session:
-    s = Session(analysis="lint")
+    s = Session(options=ExecOptions(analysis="lint"))
     s.execute(SCHEMA)
     return s
 
@@ -256,13 +257,13 @@ class TestSessionFrontDoor:
             strict_session().query("{EACH x IN Nope: TRUE}", mode="interpreted")
 
     def test_lint_mode_reports_without_raising(self):
-        s = Session(analysis="lint")
+        s = Session(options=ExecOptions(analysis="lint"))
         s.execute(SCHEMA)
         diags = s.check("{EACH x IN Nope: TRUE}")
         assert diags.has_errors and s.last_diagnostics is diags
 
     def test_off_mode_skips_analysis(self):
-        s = Session(analysis="off")
+        s = Session(options=ExecOptions(analysis="off"))
         s.execute(SCHEMA)
         s.insert("Items", [("a", "k", 1)])
         assert s.query('{EACH i IN Items: i.name = "a"}') == {("a", "k", 1)}
@@ -270,7 +271,7 @@ class TestSessionFrontDoor:
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            Session(analysis="pedantic")
+            Session(options=ExecOptions(analysis="pedantic"))
 
     def test_hook_sees_warnings_on_accepted_queries(self):
         seen = []

@@ -46,6 +46,7 @@ from repro.workloads import (
     generate_scene,
     sg_database,
 )
+from repro.compiler.options import ExecOptions
 
 
 def _random_edges(rng: random.Random) -> list[tuple[str, str]]:
@@ -107,8 +108,8 @@ def test_batched_fixpoint_on_named_workloads(workload):
         node = d.constructed("Sibling", "samegen", d.rel("Parent"))
     system = instantiate(db, node)
     semi = seminaive_fixpoint(db, system)
-    batch = compile_fixpoint(db, system, executor="batch").run()
-    tup = compile_fixpoint(db, system, executor="tuple").run()
+    batch = compile_fixpoint(db, system, options=ExecOptions(executor="batch")).run()
+    tup = compile_fixpoint(db, system, options=ExecOptions(executor="tuple")).run()
     for key in system.apps:
         assert batch[key] == semi[key] == tup[key]
 
@@ -120,12 +121,12 @@ def test_batched_executor_through_replan_path():
     edges = e15_drift_edges(comps=4, sources=20, leaves=20)
     adaptive_db = paper.cad_database(infront=edges, mutual=False)
     adaptive_sys = instantiate(adaptive_db, d.constructed("Infront", "ahead"))
-    adaptive = compile_fixpoint(adaptive_db, adaptive_sys, executor="batch")
+    adaptive = compile_fixpoint(adaptive_db, adaptive_sys, options=ExecOptions(executor="batch"))
     adaptive_vals = adaptive.run()
     frozen_db = paper.cad_database(infront=edges, mutual=False)
     frozen_sys = instantiate(frozen_db, d.constructed("Infront", "ahead"))
     frozen = compile_fixpoint(frozen_db, frozen_sys, replan_drift=None,
-                              executor="tuple")
+                              options=ExecOptions(executor="tuple"))
     frozen_vals = frozen.run()
     assert adaptive.replans >= 1
     assert adaptive_vals[adaptive_sys.root] == frozen_vals[frozen_sys.root]
@@ -264,7 +265,7 @@ class TestOperatorPipeline:
             )
         )
         stats = PlanStats()
-        plan = compile_query(db, q, executor="tuple")
+        plan = compile_query(db, q, options=ExecOptions(executor="tuple"))
         rows = plan.execute(ExecutionContext(db, stats=stats))
         assert rows == {("table", "door"), ("rug", "chair")}
         # tuple mode leaves the per-step actuals behind as before

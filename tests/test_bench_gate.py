@@ -139,3 +139,16 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "BENCH GATE FAILED" in out and "bench-override" in out
+
+
+class TestRunAllCli:
+    def test_unknown_experiment_id_exits_nonzero_and_lists_valid_ids(
+        self, tmp_path, capsys
+    ):
+        from repro.bench.run_all import main as run_all
+
+        out_dir = tmp_path / "results"
+        assert run_all([str(out_dir), "e14", "e99"]) != 0
+        err = capsys.readouterr().err
+        assert "e99" in err and "e14" in err and "e22" in err
+        assert not out_dir.exists()  # rejected before anything runs

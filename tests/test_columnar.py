@@ -29,6 +29,7 @@ from repro.constructors import instantiate
 from repro.datalog import DatalogEngine, parse_program
 from repro.relational import Database
 from repro.types import INTEGER, STRING, record, relation_type
+from repro.compiler.options import ExecOptions
 
 
 def _wide_db(rows=250, keys=25, seed=9):
@@ -107,7 +108,7 @@ class TestProjectFusion:
         no standalone Filter, no Project, answers unchanged."""
         db = _wide_db()
         q = _join_query(pred_extra=d.gt(d.a("y", "a2"), 100))
-        plan = compile_query(db, q, optimizer="syntactic")
+        plan = compile_query(db, q, options=ExecOptions(optimizer="syntactic"))
         ops = _ops(plan)
         assert not any(isinstance(op, (Filter, Project)) for op in ops)
         rows = plan.execute(ExecutionContext(db), executor="batch")
@@ -140,7 +141,7 @@ class TestFilterPushdownGate:
     def test_selective_filter_pushes_into_probe(self):
         db = _wide_db(rows=500, keys=20)
         q = _join_query(pred_extra=d.gt(d.a("y", "a2"), 950))
-        plan = compile_query(db, q, optimizer="syntactic")
+        plan = compile_query(db, q, options=ExecOptions(optimizer="syntactic"))
         text = plan.explain()
         assert "pushfilter" in text
         rows = plan.execute(ExecutionContext(db), executor="batch")
@@ -165,7 +166,7 @@ class TestFilterPushdownGate:
                 targets=[d.a("x", "a1"), d.a("y", "a1")],
             )
         )
-        plan = compile_query(db, q, optimizer="syntactic")
+        plan = compile_query(db, q, options=ExecOptions(optimizer="syntactic"))
         text = plan.explain()
         assert "pushfilter" not in text
         ops = _ops(plan)
@@ -187,7 +188,7 @@ class TestPushFilterMemoIsolation:
 
         def run(cut):
             q = _join_query(pred_extra=d.gt(d.a("y", "a2"), cut))
-            plan = compile_query(db, q, optimizer="syntactic")
+            plan = compile_query(db, q, options=ExecOptions(optimizer="syntactic"))
             assert "pushfilter" in plan.explain()
             rows = plan.execute(ctx, executor="batch")
             expected = plan.execute(ExecutionContext(db), executor="tuple")
@@ -220,7 +221,7 @@ class TestBatchedResiduals:
                 ),
             )
         )
-        plan = compile_query(db, q, optimizer="syntactic")
+        plan = compile_query(db, q, options=ExecOptions(optimizer="syntactic"))
         stats = PlanStats()
         rows = plan.execute(ExecutionContext(db, stats=stats), executor="batch")
         assert rows == Evaluator(db).eval_query(q)
@@ -379,11 +380,11 @@ class TestBatchedResiduals:
         edges = e15_drift_edges(comps=3, sources=10, leaves=10)
         db = paper.cad_database(infront=edges, mutual=False)
         system = instantiate(db, d.constructed("Infront", "ahead"))
-        columnar = compile_fixpoint(db, system, executor="batch")
+        columnar = compile_fixpoint(db, system, options=ExecOptions(executor="batch"))
         values = columnar.run()
         db2 = paper.cad_database(infront=edges, mutual=False)
         system2 = instantiate(db2, d.constructed("Infront", "ahead"))
-        baseline = compile_fixpoint(db2, system2, executor="rowbatch").run()
+        baseline = compile_fixpoint(db2, system2, options=ExecOptions(executor="rowbatch")).run()
         assert values[system.root] == baseline[system2.root]
         assert columnar.replans >= 1
         assert "replans" in columnar.explain()
@@ -449,7 +450,7 @@ class TestDatalogInheritsExecutor:
         engine = DatalogEngine(program, {"edge": set(edges)})
         semi = engine.solve("seminaive")
         for executor in ("batch", "rowbatch", "tuple"):
-            compiled = engine.solve("compiled", executor=executor)
+            compiled = engine.solve("compiled", options=ExecOptions(executor=executor))
             assert compiled["path"] == semi["path"], executor
 
 
@@ -472,7 +473,7 @@ class TestExplainUnderReplans:
         edges = e15_drift_edges(comps=4, sources=20, leaves=20)
         db = paper.cad_database(infront=edges, mutual=False)
         system = instantiate(db, d.constructed("Infront", "ahead"))
-        program = compile_fixpoint(db, system, executor="batch")
+        program = compile_fixpoint(db, system, options=ExecOptions(executor="batch"))
         program.run()
         assert program.replans >= 1
         text = program.explain()

@@ -24,6 +24,7 @@ from repro.constructors.engines import (
     seminaive_fixpoint,
 )
 from repro.workloads import sg_database, generate_family
+from repro.compiler.options import ExecOptions
 
 
 def _random_edges(rng: random.Random) -> list[tuple[str, str]]:
@@ -84,5 +85,5 @@ def test_all_optimizer_modes_agree():
     system = instantiate(db, d.constructed("Infront", "ahead"))
     reference = naive_fixpoint(db, system)[system.root]
     for optimizer in ("syntactic", "greedy", "cost"):
-        values = compile_fixpoint(db, system, optimizer=optimizer).run()
+        values = compile_fixpoint(db, system, options=ExecOptions(optimizer=optimizer)).run()
         assert values[system.root] == reference, optimizer

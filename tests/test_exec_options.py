@@ -1,28 +1,32 @@
-"""ExecOptions: the unified execution-options surface and its shims.
+"""ExecOptions: the one execution-options surface.
 
 Covers the dataclass algebra (layering, cache-key normalization), the
-legacy-keyword adapter (deprecation warnings, conflict rejection,
-answer equivalence across both spellings at every entry point), and the
-observable-fallback counters on Session.
+single spelling at every entry point (``options=`` accepted, every
+former loose keyword a ``TypeError``), the executor fallback chain and
+registry, and the observable-fallback counters on Session.
 """
 
-import warnings
-
 import pytest
-from helpers import make_cad_db
+from helpers import ALL_EXECUTORS, make_cad_db
 
 from repro import ExecOptions
 from repro.compiler import (
     DEFAULT_EXECUTOR,
     DEFAULT_OPTIMIZER,
+    ExecutionContext,
     compile_fixpoint,
     compile_query,
     construct_compiled,
-    resolve_options,
+    executor_names,
+    run_query,
 )
 from repro.calculus import dsl as d
-from repro.datalog import DatalogEngine
-from repro.dbpl import Session
+from repro.calculus.evaluator import Evaluator
+from repro.compiler import executors as executors_mod
+from repro.compiler import plans as plans_mod
+from repro.constructors import instantiate
+from repro.datalog import DatalogEngine, parse_program
+from repro.dbpl import Session, parse_expression
 from repro.errors import EvaluationError, TranslationError
 
 INFRONT_QUERY = d.query(
@@ -87,87 +91,83 @@ class TestExecOptionsAlgebra:
             opts.executor = "tuple"
 
 
-class TestResolveOptions:
-    def test_no_legacy_kwargs_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = resolve_options(None, "here")
-            assert out == ExecOptions()
-            opts = ExecOptions(executor="tuple")
-            assert resolve_options(opts, "here") is opts
+PATHS = """
+    edge(a, b). edge(b, c).
+    path(X, Y) :- edge(X, Y).
+    path(X, Z) :- edge(X, Y), path(Y, Z).
+"""
 
-    def test_loose_keyword_warns_and_merges(self):
-        with pytest.warns(DeprecationWarning, match="here: .*executor"):
-            out = resolve_options(None, "here", executor="tuple")
-        assert out.executor == "tuple"
-
-    def test_conflicting_spellings_raise(self):
-        with pytest.raises(ValueError, match="executor"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            resolve_options(
-                ExecOptions(executor="batch"), "here", executor="tuple"
-            )
-
-    def test_agreeing_spellings_merge(self):
-        with pytest.warns(DeprecationWarning):
-            out = resolve_options(
-                ExecOptions(executor="batch", optimizer="greedy"),
-                "here",
-                executor="batch",
-            )
-        assert out == ExecOptions(executor="batch", optimizer="greedy")
+SET_FORMER = '{EACH r IN Infront: r.back = "chair"}'
 
 
-class TestEntryPointShims:
-    """Both spellings reach every front door and agree on answers."""
+ENTRY_POINTS = (
+    "Session",
+    "Session.query",
+    "Session.prepare",
+    "Session.subscribe",
+    "compile_query",
+    "run_query",
+    "compile_fixpoint",
+    "construct_compiled",
+    "DatalogEngine.solve",
+    "DatalogEngine.solve_compiled",
+)
 
-    def test_compile_query_shim(self):
-        db = make_cad_db()
-        with pytest.warns(DeprecationWarning, match="compile_query"):
-            legacy = compile_query(db, INFRONT_QUERY, executor="tuple")
-        modern = compile_query(
-            db, INFRONT_QUERY, options=ExecOptions(executor="tuple")
-        )
-        assert legacy.executor == modern.executor == "tuple"
 
-    def test_fixpoint_shims(self):
-        from repro.constructors import instantiate
-        from repro.dbpl import parse_expression
+def _entry_points() -> dict:
+    """The ten execution front doors, each as ``call(**knobs) -> answer``."""
+    s = make_session()
+    db = make_cad_db()
+    node = parse_expression("Infront{ahead()}")
+    system = instantiate(s.db, node)
+    engine = DatalogEngine(parse_program(PATHS))
 
-        s = make_session()
-        node = parse_expression("Infront{ahead()}")
-        system = instantiate(s.db, node)
-        with pytest.warns(DeprecationWarning, match="compile_fixpoint"):
-            legacy = compile_fixpoint(s.db, system, executor="rowbatch")
-        modern = compile_fixpoint(
-            s.db, system, options=ExecOptions(executor="rowbatch")
-        )
-        assert legacy.executor == modern.executor == "rowbatch"
-        assert legacy.run() == modern.run()
-        with pytest.warns(DeprecationWarning, match="construct_compiled"):
-            rows = construct_compiled(s.db, node, executor="tuple").rows
-        assert rows == construct_compiled(
-            s.db, node, options=ExecOptions(executor="tuple")
-        ).rows
+    def session(**knobs):
+        fresh = Session(**knobs)
+        fresh.execute(AHEAD)
+        fresh.insert("Infront", [("table", "chair"), ("chair", "door")])
+        return fresh.query(SET_FORMER)
 
-    def test_session_shims_share_the_plan_cache(self):
-        s = make_session()
-        source = '{EACH r IN Infront: r.back = "chair"}'
-        with pytest.warns(DeprecationWarning, match="Session.query"):
-            legacy = s.query(source, executor="tuple")
-        assert len(s.plan_cache) == 1
-        modern = s.query(source, options=ExecOptions(executor="tuple"))
-        assert legacy == modern
-        # Same normalized fingerprint -> no second compilation.
-        assert len(s.plan_cache) == 1
+    return {
+        "Session": session,
+        "Session.query": lambda **kw: s.query(SET_FORMER, **kw),
+        "Session.prepare": lambda **kw: s.prepare(SET_FORMER, **kw).execute(),
+        "Session.subscribe": lambda **kw: s.subscribe(SET_FORMER, **kw).rows(),
+        "compile_query": lambda **kw: compile_query(
+            db, INFRONT_QUERY, **kw
+        ).execute(ExecutionContext(db)),
+        "run_query": lambda **kw: run_query(db, INFRONT_QUERY, **kw),
+        "compile_fixpoint": lambda **kw: compile_fixpoint(s.db, system, **kw).run(),
+        "construct_compiled": lambda **kw: construct_compiled(s.db, node, **kw).rows,
+        "DatalogEngine.solve": lambda **kw: engine.solve("compiled", **kw),
+        "DatalogEngine.solve_compiled": lambda **kw: engine.solve_compiled(**kw),
+    }
 
-    def test_session_constructor_shim(self):
-        with pytest.warns(DeprecationWarning, match="Session"):
-            s = Session(executor="tuple")
-        assert s.options.executor == "tuple"
-        assert Session(
-            options=ExecOptions(executor="tuple")
-        ).options == s.options
+
+#: The former loose spellings, with a value each would once have accepted.
+LOOSE_KEYWORDS = {
+    "executor": "tuple",
+    "optimizer": "cost",
+    "shard_config": None,
+    "analysis": "lint",
+    "snapshot": None,
+}
+
+
+class TestEntryPoints:
+    """One spelling at every front door: ``options=`` or a TypeError."""
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_options_accepted_loose_keywords_rejected(self, name):
+        calls = _entry_points()
+        assert set(calls) == set(ENTRY_POINTS)
+        call = calls[name]
+        default = call()
+        assert default  # every probe has a non-empty answer
+        assert call(options=ExecOptions(executor="tuple")) == default
+        for keyword, value in LOOSE_KEYWORDS.items():
+            with pytest.raises(TypeError, match=keyword):
+                call(**{keyword: value})
 
     def test_session_level_options_flow_into_queries(self):
         s = Session(options=ExecOptions(executor="tuple", analysis="lint"))
@@ -180,22 +180,118 @@ class TestEntryPointShims:
         )
         assert plan.options.resolved_executor == "tuple"
 
-    def test_datalog_solve_shim(self):
-        from repro.datalog import parse_program
 
-        source = """
-            edge(a, b). edge(b, c).
-            path(X, Y) :- edge(X, Y).
-            path(X, Z) :- edge(X, Y), path(Y, Z).
-        """
-        engine = DatalogEngine(parse_program(source))
-        modern = engine.solve(
-            "compiled", options=ExecOptions(executor="rowbatch")
+class TestFallbackChain:
+    """vector → batch → tuple, and nothing reaches the row-major lowering."""
+
+    #: The quantified residual puts the branch outside the vector
+    #: coverage rules, so "vector" reaches the columnar lowering too.
+    JOIN = (
+        "{<r.front, t.back> OF EACH r IN Infront, EACH t IN Infront: "
+        "r.back = t.front AND SOME u IN Infront (u.front = t.back)}"
+    )
+    ROWS = [("table", "chair"), ("chair", "door"), ("door", "wall")]
+
+    @pytest.fixture
+    def no_columnar(self, monkeypatch):
+        """Columnar lowering fails for every branch; any use of the
+        row-major lowering is recorded."""
+        row_major_calls = []
+        monkeypatch.setattr(
+            plans_mod, "lower_branch_columnar", lambda *a, **kw: None
         )
-        with pytest.warns(DeprecationWarning, match="DatalogEngine.solve"):
-            legacy = engine.solve("compiled", executor="rowbatch")
-        assert legacy == modern
-        assert modern["path"] == {("a", "b"), ("b", "c"), ("a", "c")}
+        original = plans_mod.BranchPlan.ensure_row_pipeline
+
+        def spy(branch):
+            row_major_calls.append(branch)
+            return original(branch)
+
+        monkeypatch.setattr(plans_mod.BranchPlan, "ensure_row_pipeline", spy)
+        return row_major_calls
+
+    @pytest.mark.parametrize("executor", ["batch", "vector", "sharded"])
+    def test_drops_to_tuple_interpreter_and_counts(self, no_columnar, executor):
+        diags = []
+        s = Session(
+            on_diagnostic=diags.append, options=ExecOptions(executor=executor)
+        )
+        s.execute(AHEAD)
+        s.insert("Infront", self.ROWS)
+        node = parse_expression(self.JOIN)
+        reference = Evaluator(s.db).eval_query(node)
+        assert s.query(self.JOIN) == reference == {("table", "door")}
+        assert no_columnar == []
+        assert s.fallbacks["interpreted"] == 0  # still the compiled plan
+        assert s.fallbacks["lowering"] == 1
+        (hint,) = [g for g in diags if g.code == "DBPL905"]
+        assert hint.severity == "hint"
+        assert f"executor={executor!r}" in hint.message
+
+    def test_vector_coverage_gap_is_not_a_degradation(self, monkeypatch):
+        # vector → batch is the documented per-branch coverage rule: the
+        # columnar pipeline answers and no fallback is counted.
+        monkeypatch.setattr(
+            plans_mod, "lower_branch_vector", lambda *a, **kw: None
+        )
+        s = Session(options=ExecOptions(executor="vector"))
+        s.execute(AHEAD)
+        s.insert("Infront", self.ROWS)
+        assert s.query(self.JOIN) == {("table", "door")}
+        assert s.fallbacks["lowering"] == 0
+
+    def test_subscription_maintenance_takes_the_same_chain(self, no_columnar):
+        source = (
+            "{<r.front, t.back> OF EACH r IN Infront, EACH t IN Infront: "
+            "r.back = t.front}"
+        )
+        s = make_session()
+        sub = s.subscribe(source)
+        assert sub.rows() == {("table", "door")}
+        s.insert("Infront", [("door", "wall")])
+        assert sub.recomputes == 0  # counting maintenance, in bag mode
+        assert sub.rows() == s.query(source, mode="interpreted")
+        assert ("chair", "wall") in sub.rows()
+        assert no_columnar == []
+
+    def test_rowbatch_by_name_still_runs_the_row_major_lowering(self):
+        db = make_cad_db()
+        plan = compile_query(
+            db, INFRONT_QUERY, options=ExecOptions(executor="rowbatch")
+        )
+        rows = plan.execute(ExecutionContext(db))
+        assert rows == Evaluator(db).eval_query(INFRONT_QUERY)
+        (branch,) = plan.branches
+        assert branch.row_pipeline is not None
+        assert branch.row_pipeline is not plans_mod._PENDING
+        assert branch.pipeline is plans_mod._PENDING  # columnar never lowered
+
+
+class TestRegistry:
+    def test_names_backends_and_harness_agree(self):
+        # One list of executors: the public names, the registered
+        # backends, and the set the property harness cross-checks.
+        for name in executor_names():
+            assert executors_mod.get_backend(name).name == name
+        assert set(executor_names()) == set(executors_mod._BACKENDS)
+        assert set(executor_names()) == set(ALL_EXECUTORS)
+        assert len(set(ALL_EXECUTORS)) == len(ALL_EXECUTORS)
+
+    def test_fallback_chains_end_at_the_interpreter(self):
+        chains = {}
+        for name in executor_names():
+            chain = [name]
+            backend = executors_mod.get_backend(name)
+            while backend.lowering is not None:
+                backend = executors_mod.get_backend(backend.fallback)
+                chain.append(backend.name)
+            chains[name] = chain
+        assert chains == {
+            "vector": ["vector", "batch", "tuple"],
+            "batch": ["batch", "tuple"],
+            "sharded": ["sharded", "tuple"],
+            "rowbatch": ["rowbatch", "tuple"],
+            "tuple": ["tuple"],
+        }
 
 
 class TestObservableFallbacks:
@@ -209,6 +305,7 @@ class TestObservableFallbacks:
             "process_pool",
             "ship",
             "snapshot_sharded",
+            "lowering",
         }
         assert all(count == 0 for count in s.fallbacks.values())
 

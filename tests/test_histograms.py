@@ -20,6 +20,7 @@ from repro.relational.stats import (
     HISTOGRAM_BUCKETS,
     HISTOGRAM_STALENESS_FLOOR,
 )
+from repro.compiler.options import ExecOptions
 
 
 def _accuracy_bound(values) -> float:
@@ -257,6 +258,6 @@ class TestEmptyTableSelectivity:
                 targets=[d.a("x", "front"), d.a("e", "back")],
             )
         )
-        plan = compile_query(db, q, optimizer="cost")
+        plan = compile_query(db, q, options=ExecOptions(optimizer="cost"))
         assert plan.branches[0].steps[0].var == "e"
         assert run_query(db, q) == set()

@@ -29,6 +29,7 @@ from repro.constructors import instantiate
 from repro.relational import Database, DeltaStats, TableStats
 from repro.types import STRING, record, relation_type
 from repro.workloads import bom_database, chain, generate_bom
+from repro.compiler.options import ExecOptions
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +167,8 @@ class TestCostModel:
         """Cost-based ordering starts from the small selective relation
         even though the big one is written first."""
         db = _skewed_db()
-        plan_cost = compile_query(db, _skew_query(), optimizer="cost")
-        plan_syn = compile_query(db, _skew_query(), optimizer="syntactic")
+        plan_cost = compile_query(db, _skew_query(), options=ExecOptions(optimizer="cost"))
+        plan_syn = compile_query(db, _skew_query(), options=ExecOptions(optimizer="syntactic"))
         assert [s.var for s in plan_cost.branches[0].steps] == ["y", "x"]
         assert [s.var for s in plan_syn.branches[0].steps] == ["x", "y"]
         # and it pays off: far fewer rows touched for identical answers
@@ -180,7 +181,7 @@ class TestCostModel:
     def test_estimates_close_to_actuals(self):
         """Estimated output cardinality within 2x of actual on skew."""
         db = _skewed_db()
-        plan = compile_query(db, _skew_query(), optimizer="cost")
+        plan = compile_query(db, _skew_query(), options=ExecOptions(optimizer="cost"))
         actual = len(plan.execute(ExecutionContext(db)))
         est = plan.branches[0].est_out
         assert est is not None and actual > 0
@@ -214,7 +215,7 @@ class TestCostModel:
         q = d.query(
             d.branch(d.each("r", "One"), pred=d.eq(d.a("r", "front"), "a"))
         )
-        plan = compile_query(db, q, optimizer="cost")
+        plan = compile_query(db, q, options=ExecOptions(optimizer="cost"))
         assert plan.branches[0].steps[0].key_positions == ()
         assert run_query(db, q) == {("a", "a")}
 
@@ -269,8 +270,8 @@ class TestResidualPricing:
         order starts from the big partner.  Answers agree."""
         db = self._membership_db()
         q = self._membership_query()
-        plan_cost = compile_query(db, q, optimizer="cost")
-        plan_syn = compile_query(db, q, optimizer="syntactic")
+        plan_cost = compile_query(db, q, options=ExecOptions(optimizer="cost"))
+        plan_syn = compile_query(db, q, options=ExecOptions(optimizer="syntactic"))
         assert [s.var for s in plan_cost.branches[0].steps] == ["y", "x"]
         assert [s.var for s in plan_syn.branches[0].steps] == ["x", "y"]
         rows_cost = plan_cost.execute(ExecutionContext(db))

@@ -18,6 +18,7 @@ from repro.compiler import REPLAN_DRIFT, compile_fixpoint, construct_compiled
 from repro.constructors import construct, instantiate
 from repro.constructors.engines import FixpointStats, seminaive_fixpoint
 from repro.workloads import random_digraph
+from repro.compiler.options import ExecOptions
 
 
 def drifting_edges(comps=6, sources=50, leaves=50):
@@ -109,7 +110,7 @@ class TestReplanFires:
     def test_legacy_optimizers_never_replan(self):
         db = _tc_db(drifting_edges(comps=3, sources=20, leaves=20))
         system = instantiate(db, d.constructed("Infront", "ahead"))
-        program = compile_fixpoint(db, system, optimizer="syntactic")
+        program = compile_fixpoint(db, system, options=ExecOptions(optimizer="syntactic"))
         assert program.replan_drift is None
         program.run()
         assert program.replans == 0

@@ -16,6 +16,7 @@ from repro.dbpl import (
 )
 from repro.errors import BindingError
 from repro.relational.stats import PLAN_EPOCH_FLOOR
+from repro.compiler.options import ExecOptions
 
 SCHEMA = """
 MODULE serving;
@@ -71,7 +72,7 @@ class TestCompiledRouting:
         for source in sources:
             reference = s.query(source, mode="interpreted")
             for executor in EXECUTOR_NAMES:
-                assert s.query(source, executor=executor) == reference, (
+                assert s.query(source, options=ExecOptions(executor=executor)) == reference, (
                     source,
                     executor,
                 )
@@ -89,7 +90,7 @@ class TestCompiledRouting:
         assert s.plan_cache.misses == 0 and len(s.plan_cache) == 0
 
     def test_session_level_executor_default(self):
-        s = make_session(executor="tuple")
+        s = make_session(options=ExecOptions(executor="tuple"))
         assert s.query(JOIN3) == s.query(JOIN3, mode="interpreted")
         (key,) = s.plan_cache.keys()
         assert key[1] == "tuple"
@@ -97,7 +98,7 @@ class TestCompiledRouting:
     def test_unknown_executor_raises(self):
         s = make_session()
         with pytest.raises(ValueError):
-            s.query(JOIN3, executor="warp-drive")
+            s.query(JOIN3, options=ExecOptions(executor="warp-drive"))
 
     def test_compile_fallback_keeps_answers(self):
         # ALL-quantified predicates exercise the residual-evaluation path;
@@ -262,7 +263,7 @@ class TestSnapshots:
         before = s.query(JOIN3)
         snap = s.snapshot()
         s.insert("Fact", [(901 + i, "k3", "hot") for i in range(50)])
-        assert s.query(JOIN3, snapshot=snap) == before
+        assert s.query(JOIN3, options=ExecOptions(snapshot=snap)) == before
         assert s.query(JOIN3) != before
 
     def test_snapshot_applies_to_prepared_queries(self):
@@ -277,10 +278,10 @@ class TestSnapshots:
     def test_snapshot_consistent_across_all_backends(self):
         s = make_session()
         snap = s.snapshot()
-        expected = s.query(JOIN3, snapshot=snap)
+        expected = s.query(JOIN3, options=ExecOptions(snapshot=snap))
         s.insert("Fact", [(960 + i, "k1", "hot") for i in range(40)])
         for executor in EXECUTOR_NAMES:
-            assert s.query(JOIN3, executor=executor, snapshot=snap) == expected
+            assert s.query(JOIN3, options=ExecOptions(executor=executor, snapshot=snap)) == expected
 
     def test_snapshot_of_database_object(self):
         s = make_session()
@@ -354,7 +355,7 @@ class TestTornReads:
     def test_compiled_snapshot_queries_under_writer_churn(self):
         def read(s):
             snap = s.snapshot()
-            return list(s.query("{EACH r IN R: r.a >= 0}", snapshot=snap))
+            return list(s.query("{EACH r IN R: r.a >= 0}", options=ExecOptions(snapshot=snap)))
 
         self._stress(read)
 

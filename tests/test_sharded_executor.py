@@ -29,6 +29,7 @@ from repro.compiler import (
 from repro.constructors import instantiate
 from repro.relational import Database, partition_rows, partition_views
 from repro.types import INTEGER, STRING, record, relation_type
+from repro.compiler.options import ExecOptions
 
 WREC = record("wrec", k=STRING, n=INTEGER)
 
@@ -185,7 +186,7 @@ class TestShardedFixpoint:
         db = paper.cad_database(infront=edges, mutual=False)
         system = instantiate(db, d.constructed("Infront", "ahead"))
         program = compile_fixpoint(
-            db, system, executor="sharded", shard_config=forced_shard_config()
+            db, system, options=ExecOptions(executor="sharded", shard_config=forced_shard_config())
         )
         values = program.run()
         assert set(values[system.root]) == transitive_closure(edges)
@@ -201,12 +202,12 @@ class TestShardedFixpoint:
         db = paper.cad_database(infront=edges, mutual=False)
         system = instantiate(db, d.constructed("Infront", "ahead"))
         program = compile_fixpoint(
-            db, system, executor="sharded", shard_config=forced_shard_config()
+            db, system, options=ExecOptions(executor="sharded", shard_config=forced_shard_config())
         )
         values = program.run()
         db2 = paper.cad_database(infront=edges, mutual=False)
         system2 = instantiate(db2, d.constructed("Infront", "ahead"))
-        baseline = compile_fixpoint(db2, system2, executor="batch").run()
+        baseline = compile_fixpoint(db2, system2, options=ExecOptions(executor="batch")).run()
         assert values[system.root] == baseline[system2.root]
         assert program.replans >= 1
 

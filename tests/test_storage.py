@@ -2,6 +2,7 @@
 partition pruning, persisted statistics, and the observable-degradation
 satellites (DBPL902/903/904) that rode along with PR 10."""
 
+import json
 import os
 
 import pytest
@@ -13,8 +14,6 @@ from repro.errors import StorageError
 from repro.relational import (
     Database,
     open_database,
-    pyarrow_enabled,
-    set_pyarrow_enabled,
 )
 from repro.types import INTEGER, STRING, record, relation_type
 
@@ -223,31 +222,11 @@ class TestPersistedStats:
         assert s.plan_cache.hits >= 1
 
 
-class TestParquetGate:
-    def test_gate_degrades_cleanly_without_pyarrow(self):
-        try:
-            set_pyarrow_enabled(True)
-            try:
-                import pyarrow  # noqa: F401
-            except ImportError:
-                assert not pyarrow_enabled()
-        finally:
-            set_pyarrow_enabled(None)
-
-    def test_gate_off_by_default(self):
-        assert not pyarrow_enabled()
-
-    def test_parquet_page_without_pyarrow_raises(self, spilled, tmp_path):
-        try:
-            import pyarrow  # noqa: F401
-
-            pytest.skip("pyarrow importable: the error path cannot trigger")
-        except ImportError:
-            pass
+class TestPageCodec:
+    def test_non_bin_page_in_manifest_raises(self, spilled):
+        # ``.bin`` is the only page codec: a manifest entry naming any
+        # other page file is rejected by name, never opened or guessed at.
         _db, path = spilled
-        # Rewrite one manifest entry to claim a parquet page.
-        import json
-
         meta_path = os.path.join(path, "People", "meta.json")
         with open(meta_path, encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -255,7 +234,7 @@ class TestParquetGate:
         with open(meta_path, "w", encoding="utf-8") as fh:
             json.dump(meta, fh)
         cold = open_database(path)
-        with pytest.raises(StorageError, match="pyarrow"):
+        with pytest.raises(StorageError, match=r"part-0000\.parquet.*\.bin"):
             cold.relation("People").rows()
 
 
