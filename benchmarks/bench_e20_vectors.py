@@ -2,10 +2,11 @@
 
 The same compiled plan (skewed equality join + range filter + distinct
 projection, fully inside the vector lowering's coverage) runs through
-the executor registry under ``rowbatch``, ``batch``, and ``vector`` —
-the last twice, with the numpy fast path forced on and off.  The
-acceptance bar — >=3x wall-clock over ``executor="batch"`` at >=100k
-rows with identical answers — is asserted by the opt-in headline test;
+the executor registry under ``rowbatch``, ``batch``, and ``vector``
+(the numpy int-id kernels; the batch pipeline where numpy does not
+import).  The acceptance bar — >=3x wall-clock over
+``executor="batch"`` at >=100k rows with identical answers — is
+asserted by the opt-in headline test;
 CI's perf gate is the bench-gate job's ``vector_speedup_100k`` baseline
 comparison.  The sweep also regenerates the E20 table.
 """
@@ -16,18 +17,11 @@ from benchtable import write_table
 from repro.bench import experiments
 from repro.bench.experiments import e20_vectors_case
 from repro.compiler import ExecutionContext, compile_query
-from repro.relational import set_numpy_enabled
 
 
 @pytest.fixture(scope="module")
 def small_case():
     return e20_vectors_case(rows=10_000, dim=1_000)
-
-
-@pytest.fixture(autouse=True)
-def restore_numpy_gate():
-    yield
-    set_numpy_enabled(None)
 
 
 def test_e20_equivalence_all_backends(small_case):
@@ -36,8 +30,6 @@ def test_e20_equivalence_all_backends(small_case):
     batch_rows = plan.execute(ExecutionContext(db), executor="batch")
     for executor in ("rowbatch", "tuple", "vector"):
         assert plan.execute(ExecutionContext(db), executor=executor) == batch_rows
-    set_numpy_enabled(False)
-    assert plan.execute(ExecutionContext(db), executor="vector") == batch_rows
 
 
 def test_e20_branch_is_vector_covered(small_case):
@@ -67,18 +59,6 @@ def test_e20_vector_executor(benchmark, small_case):
         lambda: plan.execute(ExecutionContext(db), executor="vector")
     )
     assert rows_vector == plan.execute(ExecutionContext(db), executor="batch")
-
-
-@pytest.mark.benchmark(group="E20-executor")
-def test_e20_vector_executor_no_numpy(benchmark, small_case):
-    db, query = small_case
-    plan = compile_query(db, query)
-    set_numpy_enabled(False)
-    rows_plain = benchmark(
-        lambda: plan.execute(ExecutionContext(db), executor="vector")
-    )
-    set_numpy_enabled(None)
-    assert rows_plain == plan.execute(ExecutionContext(db), executor="batch")
 
 
 @pytest.mark.skipif(

@@ -1476,18 +1476,18 @@ def e20_vectors(sizes=(10_000, 100_000, 1_000_000)) -> Table:
 
     The same compiled plan runs per grid size under ``rowbatch``
     (row-major pipelines), ``batch`` (columnar object rows — the
-    default), ``vector`` with the numpy fast path, and ``vector`` forced
-    onto the pure-stdlib ``array`` kernels — identical answers required
-    everywhere.  The acceptance bar is >=3x for the numpy vector path
-    over ``batch`` at >=100k rows; the stdlib row shows what the feature
-    gate degrades to when numpy is absent.
+    default) and ``vector`` (the numpy int-id kernels) — identical
+    answers required everywhere.  The acceptance bar is >=3x for
+    ``vector`` over ``batch`` at >=100k rows.  Where numpy does not
+    import, ``vector`` *is* the batch pipeline and the ratio reads ~1;
+    ``numpy_available`` records which of the two was measured.
     """
-    from ..relational import numpy_enabled, set_numpy_enabled
+    from ..relational.vectors import get_numpy
 
     table = Table(
         "E20 Typed vectors: dictionary-encoded kernels vs object rows",
         ["rows", "|result|", "rowbatch (s)", "batch (s)", "vector (s)",
-         "vector-nonumpy (s)", "speedup vs batch", "equal"],
+         "speedup vs batch", "equal"],
     )
 
     for rows in sizes:
@@ -1501,25 +1501,16 @@ def e20_vectors(sizes=(10_000, 100_000, 1_000_000)) -> Table:
         rows_rb, t_rb = measure(lambda: run("rowbatch"), repeat=repeat)
         rows_batch, t_batch = measure(lambda: run("batch"), repeat=repeat)
         rows_vec, t_vec = measure(lambda: run("vector"), repeat=repeat)
-        set_numpy_enabled(False)
-        try:
-            rows_plain, t_plain = measure(lambda: run("vector"), repeat=repeat)
-        finally:
-            set_numpy_enabled(None)
-        equal = rows_vec == rows_batch == rows_rb == rows_plain
+        equal = rows_vec == rows_batch == rows_rb
         speedup = ratio(t_batch, t_vec)
-        table.add(rows, len(rows_vec), t_rb, t_batch, t_vec, t_plain,
+        table.add(rows, len(rows_vec), t_rb, t_batch, t_vec,
                   f"{speedup:.1f}x", equal)
         if rows == 100_000:
             table.metric("vector_speedup_100k", speedup)
-            table.metric("vector_nonumpy_speedup_100k", ratio(t_batch, t_plain))
-    table.metric("numpy_available", 1.0 if numpy_enabled() else 0.0)
+    table.metric("numpy_available", 1.0 if get_numpy() is not None else 0.0)
 
     table.note("acceptance bar: vector >= 3x over batch at >= 100k rows "
-               "with identical results across all four executors")
-    table.note("vector-nonumpy forces the pure-stdlib array('q') kernels "
-               "— the path a numpy-less install takes via the "
-               "REPRO_VECTOR_NUMPY feature gate")
+               "with identical results across all three executors")
     table.note("per-size plans are compiled once and shared across "
                "executors; encoded tables and dictionaries are the "
                "relations' version-cached views, so vector timings "

@@ -19,9 +19,11 @@ Built-in backends:
     default everywhere.
 ``vector``
     Dictionary-encoded int-id pipelines over typed column buffers
-    (PR 8), with an optional numpy fast path; falls back per branch to
-    ``batch`` for shapes outside the vector coverage rules (residuals,
-    computed ranges, multi-column keys).
+    (PR 8), run by numpy kernels; falls back per branch to ``batch``
+    for shapes outside the vector coverage rules (residuals, computed
+    ranges, multi-column keys) — and for every branch when numpy does
+    not import, which is the one place that question is asked
+    (:meth:`VectorBackend.pipeline_for`).
 ``sharded``
     Hash-partitioned parallel execution of the columnar pipelines in a
     worker pool (see :mod:`repro.compiler.sharded`), registered when
@@ -41,10 +43,13 @@ that lowering yields no pipeline (:attr:`~ExecutorBackend.fallback`),
 and :meth:`ExecutorBackend.pipeline_for` walks the chain.  Spelled out:
 ``vector → batch → tuple``, ``sharded → batch``, ``rowbatch → tuple``.
 Reaching the interpreter from a batched backend is reported through
-``ctx.note_fallback("lowering", ...)``, never silent.
+``ctx.note_fallback("lowering", ...)``, and ``vector`` running without
+numpy through ``ctx.note_fallback("vector_numpy", ...)`` — never silent.
 """
 
 from __future__ import annotations
+
+from ..relational.vectors import get_numpy
 
 #: Every accepted executor mode, in preference order.  Kept in sync with
 #: the registry below (the sharded backend registers lazily, so the name
@@ -136,12 +141,25 @@ class VectorBackend(ExecutorBackend):
 
     Branches the vector lowering covers run over encoded column buffers;
     everything else drops to ``batch``, so ``executor="vector"`` is
-    always safe to request.
+    always safe to request.  The kernels are numpy code: where numpy
+    does not import, every branch is ``batch``'s — decided here, once,
+    so the sharded backend's ``inner="vector"``, the fixpoint driver and
+    Datalog inherit it and the vector lowering never runs.
     """
 
     name = "vector"
     lowering = "ensure_vector_pipeline"
     fallback = "batch"
+
+    def pipeline_for(self, branch, ctx):
+        if get_numpy() is None:
+            ctx.note_fallback(
+                "vector_numpy",
+                "numpy is not importable; executor='vector' ran a branch "
+                "on the batch pipeline",
+            )
+            return get_backend(self.fallback).pipeline_for(branch, ctx)
+        return super().pipeline_for(branch, ctx)
 
 
 _BACKENDS: dict[str, ExecutorBackend] = {}

@@ -1579,11 +1579,15 @@ def lower_branch_columnar(
 # ---------------------------------------------------------------------------
 #
 # Vector batches are ``(n, islots)`` pairs whose slots carry **row
-# indexes** — plain lists, or int64 numpy arrays on the fast path — into
-# per-step encoded tables, instead of lists of Python row objects.
-# Every kernel works on dense int ids: equality joins probe dense
-# id-indexed group tables (through a cached translation array when the
-# two columns' dictionaries differ), comparison filters evaluate one
+# indexes** — int64 numpy arrays — into per-step encoded tables, instead
+# of lists of Python row objects; ``.tolist()`` happens only where
+# indexes turn back into rows or values (:class:`VectorMaterialize`,
+# the decode in :class:`VectorProject`).  There is one kernel set and it
+# needs numpy: ``VectorBackend.pipeline_for`` never hands a branch to
+# these operators in a process where numpy does not import.
+# Every kernel works on dense int ids: equality joins probe the build
+# column's CSR layout (through a cached translation array when the two
+# columns' dictionaries differ), comparison filters evaluate one
 # verdict per *dictionary value* rather than per row, and projection
 # deduplicates id tuples before decoding only the distinct survivors.
 #
@@ -1597,8 +1601,6 @@ def lower_branch_columnar(
 # :class:`VectorMaterialize` boundary, which rebuilds the PR 4 row-slot
 # carry so residual predicates and whole-row targets reuse the grouped
 # residual machinery unchanged.
-
-_EMPTY_BUCKET: tuple = ()
 
 #: Ordered comparisons evaluated per dictionary value (see _filter_lut);
 #: = and <> compare ids directly and never build a table.
@@ -1749,7 +1751,7 @@ def _filter_lut(ctx, dictionary, op: str, value) -> bytearray:
     """One comparison verdict per dictionary value, cached per execution.
 
     The bytearray doubles as a numpy bool buffer (``frombuffer`` is zero
-    copy), so both kernel paths gather verdicts by id.  Rebuilt when the
+    copy), so the filter kernel gathers verdicts by id.  Rebuilt when the
     dictionary has grown since the cached build — never wrong in
     between, because ids are append-only.
     """
@@ -1766,18 +1768,6 @@ def _filter_lut(ctx, dictionary, op: str, value) -> bytearray:
         entry = (dictionary, len(lut), lut)
         cache[key] = entry
     return entry[2]
-
-
-def _np_slot(np, slot):
-    """A slot as an int64 numpy array (no copy when it already is one)."""
-    if isinstance(slot, np.ndarray):
-        return slot
-    return np.array(slot, dtype=np.int64)
-
-
-def _list_slot(slot):
-    """A slot as a plain list of ints (no copy when it already is one)."""
-    return slot if type(slot) is list else slot.tolist()
 
 
 def _spec_value(spec, ctx):
@@ -1801,9 +1791,7 @@ class VectorScan(Operator):
         if not self.keep:
             return (table.n, [])
         np = get_numpy()
-        if np is not None:
-            return (table.n, [np.arange(table.n, dtype=np.int64)])
-        return (table.n, [list(range(table.n))])
+        return (table.n, [np.arange(table.n, dtype=np.int64)])
 
 
 class VectorConstLookup(Operator):
@@ -1834,50 +1822,32 @@ class VectorConstLookup(Operator):
             _spec_value(self.spec, ctx)
         )
         np = get_numpy()
-        if np is not None:
-            order, starts, counts = table.csr(self.position)
-            if 0 <= vid < len(counts):
-                start = starts[vid]
-                bucket = order[start : start + counts[vid]]
-            else:
-                bucket = order[:0]
-            m = len(bucket)
-            ctx.stats.rows_scanned += m * n
-            outs = []
-            for item in self.out_plan:
-                if item < 0:
-                    outs.append(bucket if n == 1 else np.tile(bucket, n))
-                else:
-                    outs.append(np.repeat(_np_slot(np, slots[item]), m))
-            return (n * m, outs)
-        groups = table.groups(self.position)
-        bucket = groups[vid] if 0 <= vid < len(groups) else _EMPTY_BUCKET
+        order, starts, counts = table.csr(self.position)
+        if 0 <= vid < len(counts):
+            start = starts[vid]
+            bucket = order[start : start + counts[vid]]
+        else:
+            bucket = order[:0]
         m = len(bucket)
         ctx.stats.rows_scanned += m * n
         outs = []
         for item in self.out_plan:
             if item < 0:
-                outs.append(list(bucket) * n)
+                outs.append(bucket if n == 1 else np.tile(bucket, n))
             else:
-                outs.append(
-                    list(
-                        chain.from_iterable(
-                            map(repeat, _list_slot(slots[item]), repeat(m))
-                        )
-                    )
-                )
+                outs.append(np.repeat(slots[item], m))
         return (n * m, outs)
 
 
 class VectorHashJoin(Operator):
-    """Equality join as an int-id probe into a dense group table.
+    """Equality join as an int-id probe into the build side's CSR table.
 
     Probe-side ids translate into the build column's id space through a
     cached per-dictionary-pair translation array (None when both sides
     share one dictionary — a self-join column, where ids already agree);
-    misses are -1 and fall out of the bounds check for free.  The numpy
-    path expands matches with repeat/cumsum arithmetic over the build
-    side's CSR layout — no per-row Python at all.
+    misses are -1 and fall out of the bounds check for free.  Matches
+    expand with repeat/cumsum arithmetic over the CSR layout — no
+    per-row Python at all.
     """
 
     __slots__ = (
@@ -1910,79 +1880,37 @@ class VectorHashJoin(Operator):
             ctx, pcol.dictionary, build.columns[self.build_pos].dictionary
         )
         np = get_numpy()
-        if np is not None:
-            order, starts, counts = build.csr(self.build_pos)
-            ng = len(counts)
-            slot = _np_slot(np, slots[self.probe_slot])
-            if ng == 0 or len(slot) == 0:
-                empty = np.empty(0, dtype=np.int64)
-                return (0, [empty for _ in self.out_plan])
-            keys = pcol.np_ids()[slot]
-            if trans is not None:
-                keys = np.frombuffer(trans, dtype=np.int64)[keys]
-                valid = (keys >= 0) & (keys < ng)
-            else:
-                # Ids are non-negative; the shared dictionary may still
-                # have grown past this build table's probe structure.
-                valid = keys < ng
-            safe = np.where(valid, keys, 0)
-            c = np.where(valid, counts[safe], 0)
-            total = int(c.sum())
-            ctx.stats.rows_scanned += total
-            if total == 0:
-                empty = np.empty(0, dtype=np.int64)
-                return (0, [empty for _ in self.out_plan])
-            base = np.repeat(starts[safe], c)
-            csum = np.cumsum(c)
-            offs = np.arange(total, dtype=np.int64) - np.repeat(csum - c, c)
-            self_idx = order[base + offs]
-            outs = []
-            for item in self.out_plan:
-                if item < 0:
-                    outs.append(self_idx)
-                else:
-                    outs.append(np.repeat(_np_slot(np, slots[item]), c))
-            return (total, outs)
-        groups = build.groups(self.build_pos)
-        ng = len(groups)
-        pids = pcol.ids
-        slot = _list_slot(slots[self.probe_slot])
-        counts_out: list = []
-        cadd = counts_out.append
-        self_out: list = []
-        extend = self_out.extend
-        if trans is None:
-            for i in slot:
-                g = pids[i]
-                if g < ng:
-                    bucket = groups[g]
-                    cadd(len(bucket))
-                    extend(bucket)
-                else:
-                    cadd(0)
+        order, starts, counts = build.csr(self.build_pos)
+        ng = len(counts)
+        slot = slots[self.probe_slot]
+        if ng == 0 or len(slot) == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return (0, [empty for _ in self.out_plan])
+        keys = pcol.np_ids()[slot]
+        if trans is not None:
+            keys = np.frombuffer(trans, dtype=np.int64)[keys]
+            valid = (keys >= 0) & (keys < ng)
         else:
-            for i in slot:
-                g = trans[pids[i]]
-                if 0 <= g < ng:
-                    bucket = groups[g]
-                    cadd(len(bucket))
-                    extend(bucket)
-                else:
-                    cadd(0)
+            # Ids are non-negative; the shared dictionary may still
+            # have grown past this build table's probe structure.
+            valid = keys < ng
+        safe = np.where(valid, keys, 0)
+        c = np.where(valid, counts[safe], 0)
+        total = int(c.sum())
+        ctx.stats.rows_scanned += total
+        if total == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return (0, [empty for _ in self.out_plan])
+        base = np.repeat(starts[safe], c)
+        csum = np.cumsum(c)
+        offs = np.arange(total, dtype=np.int64) - np.repeat(csum - c, c)
+        self_idx = order[base + offs]
         outs = []
         for item in self.out_plan:
             if item < 0:
-                outs.append(self_out)
+                outs.append(self_idx)
             else:
-                outs.append(
-                    list(
-                        chain.from_iterable(
-                            map(repeat, _list_slot(slots[item]), counts_out)
-                        )
-                    )
-                )
-        total = len(self_out)
-        ctx.stats.rows_scanned += total
+                outs.append(np.repeat(slots[item], c))
         return (total, outs)
 
 
@@ -2007,41 +1935,21 @@ class VectorFilter(Operator):
     def run(self, ctx, batch):
         n, slots = batch
         np = get_numpy()
-        if np is not None:
-            mask = None
-            for slot_idx, ref, position, op, spec in self.conds:
-                col = _encoded_table(ctx, ref).columns[position]
-                ids = col.np_ids()[_np_slot(np, slots[slot_idx])]
-                value = _spec_value(spec, ctx)
-                if op == "=":
-                    m = ids == col.dictionary.lookup(value)
-                elif op == "<>":
-                    m = ids != col.dictionary.lookup(value)
-                else:
-                    lut = _filter_lut(ctx, col.dictionary, op, value)
-                    m = np.frombuffer(lut, dtype=np.bool_)[ids]
-                mask = m if mask is None else mask & m
-            outs = [_np_slot(np, slots[j])[mask] for j in self.keep_plan]
-            return (int(mask.sum()), outs)
         mask = None
         for slot_idx, ref, position, op, spec in self.conds:
             col = _encoded_table(ctx, ref).columns[position]
-            ids = col.ids
-            slot = _list_slot(slots[slot_idx])
+            ids = col.np_ids()[slots[slot_idx]]
             value = _spec_value(spec, ctx)
             if op == "=":
-                vid = col.dictionary.lookup(value)
-                m = [ids[i] == vid for i in slot]
+                m = ids == col.dictionary.lookup(value)
             elif op == "<>":
-                vid = col.dictionary.lookup(value)
-                m = [ids[i] != vid for i in slot]
+                m = ids != col.dictionary.lookup(value)
             else:
                 lut = _filter_lut(ctx, col.dictionary, op, value)
-                m = [lut[ids[i]] for i in slot]
-            mask = m if mask is None else [a and b for a, b in zip(mask, m)]
-        outs = [list(compress(_list_slot(slots[j]), mask)) for j in self.keep_plan]
-        total = len(outs[0]) if outs else sum(1 for v in mask if v)
-        return (total, outs)
+                m = np.frombuffer(lut, dtype=np.bool_)[ids]
+            mask = m if mask is None else mask & m
+        outs = [slots[j][mask] for j in self.keep_plan]
+        return (int(mask.sum()), outs)
 
 
 class VectorMaterialize(Operator):
@@ -2066,17 +1974,17 @@ class VectorMaterialize(Operator):
         outs = []
         for slot_idx, ref in self.specs:
             rows = _encoded_table(ctx, ref).rows
-            outs.append([rows[i] for i in _list_slot(slots[slot_idx])])
+            outs.append([rows[i] for i in slots[slot_idx].tolist()])
         return (n, outs)
 
 
 class VectorProject(Operator):
     """Projection with duplicate elimination in id space.
 
-    Target tuples are gathered as id tuples, deduplicated as ints — the
-    numpy path packs multi-column ids into a single int64 key when the
-    dictionary widths fit, then takes ``np.unique`` — and only the
-    distinct survivors are decoded back to values.  Dedup cost becomes
+    Target tuples are gathered as id tuples, deduplicated as ints —
+    multi-column ids pack into a single int64 key when the dictionary
+    widths fit, then ``np.unique`` — and only the distinct survivors
+    are decoded back to values.  Dedup cost becomes
     proportional to the distinct count, not the join fan-out.
     """
 
@@ -2094,7 +2002,7 @@ class VectorProject(Operator):
         if self.single:
             _kind, slot_idx, ref = self.terms[0]
             rows = _encoded_table(ctx, ref).rows
-            out = list({rows[i] for i in _list_slot(slots[slot_idx])})
+            out = list({rows[i] for i in slots[slot_idx].tolist()})
             ctx.stats.tuples_emitted += len(out)
             return out
         proto: list = [None] * len(self.terms)
@@ -2114,59 +2022,29 @@ class VectorProject(Operator):
             out = [tuple(proto)] if n else []
             ctx.stats.tuples_emitted += len(out)
             return out
-        np = get_numpy()
-        if np is not None:
-            arrs = []
-            for _pos, slot_idx, _dec, col in dyn:
-                slot = _np_slot(np, slots[slot_idx])
-                arrs.append(slot if col is None else col.np_ids()[slot])
-            id_cols = self._distinct_np(np, arrs, dyn)
-            if id_cols is not None:
-                out = []
-                append = out.append
-                decoders = [(pos, dec) for pos, _slot, dec, _col in dyn]
-                for gs in zip(*(a.tolist() for a in id_cols)):
-                    for (pos, dec), g in zip(decoders, gs):
-                        proto[pos] = dec[g]
-                    append(tuple(proto))
-                ctx.stats.tuples_emitted += len(out)
-                return out
-            key_lists = [a.tolist() for a in arrs]
+        arrs = []
+        for _pos, slot_idx, _dec, col in dyn:
+            slot = slots[slot_idx]
+            arrs.append(slot if col is None else col.np_ids()[slot])
+        id_cols = self._distinct_np(get_numpy(), arrs, dyn)
+        if id_cols is None:
+            distinct = set(zip(*(a.tolist() for a in arrs)))
         else:
-            key_lists = []
-            for _pos, slot_idx, _dec, col in dyn:
-                slot = _list_slot(slots[slot_idx])
-                if col is None:
-                    key_lists.append(slot)
-                else:
-                    ids = col.ids
-                    key_lists.append([ids[i] for i in slot])
-        seen: set = set()
-        add = seen.add
+            distinct = zip(*(a.tolist() for a in id_cols))
+        decoders = [(pos, dec) for pos, _slot, dec, _col in dyn]
         out = []
         append = out.append
-        decoders = [(pos, dec) for pos, _slot, dec, _col in dyn]
-        if len(key_lists) == 1:
-            for g in key_lists[0]:
-                if g not in seen:
-                    add(g)
-                    pos, dec = decoders[0]
-                    proto[pos] = dec[g]
-                    append(tuple(proto))
-        else:
-            for gs in zip(*key_lists):
-                if gs not in seen:
-                    add(gs)
-                    for (pos, dec), g in zip(decoders, gs):
-                        proto[pos] = dec[g]
-                    append(tuple(proto))
+        for gs in distinct:
+            for (pos, dec), g in zip(decoders, gs):
+                proto[pos] = dec[g]
+            append(tuple(proto))
         ctx.stats.tuples_emitted += len(out)
         return out
 
     @staticmethod
     def _distinct_np(np, arrs, dyn):
         """Distinct id rows as per-term arrays, or None when the packed
-        key would overflow int64 (caller falls back to tuple hashing)."""
+        key would overflow int64 (caller hashes id tuples instead)."""
         if len(arrs) == 1:
             return [np.unique(arrs[0])]
         bits = []

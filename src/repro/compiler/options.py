@@ -31,6 +31,9 @@ DEFAULT_OPTIMIZER = "cost"
 #: :mod:`repro.compiler.executors` for the full registry.
 DEFAULT_EXECUTOR = "batch"
 
+#: The static-analyzer gate policies ``ExecOptions.analysis`` accepts.
+ANALYSIS_MODES = ("strict", "lint", "off")
+
 
 @dataclass(frozen=True)
 class ExecOptions:
@@ -64,6 +67,14 @@ class ExecOptions:
     shard_config: object | None = None
     analysis: str | None = None
     snapshot: object | None = None
+
+    def __post_init__(self) -> None:
+        # Validated here, not at one front door: a misspelt policy must
+        # never reach the gate, which would read it as "lint".
+        if self.analysis is not None and self.analysis not in ANALYSIS_MODES:
+            raise ValueError(
+                f"analysis must be one of {ANALYSIS_MODES}, got {self.analysis!r}"
+            )
 
     # -- composition --------------------------------------------------------
 

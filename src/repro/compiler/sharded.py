@@ -48,6 +48,15 @@ still interleave under the GIL) — a fork-based **process pool** is the
 opt-in knob for true multi-core scaling (:class:`ShardConfig.pool`
 ``= "process"``), falling back to threads where ``fork`` is
 unavailable.
+
+``ShardConfig(inner="vector")`` asks the vector backend for each
+shard's pipeline (``VectorBackend.pipeline_for``): the int-id numpy
+kernels where the branch shape is covered — shipped as data to a
+persistent fork pool when the pool is ``"process"`` and the pipeline
+pickles — and the columnar pipelines otherwise, which includes every
+branch in a process where numpy does not import.  The configuration is
+per execution (``ExecOptions.shard_config``); :data:`DEFAULT_CONFIG` is
+what a context without one gets.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ import os
 import threading
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from ..calculus.analysis import free_tuple_vars
@@ -82,11 +91,12 @@ class ShardConfig:
 
     ``inner`` selects the per-shard pipeline: ``"batch"`` (the columnar
     kernels) or ``"vector"`` (the dictionary-encoded int-id kernels,
-    falling back per branch to columnar for uncovered shapes).
-    ``reuse_pool`` lets fully-shippable vector branches run on one
-    persistent fork pool — workers are forked once and each shard task
-    ships its compact encoded buffers over the pipe — instead of paying
-    per-call pool setup through fork-time task inheritance.
+    falling back per branch to columnar for uncovered shapes — and for
+    every branch where numpy does not import).  On a process pool,
+    fully-shippable vector branches run on one persistent fork pool —
+    workers are forked once and each shard task ships its compact
+    encoded buffers over the pipe — instead of paying per-call pool
+    setup through fork-time task inheritance.
     """
 
     workers: int | None = None
@@ -94,38 +104,14 @@ class ShardConfig:
     min_rows: int = 4096
     rows_per_shard: int = 2048
     inner: str = "batch"
-    reuse_pool: bool = True
 
     def effective_workers(self) -> int:
         return self.workers if self.workers else (os.cpu_count() or 1)
 
 
-#: The module default; :func:`configure` rebinds it (ShardConfig is
-#: frozen), so always read it through this module or
-#: :func:`default_shard_config` — a from-import snapshots a stale value.
+#: The module default, used when the execution context carries no
+#: ``shard_config`` of its own.
 DEFAULT_CONFIG = ShardConfig()
-
-
-def configure(**knobs) -> ShardConfig:
-    """Update the module-default :class:`ShardConfig` (returns the new one).
-
-    Per-context overrides (``ExecutionContext.shard_config``) take
-    precedence over the module default.
-    """
-    global DEFAULT_CONFIG
-    DEFAULT_CONFIG = replace(DEFAULT_CONFIG, **knobs)
-    return DEFAULT_CONFIG
-
-
-def default_shard_config() -> ShardConfig:
-    """The live module-default :class:`ShardConfig`.
-
-    The accessor every external reader should use: :func:`configure`
-    *rebinds* the module global, so a ``from ... import DEFAULT_CONFIG``
-    taken before a ``configure()`` call reports knobs the backend no
-    longer uses.
-    """
-    return DEFAULT_CONFIG
 
 
 def shard_count(n_rows: float, config: ShardConfig) -> int:
@@ -386,7 +372,8 @@ def _partition_encoded(table: EncodedTable, pos: int | None, k: int) -> list:
     one hash per distinct dictionary value, matching the value hashing
     of the row-level partitioners so probe and build sides stay aligned.
     Without one (no aligned join), contiguous slices split the scan.
-    The shard tables carry no raw rows (they are built to ship).
+    The shard tables carry no raw rows (they are built to ship).  Only
+    shippable vector pipelines get here, so numpy is importable.
     """
     n = table.n
     if pos is None:
@@ -404,32 +391,20 @@ def _partition_encoded(table: EncodedTable, pos: int | None, k: int) -> list:
     col = table.columns[pos]
     shard_of = [hash(v) % k for v in col.dictionary.values]
     np = get_numpy()
+    shard_arr = (
+        np.array(shard_of, dtype=np.int64)[col.np_ids()]
+        if shard_of
+        else np.zeros(n, dtype=np.int64)
+    )
     shards = []
-    if np is not None:
-        shard_arr = (
-            np.array(shard_of, dtype=np.int64)[col.np_ids()]
-            if shard_of
-            else np.zeros(n, dtype=np.int64)
-        )
-        for s in range(k):
-            mask = shard_arr == s
-            columns = []
-            for c in table.columns:
-                ids = array("q")
-                ids.frombytes(np.ascontiguousarray(c.np_ids()[mask]).tobytes())
-                columns.append(ColumnVector(ids, c.dictionary))
-            shards.append(EncodedTable(tuple(columns), None, int(mask.sum())))
-        return shards
-    buckets = [array("q") for _ in range(k)]
-    appends = [b.append for b in buckets]
-    for i, g in enumerate(col.ids):
-        appends[shard_of[g]](i)
-    for idx in buckets:
-        columns = tuple(
-            ColumnVector(array("q", map(c.ids.__getitem__, idx)), c.dictionary)
-            for c in table.columns
-        )
-        shards.append(EncodedTable(columns, None, len(idx)))
+    for s in range(k):
+        mask = shard_arr == s
+        columns = []
+        for c in table.columns:
+            ids = array("q")
+            ids.frombytes(np.ascontiguousarray(c.np_ids()[mask]).tobytes())
+            columns.append(ColumnVector(ids, c.dictionary))
+        shards.append(EncodedTable(tuple(columns), None, int(mask.sum())))
     return shards
 
 
@@ -570,7 +545,6 @@ class ShardedBackend(BatchBackend):
         if (
             config.inner == "vector"
             and config.pool == "process"
-            and config.reuse_pool
             and pipeline.shippable
             and hasattr(os, "fork")
         ):

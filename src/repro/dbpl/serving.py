@@ -301,12 +301,12 @@ class PlanCache:
     normalized query with constants abstracted away, plus the normalized
     execution options (executor, optimizer, shard config): everything
     that changes what ``compile_query`` would produce or how its
-    pipelines run.  Two calls that resolve to the same options share one
-    plan no matter which spelling (``options=`` or legacy loose
-    keywords) produced them.  Entries are scoped to
-    one statistics epoch: when :meth:`StatsCatalog.epoch` moves, the
-    whole cache is invalidated at the next touch (the cost model would
-    price the plans differently now, so they must all re-optimize).
+    pipelines run.  Two calls that resolve to the same options (an
+    explicit default and an unset field, say) share one plan.  Entries
+    are scoped to one statistics epoch: when :meth:`StatsCatalog.epoch`
+    moves, the whole cache is invalidated at the next touch (the cost
+    model would price the plans differently now, so they must all
+    re-optimize).
 
     ``capacity <= 0`` disables caching entirely (every lookup misses and
     nothing is stored) — the compile-per-call baseline of benchmark E19.

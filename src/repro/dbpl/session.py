@@ -124,8 +124,6 @@ def _checks():
 #: decide between the module and expression grammars.
 _DECL_KEYWORDS = ("MODULE", "TYPE", "VAR", "SELECTOR", "CONSTRUCTOR")
 
-ANALYSIS_MODES = ("strict", "lint", "off")
-
 _ANALYSIS_CACHE_SIZE = 256
 
 #: Diagnostic codes for runtime execution-strategy degradations (the
@@ -135,6 +133,7 @@ _EXEC_FALLBACK_CODES = {
     "ship": "DBPL903",
     "snapshot_sharded": "DBPL904",
     "lowering": "DBPL905",
+    "vector_numpy": "DBPL906",
 }
 
 
@@ -154,10 +153,6 @@ class Session:
             options = DEFAULT_OPTIONS
         if options.analysis is None:
             options = options.replace(analysis="strict")
-        if options.analysis not in ANALYSIS_MODES:
-            raise ValueError(
-                f"analysis must be one of {ANALYSIS_MODES}, got {options.analysis!r}"
-            )
         #: Session-level execution defaults; per-call options layer over
         #: these (set fields on the call side win).
         self.options = options
@@ -174,8 +169,10 @@ class Session:
         #: fork-time inheritance, "snapshot_sharded" counts snapshot
         #: executions demoting executor="sharded" to "batch", "lowering"
         #: counts branches no operator pipeline could be generated for
-        #: running on the tuple interpreter.  Each increment also emits a
-        #: DBPL90x hint to ``on_diagnostic``.
+        #: running on the tuple interpreter, "vector_numpy" counts
+        #: executor="vector" branches run on the batch pipeline because
+        #: numpy does not import.  Each increment also emits a DBPL90x
+        #: hint to ``on_diagnostic``.
         self.fallbacks = {
             "interpreted": 0,
             "construct": 0,
@@ -183,6 +180,7 @@ class Session:
             "ship": 0,
             "snapshot_sharded": 0,
             "lowering": 0,
+            "vector_numpy": 0,
         }
         self._analysis_cache: OrderedDict[tuple, AnalysisResult] = OrderedDict()
         self._anon = 0
@@ -293,9 +291,11 @@ class Session:
         strategy: a process pool ran on threads (DBPL902), a shippable
         shard pipeline reverted to fork-time inheritance (DBPL903), a
         snapshot execution demoted the sharded executor to batch
-        (DBPL904), or a branch with no generated operator pipeline ran
-        on the tuple interpreter (DBPL905).  Counters plus hint-severity
-        diagnostics make them observable without changing any result.
+        (DBPL904), a branch with no generated operator pipeline ran on
+        the tuple interpreter (DBPL905), or executor="vector" ran a
+        branch on the batch pipeline for want of numpy (DBPL906).
+        Counters plus hint-severity diagnostics make them observable
+        without changing any result.
         """
         if kind not in self.fallbacks:
             self.fallbacks[kind] = 0
@@ -507,7 +507,7 @@ class Session:
 
         Cache keys are ``(shape,) + options.cache_key()`` — the
         normalized options, so per-execution fields (snapshot, analysis)
-        never fragment the cache and both option spellings share plans.
+        never fragment the cache.
         """
         shape, constants = parameterize(node)
         epoch = self.db.stats.epoch()

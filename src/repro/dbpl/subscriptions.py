@@ -323,7 +323,10 @@ class QuerySubscription(Subscription):
         db = registry.db
         self._node = node
         self._optimizer = options.resolved_optimizer
-        self._executor = _BAG_EXECUTORS.get(options.resolved_executor, "batch")
+        # get_backend rejects unknown names, as at every other door.
+        self._executor = _BAG_EXECUTORS.get(
+            get_backend(options.resolved_executor).name, "batch"
+        )
         self.watched = tuple(
             sorted(
                 {

@@ -33,8 +33,6 @@ from .vectors import (
     ColumnVector,
     Dictionary,
     EncodedTable,
-    numpy_enabled,
-    set_numpy_enabled,
 )
 
 __all__ = [
@@ -55,9 +53,7 @@ __all__ = [
     "SnapshotView",
     "StatsCatalog",
     "TableStats",
-    "numpy_enabled",
     "open_database",
-    "set_numpy_enabled",
     "spill_database",
     "antijoin",
     "partition_rows",

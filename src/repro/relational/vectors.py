@@ -27,16 +27,16 @@ Encoding properties the executor relies on:
   :meth:`EncodedTable.extended`), so concurrent readers and zero-copy
   numpy views stay safe.
 
-The optional **numpy fast path** is a feature gate, not a dependency:
-:func:`get_numpy` returns the module only when it is importable *and*
-enabled (``set_numpy_enabled`` / the ``REPRO_VECTOR_NUMPY`` environment
-variable), and every kernel in :mod:`repro.compiler.operators` degrades
-to the pure-stdlib ``array`` path when it returns None.
+numpy is an optional accelerator, not a dependency: :func:`get_numpy`
+answers the one question — the module when it is importable, else None
+— and the vector executor backend hands its branches to ``batch`` when
+the answer is None (see ``VectorBackend.pipeline_for``).  The encoding
+itself (dictionaries, ``array('q')`` buffers, translation tables,
+pickling, the on-disk format) never needs numpy.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from array import array
 from operator import itemgetter
@@ -46,51 +46,16 @@ __all__ = [
     "Dictionary",
     "EncodedTable",
     "get_numpy",
-    "numpy_enabled",
-    "set_numpy_enabled",
     "translation",
 ]
-
-#: Environment kill switch for the numpy fast path: set to ``0``,
-#: ``false``, or ``off`` to force the pure-stdlib ``array`` kernels even
-#: when numpy is importable (the CI no-numpy leg uses a genuinely absent
-#: numpy; this gate lets any environment test the same code path).
-_NUMPY_ENV = "REPRO_VECTOR_NUMPY"
-
-#: Tri-state override installed by :func:`set_numpy_enabled`:
-#: None → follow the environment/availability, True/False → forced.
-_NUMPY_OVERRIDE: bool | None = None
 
 #: Lazily imported numpy module, or False once the import failed.
 _NUMPY_MODULE = None
 
 
-def _env_allows_numpy() -> bool:
-    return os.environ.get(_NUMPY_ENV, "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-def set_numpy_enabled(flag: bool | None) -> None:
-    """Force the numpy fast path on/off, or None to restore auto-detect.
-
-    Forcing True still degrades cleanly when numpy is not importable —
-    the gate can enable the fast path, never conjure the dependency.
-    """
-    global _NUMPY_OVERRIDE
-    _NUMPY_OVERRIDE = flag
-
-
 def get_numpy():
-    """The numpy module when the fast path is enabled, else None."""
+    """The numpy module when it is importable, else None."""
     global _NUMPY_MODULE
-    if _NUMPY_OVERRIDE is False:
-        return None
-    if _NUMPY_OVERRIDE is None and not _env_allows_numpy():
-        return None
     if _NUMPY_MODULE is None:
         try:
             import numpy
@@ -98,11 +63,6 @@ def get_numpy():
             numpy = False
         _NUMPY_MODULE = numpy
     return _NUMPY_MODULE or None
-
-
-def numpy_enabled() -> bool:
-    """True when vector kernels will take the numpy fast path."""
-    return get_numpy() is not None
 
 
 class Dictionary:
@@ -207,12 +167,10 @@ class ColumnVector:
         return len(self.ids)
 
     def np_ids(self):
-        """The ids as a zero-copy int64 numpy view (fast path only)."""
+        """The ids as a zero-copy int64 numpy view (requires numpy)."""
         view = self._np
         if view is None:
             np = get_numpy()
-            if np is None:
-                return None
             view = self._np = np.frombuffer(self.ids, dtype=np.int64)
         return view
 
@@ -236,20 +194,18 @@ class EncodedTable:
     sharded process-pool task ships only the compact id buffers and the
     dictionaries.
 
-    Per-column probe structures are built lazily and cached: ``groups``
-    is the dense id → row-index table the int-id hash joins probe, and
-    ``csr`` its numpy form (stable argsort order + per-id starts and
-    counts).  Benign build races only waste work — assignment of the
+    The per-column probe structure the int-id hash joins read (``csr``:
+    stable argsort order + per-id starts and counts) is built lazily
+    and cached.  Benign build races only waste work — assignment of the
     finished structure is atomic.
     """
 
-    __slots__ = ("columns", "rows", "n", "_groups", "_csr")
+    __slots__ = ("columns", "rows", "n", "_csr")
 
     def __init__(self, columns: tuple, rows: list | None, n: int) -> None:
         self.columns = columns
         self.rows = rows
         self.n = n
-        self._groups: dict = {}
         self._csr: dict = {}
 
     @classmethod
@@ -278,31 +234,16 @@ class EncodedTable:
     def column(self, pos: int) -> ColumnVector:
         return self.columns[pos]
 
-    def groups(self, pos: int) -> list:
-        """Dense probe table: ``groups[id]`` lists the row indexes whose
-        column ``pos`` encodes to ``id`` (sized to the dictionary at
-        build time; probes bounds-check)."""
-        table = self._groups.get(pos)
-        if table is None:
-            col = self.columns[pos]
-            table = [[] for _ in range(len(col.dictionary))]
-            for i, v in enumerate(col.ids):
-                table[v].append(i)
-            self._groups[pos] = table
-        return table
-
     def csr(self, pos: int):
         """Numpy probe table ``(order, starts, counts)`` for column ``pos``.
 
         ``order`` is a stable argsort of the ids; the rows matching id
-        ``g`` are ``order[starts[g] : starts[g] + counts[g]]``.  Returns
-        None when the numpy fast path is disabled.
+        ``g`` are ``order[starts[g] : starts[g] + counts[g]]``.  Requires
+        numpy (only the vector kernels call it).
         """
         entry = self._csr.get(pos)
         if entry is None:
             np = get_numpy()
-            if np is None:
-                return None
             col = self.columns[pos]
             ids = col.np_ids()
             counts = np.bincount(ids, minlength=len(col.dictionary))
@@ -322,7 +263,6 @@ class EncodedTable:
     def __setstate__(self, state) -> None:
         self.columns, self.n = state
         self.rows = None
-        self._groups = {}
         self._csr = {}
 
     def __repr__(self) -> str:  # pragma: no cover - display only

@@ -255,18 +255,6 @@ def assert_plan_accounting(plan, result_size: int) -> None:
         assert plan.dedup.actual_rows == result_size
 
 
-def _numpy_modes(executor: str) -> tuple:
-    """The numpy-gate settings one backend runs under in the harness.
-
-    The vector backend has two genuinely different kernel sets — the
-    numpy fast path and the pure-stdlib ``array`` path — so every seed
-    exercises both (forcing True still degrades cleanly when numpy is
-    absent, so this is safe on the no-numpy CI leg).  Other backends
-    never consult the gate and run once.
-    """
-    return (True, False) if executor == "vector" else (None,)
-
-
 def assert_executors_agree(
     db: Database,
     query,
@@ -278,32 +266,25 @@ def assert_executors_agree(
 
     The reference calculus evaluator is the semantic oracle; each
     backend executes a freshly compiled plan (one per backend, so
-    per-plan counters stay attributable), the sharded backend under a
-    forced-sharding configuration, and the vector backend twice — with
-    the numpy fast path forced on and off.  Returns the agreed rows.
+    per-plan counters stay attributable) and the sharded backend runs
+    under a forced-sharding configuration.  Returns the agreed rows.
     """
     from repro.compiler import ExecutionContext, compile_query
-    from repro.relational import set_numpy_enabled
 
     assert_analyzer_clean(db, query, params)
     reference = Evaluator(db, params).eval_query(query)
     if shard_config is None:
         shard_config = forced_shard_config()
-    try:
-        for executor in executors:
-            for numpy_mode in _numpy_modes(executor):
-                set_numpy_enabled(numpy_mode)
-                plan = compile_query(db, query, params=params)
-                ctx = ExecutionContext(db, params=params)
-                ctx.shard_config = shard_config
-                rows = plan.execute(ctx, executor=executor)
-                assert rows == reference, (
-                    f"executor {executor!r} (numpy={numpy_mode}) diverged: "
-                    f"{len(rows)} rows vs {len(reference)} reference rows"
-                )
-                assert_plan_accounting(plan, len(rows))
-    finally:
-        set_numpy_enabled(None)
+    for executor in executors:
+        plan = compile_query(db, query, params=params)
+        ctx = ExecutionContext(db, params=params)
+        ctx.shard_config = shard_config
+        rows = plan.execute(ctx, executor=executor)
+        assert rows == reference, (
+            f"executor {executor!r} diverged: "
+            f"{len(rows)} rows vs {len(reference)} reference rows"
+        )
+        assert_plan_accounting(plan, len(rows))
     return reference
 
 
@@ -360,7 +341,6 @@ def assert_fixpoint_executors_agree(
     from repro.compiler import ExecOptions, compile_fixpoint
     from repro.constructors import instantiate
     from repro.constructors.engines import seminaive_fixpoint
-    from repro.relational import set_numpy_enabled
 
     if shard_config is None:
         shard_config = forced_shard_config()
@@ -368,26 +348,19 @@ def assert_fixpoint_executors_agree(
     assert_analyzer_clean(base_db, application)
     base_system = instantiate(base_db, application)
     expected = seminaive_fixpoint(base_db, base_system)[base_system.root]
-    try:
-        for executor in executors:
-            for numpy_mode in _numpy_modes(executor):
-                set_numpy_enabled(numpy_mode)
-                db = db_factory()
-                system = instantiate(db, application)
-                program = compile_fixpoint(
-                    db,
-                    system,
-                    options=ExecOptions(
-                        executor=executor, shard_config=shard_config
-                    ),
-                )
-                values = program.run()
-                assert values[system.root] == expected, (
-                    f"fixpoint executor {executor!r} (numpy={numpy_mode}) "
-                    f"diverged: {len(values[system.root])} vs {len(expected)} rows"
-                )
-    finally:
-        set_numpy_enabled(None)
+    for executor in executors:
+        db = db_factory()
+        system = instantiate(db, application)
+        program = compile_fixpoint(
+            db,
+            system,
+            options=ExecOptions(executor=executor, shard_config=shard_config),
+        )
+        values = program.run()
+        assert values[system.root] == expected, (
+            f"fixpoint executor {executor!r} diverged: "
+            f"{len(values[system.root])} vs {len(expected)} rows"
+        )
     if oracle is not None:
         assert set(expected) == oracle
     return expected

@@ -27,7 +27,8 @@ from repro.compiler import plans as plans_mod
 from repro.constructors import instantiate
 from repro.datalog import DatalogEngine, parse_program
 from repro.dbpl import Session, parse_expression
-from repro.errors import EvaluationError, TranslationError
+from repro.errors import AnalysisError, EvaluationError, TranslationError
+from repro.relational.vectors import get_numpy
 
 INFRONT_QUERY = d.query(
     d.branch(d.each("r", "Infront"), pred=d.eq(d.a("r", "back"), "chair"))
@@ -168,6 +169,9 @@ class TestEntryPoints:
         for keyword, value in LOOSE_KEYWORDS.items():
             with pytest.raises(TypeError, match=keyword):
                 call(**{keyword: value})
+        # subscribe used to accept this and maintain on "batch".
+        with pytest.raises(ValueError, match="unknown executor 'nope'"):
+            call(options=ExecOptions(executor="nope"))
 
     def test_session_level_options_flow_into_queries(self):
         s = Session(options=ExecOptions(executor="tuple", analysis="lint"))
@@ -179,6 +183,20 @@ class TestEntryPoints:
             next(iter(s.plan_cache._entries)), s.db.stats.epoch()
         )
         assert plan.options.resolved_executor == "tuple"
+
+    @pytest.mark.parametrize("door", ["query", "prepare", "subscribe"])
+    def test_analysis_policy_is_validated_for_per_call_options(self, door):
+        """A typo must not switch the strict gate off: the misspelt
+        policy is a ValueError, and a per-call ``strict`` over a lint
+        session rejects the bad attribute before compilation."""
+        s = Session(options=ExecOptions(analysis="lint"))
+        s.execute(AHEAD)
+        bad = '{EACH r IN Infront: r.nope = "x"}'
+        with pytest.raises(ValueError, match="analysis must be one of"):
+            getattr(s, door)(bad, options=ExecOptions(analysis="Strict"))
+        with pytest.raises(AnalysisError) as info:
+            getattr(s, door)(bad, options=ExecOptions(analysis="strict"))
+        assert "DBPL005" in {d.code for d in info.value.diagnostics.errors}
 
 
 class TestFallbackChain:
@@ -225,6 +243,10 @@ class TestFallbackChain:
         assert s.fallbacks["lowering"] == 1
         (hint,) = [g for g in diags if g.code == "DBPL905"]
         assert hint.severity == "hint"
+        # Without numpy "vector" hands the branch to "batch" first
+        # (DBPL906), so batch is the backend that reached the floor.
+        if executor == "vector" and get_numpy() is None:
+            executor = "batch"
         assert f"executor={executor!r}" in hint.message
 
     def test_vector_coverage_gap_is_not_a_degradation(self, monkeypatch):
@@ -306,6 +328,7 @@ class TestObservableFallbacks:
             "ship",
             "snapshot_sharded",
             "lowering",
+            "vector_numpy",
         }
         assert all(count == 0 for count in s.fallbacks.values())
 

@@ -8,7 +8,6 @@ and the fixpoint driver's per-iteration delta partitioning.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -251,7 +250,10 @@ class TestShippedVectorShards:
         """Repeated sharded vector executions must not pay pool setup:
         the fork pool is created once per worker count and reused."""
         from repro.compiler import sharded as sharded_mod
+        from repro.relational.vectors import get_numpy
 
+        if get_numpy() is None:
+            pytest.skip("no numpy: inner='vector' is batch, nothing ships")
         db = _db({(f"k{i % 5}", i) for i in range(60)})
         q = self._join_query()
         self._run(db, q, self.CONFIG)
@@ -260,15 +262,6 @@ class TestShippedVectorShards:
         for _ in range(3):
             self._run(db, q, self.CONFIG)
         assert dict(sharded_mod._PROCESS_POOLS) == pools
-
-    def test_reuse_pool_off_takes_legacy_path_and_agrees(self):
-        db = _db({(f"k{i % 5}", i) for i in range(60)})
-        q = self._join_query()
-        config = replace(self.CONFIG, reuse_pool=False)
-        _plan, rows = self._run(db, q, config)
-        assert rows == compile_query(db, q).execute(
-            ExecutionContext(db), executor="batch"
-        )
 
 
 class TestUnknownExecutor:

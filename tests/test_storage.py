@@ -15,6 +15,7 @@ from repro.relational import (
     Database,
     open_database,
 )
+from repro.relational.vectors import get_numpy
 from repro.types import INTEGER, STRING, record, relation_type
 
 PERSON = record("person", name=STRING, age=INTEGER, city=STRING)
@@ -293,8 +294,8 @@ class TestObservableDegradations:
     def test_shipped_fallback_notes_overrides_with_dbpl903(self):
         # Source overrides shadow shipped tables, so the shipped path
         # must revert to fork-time inheritance — loudly.
-        if not hasattr(os, "fork"):
-            pytest.skip("no fork: the shipped path never engages")
+        if not hasattr(os, "fork") or get_numpy() is None:
+            pytest.skip("no fork or no numpy: the shipped path never engages")
         db = make_people_db()
         # Whole-row targets are never shipped (the pipeline needs raw
         # rows), so this must be a column-projected query.

@@ -2,10 +2,11 @@
 
 The dictionary/encoded-table machinery of
 :mod:`repro.relational.vectors`, its incremental maintenance on
-``Relation``, the numpy feature gate, and the pickling contract the
-sharded process pool ships encoded shards with.  Cross-backend
-result agreement lives in ``test_executor_properties.py``; this file
-pins the data structures themselves.
+``Relation``, the pickling contract the sharded process pool ships
+encoded shards with, and what ``executor="vector"`` does in a process
+where numpy does not import.  Cross-backend result agreement lives in
+``test_executor_properties.py``; this file pins the data structures
+themselves.
 """
 
 import pickle
@@ -14,29 +15,23 @@ from array import array
 
 import pytest
 
-from helpers import assert_executors_agree, random_prop_database
-from repro.calculus import dsl as d
-from repro.relational import (
-    Dictionary,
-    EncodedTable,
-    Relation,
-    numpy_enabled,
-    set_numpy_enabled,
+from helpers import (
+    assert_executors_agree,
+    assert_fixpoint_executors_agree,
+    random_prop_database,
+    transitive_closure,
 )
+from repro import ExecOptions, paper
+from repro.calculus import dsl as d
+from repro.compiler import ShardConfig, plans as plans_mod
+from repro.dbpl import Session
+from repro.relational import Dictionary, EncodedTable, Relation
+from repro.relational import vectors as vectors_mod
 from repro.relational.vectors import get_numpy, translation
 from repro.types import INTEGER, STRING, record, relation_type
 
 PART = record("partrec", part=STRING, weight=INTEGER)
 PARTS = relation_type("partsrel", PART, key=("part",))
-
-
-@pytest.fixture
-def no_numpy():
-    set_numpy_enabled(False)
-    try:
-        yield
-    finally:
-        set_numpy_enabled(None)
 
 
 class TestDictionary:
@@ -113,55 +108,27 @@ class TestEncodedTable:
         assert table.n == 4
         assert len(table.columns[0].ids) == 4
 
-    def test_groups_is_dense_id_to_row_indexes(self):
-        table, _dics = _table(self.ROWS)
-        assert table.groups(0) == [[0, 2], [1], [3]]
-        assert table.groups(1) == [[0, 3], [1], [2]]
-
-    def test_csr_matches_groups(self):
+    def test_csr_matches_brute_force_grouping(self):
         if get_numpy() is None:
-            pytest.skip("numpy fast path unavailable")
+            pytest.skip("csr is the numpy kernels' probe table")
         table, _dics = _table(self.ROWS)
-        order, starts, counts = table.csr(0)
-        for g, bucket in enumerate(table.groups(0)):
-            rows = sorted(order[starts[g] : starts[g] + counts[g]].tolist())
-            assert rows == bucket
-
-    def test_csr_is_none_without_numpy(self, no_numpy):
-        table, _dics = _table(self.ROWS)
-        assert table.csr(0) is None
+        for pos in (0, 1):
+            order, starts, counts = table.csr(pos)
+            ids = list(table.columns[pos].ids)
+            for g in range(len(counts)):
+                rows = order[starts[g] : starts[g] + counts[g]].tolist()
+                assert sorted(rows) == [i for i, v in enumerate(ids) if v == g]
 
     def test_pickle_ships_buffers_not_rows(self):
         table, _dics = _table(self.ROWS)
-        table.groups(0)  # populate a probe cache
+        if get_numpy() is not None:
+            table.csr(0)  # populate the probe cache
         clone = pickle.loads(pickle.dumps(table))
         assert clone.rows is None
         assert clone.n == 4
         assert list(clone.columns[0].ids) == [0, 1, 0, 2]
         assert clone.columns[0].dictionary.decode(2) == "c"
-        # Probe caches rebuild on the far side.
-        assert clone.groups(0) == [[0, 2], [1], [3]]
-
-
-class TestNumpyGate:
-    def test_set_numpy_enabled_forces_off(self, no_numpy):
-        assert get_numpy() is None
-        assert not numpy_enabled()
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VECTOR_NUMPY", "off")
-        assert get_numpy() is None
-        monkeypatch.setenv("REPRO_VECTOR_NUMPY", "1")
-        set_numpy_enabled(None)
-        assert numpy_enabled() == (get_numpy() is not None)
-
-    def test_forcing_on_never_conjures_numpy(self):
-        set_numpy_enabled(True)
-        try:
-            np = get_numpy()
-            assert np is None or np.__name__ == "numpy"
-        finally:
-            set_numpy_enabled(None)
+        assert clone._csr == {}  # the probe cache rebuilds on the far side
 
 
 class TestRelationEncoding:
@@ -222,3 +189,129 @@ class TestVectorFallback:
             )
         )
         assert_executors_agree(db, query, executors=("vector", "batch"))
+
+    def test_projection_hashes_id_tuples_when_the_packed_key_overflows(
+        self, monkeypatch
+    ):
+        """Dictionaries too wide to pack into one int64 key dedup as id
+        tuples instead (forced here: real ones need > 2**62 values)."""
+        if get_numpy() is None:
+            pytest.skip("the vector kernels need numpy")
+        from repro.compiler.operators import VectorProject
+
+        monkeypatch.setattr(
+            VectorProject, "_distinct_np", staticmethod(lambda np, arrs, dyn: None)
+        )
+        db = random_prop_database(random.Random(31))
+        query = d.query(
+            d.branch(
+                d.each("x", "P"),
+                d.each("y", "Q"),
+                pred=d.eq(d.a("x", "f"), d.a("y", "k")),
+                targets=[d.a("x", "k"), d.a("y", "f")],
+            )
+        )
+        assert_executors_agree(db, query, executors=("vector", "batch"))
+
+
+SCHEMA = """
+TYPE prec = RECORD front, back: STRING END;
+     prel = RELATION front, back OF prec;
+VAR Infront: prel;
+"""
+
+#: Join + filter + projection: a shape the vector lowering covers (and
+#: ships), so with numpy it runs the int-id kernels end to end.
+JOIN = (
+    '{<r.front, t.back> OF EACH r IN Infront, EACH t IN Infront: '
+    'r.back = t.front AND t.back <> "wall"}'
+)
+EDGES = [
+    ("table", "chair"),
+    ("chair", "door"),
+    ("vase", "door"),
+    ("door", "wall"),
+    ("door", "hall"),
+]
+JOIN_ROWS = {("table", "door"), ("chair", "hall"), ("vase", "hall")}
+
+
+class TestVectorWithoutNumpy:
+    """``executor="vector"`` is the numpy kernels or it is ``batch``.
+
+    With numpy unimportable the vector backend hands every branch to the
+    batch pipeline — observably (``Session.fallbacks`` + DBPL906), with
+    the reference answers, and without ever running the vector lowering.
+    """
+
+    FORCED = dict(workers=3, min_rows=0, rows_per_shard=1, inner="vector")
+
+    @pytest.fixture
+    def no_numpy(self, monkeypatch):
+        """Poison the cached module (what a failed import leaves behind)
+        and record every use of the vector lowering."""
+        monkeypatch.setattr(vectors_mod, "_NUMPY_MODULE", False)
+        lowered = []
+        original = plans_mod.BranchPlan.ensure_vector_pipeline
+
+        def spy(branch):
+            lowered.append(branch)
+            return original(branch)
+
+        monkeypatch.setattr(plans_mod.BranchPlan, "ensure_vector_pipeline", spy)
+        assert get_numpy() is None
+        return lowered
+
+    def _session(self, diags=None, **options):
+        s = Session(
+            on_diagnostic=diags.append if diags is not None else None,
+            options=ExecOptions(**options),
+        )
+        s.execute(SCHEMA)
+        s.insert("Infront", EDGES)
+        return s
+
+    def test_query_runs_on_batch_counts_and_hints(self, no_numpy):
+        diags = []
+        s = self._session(diags, executor="vector")
+        assert s.query(JOIN, mode="interpreted") == JOIN_ROWS
+        assert s.query(JOIN, options=ExecOptions(executor="batch")) == JOIN_ROWS
+        assert s.fallbacks["vector_numpy"] == 0
+        assert s.query(JOIN) == JOIN_ROWS
+        assert no_numpy == []
+        assert s.fallbacks["vector_numpy"] == 1
+        hints = [d_ for d_ in diags if d_.code == "DBPL906"]
+        assert len(hints) == 1 and hints[0].severity == "hint"
+        assert s.query(JOIN) == JOIN_ROWS  # every execution is counted
+        assert s.fallbacks["vector_numpy"] == 2
+
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_sharded_inner_vector_runs_on_batch(self, no_numpy, pool):
+        diags = []
+        config = ShardConfig(pool=pool, **self.FORCED)
+        s = self._session(diags, executor="sharded", shard_config=config)
+        assert s.query(JOIN) == JOIN_ROWS
+        assert no_numpy == []
+        assert s.fallbacks["vector_numpy"] >= 1
+        assert s.fallbacks["ship"] == 0  # nothing shippable was attempted
+        assert "DBPL906" in {d_.code for d_ in diags}
+
+    def test_recursive_constructor_agrees(self, no_numpy):
+        edges = [(f"n{i}", f"n{i + 1}") for i in range(12)] + [("n12", "n3")]
+        assert_fixpoint_executors_agree(
+            lambda: paper.cad_database(infront=edges, mutual=False),
+            d.constructed("Infront", "ahead"),
+            executors=("vector", "batch", "sharded"),
+            shard_config=ShardConfig(**self.FORCED),
+            oracle=transitive_closure(edges),
+        )
+        assert no_numpy == []
+
+    def test_counter_stays_zero_with_numpy(self):
+        if get_numpy() is None:
+            pytest.skip("numpy is not importable here")
+        diags = []
+        s = self._session(diags, executor="vector")
+        assert s.query(JOIN) == JOIN_ROWS
+        assert s.fallbacks["vector_numpy"] == 0
+        assert "DBPL906" not in {d_.code for d_ in diags}
