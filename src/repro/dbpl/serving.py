@@ -34,8 +34,9 @@ module is the parse-once/bind-per-message split:
 
 Snapshot scope: relation *scans and join probes* are pinned.  Computed
 sub-ranges (selected ranges, nested queries) and residual predicates
-resolve against the live database — crash-free, because relation
-mutation is copy-on-write, but they read latest-committed.  A snapshot
+resolve against the live database — crash-free, because everything a
+relation hands a reader is an immutable generation of one committed
+state, but they read latest-committed.  A snapshot
 execution also forces an unsharded backend: the shard planner
 re-partitions live relations, which would bypass the pinned views.
 """
@@ -392,8 +393,8 @@ class PlanCache:
 class DatabaseSnapshot:
     """Version-stamped pinned views of every relation, taken atomically
     enough: each view pins exactly one committed state of its relation
-    (copy-on-write guarantees per-relation consistency; the snapshot is
-    taken relation-by-relation without a global write freeze).
+    (immutable generations guarantee per-relation consistency; the
+    snapshot is taken relation-by-relation without a global write freeze).
 
     ``overrides_for(plan)`` produces the ``ExecutionContext.
     source_overrides`` map that makes a compiled plan's relation scans

@@ -372,7 +372,7 @@ class QuerySubscription(Subscription):
             if positions is None:
                 return _RECOMPUTE
             variants.extend(_split_branch(branch, name, positions, schema))
-        full = float(max(1, len(db.relation(name).raw())))
+        full = float(max(1, len(db.relation(name))))
         estimates = {
             _ivm_token(name, "delta"): delta_est,
             _ivm_token(name, "new"): full,
@@ -503,7 +503,7 @@ class FixpointSubscription(Subscription):
             estimates[_variant_token(key, "new")] = float(
                 max(1, len(self._values[key]))
             )
-        full = float(max(1, len(db.relation(name).raw())))
+        full = float(max(1, len(db.relation(name))))
         estimates[_ivm_token(name, "new")] = full
         estimates[_ivm_token(name, "old")] = full
         estimates[_ivm_token(name, "delta")] = max(1.0, full**0.5)

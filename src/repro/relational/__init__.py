@@ -14,8 +14,6 @@ from .algebra import (
 from .database import Database
 from .indexes import (
     HashIndex,
-    IndexCache,
-    PartitionCache,
     ShardView,
     SnapshotView,
     partition_rows,
@@ -44,8 +42,6 @@ __all__ = [
     "EncodedTable",
     "HashIndex",
     "Histogram",
-    "IndexCache",
-    "PartitionCache",
     "Relation",
     "RelationStore",
     "Row",

@@ -3,9 +3,16 @@
 The paper's runtime level (section 4) generates *physical access paths*
 — materialized partitions of a relation keyed by the constant values a
 query restricts on.  :class:`HashIndex` is the underlying mechanism: a
-dict from key projection to the set of matching rows.  Indexes are built
-lazily and cached per (relation version, attribute positions); any
-mutation of the relation invalidates the cache.
+dict from key projection to the list of matching rows, in row order.
+
+An index is **immutable once published**: a relation caches one
+generation per attribute positions under its hit/extend/rebuild rule
+(``Relation._view``), and growth is :meth:`HashIndex.extended` — a *new*
+index that is copy-on-write at bucket granularity, sharing every
+untouched bucket list with its predecessor — so a reader (or a pinned
+:class:`SnapshotView`) keeps probing exactly the committed state its
+index was built for while appends cost O(delta + distinct keys), not a
+rebuild.  This module holds no cache and no version logic of its own.
 """
 
 from __future__ import annotations
@@ -37,11 +44,36 @@ class HashIndex:
             if len(bucket) > heaviest:
                 heaviest = len(bucket)
         self.buckets = buckets
-        # Buckets are immutable after build (the cache rebuilds on any
-        # relation version change), so the planner's skew probe is O(1).
+        # Buckets are immutable after build (growth is a new index, see
+        # :meth:`extended`), so the planner's skew probe is O(1).
         self._total_rows = total
         self._max_bucket_rows = heaviest
         self._scalar: dict | None = None
+
+    def extended(self, rows: Iterable[tuple]) -> "HashIndex":
+        """A new index over this one's rows followed by ``rows``.
+
+        Copy-on-write at bucket granularity: the bucket dict is copied
+        shallowly, only the buckets ``rows`` touch are replaced (by
+        ``old + new`` lists), and the counters and an already-built
+        scalar view are carried forward the same way — equal to a fresh
+        build over the concatenation, with ``self`` left untouched.
+        """
+        new = HashIndex(self.positions, rows)
+        merged = self.buckets.copy()
+        scalar = None if self._scalar is None else self._scalar.copy()
+        heaviest = self._max_bucket_rows
+        for key, added in new.buckets.items():
+            old = merged.get(key)
+            bucket = merged[key] = old + added if old else added
+            if scalar is not None:
+                scalar[key[0]] = bucket
+            if len(bucket) > heaviest:
+                heaviest = len(bucket)
+        new.buckets, new._scalar = merged, scalar
+        new._total_rows += self._total_rows
+        new._max_bucket_rows = heaviest
+        return new
 
     def lookup(self, key: tuple) -> list[tuple]:
         """All rows whose projection on ``positions`` equals ``key``."""
@@ -107,8 +139,8 @@ class ShardView:
     view builds hash indexes over *its own rows only* (so a partitioned
     build side costs ``rows/k`` per shard, not a full-relation index),
     lazily and cached for the view's lifetime.  Views are immutable
-    after construction — the owning :class:`PartitionCache` rebuilds
-    them wholesale when the relation's version moves.
+    after construction — the owning relation rebuilds them wholesale
+    when its version moves.
     """
 
     __slots__ = ("rows", "_indexes")
@@ -136,16 +168,25 @@ class SnapshotView(ShardView):
     contract :class:`ShardView` already implements for partitions — so a
     reader keeps scanning (and index-probing) the rows that existed when
     the snapshot was taken, no matter how many writers commit meanwhile.
-    The pinned list is the relation's copy-on-write row list: it is never
-    mutated in place, only replaced, so the view stays valid forever.
+    The pinned list is one immutable generation of the relation's row
+    log, and ``index_source`` (``positions -> HashIndex`` for exactly
+    the pinned state) lets the view share the relation's own immutable
+    index generations instead of rebuilding them per snapshot.
     """
 
-    __slots__ = ("name", "version")
+    __slots__ = ("name", "version", "_index_source")
 
-    def __init__(self, rows: list[tuple], name: str, version: int) -> None:
+    def __init__(self, rows: list[tuple], name: str, version: int, index_source) -> None:
         super().__init__(rows)
         self.name = name
         self.version = version
+        self._index_source = index_source
+
+    def index_on(self, positions: tuple[int, ...]) -> HashIndex:
+        index = self._indexes.get(positions)
+        if index is None:
+            index = self._indexes[positions] = self._index_source(positions)
+        return index
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"<SnapshotView {self.name}@v{self.version}: {len(self.rows)} rows>"
@@ -183,86 +224,3 @@ def partition_views(
 ) -> tuple[ShardView, ...]:
     """``k`` :class:`ShardView`s over a hash partition of ``rows``."""
     return tuple(ShardView(part) for part in partition_rows(rows, positions, k))
-
-
-class PartitionCache:
-    """Per-relation cache of shard views, invalidated by version stamps.
-
-    The sharded executor asks for the same ``(key positions, k)`` split
-    on every execution — and on every fixpoint iteration — so the
-    partition pass (and each shard's local indexes) must be paid once
-    per relation version, exactly like :class:`IndexCache`.
-
-    The cache entry is one ``(version, dict)`` tuple swapped atomically,
-    never a dict cleared in place: a reader that raced a version move
-    keeps filling its own (orphaned) generation instead of writing a
-    stale split into the new one.
-    """
-
-    __slots__ = ("_entry",)
-
-    def __init__(self) -> None:
-        self._entry: tuple[int, dict[tuple, tuple[ShardView, ...]]] = (-1, {})
-
-    def get(
-        self,
-        version: int,
-        positions: tuple[int, ...],
-        k: int,
-        rows: Iterable[tuple],
-    ) -> tuple[ShardView, ...]:
-        entry = self._entry
-        if entry[0] != version:
-            entry = (version, {})
-            self._entry = entry
-        partitions = entry[1]
-        key = (positions, k)
-        views = partitions.get(key)
-        if views is None:
-            views = partition_views(rows, positions, k)
-            partitions[key] = views
-        return views
-
-
-class IndexCache:
-    """Per-relation cache of hash indexes, invalidated by version stamps.
-
-    Like :class:`PartitionCache`, the whole generation is one
-    ``(version, dict)`` tuple replaced atomically, so concurrent readers
-    racing a writer's version bump can never install an index built over
-    one version's rows into another version's cache.
-    """
-
-    __slots__ = ("_entry",)
-
-    def __init__(self) -> None:
-        self._entry: tuple[int, dict[tuple[int, ...], HashIndex]] = (-1, {})
-
-    def get(
-        self,
-        version: int,
-        positions: tuple[int, ...],
-        rows: Iterable[tuple],
-    ) -> HashIndex:
-        """Return (building if necessary) the index for ``positions``."""
-        entry = self._entry
-        if entry[0] != version:
-            entry = (version, {})
-            self._entry = entry
-        indexes = entry[1]
-        index = indexes.get(positions)
-        if index is None:
-            index = HashIndex(positions, rows)
-            indexes[positions] = index
-        return index
-
-    def peek(self, version: int, positions: tuple[int, ...]) -> HashIndex | None:
-        """An already-built, still-valid index — never builds one.
-
-        Lets the cost model consult measured index selectivities for free
-        without forcing index construction during planning.
-        """
-        entry = self._entry
-        if entry[0] != version:
-            return None
-        return entry[1].get(positions)

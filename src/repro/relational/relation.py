@@ -8,15 +8,35 @@ a :class:`~repro.errors.KeyConstraintError` or
 :class:`~repro.errors.TypeMismatchError` is raised and the old value is
 kept (the paper's ``ELSE <exception>``).
 
-Concurrency discipline (the serving layer's contract): mutations are
-**copy-on-write** — every insert/delete/assign builds a *new* row set and
-swaps the reference, never mutating the set a concurrent reader may be
-iterating — and writers serialize on a per-relation lock.  Readers run
-lock-free: any set or cached row list they obtained stays internally
-consistent forever (it corresponds to exactly one committed state), so a
-query pipeline can never crash on a resized set or observe a torn,
-half-applied mutation.  :meth:`snapshot_view` pins one committed state
-as a version-stamped view for multi-scan snapshot reads.
+The paper defines ``rel :+ rex`` by what must *hold* afterwards, not by
+re-proving the key dependency over tuples that were already checked, so
+a commit costs O(delta), and readers never take a lock.  Four
+invariants carry that contract:
+
+1. **One head.**  The committed state is one tuple ``_head = (version,
+   log, n)`` swapped by a single reference store.  ``log`` lists the
+   live rows in commit order; writers (serialized on ``_write_lock``)
+   only ever ``extend`` it past ``n`` or install a *new* list object, so
+   ``log[:n]`` is immutable for as long as anyone holds that head — a
+   version *is* a length prefix.
+2. **Immutable generations.**  Every derived view (row list, frozenset,
+   hash index per positions, encoded table, shard partitions) lives in a
+   slot holding ``(head, payload)``, and :meth:`Relation._view` is the
+   one rule they all follow: slot at the reader's head → hit; slot on a
+   shorter prefix of the same log → *extend* into a new payload;
+   anything else → rebuild from ``log[:n]``.  A published payload is
+   never mutated and a slot never steps back to an older generation:
+   whatever a reader was handed corresponds to exactly one committed
+   state forever, and a stale cache is only ever too short, never wrong.
+3. **Writer-owned key map.**  ``_members`` maps key → row (row → row
+   for ``RELATION ... OF``) and answers key integrity and membership.
+   It is built lazily from the log on the first insert/delete/``in``
+   after a load, touched only under ``_write_lock`` and never handed to
+   a reader; read-only relations never pay for it.
+4. **Validate, then mutate.**  A batch is checked whole — against the
+   map and against rows staged earlier in the same batch — before
+   anything changes, so a failed write is a no-op on every observable,
+   and a write that changes nothing publishes no new head.
 """
 
 from __future__ import annotations
@@ -24,19 +44,49 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
+from operator import itemgetter
 
 from ..errors import TypeMismatchError
 from ..types import RelationType, check_relation_assignment
-from .indexes import HashIndex, IndexCache, PartitionCache, ShardView, SnapshotView
+from .indexes import HashIndex, ShardView, SnapshotView, partition_views
 from .rows import Row
 from .stats import TableStats
 from .vectors import Dictionary, EncodedTable
 
-#: Sentinel row-list cache entry: (version, list) — replaced atomically.
-_NO_RAW: tuple[int, list[tuple]] = (-1, [])
+#: The five view kinds of :meth:`Relation._view`.  A slot is ``(kind,
+#: *args)``; ``build(rel, head, *args)`` makes its payload from scratch,
+#: ``extend(rel, head, old, m)`` — where the kind has one — from a payload
+#: covering the first ``m`` rows of the same log.
+_ROWS, _SET, _ENCODED = ("rows",), ("set",), ("encoded",)
 
-#: Sentinel encoded-view cache entry, same discipline as :data:`_NO_RAW`.
-_NO_ENCODED: tuple[int, EncodedTable | None] = (-1, None)
+
+def _encode(rel, head):
+    if head[1] is None:  # cold: the stored id pages *are* the encoding
+        return rel._store.encoded_table()
+    return EncodedTable.from_rows(rel._view(_ROWS, head), rel.dictionaries())
+
+
+_VIEW_KINDS = {
+    # A slice, never an extension: extending the last list copies as much.
+    "rows": (lambda rel, head: head[1][: head[2]], None),
+    "set": (
+        lambda rel, head: frozenset(head[1][: head[2]]),
+        lambda rel, head, old, m: old.union(head[1][m : head[2]]),
+    ),
+    "index": (
+        lambda rel, head, positions: HashIndex(positions, rel._view(_ROWS, head)),
+        lambda rel, head, old, m: old.extended(head[1][m : head[2]]),
+    ),
+    "encoded": (
+        _encode,
+        lambda rel, head, old, m: old.extended(head[1][m : head[2]], rel._view(_ROWS, head)),
+    ),
+    # ``sharded`` is on trial (ROADMAP item 5a): partitions simply rebuild.
+    "shards": (
+        lambda rel, head, positions, k: partition_views(rel._view(_ROWS, head), positions, k),
+        None,
+    ),
+}
 
 
 class Relation:
@@ -45,14 +95,13 @@ class Relation:
     __slots__ = (
         "name",
         "rtype",
-        "_rows",
-        "_version",
-        "_index_cache",
-        "_partition_cache",
+        "_head",
+        "_members",
+        "_key_of",
+        "_views",
+        "_publish_lock",
         "_stats",
-        "_raw_entry",
         "_dicts",
-        "_encoded_entry",
         "_write_lock",
         "_sink",
         "_store",
@@ -66,32 +115,34 @@ class Relation:
     ) -> None:
         self.name = name
         self.rtype = rtype
-        self._rows: set[tuple] = set()
-        self._version = 0
-        self._index_cache = IndexCache()
-        self._partition_cache = PartitionCache()
+        #: (version, log, n): the committed state (invariant 1).  ``log``
+        #: is None while a store-backed relation is still cold.
+        self._head: tuple[int, list[tuple] | None, int] = (0, [], 0)
+        #: key → row, writer-owned (invariant 3); None until first needed.
+        self._members: dict | None = None
+        key = tuple(rtype.element.index_of(a) for a in rtype.key)
+        #: Row → its key: the bare value for a one-attribute key (no key
+        #: tuple per row); the row itself (``tuple(row) is row``) when keyless.
+        self._key_of = itemgetter(*key) if key else tuple
+        #: slot → (head, payload) generations (invariant 2).  Replaced by
+        #: a fresh dict whenever a new log is installed, so views of a
+        #: dead lineage are dropped with it.
+        self._views: dict = {}
+        self._publish_lock = threading.Lock()
         self._stats: TableStats | None = None
-        #: (version, rows-as-list), one tuple swapped atomically so the
-        #: stamp can never be paired with another version's list.
-        self._raw_entry: tuple[int, list[tuple]] = _NO_RAW
         #: Per-column dictionaries (created on first encode, then kept
         #: forever — append-only, so ids stay stable across versions).
         self._dicts: tuple[Dictionary, ...] | None = None
-        #: (version, EncodedTable), swapped atomically like _raw_entry.
-        self._encoded_entry: tuple[int, EncodedTable | None] = _NO_ENCODED
-        #: Writers serialize here; readers never take it.
-        self._write_lock = threading.Lock()
-        #: Write-capture sink (duck-typed: ``lock``/``watching``/``emit``)
-        #: — a per-database SubscriptionRegistry once anything subscribes
-        #: to queries over this database, else None.  Wired by
-        #: :meth:`repro.relational.Database.attach_sink`; this module
-        #: stays ignorant of the serving layer above it.
+        #: Writers serialize here; readers never take it (reentrant, so
+        #: an ``on_change`` callback may test membership mid-commit).
+        self._write_lock = threading.RLock()
+        #: Write-capture sink (duck-typed: ``lock``/``emit``): the
+        #: database's SubscriptionRegistry once anything subscribes, else
+        #: None.  Wired by :meth:`repro.relational.Database.attach_sink`;
+        #: this module stays ignorant of the serving layer above it.
         self._sink = None
         #: Storage backend (repro.relational.storage.RelationStore) when
         #: this relation was opened from a spilled database, else None.
-        #: A store-backed relation starts **cold**: ``_rows`` is None
-        #: until something genuinely needs the full row set, and scans
-        #: go through the store's pushdown readers instead.
         self._store = None
         rows = tuple(rows)
         if rows:
@@ -102,25 +153,14 @@ class Relation:
         """A cold relation backed by a spilled store (no rows in memory).
 
         Cardinality and statistics come from the store's manifest, so
-        the planner and ``StatsCatalog.epoch()`` work without a scan;
-        the first operation that needs the actual row set materializes
-        it (see :meth:`_materialize`), after which the relation behaves
-        exactly like a warm one — including accepting mutations.
+        the planner and ``StatsCatalog.epoch()`` work without a scan; the
+        first operation that needs the rows loads them (:meth:`_materialize`),
+        after which the relation is a warm one — mutations included.
         """
-        rel = cls.__new__(cls)
-        rel.name = name
-        rel.rtype = rtype
-        rel._rows = None
-        rel._version = 0
-        rel._index_cache = IndexCache()
-        rel._partition_cache = PartitionCache()
-        rel._stats = store.load_stats()
-        rel._raw_entry = _NO_RAW
-        rel._dicts = None
-        rel._encoded_entry = _NO_ENCODED
-        rel._write_lock = threading.Lock()
-        rel._sink = None
+        rel = cls(name, rtype)
         rel._store = store
+        rel._head = (0, None, store.row_count)
+        rel._stats = store.load_stats()
         return rel
 
     # -- value access -------------------------------------------------------
@@ -132,134 +172,147 @@ class Relation:
     @property
     def is_cold(self) -> bool:
         """True while a store-backed relation has not materialized rows."""
-        return self._rows is None
+        return self._head[1] is None
 
-    def _materialize(self) -> set[tuple]:
-        """The committed row set, loading it from the store on first need.
+    def _materialize(self) -> tuple[int, list[tuple], int]:
+        """The committed head, loading the log from the store on first need.
 
-        Materialization is *not* a mutation: the version stays put (the
-        cache sentinels stamp -1, so version-0 caches still build), and
-        no delta is emitted — the rows were always logically present.
+        Materialization is *not* a mutation: the version stays put and no
+        delta is emitted — the rows were always logically present.
         """
-        rows = self._rows
-        if rows is None:
+        head = self._head
+        if head[1] is None:
             with self._write_lock:
-                rows = self._rows
-                if rows is None:
-                    rows = set(self._store.scan())
-                    self._rows = rows
-        return rows
+                head = self._head
+                if head[1] is None:
+                    # A cold encoded() already decoded every row: keep its
+                    # table and aligned list (published, so the log is a
+                    # copy of it) instead of reading the pages again.
+                    cold = self._views.get(_ENCODED)
+                    log = self._store.scan() if cold is None else cold[1].rows[:]
+                    head = (head[0], log, len(log))
+                    self._views = {} if cold is None else {
+                        _ROWS: (head, cold[1].rows),
+                        _ENCODED: (head, cold[1]),
+                    }
+                    self._head = head
+        return head
+
+    def _view(self, slot: tuple, head=None):
+        """The payload of view ``slot`` at ``head`` (default: the current
+        one): hit, extend or rebuild — the one rule of invariant 2.
+
+        A built or extended payload is a new object, published unless the
+        slot already moved past ``head`` — a reader pinned to an older
+        state keeps its private copy.
+        """
+        if head is None:
+            head = self._head
+            if head[1] is None:
+                head = self._materialize()
+        views = self._views
+        held = views.get(slot)
+        if held is not None and held[0] is head:
+            return held[1]
+        build, extend = _VIEW_KINDS[slot[0]]
+        extendable = held is not None and extend is not None
+        if extendable and held[0][1] is head[1] and held[0][2] < head[2]:
+            payload = extend(self, head, held[1], held[0][2])
+        else:
+            payload = build(self, head, *slot[1:])
+        with self._publish_lock:
+            held = views.get(slot)
+            if held is None or held[0][0] <= head[0]:
+                views[slot] = (head, payload)
+        return payload
 
     def rows(self) -> frozenset[tuple]:
-        """The current value as an immutable set of raw tuples."""
-        return frozenset(self._materialize())
+        """The current value as an immutable set of raw tuples — what the
+        interpreted readers range over; cached per version like every
+        view (the compiled paths read :meth:`raw_list` instead)."""
+        return self._view(_SET)
 
-    def raw(self) -> set[tuple]:
-        """The committed row set; callers must not mutate it.
-
-        Copy-on-write mutation means the returned set object never
-        changes after the reference is obtained — concurrent writers
-        swap in *new* sets, they never resize this one under a reader's
-        iteration.
-        """
-        return self._materialize()
+    raw = rows
 
     def raw_list(self) -> list[tuple]:
-        """The current rows as a list, cached per version.
+        """The current rows as a list in commit order, cached per version.
 
-        The columnar executor's kernels make several aligned passes over
-        a scan's rows (key slice, probe, expansion), which needs a
-        stable sequence; materializing it once per relation version means
-        repeated executions — fixpoint iterations especially — share one
-        list instead of re-listing the set per scan.  Callers must not
-        mutate it; writers never do (they replace, see
-        :meth:`_commit`), so a list handed out once stays a consistent
-        snapshot of one committed state.
+        The columnar kernels make several aligned passes over a scan's
+        rows, which needs a stable sequence; repeated executions —
+        fixpoint iterations especially — share one list per version.
+        Callers must not mutate it; writers never do, so it stays a
+        snapshot of one committed state.  After an insert it ends with
+        the fresh rows in argument order.
         """
-        return self._raw_pair()[1]
-
-    def _raw_pair(self) -> tuple[int, list[tuple]]:
-        """One consistent ``(version, rows-as-list)`` pair.
-
-        The cached entry is a single tuple replaced atomically.  Racing
-        a concurrent commit can at worst label a *newer* committed list
-        with an older stamp (the next probe rebuilds); the list itself
-        always materializes exactly one committed set object, because
-        committed sets are never mutated in place.
-        """
-        entry = self._raw_entry
-        version = self._version
-        if entry[0] != version:
-            entry = (version, list(self._materialize()))
-            self._raw_entry = entry
-        return entry
+        return self._view(_ROWS)
 
     @property
     def version(self) -> int:
-        """Monotone stamp, bumped on every mutation (index invalidation)."""
-        return self._version
+        """Monotone stamp, bumped on every mutation that changes the value
+        (inserting present rows or deleting absent ones does not)."""
+        return self._head[0]
 
     def __iter__(self) -> Iterator[Row]:
         schema = self.rtype.element
-        for values in self._materialize():
+        for values in self.raw_list():
             yield Row(schema, values)
 
     def __len__(self) -> int:
-        # A cold relation answers from the manifest: epoch computation
+        # A cold head carries the manifest's count: epoch computation
         # and plan caching must never force a scan just to count.
-        rows = self._rows
-        if rows is None:
-            return self._store.row_count
-        return len(rows)
+        return self._head[2]
 
     def __contains__(self, item: object) -> bool:
-        rows = self._materialize()
-        if isinstance(item, Row):
-            return item.values in rows
-        return item in rows
+        row = item.values if isinstance(item, Row) else item
+        with self._write_lock:
+            return self._holds(self._key_map(), row)
 
     def is_empty(self) -> bool:
-        rows = self._rows
-        if rows is None:
-            return self._store.row_count == 0
-        return not rows
+        return not self._head[2]
 
     def sorted_rows(self) -> list[tuple]:
         """Deterministically ordered contents, for display and tests."""
-        return sorted(self._materialize())
+        return sorted(self.raw_list())
 
     # -- checked mutation ----------------------------------------------------
 
-    def _commit(self, new_rows: set[tuple]) -> None:
-        """Swap in a new committed row set (copy-on-write commit point).
+    def _key_map(self) -> dict:
+        """``_members``, built from the log on first need (write lock held)."""
+        members = self._members
+        if members is None:
+            log = self._materialize()[1]
+            members = self._members = dict(zip(map(self._key_of, log), log))
+        return members
 
-        The set reference is replaced *before* the version bump: a racing
-        reader can at worst pair new rows with the old stamp — which only
-        makes a cache rebuild on the next probe — never the reverse
-        (a stale list vouched for by a fresh version).
-        """
-        self._rows = new_rows
-        self._version += 1
+    def _holds(self, members: dict, row: object) -> bool:
+        """Whether ``row`` is stored (a wrong-arity probe is simply absent)."""
+        if not isinstance(row, tuple) or len(row) != len(self.rtype.element.attribute_names):
+            return False
+        return members.get(self._key_of(row)) == row
 
-    def _delta_guard(self, inserted, deleted):
+    def _install(self, log: list[tuple]) -> None:
+        """Commit ``log`` as a new lineage: no view of the old one can be
+        extended, so they are dropped and rebuild on next use."""
+        self._views = {}
+        self._head = (self._head[0] + 1, log, len(log))
+
+    def _delta_guard(self, changed=True):
         """(lock-or-null context, sink-or-None) for one mutation's commit.
 
         Once a subscription registry is attached to the database, every
-        mutation that genuinely changes this relation commits *inside*
-        the registry lock and reports its insert/delete delta batch —
-        commit + maintenance is one atomic step, so two relations can
-        never interleave commits and emissions (which would double-count
-        derivations joining both deltas), and a concurrent ``subscribe``
-        (which materializes under the same lock) either sees the commit
-        in its initial result or receives the delta afterwards, never
+        mutation that changes this relation commits *inside* the registry
+        lock and reports its delta batch — commit + maintenance is one
+        atomic step, so two relations can never interleave commits and
+        emissions (which would double-count derivations joining both
+        deltas), and a concurrent ``subscribe`` (which materializes under
+        the same lock) sees the commit or receives the delta, never
         neither.  Lock order is always relation ``_write_lock`` →
-        registry lock; the registry only ever *reads* other relations
-        (lock-free by the copy-on-write discipline), so the order cannot
-        invert.  No-op mutations skip the lock entirely, as does every
-        database without subscriptions (``_sink`` is None).
+        registry lock; the registry only *reads* other relations
+        (lock-free), so the order cannot invert.  Unchanged values and
+        databases without subscriptions skip the lock entirely.
         """
         sink = self._sink
-        if sink is not None and (inserted or deleted):
+        if sink is not None and changed:
             return sink.lock, sink
         return nullcontext(), None
 
@@ -268,37 +321,37 @@ class Relation:
 
         The assignment's pass over the new value also installs fresh
         table statistics (one batched absorption), so the first
-        post-assign compilation is priced from real numbers instead of
-        waiting for a lazy rebuild that used to leave it blind.
+        post-assign compilation is priced from real numbers.  The old
+        value is only read (a cold one only loaded) when a sink wants
+        the delta.
         """
         raw = tuple(self._coerce(r) for r in rows)
         checked = check_relation_assignment(self.rtype, raw)
-        # Materialize outside the lock (it is not reentrant): mutating a
-        # cold relation first loads its committed state for the delta.
-        self._materialize()
         with self._write_lock:
             new_rows = set(checked)
-            old_rows = self._rows
-            inserted = [r for r in new_rows if r not in old_rows]
-            deleted = [r for r in old_rows if r not in new_rows]
-            guard, sink = self._delta_guard(inserted, deleted)
+            inserted = deleted = ()
+            if self._sink is not None:
+                old_rows = self._view(_SET)
+                inserted = [r for r in new_rows if r not in old_rows]
+                deleted = [r for r in old_rows if r not in new_rows]
+            guard, sink = self._delta_guard(inserted or deleted)
             with guard:
                 stats = TableStats(len(self.rtype.element.attribute_names))
                 stats.add_rows_batch(new_rows)
                 self._stats = stats
-                self._commit(new_rows)
+                self._members = None
+                self._install(list(new_rows))
                 if sink is not None:
                     sink.emit(self, inserted, deleted)
 
     def insert(self, rows: Iterable[object]) -> None:
         """``rel :+ rex`` — add tuples, keeping typing and key integrity.
 
-        One type sweep, one key check, and one *batched* statistics
-        absorption for the whole argument (distinct multisets,
-        heavy-hitter counts, and histograms are updated once per call,
-        not once per row).  The new value is built as a copy and swapped
-        in whole, so concurrent readers keep iterating the previous
-        committed set untouched.
+        One type sweep, one key check of the *batch* (stored rows were
+        checked when they were committed) and one batched statistics
+        absorption; then the key map and the log grow by the fresh rows
+        and a new head is published.  Nothing is proportional to
+        ``len(self)``, and nothing is mutated when a check fails.
         """
         raw = [self._coerce(r) for r in rows]
         element = self.rtype.element
@@ -308,76 +361,70 @@ class Relation:
                     f"tuple {row!r} is not of element type {element.name} "
                     f"(insert into {self.name})"
                 )
-        self._materialize()
         with self._write_lock:
-            old_rows = self._rows
-            self.rtype.check_key(list(old_rows) + raw)
-            new_rows = set(old_rows)
-            new_rows.update(raw)
-            fresh: list[tuple] = []
-            seen: set[tuple] = set()
+            version, log, n = self._materialize()
+            members = self._key_map()
+            key_of = self._key_of
+            staged: dict = {}
             for row in raw:
-                if row not in old_rows and row not in seen:
-                    seen.add(row)
-                    fresh.append(row)
+                key = key_of(row)
+                other = staged.get(key)
+                if other is None:
+                    other = members.get(key)
+                if other is None:
+                    staged[key] = row
+                elif other != row:
+                    raise self.rtype.key_conflict(other, row)
+            if not staged:
+                return
+            fresh = list(staged.values())
             if self._stats is not None:
                 self._stats.add_rows_batch(fresh)
-            raw_entry = self._raw_entry
-            encoded_entry = self._encoded_entry
-            old_version = self._version
-            guard, sink = self._delta_guard(fresh, ())
+            guard, sink = self._delta_guard()
             with guard:
-                self._commit(new_rows)
-                # Incremental maintenance of the cached row list and encoded
-                # vectors, on the same mutation path as the statistics: when
-                # both caches describe the pre-insert version, append the
-                # genuinely fresh rows instead of letting the next reader
-                # re-list and re-encode the whole relation.
-                if fresh and raw_entry[0] == old_version:
-                    new_list = raw_entry[1] + fresh
-                    self._raw_entry = (self._version, new_list)
-                    if encoded_entry[0] == old_version and encoded_entry[1] is not None:
-                        self._encoded_entry = (
-                            self._version,
-                            encoded_entry[1].extended(fresh, new_list),
-                        )
+                members.update(staged)
+                log.extend(fresh)
+                self._head = (version + 1, log, n + len(fresh))
                 if sink is not None:
                     sink.emit(self, fresh, ())
 
     def insert_many(self, rows: Iterable[object]) -> None:
-        """Bulk ``rel :+ rex``: the explicit batch-load entry point.
-
-        An alias of :meth:`insert`, which already absorbs its whole
-        argument in one batch; kept as a named API so loaders say what
-        they mean.
-        """
+        """Bulk ``rel :+ rex``: :meth:`insert` under the name loaders
+        mean (it already absorbs its whole argument in one batch)."""
         self.insert(rows)
 
     def delete(self, rows: Iterable[object]) -> None:
-        """``rel :- rex`` — remove tuples (absent tuples are ignored)."""
+        """``rel :- rex`` — remove tuples (absent tuples are ignored).
+
+        The keys leave the map in O(delta); the surviving rows — the
+        map's values, still in commit order — become a new log.
+        """
         raw = {self._coerce(r) for r in rows}
-        self._materialize()
         with self._write_lock:
-            old_rows = self._rows
-            removed = raw & old_rows
-            guard, sink = self._delta_guard((), removed)
+            members = self._key_map()
+            removed = [row for row in raw if self._holds(members, row)]
+            if not removed:
+                return
+            guard, sink = self._delta_guard()
             with guard:
                 if self._stats is not None:
                     self._stats.remove_rows(removed)
-                self._commit(old_rows - raw)
+                for row in removed:
+                    del members[self._key_of(row)]
+                self._install(list(members.values()))
                 if sink is not None:
-                    sink.emit(self, (), list(removed))
+                    sink.emit(self, (), removed)
 
     def clear(self) -> None:
-        self._materialize()
         with self._write_lock:
-            old_rows = self._rows
-            guard, sink = self._delta_guard((), old_rows)
+            old_rows = self.raw_list() if self._sink is not None else ()
+            guard, sink = self._delta_guard(old_rows)
             with guard:
                 self._stats = None
-                self._commit(set())
+                self._members = None
+                self._install([])
                 if sink is not None:
-                    sink.emit(self, (), list(old_rows))
+                    sink.emit(self, (), old_rows)
 
     @staticmethod
     def _coerce(item: object) -> tuple:
@@ -394,28 +441,31 @@ class Relation:
     # -- indexes ------------------------------------------------------------
 
     def index_on(self, attrs: tuple[str, ...]) -> HashIndex:
-        """A (cached) hash index on the named attributes."""
+        """A (cached) hash index on the named attributes.
+
+        Appends extend the previous generation into a new index (see
+        :meth:`HashIndex.extended`); other mutations rebuild.
+        """
         positions = tuple(self.rtype.element.index_of(a) for a in attrs)
-        return self._index_cache.get(self._version, positions, self._materialize())
+        return self._view(("index", positions))
 
     def peek_index(self, positions: tuple[int, ...]) -> HashIndex | None:
-        """An already-built index on ``positions``, or None (never builds)."""
-        return self._index_cache.peek(self._version, positions)
+        """An index on ``positions`` already built for the current
+        version, or None — never builds or extends one, so the cost model
+        can consult measured selectivities for free."""
+        held = self._views.get(("index", positions))
+        return held[1] if held is not None and held[0] is self._head else None
 
     def partitions(self, key: tuple[str, ...], k: int) -> tuple[ShardView, ...]:
         """``k`` hash partitions of the rows on the named key attributes.
 
         The shard views (rows plus their lazily-built local indexes) are
-        cached per relation version and per ``(key, k)``, so the sharded
-        executor pays the partition pass once per mutation — fixpoint
-        iterations and repeated queries share one split, exactly as
-        :meth:`index_on` shares one hash index.  An empty ``key``
-        partitions on the whole row.
+        cached per version and ``(key, k)`` like every view, so the
+        sharded executor pays the partition pass once per mutation.  An
+        empty ``key`` partitions on the whole row.
         """
         positions = tuple(self.rtype.element.index_of(a) for a in key)
-        return self._partition_cache.get(
-            self._version, positions, k, self.raw_list()
-        )
+        return self._view(("shards", positions, k))
 
     # -- encoded vectors ------------------------------------------------------
 
@@ -448,28 +498,13 @@ class Relation:
     def encoded(self) -> EncodedTable:
         """The current rows as dictionary-encoded column vectors.
 
-        Cached per relation version next to :meth:`raw_list` (one
-        ``(version, table)`` entry swapped atomically); inserts extend
-        the cached table incrementally (see :meth:`insert`), other
-        mutations invalidate and the next reader re-encodes against the
-        persistent dictionaries.
+        Cached per version next to :meth:`raw_list`; appends extend the
+        previous table (buffer memcpy + one dictionary pass over the
+        fresh rows), other mutations re-encode against the persistent
+        dictionaries.  While cold, the stored id pages *are* the
+        encoding: they are concatenated without materializing the log.
         """
-        entry = self._encoded_entry
-        if self._rows is None:
-            # Cold fast path: the stored id pages *are* the encoding —
-            # concatenate them instead of materializing and re-encoding.
-            version = self._version
-            if entry[0] == version and entry[1] is not None:
-                return entry[1]
-            table = self._store.encoded_table()
-            self._encoded_entry = (version, table)
-            self._raw_entry = (version, table.rows)
-            return table
-        version, rows = self._raw_pair()
-        if entry[0] != version or entry[1] is None:
-            entry = (version, EncodedTable.from_rows(rows, self.dictionaries()))
-            self._encoded_entry = entry
-        return entry[1]
+        return self._view(_ENCODED, self._head)
 
     # -- statistics ---------------------------------------------------------
 
@@ -482,7 +517,7 @@ class Relation:
         """
         if self._stats is None:
             self._stats = TableStats.from_rows(
-                self._materialize(), len(self.rtype.element.attribute_names)
+                self.raw_list(), len(self.rtype.element.attribute_names)
             )
         return self._stats
 
@@ -496,10 +531,7 @@ class Relation:
         in-memory rows are authoritative and pushdown turns itself off —
         the store keeps describing the spilled state, not the live one.
         """
-        store = self._store
-        if store is None or self._rows is not None:
-            return None
-        return store
+        return self._store if self.is_cold else None
 
     def scan_pushdown(self, projection, selection, params=None):
         """Rows via the store's projection/predicate-pushdown reader.
@@ -529,21 +561,28 @@ class Relation:
     def snapshot(self, name: str | None = None) -> "Relation":
         """An independent copy (used by the paper's REPEAT-loop programs)."""
         copy = Relation(name or self.name, self.rtype)
-        copy._rows = set(self._materialize())
-        copy._version = 1
+        _, log, n = self._materialize()
+        copy._head = (1, log[:n], n)
         return copy
 
     def snapshot_view(self) -> SnapshotView:
-        """A version-stamped pinned view of the current committed state.
+        """A version-stamped pinned view of the current committed state:
+        the serving layer's snapshot-read primitive (``repro.dbpl.serving``).
 
-        The view holds the copy-on-write row list (never mutated, only
-        ever replaced on the relation) plus its own lazy local indexes,
-        so a reader pipeline can keep scanning and probing one committed
-        state while writers move the relation forward — the serving
-        layer's snapshot-read primitive (see ``repro.dbpl.serving``).
+        The view holds one immutable row-list generation and resolves
+        indexes through :meth:`_view` for exactly the pinned head —
+        the relation's own index generation while the version stands, a
+        private one once it has moved on — so a reader keeps scanning and
+        probing one committed state while writers move on.
         """
-        version, rows = self._raw_pair()
-        return SnapshotView(rows, self.name, version)
+        head = self._materialize()
+        return SnapshotView(
+            self._view(_ROWS, head),
+            self.name,
+            head[0],
+            lambda positions: self._view(("index", positions), head),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"<Relation {self.name}: {len(self)} x {self.rtype.element.name}>"
+

@@ -82,11 +82,15 @@ class RelationType(Type):
             k = self.key_of(row)
             other = seen.get(k)
             if other is not None and other != row:
-                raise KeyConstraintError(
-                    f"relation type {self.name}: key {k!r} identifies both "
-                    f"{other!r} and {row!r}"
-                )
+                raise self.key_conflict(other, row)
             seen[k] = row
+
+    def key_conflict(self, other: tuple, row: tuple) -> KeyConstraintError:
+        """The exception for two distinct rows sharing one key value."""
+        return KeyConstraintError(
+            f"relation type {self.name}: key {self.key_of(row)!r} identifies "
+            f"both {other!r} and {row!r}"
+        )
 
     # -- structural relationships ----------------------------------------
 

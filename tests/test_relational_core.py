@@ -1,5 +1,7 @@
 """Unit tests for rows, relations, and the database scope."""
 
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -145,6 +147,64 @@ class TestRelationIndexes:
         rel = Relation("E", EDGES, [("a", "b"), ("a", "c")])
         idx = rel.index_on(("src", "dst"))
         assert idx.lookup(("a", "b")) == [("a", "b")]
+
+    def test_snapshot_view_shares_the_live_index_generation(self):
+        rel = Relation("E", EDGES, [("a", "b"), ("a", "c")])
+        early = rel.snapshot_view()  # pinned before any index exists
+        live = rel.index_on(("src",))
+        late = rel.snapshot_view()
+        assert early.index_on((0,)) is live
+        assert late.index_on((0,)) is live
+        rel.insert([("a", "d")])
+        assert rel.index_on(("src",)) is not live
+        # The snapshot keeps answering the pinned rows from the same object.
+        assert late.index_on((0,)) is live
+        assert sorted(late.index_on((0,)).lookup(("a",))) == [("a", "b"), ("a", "c")]
+        assert sorted(late.rows) == [("a", "b"), ("a", "c")]
+
+
+class TestWritesThatChangeNothing:
+    """An insert of present rows or a delete of absent ones is not a new
+    version: no cache is dropped and nothing is reported to a sink."""
+
+    def setup_method(self):
+        self.rel = Relation("Parts", PARTS, [("a", 1), ("b", 2)])
+        self.emitted = []
+        self.rel._sink = self  # duck-typed write-capture sink
+        self.lock = threading.Lock()
+        self.held = (
+            self.rel.version,
+            self.rel.index_on(("part",)),
+            self.rel.raw_list(),
+            self.rel.encoded(),
+        )
+
+    def emit(self, relation, inserted, deleted):
+        self.emitted.append((list(inserted), list(deleted)))
+
+    def assert_untouched(self):
+        version, index, rows, table = self.held
+        assert self.rel.version == version
+        assert self.rel.index_on(("part",)) is index
+        assert self.rel.raw_list() is rows
+        assert self.rel.encoded() is table
+        assert self.emitted == []
+
+    def test_reinserting_present_rows(self):
+        self.rel.insert([("a", 1), ("b", 2), ("a", 1)])
+        self.assert_untouched()
+
+    def test_deleting_absent_rows(self):
+        self.rel.delete([("zz", 9), ("a", 2)])
+        self.assert_untouched()
+
+    def test_mixed_batch_is_one_version_with_a_suffix_of_one(self):
+        version, index, rows, _table = self.held
+        self.rel.insert([("a", 1), ("c", 3)])
+        assert self.rel.version == version + 1
+        assert self.rel.raw_list() == rows + [("c", 3)]
+        assert self.emitted == [([("c", 3)], [])]
+        assert self.rel.index_on(("part",)) is not index
 
 
 class TestDatabase:
