@@ -143,8 +143,8 @@ class VectorBackend(ExecutorBackend):
     everything else drops to ``batch``, so ``executor="vector"`` is
     always safe to request.  The kernels are numpy code: where numpy
     does not import, every branch is ``batch``'s — decided here, once,
-    so the sharded backend's ``inner="vector"``, the fixpoint driver and
-    Datalog inherit it and the vector lowering never runs.
+    so set formers, the fixpoint driver and Datalog inherit it and the
+    vector lowering never runs.
     """
 
     name = "vector"

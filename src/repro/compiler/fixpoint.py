@@ -94,6 +94,11 @@ class CompiledFixpoint:
     #: Sharded-backend tuning carried onto every per-iteration execution
     #: context (None → the module defaults of repro.compiler.sharded).
     shard_config: object | None = None
+    #: Observable-fallback hook ``callable(kind, detail)``, carried onto
+    #: the same contexts (``Session`` wires its counters here).  One
+    #: run()/resume() reports each kind once, however many iterations
+    #: and branches degraded.
+    on_fallback: object | None = None
     #: Drift factor that triggers a re-plan; None disables re-planning.
     replan_drift: float | None = REPLAN_DRIFT
     #: How many times run() swapped in re-optimized differential plans.
@@ -190,6 +195,28 @@ class CompiledFixpoint:
         self.diff_estimates = estimates
         self.replans += 1
 
+    def _context(self, note, apply_values=None) -> ExecutionContext:
+        ctx = ExecutionContext(
+            self.db, apply_values=apply_values, stats=self.plan_stats
+        )
+        ctx.shard_config = self.shard_config
+        ctx.on_fallback = note
+        return ctx
+
+    def _note_once(self):
+        """:attr:`on_fallback` narrowed to one report per kind."""
+        hook = self.on_fallback
+        if hook is None:
+            return None
+        seen: set = set()
+
+        def note(kind: str, detail: str) -> None:
+            if kind not in seen:
+                seen.add(kind)
+                hook(kind, detail)
+
+        return note
+
     def run(
         self, max_iterations: int = 100_000, stats: FixpointStats | None = None
     ) -> dict[AppKey, frozenset]:
@@ -204,8 +231,8 @@ class CompiledFixpoint:
         self.delta_ops = {
             key: DeltaApply(key.describe()) for key in system.apps
         }
-        ctx = ExecutionContext(self.db, stats=self.plan_stats)
-        ctx.shard_config = self.shard_config
+        note = self._note_once()
+        ctx = self._context(note)
         values: dict[AppKey, set] = {
             key: self.base_plans[key].execute(ctx, executor=self.executor)
             for key in system.apps
@@ -219,7 +246,7 @@ class CompiledFixpoint:
         stats.iterations = 1
         stats.tuples_derived = sum(len(d) for d in deltas.values())
         stats.peak_delta = stats.tuples_derived
-        return self._converge(values, deltas, max_iterations, stats)
+        return self._converge(values, deltas, max_iterations, stats, note)
 
     def resume(
         self,
@@ -258,7 +285,9 @@ class CompiledFixpoint:
         stats.iterations = 1
         stats.tuples_derived = sum(len(d) for d in deltas.values())
         stats.peak_delta = stats.tuples_derived
-        return self._converge(values, deltas, max_iterations, stats)
+        return self._converge(
+            values, deltas, max_iterations, stats, self._note_once()
+        )
 
     def _converge(
         self,
@@ -266,6 +295,7 @@ class CompiledFixpoint:
         deltas: dict[AppKey, set],
         max_iterations: int,
         stats: FixpointStats,
+        note,
     ) -> dict[AppKey, frozenset]:
         """Drive ``(values, deltas)`` to the least fixpoint (shared tail
         of :meth:`run` and :meth:`resume`)."""
@@ -298,10 +328,7 @@ class CompiledFixpoint:
                 old_token = _variant_token(key, "old")
                 if old_token in old_tokens_used:
                     apply_values[old_token] = values[key] - deltas[key]
-            ctx = ExecutionContext(
-                self.db, apply_values=apply_values, stats=self.plan_stats
-            )
-            ctx.shard_config = self.shard_config
+            ctx = self._context(note, apply_values)
             new_deltas: dict[AppKey, set] = {}
             for key in system.apps:
                 produced = self.diff_plans[key].execute(ctx, executor=executor)
@@ -453,8 +480,13 @@ def construct_compiled(
     replan_drift: float | None = REPLAN_DRIFT,
     *,
     options: ExecOptions | None = None,
+    on_fallback=None,
 ):
-    """Compiled counterpart of :func:`repro.constructors.construct`."""
+    """Compiled counterpart of :func:`repro.constructors.construct`.
+
+    ``on_fallback`` is installed as the program's
+    :attr:`CompiledFixpoint.on_fallback` hook before it runs.
+    """
     from ..constructors.api import ConstructionResult
     from ..constructors.positivity import is_system_positive
 
@@ -465,6 +497,7 @@ def construct_compiled(
         )
     program = compile_fixpoint(db, system, replan_drift=replan_drift,
                                options=options)
+    program.on_fallback = on_fallback
     stats = FixpointStats()
     values = program.run(max_iterations, stats)
     root_app = system.apps[system.root]

@@ -782,22 +782,15 @@ class BranchPipeline:
     ``columnar`` marks pipelines whose carries are struct-of-arrays
     slots; ``fused`` marks pipelines whose final access/filter operator
     emits the projected result directly (no standalone Project pass).
-    ``shippable`` marks all-vector pipelines whose operators pickle and
-    never touch raw rows or the database — the sharded executor's
-    persistent process pool ships those with per-shard encoded buffers
-    instead of relying on fork-time inheritance.
     """
 
-    __slots__ = ("step_ops", "tail_ops", "columnar", "fused", "shippable")
+    __slots__ = ("step_ops", "tail_ops", "columnar", "fused")
 
-    def __init__(
-        self, step_ops, tail_ops, columnar=False, fused=False, shippable=False
-    ) -> None:
+    def __init__(self, step_ops, tail_ops, columnar=False, fused=False) -> None:
         self.step_ops = step_ops
         self.tail_ops = tail_ops
         self.columnar = columnar
         self.fused = fused
-        self.shippable = shippable
 
     def operators(self):
         for ops in self.step_ops:
@@ -1591,12 +1584,7 @@ def lower_branch_columnar(
 # verdict per *dictionary value* rather than per row, and projection
 # deduplicates id tuples before decoding only the distinct survivors.
 #
-# Unlike the columnar pipeline these operators are plain classes (no
-# generated code), so a fully-vector pipeline pickles: sources travel as
-# :class:`SourceRef` handles that drop the Source object at the process
-# boundary, and a shipped pipeline resolves its tables exclusively
-# through ``ctx.encoded_overrides`` (per-shard encoded buffers, keyed by
-# step index).  Shapes the vector lowering does not cover fall back —
+# Shapes the vector lowering does not cover fall back —
 # per-branch to the columnar kernels, and per-operator through the
 # :class:`VectorMaterialize` boundary, which rebuilds the PR 4 row-slot
 # carry so residual predicates and whole-row targets reuse the grouped
@@ -1613,11 +1601,8 @@ _SWAPPED_CMP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="
 class SourceRef:
     """A vector operator's handle to one binding step's source.
 
-    ``key`` is the step's index in the branch — the stable identity the
-    sharded executor uses to attach per-shard encoded tables through
-    ``ctx.encoded_overrides`` (``id(source)`` does not survive pickling;
-    a step index does).  The Source object itself is dropped on pickle:
-    a shipped operator resolves *only* through the overrides.
+    ``key`` is the step's index in the branch, which names the step's
+    encoded table in the per-execution ``ctx.vector_cache``.
     """
 
     __slots__ = ("key", "source", "pushdown")
@@ -1628,18 +1613,6 @@ class SourceRef:
         #: Storage pushdown for scan-access steps (plans.ScanPushdown or
         #: None): a cold store-backed relation resolves to a partial
         #: encoded table holding only matching partitions' live columns.
-        self.pushdown = None
-
-    def __getstate__(self):
-        # A bare ``self.key`` would be falsy for step 0 and pickle would
-        # skip ``__setstate__`` entirely — always wrap in a tuple.
-        # Pushdown is dropped with the source: shipped operators resolve
-        # exclusively through the per-shard encoded overrides.
-        return (self.key,)
-
-    def __setstate__(self, state) -> None:
-        self.key = state[0]
-        self.source = None
         self.pushdown = None
 
 
@@ -1659,34 +1632,24 @@ def _encode_apply(rows, schema) -> EncodedTable:
 def _encoded_table(ctx, ref: SourceRef) -> EncodedTable:
     """Resolve the encoded table a vector operator reads.
 
-    Resolution order: shipped per-shard buffers (``encoded_overrides``,
-    keyed by step index), then row-level source overrides (sharding's
-    in-process pools, serving snapshots) encoded on demand with the
-    relation's persistent dictionaries and cached per execution context,
-    then fixpoint variables (encoded per delta), then the relation's own
-    version-cached encoded view.
+    Resolution order: row-level source overrides (serving snapshots)
+    encoded on demand with the relation's persistent dictionaries and
+    cached per execution context, then fixpoint variables (encoded per
+    delta), then a cold relation's pushed-down partition scan, then the
+    relation's own version-cached encoded view.
     """
-    shipped = ctx.encoded_overrides
-    if shipped is not None:
-        table = shipped.get(ref.key)
-        if table is not None:
-            return table
     source = ref.source
     overrides = ctx.source_overrides
     if overrides is not None:
-        shard = overrides.get(id(source))
-        if shard is not None:
-            rows = shard[0]
+        pinned = overrides.get(id(source))
+        if pinned is not None:
+            rows = pinned[0]
             cache = ctx.vector_cache
             key = ("enc", ref.key)
             entry = cache.get(key)
             if entry is None or entry[0] is not rows:
-                if source.kind == "apply":
-                    table = _encode_apply(rows, source.schema)
-                else:
-                    relation = ctx.db.relation(source.name)
-                    table = EncodedTable.from_rows(rows, relation.dictionaries())
-                entry = (rows, table)
+                relation = ctx.db.relation(source.name)
+                entry = (rows, EncodedTable.from_rows(rows, relation.dictionaries()))
                 cache[key] = entry
             return entry[1]
     if source.kind == "apply":
@@ -1958,8 +1921,6 @@ class VectorMaterialize(Operator):
     Emits the PR 4 columnar carry — parallel lists of raw source rows —
     so residual predicates and whole-row targets reuse the existing
     grouped residual machinery and row-space projection unchanged.
-    Reads the tables' raw ``rows``, so pipelines containing it never
-    ship across a process boundary.
     """
 
     __slots__ = ("specs",)
@@ -2158,18 +2119,15 @@ def lower_branch_vector(
 
     * every step reads a stored relation, except that a fixpoint
       variable may supply the *leading scan* (its delta rows encode per
-      execution, so shippable delta branches can ship); apply sources
-      anywhere else — and computed ranges anywhere — keep the columnar
-      kernels;
+      execution); apply sources anywhere else — and computed ranges
+      anywhere — keep the columnar kernels;
     * accesses are a leading scan, a single-column constant/parameter
       key, or a single-column equality join keyed on one attribute of
       an earlier binding;
     * step filters are single-column ``attr OP const/param`` comparisons;
     * residual predicates (step-level ones only on the last step) run on
       the columnar side of a :class:`VectorMaterialize` boundary;
-    * targets are attributes, constants, parameters, or whole rows
-      (whole rows and residuals need raw rows, so those pipelines are
-      not shippable).
+    * targets are attributes, constants, parameters, or whole rows.
     """
     if not steps:
         return None
@@ -2225,11 +2183,9 @@ def lower_branch_vector(
             return None
 
     # --- targets --------------------------------------------------------
-    needs_rows = False
     if target_terms is None:
         proj: list = []
         proj_reads = {steps[0].var}
-        needs_rows = True
     else:
         proj = []
         proj_reads = set()
@@ -2245,7 +2201,6 @@ def lower_branch_vector(
                     return None
                 proj.append(("row", term.var))
                 proj_reads.add(term.var)
-                needs_rows = True
             else:
                 spec = _const_spec(term, params)
                 if spec is None:
@@ -2397,13 +2352,7 @@ def lower_branch_vector(
         tail_ops[-1].est_rows = est_out
     else:
         step_ops[-1][-1].est_rows = est_out
-    return BranchPipeline(
-        step_ops,
-        tail_ops,
-        columnar=True,
-        fused=False,
-        shippable=not tail_mode and not needs_rows,
-    )
+    return BranchPipeline(step_ops, tail_ops, columnar=True, fused=False)
 
 
 def _vector_tail_project(

@@ -52,14 +52,17 @@ class ExecOptions:
         Join-order strategy: ``cost`` (default), ``greedy``,
         ``syntactic``.
     ``shard_config``
-        A :class:`~repro.compiler.sharded.ShardConfig` carried onto the
+        A :class:`~repro.compiler.sharded.ShardConfig` (``workers``,
+        ``pool``, ``min_rows``, ``rows_per_shard``) carried onto the
         execution context (consulted by the sharded backend only).
     ``analysis``
         Static-analyzer gate policy for session front doors:
         ``strict`` | ``lint`` | ``off``.
     ``snapshot``
         A :class:`~repro.dbpl.serving.DatabaseSnapshot` pinning the
-        relation state compiled scans read (session front doors only).
+        relation state compiled set formers read (session front doors
+        only; refused with ``ValueError`` where it cannot be honoured —
+        subscriptions, constructed ranges, interpreted modes).
     """
 
     executor: str | None = None

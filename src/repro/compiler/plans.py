@@ -138,11 +138,6 @@ class ExecutionContext:
         #: override map per shard so generated pipelines transparently
         #: see partition views instead of whole sources.
         self.source_overrides: dict[int, tuple] | None = None
-        #: Shipped per-shard encoded tables for the vector kernels,
-        #: keyed by branch step index (SourceRef.key) — set only inside
-        #: sharded process-pool workers, where Source identities do not
-        #: survive pickling.  Checked before source_overrides.
-        self.encoded_overrides: dict[int, object] | None = None
         #: Per-execution-context cache of the vector kernels: encoded
         #: override tables, dictionary translation arrays, and filter
         #: verdict tables (see repro.compiler.operators._encoded_table).
@@ -151,11 +146,10 @@ class ExecutionContext:
         #: (None → the module defaults of repro.compiler.sharded).
         self.shard_config = None
         #: Observable-fallback hook: callable(kind, detail) installed by
-        #: the serving layer (see ``Session._note_exec_fallback``) so
-        #: silent executor degradations — process pool falling back to
-        #: threads, the shipped-shard path falling back to fork-time
-        #: inheritance, a branch with no generated pipeline dropping to
-        #: the tuple interpreter — surface as counters and DBPL9xx hints.
+        #: the serving layer (see ``Session._note_fallback``) so silent
+        #: executor degradations — process pool falling back to threads,
+        #: a branch with no generated pipeline dropping to the tuple
+        #: interpreter — surface as counters and DBPL9xx hints.
         self.on_fallback = None
         # The residual evaluator shares params/apply values with the plan.
         self.evaluator = Evaluator(db, self.params, self.apply_values)

@@ -49,22 +49,14 @@ opt-in knob for true multi-core scaling (:class:`ShardConfig.pool`
 ``= "process"``), falling back to threads where ``fork`` is
 unavailable.
 
-``ShardConfig(inner="vector")`` asks the vector backend for each
-shard's pipeline (``VectorBackend.pipeline_for``): the int-id numpy
-kernels where the branch shape is covered — shipped as data to a
-persistent fork pool when the pool is ``"process"`` and the pipeline
-pickles — and the columnar pipelines otherwise, which includes every
-branch in a process where numpy does not import.  The configuration is
-per execution (``ExecOptions.shard_config``); :data:`DEFAULT_CONFIG` is
-what a context without one gets.
+The configuration is per execution (``ExecOptions.shard_config``);
+:data:`DEFAULT_CONFIG` is what a context without one gets.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import threading
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -72,10 +64,9 @@ from functools import partial
 from ..calculus.analysis import free_tuple_vars
 from ..errors import DBPLError
 from ..relational.indexes import ShardView, partition_rows, partition_views
-from ..relational.vectors import ColumnVector, EncodedTable, get_numpy
-from .executors import BatchBackend, get_backend, register_backend
-from .operators import VectorHashJoin, _batch_len, _encode_apply
-from .plans import ExecutionContext, PlanStats, _compile_value
+from .executors import BatchBackend, register_backend
+from .operators import _batch_len
+from .plans import ExecutionContext, _compile_value
 
 
 @dataclass(frozen=True)
@@ -84,26 +75,23 @@ class ShardConfig:
 
     ``workers=None`` falls back to ``os.cpu_count()``.  ``pool`` selects
     the worker pool: ``"thread"`` (default) or ``"process"`` (fork-based
-    — the multi-core option; silently degrades to threads where fork is
-    unavailable).  Branches whose leading source holds fewer than
-    ``min_rows`` rows run unsharded; above that, one shard is created
-    per ``rows_per_shard`` leading rows, clamped to the worker count.
-
-    ``inner`` selects the per-shard pipeline: ``"batch"`` (the columnar
-    kernels) or ``"vector"`` (the dictionary-encoded int-id kernels,
-    falling back per branch to columnar for uncovered shapes — and for
-    every branch where numpy does not import).  On a process pool,
-    fully-shippable vector branches run on one persistent fork pool —
-    workers are forked once and each shard task ships its compact
-    encoded buffers over the pipe — instead of paying per-call pool
-    setup through fork-time task inheritance.
+    — the multi-core option; runs on threads, reported as DBPL902, where
+    fork is unavailable); any other value is a ``ValueError``.  Branches
+    whose leading source holds fewer than ``min_rows`` rows run
+    unsharded; above that, one shard is created per ``rows_per_shard``
+    leading rows, clamped to the worker count.
     """
 
     workers: int | None = None
     pool: str = "thread"
     min_rows: int = 4096
     rows_per_shard: int = 2048
-    inner: str = "batch"
+
+    def __post_init__(self) -> None:
+        if self.pool not in ("thread", "process"):
+            raise ValueError(
+                f"pool must be 'thread' or 'process', got {self.pool!r}"
+            )
 
     def effective_workers(self) -> int:
         return self.workers if self.workers else (os.cpu_count() or 1)
@@ -149,9 +137,9 @@ class ShardReport:
         self.produced_total = 0
         self.merged_total = 0
         self.executions = 0
-        #: Degradation tags ("pool=threads", "ship=fork-inherit", ...) —
-        #: the explain() face of the ``note_fallback`` counters, so a
-        #: silently-downgraded execution is visible in the plan report.
+        #: Degradation tags ("pool=threads") — the explain() face of the
+        #: ``note_fallback`` counters, so a downgraded execution is
+        #: visible in the plan report.
         self.notes: tuple[str, ...] = ()
 
     def record(self, produced_counts, merged: int) -> None:
@@ -314,148 +302,6 @@ def _run_shard(pipeline, db, params, apply_values, overrides):
     return batch, step_counts, op_counts, ctx.stats
 
 
-class _VectorShardContext:
-    """The minimal execution context a *shipped* vector shard needs.
-
-    Shippable vector pipelines resolve every table through
-    ``encoded_overrides`` and never touch the database, the evaluator,
-    or raw rows — so the worker side carries only parameters, private
-    statistics, and the per-execution vector caches.
-    """
-
-    __slots__ = (
-        "params",
-        "stats",
-        "encoded_overrides",
-        "source_overrides",
-        "vector_cache",
-    )
-
-    def __init__(self, params: dict, overrides: dict) -> None:
-        self.params = params
-        self.stats = PlanStats()
-        self.encoded_overrides = overrides
-        self.source_overrides = None
-        self.vector_cache: dict = {}
-
-
-def _run_vector_shard(payload):
-    """Persistent-pool task: one shipped vector shard, end to end.
-
-    ``payload`` is ``(pipeline, overrides, params)`` — all genuinely
-    picklable: vector operators carry :class:`~.operators.SourceRef`
-    handles (the Source object is dropped in transit) and the override
-    tables ship only their id buffers and dictionaries.  Returns the
-    same ``(batch, step_counts, op_counts, stats)`` shape as
-    :func:`_run_shard`.
-    """
-    pipeline, overrides, params = payload
-    ctx = _VectorShardContext(params, overrides)
-    step_counts: list[int] = []
-    op_counts: list[int] = []
-    batch = (1, [])
-    for ops in pipeline.step_ops:
-        for op in ops:
-            batch = op.run(ctx, batch)
-            op_counts.append(_batch_len(batch))
-        step_counts.append(_batch_len(batch))
-    for op in pipeline.tail_ops:
-        batch = op.run(ctx, batch)
-        op_counts.append(_batch_len(batch))
-    return batch, step_counts, op_counts, ctx.stats
-
-
-def _partition_encoded(table: EncodedTable, pos: int | None, k: int) -> list:
-    """Split an encoded table into ``k`` shard tables, in id space.
-
-    With a key column, rows land by the hash of their *decoded* value —
-    one hash per distinct dictionary value, matching the value hashing
-    of the row-level partitioners so probe and build sides stay aligned.
-    Without one (no aligned join), contiguous slices split the scan.
-    The shard tables carry no raw rows (they are built to ship).  Only
-    shippable vector pipelines get here, so numpy is importable.
-    """
-    n = table.n
-    if pos is None:
-        bounds = [n * i // k for i in range(k + 1)]
-        return [
-            EncodedTable(
-                tuple(
-                    ColumnVector(c.ids[a:b], c.dictionary) for c in table.columns
-                ),
-                None,
-                b - a,
-            )
-            for a, b in zip(bounds, bounds[1:])
-        ]
-    col = table.columns[pos]
-    shard_of = [hash(v) % k for v in col.dictionary.values]
-    np = get_numpy()
-    shard_arr = (
-        np.array(shard_of, dtype=np.int64)[col.np_ids()]
-        if shard_of
-        else np.zeros(n, dtype=np.int64)
-    )
-    shards = []
-    for s in range(k):
-        mask = shard_arr == s
-        columns = []
-        for c in table.columns:
-            ids = array("q")
-            ids.frombytes(np.ascontiguousarray(c.np_ids()[mask]).tobytes())
-            columns.append(ColumnVector(ids, c.dictionary))
-        shards.append(EncodedTable(tuple(columns), None, int(mask.sum())))
-    return shards
-
-
-def _vector_alignment(pipeline):
-    """The first hash join probing a column of the leading table.
-
-    Partitioning the lead table on that join's probe column and the
-    join's build table on its build column (both by decoded-value hash)
-    puts every probe row in the shard that holds all its matches, so
-    each worker builds a ``1/k`` group table.  Build refs are never step
-    0 (a join's build side is its own step's relation), so the lead
-    partition is only ever read by row index — never probed into —
-    which keeps the shard-local tables consistent.
-    """
-    for ops in pipeline.step_ops:
-        for op in ops:
-            if isinstance(op, VectorHashJoin) and op.probe_ref.key == 0:
-                return op
-    return None
-
-
-#: Persistent fork pools for shipped vector shards, keyed by worker
-#: count.  Workers are forked once (first use) and stay resident: every
-#: subsequent sharded execution only pays task pickling — the compact
-#: encoded buffers — not pool setup.  Workers are daemonic, so they die
-#: with the interpreter; the atexit hook just makes shutdown tidy.
-_PROCESS_POOLS: dict[int, object] = {}
-_PROCESS_LOCK = threading.Lock()
-
-
-def _process_pool(workers: int):
-    pool = _PROCESS_POOLS.get(workers)
-    if pool is None:
-        with _PROCESS_LOCK:
-            pool = _PROCESS_POOLS.get(workers)
-            if pool is None:
-                import multiprocessing
-
-                fork = multiprocessing.get_context("fork")
-                pool = fork.Pool(processes=workers)
-                _PROCESS_POOLS[workers] = pool
-    return pool
-
-
-@atexit.register
-def _shutdown_process_pools() -> None:
-    for pool in _PROCESS_POOLS.values():
-        pool.terminate()
-    _PROCESS_POOLS.clear()
-
-
 #: Fork-inherited task table for the per-call process pool (set
 #: pre-fork, read by workers through :func:`_fork_call`; only shard
 #: indexes cross the pipe).  Guarded by :data:`_FORK_LOCK` across the
@@ -463,8 +309,7 @@ def _shutdown_process_pools() -> None:
 #: process-pool executions can never fork against each other's task
 #: table.  Columnar pipelines (generated closures, database handles)
 #: cannot pickle, so they must inherit state at fork time — which is
-#: why this path pays pool setup per call; shippable vector pipelines
-#: take the persistent pool above instead.
+#: why this path pays pool setup per call.
 _FORK_TASKS = None
 _FORK_LOCK = threading.Lock()
 
@@ -536,25 +381,10 @@ class ShardedBackend(BatchBackend):
 
     def execute_branch(self, branch, ctx, out: set, dedup=None) -> None:
         config = ctx.shard_config or DEFAULT_CONFIG
-        inner = get_backend("vector") if config.inner == "vector" else self
-        pipeline = inner.pipeline_for(branch, ctx)
+        pipeline = self.pipeline_for(branch, ctx)
         if pipeline is None:
             branch.execute_tuple(ctx, out)
             return
-        ship_fallback = None
-        if (
-            config.inner == "vector"
-            and config.pool == "process"
-            and pipeline.shippable
-            and hasattr(os, "fork")
-        ):
-            shipped = self._execute_shipped(branch, pipeline, ctx, out, dedup, config)
-            if shipped is True:
-                return
-            # A string is the degradation reason (already reported via
-            # note_fallback); False means sharding was moot, not degraded.
-            if isinstance(shipped, str):
-                ship_fallback = shipped
         shard_overrides = self._plan_shards(branch, ctx, config)
         if shard_overrides is None:
             batch = branch.execute_batch(ctx, pipeline)
@@ -573,91 +403,8 @@ class ShardedBackend(BatchBackend):
         ]
         results = _run_tasks(tasks, config, ctx)
         self._merge(branch, pipeline, ctx, results, out, dedup)
-        report = branch.shards
-        if ship_fallback is not None:
-            report.note(f"ship=fork-inherit:{ship_fallback}")
         if config.pool == "process" and not hasattr(os, "fork"):
-            report.note("pool=threads")
-
-    # -- shipped vector shards ----------------------------------------------
-
-    def _execute_shipped(self, branch, pipeline, ctx, out, dedup, config):
-        """Run a shippable vector pipeline on the persistent fork pool.
-
-        Ships each shard as data — the picklable vector pipeline plus a
-        per-step map of encoded tables (the lead table partitioned, an
-        aligned join's build table partitioned to match, every other
-        step's table whole; pickle memoization dedups the shared
-        dictionaries within a payload) — so repeated executions reuse
-        one long-lived pool instead of re-forking per call.  A leading
-        fixpoint delta ships too: its rows encode per execution and the
-        workers join through id translation, so semi-naive iterations
-        stay on the persistent pool.
-
-        Returns True when the shipped execution ran; a short reason
-        string when the caller must fall back to fork-time inheritance
-        (also reported through ``ctx.note_fallback`` — these used to be
-        silent); and False when sharding is moot (one shard — no
-        degradation, the plain path handles it).
-        """
-        if ctx.source_overrides or ctx.encoded_overrides:
-            ctx.note_fallback(
-                "ship",
-                "shippable pipeline fell back to fork-time inheritance: "
-                "the context carries source overrides the shipped tables "
-                "would shadow",
-            )
-            return "overrides"
-        steps = branch.steps
-        if not steps:
-            return False
-        tables = {}
-        for i, s in enumerate(steps):
-            source = s.source
-            if source.kind == "relation":
-                try:
-                    tables[i] = ctx.db.relation(source.name).encoded()
-                except DBPLError:
-                    ctx.note_fallback(
-                        "ship",
-                        "shippable pipeline fell back to fork-time "
-                        f"inheritance: {source.describe()} has no encoded view",
-                    )
-                    return "encode"
-            elif source.kind == "apply" and i == 0 and source.schema is not None:
-                rows = ctx.apply_values.get(source.token)
-                if rows is None:
-                    return False  # unbound: let the plain path raise
-                tables[i] = _encode_apply(rows, source.schema)
-            else:
-                ctx.note_fallback(
-                    "ship",
-                    "shippable pipeline fell back to fork-time inheritance: "
-                    f"step {i} ({source.describe()}) is not a stored relation",
-                )
-                return "sources"
-        k = shard_count(tables[0].n, config)
-        if k <= 1:
-            return False
-        align = _vector_alignment(pipeline)
-        if align is None:
-            lead_parts = _partition_encoded(tables[0], None, k)
-            build_key = None
-        else:
-            lead_parts = _partition_encoded(tables[0], align.probe_pos, k)
-            build_key = align.ref.key
-            build_parts = _partition_encoded(tables[build_key], align.build_pos, k)
-        payloads = []
-        for i in range(k):
-            overrides = dict(tables)
-            overrides[0] = lead_parts[i]
-            if build_key is not None:
-                overrides[build_key] = build_parts[i]
-            payloads.append((pipeline, overrides, ctx.params))
-        pool = _process_pool(min(config.effective_workers(), k))
-        results = pool.map(_run_vector_shard, payloads)
-        self._merge(branch, pipeline, ctx, results, out, dedup)
-        return True
+            branch.shards.note("pool=threads")
 
     # -- planning ------------------------------------------------------------
 

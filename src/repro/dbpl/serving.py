@@ -180,8 +180,8 @@ class PreparedPlan:
         #: Observable-degradation hook (``Session`` wires its fallback
         #: counters here): called with ``(kind, detail)`` whenever an
         #: execution silently downgrades — snapshot demotes of the
-        #: sharded executor, shard pools degrading to threads, shipped
-        #: shards reverting to fork-time inheritance.
+        #: sharded executor, shard pools degrading to threads, a branch
+        #: dropping to the tuple interpreter, "vector" without numpy.
         self.on_fallback = None
         self._params = dict(zip(self.param_names, constants))
         self._lock = threading.Lock()

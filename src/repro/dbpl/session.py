@@ -126,13 +126,29 @@ _DECL_KEYWORDS = ("MODULE", "TYPE", "VAR", "SELECTOR", "CONSTRUCTOR")
 
 _ANALYSIS_CACHE_SIZE = 256
 
-#: Diagnostic codes for runtime execution-strategy degradations (the
-#: compile-time detours keep DBPL900/DBPL901 in ``_note_fallback``).
-_EXEC_FALLBACK_CODES = {
+_SNAPSHOT_REFUSED = (
+    "snapshot= pins the relations a compiled set former reads; constructed "
+    "ranges and the interpreted evaluator read live state"
+)
+
+#: Every way execution can leave the requested path, and the hint code
+#: that reports it.  The first two are compile-time detours taken by
+#: :meth:`Session.query` itself; the rest are runtime degradations the
+#: executors report through ``ExecutionContext.note_fallback`` — the
+#: compiled path was kept, but not the requested physical strategy.
+#: Codes are never renumbered; a gap is a retired degradation.
+_FALLBACK_CODES = {
+    # DBPLError at compile time → the reference evaluator re-ran the query
+    "interpreted": "DBPL900",
+    # compiled fixpoint would not translate → interpreted fixpoint engine
+    "construct": "DBPL901",
+    # ShardConfig(pool="process") ran on threads (no fork)
     "process_pool": "DBPL902",
-    "ship": "DBPL903",
+    # a snapshot execution demoted executor="sharded" to "batch"
     "snapshot_sharded": "DBPL904",
+    # a branch with no generated pipeline ran on the tuple interpreter
     "lowering": "DBPL905",
+    # executor="vector" ran on the batch pipeline: numpy does not import
     "vector_numpy": "DBPL906",
 }
 
@@ -161,27 +177,10 @@ class Session:
         self.plan_cache = PlanCache(plan_cache_size)
         self.on_diagnostic = on_diagnostic
         self.last_diagnostics = Diagnostics()
-        #: How many times execution left the requested path: "interpreted"
-        #: counts DBPLError → reference-evaluator re-runs, "construct"
-        #: counts compiled-fixpoint → interpreted-fixpoint fallbacks,
-        #: "process_pool" counts shard pools degrading to threads (no
-        #: fork), "ship" counts shipped vector shards reverting to
-        #: fork-time inheritance, "snapshot_sharded" counts snapshot
-        #: executions demoting executor="sharded" to "batch", "lowering"
-        #: counts branches no operator pipeline could be generated for
-        #: running on the tuple interpreter, "vector_numpy" counts
-        #: executor="vector" branches run on the batch pipeline because
-        #: numpy does not import.  Each increment also emits a DBPL90x
-        #: hint to ``on_diagnostic``.
-        self.fallbacks = {
-            "interpreted": 0,
-            "construct": 0,
-            "process_pool": 0,
-            "ship": 0,
-            "snapshot_sharded": 0,
-            "lowering": 0,
-            "vector_numpy": 0,
-        }
+        #: How many times execution left the requested path, per kind of
+        #: ``_FALLBACK_CODES``.  Each increment also emits that kind's
+        #: DBPL90x hint to ``on_diagnostic``.
+        self.fallbacks = dict.fromkeys(_FALLBACK_CODES, 0)
         self._analysis_cache: OrderedDict[tuple, AnalysisResult] = OrderedDict()
         self._anon = 0
 
@@ -258,52 +257,20 @@ class Session:
                 self.on_diagnostic(diag)
         return result
 
-    def _note_fallback(self, kind: str, source: str, exc: Exception) -> None:
-        """Record (and surface) a departure from the compiled path.
+    def _note_fallback(self, kind: str, detail: str, **data) -> None:
+        """Count a departure from the requested path and hint about it.
 
-        Production callers watching ``on_diagnostic`` see a hint-severity
-        DBPL900 (query → interpreted evaluator) or DBPL901 (compiled
-        fixpoint → interpreted fixpoint) naming the query and the
-        compile-time error that forced the detour; ``fallbacks`` keeps
-        the running counts.
+        The one sink for every kind in ``_FALLBACK_CODES``: the session's
+        own compile-time detours and — installed as the ``on_fallback``
+        hook of prepared plans and compiled fixpoints — the executors'
+        runtime degradations.  No result changes; a kind outside the
+        table is a bug in whoever reported it (``KeyError``).
         """
+        code = _FALLBACK_CODES[kind]
         self.fallbacks[kind] += 1
         if self.on_diagnostic is not None:
-            code = "DBPL900" if kind == "interpreted" else "DBPL901"
-            target = (
-                "interpreted evaluator"
-                if kind == "interpreted"
-                else "interpreted fixpoint engine"
-            )
             self.on_diagnostic(
-                Diagnostic(
-                    code,
-                    "hint",
-                    f"query fell back to the {target}: {exc}",
-                    data={"source": source, "error": exc},
-                )
-            )
-
-    def _note_exec_fallback(self, kind: str, detail: str) -> None:
-        """Record a *runtime* degradation reported by the executors.
-
-        The compiled path was kept, but not the requested physical
-        strategy: a process pool ran on threads (DBPL902), a shippable
-        shard pipeline reverted to fork-time inheritance (DBPL903), a
-        snapshot execution demoted the sharded executor to batch
-        (DBPL904), a branch with no generated operator pipeline ran on
-        the tuple interpreter (DBPL905), or executor="vector" ran a
-        branch on the batch pipeline for want of numpy (DBPL906).
-        Counters plus hint-severity diagnostics make them observable
-        without changing any result.
-        """
-        if kind not in self.fallbacks:
-            self.fallbacks[kind] = 0
-        self.fallbacks[kind] += 1
-        if self.on_diagnostic is not None:
-            code = _EXEC_FALLBACK_CODES.get(kind, "DBPL902")
-            self.on_diagnostic(
-                Diagnostic(code, "hint", detail, data={"kind": kind})
+                Diagnostic(code, "hint", detail, data={"kind": kind, **data})
             )
 
     # -- declarations ---------------------------------------------------------
@@ -444,8 +411,11 @@ class Session:
         fixpoint engine for constructed ranges.  Execution knobs arrive
         on ``options`` (layered over the session's own); a snapshot pins
         the relation state compiled set formers read (see
-        :meth:`snapshot`) but does not apply to constructed ranges or
-        interpreted fallbacks.
+        :meth:`snapshot`).  Constructed ranges and the interpreted modes
+        read live state, so a snapshot passed with either — or with a
+        set former that turns out to need the interpreted fallback — is
+        a ``ValueError``: a repeatable read is honoured or refused,
+        never dropped.
 
         Fallbacks off the compiled path are observable: untranslatable
         set formers re-run on the reference evaluator and constructed
@@ -458,6 +428,11 @@ class Session:
         """
         options = self._call_options(options)
         node = parse_expression(source)
+        if options.snapshot is not None and (
+            mode in ("interpreted", "naive", "seminaive")
+            or isinstance(node, ast.Constructed)
+        ):
+            raise ValueError(_SNAPSHOT_REFUSED)
         analysis = self._gate(node, source, options.analysis)
         if mode == "interpreted":
             return self._query_interpreted(node, source)
@@ -466,10 +441,20 @@ class Session:
                 return set(construct(self.db, node, mode=mode).rows)
             try:
                 return set(
-                    construct_compiled(self.db, node, options=options).rows
+                    construct_compiled(
+                        self.db,
+                        node,
+                        options=options,
+                        on_fallback=self._note_fallback,
+                    ).rows
                 )
             except TranslationError as exc:
-                self._note_fallback("construct", source, exc)
+                self._note_fallback(
+                    "construct",
+                    f"query fell back to the interpreted fixpoint engine: {exc}",
+                    source=source,
+                    error=exc,
+                )
                 return set(construct(self.db, node, mode=mode).rows)
         if isinstance(node, (ast.RelRef, ast.Selected, ast.QueryRange)):
             node = range_query(node)
@@ -484,7 +469,14 @@ class Session:
             except DBPLError as exc:
                 # Untranslatable shape (compile-time only): reference
                 # evaluator gives the same answers, one tuple at a time.
-                self._note_fallback("interpreted", source, exc)
+                if options.snapshot is not None:
+                    raise ValueError(_SNAPSHOT_REFUSED) from exc
+                self._note_fallback(
+                    "interpreted",
+                    f"query fell back to the interpreted evaluator: {exc}",
+                    source=source,
+                    error=exc,
+                )
                 return Evaluator(self.db).eval_query(node)
             return plan.run(constants, snapshot=options.snapshot)
         raise BindingError(f"not a query expression: {source!r}")
@@ -521,7 +513,7 @@ class Session:
             plan = self.plan_cache.put(key, plan, epoch)
         # (Re)wire on every fetch: cached plans predate this session's
         # hook state, and the assignment is idempotent.
-        plan.on_fallback = self._note_exec_fallback
+        plan.on_fallback = self._note_fallback
         return plan, constants
 
     def prepare(
@@ -589,7 +581,9 @@ class Session:
         analysis = self._gate(node, source, options.analysis)
         registry = SubscriptionRegistry.ensure(self.db)
         if isinstance(node, ast.Constructed):
-            return registry.subscribe_fixpoint(node, source, options, on_change)
+            return registry.subscribe_fixpoint(
+                node, source, options, on_change, self._note_fallback
+            )
         if isinstance(node, (ast.RelRef, ast.Selected, ast.QueryRange)):
             node = range_query(node)
         if not isinstance(node, ast.Query):

@@ -469,7 +469,10 @@ class QuerySubscription(Subscription):
 class FixpointSubscription(Subscription):
     """Fixpoint-maintained subscription over a constructed range."""
 
-    def __init__(self, registry, node: ast.Constructed, source, options, on_change):
+    def __init__(
+        self, registry, node: ast.Constructed, source, options, on_change,
+        on_fallback=None,
+    ):
         super().__init__(registry, source, options, on_change)
         db = registry.db
         self._system = instantiate(db, node)
@@ -479,6 +482,7 @@ class FixpointSubscription(Subscription):
                 "is not positive"
             )
         self._program = compile_fixpoint(db, self._system, options=options)
+        self._program.on_fallback = on_fallback
         self.watched = tuple(sorted(base_relation_names(db, self._system)))
         self._values = {
             key: set(rows) for key, rows in self._program.run().items()
@@ -555,6 +559,7 @@ class FixpointSubscription(Subscription):
             self.registry.db, apply_values=apply_values, stats=self.plan_stats
         )
         ctx.shard_config = self._program.shard_config
+        ctx.on_fallback = self._program.on_fallback
         deltas = {}
         for key in self._system.apps:
             plan = seeds.get(key)
@@ -627,10 +632,18 @@ class SubscriptionRegistry:
             self._register(sub)
         return sub
 
-    def subscribe_fixpoint(self, node, source, options, on_change) -> Subscription:
-        """Materialize and register a fixpoint-maintained subscription."""
+    def subscribe_fixpoint(
+        self, node, source, options, on_change, on_fallback=None
+    ) -> Subscription:
+        """Materialize and register a fixpoint-maintained subscription.
+
+        ``on_fallback(kind, detail)`` observes executor degradations of
+        the initial run and of every maintenance batch.
+        """
         with self.lock:
-            sub = FixpointSubscription(self, node, source, options, on_change)
+            sub = FixpointSubscription(
+                self, node, source, options, on_change, on_fallback
+            )
             self._register(sub)
         return sub
 

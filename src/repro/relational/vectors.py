@@ -135,8 +135,8 @@ class Dictionary:
     def decode(self, i: int):
         return self.values[i]
 
-    # Locks do not pickle; a shipped dictionary (sharded process-pool
-    # tasks carry encoded shard tables) reconstructs a private one.
+    # Locks do not pickle; a dictionary loaded from a spilled store's
+    # ``dicts.pkl`` (see repro.relational.storage) gets a private one.
     def __getstate__(self):
         return (self.ids, self.values)
 
@@ -177,22 +177,13 @@ class ColumnVector:
     def nbytes(self) -> int:
         return len(self.ids) * self.ids.itemsize
 
-    def __getstate__(self):
-        return (self.ids, self.dictionary)
-
-    def __setstate__(self, state) -> None:
-        self.ids, self.dictionary = state
-        self._np = None
-
 
 class EncodedTable:
     """All columns of one committed relation state, dictionary-encoded.
 
     ``rows`` is the aligned raw row list the table was encoded from
     (row ``i``'s value tuple — late materialization and residual
-    fallbacks read it); it is dropped when the table is pickled, so a
-    sharded process-pool task ships only the compact id buffers and the
-    dictionaries.
+    fallbacks read it).
 
     The per-column probe structure the int-id hash joins read (``csr``:
     stable argsort order + per-id starts and counts) is built lazily
@@ -251,19 +242,6 @@ class EncodedTable:
             order = np.argsort(ids, kind="stable")
             entry = self._csr[pos] = (order, starts, counts)
         return entry
-
-    # Shipping: only the id buffers and dictionaries cross a process
-    # boundary; the raw row list (and the lazily built probe caches)
-    # stay behind.  Operators that need ``rows`` — late materialization,
-    # whole-row targets — are excluded from shippable pipelines by the
-    # lowering (see ``lower_branch_vector``).
-    def __getstate__(self):
-        return (self.columns, self.n)
-
-    def __setstate__(self, state) -> None:
-        self.columns, self.n = state
-        self.rows = None
-        self._csr = {}
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"<EncodedTable {self.n} x {len(self.columns)} cols>"

@@ -249,6 +249,22 @@ class TestFallbackChain:
             executor = "batch"
         assert f"executor={executor!r}" in hint.message
 
+    def test_constructed_range_drop_is_counted_once_per_query(self, no_columnar):
+        # Every branch of every iteration drops to the interpreter; the
+        # fixpoint driver used to run them all without a word.
+        diags = []
+        s = Session(on_diagnostic=diags.append)
+        s.execute(AHEAD)
+        s.insert("Infront", self.ROWS)
+        closure = s.query("Infront{ahead()}", mode="seminaive")
+        assert len(closure) == 6
+        assert s.query("Infront{ahead()}") == closure
+        assert s.fallbacks["construct"] == 0  # still the compiled fixpoint
+        assert s.fallbacks["lowering"] == 1
+        (hint,) = [g for g in diags if g.code == "DBPL905"]
+        assert "executor='batch'" in hint.message
+        assert no_columnar == []
+
     def test_vector_coverage_gap_is_not_a_degradation(self, monkeypatch):
         # vector → batch is the documented per-branch coverage rule: the
         # columnar pipeline answers and no fallback is counted.
@@ -325,12 +341,26 @@ class TestObservableFallbacks:
             "interpreted",
             "construct",
             "process_pool",
-            "ship",
             "snapshot_sharded",
             "lowering",
             "vector_numpy",
         }
         assert all(count == 0 for count in s.fallbacks.values())
+
+    def test_unknown_kind_is_a_bug_not_a_process_pool_hint(self):
+        # One table: a kind an executor invents used to grow the counter
+        # dict and be reported as DBPL902.
+        s = make_session()
+        diags = []
+        s.on_diagnostic = diags.append
+        with pytest.raises(KeyError):
+            s._note_fallback("ship", "not a degradation this tree has")
+        assert "ship" not in s.fallbacks and diags == []
+        s._note_fallback("process_pool", "ran on threads")
+        assert s.fallbacks["process_pool"] == 1
+        assert [(g.code, g.data["kind"]) for g in diags] == [
+            ("DBPL902", "process_pool")
+        ]
 
     def test_interpreted_fallback_counts_and_hints(self, monkeypatch):
         s = make_session()
@@ -359,7 +389,7 @@ class TestObservableFallbacks:
         s.on_diagnostic = diags.append
         expected = s.query("Infront{ahead()}", mode="seminaive")
 
-        def boom(db, node, options=None):
+        def boom(db, node, **kwargs):
             raise TranslationError("no fixpoint plan")
 
         monkeypatch.setattr(session_mod, "construct_compiled", boom)
@@ -376,7 +406,7 @@ class TestObservableFallbacks:
 
         s = make_session()
 
-        def boom(db, node, options=None):
+        def boom(db, node, **kwargs):
             raise EvaluationError("mid-execution failure")
 
         monkeypatch.setattr(session_mod, "construct_compiled", boom)

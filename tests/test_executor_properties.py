@@ -119,27 +119,6 @@ def test_process_pool_shards_agree():
         )
 
 
-def test_sharded_vector_inner_agrees():
-    """``inner="vector"`` runs encoded pipelines inside each shard.
-
-    The thread pool encodes per-shard row overrides on demand; the
-    process pool ships partitioned encoded buffers to the persistent
-    fork pool (or falls back to fork-time inheritance for unshippable
-    branches) — both must match the reference evaluator.
-    """
-    rng = random.Random(19)
-    db = random_prop_database(rng)
-    for pool in ("thread", "process"):
-        config = ShardConfig(
-            workers=3, min_rows=0, rows_per_shard=1, inner="vector", pool=pool
-        )
-        for _ in range(3):
-            query = random_prop_query(rng)
-            assert_executors_agree(
-                db, query, executors=("sharded",), shard_config=config
-            )
-
-
 def test_parameterized_queries_agree():
     """Parameters flow through every backend identically."""
     rng = random.Random(13)

@@ -14,7 +14,7 @@ from repro.dbpl import (
     parameterize,
     parse_expression,
 )
-from repro.errors import BindingError
+from repro.errors import BindingError, TranslationError
 from repro.relational.stats import PLAN_EPOCH_FLOOR
 from repro.compiler.options import ExecOptions
 
@@ -282,6 +282,42 @@ class TestSnapshots:
         s.insert("Fact", [(960 + i, "k1", "hot") for i in range(40)])
         for executor in EXECUTOR_NAMES:
             assert s.query(JOIN3, options=ExecOptions(executor=executor, snapshot=snap)) == expected
+
+    def test_snapshot_that_cannot_be_honoured_is_refused(self, monkeypatch):
+        """Constructed ranges and the interpreted paths read live state;
+        they used to take the snapshot and answer from live rows."""
+        s = Session()
+        s.execute(
+            """
+            TYPE prec = RECORD front, back: STRING END;
+                 prel = RELATION front, back OF prec;
+            VAR Infront: prel;
+            CONSTRUCTOR ahead FOR Rel: prel (): prel;
+            BEGIN EACH r IN Rel: TRUE,
+                  <r.front, a.back> OF EACH r IN Rel,
+                       EACH a IN Rel{ahead()}: r.back = a.front
+            END ahead;
+            """
+        )
+        s.insert("Infront", [("table", "chair"), ("chair", "door")])
+        set_former = '{EACH r IN Infront: r.front <> "vase"}'
+        pinned = ExecOptions(snapshot=s.snapshot())
+        s.insert("Infront", [("door", "wall")])
+        assert len(s.query(set_former, options=pinned)) == 2  # honoured
+        with pytest.raises(ValueError, match="snapshot"):
+            s.query("Infront{ahead()}", options=pinned)
+        for mode in ("interpreted", "naive", "seminaive"):
+            with pytest.raises(ValueError, match="snapshot"):
+                s.query(set_former, mode=mode, options=pinned)
+        # ... and so is the interpreted *fallback* of a set former.
+        def boom(node, options):
+            raise TranslationError("untranslatable shape")
+
+        monkeypatch.setattr(s, "_prepared_plan", boom)
+        with pytest.raises(ValueError, match="snapshot"):
+            s.query(set_former, options=pinned)
+        assert len(s.query(set_former)) == 3  # unpinned: falls back as before
+        assert s.fallbacks["interpreted"] == 1
 
     def test_snapshot_of_database_object(self):
         s = make_session()

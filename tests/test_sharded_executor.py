@@ -7,6 +7,7 @@ policy, per-shard/merged explain accounting (the dedup regression),
 and the fixpoint driver's per-iteration delta partitioning.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from helpers import forced_shard_config, transitive_closure
 from repro import paper
 from repro.calculus import Evaluator, dsl as d
+from repro.compiler import plans as plans_mod
 from repro.compiler import (
     ExecutionContext,
     ExecutorBackend,
@@ -211,57 +213,45 @@ class TestShardedFixpoint:
         assert program.replans >= 1
 
 
-class TestShippedVectorShards:
-    """The persistent-pool ship path for ``inner="vector"`` (PR 8)."""
+class TestShardConfigSurface:
+    """Four knobs, validated; one inner pipeline (the columnar one)."""
 
-    CONFIG = ShardConfig(
-        workers=3, min_rows=0, rows_per_shard=1, inner="vector", pool="process"
-    )
+    def test_fields_are_exactly_the_four_knobs(self):
+        names = [f.name for f in dataclasses.fields(ShardConfig)]
+        assert names == ["workers", "pool", "min_rows", "rows_per_shard"]
+        with pytest.raises(TypeError, match="inner"):
+            ShardConfig(**{"inner": "vector"})
 
-    def _join_query(self):
-        return d.query(
+    def test_misspelt_pool_is_rejected(self):
+        # Used to construct fine and run on threads without a word.
+        with pytest.raises(ValueError, match="'thread' or 'process'"):
+            ShardConfig(pool="proces")
+        assert ShardConfig(pool="process").pool == "process"
+        assert ShardConfig().pool == "thread"
+
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    def test_sharded_never_lowers_a_vector_pipeline(self, monkeypatch, pool):
+        lowered = []
+        monkeypatch.setattr(
+            plans_mod.BranchPlan, "ensure_vector_pipeline", lowered.append
+        )
+        db = _db({(f"k{i % 5}", i) for i in range(60)})
+        q = d.query(
             d.branch(
                 d.each("x", "R"), d.each("y", "T"),
                 pred=d.eq(d.a("x", "k"), d.a("y", "k")),
                 targets=[d.a("x", "n"), d.a("y", "n")],
             )
         )
-
-    def _run(self, db, q, config):
         plan = compile_query(db, q)
         ctx = ExecutionContext(db)
-        ctx.shard_config = config
-        return plan, plan.execute(ctx, executor="sharded")
-
-    def test_shipped_results_match_batch(self):
-        rng = random.Random(29)
-        rows = {(f"k{rng.randrange(5)}", i) for i in range(60)}
-        db = _db(rows)
-        q = self._join_query()
-        plan, shipped = self._run(db, q, self.CONFIG)
-        assert shipped == compile_query(db, q).execute(
-            ExecutionContext(db), executor="batch"
+        ctx.shard_config = ShardConfig(
+            workers=3, min_rows=0, rows_per_shard=1, pool=pool
         )
-        report = plan.branches[0].shards
-        assert report is not None and report.k == 3
-        assert report.merged_total == len(shipped)
-
-    def test_persistent_pool_reused_across_executions(self):
-        """Repeated sharded vector executions must not pay pool setup:
-        the fork pool is created once per worker count and reused."""
-        from repro.compiler import sharded as sharded_mod
-        from repro.relational.vectors import get_numpy
-
-        if get_numpy() is None:
-            pytest.skip("no numpy: inner='vector' is batch, nothing ships")
-        db = _db({(f"k{i % 5}", i) for i in range(60)})
-        q = self._join_query()
-        self._run(db, q, self.CONFIG)
-        pools = dict(sharded_mod._PROCESS_POOLS)
-        assert pools, "shipped path never engaged a persistent pool"
-        for _ in range(3):
-            self._run(db, q, self.CONFIG)
-        assert dict(sharded_mod._PROCESS_POOLS) == pools
+        rows = plan.execute(ctx, executor="sharded")
+        assert rows == plan.execute(ExecutionContext(db), executor="batch")
+        assert plan.branches[0].shards.k == 3
+        assert lowered == []
 
 
 class TestUnknownExecutor:

@@ -1,6 +1,6 @@
 """Out-of-core columnar storage: format round-trips, scan-time pushdown,
 partition pruning, persisted statistics, and the observable-degradation
-satellites (DBPL902/903/904) that rode along with PR 10."""
+satellites (DBPL902/904) that rode along with PR 10."""
 
 import json
 import os
@@ -15,7 +15,6 @@ from repro.relational import (
     Database,
     open_database,
 )
-from repro.relational.vectors import get_numpy
 from repro.types import INTEGER, STRING, record, relation_type
 
 PERSON = record("person", name=STRING, age=INTEGER, city=STRING)
@@ -291,31 +290,7 @@ class TestObservableDegradations:
         assert s.fallbacks["process_pool"] == 1
         assert [d.code for d in diags] == ["DBPL902"]
 
-    def test_shipped_fallback_notes_overrides_with_dbpl903(self):
-        # Source overrides shadow shipped tables, so the shipped path
-        # must revert to fork-time inheritance — loudly.
-        if not hasattr(os, "fork") or get_numpy() is None:
-            pytest.skip("no fork or no numpy: the shipped path never engages")
-        db = make_people_db()
-        # Whole-row targets are never shipped (the pipeline needs raw
-        # rows), so this must be a column-projected query.
-        plan = compile_query(db, parse_expression(PROJECTED))
-        events = []
-        ctx = ExecutionContext(db)
-        ctx.shard_config = ShardConfig(
-            workers=3, min_rows=0, rows_per_shard=1,
-            pool="process", inner="vector",
-        )
-        ctx.on_fallback = lambda kind, detail: events.append((kind, detail))
-        rel = db.relation("People")
-        source = plan.branches[0].steps[0].source
-        ctx.source_overrides = {id(source): (rel.raw_list(), lambda pos: None)}
-        expected = Session(make_people_db()).query(PROJECTED)
-        assert plan.execute(ctx, executor="sharded") == expected
-        assert any(kind == "ship" for kind, _detail in events)
-        assert "fork-inherit" in plan.explain()
-
     def test_fallback_counters_cover_the_new_kinds(self):
         s = Session(make_people_db())
-        for kind in ("process_pool", "ship", "snapshot_sharded"):
+        for kind in ("process_pool", "snapshot_sharded"):
             assert s.fallbacks[kind] == 0

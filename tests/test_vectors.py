@@ -2,9 +2,8 @@
 
 The dictionary/encoded-table machinery of
 :mod:`repro.relational.vectors`, its incremental maintenance on
-``Relation``, the pickling contract the sharded process pool ships
-encoded shards with, and what ``executor="vector"`` does in a process
-where numpy does not import.  Cross-backend result agreement lives in
+``Relation``, and what ``executor="vector"`` does in a process where
+numpy does not import.  Cross-backend result agreement lives in
 ``test_executor_properties.py``; this file pins the data structures
 themselves.
 """
@@ -119,17 +118,6 @@ class TestEncodedTable:
                 rows = order[starts[g] : starts[g] + counts[g]].tolist()
                 assert sorted(rows) == [i for i, v in enumerate(ids) if v == g]
 
-    def test_pickle_ships_buffers_not_rows(self):
-        table, _dics = _table(self.ROWS)
-        if get_numpy() is not None:
-            table.csr(0)  # populate the probe cache
-        clone = pickle.loads(pickle.dumps(table))
-        assert clone.rows is None
-        assert clone.n == 4
-        assert list(clone.columns[0].ids) == [0, 1, 0, 2]
-        assert clone.columns[0].dictionary.decode(2) == "c"
-        assert clone._csr == {}  # the probe cache rebuilds on the far side
-
 
 class TestRelationEncoding:
     def test_encoded_is_version_cached(self):
@@ -155,17 +143,6 @@ class TestRelationEncoding:
         rel.encoded()
         part_dic = rel.dictionaries()[0]
         assert {part_dic.lookup("table"), part_dic.lookup("vase")} == {0, 1}
-
-
-class TestSourceRefPickling:
-    def test_step_zero_ref_survives_pickle(self):
-        """A falsy ``__getstate__`` would skip ``__setstate__`` for key 0."""
-        from repro.compiler.operators import SourceRef
-
-        for key in (0, 3):
-            clone = pickle.loads(pickle.dumps(SourceRef(key, object())))
-            assert clone.key == key
-            assert clone.source is None
 
 
 class TestVectorFallback:
@@ -218,10 +195,15 @@ SCHEMA = """
 TYPE prec = RECORD front, back: STRING END;
      prel = RELATION front, back OF prec;
 VAR Infront: prel;
+CONSTRUCTOR ahead FOR Rel: prel (): prel;
+BEGIN EACH r IN Rel: TRUE,
+      <r.front, a.back> OF EACH r IN Rel,
+           EACH a IN Rel{ahead()}: r.back = a.front
+END ahead;
 """
 
-#: Join + filter + projection: a shape the vector lowering covers (and
-#: ships), so with numpy it runs the int-id kernels end to end.
+#: Join + filter + projection: a shape the vector lowering covers, so
+#: with numpy it runs the int-id kernels end to end.
 JOIN = (
     '{<r.front, t.back> OF EACH r IN Infront, EACH t IN Infront: '
     'r.back = t.front AND t.back <> "wall"}'
@@ -234,6 +216,7 @@ EDGES = [
     ("door", "hall"),
 ]
 JOIN_ROWS = {("table", "door"), ("chair", "hall"), ("vase", "hall")}
+AHEAD = "Infront{ahead()}"
 
 
 class TestVectorWithoutNumpy:
@@ -244,7 +227,7 @@ class TestVectorWithoutNumpy:
     the reference answers, and without ever running the vector lowering.
     """
 
-    FORCED = dict(workers=3, min_rows=0, rows_per_shard=1, inner="vector")
+    FORCED = dict(workers=3, min_rows=0, rows_per_shard=1)
 
     @pytest.fixture
     def no_numpy(self, monkeypatch):
@@ -285,16 +268,36 @@ class TestVectorWithoutNumpy:
         assert s.query(JOIN) == JOIN_ROWS  # every execution is counted
         assert s.fallbacks["vector_numpy"] == 2
 
-    @pytest.mark.parametrize("pool", ["thread", "process"])
-    def test_sharded_inner_vector_runs_on_batch(self, no_numpy, pool):
+    def test_constructed_range_counts_and_hints_once_per_query(self, no_numpy):
+        """Every branch of every iteration degrades; the query reports
+        it once — it used to report nothing."""
         diags = []
-        config = ShardConfig(pool=pool, **self.FORCED)
-        s = self._session(diags, executor="sharded", shard_config=config)
-        assert s.query(JOIN) == JOIN_ROWS
+        s = self._session(diags, executor="vector")
+        closure = transitive_closure(EDGES)
+        assert s.query(AHEAD, mode="seminaive") == closure
+        assert s.fallbacks["vector_numpy"] == 0
+        assert s.query(AHEAD) == closure
         assert no_numpy == []
-        assert s.fallbacks["vector_numpy"] >= 1
-        assert s.fallbacks["ship"] == 0  # nothing shippable was attempted
-        assert "DBPL906" in {d_.code for d_ in diags}
+        assert s.fallbacks["vector_numpy"] == 1
+        hints = [d_ for d_ in diags if d_.code == "DBPL906"]
+        assert len(hints) == 1 and hints[0].severity == "hint"
+        assert s.query(AHEAD) == closure  # every query is counted
+        assert s.fallbacks["vector_numpy"] == 2
+
+    def test_fixpoint_subscription_counts_and_hints(self, no_numpy):
+        diags = []
+        s = self._session(diags, executor="vector")
+        sub = s.subscribe(AHEAD)
+        assert sub.rows() == transitive_closure(EDGES)
+        materialized = s.fallbacks["vector_numpy"]
+        assert materialized == 1  # the initial run, once
+        s.insert("Infront", [("hall", "yard")])
+        assert sub.rows() == transitive_closure([*EDGES, ("hall", "yard")])
+        assert sub.delta_batches == 1 and sub.recomputes == 0
+        assert s.fallbacks["vector_numpy"] > materialized  # maintenance too
+        assert no_numpy == []
+        assert {d_.code for d_ in diags} == {"DBPL906"}
+        assert len(diags) == s.fallbacks["vector_numpy"]
 
     def test_recursive_constructor_agrees(self, no_numpy):
         edges = [(f"n{i}", f"n{i + 1}") for i in range(12)] + [("n12", "n3")]
