@@ -49,8 +49,8 @@ class ExecOptions:
         registry (``batch``, ``vector``, ``rowbatch``, ``tuple``,
         ``sharded``).
     ``optimizer``
-        Join-order strategy: ``cost`` (default), ``greedy``,
-        ``syntactic``.
+        Join-order strategy: ``cost`` (default) or ``syntactic`` (the
+        written binding order — E14's baseline).
     ``shard_config``
         A :class:`~repro.compiler.sharded.ShardConfig` (``workers``,
         ``pool``, ``min_rows``, ``rows_per_shard``) carried onto the

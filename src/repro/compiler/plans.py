@@ -13,10 +13,9 @@ branch bodies inside generated fixpoint programs:
   :class:`CostModel` over table statistics (cardinalities, distinct
   counts, index selectivities — see :mod:`repro.relational.stats`):
   exact dynamic programming over join orders for narrow branches,
-  greedy cheapest-next for wide ones.  The legacy orderings remain
-  available (``optimizer="greedy"`` scores by key count,
-  ``optimizer="syntactic"`` keeps the written binding order) so the
-  benchmarks can measure what the statistics buy;
+  greedy cheapest-next for wide ones.  ``optimizer="syntactic"`` keeps
+  the written binding order instead, so the benchmarks (E14) can
+  measure what the statistics buy;
 * equality conjuncts on constants and on bound variables are consumed by
   the access path; any remaining predicate parts (quantifiers,
   inequalities, memberships) run as residual filters;
@@ -690,58 +689,26 @@ def _term_vars(term: ast.Term) -> set[str]:
     return free_tuple_vars(term)
 
 
-#: Comparison operators usable as priced single-variable restrictions,
-#: mapped to their mirror image (for when the attribute is on the right).
-_FLIPPED_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "<>": "<>"}
+#: Comparison operators a storage reader can evaluate row-wise, mapped to
+#: their mirror image (for when the attribute is on the right).
+_FLIPPED_OP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<=", "<>": "<>"}
 
 
-def _restriction_of(conj: ast.Cmp, schemas: dict, params: dict):
-    """``(var, pos, op, value)`` when ``conj`` compares one attribute of a
+def _scan_restriction_spec(conj: ast.Cmp, schemas: dict, params: dict):
+    """``(var, pos, op, spec)`` when ``conj`` compares one attribute of a
     single binding variable against a constant/parameter expression, or
-    None.  These are the conjuncts the cost model prices from histograms
-    instead of treating as free filters."""
+    None — the one normaliser for a reader-pushable comparison.
+
+    *Symbolic*: the value side becomes ``("const", v)`` when it evaluates
+    now, or ``("param", name)`` for a bare parameter slot — prepared
+    plans rebind parameters per execution, so the reader must resolve
+    the value at scan time, never here.
+    """
     if conj.op not in _FLIPPED_OP:
         return None
     for attr_side, other, op in (
         (conj.left, conj.right, conj.op),
         (conj.right, conj.left, _FLIPPED_OP[conj.op]),
-    ):
-        if (
-            isinstance(attr_side, ast.AttrRef)
-            and attr_side.var in schemas
-            and not _term_vars(other)
-        ):
-            value_fn = _compile_value(other, schemas, params)
-            if value_fn is None:
-                continue
-            try:
-                value = value_fn({})
-            except (KeyError, TypeError, ZeroDivisionError):
-                continue  # e.g. a parameter not bound at compile time
-            pos = schemas[attr_side.var].index_of(attr_side.attr)
-            return (attr_side.var, pos, op, value)
-    return None
-
-
-#: Operators a storage reader can evaluate row-wise (equality included —
-#: an equality the cost model left on a scan step is a pushable filter).
-_SCAN_OPS = frozenset(("=",)) | frozenset(_FLIPPED_OP)
-_SCAN_FLIPPED = dict(_FLIPPED_OP, **{"=": "="})
-
-
-def _scan_restriction_spec(conj: ast.Cmp, schemas: dict, params: dict):
-    """``(var, pos, op, spec)`` for a reader-pushable comparison, or None.
-
-    Like :func:`_restriction_of` but *symbolic*: the value side becomes
-    ``("const", v)`` when it evaluates now, or ``("param", name)`` for a
-    bare parameter slot — prepared plans rebind parameters per execution,
-    so the reader must resolve the value at scan time, never here.
-    """
-    if conj.op not in _SCAN_OPS:
-        return None
-    for attr_side, other, op in (
-        (conj.left, conj.right, conj.op),
-        (conj.right, conj.left, _SCAN_FLIPPED[conj.op]),
     ):
         if (
             isinstance(attr_side, ast.AttrRef)
@@ -757,9 +724,25 @@ def _scan_restriction_spec(conj: ast.Cmp, schemas: dict, params: dict):
             try:
                 value = value_fn({})
             except (KeyError, TypeError, ZeroDivisionError):
-                continue
+                continue  # e.g. a parameter not bound at compile time
             return (attr_side.var, pos, op, ("const", value))
     return None
+
+
+def _restriction_of(conj: ast.Cmp, schemas: dict, params: dict):
+    """``(var, pos, op, value)`` — the pushed form resolved now — for the
+    conjuncts the cost model prices from histograms instead of treating
+    as free filters, or None.  Equalities are priced as keys, not here;
+    an unbound parameter yields no restriction."""
+    spec = _scan_restriction_spec(conj, schemas, params)
+    if spec is None or spec[2] == "=":
+        return None
+    var, pos, op, (kind, payload) = spec
+    if kind == "param":
+        if payload not in params:
+            return None
+        payload = params[payload]
+    return (var, pos, op, payload)
 
 
 def _derive_projection(branch: ast.Branch, var: str, schema) -> tuple | None:
@@ -1221,29 +1204,6 @@ def _order_cost_based(
     return ordered
 
 
-def _order_greedy_keycount(
-    binding_vars: list[str],
-    sources: dict[str, Source],
-    equalities: list[tuple[int, str, int, ast.Term]],
-) -> list[str]:
-    """The legacy ordering: most available equality keys first; ties
-    prefer fixpoint-variable (delta) sources."""
-    ordered: list[str] = []
-    remaining = list(binding_vars)
-    while remaining:
-        best = None
-        best_score = (-1, False)
-        for var in remaining:
-            keys = _available_keys(var, frozenset(ordered), equalities)
-            is_apply = sources[var].kind == "apply"
-            score = (len(keys), is_apply)
-            if best is None or score > best_score:
-                best, best_score = var, score
-        ordered.append(best)
-        remaining.remove(best)
-    return ordered
-
-
 def compile_branch(
     db: Database,
     branch: ast.Branch,
@@ -1326,8 +1286,6 @@ def compile_branch(
     # Pick the loop-nest order.
     if optimizer == "syntactic":
         ordered = list(binding_vars)
-    elif optimizer == "greedy":
-        ordered = _order_greedy_keycount(binding_vars, sources, equalities)
     elif optimizer == "cost":
         ordered = _order_cost_based(
             binding_vars, sources, equalities, cost_model, restrictions,
@@ -1335,8 +1293,7 @@ def compile_branch(
         )
     else:
         raise ValueError(
-            f"unknown optimizer {optimizer!r}; expected 'cost', 'greedy', "
-            f"or 'syntactic'"
+            f"unknown optimizer {optimizer!r}; expected 'cost' or 'syntactic'"
         )
 
     # Reader-pushable specs per variable: every single-variable comparison
@@ -1363,8 +1320,8 @@ def compile_branch(
         available = _available_keys(var, bound_before, equalities)
         var_restrictions = restrictions.get(var, ())
         # The cost model gates the access path: keys are consumed as an
-        # index only when the estimated lookup beats a scan (in the
-        # legacy modes keys are always consumed, as before).
+        # index only when the estimated lookup beats a scan (the
+        # syntactic baseline always consumes them).
         var_residual_sel = residual_sels.get(var, 1.0)
         estimate = cost_model.price_step(
             sources[var],
@@ -1372,7 +1329,7 @@ def compile_branch(
             var_restrictions,
             var_residual_sel,
         )
-        use_keys = estimate.use_index or optimizer in ("greedy", "syntactic")
+        use_keys = estimate.use_index or optimizer == "syntactic"
         key_positions: list[int] = []
         key_values: list = []
         key_terms: list = []

@@ -1,6 +1,6 @@
 """The sharded parallel executor backend (``executor="sharded"``).
 
-Hash-partitioned execution of the columnar operator pipelines of
+Partitioned execution of the columnar operator pipelines of
 :mod:`repro.compiler.operators` across a ``concurrent.futures`` worker
 pool.  The backend plugs into the :mod:`repro.compiler.executors`
 registry, so every entry point — ``compile_query``, the fixpoint driver,
@@ -10,17 +10,23 @@ registry, so every entry point — ``compile_query``, the fixpoint driver,
 How a branch is sharded
 -----------------------
 
-The leading step's input rows are hash-partitioned into ``k`` shards and
-the *whole* lowered pipeline runs once per shard, each worker under its
-own :class:`~.plans.ExecutionContext` (private operation counters,
-private residual/pushdown memos) with a per-shard **source override
-map**: the leading source answers with the shard's rows, and — when the
-first downstream hash join keys purely on the leading variable — that
+The leading step's input rows — read once, the way the step's own
+access path reads them, so a cold store-backed lead is pruned and
+projected by the same pushed-down scan as under any other backend — are
+split into ``k`` shards and the *whole* lowered pipeline runs once per
+shard, each worker under its own :class:`~.plans.ExecutionContext`
+(private operation counters, private residual/pushdown memos) with a
+per-shard **source override map** layered over the context's own (a
+snapshot's pinned views stay in force): the leading source answers with
+the shard's rows, and — when the first downstream hash join keys purely
+on the leading variable — lead rows are hashed on that key and the
 join's *build side* is hash-partitioned on the same key, so each worker
-builds an index over ``rows/k`` build rows instead of all of them.
+builds an index over ``rows/k`` build rows instead of all of them
+(without such a join the lead rows are simply dealt).
 Stored relations answer build-side partitions from
 :meth:`~repro.relational.relation.Relation.partitions` (version-cached
-shard views); fixpoint variables are partitioned once per iteration, so
+shard views; a snapshot-pinned build side is partitioned from its pinned
+rows); fixpoint variables are partitioned once per iteration, so
 each iteration's delta is split exactly once and every shard probes its
 own slice.  Every other step sees its full source, which keeps the
 decomposition correct for arbitrary downstream joins, filters, and
@@ -63,7 +69,7 @@ from functools import partial
 
 from ..calculus.analysis import free_tuple_vars
 from ..errors import DBPLError
-from ..relational.indexes import ShardView, partition_rows, partition_views
+from ..relational.indexes import ShardView, partition_views
 from .executors import BatchBackend, register_backend
 from .operators import _batch_len
 from .plans import ExecutionContext, _compile_value
@@ -170,25 +176,13 @@ class ShardReport:
 # ---------------------------------------------------------------------------
 
 
-def _estimated_rows(ctx: ExecutionContext, source, rows) -> int:
-    """Leading-source cardinality, preferring the stats layer's counts."""
-    if source.kind == "relation":
-        stats = ctx.db.relation(source.name).stats()
-        if stats.row_count:
-            return stats.row_count
-    try:
-        return len(rows)
-    except TypeError:
-        return 0
-
-
 def _alignment(branch):
     """The first downstream hash join keyed purely on the leading variable.
 
     Returns ``(step, key_value_fns)`` — the step whose build side can be
     partitioned compatibly with the leading rows, and one compiled value
     extractor per key term (evaluated against ``{lead_var: row}``) — or
-    None when no such join exists (the shards then split on row hash).
+    None when no such join exists (the lead rows are then dealt).
     """
     steps = branch.steps
     lead_var = steps[0].var
@@ -210,14 +204,16 @@ def _alignment(branch):
 
 
 def _partition_leading(rows, lead_var: str, align, k: int):
-    """Hash-partition the leading rows into ``k`` lists.
+    """Split the leading rows into ``k`` disjoint lists.
 
     With an aligned join the split key is the join key computed from
     each leading row (so probe rows land with their build partition);
-    without one, the whole row hashes.
+    without one no build side has to land with its probe rows, any
+    disjoint cover is a correct sharding, and the rows are simply dealt.
     """
     if align is None:
-        return partition_rows(rows, (), k)
+        rows = rows if isinstance(rows, list) else list(rows)
+        return [rows[i::k] for i in range(k)]
     shards: list[list] = [[] for _ in range(k)]
     _step, fns = align
     env: dict = {}
@@ -234,10 +230,12 @@ def _partition_leading(rows, lead_var: str, align, k: int):
 
 
 def _build_partitions(ctx: ExecutionContext, step, k: int):
-    """Shard views of an aligned join's build side, version-cached for
-    stored relations and computed per execution for fixpoint deltas."""
+    """Shard views of an aligned join's build side: version-cached for
+    live stored relations, computed per execution otherwise — fixpoint
+    deltas, and a snapshot-pinned relation's pinned rows."""
     source = step.source
-    if source.kind == "relation":
+    pinned = ctx.source_overrides is not None and id(source) in ctx.source_overrides
+    if source.kind == "relation" and not pinned:
         relation = ctx.db.relation(source.name)
         attrs = tuple(
             relation.element_type.attribute_names[i] for i in step.key_positions
@@ -370,7 +368,7 @@ def _run_tasks(tasks, config: ShardConfig, ctx: ExecutionContext | None = None):
 
 
 class ShardedBackend(BatchBackend):
-    """Hash-partitioned parallel execution of the columnar pipelines.
+    """Partitioned parallel execution of the columnar pipelines.
 
     Falls back to the plain (unsharded) batch path when a branch has no
     generated pipeline, when the leading input is below the sharding
@@ -394,10 +392,11 @@ class ShardedBackend(BatchBackend):
                 out.update(batch)
             return
         _prewarm(branch, pipeline, ctx, skip_sources=set(shard_overrides[0]))
+        pinned = ctx.source_overrides or {}  # unsplit sources stay pinned
         tasks = [
             partial(
                 _run_shard, pipeline, ctx.db, ctx.params, ctx.apply_values,
-                overrides,
+                {**pinned, **overrides},
             )
             for overrides in shard_overrides
         ]
@@ -409,21 +408,36 @@ class ShardedBackend(BatchBackend):
     # -- planning ------------------------------------------------------------
 
     def _plan_shards(self, branch, ctx, config: ShardConfig):
-        """Per-shard source-override maps, or None (run unsharded)."""
+        """Per-shard source-override maps, or None (run unsharded).
+
+        A keyless lead is read through ``Source.scan_rows`` with the
+        step's pushdown: a cold store-backed lead hands over its pruned,
+        projected rows and stays cold; with nothing to push it
+        materializes the relation exactly as ``batch``'s scan of it does
+        (the partition-file planner deleted in PR 19 was the one place
+        that did not).  A keyed lead reads ``rows_and_indexable``.
+        """
         steps = branch.steps
         if not steps:
             return None
         lead = steps[0]
-        cold = self._plan_partition_shards(branch, lead, ctx, config)
-        if cold is not None:
-            return cold
+        source = lead.source
         try:
-            rows, _provider = lead.source.rows_and_indexable(ctx)
+            # A relation is sized by the stats layer before it is read (an
+            # unsharded run reads nothing twice); anything else by its rows.
+            stored = source.kind == "relation"
+            n = ctx.db.relation(source.name).stats().row_count if stored else 0
+            if n and shard_count(n, config) <= 1:
+                return None
+            if lead.key_positions:
+                rows = source.rows_and_indexable(ctx)[0]
+            else:
+                rows = source.scan_rows(ctx, lead.pushdown)
         except DBPLError:
             # An unresolvable lead range (unknown name, unbound fixpoint
             # variable, ...): run unsharded and let execution surface it.
             return None
-        k = shard_count(_estimated_rows(ctx, lead.source, rows), config)
+        k = shard_count(n or len(rows), config)
         if k <= 1:
             return None
         align = _alignment(branch)
@@ -434,49 +448,12 @@ class ShardedBackend(BatchBackend):
         overrides: list[dict[int, tuple]] = []
         for i in range(k):
             view = ShardView(lead_parts[i])
-            per_shard = {id(lead.source): (view.rows, view.index_on)}
+            per_shard = {id(source): (view.rows, view.index_on)}
             if build_views is not None:
                 bview = build_views[i]
                 per_shard[id(align[0].source)] = (bview.rows, bview.index_on)
             overrides.append(per_shard)
         return overrides
-
-    def _plan_partition_shards(self, branch, lead, ctx, config: ShardConfig):
-        """Partition files as shard units for a cold store-backed lead.
-
-        A leading scan over a spilled relation that is still cold (never
-        materialized) shards along its on-disk partition boundaries:
-        whole partitions are dealt round-robin into ``k`` disjoint row
-        groups, honoring the step's projection/selection pushdown, so
-        the relation is *never* materialized in the coordinator and
-        pruned partitions are never read by any worker.  Only applies
-        without an aligned downstream join — alignment needs a hash pass
-        over the lead rows, which forfeits the free disk split anyway.
-        """
-        source = lead.source
-        if source.kind != "relation":
-            return None
-        overrides = ctx.source_overrides
-        if overrides is not None and overrides.get(id(source)) is not None:
-            return None
-        store = ctx.db.relation(source.name).cold_store
-        if store is None:
-            return None
-        k = shard_count(store.row_count, config)
-        if k <= 1 or _alignment(branch) is not None:
-            return None
-        pushdown = lead.pushdown
-        groups = store.scan_partition_groups(
-            k,
-            pushdown.projection if pushdown is not None else None,
-            pushdown.selection if pushdown is not None else (),
-            ctx.params,
-        )
-        shard_overrides: list[dict[int, tuple]] = []
-        for rows in groups:
-            view = ShardView(rows)
-            shard_overrides.append({id(source): (view.rows, view.index_on)})
-        return shard_overrides
 
     # -- merging -------------------------------------------------------------
 

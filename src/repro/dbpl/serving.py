@@ -28,17 +28,16 @@ module is the parse-once/bind-per-message split:
 * :class:`DatabaseSnapshot` pins a version-stamped
   :class:`~repro.relational.indexes.SnapshotView` of every relation and
   feeds them to plans through ``ExecutionContext.source_overrides`` —
-  the same mechanism the sharded executor uses for partition views — so
+  the same mechanism the sharded executor uses for partition views, and
+  the two compose: each shard's map is layered over the snapshot's — so
   a reader's scans and index probes all see one committed state while
-  writers keep committing.
+  writers keep committing, under every executor.
 
 Snapshot scope: relation *scans and join probes* are pinned.  Computed
 sub-ranges (selected ranges, nested queries) and residual predicates
 resolve against the live database — crash-free, because everything a
 relation hands a reader is an immutable generation of one committed
-state, but they read latest-committed.  A snapshot
-execution also forces an unsharded backend: the shard planner
-re-partitions live relations, which would bypass the pinned views.
+state, but they read latest-committed.
 """
 
 from __future__ import annotations
@@ -179,9 +178,9 @@ class PreparedPlan:
         self.executions = 0
         #: Observable-degradation hook (``Session`` wires its fallback
         #: counters here): called with ``(kind, detail)`` whenever an
-        #: execution silently downgrades — snapshot demotes of the
-        #: sharded executor, shard pools degrading to threads, a branch
-        #: dropping to the tuple interpreter, "vector" without numpy.
+        #: execution silently downgrades — shard pools degrading to
+        #: threads, a branch dropping to the tuple interpreter, "vector"
+        #: without numpy.
         self.on_fallback = None
         self._params = dict(zip(self.param_names, constants))
         self._lock = threading.Lock()
@@ -206,21 +205,10 @@ class PreparedPlan:
             ctx = ExecutionContext(self.db, params, stats=stats)
             ctx.shard_config = self.shard_config
             ctx.on_fallback = self.on_fallback
-            executor = self.executor
             if snapshot is not None:
                 ctx.source_overrides = snapshot.overrides_for(self.plan)
-                if executor == "sharded":
-                    # Shard planning repartitions live rows, which would
-                    # leak post-snapshot state into the shards — demote to
-                    # the plain batch path, but never silently.
-                    executor = "batch"
-                    ctx.note_fallback(
-                        "snapshot_sharded",
-                        "snapshot execution demoted executor='sharded' to "
-                        "'batch': shard planning repartitions live rows",
-                    )
             self.executions += 1
-            return self.plan.execute(ctx, executor=executor)
+            return self.plan.execute(ctx, executor=self.executor)
 
     def explain(self) -> str:
         return self.plan.explain()

@@ -136,7 +136,9 @@ _SNAPSHOT_REFUSED = (
 #: :meth:`Session.query` itself; the rest are runtime degradations the
 #: executors report through ``ExecutionContext.note_fallback`` — the
 #: compiled path was kept, but not the requested physical strategy.
-#: Codes are never renumbered; a gap is a retired degradation.
+#: Five kinds.  Codes are never renumbered; a gap is a retired
+#: degradation — two so far, 903 (a shipped-buffer inner executor) and
+#: 904 (snapshots ran unsharded; shards now plan over the pinned rows).
 _FALLBACK_CODES = {
     # DBPLError at compile time → the reference evaluator re-ran the query
     "interpreted": "DBPL900",
@@ -144,8 +146,6 @@ _FALLBACK_CODES = {
     "construct": "DBPL901",
     # ShardConfig(pool="process") ran on threads (no fork)
     "process_pool": "DBPL902",
-    # a snapshot execution demoted executor="sharded" to "batch"
-    "snapshot_sharded": "DBPL904",
     # a branch with no generated pipeline ran on the tuple interpreter
     "lowering": "DBPL905",
     # executor="vector" ran on the batch pipeline: numpy does not import

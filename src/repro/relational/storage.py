@@ -29,8 +29,16 @@ partitions only.  Predicate pushdown prunes whole partitions against
 the manifest's per-column min/max before any page is read, then filters
 the surviving partitions' decoded values row by row.
 
-``.bin`` is the only page codec: a manifest naming any other page file
-is rejected with a :class:`~repro.errors.StorageError` naming the file.
+One private walk (:meth:`RelationStore._walk`) does all of that
+and every reader consumes it: ``scan`` keeps the rows, ``encoded_scan``
+the id buffers too, ``encoded_table`` is ``encoded_scan`` unpushed.
+
+Stored bytes are outside input: a damaged store is a
+:class:`~repro.errors.StorageError` naming the file, never a wrong row
+or a bare builtin exception.  Manifests are validated once, where they
+load (keys, partition entries, ``row_count`` = Σ partition rows), pickles
+on load, page headers and lengths in ``_read_columns`` (``.bin`` is the
+only page codec), ids in the walk's decode.
 """
 
 from __future__ import annotations
@@ -126,7 +134,15 @@ def _partition_matches(minmax: dict, pos: int, op: str, value) -> bool:
     return True
 
 
-def _resolve_selection(selection, params) -> list | None:
+def _may_match(part: dict, restrictions) -> bool:
+    """The pruning test: can ``part`` hold a row meeting every ``(pos, op, value)``?"""
+    return all(
+        _partition_matches(part["minmax"], pos, op, value)
+        for pos, op, value in restrictions
+    )
+
+
+def _resolve_selection(selection, params) -> list:
     """``(pos, op, value)`` triples from symbolic pushdown specs.
 
     A spec's value is ``("const", v)`` (compile-time constant) or
@@ -135,10 +151,8 @@ def _resolve_selection(selection, params) -> list | None:
     re-check every pushed predicate, so the reader-side filter is a pure
     pre-filter and dropping one is always safe.
     """
-    if not selection:
-        return None
     resolved = []
-    for pos, op, spec in selection:
+    for pos, op, spec in selection or ():
         kind, payload = spec
         if kind == "const":
             resolved.append((pos, op, payload))
@@ -147,7 +161,7 @@ def _resolve_selection(selection, params) -> list | None:
                 resolved.append((pos, op, params[payload]))
             except KeyError:
                 continue
-    return resolved or None
+    return resolved
 
 
 _CMP = {
@@ -163,6 +177,21 @@ _CMP = {
 # ---------------------------------------------------------------------------
 # Reading
 # ---------------------------------------------------------------------------
+
+
+def _load_manifest(filename: str, required: tuple = ()) -> dict:
+    """Parse a ``meta.json``: a JSON object carrying ``required`` keys."""
+    try:
+        with open(filename, encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise StorageError(f"unreadable manifest {filename!r}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise StorageError(f"manifest {filename!r} is not a JSON object")
+    missing = [key for key in required if key not in meta]
+    if missing:
+        raise StorageError(f"manifest {filename!r} lacks {missing}")
+    return meta
 
 
 class StoreCounters:
@@ -200,9 +229,10 @@ class RelationStore:
 
     Everything heavy — dictionaries, statistics, the schema pickle, the
     id pages themselves — loads on first demand; constructing a store
-    (and therefore opening a database) reads only the small per-relation
-    ``meta.json``, which is what lets a reopened database answer
-    ``len(rel)`` and plan from persisted statistics before any scan.
+    (and therefore opening a database) reads and validates only the
+    small per-relation ``meta.json``, which is what lets a reopened
+    database answer ``len(rel)`` and plan from persisted statistics
+    before any scan (so ``row_count`` must equal what the scan returns).
     """
 
     __slots__ = (
@@ -217,11 +247,26 @@ class RelationStore:
 
     def __init__(self, path: str) -> None:
         self.path = path
-        try:
-            with open(os.path.join(path, "meta.json"), encoding="utf-8") as fh:
-                self.meta = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise StorageError(f"unreadable relation store at {path!r}: {exc}") from exc
+        manifest = os.path.join(path, "meta.json")
+        self.meta = meta = _load_manifest(manifest, ("name", "arity", "row_count", "partitions"))
+        parts = meta["partitions"]
+        well_formed = isinstance(meta["arity"], int) and isinstance(parts, list) and all(
+            isinstance(part, dict)
+            and isinstance(part.get("file"), str)
+            and isinstance(part.get("rows"), int)
+            and isinstance(part.get("minmax"), dict)
+            for part in parts
+        )
+        if not well_formed:
+            raise StorageError(
+                f"manifest {manifest!r} needs an integer arity and a file, "
+                "rows and minmax in every partition entry"
+            )
+        if sum(part["rows"] for part in parts) != meta["row_count"]:
+            raise StorageError(
+                f"manifest {manifest!r}: row_count {meta['row_count']!r} is not "
+                "the sum of its partitions' rows"
+            )
         self.counters = StoreCounters()
         self._dicts = None
         self._stats = False  # tri-state: False=unloaded, None=absent
@@ -258,7 +303,8 @@ class RelationStore:
         return dicts
 
     def load_stats(self):
-        """The persisted TableStats, or None when the spill had none."""
+        """The persisted TableStats, or None when the spill had none or
+        they no longer read (they are optional: the planner recomputes)."""
         stats = self._stats
         if stats is False:
             try:
@@ -269,18 +315,24 @@ class RelationStore:
         return stats
 
     def _unpickle(self, filename: str):
+        filename = os.path.join(self.path, filename)
         try:
-            with open(os.path.join(self.path, filename), "rb") as fh:
+            with open(filename, "rb") as fh:
                 return pickle.load(fh)
-        except (OSError, pickle.PickleError) as exc:
-            raise StorageError(
-                f"unreadable {filename} in relation store {self.path!r}: {exc}"
-            ) from exc
+        except (  # what pickle.load is documented to raise on damaged input
+            OSError, pickle.PickleError, EOFError, AttributeError, ImportError, IndexError
+        ) as exc:
+            raise StorageError(f"unreadable {filename!r}: {exc!r}") from exc
 
     # -- page reading -------------------------------------------------------
 
     def _read_columns(self, part: dict, live: tuple) -> dict:
-        """``{pos: array('q')}`` of the partition's live id pages."""
+        """``{pos: array('Q')}`` of the partition's live id pages.
+
+        Read *unsigned*: a valid id reads the same either way and a
+        negative one becomes too large for any dictionary, so the walk's
+        decode rejects both with the bounds check it performs anyway.
+        """
         filename = os.path.join(self.path, part["file"])
         if not filename.endswith(".bin"):
             raise StorageError(
@@ -292,26 +344,31 @@ class RelationStore:
         try:
             with open(filename, "rb") as fh:
                 header = fh.read(_PAGE_HEADER.size)
+                if len(header) != _PAGE_HEADER.size:
+                    raise StorageError(f"truncated page header in {filename!r}")
                 magic, version, ncols, hrows = _PAGE_HEADER.unpack(header)
                 if magic != _PAGE_MAGIC or version != _FORMAT_VERSION:
                     raise StorageError(
-                        f"bad partition page header in {filename!r}"
+                        f"bad partition page header in {filename!r}: "
+                        f"magic {magic!r}, version {version}"
                     )
                 if hrows != nrows or ncols != self.arity:
                     raise StorageError(
-                        f"partition page {filename!r} disagrees with manifest"
+                        f"partition page {filename!r} holds {hrows} rows x {ncols} "
+                        f"columns, its manifest says {nrows} x {self.arity}"
                     )
                 page = 8 * nrows
                 for pos in live:
                     fh.seek(_PAGE_HEADER.size + pos * page)
-                    ids = array("q")
-                    ids.frombytes(fh.read(page))
-                    if sys.byteorder != "little":
-                        ids.byteswap()
-                    if len(ids) != nrows:
+                    body = fh.read(page)
+                    if len(body) != page:
                         raise StorageError(
                             f"truncated id page in {filename!r} (column {pos})"
                         )
+                    ids = array("Q")
+                    ids.frombytes(body)
+                    if sys.byteorder != "little":
+                        ids.byteswap()
                     out[pos] = ids
         except OSError as exc:
             raise StorageError(f"unreadable partition page {filename!r}: {exc}") from exc
@@ -323,40 +380,48 @@ class RelationStore:
 
     # -- scanning -----------------------------------------------------------
 
-    def scan(self, projection=None, selection=(), params=None) -> list:
-        """Materialize matching rows, decoding only the live columns.
+    def _walk(self, projection, selection, params, buffers: dict | None = None) -> list:
+        """The one partition walk behind every reader: the matching rows.
 
         ``projection`` is a tuple of column positions the caller will
         read (None → all); ``selection`` a tuple of symbolic
-        ``(pos, op, spec)`` pushdown predicates.  Returned tuples are
-        always full-width — dead columns hold None, which is safe
-        exactly because the pushdown compiler proved nothing reads them.
+        ``(pos, op, spec)`` pushdown predicates.  Each partition the
+        manifest cannot prune is read (live columns only), decoded — an
+        id its dictionary never issued is a :class:`StorageError` here,
+        before any row or table exists — and pre-filtered on the pushed
+        predicates.  Rows are always full-width: dead columns hold None,
+        safe exactly because the pushdown compiler proved nothing reads
+        them.  With ``buffers`` (``encoded_scan``) the surviving ids of
+        each live column are appended to ``buffers[pos]`` as well.
         """
         resolved = _resolve_selection(selection, params)
         arity = self.arity
         if projection is None:
             live = tuple(range(arity))
         else:
-            live = set(projection)
-            if resolved is not None:
-                live.update(pos for pos, _, _ in resolved)
-            live = tuple(sorted(live))
+            live = tuple(sorted({*projection, *(pos for pos, _, _ in resolved)}))
         values = [d.values for d in self.load_dictionaries()]
+        # One output list, no per-partition pieces handed back: every extra
+        # live container per partition moves cold reads' full-GC cadence
+        # (ROADMAP item 6 has the measurement).
         rows: list = []
         template = [None] * arity
         for part in self.meta["partitions"]:
-            if resolved is not None and not all(
-                _partition_matches(part["minmax"], pos, op, value)
-                for pos, op, value in resolved
-            ):
+            if not _may_match(part, resolved):
                 self.counters.partitions_pruned += 1
                 continue
             columns = self._read_columns(part, live)
-            decoded = {
-                pos: [values[pos][i] for i in ids] for pos, ids in columns.items()
-            }
+            decoded = {}
+            for pos, ids in columns.items():
+                try:
+                    decoded[pos] = [values[pos][i] for i in ids]
+                except IndexError:
+                    raise StorageError(
+                        f"id page {os.path.join(self.path, part['file'])!r} holds an "
+                        f"id the dictionary of column {pos} never issued"
+                    ) from None
             keep = range(part["rows"])
-            if resolved is not None:
+            if resolved:
                 try:
                     keep = [
                         i
@@ -370,6 +435,13 @@ class RelationStore:
                     # A surprise comparison: hand the whole partition
                     # downstream, where the compiled filters re-check.
                     keep = range(part["rows"])
+            if buffers is not None:
+                for pos, ids in columns.items():
+                    buf = buffers.setdefault(pos, array("q"))
+                    if len(keep) == len(ids):
+                        buf.frombytes(ids.tobytes())
+                    else:
+                        buf.extend([ids[i] for i in keep])
             for i in keep:
                 row = template[:]
                 for pos in live:
@@ -377,158 +449,34 @@ class RelationStore:
                 rows.append(tuple(row))
         return rows
 
-    def scan_partition_groups(
-        self, k: int, projection=None, selection=(), params=None
-    ) -> list:
-        """``k`` row groups for the sharded executor, one scan's worth.
+    def scan(self, projection=None, selection=(), params=None) -> list:
+        """Materialize matching rows, decoding only the live columns."""
+        return self._walk(projection, selection, params)
 
-        Partition files are the natural shard unit: whole partitions are
-        dealt round-robin into ``k`` groups (pruned ones never read), so
-        each shard materializes a disjoint slice without any hash pass
-        over the data.  Correct whenever the lead scan needs no
-        alignment with a downstream join — every output row derives from
-        exactly one lead row, and the union of groups is the full scan.
-        """
-        resolved = _resolve_selection(selection, params)
-        arity = self.arity
-        if projection is None:
-            live = tuple(range(arity))
-        else:
-            live = set(projection)
-            if resolved is not None:
-                live.update(pos for pos, _, _ in resolved)
-            live = tuple(sorted(live))
-        values = [d.values for d in self.load_dictionaries()]
-        groups: list = [[] for _ in range(max(k, 1))]
-        template = [None] * arity
-        slot = 0
-        for part in self.meta["partitions"]:
-            if resolved is not None and not all(
-                _partition_matches(part["minmax"], pos, op, value)
-                for pos, op, value in resolved
-            ):
-                self.counters.partitions_pruned += 1
-                continue
-            columns = self._read_columns(part, live)
-            decoded = {
-                pos: [values[pos][i] for i in ids] for pos, ids in columns.items()
-            }
-            keep = range(part["rows"])
-            if resolved is not None:
-                try:
-                    keep = [
-                        i
-                        for i in keep
-                        if all(
-                            _CMP[op](decoded[pos][i], value)
-                            for pos, op, value in resolved
-                        )
-                    ]
-                except (TypeError, KeyError):
-                    keep = range(part["rows"])
-            bucket = groups[slot]
-            for i in keep:
-                row = template[:]
-                for pos in live:
-                    row[pos] = decoded[pos][i]
-                bucket.append(tuple(row))
-            slot = (slot + 1) % len(groups)
-        return groups
-
-    def encoded_table(self):
-        """The whole relation as one EncodedTable, straight from id pages.
+    def encoded_scan(self, projection=None, selection=(), params=None):
+        """An EncodedTable of the matching rows, straight from id pages.
 
         The persisted dictionaries produced the persisted ids, so the
-        pages concatenate into valid column vectors without any
-        re-encoding — a cold ``Relation.encoded()`` costs pure I/O plus
-        one decode pass for the aligned raw row list.
+        surviving ids concatenate into valid column vectors without any
+        re-encoding.  Dead columns are zero-fill placeholders (and None
+        in the aligned ``rows``), for the reason :meth:`_walk` gives.
         """
         from .vectors import ColumnVector, EncodedTable
 
         dicts = self.load_dictionaries()
-        arity = self.arity
-        live = tuple(range(arity))
-        buffers = [array("q") for _ in range(arity)]
-        for part in self.meta["partitions"]:
-            columns = self._read_columns(part, live)
-            for pos in live:
-                buffers[pos].extend(columns[pos])
-        values = [d.values for d in dicts]
-        n = self.row_count
-        rows = [
-            tuple(values[pos][buffers[pos][i]] for pos in live) for i in range(n)
-        ]
+        buffers: dict = {}
+        rows = self._walk(projection, selection, params, buffers)
+        n = len(rows)
+        zero = array("q", bytes(8 * n))
         columns = tuple(
-            ColumnVector(buffers[pos], dicts[pos]) for pos in live
+            ColumnVector(buffers.get(pos, zero), dicts[pos]) for pos in range(self.arity)
         )
         return EncodedTable(columns, rows, n)
 
-    def encoded_scan(self, projection=None, selection=(), params=None):
-        """A partial EncodedTable for the vector executor's leading scan.
-
-        Only matching partitions' rows appear, and only live columns are
-        read and carried as real id buffers — dead columns are zero-fill
-        placeholders, safe exactly because the pushdown compiler proved
-        no operator of the branch reads them (the aligned ``rows`` list
-        likewise holds None there).
-        """
-        from .vectors import ColumnVector, EncodedTable
-
-        dicts = self.load_dictionaries()
-        resolved = _resolve_selection(selection, params)
-        arity = self.arity
-        if projection is None:
-            live = tuple(range(arity))
-        else:
-            live = set(projection)
-            if resolved is not None:
-                live.update(pos for pos, _, _ in resolved)
-            live = tuple(sorted(live))
-        live_set = set(live)
-        values = [d.values for d in dicts]
-        buffers = {pos: array("q") for pos in live}
-        rows: list = []
-        template = [None] * arity
-        for part in self.meta["partitions"]:
-            if resolved is not None and not all(
-                _partition_matches(part["minmax"], pos, op, value)
-                for pos, op, value in resolved
-            ):
-                self.counters.partitions_pruned += 1
-                continue
-            columns = self._read_columns(part, live)
-            decoded = {
-                pos: [values[pos][i] for i in ids] for pos, ids in columns.items()
-            }
-            keep = range(part["rows"])
-            if resolved is not None:
-                try:
-                    keep = [
-                        i
-                        for i in keep
-                        if all(
-                            _CMP[op](decoded[pos][i], value)
-                            for pos, op, value in resolved
-                        )
-                    ]
-                except (TypeError, KeyError):
-                    keep = range(part["rows"])
-            for pos in live:
-                ids, buf = columns[pos], buffers[pos]
-                for i in keep:
-                    buf.append(ids[i])
-            for i in keep:
-                row = template[:]
-                for pos in live:
-                    row[pos] = decoded[pos][i]
-                rows.append(tuple(row))
-        n = len(rows)
-        zero = array("q", bytes(8 * n))
-        table_columns = tuple(
-            ColumnVector(buffers[pos] if pos in live_set else zero, dicts[pos])
-            for pos in range(arity)
-        )
-        return EncodedTable(table_columns, rows, n)
+    def encoded_table(self):
+        """The whole relation: :meth:`encoded_scan` with nothing pushed, so
+        a cold ``Relation.encoded()`` costs pure I/O plus one decode pass."""
+        return self.encoded_scan()
 
     def prune_fraction(self, restrictions) -> float:
         """Fraction of stored rows in partitions surviving ``restrictions``.
@@ -541,14 +489,8 @@ class RelationStore:
         total = self.row_count
         if not total or not restrictions:
             return 1.0
-        kept = 0
-        for part in self.meta["partitions"]:
-            if all(
-                _partition_matches(part["minmax"], pos, op, value)
-                for pos, op, value in restrictions
-            ):
-                kept += part["rows"]
-        return kept / total
+        parts = self.meta["partitions"]
+        return sum(p["rows"] for p in parts if _may_match(p, restrictions)) / total
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +600,8 @@ def open_database(path: str):
     from .database import Database
     from .relation import Relation
 
-    try:
-        with open(os.path.join(path, "meta.json"), encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise StorageError(f"unreadable database directory {path!r}: {exc}") from exc
+    manifest = os.path.join(path, "meta.json")
+    meta = _load_manifest(manifest)
     if meta.get("format") != _FORMAT:
         raise StorageError(
             f"{path!r} is not a {_FORMAT} database directory"
@@ -672,6 +611,8 @@ def open_database(path: str):
             f"{path!r} uses format version {meta['version']}, "
             f"newer than this reader ({_FORMAT_VERSION})"
         )
+    if not isinstance(meta.get("relations"), list):
+        raise StorageError(f"manifest {manifest!r} lacks ['relations']")
     db = Database(meta.get("name", "db"))
     for name in meta["relations"]:
         store = RelationStore(os.path.join(path, name))

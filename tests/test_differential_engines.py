@@ -84,6 +84,6 @@ def test_all_optimizer_modes_agree():
     db = paper.cad_database(infront=edges, mutual=False)
     system = instantiate(db, d.constructed("Infront", "ahead"))
     reference = naive_fixpoint(db, system)[system.root]
-    for optimizer in ("syntactic", "greedy", "cost"):
+    for optimizer in ("syntactic", "cost"):
         values = compile_fixpoint(db, system, options=ExecOptions(optimizer=optimizer)).run()
         assert values[system.root] == reference, optimizer

@@ -55,11 +55,11 @@ def make_session() -> Session:
 
 class TestExecOptionsAlgebra:
     def test_over_set_fields_win(self):
-        base = ExecOptions(executor="tuple", optimizer="greedy")
+        base = ExecOptions(executor="tuple", optimizer="syntactic")
         call = ExecOptions(executor="batch")
         merged = call.over(base)
         assert merged.executor == "batch"
-        assert merged.optimizer == "greedy"
+        assert merged.optimizer == "syntactic"
 
     def test_over_none_base_is_identity(self):
         opts = ExecOptions(executor="vector")
@@ -85,11 +85,21 @@ class TestExecOptionsAlgebra:
 
     def test_replace_returns_new_frozen_instance(self):
         opts = ExecOptions(executor="batch")
-        other = opts.replace(optimizer="greedy")
+        other = opts.replace(optimizer="syntactic")
         assert other is not opts
-        assert other.optimizer == "greedy" and other.executor == "batch"
+        assert other.optimizer == "syntactic" and other.executor == "batch"
         with pytest.raises(Exception):
             opts.executor = "tuple"
+
+    def test_retired_optimizer_name_is_just_an_unknown_one(self):
+        for name in ("greedy", "no-such-mode"):
+            with pytest.raises(
+                ValueError,
+                match=f"unknown optimizer '{name}'; expected 'cost' or 'syntactic'",
+            ):
+                compile_query(
+                    make_cad_db(), INFRONT_QUERY, options=ExecOptions(optimizer=name)
+                )
 
 
 PATHS = """
@@ -341,7 +351,6 @@ class TestObservableFallbacks:
             "interpreted",
             "construct",
             "process_pool",
-            "snapshot_sharded",
             "lowering",
             "vector_numpy",
         }

@@ -1,11 +1,12 @@
 """Serving-layer tests: compiled session routing, prepared queries, the
 plan cache, snapshot reads, and the writer/reader concurrency contract."""
 
+import os
 import threading
 
 import pytest
 
-from repro.compiler import EXECUTOR_NAMES
+from repro.compiler import EXECUTOR_NAMES, ShardConfig
 from repro.dbpl import (
     DatabaseSnapshot,
     PlanCache,
@@ -282,6 +283,48 @@ class TestSnapshots:
         s.insert("Fact", [(960 + i, "k1", "hot") for i in range(40)])
         for executor in EXECUTOR_NAMES:
             assert s.query(JOIN3, options=ExecOptions(executor=executor, snapshot=snap)) == expected
+
+    @pytest.mark.parametrize(
+        "pool",
+        [
+            "thread",
+            pytest.param(
+                "process",
+                marks=pytest.mark.skipif(
+                    not hasattr(os, "fork"), reason="no fork: threads + DBPL902"
+                ),
+            ),
+        ],
+    )
+    def test_sharded_executor_shards_the_pinned_state(self, pool):
+        """A snapshot execution under ``executor="sharded"`` shards, and
+        the split lead, the aligned build side and the source no shard
+        splits all read pinned rows only; it used to run unsharded and
+        report a fallback."""
+        join = (
+            "{<f.seq, g.w, h.note> OF EACH f IN Fact, EACH g IN Dim, "
+            "EACH h IN Ann: f.fk = g.k AND g.grp = h.grp}"
+        )
+        s = make_session()
+        config = ShardConfig(workers=3, min_rows=0, rows_per_shard=1, pool=pool)
+        prepared = s.prepare(
+            join, options=ExecOptions(executor="sharded", shard_config=config)
+        )
+        batch = ExecOptions(executor="batch")
+        before = s.query(join, options=batch)
+        snap = s.snapshot()
+        s.insert("Fact", [(900 + i, f"k{i % 9}", "hot") for i in range(100)])
+        s.relation("Fact").delete([(0, "k0", "cold")])
+        s.insert("Dim", [("k7", "g1", 140), ("k8", "g2", 160)])
+        s.relation("Dim").delete([("k2", "g2", 40)])
+        s.insert("Ann", [("g0", "extra")])
+        s.relation("Ann").delete([("g1", "note1")])
+        assert prepared.execute(snapshot=snap) == before
+        live = prepared.execute()
+        assert live == s.query(join, options=batch) and live != before
+        assert prepared.execute(snapshot=snap) == before  # and again, after a live run
+        assert "SHARDS k=3" in prepared.explain()
+        assert not any(s.fallbacks.values()), s.fallbacks
 
     def test_snapshot_that_cannot_be_honoured_is_refused(self, monkeypatch):
         """Constructed ranges and the interpreted paths read live state;

@@ -1,6 +1,7 @@
 """Out-of-core columnar storage: format round-trips, scan-time pushdown,
 partition pruning, persisted statistics, and the observable-degradation
-satellites (DBPL902/904) that rode along with PR 10."""
+satellite (DBPL902) that rode along with PR 10.  What a *damaged* store
+does is the flat fault table of ``test_storage_faults.py``."""
 
 import json
 import os
@@ -238,44 +239,37 @@ class TestPageCodec:
             cold.relation("People").rows()
 
 
-class TestPartitionShardUnits:
-    def test_sharded_scan_uses_partition_files_and_stays_cold(self, spilled):
+class TestOneWalk:
+    def test_encoded_table_is_encoded_scan_with_nothing_pushed(self, spilled):
+        _db, path = spilled
+        store = open_database(path).relation("People").cold_store
+        table, scan = store.encoded_table(), store.encoded_scan()
+        assert table.n == scan.n == 1000
+        assert table.rows == scan.rows == store.scan()
+        for left, right in zip(table.columns, scan.columns):
+            assert left.ids == right.ids and left.ids.typecode == "q"
+
+    def test_sharded_cold_lead_prunes_and_stays_cold(self, spilled):
+        # The shard planner reads a cold lead through the same pushed-down
+        # scan as any other backend: pruning composes with sharding.
         db, path = spilled
         cold = open_database(path)
-        expected = Session(db).query(SELECTIVE)
+        store = cold.relation("People").cold_store
         plan = compile_query(cold, parse_expression(SELECTIVE))
+        expected = plan.execute(ExecutionContext(cold), executor="batch")
+        assert expected == Session(db).query(SELECTIVE)
+        store.counters.reset()
         ctx = ExecutionContext(cold)
         ctx.shard_config = ShardConfig(workers=3, min_rows=0, rows_per_shard=1)
         got = plan.execute(ctx, executor="sharded")
         assert got == expected
+        assert store.counters.partitions_pruned == 9
+        assert store.counters.partitions_read == 1
         assert cold.relation("People").is_cold
-        assert "SHARDS" in plan.explain()
-
-    def test_partition_groups_prune_and_partition_disjointly(self, spilled):
-        _db, path = spilled
-        store = open_database(path).relation("People").cold_store
-        groups = store.scan_partition_groups(
-            3, selection=((0, ">=", ("const", "p0500")),)
-        )
-        assert len(groups) == 3
-        rows = [row for group in groups for row in group]
-        assert len(rows) == len(set(rows)) == 500
-        assert store.counters.partitions_pruned == 5
+        assert "SHARDS k=3" in plan.explain()
 
 
 class TestObservableDegradations:
-    def test_snapshot_demotes_sharded_with_dbpl904(self):
-        diags = []
-        s = Session(
-            make_people_db(), on_diagnostic=diags.append,
-            options=ExecOptions(executor="sharded"),
-        )
-        snap = s.snapshot()
-        s.query(SELECTIVE, options=ExecOptions(snapshot=snap))
-        assert s.fallbacks["snapshot_sharded"] == 1
-        assert [d.code for d in diags] == ["DBPL904"]
-        assert diags[0].severity == "hint"
-
     def test_process_pool_degrade_counts_with_dbpl902(self, monkeypatch):
         diags = []
         s = Session(make_people_db(), on_diagnostic=diags.append)
@@ -292,5 +286,4 @@ class TestObservableDegradations:
 
     def test_fallback_counters_cover_the_new_kinds(self):
         s = Session(make_people_db())
-        for kind in ("process_pool", "snapshot_sharded"):
-            assert s.fallbacks[kind] == 0
+        assert s.fallbacks["process_pool"] == 0
