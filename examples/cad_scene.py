@@ -10,6 +10,7 @@ recursive constructor pair of section 3.1.
 from repro.calculus import dsl as d
 from repro.compiler import compile_statement
 from repro.constructors import apply_constructor
+from repro.dbpl import Session
 from repro.workloads import generate_scene
 
 scene = generate_scene(rooms=3, row_length=4, stack_height=2, stacks_per_room=1)
@@ -36,7 +37,9 @@ if vases:
           + ", ".join(sorted(low for (high, low) in above.rows if high == vase)))
 
 # A compiled query over the constructed relation: what is ahead of the
-# first chair, through the full three-level compilation pipeline?
+# first chair, through the full three-level compilation pipeline?  The
+# session front door compiles through the same level, so the DBPL text
+# and the hand-built statement must agree.
 chairs = sorted(name for (name, kind) in scene.objects if kind == "chair")
 target = chairs[0]
 query = d.query(
@@ -48,6 +51,11 @@ query = d.query(
 )
 statement = compile_statement(db, query)
 rows = statement.run()
+session = Session(db)
+text = f'{{<r.head> OF EACH r IN Infront{{ahead(Ontop)}}: r.tail = "{target}"}}'
+assert session.query(text) == rows
+assert not any(session.fallbacks.values())
 print(f"\nobjects ahead of {target}: {sorted(r[0] for r in rows)}")
+print("OK: Session.query and compile_statement agree")
 print("\ncompiled statement:")
 print(statement.explain())

@@ -48,7 +48,9 @@ def render_range(rng: ast.RangeExpr) -> str:
     if isinstance(rng, ast.QueryRange):
         return render_query(rng.query)
     if isinstance(rng, ast.ApplyVar):
-        return f"@{rng.token}"
+        # An instantiated application's key (duck-typed: layering) reads
+        # as its constructor, like the plan steps that scan it.
+        return f"@{getattr(rng.token, 'constructor', rng.token)}"
     raise TypeError(f"not a range: {rng!r}")
 
 

@@ -15,6 +15,18 @@ which benchmarks E12 and E16 measure.  Each per-iteration result is
 applied through a :class:`~repro.compiler.operators.DeltaApply`
 operator whose counters surface in :meth:`CompiledFixpoint.explain`.
 
+:func:`compile_application` is the one way from a constructor
+application to its program (instantiate → positivity →
+:func:`compile_fixpoint`): the statement compiler
+(:func:`~repro.compiler.levels.compile_statement`, i.e. the session
+front door), :func:`construct_compiled` and fixpoint subscriptions all
+come through it.  A non-positive system is a
+:class:`~repro.errors.PositivityError` (section 3.3); a positive one
+whose fixpoint variables occur outside binding ranges is a
+:class:`~repro.errors.TranslationError` — outside the compilable
+fragment, which the statement compiler answers with the interpreted
+engine (observably: DBPL901) and subscriptions refuse.
+
 The default ``executor="batch"`` runs the **columnar** pipelines: each
 iteration's delta sets are hashed once per execution context and probed
 through C-level column kernels, residual quantifiers are checked once
@@ -39,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..calculus import ast
+from ..constructors.api import ConstructionResult
 from ..constructors.engines import (
     FixpointStats,
     _branch_apply_positions,
@@ -52,7 +65,8 @@ from ..constructors.instantiate import (
     base_relation_names,
     instantiate,
 )
-from ..errors import ConvergenceError, PositivityError
+from ..constructors.positivity import is_system_positive
+from ..errors import ConvergenceError, PositivityError, TranslationError
 from ..relational import Database, DeltaStats
 from .operators import DeltaApply
 from .options import DEFAULT_OPTIONS, ExecOptions
@@ -428,9 +442,9 @@ def compile_fixpoint(
         options = DEFAULT_OPTIONS
     optimizer = options.resolved_optimizer
     if not seminaive_eligible(system):
-        raise PositivityError(
-            "compiled fixpoint execution requires fixpoint variables to occur "
-            "only as direct binding ranges"
+        raise TranslationError(
+            "outside the compilable fragment: a fixpoint variable occurs "
+            "outside a binding range"
         )
     estimates = fixpoint_apply_estimates(db, system)
     base_model = CostModel(db)
@@ -473,6 +487,34 @@ def compile_fixpoint(
     )
 
 
+def compile_application(
+    db: Database,
+    application: ast.Constructed,
+    replan_drift: float | None = REPLAN_DRIFT,
+    *,
+    options: ExecOptions | None = None,
+    on_fallback=None,
+) -> CompiledFixpoint:
+    """One constructor application → its compiled fixpoint program.
+
+    The one copy of instantiate → positivity → :func:`compile_fixpoint`
+    (the statement compiler, :func:`construct_compiled` and fixpoint
+    subscriptions all come through here): a non-positive system is the
+    section 3.3 rejection (:class:`PositivityError`), a positive one
+    outside the compilable fragment a :class:`TranslationError`.
+    ``on_fallback`` is installed as the program's
+    :attr:`CompiledFixpoint.on_fallback` hook.
+    """
+    system = instantiate(db, application)
+    if not is_system_positive(system):
+        raise PositivityError(
+            f"instantiated system for {system.root.describe()} is not positive"
+        )
+    program = compile_fixpoint(db, system, replan_drift, options=options)
+    program.on_fallback = on_fallback
+    return program
+
+
 def construct_compiled(
     db: Database,
     application: ast.Constructed,
@@ -482,28 +524,17 @@ def construct_compiled(
     options: ExecOptions | None = None,
     on_fallback=None,
 ):
-    """Compiled counterpart of :func:`repro.constructors.construct`.
-
-    ``on_fallback`` is installed as the program's
-    :attr:`CompiledFixpoint.on_fallback` hook before it runs.
-    """
-    from ..constructors.api import ConstructionResult
-    from ..constructors.positivity import is_system_positive
-
-    system = instantiate(db, application)
-    if not is_system_positive(system):
-        raise PositivityError(
-            f"instantiated system for {system.root.describe()} is not positive"
-        )
-    program = compile_fixpoint(db, system, replan_drift=replan_drift,
-                               options=options)
-    program.on_fallback = on_fallback
+    """Compiled counterpart of :func:`repro.constructors.construct`:
+    :func:`compile_application`, then one run from empty."""
+    program = compile_application(
+        db, application, replan_drift, options=options, on_fallback=on_fallback
+    )
     stats = FixpointStats()
     values = program.run(max_iterations, stats)
-    root_app = system.apps[system.root]
+    system = program.system
     return ConstructionResult(
         rows=values[system.root],
-        result_type=root_app.result_type,
+        result_type=system.apps[system.root].result_type,
         stats=stats,
         system=system,
         values=values,

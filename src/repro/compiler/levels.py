@@ -10,14 +10,20 @@ programming language compiler:
 
 2. **Query compilation level** (:func:`compile_statement`) — per query
    form: inline non-recursive applications (Cases 1–3), instantiate the
-   remaining applications into fixpoint systems, detect recursive cycles
-   on the clause-interconnectivity structure, generate compiled fixpoint
-   programs plus a compiled top query plan, and — when a bound-argument
-   special case is detected — a goal-directed specialization.
+   remaining closed applications into fixpoint systems, detect recursive
+   cycles on the clause-interconnectivity structure, generate compiled
+   fixpoint programs plus a compiled top query plan, and — when a
+   bound-argument special case is detected — note the goal-directed
+   specialization (detected and explained, not executed).  This is the
+   level ``Session.query``/``prepare`` compile through: every
+   :class:`~repro.dbpl.serving.PreparedPlan` whose shape mentions a
+   constructor application holds a :class:`CompiledStatement`.
 
-3. **Runtime support level** (:class:`CompiledStatement.run`) — execute
-   the generated program against the current database state, optionally
-   through logical/physical access paths (:mod:`.accesspath`).
+3. **Runtime support level** (``PreparedPlan.run`` at the front door,
+   :meth:`CompiledStatement.run` for library callers) — solve the
+   generated fixpoint programs against the current database state
+   (:meth:`CompiledStatement.solve`), bind their values as the top
+   plan's apply values, execute the top plan.
 """
 
 from __future__ import annotations
@@ -25,15 +31,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..calculus import ast
-from ..calculus.analysis import free_range_names
+from ..calculus.analysis import free_range_names, free_tuple_vars
+from ..calculus.subst import map_children
+from ..constructors.api import solve_system
 from ..constructors.instantiate import AppKey, InstantiatedSystem, instantiate
 from ..constructors.positivity import definition_violations
+from ..errors import TranslationError
 from ..relational import Database
-from .fixpoint import CompiledFixpoint, compile_fixpoint, fixpoint_apply_estimates
+from .fixpoint import CompiledFixpoint, compile_application, fixpoint_apply_estimates
 from .graphutils import Digraph, connected_components, recursive_nodes
-from .options import ExecOptions
+from .options import DEFAULT_OPTIONS, ExecOptions
 from .plans import (
-    DEFAULT_OPTIMIZER,
     CostModel,
     ExecutionContext,
     PlanStats,
@@ -112,6 +120,15 @@ class CompiledStatement:
     top_plan: QueryPlan
     plan_stats: PlanStats = field(default_factory=PlanStats)
     pushdown_decisions: list[PushdownDecision] = field(default_factory=list)
+    #: Positive systems outside the compilable fragment, with the
+    #: compiler's reason: the interpreted engine solves them per run.
+    interpreted: dict[AppKey, tuple[InstantiatedSystem, str]] = field(
+        default_factory=dict
+    )
+    #: The apply token when the top query is ``{EACH v IN <apply>: TRUE}``
+    #: — its answer *is* that value, no scan or dedup needed.
+    identity: object | None = None
+    shard_config: object | None = None
 
     def explain(self) -> str:
         lines = ["query compilation level:"]
@@ -123,6 +140,8 @@ class CompiledStatement:
             lines.append(f"  fixpoint program for {key.describe()}:")
             for line in program.explain().splitlines():
                 lines.append(f"    {line}")
+        for key, (_system, why) in self.interpreted.items():
+            lines.append(f"  interpreted fixpoint for {key.describe()}: {why}")
         lines.append("  top plan:")
         for line in self.top_plan.explain().splitlines():
             lines.append(f"    {line}")
@@ -130,56 +149,118 @@ class CompiledStatement:
 
     # -- Level 3: runtime ---------------------------------------------------------
 
+    def solve(self, on_fallback=None) -> dict[object, frozenset]:
+        """Every fixpoint variable's value against the live database.
+
+        ``on_fallback(kind, detail)`` observes executor degradations of
+        the compiled programs and one ``"construct"`` report per
+        interpreted system.
+        """
+        apply_values: dict[object, frozenset] = {}
+        for program in self.fixpoints.values():
+            program.on_fallback = on_fallback
+            apply_values.update(program.run())
+        for key, (system, why) in self.interpreted.items():
+            if on_fallback is not None:
+                on_fallback(
+                    "construct",
+                    f"{key.describe()} ran on the interpreted fixpoint engine: {why}",
+                )
+            apply_values.update(solve_system(self.db, system).values)
+        return apply_values
+
     def run(self, params: dict | None = None) -> set[tuple]:
         """Execute: fixpoints first (bottom-up), then the top plan."""
-        apply_values: dict[object, set] = {}
-        for _key, program in self.fixpoints.items():
-            values = program.run()
-            for app_key, rows in values.items():
-                apply_values[app_key] = set(rows)
+        apply_values = self.solve()
+        if self.identity is not None:
+            return set(apply_values[self.identity])
         ctx = ExecutionContext(self.db, params, apply_values, self.plan_stats)
+        ctx.shard_config = self.shard_config
         return self.top_plan.execute(ctx)
 
 
-def compile_statement(
-    db: Database, query: ast.Query, optimizer: str = DEFAULT_OPTIMIZER
-) -> CompiledStatement:
-    """Level 2: produce an executable program for one query form."""
-    inlined, pushdown_decisions = cost_gated_inline(db, query)
+def _is_closed(application: ast.Constructed) -> bool:
+    """True when neither base nor arguments mention an enclosing tuple
+    variable or a parameter slot — the value is the same for every row
+    and every rebinding, so one fixpoint program computes it."""
+    return not free_tuple_vars(application) and not any(
+        isinstance(n, ast.ParamRef) for n in ast.walk(application)
+    )
 
-    # Instantiate every remaining (recursive) application and replace it
-    # with its fixpoint variable in the query.
+
+def compile_statement(
+    db: Database,
+    query: ast.Query,
+    params: dict | None = None,
+    *,
+    options: ExecOptions | None = None,
+) -> CompiledStatement:
+    """Level 2: produce an executable program for one query form.
+
+    Non-recursive applications are inlined where the cost gate approves;
+    every remaining **closed** application — binding range, quantifier
+    range or nested — becomes a fixpoint variable: a compiled program,
+    or, for a positive system outside the compilable fragment, a system
+    the interpreted engine solves per run.  An open application (one
+    correlated with an enclosing tuple variable or parameter) stays with
+    the residual evaluator.  ``options`` reach the fixpoint programs and
+    the top plan alike.
+    """
+    if options is None:
+        options = DEFAULT_OPTIONS
+    inlined, pushdown_decisions = cost_gated_inline(db, query, params=params)
+
     fixpoints: dict[AppKey, CompiledFixpoint] = {}
     specializations: dict[AppKey, LinearTC] = {}
-    systems: dict[AppKey, InstantiatedSystem] = {}
-
-    from ..calculus.subst import transform
-
-    def intern(n: ast.Node) -> ast.Node | None:
-        if isinstance(n, ast.Constructed):
-            system = instantiate(db, n)
-            root = system.apps[system.root]
-            systems[system.root] = system
-            return ast.ApplyVar(system.root, root.result_type.element)
-        return None
-
-    rewritten: ast.Query = transform(inlined, intern)  # type: ignore[assignment]
-
+    interpreted: dict[AppKey, tuple[InstantiatedSystem, str]] = {}
     top_estimates: dict[object, float] = {}
-    for key, system in systems.items():
+    interned: dict[ast.Constructed, ast.ApplyVar] = {}
+
+    def intern(n: ast.Constructed) -> ast.ApplyVar:
+        try:
+            program = compile_application(db, n, options=options)
+        except TranslationError as exc:
+            # Positive (compile_application checked) but not compilable.
+            system = instantiate(db, n)
+            interpreted[system.root] = (system, str(exc))
+        else:
+            system = program.system
+            fixpoints[system.root] = program
         shape = detect_linear_tc(db, system)
         if shape is not None:
-            specializations[key] = shape
-        fixpoints[key] = compile_fixpoint(
-            db, system, options=ExecOptions(optimizer=optimizer)
-        )
+            specializations[system.root] = shape
         top_estimates.update(fixpoint_apply_estimates(db, system))
+        root = system.apps[system.root]
+        return ast.ApplyVar(system.root, root.result_type.element)
+
+    def rewrite(n: ast.Node) -> ast.Node:
+        # Outermost first: a nested application belongs to its parent's
+        # system, and an open one keeps its whole subtree.
+        if not isinstance(n, ast.Constructed):
+            return map_children(n, rewrite)
+        if not _is_closed(n):
+            return n
+        if n not in interned:
+            interned[n] = intern(n)
+        return interned[n]
+
+    rewritten: ast.Query = rewrite(inlined)  # type: ignore[assignment]
+    identity = None
+    if len(rewritten.branches) == 1:
+        (branch,) = rewritten.branches
+        if (
+            branch.targets is None
+            and branch.pred == ast.TRUE
+            and len(branch.bindings) == 1
+            and isinstance(branch.bindings[0].range, ast.ApplyVar)
+        ):
+            identity = branch.bindings[0].range.token
 
     # The top plan joins against materialized fixpoint values: price those
     # ApplyVars with the same full-value estimates the fixpoints used.
     top_plan = compile_query(
-        db, rewritten, cost_model=CostModel(db, top_estimates),
-        options=ExecOptions(optimizer=optimizer),
+        db, rewritten, params, cost_model=CostModel(db, top_estimates),
+        options=options,
     )
     return CompiledStatement(
         db=db,
@@ -189,4 +270,7 @@ def compile_statement(
         specializations=specializations,
         top_plan=top_plan,
         pushdown_decisions=pushdown_decisions,
+        interpreted=interpreted,
+        identity=identity,
+        shard_config=options.shard_config,
     )

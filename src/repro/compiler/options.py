@@ -1,8 +1,9 @@
 """One execution-options surface for every compilation entry point.
 
 Every front door (``Session``/``Session.query``/``prepare``/
-``subscribe``, ``compile_query``, ``run_query``, ``compile_fixpoint``,
-``construct_compiled``, ``DatalogEngine.solve``/``solve_compiled``)
+``subscribe``, ``compile_query``, ``run_query``, ``compile_statement``,
+``compile_fixpoint``, ``construct_compiled``,
+``DatalogEngine.solve``/``solve_compiled``)
 takes its execution knobs — executor, optimizer, shard configuration,
 analysis policy, snapshot — one way: a frozen :class:`ExecOptions`
 passed as ``options=``.  ``None`` fields mean "inherit the caller's
@@ -62,7 +63,8 @@ class ExecOptions:
         A :class:`~repro.dbpl.serving.DatabaseSnapshot` pinning the
         relation state compiled set formers read (session front doors
         only; refused with ``ValueError`` where it cannot be honoured —
-        subscriptions, constructed ranges, interpreted modes).
+        subscriptions, a statement that runs a fixpoint, the
+        interpreted mode).
     """
 
     executor: str | None = None

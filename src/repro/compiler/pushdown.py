@@ -170,6 +170,7 @@ def cost_gated_inline(
     query: ast.Query,
     cost_model=None,
     always_inline: bool = False,
+    params: dict | None = None,
 ) -> tuple[ast.Query, list[PushdownDecision]]:
     """Inline non-recursive applications when the cost model approves.
 
@@ -184,7 +185,9 @@ def cost_gated_inline(
     pushed-down *range* restriction is priced from the base column's
     equi-depth histogram exactly as it would be in the final plan — a
     selective range pushdown now wins the gate on its measured
-    selectivity rather than on a blind constant.
+    selectivity rather than on a blind constant.  ``params`` are the
+    query's parameter bindings (a prepared shape's constant slots), so a
+    parameterized restriction is priced like the literal it replaced.
     """
     from .plans import CostModel, estimate_branch, estimate_query
 
@@ -226,10 +229,10 @@ def cost_gated_inline(
                     )[0]
                 materialize_cost = (
                     body_costs[binding.range]
-                    + estimate_branch(db, branch, cost_model=cost_model)[0]
+                    + estimate_branch(db, branch, params, cost_model)[0]
                 )
                 inline_cost = sum(
-                    estimate_branch(db, b, cost_model=cost_model)[0]
+                    estimate_branch(db, b, params, cost_model)[0]
                     for b in candidate
                 )
                 from ..calculus.pretty import render_range

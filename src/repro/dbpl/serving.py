@@ -13,10 +13,12 @@ module is the parse-once/bind-per-message split:
   textually different queries that differ only in those constants share
   one shape — and therefore one compiled plan.
 * :class:`PreparedPlan` compiles a shape once (through
-  :func:`repro.compiler.compile_query` and the executor-backend
-  registry) and executes it many times, rebinding the constant slots in
-  place — the generated kernels read parameter values at run time, so a
-  rebind costs a dict update, not a recompilation.
+  :func:`repro.compiler.compile_query` — or, when the shape mentions a
+  constructor application, :func:`repro.compiler.compile_statement`,
+  whose fixpoint programs then live in the plan cache with it — and the
+  executor-backend registry) and executes it many times, rebinding the
+  constant slots in place — the generated kernels read parameter values
+  at run time, so a rebind costs a dict update, not a recompilation.
 * :class:`PlanCache` is a bounded LRU over **plan fingerprints**
   ``(shape,) + ExecOptions.cache_key()`` scoped to the statistics epoch of
   :meth:`repro.relational.stats.StatsCatalog.epoch`: when the catalog
@@ -37,7 +39,9 @@ Snapshot scope: relation *scans and join probes* are pinned.  Computed
 sub-ranges (selected ranges, nested queries) and residual predicates
 resolve against the live database — crash-free, because everything a
 relation hands a reader is an immutable generation of one committed
-state, but they read latest-committed.
+state, but they read latest-committed.  A statement that runs a
+fixpoint would read live state wholesale, so :meth:`PreparedPlan.run`
+refuses a snapshot for it (``ValueError``) rather than drop it.
 """
 
 from __future__ import annotations
@@ -46,8 +50,9 @@ import threading
 from collections import OrderedDict
 
 from ..calculus import ast
+from ..calculus.analysis import uses_constructed_ranges
 from ..calculus.subst import transform
-from ..compiler import ExecutionContext, compile_query
+from ..compiler import ExecutionContext, compile_query, compile_statement
 from ..compiler.executors import get_backend
 from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
 from ..compiler.plans import PlanStats
@@ -62,6 +67,15 @@ DEFAULT_PLAN_CACHE_SIZE = 128
 #: parameter names are plain identifiers, so the dunder prefix cannot
 #: collide with user parameters.
 _SLOT_PREFIX = "__bind_"
+
+#: The bare ranges the front door accepts as queries (:func:`range_query`
+#: desugars them).
+BARE_RANGES = (ast.RelRef, ast.Selected, ast.Constructed, ast.QueryRange)
+
+SNAPSHOT_REFUSED = (
+    "snapshot= pins the relations a compiled set former reads; fixpoint "
+    "programs and the interpreted evaluator read live state"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +121,10 @@ def parameterize(query: ast.Query) -> tuple[ast.Query, tuple]:
 def range_query(rexpr: ast.RangeExpr) -> ast.Query:
     """Desugar a bare range into the one-branch query that scans it.
 
-    ``Infront`` or ``Infront[hidden_by("x")]`` become ``{EACH __row IN
-    <range>: TRUE}``, so the whole session front door — not just set
-    formers — runs through the compiled executor pipeline.
+    ``Infront``, ``Infront[hidden_by("x")]`` or ``Infront{ahead()}``
+    become ``{EACH __row IN <range>: TRUE}``, so the whole session front
+    door — not just set formers — runs through the one query-compilation
+    level.
     """
     if isinstance(rexpr, ast.QueryRange):
         return rexpr.query
@@ -131,6 +146,14 @@ class PreparedPlan:
     restrictions, index-vs-scan gates); rebinding keeps that join order,
     the classic prepared-statement trade.
 
+    A shape that mentions a constructor application compiles through
+    :func:`repro.compiler.compile_statement` (the paper's query
+    compilation level): ``statement`` holds its fixpoint programs,
+    ``plan`` is its top plan, and every execution solves the fixpoints
+    against the live database first and binds their values as the top
+    plan's apply values.  Any other shape is a bare ``compile_query``
+    and ``statement`` is None.
+
     Executions serialize on a per-plan lock: the slot rebind and the
     pipeline run must be atomic with respect to other executors of the
     *same* plan (different plans never contend).
@@ -146,6 +169,7 @@ class PreparedPlan:
         "shard_config",
         "epoch",
         "plan",
+        "statement",
         "executions",
         "on_fallback",
         "_params",
@@ -184,7 +208,14 @@ class PreparedPlan:
         self.on_fallback = None
         self._params = dict(zip(self.param_names, constants))
         self._lock = threading.Lock()
-        self.plan = compile_query(db, shape, self._params, options=options)
+        if uses_constructed_ranges(shape):
+            self.statement = compile_statement(
+                db, shape, self._params, options=options
+            )
+            self.plan = self.statement.top_plan
+        else:
+            self.statement = None
+            self.plan = compile_query(db, shape, self._params, options=options)
 
     def run(
         self,
@@ -202,7 +233,18 @@ class PreparedPlan:
             params = self._params
             for name, value in zip(self.param_names, constants):
                 params[name] = value
-            ctx = ExecutionContext(self.db, params, stats=stats)
+            apply_values = None
+            statement = self.statement
+            if statement is not None:
+                if snapshot is not None and (
+                    statement.fixpoints or statement.interpreted
+                ):
+                    raise ValueError(SNAPSHOT_REFUSED)
+                apply_values = statement.solve(self.on_fallback)
+                if statement.identity is not None:
+                    self.executions += 1
+                    return set(apply_values[statement.identity])
+            ctx = ExecutionContext(self.db, params, apply_values, stats)
             ctx.shard_config = self.shard_config
             ctx.on_fallback = self.on_fallback
             if snapshot is not None:
@@ -211,7 +253,8 @@ class PreparedPlan:
             return self.plan.execute(ctx, executor=self.executor)
 
     def explain(self) -> str:
-        return self.plan.explain()
+        compiled = self.plan if self.statement is None else self.statement
+        return compiled.explain()
 
 
 class PreparedQuery:

@@ -10,17 +10,25 @@ former or a selected/constructed range — and returns the raw rows;
 This is the programmer-facing surface of the reproduction: the paper's
 examples run verbatim (see ``examples/dbpl_tour.py``).
 
-Queries run through the compiled executor pipeline
-(:func:`repro.compiler.compile_query` + the executor-backend registry),
-behind a per-session :class:`~repro.dbpl.serving.PlanCache`: repeated
-queries that differ only in compared constants share one compiled plan,
-rebinding constants per call.  Recursive ``Rel{con(args)}`` ranges run
-the compiled fixpoint engine.  The knobs:
+Queries run through the compiled executor pipeline — the paper's one
+query-compilation level (:func:`repro.compiler.compile_statement` where
+the query mentions a constructor application, a bare
+:func:`repro.compiler.compile_query` otherwise, plus the
+executor-backend registry) — behind a per-session
+:class:`~repro.dbpl.serving.PlanCache`: repeated queries that differ
+only in compared constants share one compiled plan, rebinding constants
+per call.  A constructed range ``Rel{con(args)}`` is a range like any
+other, bare or inside a set former: non-recursive applications inline,
+the rest become compiled fixpoint programs cached with the plan and
+re-run against live state per execution.  :meth:`Session.subscribe` is
+the one place that still asks whether the query *is* a constructed
+range — to pick the maintenance strategy.  The knobs:
 
 * ``query(..., mode="interpreted")`` forces the reference tuple-at-a-time
   evaluator (the semantic baseline every backend is tested against);
-  ``mode="naive"``/``"seminaive"`` pick an interpreted fixpoint engine
-  for constructed ranges.
+  ``mode`` is ``"auto"`` or ``"interpreted"``, anything else a
+  ``ValueError`` (``construct(db, node, mode=...)`` is the library API
+  for choosing an interpreted fixpoint engine).
 * ``options=ExecOptions(executor=...)`` on ``Session(...)`` or a single
   ``query``/``prepare``/``subscribe`` call selects a registered backend
   (``batch``, ``vector``, ``sharded``; ``tuple``/``rowbatch`` baselines).
@@ -33,8 +41,10 @@ the compiled fixpoint engine.  The knobs:
   writers.
 
 Query shapes the compiler cannot translate fall back to the interpreted
-evaluator transparently (compile-time errors only — runtime errors
-propagate).
+evaluator, and positive constructors outside the compiled fixpoint
+fragment to the interpreted fixpoint engine — both counted in
+``Session.fallbacks`` and hinted (DBPL900/901; compile-time errors
+only — runtime errors propagate).
 
 Every query and declaration also passes through the static analyzer
 (:mod:`repro.analysis`) before touching the planner.  ``Session.check``
@@ -56,16 +66,14 @@ from typing import TYPE_CHECKING
 from ..analysis.diagnostics import Diagnostic, Diagnostics, Span
 from ..calculus import ast
 from ..calculus.evaluator import Evaluator
-from ..compiler import construct_compiled
 from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
-from ..constructors import construct
 from ..constructors.definition import Constructor
 from ..errors import (
     AnalysisError,
     BindingError,
     DBPLError,
     DBPLSyntaxError,
-    TranslationError,
+    PositivityError,
 )
 from ..relational import Database
 from ..selectors import Parameter, SelectedRelation, Selector
@@ -92,7 +100,9 @@ from .astnodes import (
 )
 from .parser import parse_expression, parse_module
 from .serving import (
+    BARE_RANGES,
     DEFAULT_PLAN_CACHE_SIZE,
+    SNAPSHOT_REFUSED,
     DatabaseSnapshot,
     PlanCache,
     PreparedPlan,
@@ -126,14 +136,13 @@ _DECL_KEYWORDS = ("MODULE", "TYPE", "VAR", "SELECTOR", "CONSTRUCTOR")
 
 _ANALYSIS_CACHE_SIZE = 256
 
-_SNAPSHOT_REFUSED = (
-    "snapshot= pins the relations a compiled set former reads; constructed "
-    "ranges and the interpreted evaluator read live state"
-)
+#: ``Session.query(mode=)``: the compiled front door, or the oracle.
+_QUERY_MODES = ("auto", "interpreted")
 
 #: Every way execution can leave the requested path, and the hint code
-#: that reports it.  The first two are compile-time detours taken by
-#: :meth:`Session.query` itself; the rest are runtime degradations the
+#: that reports it.  The first two are compile-time detours (taken by
+#: :meth:`Session.query` itself and by the statement compiler, reported
+#: per execution); the rest are runtime degradations the
 #: executors report through ``ExecutionContext.note_fallback`` — the
 #: compiled path was kept, but not the requested physical strategy.
 #: Five kinds.  Codes are never renumbered; a gap is a retired
@@ -142,7 +151,8 @@ _SNAPSHOT_REFUSED = (
 _FALLBACK_CODES = {
     # DBPLError at compile time → the reference evaluator re-ran the query
     "interpreted": "DBPL900",
-    # compiled fixpoint would not translate → interpreted fixpoint engine
+    # a positive system outside the compiled fixpoint fragment →
+    # interpreted fixpoint engine
     "construct": "DBPL901",
     # ShardConfig(pool="process") ran on threads (no fork)
     "process_pool": "DBPL902",
@@ -262,8 +272,9 @@ class Session:
 
         The one sink for every kind in ``_FALLBACK_CODES``: the session's
         own compile-time detours and — installed as the ``on_fallback``
-        hook of prepared plans and compiled fixpoints — the executors'
-        runtime degradations.  No result changes; a kind outside the
+        hook of prepared plans, their fixpoint programs and
+        subscriptions — the statement compiler's interpreted systems
+        and the executors' runtime degradations.  No result changes; a kind outside the
         table is a bug in whoever reported it (``KeyError``).
         """
         code = _FALLBACK_CODES[kind]
@@ -404,59 +415,42 @@ class Session:
     ) -> set[tuple]:
         """Evaluate a query expression; returns the raw row set.
 
-        The default path compiles the query (through the session plan
-        cache) and runs it on a registered executor backend;
-        ``mode="interpreted"`` forces the reference evaluator instead,
-        and ``mode="naive"``/``"seminaive"`` pick an interpreted
-        fixpoint engine for constructed ranges.  Execution knobs arrive
-        on ``options`` (layered over the session's own); a snapshot pins
-        the relation state compiled set formers read (see
-        :meth:`snapshot`).  Constructed ranges and the interpreted modes
-        read live state, so a snapshot passed with either — or with a
-        set former that turns out to need the interpreted fallback — is
-        a ``ValueError``: a repeatable read is honoured or refused,
-        never dropped.
+        The default path (``mode="auto"``) compiles the query (through
+        the session plan cache) and runs it on a registered executor
+        backend; ``mode="interpreted"`` forces the reference evaluator
+        instead; any other mode is a ``ValueError``.  Execution knobs
+        arrive on ``options`` (layered over the session's own); a
+        snapshot pins the relation state compiled set formers read (see
+        :meth:`snapshot`).  A statement that runs a fixpoint (a
+        constructed range, bare or inside a set former, that was not
+        inlined away) and the interpreted mode read live state, so a
+        snapshot passed with either — or with a set former that turns
+        out to need the interpreted fallback — is a ``ValueError``: a
+        repeatable read is honoured or refused, never dropped.
 
         Fallbacks off the compiled path are observable: untranslatable
-        set formers re-run on the reference evaluator and constructed
-        ranges whose fixpoint will not compile re-run on the interpreted
-        engine — each bumping :attr:`fallbacks` and emitting a DBPL90x
-        hint to ``on_diagnostic``.  Only compile-time
+        set formers re-run on the reference evaluator, and a positive
+        constructor whose fixpoint will not compile (a recursive
+        occurrence under ``SOME``, say) is solved by the interpreted
+        engine inside an otherwise compiled plan — each bumping
+        :attr:`fallbacks` and emitting a DBPL90x hint to
+        ``on_diagnostic`` per query.  Only a compile-time
         :class:`TranslationError` triggers the constructed-range
-        fallback; an :class:`EvaluationError` mid-execution propagates
-        (re-running after partial evaluation would hide real bugs).
+        fallback; a non-positive constructor is the section 3.3
+        :class:`PositivityError` on every spelling, and an
+        :class:`EvaluationError` mid-execution propagates (re-running
+        after partial evaluation would hide real bugs).
         """
+        if mode not in _QUERY_MODES:
+            raise ValueError(f"mode must be one of {_QUERY_MODES}, got {mode!r}")
         options = self._call_options(options)
         node = parse_expression(source)
-        if options.snapshot is not None and (
-            mode in ("interpreted", "naive", "seminaive")
-            or isinstance(node, ast.Constructed)
-        ):
-            raise ValueError(_SNAPSHOT_REFUSED)
+        if options.snapshot is not None and mode == "interpreted":
+            raise ValueError(SNAPSHOT_REFUSED)
         analysis = self._gate(node, source, options.analysis)
         if mode == "interpreted":
             return self._query_interpreted(node, source)
-        if isinstance(node, ast.Constructed):
-            if mode in ("naive", "seminaive"):
-                return set(construct(self.db, node, mode=mode).rows)
-            try:
-                return set(
-                    construct_compiled(
-                        self.db,
-                        node,
-                        options=options,
-                        on_fallback=self._note_fallback,
-                    ).rows
-                )
-            except TranslationError as exc:
-                self._note_fallback(
-                    "construct",
-                    f"query fell back to the interpreted fixpoint engine: {exc}",
-                    source=source,
-                    error=exc,
-                )
-                return set(construct(self.db, node, mode=mode).rows)
-        if isinstance(node, (ast.RelRef, ast.Selected, ast.QueryRange)):
+        if isinstance(node, BARE_RANGES):
             node = range_query(node)
         if isinstance(node, ast.Query):
             if analysis is not None:
@@ -466,11 +460,13 @@ class Session:
                 node = analysis.prune(node)
             try:
                 plan, constants = self._prepared_plan(node, options)
+            except PositivityError:
+                raise  # the section 3.3 rejection, not a translation gap
             except DBPLError as exc:
                 # Untranslatable shape (compile-time only): reference
                 # evaluator gives the same answers, one tuple at a time.
                 if options.snapshot is not None:
-                    raise ValueError(_SNAPSHOT_REFUSED) from exc
+                    raise ValueError(SNAPSHOT_REFUSED) from exc
                 self._note_fallback(
                     "interpreted",
                     f"query fell back to the interpreted evaluator: {exc}",
@@ -485,9 +481,7 @@ class Session:
         """The reference path: tuple-at-a-time, no compiler involved."""
         if isinstance(node, ast.Query):
             return Evaluator(self.db).eval_query(node)
-        if isinstance(node, ast.Constructed):
-            return set(construct(self.db, node).rows)
-        if isinstance(node, (ast.RelRef, ast.Selected, ast.QueryRange)):
+        if isinstance(node, BARE_RANGES):
             value = Evaluator(self.db).resolve_range(node, {})
             return set(value.rows)
         raise BindingError(f"not a query expression: {source!r}")
@@ -528,19 +522,14 @@ class Session:
         ``prepare('{EACH r IN R: r.x = "a"}').execute("b")`` runs the
         same plan with ``"b"`` bound.  Plans come from (and populate)
         the session plan cache, so preparing an already-hot shape is
-        free.  Constructed (fixpoint) ranges cannot be prepared — their
-        result is recomputed state, not a parameterized scan; evaluate
-        them with :meth:`query`.
+        free.  Constructed ranges prepare like any other range: the
+        handle holds the compiled fixpoint programs and every
+        ``execute`` re-runs them against live state.
         """
         options = self._call_options(options)
         node = parse_expression(source)
-        if isinstance(node, (ast.RelRef, ast.Selected, ast.QueryRange)):
+        if isinstance(node, BARE_RANGES):
             node = range_query(node)
-        if isinstance(node, ast.Constructed):
-            raise BindingError(
-                f"constructed range {source!r} cannot be prepared; "
-                "query() runs the compiled fixpoint engine directly"
-            )
         if not isinstance(node, ast.Query):
             raise BindingError(f"not a query expression: {source!r}")
         self._gate(node, source, options.analysis)
@@ -584,13 +573,15 @@ class Session:
             return registry.subscribe_fixpoint(
                 node, source, options, on_change, self._note_fallback
             )
-        if isinstance(node, (ast.RelRef, ast.Selected, ast.QueryRange)):
+        if isinstance(node, BARE_RANGES):
             node = range_query(node)
         if not isinstance(node, ast.Query):
             raise BindingError(f"not a query expression: {source!r}")
         if analysis is not None:
             node = analysis.prune(node)
-        return registry.subscribe_query(node, source, options, on_change)
+        return registry.subscribe_query(
+            node, source, options, on_change, self._note_fallback
+        )
 
     def snapshot(self) -> DatabaseSnapshot:
         """Pin the current committed state of every relation.

@@ -55,13 +55,11 @@ from dataclasses import dataclass, replace as dc_replace
 
 from ..calculus import ast
 from ..compiler.executors import get_backend
-from ..compiler.fixpoint import REPLAN_DRIFT, compile_fixpoint
+from ..compiler.fixpoint import REPLAN_DRIFT, compile_application
 from ..compiler.options import ExecOptions
 from ..compiler.plans import CostModel, ExecutionContext, PlanStats, compile_query
 from ..constructors.engines import _variant_token
-from ..constructors.instantiate import base_relation_names, instantiate
-from ..constructors.positivity import is_system_positive
-from ..errors import PositivityError
+from ..constructors.instantiate import base_relation_names
 
 
 def _ivm_token(name: str, kind: str) -> tuple:
@@ -318,10 +316,14 @@ class Subscription:
 class QuerySubscription(Subscription):
     """Counting-maintained subscription over a non-recursive query."""
 
-    def __init__(self, registry, node: ast.Query, source, options, on_change):
+    def __init__(
+        self, registry, node: ast.Query, source, options, on_change,
+        on_fallback=None,
+    ):
         super().__init__(registry, source, options, on_change)
         db = registry.db
         self._node = node
+        self._on_fallback = on_fallback
         self._optimizer = options.resolved_optimizer
         # get_backend rejects unknown names, as at every other door.
         self._executor = _BAG_EXECUTORS.get(
@@ -357,6 +359,7 @@ class QuerySubscription(Subscription):
         ctx = ExecutionContext(
             self.registry.db, apply_values=apply_values, stats=self.plan_stats
         )
+        ctx.on_fallback = self._on_fallback
         return _execute_bag(plan, ctx, self._executor)
 
     # -- differential plans ----------------------------------------------
@@ -475,14 +478,10 @@ class FixpointSubscription(Subscription):
     ):
         super().__init__(registry, source, options, on_change)
         db = registry.db
-        self._system = instantiate(db, node)
-        if not is_system_positive(self._system):
-            raise PositivityError(
-                f"instantiated system for {self._system.root.describe()} "
-                "is not positive"
-            )
-        self._program = compile_fixpoint(db, self._system, options=options)
-        self._program.on_fallback = on_fallback
+        self._program = compile_application(
+            db, node, options=options, on_fallback=on_fallback
+        )
+        self._system = self._program.system
         self.watched = tuple(sorted(base_relation_names(db, self._system)))
         self._values = {
             key: set(rows) for key, rows in self._program.run().items()
@@ -625,21 +624,26 @@ class SubscriptionRegistry:
 
     # -- registration -----------------------------------------------------
 
-    def subscribe_query(self, node, source, options, on_change) -> Subscription:
-        """Materialize and register a counting-maintained subscription."""
+    def subscribe_query(
+        self, node, source, options, on_change, on_fallback=None
+    ) -> Subscription:
+        """Materialize and register a counting-maintained subscription.
+
+        ``on_fallback(kind, detail)`` observes executor degradations of
+        the initial run and of every maintenance batch.
+        """
         with self.lock:
-            sub = QuerySubscription(self, node, source, options, on_change)
+            sub = QuerySubscription(
+                self, node, source, options, on_change, on_fallback
+            )
             self._register(sub)
         return sub
 
     def subscribe_fixpoint(
         self, node, source, options, on_change, on_fallback=None
     ) -> Subscription:
-        """Materialize and register a fixpoint-maintained subscription.
-
-        ``on_fallback(kind, detail)`` observes executor degradations of
-        the initial run and of every maintenance batch.
-        """
+        """Materialize and register a fixpoint-maintained subscription
+        (``on_fallback`` as for :meth:`subscribe_query`)."""
         with self.lock:
             sub = FixpointSubscription(
                 self, node, source, options, on_change, on_fallback

@@ -366,6 +366,72 @@ def assert_fixpoint_executors_agree(
     return expected
 
 
+# -- set formers over constructed ranges, through the session front door -----
+
+FRONT_DOOR_SCHEMA = """
+TYPE node    = STRING;
+     edgerec = RECORD src, dst: node END;
+     edgerel = RELATION ... OF edgerec;
+VAR E: edgerel;
+SELECTOR avoiding (N: node) FOR Rel: edgerel;
+BEGIN EACH e IN Rel: e.src <> N AND e.dst <> N END avoiding;
+CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
+BEGIN EACH r IN Rel: TRUE,
+      <r.src, t.dst> OF EACH r IN Rel, EACH t IN Rel{tc()}: r.dst = t.src
+END tc;
+CONSTRUCTOR two FOR Rel: edgerel (): edgerel;
+BEGIN <a.src, b.dst> OF EACH a IN Rel, EACH b IN Rel: a.dst = b.src
+END two;
+"""
+
+#: Query templates, one ``%s`` per *compared* constant (the slots
+#: ``parameterize`` abstracts); ``SEL`` is a selector argument, which
+#: stays part of the shape.
+FRONT_DOOR_TEMPLATES = (
+    "E{tc()}",
+    "{EACH r IN E{tc()}: TRUE}",
+    '{<r.dst> OF EACH r IN E{tc()}: r.src = "%s"}',
+    '{<r.src> OF EACH r IN E{tc()}: r.dst = "%s" AND r.src <> "%s"}',
+    '{EACH r IN E{two()}: r.src = "%s"}',
+    "{<a.src, b.dst> OF EACH a IN E{tc()}, EACH b IN E{two()}: "
+    'a.dst = b.src AND a.src = "%s"}',
+    "{EACH e IN E: SOME t IN E{tc()} (t.src = e.dst AND t.dst = e.src)}",
+    '{EACH e IN E: e.src <> "%s" AND SOME t IN E{two()} (t.src = e.dst)}',
+    '{EACH r IN E[avoiding("SEL")]{tc()}: r.src = "%s"}',
+)
+
+
+def random_front_door_session(rng: random.Random):
+    """A session over one random digraph ``E`` plus its node names."""
+    from repro.dbpl import Session
+
+    nodes = [f"n{i}" for i in range(rng.randint(2, 9))]
+    count = rng.randint(1, min(20, len(nodes) ** 2))
+    edges = {(rng.choice(nodes), rng.choice(nodes)) for _ in range(count)}
+    session = Session()
+    session.execute(FRONT_DOOR_SCHEMA)
+    session.insert("E", sorted(edges))
+    return session, nodes
+
+
+def random_front_door_queries(rng: random.Random, nodes, count: int = 2) -> list:
+    """``count`` draws of ``(template, constants, other constants)`` over
+    distinct templates: ``template % constants`` is DBPL text, and both
+    constant tuples fill the same slots."""
+    out = []
+    for template in rng.sample(FRONT_DOOR_TEMPLATES, count):
+        template = template.replace("SEL", rng.choice(nodes))
+        slots = template.count("%s")
+        out.append(
+            (
+                template,
+                tuple(rng.choice(nodes) for _ in range(slots)),
+                tuple(rng.choice(nodes) for _ in range(slots)),
+            )
+        )
+    return out
+
+
 # -- standing-query (subscription) harness -----------------------------------
 
 

@@ -280,11 +280,11 @@ class TestSessionFrontDoor:
         s.query("{EACH i IN Items: i.qty = 1 AND i.qty = 2}")
         assert [d.code for d in seen] == ["DBPL010"]
 
-    def test_constructed_prepare_still_raises_binding_error(self):
-        # The pre-existing contract: Constructed ranges cannot be
-        # prepared, and that check outranks the analyzer gate.
+    def test_unknown_constructor_in_prepare_is_gated(self):
+        # A constructed range prepares like any other range, so an
+        # unknown constructor is the analyzer's finding, as in query().
         s = strict_session()
-        with pytest.raises(BindingError):
+        with pytest.raises(AnalysisError, match="DBPL003"):
             s.prepare("Items{anything()}")
 
     def test_execute_records_but_does_not_reject(self):

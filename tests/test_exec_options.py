@@ -16,6 +16,7 @@ from repro.compiler import (
     ExecutionContext,
     compile_fixpoint,
     compile_query,
+    compile_statement,
     construct_compiled,
     executor_names,
     run_query,
@@ -23,11 +24,17 @@ from repro.compiler import (
 from repro.calculus import dsl as d
 from repro.calculus.evaluator import Evaluator
 from repro.compiler import executors as executors_mod
+from repro.compiler import fixpoint as fixpoint_mod
 from repro.compiler import plans as plans_mod
 from repro.constructors import instantiate
 from repro.datalog import DatalogEngine, parse_program
 from repro.dbpl import Session, parse_expression
-from repro.errors import AnalysisError, EvaluationError, TranslationError
+from repro.errors import (
+    AnalysisError,
+    EvaluationError,
+    PositivityError,
+    TranslationError,
+)
 from repro.relational.vectors import get_numpy
 
 INFRONT_QUERY = d.query(
@@ -44,6 +51,18 @@ BEGIN EACH r IN Rel: TRUE,
            EACH a IN Rel{ahead()}: r.back = a.front
 END ahead;
 """
+
+#: Positive (section 3.3 allows a recursive occurrence under SOME) but
+#: outside the compiled fragment: the fixpoint variable is not a binding
+#: range.  The one real program behind DBPL901.
+REACHQ = """
+CONSTRUCTOR reachq FOR Rel: prel (): prel;
+BEGIN EACH r IN Rel: r.front = "table",
+      EACH r IN Rel: SOME t IN Rel{reachq()} (t.back = r.front)
+END reachq;
+"""
+
+OVER_AHEAD = '{EACH r IN Infront{ahead()}: r.front = "table"}'
 
 
 def make_session() -> Session:
@@ -119,6 +138,7 @@ ENTRY_POINTS = (
     "compile_query",
     "run_query",
     "compile_fixpoint",
+    "compile_statement",
     "construct_compiled",
     "DatalogEngine.solve",
     "DatalogEngine.solve_compiled",
@@ -126,7 +146,7 @@ ENTRY_POINTS = (
 
 
 def _entry_points() -> dict:
-    """The ten execution front doors, each as ``call(**knobs) -> answer``."""
+    """The eleven execution front doors, each as ``call(**knobs) -> answer``."""
     s = make_session()
     db = make_cad_db()
     node = parse_expression("Infront{ahead()}")
@@ -149,6 +169,9 @@ def _entry_points() -> dict:
         ).execute(ExecutionContext(db)),
         "run_query": lambda **kw: run_query(db, INFRONT_QUERY, **kw),
         "compile_fixpoint": lambda **kw: compile_fixpoint(s.db, system, **kw).run(),
+        "compile_statement": lambda **kw: compile_statement(
+            s.db, parse_expression(OVER_AHEAD), **kw
+        ).run(),
         "construct_compiled": lambda **kw: construct_compiled(s.db, node, **kw).rows,
         "DatalogEngine.solve": lambda **kw: engine.solve("compiled", **kw),
         "DatalogEngine.solve_compiled": lambda **kw: engine.solve_compiled(**kw),
@@ -266,7 +289,7 @@ class TestFallbackChain:
         s = Session(on_diagnostic=diags.append)
         s.execute(AHEAD)
         s.insert("Infront", self.ROWS)
-        closure = s.query("Infront{ahead()}", mode="seminaive")
+        closure = s.query("Infront{ahead()}", mode="interpreted")
         assert len(closure) == 6
         assert s.query("Infront{ahead()}") == closure
         assert s.fallbacks["construct"] == 0  # still the compiled fixpoint
@@ -293,13 +316,21 @@ class TestFallbackChain:
             "r.back = t.front}"
         )
         s = make_session()
+        diags = []
+        s.on_diagnostic = diags.append
         sub = s.subscribe(source)
         assert sub.rows() == {("table", "door")}
+        assert s.fallbacks["lowering"] == 1
         s.insert("Infront", [("door", "wall")])
         assert sub.recomputes == 0  # counting maintenance, in bag mode
         assert sub.rows() == s.query(source, mode="interpreted")
         assert ("chair", "wall") in sub.rows()
         assert no_columnar == []
+        # ... and reports the drop like every other door (it used to
+        # run the interpreter without a word): the branch at subscribe,
+        # then one differential variant per occurrence of Infront.
+        assert s.fallbacks["lowering"] == 3
+        assert [g.code for g in diags] == ["DBPL905"] * 3
 
     def test_rowbatch_by_name_still_runs_the_row_major_lowering(self):
         db = make_cad_db()
@@ -390,35 +421,84 @@ class TestObservableFallbacks:
         assert hints[0].data["source"] == source
         assert "untranslatable shape" in hints[0].message
 
-    def test_construct_fallback_counts_and_hints(self, monkeypatch):
-        import repro.dbpl.session as session_mod
+    @pytest.mark.parametrize(
+        "source", ["Infront{reachq()}", "{EACH r IN Infront{reachq()}: TRUE}"]
+    )
+    def test_construct_fallback_from_a_real_program(self, source):
+        # Both spellings of the one range: the bare one used to be a
+        # PositivityError, the wrapped one a silent interpreter detour.
+        s = make_session()
+        s.execute(REACHQ)
+        s.insert("Infront", [("door", "wall"), ("lamp", "desk")])
+        diags = []
+        s.on_diagnostic = diags.append
+        expected = s.query(source, mode="interpreted")
+        assert expected == {("table", "chair"), ("chair", "door"), ("door", "wall")}
+        for runs in (1, 2):  # the cached plan reports per query
+            assert s.query(source) == expected
+            assert s.fallbacks["construct"] == runs
+            assert s.fallbacks["interpreted"] == 0
+            assert len([g for g in diags if g.code == "DBPL901"]) == runs
+        assert "interpreted fixpoint" in diags[-1].message
+        assert "outside the compilable fragment" in diags[-1].message
+        assert s.prepare(source).execute() == expected
+        assert s.fallbacks["construct"] == 3
 
+    @pytest.mark.parametrize(
+        "source", ["Base{nonsense}", "{EACH r IN Base{nonsense}: TRUE}"]
+    )
+    def test_non_positive_constructor_is_rejected_not_degraded(self, source):
+        from repro import paper
+        from repro.relational import Database
+
+        db = Database()
+        db.declare("Base", paper.CARDREL, [(i,) for i in range(3)])
+        paper.define_nonsense(db, check_positivity=False)
+        s = Session(db)
+        with pytest.raises(PositivityError):
+            s.query(source)
+        with pytest.raises(PositivityError):
+            s.query(source, mode="interpreted")
+        assert not any(s.fallbacks.values())
+
+    def test_construct_fallback_counts_and_hints(self, monkeypatch):
         s = make_session()
         diags = []
         s.on_diagnostic = diags.append
-        expected = s.query("Infront{ahead()}", mode="seminaive")
+        expected = s.query("Infront{ahead()}", mode="interpreted")
 
-        def boom(db, node, **kwargs):
+        def boom(db, system, *args, **kwargs):
             raise TranslationError("no fixpoint plan")
 
-        monkeypatch.setattr(session_mod, "construct_compiled", boom)
+        monkeypatch.setattr(fixpoint_mod, "compile_fixpoint", boom)
+        s.plan_cache.clear()
         assert s.query("Infront{ahead()}") == expected
         assert s.fallbacks["interpreted"] == 0
         assert s.fallbacks["construct"] == 1
         (hint,) = [g for g in diags if g.code == "DBPL901"]
         assert "interpreted fixpoint" in hint.message
+        assert "no fixpoint plan" in hint.message
 
     def test_runtime_evaluation_error_propagates(self, monkeypatch):
         # Satellite of the fallback narrowing: a *runtime* failure in
         # the compiled fixpoint must surface, not silently re-run.
-        import repro.dbpl.session as session_mod
-
         s = make_session()
 
-        def boom(db, node, **kwargs):
+        def boom(self, *args, **kwargs):
             raise EvaluationError("mid-execution failure")
 
-        monkeypatch.setattr(session_mod, "construct_compiled", boom)
+        monkeypatch.setattr(fixpoint_mod.CompiledFixpoint, "run", boom)
         with pytest.raises(EvaluationError, match="mid-execution"):
             s.query("Infront{ahead()}")
         assert s.fallbacks["construct"] == 0
+
+    def test_query_mode_is_auto_or_interpreted(self):
+        # "naive"/"seminaive" only ever applied to a bare constructed
+        # range (construct(db, node, mode=...) is the library spelling)
+        # and an unknown mode used to run compiled without a word.
+        s = make_session()
+        for mode in ("naive", "seminaive", "banana"):
+            with pytest.raises(ValueError, match="mode must be one of"):
+                s.query("Infront{ahead()}", mode=mode)
+            with pytest.raises(ValueError, match="mode must be one of"):
+                s.query(SET_FORMER, mode=mode)

@@ -10,7 +10,9 @@ partition/merge machinery actually runs on small inputs) — must return
 byte-identical answers to the reference calculus evaluator, with sane
 est/act accounting on every compiled plan.  Random recursive fixpoints
 additionally cross-check the interpreted semi-naive engine and an
-independent transitive-closure oracle.
+independent transitive-closure oracle, and set formers *over*
+constructed ranges go through the session front door (query, prepare,
+rebinding, re-execution after a write) against ``mode="interpreted"``.
 
 This is the harness the pre-registry 50-seed suites
 (``test_batched_executor.py``, ``test_columnar.py``) refactored onto;
@@ -28,13 +30,18 @@ from helpers import (
     assert_executors_agree_cold,
     assert_fixpoint_executors_agree,
     forced_shard_config,
+    random_front_door_queries,
+    random_front_door_session,
     random_prop_database,
     random_prop_query,
     transitive_closure,
 )
 from repro import paper
 from repro.calculus import dsl as d
-from repro.compiler import ShardConfig
+from repro.calculus import ast
+from repro.compiler import ExecOptions, ShardConfig
+from repro.constructors.definition import Constructor
+from repro.relational.vectors import get_numpy
 
 
 #: The suite's seed budget (the acceptance bar is >=50; with the
@@ -42,6 +49,7 @@ from repro.compiler import ShardConfig
 QUERY_SEEDS = 60
 FIXPOINT_SEEDS = 50
 STORAGE_SEEDS = 50
+FRONT_DOOR_SEEDS = 40
 
 
 @pytest.mark.parametrize("seed", range(QUERY_SEEDS))
@@ -94,6 +102,82 @@ def test_random_queries_agree_on_storage_backed_relations(seed, tmp_path):
         assert reopened.relation(name).is_cold
     query = random_prop_query(rng)
     assert_executors_agree_cold(db, path, query)
+
+
+@pytest.mark.parametrize("seed", range(FRONT_DOOR_SEEDS))
+def test_constructed_ranges_in_set_formers_through_the_front_door(seed):
+    """The paper's central move: ``E{tc()}`` is a range like any other.
+
+    ``Session.query`` ≡ the oracle on every executor; a prepared handle
+    ≡ ``query`` with its own and with rebound constants; the cached
+    program re-runs against live state after a write; nothing falls
+    back; and one shape is one plan-cache entry.
+    """
+    rng = random.Random(3000 + seed)
+    s, nodes = random_front_door_session(rng)
+    drawn = random_front_door_queries(rng, nodes)
+    handles = []
+    for shapes, (template, constants, other) in enumerate(drawn, start=1):
+        text, rebound = template % constants, template % other
+        prepared = s.prepare(text)
+        handles.append(prepared)
+        assert (
+            s.query(text) == prepared.execute() == s.query(text, mode="interpreted")
+        ), text
+        assert (
+            s.query(rebound)
+            == prepared.execute(*other)
+            == s.query(rebound, mode="interpreted")
+        ), rebound
+        assert len(s.plan_cache) == shapes, text
+    # One more edge: the cached programs must not serve the old value.
+    s.insert("E", [(rng.choice(nodes), "fresh")])
+    for prepared, (template, constants, _) in zip(handles, drawn):
+        text = template % constants
+        oracle = s.query(text, mode="interpreted")
+        assert s.query(text) == prepared.execute() == oracle, text
+        for executor in ALL_EXECUTORS:
+            options = ExecOptions(
+                executor=executor, shard_config=forced_shard_config()
+            )
+            assert s.query(text, options=options) == oracle, (text, executor)
+    degraded = {kind for kind, count in s.fallbacks.items() if count}
+    assert degraded <= ({"vector_numpy"} if get_numpy() is None else set())
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        '{<r.dst> OF EACH r IN E{tc()}: r.src = "n1"}',
+        "{EACH e IN E: SOME t IN E{tc()} (t.src = e.dst AND t.dst = e.src)}",
+    ],
+)
+def test_no_interpreter_detour_behind_a_constructed_range(source, monkeypatch):
+    """Clock-free guard: the fixpoint is a generated program bound as an
+    apply value, never a ``computed`` source or a residual range the
+    reference engine re-derives per execution."""
+    s, _ = random_front_door_session(random.Random(5))
+    detours = []
+    original = Constructor.reference_value
+    monkeypatch.setattr(
+        Constructor,
+        "reference_value",
+        lambda self, *a: detours.append(self.name) or original(self, *a),
+    )
+    assert s.query(source) == s.query(source) != set()
+    assert detours == []
+    (key,) = s.plan_cache.keys()
+    cached = s.plan_cache.get(key, s.db.stats.epoch())
+    for branch in cached.plan.branches:
+        for step in branch.steps:
+            assert not isinstance(step.source.rexpr, ast.Constructed)
+        assert not any(
+            isinstance(n, ast.Constructed) for n in ast.walk(branch.residual)
+        )
+    text = cached.explain()
+    assert "fixpoint program for E{tc}" in text and "@tc" in text
+    assert s.query(source, mode="interpreted") == s.query(source)
+    assert detours  # the oracle does go through the reference engine
 
 
 def test_single_worker_config_degrades_to_batch():

@@ -46,6 +46,30 @@ JOIN3 = (
 )
 
 
+CLOSURE_SCHEMA = """
+TYPE prec = RECORD front, back: STRING END;
+     prel = RELATION front, back OF prec;
+VAR Infront: prel;
+CONSTRUCTOR ahead FOR Rel: prel (): prel;
+BEGIN EACH r IN Rel: TRUE,
+      <r.front, a.back> OF EACH r IN Rel,
+           EACH a IN Rel{ahead()}: r.back = a.front
+END ahead;
+CONSTRUCTOR hop FOR Rel: prel (): prel;
+BEGIN <a.front, b.back> OF EACH a IN Rel, EACH b IN Rel: a.back = b.front
+END hop;
+"""
+
+CLOSURE = {("table", "chair"), ("chair", "door"), ("table", "door")}
+
+
+def closure_session() -> Session:
+    s = Session()
+    s.execute(CLOSURE_SCHEMA)
+    s.insert("Infront", [("table", "chair"), ("chair", "door")])
+    return s
+
+
 def make_session(**kwargs) -> Session:
     s = Session(**kwargs)
     s.execute(SCHEMA)
@@ -185,10 +209,23 @@ class TestPreparedQueries:
             'Fact[tagged("hot")]', mode="interpreted"
         )
 
-    def test_constructed_ranges_cannot_be_prepared(self):
-        s = make_session()
-        with pytest.raises(BindingError):
-            s.prepare("Fact{anything()}")
+    def test_constructed_ranges_prepare_and_reexecute(self):
+        s = closure_session()
+        bare = s.prepare("Infront{ahead()}")
+        assert bare.param_count == 0
+        assert bare.execute() == s.query("Infront{ahead()}") == CLOSURE
+        behind = s.prepare(
+            '{<r.back> OF EACH r IN Infront{ahead()}: r.front = "table"}'
+        )
+        assert behind.execute() == {("chair",), ("door",)}
+        assert behind.execute("chair") == {("door",)}  # rebound, same program
+        assert behind.plan.statement.fixpoints
+        # The cached program re-runs against live state: never stale.
+        s.insert("Infront", [("door", "wall")])
+        assert behind.execute("chair") == {("door",), ("wall",)}
+        assert bare.execute() == s.query("Infront{ahead()}", mode="interpreted")
+        assert bare.executions == 3 and not any(s.fallbacks.values())
+        assert len(s.plan_cache) == 2  # one entry per shape
 
 
 class TestPlanCache:
@@ -327,31 +364,30 @@ class TestSnapshots:
         assert not any(s.fallbacks.values()), s.fallbacks
 
     def test_snapshot_that_cannot_be_honoured_is_refused(self, monkeypatch):
-        """Constructed ranges and the interpreted paths read live state;
+        """Fixpoint programs and the interpreted paths read live state;
         they used to take the snapshot and answer from live rows."""
-        s = Session()
-        s.execute(
-            """
-            TYPE prec = RECORD front, back: STRING END;
-                 prel = RELATION front, back OF prec;
-            VAR Infront: prel;
-            CONSTRUCTOR ahead FOR Rel: prel (): prel;
-            BEGIN EACH r IN Rel: TRUE,
-                  <r.front, a.back> OF EACH r IN Rel,
-                       EACH a IN Rel{ahead()}: r.back = a.front
-            END ahead;
-            """
-        )
-        s.insert("Infront", [("table", "chair"), ("chair", "door")])
+        s = closure_session()
         set_former = '{EACH r IN Infront: r.front <> "vase"}'
-        pinned = ExecOptions(snapshot=s.snapshot())
+        snapshot = s.snapshot()
+        pinned = ExecOptions(snapshot=snapshot)
         s.insert("Infront", [("door", "wall")])
         assert len(s.query(set_former, options=pinned)) == 2  # honoured
-        with pytest.raises(ValueError, match="snapshot"):
-            s.query("Infront{ahead()}", options=pinned)
-        for mode in ("interpreted", "naive", "seminaive"):
+        # A statement that runs a fixpoint is refused on every spelling:
+        # bare, inside a set former (it used to answer from live rows),
+        # query() or a prepared handle.
+        over_closure = '{EACH r IN Infront{ahead()}: r.front = "table"}'
+        for source in ("Infront{ahead()}", over_closure):
             with pytest.raises(ValueError, match="snapshot"):
-                s.query(set_former, mode=mode, options=pinned)
+                s.query(source, options=pinned)
+            with pytest.raises(ValueError, match="snapshot"):
+                s.prepare(source).execute(snapshot=snapshot)
+        # A non-recursive application inlined away leaves only scans.
+        inlined = '{EACH r IN Infront{hop()}: r.front = "chair"}'
+        assert s.query(inlined, options=pinned) == set()
+        assert s.query(inlined) == {("chair", "wall")}
+        assert s.prepare(inlined).execute(snapshot=snapshot) == set()
+        with pytest.raises(ValueError, match="snapshot"):
+            s.query(set_former, mode="interpreted", options=pinned)
         # ... and so is the interpreted *fallback* of a set former.
         def boom(node, options):
             raise TranslationError("untranslatable shape")

@@ -21,7 +21,7 @@ from helpers import (
 from repro import ExecOptions
 from repro.dbpl import Session
 from repro.dbpl.subscriptions import SubscriptionRegistry
-from repro.errors import PositivityError, SchemaError
+from repro.errors import SchemaError, TranslationError
 
 SCHEMA = """
 TYPE erec = RECORD name, dept: STRING; sal: INTEGER END;
@@ -285,7 +285,7 @@ class TestFixpointSubscription:
 
     def test_ineligible_fixpoint_raises_instead_of_degrading(self):
         s = make_session()
-        with pytest.raises(PositivityError):
+        with pytest.raises(TranslationError):
             s.subscribe("Par{quant()}")
 
 

@@ -274,7 +274,7 @@ class TestVectorWithoutNumpy:
         diags = []
         s = self._session(diags, executor="vector")
         closure = transitive_closure(EDGES)
-        assert s.query(AHEAD, mode="seminaive") == closure
+        assert s.query(AHEAD, mode="interpreted") == closure
         assert s.fallbacks["vector_numpy"] == 0
         assert s.query(AHEAD) == closure
         assert no_numpy == []
