@@ -15,6 +15,26 @@ which benchmarks E12 and E16 measure.  Each per-iteration result is
 applied through a :class:`~repro.compiler.operators.DeltaApply`
 operator whose counters surface in :meth:`CompiledFixpoint.explain`.
 
+**A program holds its value.**  The converged value of every fixpoint
+variable stays on the program between executions as a
+:class:`HeldValue` (an append-only row log, its membership set, hash
+indexes grown the way :meth:`~repro.relational.Relation._view` grows a
+relation's, and its statistics), stamped with the ``(version, log, n)``
+head of every base relation it is the least fixpoint over.  Plans read
+base relations through views pinned at those heads, so the stamp is
+exact even while writers commit.  :meth:`CompiledFixpoint.advance`
+brings the value up to the current state — an unchanged stamp is a
+*hit* and runs no plan; base relations that were only appended to seed
+deltas from their log suffixes through the occurrence-split
+differential of every equation w.r.t. each changed relation, and
+:meth:`CompiledFixpoint.resume` continues semi-naive iteration from
+the held value (sound for the positive systems the compiled engine
+accepts: old rows stay derivable, the seeds cover every new one-step
+derivation, values are sets); a replaced log (delete, assign, cold
+materialization) runs from empty.  That is the one resume path: the
+statement compiler's runtime level and both subscription kinds call
+it.  :meth:`CompiledFixpoint.run` keeps its run-from-empty meaning.
+
 :func:`compile_application` is the one way from a constructor
 application to its program (instantiate → positivity →
 :func:`compile_fixpoint`): the statement compiler
@@ -48,7 +68,8 @@ measures what a re-plan saves on delta-drifting workloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace as dc_replace
 
 from ..calculus import ast
 from ..constructors.api import ConstructionResult
@@ -67,7 +88,7 @@ from ..constructors.instantiate import (
 )
 from ..constructors.positivity import is_system_positive
 from ..errors import ConvergenceError, PositivityError, TranslationError
-from ..relational import Database, DeltaStats
+from ..relational import Database, DeltaStats, HashIndex
 from .operators import DeltaApply
 from .options import DEFAULT_OPTIONS, ExecOptions
 from .plans import (
@@ -78,6 +99,7 @@ from .plans import (
     PlanStats,
     QueryPlan,
     compile_query,
+    pin_relations,
 )
 
 #: Re-optimize the differential plans once an observed delta (or full
@@ -86,9 +108,126 @@ from .plans import (
 REPLAN_DRIFT = 4.0
 
 
+# ---------------------------------------------------------------------------
+# Differentials w.r.t. a base relation (fixpoint seeds and counting IVM)
+# ---------------------------------------------------------------------------
+
+
+def _ivm_token(name: str, kind: str) -> tuple:
+    """Apply-value token for one state of base relation ``name``.
+
+    Shaped like a fixpoint variant token (``("__seminaive__", kind,
+    key)``) so the planner's delta-preference pricing and tiebreaks
+    apply to differential plans over base relations unchanged.
+    """
+    return _variant_token(("__ivm__", name), kind)
+
+
+def _branch_relation_positions(branch: ast.Branch, name: str) -> list[int] | None:
+    """Binding positions ranging directly over relation ``name``, or None
+    when the branch references the relation anywhere else (predicates,
+    targets, nested ranges) — ineligible for differentiation."""
+    positions = [
+        i
+        for i, b in enumerate(branch.bindings)
+        if isinstance(b.range, ast.RelRef) and b.range.name == name
+    ]
+    total = sum(
+        1
+        for node in ast.walk(branch)
+        if isinstance(node, ast.RelRef) and node.name == name
+    )
+    if total != len(positions):
+        return None
+    return positions
+
+
+def _split_branch(
+    branch: ast.Branch, name: str, positions: list[int], schema
+) -> list[ast.Branch]:
+    """Occurrence-split differential variants of ``branch`` w.r.t. one
+    relation: variant i binds occurrence i to the delta, earlier
+    occurrences to the new state, later ones to the old state.  Any
+    fixpoint variables in the branch are rebound to their "new" variant
+    (the held value, for fixpoint seeds and for set formers over a
+    constructed range)."""
+    variants: list[ast.Branch] = []
+    position_set = set(positions)
+    for i in range(len(positions)):
+        new_bindings: list[ast.Binding] = []
+        for p, b in enumerate(branch.bindings):
+            if p in position_set:
+                j = positions.index(p)
+                kind = "new" if j < i else "delta" if j == i else "old"
+                new_bindings.append(
+                    ast.Binding(b.var, ast.ApplyVar(_ivm_token(name, kind), schema))
+                )
+            elif isinstance(b.range, ast.ApplyVar):
+                new_bindings.append(
+                    ast.Binding(
+                        b.var,
+                        ast.ApplyVar(
+                            _variant_token(b.range.token, "new"), b.range.schema
+                        ),
+                    )
+                )
+            else:
+                new_bindings.append(b)
+        variants.append(dc_replace(branch, bindings=tuple(new_bindings)))
+    return variants
+
+
+# ---------------------------------------------------------------------------
+# Held values
+# ---------------------------------------------------------------------------
+
+
+class HeldValue(set):
+    """The value of one fixpoint variable, held between executions.
+
+    A set of rows — what plans scan, what the semi-naive ``produced -
+    known`` tests against, what a reader copies — over an append-only
+    ``log`` of the same rows in derivation order.  Hash indexes follow
+    :meth:`~repro.relational.Relation._view`'s rule: an index built at
+    the current log length is a hit, an older one is extended by the
+    rows appended since (:meth:`HashIndex.extended`), so probing a value
+    that grew by a resume costs the growth, not a rebuild.  ``stats``
+    are the value's statistics, absorbed delta by delta.  Only
+    :meth:`absorb` grows it; a run from empty starts a new one.
+    """
+
+    __slots__ = ("log", "stats", "_indexes")
+
+    def __init__(self, arity: int) -> None:
+        super().__init__()
+        self.log: list[tuple] = []
+        self.stats = DeltaStats(arity)
+        #: positions -> (log length it covers, index)
+        self._indexes: dict[tuple[int, ...], tuple[int, HashIndex]] = {}
+
+    def absorb(self, fresh: set) -> None:
+        """Add ``fresh`` — rows not in the value yet."""
+        self.update(fresh)
+        self.log.extend(fresh)
+        self.stats.absorb(fresh)
+
+    def index_on(self, positions: tuple[int, ...]) -> HashIndex:
+        n = len(self.log)
+        held = self._indexes.get(positions)
+        if held is None:
+            index = HashIndex(positions, self.log)
+        elif held[0] == n:
+            return held[1]
+        else:
+            index = held[1].extended(self.log[held[0] :])
+        self._indexes[positions] = (n, index)
+        return index
+
+
 @dataclass
 class CompiledFixpoint:
-    """The compiled fixpoint program for one instantiated system."""
+    """The compiled fixpoint program for one instantiated system, and
+    the value it last converged to."""
 
     db: Database
     system: InstantiatedSystem
@@ -110,7 +249,7 @@ class CompiledFixpoint:
     shard_config: object | None = None
     #: Observable-fallback hook ``callable(kind, detail)``, carried onto
     #: the same contexts (``Session`` wires its counters here).  One
-    #: run()/resume() reports each kind once, however many iterations
+    #: run()/advance() reports each kind once, however many iterations
     #: and branches degraded.
     on_fallback: object | None = None
     #: Drift factor that triggers a re-plan; None disables re-planning.
@@ -118,15 +257,54 @@ class CompiledFixpoint:
     #: How many times run() swapped in re-optimized differential plans.
     replans: int = 0
     plan_stats: PlanStats = field(default_factory=PlanStats)
-    #: Incremental statistics over the accumulated value of each fixpoint
-    #: variable, absorbed delta by delta during run().
-    delta_stats: dict[AppKey, DeltaStats] = field(default_factory=dict)
     #: The semi-naive ``produced - known`` operators, one per fixpoint
     #: variable; their actual counts are the fresh tuples per variable.
     delta_ops: dict[AppKey, DeltaApply] = field(default_factory=dict)
+    #: The value of every fixpoint variable as of :attr:`stamp` (empty
+    #: until the first execution).
+    held: dict[AppKey, HeldValue] = field(default_factory=dict)
+    #: Base relation name → the head ``held`` is the least fixpoint over.
+    stamp: dict[str, tuple] = field(default_factory=dict)
+    #: Base relation name → seed plans per fixpoint variable, compiled on
+    #: its first append; None when an equation reads it outside a
+    #: binding range (its appends run from empty).
+    seed_plans: dict[str, dict[AppKey, QueryPlan] | None] = field(default_factory=dict)
+    #: Executions by outcome: the stamp still held, a resume from the
+    #: appended rows, a run from empty.
+    hits: int = 0
+    resumes: int = 0
+    recomputes: int = 0
+    #: The last execution's outcome ("hit" | "resumed" | "recomputed")
+    #: and the number of appended base rows it seeded from.
+    last: tuple[str, int] = ("", 0)
+    #: Executor degradations (kind → detail) the held values were
+    #: computed under; a hit reports them again, so every read of a
+    #: degraded value is counted.
+    degraded: dict[str, str] = field(default_factory=dict)
+    #: The stored relations the system reads (the stamp's scope).
+    bases: frozenset[str] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.bases = base_relation_names(self.db, self.system)
+
+    def held_line(self) -> str:
+        """One line on the held value, rendered from the fields."""
+        if not self.held:
+            return "held: nothing yet"
+        stamp = ", ".join(
+            f"{name}@v{head[0]}" for name, head in sorted(self.stamp.items())
+        )
+        outcome, seeded = self.last
+        last = f"resumed from {seeded} rows" if outcome == "resumed" else outcome
+        return (
+            f"held at {stamp or 'no base relation'}, "
+            f"{len(self.held[self.system.root])} rows; last: {last} "
+            f"(hits={self.hits} resumes={self.resumes} "
+            f"recomputes={self.recomputes})"
+        )
 
     def explain(self) -> str:
-        lines = []
+        lines = [self.held_line()]
         if self.replan_drift is not None:
             lines.append(
                 f"replans: {self.replans} (drift threshold "
@@ -136,9 +314,9 @@ class CompiledFixpoint:
             lines.append(f"replans: {self.replans} (re-planning disabled)")
         for key in self.system.apps:
             lines.append(f"== {key.describe()} ==")
-            tracked = self.delta_stats.get(key)
-            if tracked is not None:
-                lines.append(f"value stats: {tracked.describe()}")
+            value = self.held.get(key)
+            if value is not None:
+                lines.append(f"value stats: {value.stats.describe()}")
             lines.append("base:")
             lines.append(self.base_plans[key].explain())
             lines.append("differential:")
@@ -150,7 +328,7 @@ class CompiledFixpoint:
 
     # -- mid-fixpoint re-optimization ---------------------------------------
 
-    def _max_drift(self, values: dict, deltas: dict) -> float:
+    def _max_drift(self, deltas: dict) -> float:
         """Worst observed/estimated cardinality underestimate ratio.
 
         Only *under*estimates trigger a re-plan: deltas shrinking toward
@@ -164,7 +342,7 @@ class CompiledFixpoint:
         for key in self.system.apps:
             comparisons = (
                 (_variant_token(key, "delta"), len(deltas[key])),
-                (_variant_token(key, "new"), len(values[key])),
+                (_variant_token(key, "new"), len(self.held[key])),
             )
             for token, observed in comparisons:
                 estimated = self.diff_estimates.get(token)
@@ -175,27 +353,27 @@ class CompiledFixpoint:
                 worst = max(worst, obs / est)
         return worst
 
-    def _replan(self, values: dict, deltas: dict) -> None:
+    def _replan(self, deltas: dict) -> None:
         """Re-enumerate differential join orders with live cardinalities.
 
         Besides the observed sizes, the live per-column statistics
-        absorbed so far (distinct counts, histograms over the value
-        accumulated by :attr:`delta_stats`) are threaded into the cost
-        model, replacing the sqrt-distinct heuristic for fixpoint
-        variables with measured selectivities.
+        absorbed so far (distinct counts, histograms over the held
+        values) are threaded into the cost model, replacing the
+        sqrt-distinct heuristic for fixpoint variables with measured
+        selectivities.
         """
         estimates = dict(self.diff_estimates)
         for key in self.system.apps:
-            full = max(1.0, float(len(values[key])))
+            full = max(1.0, float(len(self.held[key])))
             delta = max(1.0, float(len(deltas[key])))
             estimates[key] = full
             estimates[_variant_token(key, "new")] = full
             estimates[_variant_token(key, "old")] = full
             estimates[_variant_token(key, "delta")] = delta
         live_tables = {
-            key: tracked.table
-            for key, tracked in self.delta_stats.items()
-            if tracked.table.row_count > 0
+            key: value.stats.table
+            for key, value in self.held.items()
+            if value.stats.table.row_count > 0
         }
         model = CostModel(self.db, estimates, apply_tables=live_tables)
         for key, query in self.diff_branches.items():
@@ -209,113 +387,227 @@ class CompiledFixpoint:
         self.diff_estimates = estimates
         self.replans += 1
 
-    def _context(self, note, apply_values=None) -> ExecutionContext:
+    def _context(self, note, views, plans, apply_values=None) -> ExecutionContext:
+        """An execution context for ``plans`` with every base relation
+        read through its pinned view in ``views``."""
         ctx = ExecutionContext(
             self.db, apply_values=apply_values, stats=self.plan_stats
         )
+        ctx.source_overrides = pin_relations(views, plans)
         ctx.shard_config = self.shard_config
         ctx.on_fallback = note
         return ctx
 
     def _note_once(self):
-        """:attr:`on_fallback` narrowed to one report per kind."""
+        """:attr:`on_fallback` narrowed to one report per kind, each kind
+        also recorded in :attr:`degraded`."""
         hook = self.on_fallback
-        if hook is None:
-            return None
+        degraded = self.degraded
         seen: set = set()
 
         def note(kind: str, detail: str) -> None:
+            degraded.setdefault(kind, detail)
             if kind not in seen:
                 seen.add(kind)
-                hook(kind, detail)
+                if hook is not None:
+                    hook(kind, detail)
 
         return note
 
+    # -- execution ------------------------------------------------------------
+
+    def _pin(self) -> dict:
+        """A view of every base relation pinned at its current head."""
+        return {name: self.db.relation(name).snapshot_view() for name in self.bases}
+
+    @contextmanager
+    def _advancing(self, views: dict):
+        """Around one run or resume: yields the fallback note; stamps the
+        held values with the pinned heads on success and drops them on
+        failure — a half-propagated value must never be resumed."""
+        try:
+            yield self._note_once()
+        except BaseException:
+            self.held, self.stamp = {}, {}
+            raise
+        self.stamp = {name: view.head for name, view in views.items()}
+
     def run(
         self, max_iterations: int = 100_000, stats: FixpointStats | None = None
-    ) -> dict[AppKey, frozenset]:
+    ) -> dict[AppKey, HeldValue]:
+        """Run from empty against the current state: the held values
+        start over, and are returned as by :meth:`advance`."""
         stats = stats if stats is not None else FixpointStats()
         stats.mode = "compiled-seminaive"
-        system = self.system
+        views = self._pin()
+        with self._advancing(views) as note:
+            self.degraded.clear()
+            self.held = {
+                key: HeldValue(len(app.element_type.attribute_names))
+                for key, app in self.system.apps.items()
+            }
+            ctx = self._context(note, views, self.base_plans.values())
+            produced = {
+                key: plan.execute(ctx, executor=self.executor)
+                for key, plan in self.base_plans.items()
+            }
+            self.recomputes += 1
+            self.last = ("recomputed", 0)
+            self._converge(views, produced, max_iterations, stats, note)
+        return self.held
 
-        self.delta_stats = {
-            key: DeltaStats(len(app.element_type.attribute_names))
-            for key, app in system.apps.items()
+    def advance(
+        self, max_iterations: int = 100_000, stats: FixpointStats | None = None
+    ) -> dict[AppKey, HeldValue]:
+        """Bring the held values up to the current state and return them.
+
+        The stamp still current → a hit, no plan runs.  Every base
+        relation that moved still has its stamped log, only longer →
+        :meth:`resume` from the appended rows.  Anything else (nothing
+        held yet, a replaced log, a relation an equation reads outside a
+        binding range) → :meth:`run` from empty.  The values are live:
+        valid until the next advance, so a caller copies what it keeps.
+        """
+        stats = stats if stats is not None else FixpointStats()
+        views = self._pin()
+        if self.held and all(
+            view.head is self.stamp[name] for name, view in views.items()
+        ):
+            self.hits += 1
+            self.last = ("hit", 0)
+            stats.mode = "compiled-hit"
+            if self.on_fallback is not None:
+                for kind, detail in self.degraded.items():
+                    self.on_fallback(kind, detail)
+            return self.held
+        appended = self._appended(views)
+        if appended is None:
+            return self.run(max_iterations, stats)
+        self.resume(views, appended, max_iterations, stats)
+        return self.held
+
+    def _appended(self, views: dict) -> dict[str, list] | None:
+        """Per moved base relation, the rows appended since the stamp —
+        None when any of them cannot seed a resume."""
+        if not self.held:
+            return None
+        appended: dict[str, list] = {}
+        for name, view in views.items():
+            then = self.stamp[name]
+            if view.head is then:
+                continue
+            fresh = self.db.relation(name).appended_since(then, view.head)
+            if fresh is None or self._seed_plans(name) is None:
+                return None
+            appended[name] = fresh
+        return appended
+
+    def _seed_plans(self, name: str) -> dict[AppKey, QueryPlan] | None:
+        """The occurrence-split differential of every equation w.r.t.
+        base relation ``name`` (compiled on first need)."""
+        if name in self.seed_plans:
+            return self.seed_plans[name]
+        db = self.db
+        schema = db.relation(name).element_type
+        estimates = {
+            _variant_token(key, "new"): float(max(1, len(value)))
+            for key, value in self.held.items()
         }
-        self.delta_ops = {
-            key: DeltaApply(key.describe()) for key in system.apps
-        }
-        note = self._note_once()
-        ctx = self._context(note)
-        values: dict[AppKey, set] = {
-            key: self.base_plans[key].execute(ctx, executor=self.executor)
-            for key in system.apps
-        }
-        deltas: dict[AppKey, set] = {
-            key: self.delta_ops[key].apply(values[key], frozenset())
-            for key in system.apps
-        }
-        for key, delta in deltas.items():
-            self.delta_stats[key].absorb(delta)
-        stats.iterations = 1
-        stats.tuples_derived = sum(len(d) for d in deltas.values())
-        stats.peak_delta = stats.tuples_derived
-        return self._converge(values, deltas, max_iterations, stats, note)
+        full = float(max(1, len(db.relation(name))))
+        estimates[_ivm_token(name, "new")] = full
+        estimates[_ivm_token(name, "old")] = full
+        estimates[_ivm_token(name, "delta")] = max(1.0, full**0.5)
+        model = CostModel(db, estimates)
+        plans: dict[AppKey, QueryPlan] | None = {}
+        for key, app in self.system.apps.items():
+            variants: list[ast.Branch] = []
+            for branch in app.body.branches:
+                positions = _branch_relation_positions(branch, name)
+                if positions is None:
+                    plans = None
+                    break
+                variants.extend(_split_branch(branch, name, positions, schema))
+            if plans is None:
+                break
+            if variants:
+                plans[key] = compile_query(
+                    db,
+                    ast.Query(tuple(variants)),
+                    cost_model=model,
+                    options=ExecOptions(optimizer=self.optimizer, executor=self.executor),
+                )
+        self.seed_plans[name] = plans
+        return plans
 
     def resume(
         self,
-        values: dict[AppKey, set],
-        deltas: dict[AppKey, set],
+        views: dict,
+        appended: dict[str, list],
         max_iterations: int = 100_000,
         stats: FixpointStats | None = None,
-    ) -> dict[AppKey, frozenset]:
-        """Continue semi-naive iteration from mid-stream state.
+    ) -> None:
+        """Continue semi-naive iteration from the held values after base
+        relations were appended to.
 
-        ``values`` is a consistent partial model (every row derivable and
-        already propagated except through ``deltas``); ``deltas`` are the
-        not-yet-propagated fresh rows per fixpoint variable.  Used by
-        incremental view maintenance: after an insert-only base-relation
-        change, the subscription seeds deltas from the differential of
-        the changed relation and resumes here instead of re-running the
-        whole fixpoint — sound for the positive (monotone) systems the
-        compiled engine accepts, because every old row stays derivable
-        and seeded deltas cover all new one-step derivations.
+        ``appended`` maps each moved base relation to the rows committed
+        since the stamp; ``views`` pins every base relation at its new
+        head.  Each moved relation's seed plans run with one occurrence
+        bound to its appended rows, its other occurrences and every other
+        relation — moved ones included — at the new heads, and fixpoint
+        variables to the held values.  The seeds cover every derivation
+        through an appended row, which is sound for the positive
+        (monotone) systems the compiled engine accepts, and values are
+        sets, so a derivation seeded twice is absorbed once.  Only the
+        seeded rows are absorbed into the held statistics.
         """
         stats = stats if stats is not None else FixpointStats()
         stats.mode = "compiled-seminaive-resume"
-        system = self.system
-        self.delta_stats = {
-            key: DeltaStats(len(app.element_type.attribute_names))
-            for key, app in system.apps.items()
-        }
-        self.delta_ops = {
-            key: DeltaApply(key.describe()) for key in system.apps
-        }
-        for key in system.apps:
-            # Prime the live statistics with the accumulated value so a
-            # mid-resume re-plan prices fixpoint variables from real
-            # distributions, exactly as a full run would have.
-            self.delta_stats[key].absorb(values[key])
-        stats.iterations = 1
-        stats.tuples_derived = sum(len(d) for d in deltas.values())
-        stats.peak_delta = stats.tuples_derived
-        return self._converge(
-            values, deltas, max_iterations, stats, self._note_once()
-        )
+        with self._advancing(views) as note:
+            produced: dict[AppKey, set] = {key: set() for key in self.system.apps}
+            for name, fresh in appended.items():
+                plans = self._seed_plans(name)
+                apply_values: dict[object, object] = {
+                    _variant_token(key, "new"): value
+                    for key, value in self.held.items()
+                }
+                apply_values[_ivm_token(name, "delta")] = fresh
+                # Later occurrences read the new state too: a superset of
+                # the stamped one, so only derivations that hold now, and
+                # a derivation found twice is absorbed once.
+                apply_values[_ivm_token(name, "new")] = views[name].rows
+                apply_values[_ivm_token(name, "old")] = views[name].rows
+                ctx = self._context(note, views, plans.values(), apply_values)
+                for key, plan in plans.items():
+                    produced[key] |= plan.execute(ctx, executor=self.executor)
+            self.resumes += 1
+            self.last = ("resumed", sum(len(rows) for rows in appended.values()))
+            self._converge(views, produced, max_iterations, stats, note)
 
     def _converge(
         self,
-        values: dict[AppKey, set],
-        deltas: dict[AppKey, set],
+        views: dict,
+        produced: dict[AppKey, set],
         max_iterations: int,
         stats: FixpointStats,
         note,
-    ) -> dict[AppKey, frozenset]:
-        """Drive ``(values, deltas)`` to the least fixpoint (shared tail
-        of :meth:`run` and :meth:`resume`)."""
+    ) -> None:
+        """Absorb the first wave ``produced`` (base branches or seeds)
+        and iterate deltas to the least fixpoint — the shared tail of a
+        run from empty and :meth:`resume`."""
         system = self.system
         executor = self.executor
+        held = self.held
         replans_before = self.replans
+        self.delta_ops = {key: DeltaApply(key.describe()) for key in system.apps}
+        deltas = {
+            key: self.delta_ops[key].apply(rows, held[key])
+            for key, rows in produced.items()
+        }
+        for key, delta in deltas.items():
+            held[key].absorb(delta)
+        stats.iterations = 1
+        stats.tuples_derived = sum(len(d) for d in deltas.values())
+        stats.peak_delta = stats.tuples_derived
 
         # "old" (V - delta) is only needed by non-linear rules; computing it
         # unconditionally would make linear chains quadratic.
@@ -337,19 +629,18 @@ class CompiledFixpoint:
                 )
             apply_values: dict[object, set] = {}
             for key in system.apps:
-                apply_values[_variant_token(key, "new")] = values[key]
+                apply_values[_variant_token(key, "new")] = held[key]
                 apply_values[_variant_token(key, "delta")] = deltas[key]
                 old_token = _variant_token(key, "old")
                 if old_token in old_tokens_used:
-                    apply_values[old_token] = values[key] - deltas[key]
-            ctx = self._context(note, apply_values)
+                    apply_values[old_token] = held[key] - deltas[key]
+            ctx = self._context(note, views, self.diff_plans.values(), apply_values)
             new_deltas: dict[AppKey, set] = {}
             for key in system.apps:
-                produced = self.diff_plans[key].execute(ctx, executor=executor)
-                new_deltas[key] = self.delta_ops[key].apply(produced, values[key])
-            for key in system.apps:
-                values[key] |= new_deltas[key]
-                self.delta_stats[key].absorb(new_deltas[key])
+                produced_rows = self.diff_plans[key].execute(ctx, executor=executor)
+                new_deltas[key] = self.delta_ops[key].apply(produced_rows, held[key])
+            for key, delta in new_deltas.items():
+                held[key].absorb(delta)
             deltas = new_deltas
             stats.iterations += 1
             grown = sum(len(d) for d in deltas.values())
@@ -361,12 +652,11 @@ class CompiledFixpoint:
             if (
                 self.replan_drift is not None
                 and any(deltas.values())
-                and self._max_drift(values, deltas) > self.replan_drift
+                and self._max_drift(deltas) > self.replan_drift
             ):
-                self._replan(values, deltas)
+                self._replan(deltas)
 
-        frozen = {key: frozenset(rows) for key, rows in values.items()}
-        stats.final_sizes = {k.describe(): len(v) for k, v in frozen.items()}
+        stats.final_sizes = {k.describe(): len(v) for k, v in held.items()}
         stats.replans += self.replans - replans_before
         self.plan_stats.iterations = stats.iterations
         # Stats hook: remember the converged sizes (with exact per-column
@@ -376,18 +666,16 @@ class CompiledFixpoint:
         # system actually reads: only their mutations invalidate them.
         catalog = getattr(self.db, "stats", None)
         if catalog is not None:
-            read_relations = base_relation_names(self.db, system)
-            for key, rows in frozen.items():
-                tracked = self.delta_stats[key].table
+            for key, value in held.items():
+                tracked = value.stats.table
                 distinct = tuple(c.distinct for c in tracked.columns)
                 catalog.record_fixpoint(
                     key,
-                    len(rows),
+                    len(value),
                     distinct,
-                    relations=read_relations,
+                    relations=self.bases,
                     table=tracked,
                 )
-        return frozen
 
 
 def fixpoint_apply_estimates(
@@ -530,7 +818,9 @@ def construct_compiled(
         db, application, replan_drift, options=options, on_fallback=on_fallback
     )
     stats = FixpointStats()
-    values = program.run(max_iterations, stats)
+    values = {
+        key: frozenset(rows) for key, rows in program.run(max_iterations, stats).items()
+    }
     system = program.system
     return ConstructionResult(
         rows=values[system.root],

@@ -20,10 +20,17 @@ programming language compiler:
    constructor application holds a :class:`CompiledStatement`.
 
 3. **Runtime support level** (``PreparedPlan.run`` at the front door,
-   :meth:`CompiledStatement.run` for library callers) — solve the
-   generated fixpoint programs against the current database state
-   (:meth:`CompiledStatement.solve`), bind their values as the top
-   plan's apply values, execute the top plan.
+   :meth:`CompiledStatement.run` for library callers) — bring the
+   generated fixpoint programs' values up to the current database state
+   (:meth:`CompiledStatement.solve`), bind them as the top plan's apply
+   values, execute the top plan.  A compiled program *holds* its value
+   between executions and advances it (:meth:`CompiledFixpoint.advance`):
+   a read with no intervening write runs no plan, a read after inserts
+   resumes from the appended rows, a read after a delete runs from
+   empty.  ``Edge{tc}``'s value is a relation's value in this respect
+   too — it keeps its rows and its hash indexes across reads, and lives
+   as long as the plan-cache entry (or subscription) that holds the
+   statement.
 """
 
 from __future__ import annotations
@@ -114,7 +121,9 @@ class CompiledStatement:
 
     db: Database
     original: ast.Query
-    inlined: ast.Query
+    #: The query the top plan is compiled from: non-recursive
+    #: applications inlined, the rest replaced by their apply variables.
+    top: ast.Query
     fixpoints: dict[AppKey, CompiledFixpoint]
     specializations: dict[AppKey, LinearTC]
     top_plan: QueryPlan
@@ -149,17 +158,21 @@ class CompiledStatement:
 
     # -- Level 3: runtime ---------------------------------------------------------
 
-    def solve(self, on_fallback=None) -> dict[object, frozenset]:
+    def solve(self, on_fallback=None) -> dict[object, set]:
         """Every fixpoint variable's value against the live database.
 
+        Compiled programs advance their held values (a hit, a resume
+        from the appended rows, or a run from empty); those values are
+        live — valid until the next ``solve``, so callers copy what they
+        keep.  Interpreted systems are solved from empty.
         ``on_fallback(kind, detail)`` observes executor degradations of
         the compiled programs and one ``"construct"`` report per
         interpreted system.
         """
-        apply_values: dict[object, frozenset] = {}
+        apply_values: dict[object, set] = {}
         for program in self.fixpoints.values():
             program.on_fallback = on_fallback
-            apply_values.update(program.run())
+            apply_values.update(program.advance())
         for key, (system, why) in self.interpreted.items():
             if on_fallback is not None:
                 on_fallback(
@@ -265,7 +278,7 @@ def compile_statement(
     return CompiledStatement(
         db=db,
         original=query,
-        inlined=inlined,
+        top=rewritten,
         fixpoints=fixpoints,
         specializations=specializations,
         top_plan=top_plan,

@@ -383,7 +383,7 @@ class ResidualProbe:
             index = ctx.db.relation(rexpr.name).index_on(self.attrs)
         else:
             positions = tuple(value.schema.index_of(a) for a in self.attrs)
-            index = ctx.residual_index(rexpr, rows, positions)
+            index = ctx.index_rows(rexpr, rows, positions)
         ctx.stats.index_lookups += 1
         buckets = index.probe_table(scalar=len(self.attrs) == 1)
 
@@ -1632,26 +1632,18 @@ def _encode_apply(rows, schema) -> EncodedTable:
 def _encoded_table(ctx, ref: SourceRef) -> EncodedTable:
     """Resolve the encoded table a vector operator reads.
 
-    Resolution order: row-level source overrides (serving snapshots)
-    encoded on demand with the relation's persistent dictionaries and
-    cached per execution context, then fixpoint variables (encoded per
-    delta), then a cold relation's pushed-down partition scan, then the
-    relation's own version-cached encoded view.
+    Resolution order: a pinned relation state (snapshot reads, fixpoint
+    base relations — the relation's own encoded generation at the pinned
+    head; shard overrides never reach vector kernels), then fixpoint
+    variables (encoded per delta), then a cold relation's pushed-down
+    partition scan, then the relation's own version-cached encoded view.
     """
     source = ref.source
     overrides = ctx.source_overrides
     if overrides is not None:
         pinned = overrides.get(id(source))
         if pinned is not None:
-            rows = pinned[0]
-            cache = ctx.vector_cache
-            key = ("enc", ref.key)
-            entry = cache.get(key)
-            if entry is None or entry[0] is not rows:
-                relation = ctx.db.relation(source.name)
-                entry = (rows, EncodedTable.from_rows(rows, relation.dictionaries()))
-                cache[key] = entry
-            return entry[1]
+            return pinned.encoded()
     if source.kind == "apply":
         rows = ctx.apply_values.get(source.token)
         if rows is None:

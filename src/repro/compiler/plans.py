@@ -122,8 +122,7 @@ class ExecutionContext:
         self.params = dict(params or {})
         self.apply_values = dict(apply_values or {})
         self.stats = stats if stats is not None else PlanStats()
-        self._set_indexes: dict[tuple[int, tuple[int, ...]], HashIndex] = {}
-        self._residual_indexes: dict[tuple, tuple[object, HashIndex]] = {}
+        self._indexes: dict[tuple, tuple[object, HashIndex]] = {}
         self._member_sets: dict[object, frozenset | set] = {}
         #: Per-operator memos of build-side-filtered buckets — the
         #: cost-gated probe-pushdown cache of the columnar executor.
@@ -132,14 +131,15 @@ class ExecutionContext:
         #: (buckets, memo) pairs with the bucket dict held and
         #: identity-checked so a rebuilt index restarts the memo.
         self.pushed_buckets: dict[object, tuple[dict, dict]] = {}
-        #: Per-source (rows, index_provider) overrides, keyed by the
-        #: Source object's id — the sharded backend materializes one
-        #: override map per shard so generated pipelines transparently
-        #: see partition views instead of whole sources.
-        self.source_overrides: dict[int, tuple] | None = None
+        #: Per-source views (``rows`` + ``index_on(positions)``: a
+        #: ShardView or a pinned SnapshotView), keyed by the Source
+        #: object's id — the sharded backend materializes one override
+        #: map per shard, snapshots and fixpoints pin relation states, and
+        #: generated pipelines transparently read the views instead.
+        self.source_overrides: dict[int, object] | None = None
         #: Per-execution-context cache of the vector kernels: encoded
-        #: override tables, dictionary translation arrays, and filter
-        #: verdict tables (see repro.compiler.operators._encoded_table).
+        #: fixpoint-variable tables, dictionary translation arrays, and
+        #: filter verdict tables (see repro.compiler.operators._encoded_table).
         self.vector_cache: dict = {}
         #: Sharded-executor tuning for plans run under this context
         #: (None → the module defaults of repro.compiler.sharded).
@@ -160,31 +160,26 @@ class ExecutionContext:
             hook(kind, detail)
 
     def index_rows(self, token: object, rows, positions: tuple[int, ...]) -> HashIndex:
-        """A per-execution hash index over a materialized row set."""
-        key = (id(rows), positions)
-        index = self._set_indexes.get(key)
-        if index is None:
-            index = HashIndex(positions, rows)
-            self._set_indexes[key] = index
-        return index
+        """A hash index over a materialized row set: a fixpoint variable's
+        value, a computed range, a residual's range.
 
-    def residual_index(self, token, rows, positions: tuple[int, ...]) -> HashIndex:
-        """The grouped-probe index of a residual's range.
-
-        Keyed by the range's AST node (hashable, like :meth:`member_set`)
-        with the row collection held and identity-checked, so a freed
-        row list can never alias another range's index and per-iteration
-        fixpoint values rebuild cleanly.  Stored relations do not come
-        through here — :class:`~repro.compiler.operators.ResidualProbe`
-        routes them to the relation's version-aware index cache, which
-        in-place mutations invalidate.
+        A held fixpoint value (:class:`~repro.compiler.fixpoint.HeldValue`)
+        answers with its own index, extended across executions.  Anything
+        else is indexed once per execution, keyed by ``token`` (an apply
+        token or a hashable range node) with ``rows`` held and
+        identity-checked, so a freed row set can never hand its index to
+        another one, and per-iteration fixpoint values rebuild cleanly.
+        Stored relations do not come through here — their sources and
+        :class:`~repro.compiler.operators.ResidualProbe` use the
+        relation's version-aware index cache.
         """
+        index_on = getattr(rows, "index_on", None)
+        if index_on is not None:
+            return index_on(positions)
         key = (token, positions)
-        entry = self._residual_indexes.get(key)
+        entry = self._indexes.get(key)
         if entry is None or entry[0] is not rows:
-            index = HashIndex(positions, rows)
-            self._residual_indexes[key] = (rows, index)
-            return index
+            entry = self._indexes[key] = (rows, HashIndex(positions, rows))
         return entry[1]
 
     def member_set(self, token: object, rows) -> frozenset | set:
@@ -250,9 +245,9 @@ class Source:
         yields a HashIndex or None."""
         overrides = ctx.source_overrides
         if overrides is not None:
-            shard = overrides.get(id(self))
-            if shard is not None:
-                return shard
+            view = overrides.get(id(self))
+            if view is not None:
+                return view.rows, view.index_on
         if self.kind == "relation":
             relation = ctx.db.relation(self.name)
             # raw_list(): a per-version cached list view — the columnar
@@ -282,7 +277,7 @@ class Source:
         """
         overrides = ctx.source_overrides
         if overrides is not None and overrides.get(id(self)) is not None:
-            return overrides[id(self)][0]
+            return overrides[id(self)].rows
         if pushdown is not None and self.kind == "relation":
             rows = ctx.db.relation(self.name).scan_pushdown(
                 pushdown.projection, pushdown.selection, ctx.params
@@ -309,6 +304,19 @@ class Source:
         from ..calculus.pretty import render_range
 
         return render_range(self.rexpr)
+
+
+def pin_relations(views: dict, plans) -> dict[int, object]:
+    """The ``source_overrides`` that read every relation source of
+    ``plans`` through its pinned view in ``views`` (name →
+    :class:`~repro.relational.indexes.SnapshotView`)."""
+    return {
+        id(step.source): views[step.source.name]
+        for plan in plans
+        for branch in plan.branches
+        for step in branch.steps
+        if step.source.kind == "relation" and step.source.name in views
+    }
 
 
 def _source_for(db: Database, rexpr: ast.RangeExpr, params: dict) -> Source:

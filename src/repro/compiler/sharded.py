@@ -445,13 +445,11 @@ class ShardedBackend(BatchBackend):
         build_views = None
         if align is not None:
             build_views = _build_partitions(ctx, align[0], k)
-        overrides: list[dict[int, tuple]] = []
+        overrides: list[dict[int, ShardView]] = []
         for i in range(k):
-            view = ShardView(lead_parts[i])
-            per_shard = {id(source): (view.rows, view.index_on)}
+            per_shard = {id(source): ShardView(lead_parts[i])}
             if build_views is not None:
-                bview = build_views[i]
-                per_shard[id(align[0].source)] = (bview.rows, bview.index_on)
+                per_shard[id(align[0].source)] = build_views[i]
             overrides.append(per_shard)
         return overrides
 

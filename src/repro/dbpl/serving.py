@@ -55,7 +55,7 @@ from ..calculus.subst import transform
 from ..compiler import ExecutionContext, compile_query, compile_statement
 from ..compiler.executors import get_backend
 from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
-from ..compiler.plans import PlanStats
+from ..compiler.plans import PlanStats, pin_relations
 from ..errors import BindingError
 from ..relational import Database
 from ..relational.indexes import SnapshotView
@@ -149,10 +149,11 @@ class PreparedPlan:
     A shape that mentions a constructor application compiles through
     :func:`repro.compiler.compile_statement` (the paper's query
     compilation level): ``statement`` holds its fixpoint programs,
-    ``plan`` is its top plan, and every execution solves the fixpoints
-    against the live database first and binds their values as the top
-    plan's apply values.  Any other shape is a bare ``compile_query``
-    and ``statement`` is None.
+    ``plan`` is its top plan, and every execution first advances the
+    fixpoints' held values to the live database and binds them as the
+    top plan's apply values — under the plan lock, which is also what
+    keeps two executions from advancing one value at once.  Any other
+    shape is a bare ``compile_query`` and ``statement`` is None.
 
     Executions serialize on a per-plan lock: the slot rebind and the
     pipeline run must be atomic with respect to other executors of the
@@ -444,16 +445,8 @@ class DatabaseSnapshot:
     def version(self, name: str) -> int:
         return self.views[name].version
 
-    def overrides_for(self, plan) -> dict[int, tuple]:
-        overrides: dict[int, tuple] = {}
-        for branch in plan.branches:
-            for step in branch.steps:
-                source = step.source
-                if source.kind == "relation":
-                    view = self.views.get(source.name)
-                    if view is not None:
-                        overrides[id(source)] = (view.rows, view.index_on)
-        return overrides
+    def overrides_for(self, plan) -> dict[int, object]:
+        return pin_relations(self.views, (plan,))
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         stamps = ", ".join(

@@ -19,8 +19,10 @@ executor-backend registry) — behind a per-session
 only in compared constants share one compiled plan, rebinding constants
 per call.  A constructed range ``Rel{con(args)}`` is a range like any
 other, bare or inside a set former: non-recursive applications inline,
-the rest become compiled fixpoint programs cached with the plan and
-re-run against live state per execution.  :meth:`Session.subscribe` is
+the rest become compiled fixpoint programs cached with the plan, each
+holding its value and advancing it to the live state per execution
+(:meth:`~repro.compiler.fixpoint.CompiledFixpoint.advance`).
+:meth:`Session.subscribe` is
 the one place that still asks whether the query *is* a constructed
 range — to pick the maintenance strategy.  The knobs:
 
@@ -524,7 +526,7 @@ class Session:
         the session plan cache, so preparing an already-hot shape is
         free.  Constructed ranges prepare like any other range: the
         handle holds the compiled fixpoint programs and every
-        ``execute`` re-runs them against live state.
+        ``execute`` advances their held values to the live state.
         """
         options = self._call_options(options)
         node = parse_expression(source)
@@ -549,8 +551,8 @@ class Session:
         :meth:`~repro.dbpl.subscriptions.Subscription.rows` always equal
         a fresh :meth:`query` of the same source.  Set formers and
         ranges are maintained incrementally by derivation counting;
-        constructed ranges keep their converged fixpoint and resume
-        semi-naive iteration on inserts (deletes re-run).  ``on_change``
+        constructed ranges are their compiled program's held value,
+        resumed on inserts (deletes run from empty).  ``on_change``
         observes each net change (it runs inside the committing write —
         do not mutate relations from it);
         :meth:`~repro.dbpl.subscriptions.Subscription.changes` drains

@@ -6,29 +6,32 @@ counterpart of the paper's view of relations and rules as one algebra:
 a subscription is a derived relation whose extension tracks its
 defining expression continuously instead of being recomputed on demand.
 
-Two maintenance strategies, chosen by the shape of the expression:
+Two maintenance strategies, chosen by the shape of the expression; both
+kinds are clients of the one fixpoint resume path
+(:meth:`~repro.compiler.fixpoint.CompiledFixpoint.advance`):
 
-* **Set formers and ranges** (non-recursive SPJ-union queries) use
-  counting-based incremental view maintenance.  The subscription keeps
-  the *number of derivations* of every result row (a bag, evaluated by
-  running the compiled branch plans without the final duplicate
-  elimination).  Each committed insert/delete batch on a base relation
-  is pushed through the occurrence-split differential of the query with
-  respect to that relation — the same non-linear differential the
-  semi-naive fixpoint compiler uses, with the changed relation's
-  new/delta/old states bound as apply values — and the produced
-  derivations adjust the counts.  A row enters the result when its
-  count becomes positive and leaves when it returns to zero, which is
-  exact for select-project-join-union under set semantics.
+* **Set formers and ranges** use counting-based incremental view
+  maintenance.  The subscription keeps the *number of derivations* of
+  every result row (a bag, evaluated by running the compiled branch
+  plans without the final duplicate elimination).  Each committed
+  insert/delete batch on a base relation is pushed through the
+  occurrence-split differential of the query with respect to that
+  relation — the same differential the fixpoint seeds use, with the
+  changed relation's new/delta/old states bound as apply values — and
+  the produced derivations adjust the counts.  A row enters the result
+  when its count becomes positive and leaves when it returns to zero,
+  which is exact for select-project-join-union under set semantics.  A
+  set former over a constructed range compiles through
+  :func:`~repro.compiler.levels.compile_statement`: the application's
+  value is its program's held value, and a batch on a relation the
+  value depends on advances it and recounts the top plan over it.
 
-* **Constructed ranges** (recursive fixpoints) keep the converged
-  fixpoint values of the compiled program.  An insert-only batch seeds
-  fresh deltas by differentiating the equation bodies with respect to
-  the changed base relation and resumes semi-naive iteration from the
-  current model (:meth:`CompiledFixpoint.resume`) — sound because the
-  compiled engine only accepts positive (monotone) systems, so old rows
-  stay derivable and the seeds cover every new one-step derivation.
-  Deletions are not monotone; they trigger a full re-run.
+* **Constructed ranges** are their compiled program's held value: a
+  commit advances it (a resume from the appended rows after inserts —
+  sound because the compiled engine only accepts positive, monotone
+  systems — and a run from empty after a delete), and the change feed
+  reports the held log's suffix since the last event, or the difference
+  of the two values after a run from empty.
 
 Either way the deltas arrive from the write path: once a
 :class:`SubscriptionRegistry` is attached (`Database.attach_sink`),
@@ -51,78 +54,23 @@ from __future__ import annotations
 
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 from ..calculus import ast
+from ..calculus.analysis import uses_constructed_ranges
 from ..compiler.executors import get_backend
-from ..compiler.fixpoint import REPLAN_DRIFT, compile_application
+from ..compiler.fixpoint import (
+    REPLAN_DRIFT,
+    _branch_relation_positions,
+    _ivm_token,
+    _split_branch,
+    compile_application,
+)
+from ..compiler.levels import compile_statement
 from ..compiler.options import ExecOptions
 from ..compiler.plans import CostModel, ExecutionContext, PlanStats, compile_query
 from ..constructors.engines import _variant_token
 from ..constructors.instantiate import base_relation_names
-
-
-def _ivm_token(name: str, kind: str) -> tuple:
-    """Apply-value token for one state of base relation ``name``.
-
-    Shaped like a fixpoint variant token (``("__seminaive__", kind,
-    key)``) so the planner's delta-preference pricing and tiebreaks
-    apply to differential plans over base relations unchanged.
-    """
-    return _variant_token(("__ivm__", name), kind)
-
-
-def _branch_relation_positions(branch: ast.Branch, name: str) -> list[int] | None:
-    """Binding positions ranging directly over relation ``name``, or None
-    when the branch references the relation anywhere else (predicates,
-    targets, nested ranges) — ineligible for differentiation."""
-    positions = [
-        i
-        for i, b in enumerate(branch.bindings)
-        if isinstance(b.range, ast.RelRef) and b.range.name == name
-    ]
-    total = sum(
-        1
-        for node in ast.walk(branch)
-        if isinstance(node, ast.RelRef) and node.name == name
-    )
-    if total != len(positions):
-        return None
-    return positions
-
-
-def _split_branch(
-    branch: ast.Branch, name: str, positions: list[int], schema
-) -> list[ast.Branch]:
-    """Occurrence-split differential variants of ``branch`` w.r.t. one
-    relation: variant i binds occurrence i to the delta, earlier
-    occurrences to the new state, later ones to the old state.  Any
-    fixpoint variables in the branch are rebound to their "new" variant
-    (used by the fixpoint seed plans; plain queries have none)."""
-    variants: list[ast.Branch] = []
-    position_set = set(positions)
-    for i in range(len(positions)):
-        new_bindings: list[ast.Binding] = []
-        for p, b in enumerate(branch.bindings):
-            if p in position_set:
-                j = positions.index(p)
-                kind = "new" if j < i else "delta" if j == i else "old"
-                new_bindings.append(
-                    ast.Binding(b.var, ast.ApplyVar(_ivm_token(name, kind), schema))
-                )
-            elif isinstance(b.range, ast.ApplyVar):
-                new_bindings.append(
-                    ast.Binding(
-                        b.var,
-                        ast.ApplyVar(
-                            _variant_token(b.range.token, "new"), b.range.schema
-                        ),
-                    )
-                )
-            else:
-                new_bindings.append(b)
-        variants.append(dc_replace(branch, bindings=tuple(new_bindings)))
-    return variants
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +262,7 @@ class Subscription:
 
 
 class QuerySubscription(Subscription):
-    """Counting-maintained subscription over a non-recursive query."""
+    """Counting-maintained subscription over a set former or range."""
 
     def __init__(
         self, registry, node: ast.Query, source, options, on_change,
@@ -322,40 +270,63 @@ class QuerySubscription(Subscription):
     ):
         super().__init__(registry, source, options, on_change)
         db = registry.db
-        self._node = node
         self._on_fallback = on_fallback
         self._optimizer = options.resolved_optimizer
         # get_backend rejects unknown names, as at every other door.
         self._executor = _BAG_EXECUTORS.get(
             get_backend(options.resolved_executor).name, "batch"
         )
-        self.watched = tuple(
-            sorted(
-                {
-                    n.name
-                    for n in ast.walk(node)
-                    if isinstance(n, ast.RelRef) and n.name in db.relations
-                }
+        watched = {
+            n.name
+            for n in ast.walk(node)
+            if isinstance(n, ast.RelRef) and n.name in db.relations
+        }
+        exec_options = ExecOptions(optimizer=self._optimizer, executor=self._executor)
+        #: The statement compiled for a set former over a constructed
+        #: range (None for a plain one): its programs hold the
+        #: applications' values, its top plan ranges over them.
+        self._statement = None
+        #: Relations the applications' values depend on: their batches
+        #: advance the values and recount the top plan.
+        self._fixed: frozenset[str] = frozenset()
+        if uses_constructed_ranges(node):
+            self._statement = compile_statement(db, node, options=exec_options)
+            node = self._statement.top
+            systems = [p.system for p in self._statement.fixpoints.values()]
+            systems += [s for s, _why in self._statement.interpreted.values()]
+            self._fixed = frozenset().union(
+                *(base_relation_names(db, system) for system in systems)
             )
-        )
-        self._plan = compile_query(
-            db,
-            node,
-            options=ExecOptions(optimizer=self._optimizer, executor=self._executor),
-        )
+            self._plan = self._statement.top_plan
+        else:
+            self._plan = compile_query(db, node, options=exec_options)
+        self._node = node
+        self.watched = tuple(sorted(watched | self._fixed))
         #: Per-relation differential handler, built on first batch:
         #: a _DeltaHandler, or _RECOMPUTE when ineligible.
         self._handlers: dict[str, object] = {}
+        #: The applications' values (plain and "new" tokens) as of the
+        #: last recount; None without a statement.
+        self._values = self._solve()
         #: Derivation counts; result rows are exactly the keys (every
         #: stored count is positive).
-        self._counts: Counter = Counter(
-            self._execute(self._plan, apply_values=None)
-        )
+        self._counts: Counter = Counter(self._execute(self._plan))
 
     def _rows(self) -> frozenset:
         return frozenset(self._counts)
 
-    def _execute(self, plan, apply_values) -> list:
+    def _solve(self) -> dict | None:
+        """Advance the statement's fixpoint values to the current state."""
+        if self._statement is None:
+            return None
+        values = self._statement.solve(self._on_fallback)
+        for token, rows in list(values.items()):
+            values[_variant_token(token, "new")] = rows
+        return values
+
+    def _execute(self, plan, deltas=None) -> list:
+        """Run ``plan`` as a bag over the held values plus ``deltas``."""
+        apply_values = {**(self._values or {}), **(deltas or {})}
         ctx = ExecutionContext(
             self.registry.db, apply_values=apply_values, stats=self.plan_stats
         )
@@ -366,7 +337,10 @@ class QuerySubscription(Subscription):
 
     def _compile_delta(self, name: str, delta_est: float) -> object:
         """Compile the occurrence-split differential w.r.t. ``name``,
-        priced with the given delta estimate; _RECOMPUTE if ineligible."""
+        priced with the given delta estimate; _RECOMPUTE if ineligible
+        (or if a held value depends on ``name``)."""
+        if name in self._fixed:
+            return _RECOMPUTE
         db = self.registry.db
         schema = db.relation(name).element_type
         variants: list[ast.Branch] = []
@@ -462,132 +436,50 @@ class QuerySubscription(Subscription):
                     inserted_net.append(row)
 
     def _recompute(self, relation_name: str) -> None:
-        before = set(self._counts)
-        self._counts = Counter(self._execute(self._plan, apply_values=None))
-        after = set(self._counts)
+        before = self._counts
+        self._values = self._solve()
+        self._counts = Counter(self._execute(self._plan))
         self.recomputes += 1
-        self._notify(relation_name, after - before, before - after)
+        self._notify(
+            relation_name,
+            self._counts.keys() - before.keys(),
+            before.keys() - self._counts.keys(),
+        )
 
 
 class FixpointSubscription(Subscription):
-    """Fixpoint-maintained subscription over a constructed range."""
+    """A constructed range: a client of its compiled program's held value."""
 
     def __init__(
         self, registry, node: ast.Constructed, source, options, on_change,
         on_fallback=None,
     ):
         super().__init__(registry, source, options, on_change)
-        db = registry.db
         self._program = compile_application(
-            db, node, options=options, on_fallback=on_fallback
+            registry.db, node, options=options, on_fallback=on_fallback
         )
-        self._system = self._program.system
-        self.watched = tuple(sorted(base_relation_names(db, self._system)))
-        self._values = {
-            key: set(rows) for key, rows in self._program.run().items()
-        }
-        #: Per-relation seed plans (dict key -> QueryPlan), built on
-        #: first insert batch; _RECOMPUTE when ineligible.
-        self._seeds: dict[str, object] = {}
+        self.watched = tuple(sorted(self._program.bases))
+        self._root = self._program.system.root
+        self._value = self._program.advance()[self._root]
+        #: How much of the held log the change feed has reported.
+        self._reported = len(self._value.log)
 
     def _rows(self) -> frozenset:
-        return frozenset(self._values[self._system.root])
-
-    # -- seed plans -------------------------------------------------------
-
-    def _seed_plans(self, name: str) -> object:
-        cached = self._seeds.get(name)
-        if cached is not None:
-            return cached
-        db = self.registry.db
-        schema = db.relation(name).element_type
-        estimates: dict[object, float] = {}
-        for key in self._system.apps:
-            estimates[_variant_token(key, "new")] = float(
-                max(1, len(self._values[key]))
-            )
-        full = float(max(1, len(db.relation(name))))
-        estimates[_ivm_token(name, "new")] = full
-        estimates[_ivm_token(name, "old")] = full
-        estimates[_ivm_token(name, "delta")] = max(1.0, full**0.5)
-        model = CostModel(db, estimates)
-        plans: dict = {}
-        for key, app in self._system.apps.items():
-            variants: list[ast.Branch] = []
-            for branch in app.body.branches:
-                positions = _branch_relation_positions(branch, name)
-                if positions is None:
-                    self._seeds[name] = _RECOMPUTE
-                    return _RECOMPUTE
-                if positions:
-                    variants.extend(_split_branch(branch, name, positions, schema))
-            if variants:
-                plans[key] = compile_query(
-                    db,
-                    ast.Query(tuple(variants)),
-                    cost_model=model,
-                    options=ExecOptions(
-                        optimizer=self._program.optimizer,
-                        executor=self._program.executor,
-                    ),
-                )
-        self._seeds[name] = plans
-        return plans
-
-    # -- maintenance ------------------------------------------------------
+        return frozenset(self._value)
 
     def _apply(self, state: _DeltaState) -> None:
-        if state.dels:
-            # Deletion is not monotone: rows downstream of a deleted
-            # tuple may or may not stay derivable.  Re-run.
-            self._recompute(state.name)
-            return
-        seeds = self._seed_plans(state.name)
-        if seeds is _RECOMPUTE:
-            self._recompute(state.name)
-            return
-        name = state.name
-        apply_values: dict[object, object] = {
-            _ivm_token(name, "new"): state.live,
-            _ivm_token(name, "delta"): state.ins,
-            _ivm_token(name, "old"): state.mid,
-        }
-        for key in self._system.apps:
-            apply_values[_variant_token(key, "new")] = self._values[key]
-        ctx = ExecutionContext(
-            self.registry.db, apply_values=apply_values, stats=self.plan_stats
-        )
-        ctx.shard_config = self._program.shard_config
-        ctx.on_fallback = self._program.on_fallback
-        deltas = {}
-        for key in self._system.apps:
-            plan = seeds.get(key)
-            produced = (
-                plan.execute(ctx, executor=self._program.executor)
-                if plan is not None
-                else ()
-            )
-            deltas[key] = {r for r in produced if r not in self._values[key]}
-        self.delta_batches += 1
-        if not any(deltas.values()):
-            self._notify(name, (), ())
-            return
-        root = self._system.root
-        before = set(self._values[root])
-        # resume() expects deltas already merged into the model (the
-        # "new" side of the differentials must include them), with the
-        # pre-merge state recoverable as values - deltas.
-        for key, fresh in deltas.items():
-            self._values[key] |= fresh
-        self._program.resume(self._values, deltas)
-        self._notify(name, self._values[root] - before, ())
-
-    def _recompute(self, relation_name: str) -> None:
-        before = set(self._values[self._system.root])
-        self._values = {key: set(rows) for key, rows in self._program.run().items()}
-        after = self._values[self._system.root]
-        self.recomputes += 1
-        self._notify(relation_name, after - before, before - after)
+        before = self._value
+        value = self._value = self._program.advance()[self._root]
+        if value is before:
+            # Resumed: the rows it gained are the log's suffix.
+            inserted, deleted = value.log[self._reported :], ()
+            self.delta_batches += 1
+        else:
+            # Ran from empty: a new value, diffed against the old one.
+            inserted, deleted = value - before, before - value
+            self.recomputes += 1
+        self._reported = len(value.log)
+        self._notify(state.name, inserted, deleted)
 
 
 # ---------------------------------------------------------------------------

@@ -161,32 +161,45 @@ class ShardView:
 
 
 class SnapshotView(ShardView):
-    """A version-stamped pinned view of a whole relation.
+    """A pinned view of a whole relation at one committed head.
 
-    The serving layer's snapshot reads hand plans ``(rows, index_on)``
-    pairs through ``ExecutionContext.source_overrides`` — exactly the
+    Snapshot reads and compiled fixpoints hand plans these views through
+    ``ExecutionContext.source_overrides`` — the ``rows`` + ``index_on``
     contract :class:`ShardView` already implements for partitions — so a
     reader keeps scanning (and index-probing) the rows that existed when
-    the snapshot was taken, no matter how many writers commit meanwhile.
+    the view was taken, no matter how many writers commit meanwhile.
     The pinned list is one immutable generation of the relation's row
-    log, and ``index_source`` (``positions -> HashIndex`` for exactly
-    the pinned state) lets the view share the relation's own immutable
-    index generations instead of rebuilding them per snapshot.
+    log; ``head`` is the relation's ``(version, log, n)`` it was taken
+    at; ``index_source`` (``positions -> HashIndex``) and
+    ``encoded_source`` (``() -> EncodedTable``) resolve exactly that
+    state, sharing the relation's own immutable generations instead of
+    rebuilding them per view.
     """
 
-    __slots__ = ("name", "version", "_index_source")
+    __slots__ = ("name", "head", "_index_source", "_encoded_source")
 
-    def __init__(self, rows: list[tuple], name: str, version: int, index_source) -> None:
+    def __init__(
+        self, rows: list[tuple], name: str, head: tuple, index_source, encoded_source
+    ) -> None:
         super().__init__(rows)
         self.name = name
-        self.version = version
+        self.head = head
         self._index_source = index_source
+        self._encoded_source = encoded_source
+
+    @property
+    def version(self) -> int:
+        return self.head[0]
 
     def index_on(self, positions: tuple[int, ...]) -> HashIndex:
         index = self._indexes.get(positions)
         if index is None:
             index = self._indexes[positions] = self._index_source(positions)
         return index
+
+    def encoded(self):
+        """The pinned rows as the relation's dictionary-encoded table."""
+        return self._encoded_source()
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"<SnapshotView {self.name}@v{self.version}: {len(self.rows)} rows>"

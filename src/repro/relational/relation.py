@@ -55,8 +55,8 @@ from .vectors import Dictionary, EncodedTable
 
 #: The five view kinds of :meth:`Relation._view`.  A slot is ``(kind,
 #: *args)``; ``build(rel, head, *args)`` makes its payload from scratch,
-#: ``extend(rel, head, old, m)`` — where the kind has one — from a payload
-#: covering the first ``m`` rows of the same log.
+#: ``extend(rel, head, old, fresh)`` — where the kind has one — from a
+#: payload of an earlier head of the same log and the rows appended since.
 _ROWS, _SET, _ENCODED = ("rows",), ("set",), ("encoded",)
 
 
@@ -71,15 +71,15 @@ _VIEW_KINDS = {
     "rows": (lambda rel, head: head[1][: head[2]], None),
     "set": (
         lambda rel, head: frozenset(head[1][: head[2]]),
-        lambda rel, head, old, m: old.union(head[1][m : head[2]]),
+        lambda rel, head, old, fresh: old.union(fresh),
     ),
     "index": (
         lambda rel, head, positions: HashIndex(positions, rel._view(_ROWS, head)),
-        lambda rel, head, old, m: old.extended(head[1][m : head[2]]),
+        lambda rel, head, old, fresh: old.extended(fresh),
     ),
     "encoded": (
         _encode,
-        lambda rel, head, old, m: old.extended(head[1][m : head[2]], rel._view(_ROWS, head)),
+        lambda rel, head, old, fresh: old.extended(fresh, rel._view(_ROWS, head)),
     ),
     # ``sharded`` is on trial (ROADMAP item 5a): partitions simply rebuild.
     "shards": (
@@ -215,9 +215,11 @@ class Relation:
         if held is not None and held[0] is head:
             return held[1]
         build, extend = _VIEW_KINDS[slot[0]]
-        extendable = held is not None and extend is not None
-        if extendable and held[0][1] is head[1] and held[0][2] < head[2]:
-            payload = extend(self, head, held[1], held[0][2])
+        fresh = None
+        if held is not None and extend is not None:
+            fresh = self.appended_since(held[0], head)
+        if fresh is not None:
+            payload = extend(self, head, held[1], fresh)
         else:
             payload = build(self, head, *slot[1:])
         with self._publish_lock:
@@ -225,6 +227,18 @@ class Relation:
             if held is None or held[0][0] <= head[0]:
                 views[slot] = (head, payload)
         return payload
+
+    def appended_since(self, then: tuple, now: tuple) -> list[tuple] | None:
+        """The rows committed after head ``then`` up to head ``now``, or
+        None when the log was replaced in between (a delete, an assign, a
+        cold materialization).
+
+        Invariant 1 in one place: on the same log object ``log[:n]`` never
+        changes, so what was inserted since a head is a slice of it.
+        """
+        if now[1] is None or then[1] is not now[1] or then[2] > now[2]:
+            return None
+        return now[1][then[2] : now[2]]
 
     def rows(self) -> frozenset[tuple]:
         """The current value as an immutable set of raw tuples — what the
@@ -566,21 +580,23 @@ class Relation:
         return copy
 
     def snapshot_view(self) -> SnapshotView:
-        """A version-stamped pinned view of the current committed state:
-        the serving layer's snapshot-read primitive (``repro.dbpl.serving``).
+        """A pinned view of the current committed state: the snapshot-read
+        primitive of the serving layer (``repro.dbpl.serving``) and of
+        compiled fixpoints, which read their base relations at one head.
 
-        The view holds one immutable row-list generation and resolves
-        indexes through :meth:`_view` for exactly the pinned head —
-        the relation's own index generation while the version stands, a
-        private one once it has moved on — so a reader keeps scanning and
-        probing one committed state while writers move on.
+        The view holds one immutable row-list generation and its head, and
+        resolves indexes and the encoded table through :meth:`_view` for
+        exactly that head — the relation's own generation while the version
+        stands, a private one once it has moved on — so a reader keeps
+        scanning and probing one committed state while writers move on.
         """
         head = self._materialize()
         return SnapshotView(
             self._view(_ROWS, head),
             self.name,
-            head[0],
+            head,
             lambda positions: self._view(("index", positions), head),
+            lambda: self._view(_ENCODED, head),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - display only
