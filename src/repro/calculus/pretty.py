@@ -49,8 +49,13 @@ def render_range(rng: ast.RangeExpr) -> str:
         return render_query(rng.query)
     if isinstance(rng, ast.ApplyVar):
         # An instantiated application's key (duck-typed: layering) reads
-        # as its constructor, like the plan steps that scan it.
-        return f"@{getattr(rng.token, 'constructor', rng.token)}"
+        # as its constructor; a semi-naive variant token
+        # ("__seminaive__", kind, key) as its state too: @Δtc, @new:tc.
+        token, prefix = rng.token, ""
+        if isinstance(token, tuple) and len(token) == 3 and token[0] == "__seminaive__":
+            prefix = {"delta": "Δ", "new": "new:", "old": "old:"}.get(token[1], "")
+            token = token[2]
+        return f"@{prefix}{getattr(token, 'constructor', token)}"
     raise TypeError(f"not a range: {rng!r}")
 
 

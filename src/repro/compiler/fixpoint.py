@@ -28,24 +28,26 @@ brings the value up to the current state — an unchanged stamp is a
 deltas from their log suffixes through the occurrence-split
 differential of every equation w.r.t. each changed relation, and
 :meth:`CompiledFixpoint.resume` continues semi-naive iteration from
-the held value (sound for the positive systems the compiled engine
-accepts: old rows stay derivable, the seeds cover every new one-step
-derivation, values are sets); a replaced log (delete, assign, cold
+the held value (sound because every compiled system is positive: old
+rows stay derivable, the seeds cover every new one-step derivation,
+values are sets); a replaced log (delete, assign, cold
 materialization) runs from empty.  That is the one resume path: the
 statement compiler's runtime level and both subscription kinds call
 it.  :meth:`CompiledFixpoint.run` keeps its run-from-empty meaning.
 
-:func:`compile_application` is the one way from a constructor
-application to its program (instantiate → positivity →
+**Every positive system compiles.**  Positivity is
+:func:`compile_fixpoint`'s own gate: a non-positive system is a
+:class:`~repro.errors.PositivityError` (section 3.3) at every door.  A
+branch whose fixpoint variables all occur as binding ranges gets the
+occurrence-split differential; a branch with one anywhere else (the
+``SOME`` of a reachability query, a membership test, an ``ALL`` body)
+fires whole each round against the current values, which the lemma of
+section 3.3 makes monotone.  :func:`compile_application` is the one way
+from a constructor application to its program (instantiate →
 :func:`compile_fixpoint`): the statement compiler
 (:func:`~repro.compiler.levels.compile_statement`, i.e. the session
 front door), :func:`construct_compiled` and fixpoint subscriptions all
-come through it.  A non-positive system is a
-:class:`~repro.errors.PositivityError` (section 3.3); a positive one
-whose fixpoint variables occur outside binding ranges is a
-:class:`~repro.errors.TranslationError` — outside the compilable
-fragment, which the statement compiler answers with the interpreted
-engine (observably: DBPL901) and subscriptions refuse.
+come through it.
 
 The default ``executor="batch"`` runs the **columnar** pipelines: each
 iteration's delta sets are hashed once per execution context and probed
@@ -69,16 +71,18 @@ measures what a re-plan saves on delta-drifting workloads.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
 from ..calculus import ast
 from ..constructors.api import ConstructionResult
 from ..constructors.engines import (
     FixpointStats,
-    _branch_apply_positions,
-    _differential_branches,
     _variant_token,
-    seminaive_eligible,
+    as_new,
+    is_fixpoint_variable,
+    occurrence_positions,
+    split_occurrences,
+    variant,
 )
 from ..constructors.instantiate import (
     AppKey,
@@ -87,7 +91,7 @@ from ..constructors.instantiate import (
     instantiate,
 )
 from ..constructors.positivity import is_system_positive
-from ..errors import ConvergenceError, PositivityError, TranslationError
+from ..errors import ConvergenceError, PositivityError
 from ..relational import Database, DeltaStats, HashIndex
 from .operators import DeltaApply
 from .options import DEFAULT_OPTIONS, ExecOptions
@@ -123,57 +127,27 @@ def _ivm_token(name: str, kind: str) -> tuple:
     return _variant_token(("__ivm__", name), kind)
 
 
-def _branch_relation_positions(branch: ast.Branch, name: str) -> list[int] | None:
-    """Binding positions ranging directly over relation ``name``, or None
-    when the branch references the relation anywhere else (predicates,
-    targets, nested ranges) — ineligible for differentiation."""
-    positions = [
-        i
-        for i, b in enumerate(branch.bindings)
-        if isinstance(b.range, ast.RelRef) and b.range.name == name
-    ]
-    total = sum(
-        1
-        for node in ast.walk(branch)
-        if isinstance(node, ast.RelRef) and node.name == name
-    )
-    if total != len(positions):
-        return None
-    return positions
+def relation_differential(
+    query: ast.Query, name: str, schema
+) -> list[ast.Branch] | None:
+    """The occurrence-split differential of ``query`` w.r.t. base relation
+    ``name``, whose new/delta/old states are bound as :func:`_ivm_token`
+    apply values; fixpoint variables read their "new" variant (the held
+    value, for fixpoint seeds and for set formers over a constructed
+    range).  None when a branch reads ``name`` outside a binding range."""
 
+    def occurs(node: ast.Node) -> bool:
+        return isinstance(node, ast.RelRef) and node.name == name
 
-def _split_branch(
-    branch: ast.Branch, name: str, positions: list[int], schema
-) -> list[ast.Branch]:
-    """Occurrence-split differential variants of ``branch`` w.r.t. one
-    relation: variant i binds occurrence i to the delta, earlier
-    occurrences to the new state, later ones to the old state.  Any
-    fixpoint variables in the branch are rebound to their "new" variant
-    (the held value, for fixpoint seeds and for set formers over a
-    constructed range)."""
+    def state(_rng: ast.RangeExpr, kind: str) -> ast.ApplyVar:
+        return ast.ApplyVar(_ivm_token(name, kind), schema)
+
     variants: list[ast.Branch] = []
-    position_set = set(positions)
-    for i in range(len(positions)):
-        new_bindings: list[ast.Binding] = []
-        for p, b in enumerate(branch.bindings):
-            if p in position_set:
-                j = positions.index(p)
-                kind = "new" if j < i else "delta" if j == i else "old"
-                new_bindings.append(
-                    ast.Binding(b.var, ast.ApplyVar(_ivm_token(name, kind), schema))
-                )
-            elif isinstance(b.range, ast.ApplyVar):
-                new_bindings.append(
-                    ast.Binding(
-                        b.var,
-                        ast.ApplyVar(
-                            _variant_token(b.range.token, "new"), b.range.schema
-                        ),
-                    )
-                )
-            else:
-                new_bindings.append(b)
-        variants.append(dc_replace(branch, bindings=tuple(new_bindings)))
+    for branch in query.branches:
+        positions = occurrence_positions(branch, occurs)
+        if positions is None:
+            return None
+        variants.extend(split_occurrences(branch, positions, state))
     return variants
 
 
@@ -420,6 +394,10 @@ class CompiledFixpoint:
         """A view of every base relation pinned at its current head."""
         return {name: self.db.relation(name).snapshot_view() for name in self.bases}
 
+    def _current(self) -> dict[object, object]:
+        """Every fixpoint variable's "new" token bound to its held value."""
+        return {_variant_token(key, "new"): value for key, value in self.held.items()}
+
     @contextmanager
     def _advancing(self, views: dict):
         """Around one run or resume: yields the fallback note; stamps the
@@ -446,7 +424,8 @@ class CompiledFixpoint:
                 key: HeldValue(len(app.element_type.attribute_names))
                 for key, app in self.system.apps.items()
             }
-            ctx = self._context(note, views, self.base_plans.values())
+            # Whole-firing branches read the (still empty) "new" values.
+            ctx = self._context(note, views, self.base_plans.values(), self._current())
             produced = {
                 key: plan.execute(ctx, executor=self.executor)
                 for key, plan in self.base_plans.items()
@@ -520,14 +499,9 @@ class CompiledFixpoint:
         model = CostModel(db, estimates)
         plans: dict[AppKey, QueryPlan] | None = {}
         for key, app in self.system.apps.items():
-            variants: list[ast.Branch] = []
-            for branch in app.body.branches:
-                positions = _branch_relation_positions(branch, name)
-                if positions is None:
-                    plans = None
-                    break
-                variants.extend(_split_branch(branch, name, positions, schema))
-            if plans is None:
+            variants = relation_differential(app.body, name, schema)
+            if variants is None:
+                plans = None
                 break
             if variants:
                 plans[key] = compile_query(
@@ -555,10 +529,10 @@ class CompiledFixpoint:
         bound to its appended rows, its other occurrences and every other
         relation — moved ones included — at the new heads, and fixpoint
         variables to the held values.  The seeds cover every derivation
-        through an appended row, which is sound for the positive
-        (monotone) systems the compiled engine accepts, and values are
-        sets, so a derivation seeded twice is absorbed once.  Only the
-        seeded rows are absorbed into the held statistics.
+        through an appended row, which is sound because every compiled
+        system is positive (monotone), and values are sets, so a
+        derivation seeded twice is absorbed once.  Only the seeded rows
+        are absorbed into the held statistics.
         """
         stats = stats if stats is not None else FixpointStats()
         stats.mode = "compiled-seminaive-resume"
@@ -566,10 +540,7 @@ class CompiledFixpoint:
             produced: dict[AppKey, set] = {key: set() for key in self.system.apps}
             for name, fresh in appended.items():
                 plans = self._seed_plans(name)
-                apply_values: dict[object, object] = {
-                    _variant_token(key, "new"): value
-                    for key, value in self.held.items()
-                }
+                apply_values: dict[object, object] = self._current()
                 apply_values[_ivm_token(name, "delta")] = fresh
                 # Later occurrences read the new state too: a superset of
                 # the stamped one, so only derivations that hold now, and
@@ -627,9 +598,8 @@ class CompiledFixpoint:
                     f"compiled fixpoint for {system.root.describe()} did not "
                     f"converge within {max_iterations} iterations"
                 )
-            apply_values: dict[object, set] = {}
+            apply_values = self._current()
             for key in system.apps:
-                apply_values[_variant_token(key, "new")] = held[key]
                 apply_values[_variant_token(key, "delta")] = deltas[key]
                 old_token = _variant_token(key, "old")
                 if old_token in old_tokens_used:
@@ -711,7 +681,18 @@ def compile_fixpoint(
     *,
     options: ExecOptions | None = None,
 ) -> CompiledFixpoint:
-    """Compile base and differential plans for every equation.
+    """Compile base and differential plans for every equation of a
+    positive system (anything else is the section 3.3
+    :class:`PositivityError`).
+
+    A branch whose fixpoint variables all occur as binding ranges is
+    split into its semi-naive differential variants.  A branch with one
+    anywhere else — under ``SOME``, ``IN``, ``OR``, ``NOT ALL``, inside
+    an ``ALL`` body — has no differential to bind it, so it *fires
+    whole*: rebound to the "new" values, it joins both the base and the
+    differential plan and runs each round against the current values.
+    Positivity makes it monotone, so the iteration still reaches the
+    least fixpoint, and every positive system compiles.
 
     Base and differential variants are priced through separate cost
     models: base branches see only stored relations, while differential
@@ -729,10 +710,9 @@ def compile_fixpoint(
     if options is None:
         options = DEFAULT_OPTIONS
     optimizer = options.resolved_optimizer
-    if not seminaive_eligible(system):
-        raise TranslationError(
-            "outside the compilable fragment: a fixpoint variable occurs "
-            "outside a binding range"
+    if not is_system_positive(system):
+        raise PositivityError(
+            f"instantiated system for {system.root.describe()} is not positive"
         )
     estimates = fixpoint_apply_estimates(db, system)
     base_model = CostModel(db)
@@ -744,10 +724,13 @@ def compile_fixpoint(
         base_branches: list[ast.Branch] = []
         diff_branches: list[ast.Branch] = []
         for branch in app.body.branches:
-            positions = _branch_apply_positions(branch)
-            assert positions is not None
-            if positions:
-                diff_branches.extend(_differential_branches(branch, positions))
+            positions = occurrence_positions(branch, is_fixpoint_variable)
+            if positions is None:
+                whole: ast.Branch = as_new(branch)  # type: ignore[assignment]
+                base_branches.append(whole)
+                diff_branches.append(whole)
+            elif positions:
+                diff_branches.extend(split_occurrences(branch, positions, variant))
             else:
                 base_branches.append(branch)
         base_plans[key] = compile_query(
@@ -785,20 +768,16 @@ def compile_application(
 ) -> CompiledFixpoint:
     """One constructor application → its compiled fixpoint program.
 
-    The one copy of instantiate → positivity → :func:`compile_fixpoint`
-    (the statement compiler, :func:`construct_compiled` and fixpoint
-    subscriptions all come through here): a non-positive system is the
-    section 3.3 rejection (:class:`PositivityError`), a positive one
-    outside the compilable fragment a :class:`TranslationError`.
-    ``on_fallback`` is installed as the program's
-    :attr:`CompiledFixpoint.on_fallback` hook.
+    The one copy of instantiate → :func:`compile_fixpoint` (the statement
+    compiler, :func:`construct_compiled` and fixpoint subscriptions all
+    come through here); a non-positive system is
+    :func:`compile_fixpoint`'s :class:`PositivityError`.  ``on_fallback``
+    is installed as the program's :attr:`CompiledFixpoint.on_fallback`
+    hook.
     """
-    system = instantiate(db, application)
-    if not is_system_positive(system):
-        raise PositivityError(
-            f"instantiated system for {system.root.describe()} is not positive"
-        )
-    program = compile_fixpoint(db, system, replan_drift, options=options)
+    program = compile_fixpoint(
+        db, instantiate(db, application), replan_drift, options=options
+    )
     program.on_fallback = on_fallback
     return program
 

@@ -14,8 +14,12 @@ programming language compiler:
    cycles on the clause-interconnectivity structure, generate compiled
    fixpoint programs plus a compiled top query plan, and — when a
    bound-argument special case is detected — note the goal-directed
-   specialization (detected and explained, not executed).  This is the
-   level ``Session.query``/``prepare`` compile through: every
+   specialization (detected and explained, not executed).  Every closed
+   application of a positive constructor compiles, whatever its
+   recursive occurrences look like
+   (:func:`~repro.compiler.fixpoint.compile_fixpoint`), so a
+   closed application has one evaluation path.  This is the level
+   ``Session.query``/``prepare`` compile through: every
    :class:`~repro.dbpl.serving.PreparedPlan` whose shape mentions a
    constructor application holds a :class:`CompiledStatement`.
 
@@ -40,10 +44,8 @@ from dataclasses import dataclass, field
 from ..calculus import ast
 from ..calculus.analysis import free_range_names, free_tuple_vars
 from ..calculus.subst import map_children
-from ..constructors.api import solve_system
-from ..constructors.instantiate import AppKey, InstantiatedSystem, instantiate
+from ..constructors.instantiate import AppKey
 from ..constructors.positivity import definition_violations
-from ..errors import TranslationError
 from ..relational import Database
 from .fixpoint import CompiledFixpoint, compile_application, fixpoint_apply_estimates
 from .graphutils import Digraph, connected_components, recursive_nodes
@@ -129,11 +131,6 @@ class CompiledStatement:
     top_plan: QueryPlan
     plan_stats: PlanStats = field(default_factory=PlanStats)
     pushdown_decisions: list[PushdownDecision] = field(default_factory=list)
-    #: Positive systems outside the compilable fragment, with the
-    #: compiler's reason: the interpreted engine solves them per run.
-    interpreted: dict[AppKey, tuple[InstantiatedSystem, str]] = field(
-        default_factory=dict
-    )
     #: The apply token when the top query is ``{EACH v IN <apply>: TRUE}``
     #: — its answer *is* that value, no scan or dedup needed.
     identity: object | None = None
@@ -149,8 +146,6 @@ class CompiledStatement:
             lines.append(f"  fixpoint program for {key.describe()}:")
             for line in program.explain().splitlines():
                 lines.append(f"    {line}")
-        for key, (_system, why) in self.interpreted.items():
-            lines.append(f"  interpreted fixpoint for {key.describe()}: {why}")
         lines.append("  top plan:")
         for line in self.top_plan.explain().splitlines():
             lines.append(f"    {line}")
@@ -161,25 +156,16 @@ class CompiledStatement:
     def solve(self, on_fallback=None) -> dict[object, set]:
         """Every fixpoint variable's value against the live database.
 
-        Compiled programs advance their held values (a hit, a resume
-        from the appended rows, or a run from empty); those values are
-        live — valid until the next ``solve``, so callers copy what they
-        keep.  Interpreted systems are solved from empty.
-        ``on_fallback(kind, detail)`` observes executor degradations of
-        the compiled programs and one ``"construct"`` report per
-        interpreted system.
+        Each program advances its held values (a hit, a resume from the
+        appended rows, or a run from empty); those values are live —
+        valid until the next ``solve``, so callers copy what they keep.
+        ``on_fallback(kind, detail)`` observes the programs' executor
+        degradations.
         """
         apply_values: dict[object, set] = {}
         for program in self.fixpoints.values():
             program.on_fallback = on_fallback
             apply_values.update(program.advance())
-        for key, (system, why) in self.interpreted.items():
-            if on_fallback is not None:
-                on_fallback(
-                    "construct",
-                    f"{key.describe()} ran on the interpreted fixpoint engine: {why}",
-                )
-            apply_values.update(solve_system(self.db, system).values)
         return apply_values
 
     def run(self, params: dict | None = None) -> set[tuple]:
@@ -212,12 +198,11 @@ def compile_statement(
 
     Non-recursive applications are inlined where the cost gate approves;
     every remaining **closed** application — binding range, quantifier
-    range or nested — becomes a fixpoint variable: a compiled program,
-    or, for a positive system outside the compilable fragment, a system
-    the interpreted engine solves per run.  An open application (one
-    correlated with an enclosing tuple variable or parameter) stays with
-    the residual evaluator.  ``options`` reach the fixpoint programs and
-    the top plan alike.
+    range or nested — becomes a fixpoint variable and its compiled
+    program (a non-positive one is a :class:`PositivityError`).  An open
+    application (one correlated with an enclosing tuple variable or
+    parameter) stays with the residual evaluator.  ``options`` reach the
+    fixpoint programs and the top plan alike.
     """
     if options is None:
         options = DEFAULT_OPTIONS
@@ -225,20 +210,13 @@ def compile_statement(
 
     fixpoints: dict[AppKey, CompiledFixpoint] = {}
     specializations: dict[AppKey, LinearTC] = {}
-    interpreted: dict[AppKey, tuple[InstantiatedSystem, str]] = {}
     top_estimates: dict[object, float] = {}
     interned: dict[ast.Constructed, ast.ApplyVar] = {}
 
     def intern(n: ast.Constructed) -> ast.ApplyVar:
-        try:
-            program = compile_application(db, n, options=options)
-        except TranslationError as exc:
-            # Positive (compile_application checked) but not compilable.
-            system = instantiate(db, n)
-            interpreted[system.root] = (system, str(exc))
-        else:
-            system = program.system
-            fixpoints[system.root] = program
+        program = compile_application(db, n, options=options)
+        system = program.system
+        fixpoints[system.root] = program
         shape = detect_linear_tc(db, system)
         if shape is not None:
             specializations[system.root] = shape
@@ -283,7 +261,6 @@ def compile_statement(
         specializations=specializations,
         top_plan=top_plan,
         pushdown_decisions=pushdown_decisions,
-        interpreted=interpreted,
         identity=identity,
         shard_config=options.shard_config,
     )

@@ -289,20 +289,10 @@ class Source:
     def describe(self) -> str:
         if self.kind == "relation":
             return self.name
-        if self.kind == "apply":
-            token = self.token
-            if (
-                isinstance(token, tuple)
-                and len(token) == 3
-                and token[0] == "__seminaive__"
-            ):
-                kind, key = token[1], token[2]
-                label = getattr(key, "constructor", key)
-                prefix = {"delta": "Δ", "new": "new:", "old": "old:"}.get(kind, "")
-                return f"@{prefix}{label}"
-            return f"@{getattr(token, 'constructor', token)}"
         from ..calculus.pretty import render_range
 
+        if self.kind == "apply":
+            return render_range(ast.ApplyVar(self.token, self.schema))
         return render_range(self.rexpr)
 
 

@@ -29,10 +29,12 @@ are cross-checked in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace as dc_replace
 
 from ..calculus import ast
 from ..calculus.evaluator import EvalStats, Evaluator
+from ..calculus.subst import map_children
 from ..errors import ConvergenceError, PositivityError
 from ..relational import Database, DeltaStats
 from .instantiate import AppKey, InstantiatedSystem
@@ -176,28 +178,32 @@ def iterate_steps(
 # ---------------------------------------------------------------------------
 
 
-def _branch_apply_positions(branch: ast.Branch) -> list[int] | None:
-    """Binding positions whose range is an ApplyVar, or None if the branch
-    uses fixpoint variables anywhere else (ineligible for differentials)."""
-    positions = [
-        i for i, b in enumerate(branch.bindings) if isinstance(b.range, ast.ApplyVar)
-    ]
-    # Any ApplyVar occurrence beyond those direct binding ranges — inside
-    # predicates, targets, nested ranges — blocks differentiation.  walk()
-    # visits one occurrence per structural position, so comparing counts is
-    # robust even when node objects are aliased.
-    total_occurrences = sum(
-        1 for node in ast.walk(branch) if isinstance(node, ast.ApplyVar)
-    )
-    if total_occurrences != len(positions):
-        return None
-    return positions
+def is_fixpoint_variable(node: ast.Node) -> bool:
+    return isinstance(node, ast.ApplyVar)
+
+
+def occurrence_positions(
+    branch: ast.Branch, occurs: Callable[[ast.Node], bool]
+) -> list[int] | None:
+    """Binding positions whose range is an occurrence (``occurs(range)``),
+    or None when one occurs anywhere else — inside predicates, targets,
+    nested ranges — where no differential can bind it.
+
+    ``occurs`` is :func:`is_fixpoint_variable` for the recursive
+    differential, or a test for one base relation's ``RelRef`` for
+    differentials w.r.t. that relation.  walk() visits one occurrence per
+    structural position, so comparing counts is robust even when node
+    objects are aliased.
+    """
+    positions = [i for i, b in enumerate(branch.bindings) if occurs(b.range)]
+    total = sum(1 for node in ast.walk(branch) if occurs(node))
+    return positions if total == len(positions) else None
 
 
 def seminaive_eligible(system: InstantiatedSystem) -> bool:
     """True when every equation confines ApplyVars to binding ranges."""
     return all(
-        _branch_apply_positions(branch) is not None
+        occurrence_positions(branch, is_fixpoint_variable) is not None
         for app in system.apps.values()
         for branch in app.body.branches
     )
@@ -207,30 +213,44 @@ def _variant_token(key: AppKey, kind: str) -> tuple:
     return ("__seminaive__", kind, key)
 
 
-def _differential_branches(branch: ast.Branch, positions: list[int]) -> list[ast.Branch]:
-    """The occurrence-split variants of one recursive branch.
+def variant(rng: ast.ApplyVar, kind: str) -> ast.ApplyVar:
+    """Fixpoint variable ``rng`` in one state: "new", "delta" or "old"."""
+    return ast.ApplyVar(_variant_token(rng.token, kind), rng.schema)
 
-    For recursive occurrences o_1..o_m, variant i binds o_i to the delta,
+
+def as_new(node: ast.Node) -> ast.Node:
+    """``node`` with every fixpoint variable rebound to its "new" variant
+    (its current value): how a branch reads the fixpoint variables it is
+    not differentiated by."""
+    if isinstance(node, ast.ApplyVar):
+        return variant(node, "new")
+    return map_children(node, as_new)
+
+
+def split_occurrences(
+    branch: ast.Branch,
+    positions: list[int],
+    state: Callable[[ast.RangeExpr, str], ast.RangeExpr],
+) -> list[ast.Branch]:
+    """The occurrence-split differential variants of one branch.
+
+    For occurrences o_1..o_m at binding ``positions`` (as found by
+    :func:`occurrence_positions`), variant i binds o_i to the delta,
     occurrences before i to the *new* full value, and occurrences after i
     to the *old* full value — the standard non-linear differential.
+    ``state(range, kind)`` is the range an occurrence reads in that
+    state; every other fixpoint variable in the branch reads its new
+    value (:func:`as_new`).
     """
+    rest: ast.Branch = as_new(branch)  # type: ignore[assignment]
     variants: list[ast.Branch] = []
-    for i, _pos_i in enumerate(positions):
-        new_bindings = list(branch.bindings)
-        for j, pos_j in enumerate(positions):
-            binding = branch.bindings[pos_j]
-            apply_var: ast.ApplyVar = binding.range  # type: ignore[assignment]
-            if j < i:
-                kind = "new"
-            elif j == i:
-                kind = "delta"
-            else:
-                kind = "old"
-            new_bindings[pos_j] = ast.Binding(
-                binding.var,
-                ast.ApplyVar(_variant_token(apply_var.token, kind), apply_var.schema),
-            )
-        variants.append(dc_replace(branch, bindings=tuple(new_bindings)))
+    for i in range(len(positions)):
+        bindings = list(rest.bindings)
+        for j, p in enumerate(positions):
+            kind = "new" if j < i else "delta" if j == i else "old"
+            binding = branch.bindings[p]
+            bindings[p] = ast.Binding(binding.var, state(binding.range, kind))
+        variants.append(dc_replace(rest, bindings=tuple(bindings)))
     return variants
 
 
@@ -255,10 +275,10 @@ def seminaive_fixpoint(
         base_branches: list[ast.Branch] = []
         diff_branches: list[ast.Branch] = []
         for branch in app.body.branches:
-            positions = _branch_apply_positions(branch)
+            positions = occurrence_positions(branch, is_fixpoint_variable)
             assert positions is not None  # guaranteed by eligibility check
             if positions:
-                diff_branches.extend(_differential_branches(branch, positions))
+                diff_branches.extend(split_occurrences(branch, positions, variant))
             else:
                 base_branches.append(branch)
         base_queries[key] = ast.Query(tuple(base_branches))

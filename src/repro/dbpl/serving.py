@@ -237,9 +237,7 @@ class PreparedPlan:
             apply_values = None
             statement = self.statement
             if statement is not None:
-                if snapshot is not None and (
-                    statement.fixpoints or statement.interpreted
-                ):
+                if snapshot is not None and statement.fixpoints:
                     raise ValueError(SNAPSHOT_REFUSED)
                 apply_values = statement.solve(self.on_fallback)
                 if statement.identity is not None:

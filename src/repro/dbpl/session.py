@@ -43,10 +43,11 @@ range — to pick the maintenance strategy.  The knobs:
   writers.
 
 Query shapes the compiler cannot translate fall back to the interpreted
-evaluator, and positive constructors outside the compiled fixpoint
-fragment to the interpreted fixpoint engine — both counted in
-``Session.fallbacks`` and hinted (DBPL900/901; compile-time errors
-only — runtime errors propagate).
+evaluator — counted in ``Session.fallbacks`` and hinted (DBPL900;
+compile-time errors only — runtime errors propagate).  Every positive
+constructor compiles, so a closed constructed range never leaves the
+compiled path; a non-positive one is a
+:class:`~repro.errors.PositivityError`.
 
 Every query and declaration also passes through the static analyzer
 (:mod:`repro.analysis`) before touching the planner.  ``Session.check``
@@ -142,20 +143,19 @@ _ANALYSIS_CACHE_SIZE = 256
 _QUERY_MODES = ("auto", "interpreted")
 
 #: Every way execution can leave the requested path, and the hint code
-#: that reports it.  The first two are compile-time detours (taken by
-#: :meth:`Session.query` itself and by the statement compiler, reported
-#: per execution); the rest are runtime degradations the
+#: that reports it.  The first is the one compile-time detour (taken by
+#: :meth:`Session.query` itself); the rest are runtime degradations the
 #: executors report through ``ExecutionContext.note_fallback`` — the
 #: compiled path was kept, but not the requested physical strategy.
-#: Five kinds.  Codes are never renumbered; a gap is a retired
-#: degradation — two so far, 903 (a shipped-buffer inner executor) and
-#: 904 (snapshots ran unsharded; shards now plan over the pinned rows).
+#: Four kinds.  Codes are never renumbered; a gap is a retired
+#: degradation — three so far, 901 (a positive system outside the
+#: compiled fixpoint fragment ran on the interpreted engine; every
+#: positive system compiles now), 903 (a shipped-buffer inner executor)
+#: and 904 (snapshots ran unsharded; shards now plan over the pinned
+#: rows).
 _FALLBACK_CODES = {
     # DBPLError at compile time → the reference evaluator re-ran the query
     "interpreted": "DBPL900",
-    # a positive system outside the compiled fixpoint fragment →
-    # interpreted fixpoint engine
-    "construct": "DBPL901",
     # ShardConfig(pool="process") ran on threads (no fork)
     "process_pool": "DBPL902",
     # a branch with no generated pipeline ran on the tuple interpreter
@@ -273,11 +273,11 @@ class Session:
         """Count a departure from the requested path and hint about it.
 
         The one sink for every kind in ``_FALLBACK_CODES``: the session's
-        own compile-time detours and — installed as the ``on_fallback``
+        own compile-time detour and — installed as the ``on_fallback``
         hook of prepared plans, their fixpoint programs and
-        subscriptions — the statement compiler's interpreted systems
-        and the executors' runtime degradations.  No result changes; a kind outside the
-        table is a bug in whoever reported it (``KeyError``).
+        subscriptions — the executors' runtime degradations.  No result
+        changes; a kind outside the table is a bug in whoever reported
+        it (``KeyError``).
         """
         code = _FALLBACK_CODES[kind]
         self.fallbacks[kind] += 1
@@ -431,17 +431,14 @@ class Session:
         repeatable read is honoured or refused, never dropped.
 
         Fallbacks off the compiled path are observable: untranslatable
-        set formers re-run on the reference evaluator, and a positive
-        constructor whose fixpoint will not compile (a recursive
-        occurrence under ``SOME``, say) is solved by the interpreted
-        engine inside an otherwise compiled plan — each bumping
-        :attr:`fallbacks` and emitting a DBPL90x hint to
-        ``on_diagnostic`` per query.  Only a compile-time
-        :class:`TranslationError` triggers the constructed-range
-        fallback; a non-positive constructor is the section 3.3
-        :class:`PositivityError` on every spelling, and an
-        :class:`EvaluationError` mid-execution propagates (re-running
-        after partial evaluation would hide real bugs).
+        set formers re-run on the reference evaluator, bumping
+        :attr:`fallbacks` and emitting a DBPL900 hint to
+        ``on_diagnostic`` per query.  Every positive constructor
+        compiles (a recursive occurrence under ``SOME`` included); a
+        non-positive one is the section 3.3 :class:`PositivityError` on
+        every spelling, and an :class:`EvaluationError` mid-execution
+        propagates (re-running after partial evaluation would hide real
+        bugs).
         """
         if mode not in _QUERY_MODES:
             raise ValueError(f"mode must be one of {_QUERY_MODES}, got {mode!r}")

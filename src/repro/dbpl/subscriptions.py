@@ -28,10 +28,13 @@ kinds are clients of the one fixpoint resume path
 
 * **Constructed ranges** are their compiled program's held value: a
   commit advances it (a resume from the appended rows after inserts —
-  sound because the compiled engine only accepts positive, monotone
-  systems — and a run from empty after a delete), and the change feed
-  reports the held log's suffix since the last event, or the difference
-  of the two values after a run from empty.
+  sound because every compiled system is positive, hence monotone —
+  and a run from empty after a delete), and the change feed reports
+  the held log's suffix since the last event, or the difference of the
+  two values after a run from empty.  Every positive constructor is
+  maintained this way, a recursive occurrence under ``SOME`` included;
+  a non-positive one is refused at subscribe time
+  (:class:`~repro.errors.PositivityError`).
 
 Either way the deltas arrive from the write path: once a
 :class:`SubscriptionRegistry` is attached (`Database.attach_sink`),
@@ -61,16 +64,14 @@ from ..calculus.analysis import uses_constructed_ranges
 from ..compiler.executors import get_backend
 from ..compiler.fixpoint import (
     REPLAN_DRIFT,
-    _branch_relation_positions,
     _ivm_token,
-    _split_branch,
     compile_application,
+    relation_differential,
 )
 from ..compiler.levels import compile_statement
 from ..compiler.options import ExecOptions
 from ..compiler.plans import CostModel, ExecutionContext, PlanStats, compile_query
 from ..constructors.engines import _variant_token
-from ..constructors.instantiate import base_relation_names
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +293,8 @@ class QuerySubscription(Subscription):
         if uses_constructed_ranges(node):
             self._statement = compile_statement(db, node, options=exec_options)
             node = self._statement.top
-            systems = [p.system for p in self._statement.fixpoints.values()]
-            systems += [s for s, _why in self._statement.interpreted.values()]
             self._fixed = frozenset().union(
-                *(base_relation_names(db, system) for system in systems)
+                *(p.bases for p in self._statement.fixpoints.values())
             )
             self._plan = self._statement.top_plan
         else:
@@ -342,13 +341,11 @@ class QuerySubscription(Subscription):
         if name in self._fixed:
             return _RECOMPUTE
         db = self.registry.db
-        schema = db.relation(name).element_type
-        variants: list[ast.Branch] = []
-        for branch in self._node.branches:
-            positions = _branch_relation_positions(branch, name)
-            if positions is None:
-                return _RECOMPUTE
-            variants.extend(_split_branch(branch, name, positions, schema))
+        variants = relation_differential(
+            self._node, name, db.relation(name).element_type
+        )
+        if variants is None:
+            return _RECOMPUTE
         full = float(max(1, len(db.relation(name))))
         estimates = {
             _ivm_token(name, "delta"): delta_est,

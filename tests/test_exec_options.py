@@ -52,9 +52,9 @@ BEGIN EACH r IN Rel: TRUE,
 END ahead;
 """
 
-#: Positive (section 3.3 allows a recursive occurrence under SOME) but
-#: outside the compiled fragment: the fixpoint variable is not a binding
-#: range.  The one real program behind DBPL901.
+#: Positive (section 3.3 allows a recursive occurrence under SOME), but
+#: the fixpoint variable is not a binding range: its branch has no
+#: semi-naive differential and fires whole each round.
 REACHQ = """
 CONSTRUCTOR reachq FOR Rel: prel (): prel;
 BEGIN EACH r IN Rel: r.front = "table",
@@ -292,7 +292,7 @@ class TestFallbackChain:
         closure = s.query("Infront{ahead()}", mode="interpreted")
         assert len(closure) == 6
         assert s.query("Infront{ahead()}") == closure
-        assert s.fallbacks["construct"] == 0  # still the compiled fixpoint
+        assert s.fallbacks["interpreted"] == 0  # still the compiled fixpoint
         assert s.fallbacks["lowering"] == 1
         (hint,) = [g for g in diags if g.code == "DBPL905"]
         assert "executor='batch'" in hint.message
@@ -380,7 +380,6 @@ class TestObservableFallbacks:
         s.query("Infront{ahead()}")
         assert set(s.fallbacks) == {
             "interpreted",
-            "construct",
             "process_pool",
             "lowering",
             "vector_numpy",
@@ -414,7 +413,6 @@ class TestObservableFallbacks:
         source = '{EACH r IN Infront: r.back = "chair"}'
         assert s.query(source) == {("table", "chair")}
         assert s.fallbacks["interpreted"] == 1
-        assert s.fallbacks["construct"] == 0
         hints = [g for g in diags if g.code == "DBPL900"]
         assert len(hints) == 1
         assert hints[0].severity == "hint"
@@ -424,9 +422,10 @@ class TestObservableFallbacks:
     @pytest.mark.parametrize(
         "source", ["Infront{reachq()}", "{EACH r IN Infront{reachq()}: TRUE}"]
     )
-    def test_construct_fallback_from_a_real_program(self, source):
+    def test_recursion_under_some_compiles_and_is_held(self, source):
         # Both spellings of the one range: the bare one used to be a
-        # PositivityError, the wrapped one a silent interpreter detour.
+        # PositivityError, then both ran on the interpreted fixpoint
+        # engine per query (DBPL901), never held.
         s = make_session()
         s.execute(REACHQ)
         s.insert("Infront", [("door", "wall"), ("lamp", "desk")])
@@ -434,15 +433,18 @@ class TestObservableFallbacks:
         s.on_diagnostic = diags.append
         expected = s.query(source, mode="interpreted")
         assert expected == {("table", "chair"), ("chair", "door"), ("door", "wall")}
-        for runs in (1, 2):  # the cached plan reports per query
+        for _ in range(2):
             assert s.query(source) == expected
-            assert s.fallbacks["construct"] == runs
-            assert s.fallbacks["interpreted"] == 0
-            assert len([g for g in diags if g.code == "DBPL901"]) == runs
-        assert "interpreted fixpoint" in diags[-1].message
-        assert "outside the compilable fragment" in diags[-1].message
         assert s.prepare(source).execute() == expected
-        assert s.fallbacks["construct"] == 3
+        (program,) = s.prepare(source).plan.statement.fixpoints.values()
+        assert (program.recomputes, program.hits, program.last) == (1, 2, ("hit", 0))
+        s.insert("Infront", [("wall", "roof")])
+        expected = s.query(source, mode="interpreted")
+        assert ("wall", "roof") in expected
+        assert s.query(source) == expected
+        assert program.last == ("resumed", 1)
+        assert not any(s.fallbacks.values())
+        assert not [g for g in diags if g.code.startswith("DBPL9")]
 
     @pytest.mark.parametrize(
         "source", ["Base{nonsense}", "{EACH r IN Base{nonsense}: TRUE}"]
@@ -455,29 +457,34 @@ class TestObservableFallbacks:
         db.declare("Base", paper.CARDREL, [(i,) for i in range(3)])
         paper.define_nonsense(db, check_positivity=False)
         s = Session(db)
-        with pytest.raises(PositivityError):
-            s.query(source)
+        for door in (s.query, s.prepare, s.subscribe):
+            with pytest.raises(PositivityError):
+                door(source)
         with pytest.raises(PositivityError):
             s.query(source, mode="interpreted")
         assert not any(s.fallbacks.values())
 
-    def test_construct_fallback_counts_and_hints(self, monkeypatch):
-        s = make_session()
-        diags = []
-        s.on_diagnostic = diags.append
-        expected = s.query("Infront{ahead()}", mode="interpreted")
+    def test_positivity_is_compile_fixpoints_own_gate(self, monkeypatch):
+        """Every caller of ``compile_fixpoint`` gets the section 3.3
+        rejection, before any plan is compiled or run: a positivity
+        check left to ``compile_application`` would let a direct caller
+        iterate ``nonsense`` whole and return a wrong answer."""
+        from repro import paper
+        from repro.relational import Database
 
-        def boom(db, system, *args, **kwargs):
-            raise TranslationError("no fixpoint plan")
-
-        monkeypatch.setattr(fixpoint_mod, "compile_fixpoint", boom)
-        s.plan_cache.clear()
-        assert s.query("Infront{ahead()}") == expected
-        assert s.fallbacks["interpreted"] == 0
-        assert s.fallbacks["construct"] == 1
-        (hint,) = [g for g in diags if g.code == "DBPL901"]
-        assert "interpreted fixpoint" in hint.message
-        assert "no fixpoint plan" in hint.message
+        db = Database()
+        db.declare("Base", paper.CARDREL, [(i,) for i in range(3)])
+        paper.define_nonsense(db, check_positivity=False)
+        node = parse_expression("Base{nonsense}")
+        compiled = []
+        monkeypatch.setattr(
+            fixpoint_mod, "compile_query", lambda *a, **k: compiled.append(a)
+        )
+        with pytest.raises(PositivityError, match="not positive"):
+            compile_fixpoint(db, instantiate(db, node))
+        with pytest.raises(PositivityError, match="not positive"):
+            fixpoint_mod.compile_application(db, node)
+        assert compiled == []
 
     def test_runtime_evaluation_error_propagates(self, monkeypatch):
         # Satellite of the fallback narrowing: a *runtime* failure in
@@ -490,7 +497,7 @@ class TestObservableFallbacks:
         monkeypatch.setattr(fixpoint_mod.CompiledFixpoint, "run", boom)
         with pytest.raises(EvaluationError, match="mid-execution"):
             s.query("Infront{ahead()}")
-        assert s.fallbacks["construct"] == 0
+        assert not any(s.fallbacks.values())
 
     def test_query_mode_is_auto_or_interpreted(self):
         # "naive"/"seminaive" only ever applied to a bare constructed

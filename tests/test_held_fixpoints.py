@@ -35,9 +35,14 @@ from repro.relational.vectors import get_numpy
 #: shapes the front-door templates lack: left-linear (``ltc``; the
 #: schema's ``tc`` is right-linear), non-linear (``ntc``), mutually
 #: recursive (``ahead``/``above``) and same-generation (``samegen``,
-#: whose equation reads its base relation twice).
+#: whose equation reads its base relation twice).  The last four are
+#: positive but recurse outside a binding range — under ``SOME``
+#: (``reachq``), a membership test or'd with ``SOME`` (``hopq``),
+#: ``NOT ALL`` (``notallq``) and inside an ``ALL`` body (``gatedq``) —
+#: so that branch fires whole each round.  They start from ``S``, which
+#: no write touches: seed rows deletes cannot remove.
 SCHEMA = """
-VAR F: edgerel;
+VAR F, S: edgerel;
 CONSTRUCTOR ltc FOR Rel: edgerel (): edgerel;
 BEGIN EACH r IN Rel: TRUE,
       <t.src, r.dst> OF EACH t IN Rel{ltc()}, EACH r IN Rel: t.dst = r.src
@@ -61,6 +66,24 @@ BEGIN EACH s IN Rel: TRUE,
       <px.src, py.src> OF EACH px IN Par, EACH g IN Rel{samegen(Par)},
            EACH py IN Par: px.dst = g.src AND py.dst = g.dst
 END samegen;
+CONSTRUCTOR reachq FOR Rel: edgerel (): edgerel;
+BEGIN EACH s IN S: TRUE,
+      EACH r IN Rel: SOME t IN Rel{reachq()} (t.dst = r.src)
+END reachq;
+CONSTRUCTOR hopq FOR Rel: edgerel (): edgerel;
+BEGIN EACH s IN S: TRUE,
+      EACH r IN Rel: <r.dst, r.src> IN Rel{hopq()}
+                     OR SOME t IN Rel{hopq()} (t.dst = r.src)
+END hopq;
+CONSTRUCTOR notallq FOR Rel: edgerel (): edgerel;
+BEGIN EACH s IN S: TRUE,
+      EACH r IN Rel: NOT ALL t IN Rel{notallq()} (t.dst <> r.src)
+END notallq;
+CONSTRUCTOR gatedq FOR Rel: edgerel (): edgerel;
+BEGIN EACH s IN S: TRUE,
+      EACH r IN Rel: ALL u IN F (u.dst <> r.src
+                                 OR SOME t IN Rel{gatedq()} (t.dst = r.src))
+END gatedq;
 """
 
 RECURSION_SHAPES = (
@@ -70,6 +93,10 @@ RECURSION_SHAPES = (
     "F{above(E)}",
     "F{samegen(E)}",
     '{<r.src> OF EACH r IN E{ltc()}: r.dst = "n1"}',
+    "E{reachq()}",
+    "E{hopq()}",
+    "F{notallq()}",
+    "E{gatedq()}",
 )
 
 PROPERTY_SEEDS = 30
@@ -81,6 +108,7 @@ def session(edges=(), others=()) -> Session:
     s.execute(SCHEMA)
     s.insert("E", edges)
     s.insert("F", others)
+    s.insert("S", [("s", "n0"), ("s", "n1")])
     return s
 
 
@@ -121,7 +149,7 @@ def test_held_values_track_random_writes_on_every_executor(seed):
         {(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, 6))},
     )
     ((template, constants, _),) = random_front_door_queries(rng, nodes, count=1)
-    texts = [template % constants, rng.choice(RECURSION_SHAPES)]
+    texts = [template % constants, RECURSION_SHAPES[seed % len(RECURSION_SHAPES)]]
     options = [
         ExecOptions(executor=executor, shard_config=forced_shard_config())
         for executor in ALL_EXECUTORS
@@ -161,6 +189,24 @@ class TestAdvanceOutcomes:
         assert ran == []
         assert (program.hits, program.resumes, program.recomputes) == (2, 0, 1)
         assert program.last == ("hit", 0)
+
+    def test_a_recursion_under_some_is_held_and_resumed(self, monkeypatch):
+        reached = {("s", "n0"), ("s", "n1"), *self.CHAIN}
+        s = session(self.CHAIN)
+        assert s.query("E{reachq()}") == reached
+        program = program_of(s, "E{reachq()}")
+        ran = []
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                "repro.compiler.plans.QueryPlan.execute",
+                lambda plan, *a, **k: ran.append(plan),
+            )
+            assert s.query("E{reachq()}") == reached
+        assert ran == [] and program.last == ("hit", 0)
+        s.insert("E", [("n12", "n13")])
+        assert s.query("E{reachq()}") == reached | {("n12", "n13")}
+        assert program.last == ("resumed", 1)
+        assert (program.hits, program.resumes, program.recomputes) == (1, 1, 1)
 
     def test_a_read_after_an_insert_resumes_without_rebuilding_an_index(
         self, monkeypatch

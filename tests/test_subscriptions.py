@@ -21,7 +21,7 @@ from helpers import (
 from repro import ExecOptions
 from repro.dbpl import Session
 from repro.dbpl.subscriptions import SubscriptionRegistry
-from repro.errors import SchemaError, TranslationError
+from repro.errors import SchemaError
 
 SCHEMA = """
 TYPE erec = RECORD name, dept: STRING; sal: INTEGER END;
@@ -283,10 +283,21 @@ class TestFixpointSubscription:
         assert event.inserted == {("c", "d"), ("b", "d"), ("a", "d")}
         assert event.inserted <= sub.rows()
 
-    def test_ineligible_fixpoint_raises_instead_of_degrading(self):
+    def test_quantified_recursion_is_maintained(self):
+        # The recursive occurrence sits under SOME: the subscription
+        # used to be refused, its program fires that branch whole.
+        source = "Par{quant()}"
         s = make_session()
-        with pytest.raises(TranslationError):
-            s.subscribe("Par{quant()}")
+        sub = s.subscribe(source)
+        for write in (
+            lambda: s.insert("Par", [("c", "d"), ("x", "a")]),
+            lambda: s.db.relation("Par").delete([("b", "c")]),
+            lambda: s.assign("Par", [("a", "b"), ("q", "r")]),
+        ):
+            write()
+            assert sub.rows() == s.query(source, mode="interpreted")
+            assert_tracks(s, sub, source)
+        assert (sub.delta_batches, sub.recomputes) == (1, 2)
 
 
 class TestSubscriptionProperties:
