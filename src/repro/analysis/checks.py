@@ -50,9 +50,11 @@ from ..types import RecordType, RelationType, Type
 from .diagnostics import Diagnostics, span_of
 from .typeflow import (
     TypeEnv,
+    bounds_one_term_twice,
     comparable,
     conjunction_contradictions,
     fold_pred,
+    folds_on_constants,
     term_type,
 )
 
@@ -122,7 +124,8 @@ class Scope:
 
     def stamp(self) -> tuple:
         """A monotonic token: declarations only accumulate, so counts
-        identify the scope for analysis-result caching."""
+        identify the scope (``Session`` keys its front door on the same
+        counts)."""
         return (
             len(self.relations),
             len(self.selectors),
@@ -140,11 +143,19 @@ class AnalysisResult:
     """Diagnostics plus the planner-facing facts the analyzer proved."""
 
     def __init__(
-        self, diagnostics: Diagnostics, dead_branches: frozenset[int] = frozenset()
+        self,
+        diagnostics: Diagnostics,
+        dead_branches: frozenset[int] = frozenset(),
+        constant_sensitive: bool = False,
     ) -> None:
         self.diagnostics = diagnostics
         #: Indexes of top-level query branches that provably emit no rows.
         self.dead_branches = dead_branches
+        #: True when some verdict read a compared constant's value (a
+        #: constant-vs-constant or constant-vs-enum/subrange fold, or two
+        #: constant bounds on one term in a conjunction): other constants
+        #: in the same places could change the diagnostics.
+        self.constant_sensitive = constant_sensitive
 
     @property
     def has_errors(self) -> bool:
@@ -176,6 +187,7 @@ class _QueryAnalyzer:
     def __init__(self, scope: Scope, diags: Diagnostics) -> None:
         self.scope = scope
         self.diags = diags
+        self.constant_sensitive = False
         self._schema_memo: dict[int, RecordType | None] = {}
 
     # -- range resolution ---------------------------------------------------
@@ -329,6 +341,8 @@ class _QueryAnalyzer:
                 if isinstance(branch.pred, ast.And)
                 else (branch.pred,)
             )
+            if bounds_one_term_twice(parts):
+                self.constant_sensitive = True
             contradictions = conjunction_contradictions(parts, inner)
             for node, message in contradictions:
                 self.diags.warning(
@@ -395,6 +409,8 @@ class _QueryAnalyzer:
                     node=pred,
                 )
                 return
+            if folds_on_constants(pred, env):
+                self.constant_sensitive = True
             folded = fold_pred(pred, env)
             if folded is True:
                 self.diags.hint(
@@ -517,7 +533,7 @@ def analyze_query(node, scope: Scope) -> AnalysisResult:
         analyzer.visit_branch(node, env)
     else:
         analyzer.visit_pred(node, env)
-    return AnalysisResult(diags, dead)
+    return AnalysisResult(diags, dead, analyzer.constant_sensitive)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,11 @@ that fall out of it:
   attribute types, and the And/Or/Not lattice over those;
 * :func:`conjunction_contradictions` — interval analysis over the
   constant bounds a conjunction puts on each attribute (``x > 5 AND
-  x < 3`` is provably empty even though no single conjunct folds).
+  x < 3`` is provably empty even though no single conjunct folds);
+* :func:`folds_on_constants` / :func:`bounds_one_term_twice` — whether
+  those two verdicts read a constant's *value*.  Where neither does, the
+  verdict holds for every constant of the same type, which is what lets
+  the session front door cache it per token shape.
 
 Everything here is pure: no database access, no exceptions for user
 errors — callers turn the returned facts into diagnostics.
@@ -192,6 +196,22 @@ def fold_pred(pred: ast.Pred, env: TypeEnv) -> bool | None:
     return None  # Some/All/InRel need data
 
 
+def folds_on_constants(cmp: ast.Cmp, env: TypeEnv) -> bool:
+    """Does :func:`fold_pred`'s verdict on ``cmp`` read a constant's value?
+
+    True when both operands fold to constants (``1 = 2``), or one does
+    and the other has an enum/subrange type (domain membership); every
+    other fold is decided by the operands' syntax alone.
+    """
+    left, right = const_value(cmp.left)[0], const_value(cmp.right)[0]
+    if left and right:
+        return True
+    if left or right:
+        other = cmp.right if left else cmp.left
+        return isinstance(term_type(other, env), (EnumType, RangeType))
+    return False
+
+
 def _fold_domain(cmp: ast.Cmp, env: TypeEnv) -> bool | None:
     """Fold ``attr = const`` / ``attr <> const`` when the constant lies
     outside the attribute's declared enum/subrange domain."""
@@ -273,6 +293,26 @@ def _bound_key(term: ast.Term):
     return None
 
 
+def _constant_bounds(parts: tuple[ast.Pred, ...]):
+    """``(term key, op, value, comparison)`` of every ``term op constant``
+    in a conjunction, oriented so the term is on the left."""
+    for part in parts:
+        if not isinstance(part, ast.Cmp):
+            continue
+        for term_side, const_side, op in (
+            (part.left, part.right, part.op),
+            (part.right, part.left, _FLIP.get(part.op, part.op)),
+        ):
+            key = _bound_key(term_side)
+            if key is None:
+                continue
+            known, value = const_value(const_side)
+            if not known or isinstance(value, bool):
+                continue
+            yield key, op, value, part
+            break  # a Cmp constrains through one orientation only
+
+
 def conjunction_contradictions(
     parts: tuple[ast.Pred, ...], env: TypeEnv
 ) -> list[tuple[ast.Cmp, str]]:
@@ -284,25 +324,31 @@ def conjunction_contradictions(
     bounds: dict[tuple, _Bounds] = {}
     findings: list[tuple[ast.Cmp, str]] = []
     dead: set[tuple] = set()
-    for part in parts:
-        if not isinstance(part, ast.Cmp):
+    for key, op, value, part in _constant_bounds(parts):
+        if key in dead:
             continue
-        for term_side, const_side, op in (
-            (part.left, part.right, part.op),
-            (part.right, part.left, _FLIP.get(part.op, part.op)),
-        ):
-            key = _bound_key(term_side)
-            if key is None or key in dead:
-                continue
-            known, value = const_value(const_side)
-            if not known or isinstance(value, bool):
-                continue
-            message = bounds.setdefault(key, _Bounds()).add(op, value, part)
-            if message is not None:
-                findings.append((part, f"{_key_text(key)} {message}"))
-                dead.add(key)
-            break  # a Cmp constrains through one orientation only
+        message = bounds.setdefault(key, _Bounds()).add(op, value, part)
+        if message is not None:
+            findings.append((part, f"{_key_text(key)} {message}"))
+            dead.add(key)
     return findings
+
+
+def bounds_one_term_twice(parts: tuple[ast.Pred, ...]) -> bool:
+    """Does some term get two constant bounds in the conjunction ``parts``?
+
+    Only then can :func:`conjunction_contradictions` find anything, and
+    whether it does depends on the constants (``<>`` never narrows an
+    interval, so it does not count).
+    """
+    seen: set[tuple] = set()
+    for key, op, _, _ in _constant_bounds(parts):
+        if op == "<>":
+            continue
+        if key in seen:
+            return True
+        seen.add(key)
+    return False
 
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}

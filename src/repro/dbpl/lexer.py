@@ -3,11 +3,25 @@
 Token kinds: keywords (upper-case reserved words), identifiers, integer
 and string literals, and punctuation.  ``(* ... *)`` comments nest, as
 in MODULA-2.
+
+:func:`tokenize` is one compiled master expression (:data:`_TOKEN_RE`,
+the idiom of the Datalog lexer) matched once per token; only a nested
+comment is scanned by hand, since a regular expression cannot count its
+depth.  Integers are ASCII ``[0-9]+``: any other ``str.isdigit()``
+character (``²``, ``١``) is a :class:`~repro.errors.DBPLSyntaxError` at
+its position, and so is a literal too long for ``int()`` to convert.
+Identifiers start with an ``isalpha()`` character or ``_`` and continue
+with ``isalnum()`` characters or ``_``.
+
+The token list is also the session front door's cache key: a query
+whose tokens equal a seen one up to its literal values is served from
+the plan cache without parsing (:func:`repro.dbpl.serving.token_shape`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import DBPLSyntaxError
 
@@ -23,9 +37,21 @@ SYMBOLS = [
     "<", ">", "=", "+", "-", "*",
 ]
 
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<comment>\(\*)
+  | "(?P<string>[^"]*)"
+  | (?P<int>[0-9]+)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<symbol>"""
+    + "|".join(re.escape(symbol) for symbol in SYMBOLS)  # longest first
+    + ")",
+    re.VERBOSE,
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # keyword name, "ident", "int", "string", symbol text, "eof"
     text: str
     line: int
@@ -37,100 +63,71 @@ class Token:
         return f"Token({self.kind!r}, {self.text!r} @{self.line}:{self.column})"
 
 
-def _end_of(line: int, col: int, raw: str) -> tuple[int, int]:
-    newlines = raw.count("\n")
-    if newlines:
-        return line + newlines, len(raw) - raw.rfind("\n")
-    return line, col + len(raw)
+#: ``Token(...)`` runs a Python-level ``__new__``; building the tuple
+#: directly halves the cost of a token.
+_new_token = tuple.__new__
+
+
+def _comment_end(source: str, start: int, line: int, column: int) -> int:
+    """Offset one past the ``*)`` closing the comment opened at ``start``."""
+    depth, pos = 1, start + 2
+    while depth:
+        close = source.find("*)", pos)
+        if close < 0:
+            raise DBPLSyntaxError("unterminated comment", line, column)
+        # An opener that overlaps the closer's '*' ("(*)") opens.
+        opener = source.find("(*", pos, close + 1)
+        if opener >= 0:
+            depth, pos = depth + 1, opener + 2
+        else:
+            depth, pos = depth - 1, close + 2
+    return pos
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    col = 1
+    append = tokens.append
+    match = _TOKEN_RE.match
+    pos, line, line_start = 0, 1, 0  # line_start: offset of the line's first char
     length = len(source)
-
-    def emit(kind: str, text: str, raw: str) -> None:
-        end_line, end_col = _end_of(line, col, raw)
-        tokens.append(Token(kind, text, line, col, end_line, end_col))
-
-    def advance(text: str) -> None:
-        nonlocal line, col
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-
     while pos < length:
-        ch = source[pos]
-        # whitespace
-        if ch in " \t\r\n":
-            end = pos
-            while end < length and source[end] in " \t\r\n":
-                end += 1
-            advance(source[pos:end])
-            pos = end
-            continue
-        # nesting comments (* ... *)
-        if source.startswith("(*", pos):
-            depth = 1
-            end = pos + 2
-            while end < length and depth:
-                if source.startswith("(*", end):
-                    depth += 1
-                    end += 2
-                elif source.startswith("*)", end):
-                    depth -= 1
-                    end += 2
-                else:
-                    end += 1
-            if depth:
-                raise DBPLSyntaxError("unterminated comment", line, col)
-            advance(source[pos:end])
-            pos = end
-            continue
-        # string literals
-        if ch == '"':
-            end = source.find('"', pos + 1)
-            if end < 0:
-                raise DBPLSyntaxError("unterminated string literal", line, col)
-            text = source[pos : end + 1]
-            emit("string", text[1:-1], text)
-            advance(text)
-            pos = end + 1
-            continue
-        # numbers
-        if ch.isdigit():
-            end = pos
-            while end < length and source[end].isdigit():
-                end += 1
-            # do not swallow the '..' of RANGE bounds
-            emit("int", source[pos:end], source[pos:end])
-            advance(source[pos:end])
-            pos = end
-            continue
-        # identifiers and keywords
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < length and (source[end].isalnum() or source[end] == "_"):
-                end += 1
-            word = source[pos:end]
-            kind = word if word in KEYWORDS else "ident"
-            emit(kind, word, word)
-            advance(word)
-            pos = end
-            continue
-        # symbols (longest first)
-        for symbol in SYMBOLS:
-            if source.startswith(symbol, pos):
-                emit(symbol, symbol, symbol)
-                advance(symbol)
-                pos += len(symbol)
-                break
+        found = match(source, pos)
+        column = pos - line_start + 1
+        if found is None:
+            if source[pos] == '"':
+                raise DBPLSyntaxError("unterminated string literal", line, column)
+            raise DBPLSyntaxError(f"unexpected character {source[pos]!r}", line, column)
+        kind, end = found.lastgroup, found.end()
+        if kind == "symbol" or kind == "word" or kind == "int":
+            text = found.group()
+            if kind == "symbol":
+                kind = text
+            elif kind == "word":
+                # ``[^\W\d]`` also admits non-decimal digits and numerics
+                # (``²``, ``½``), which cannot start an identifier.
+                if not (text[0].isalpha() or text[0] == "_"):
+                    raise DBPLSyntaxError(f"unexpected character {text[0]!r}", line, column)
+                kind = text if text in KEYWORDS else "ident"
+            else:
+                try:  # more digits than sys.get_int_max_str_digits()
+                    int(text)
+                except ValueError:
+                    raise DBPLSyntaxError("integer literal too long", line, column) from None
+            append(_new_token(Token, (kind, text, line, column, line, column + end - pos)))
         else:
-            raise DBPLSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col, line, col))
+            if kind == "comment":
+                end = _comment_end(source, pos, line, column)
+            newlines = source.count("\n", pos, end)
+            start_line = line
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", pos, end) + 1
+            if kind == "string":
+                append(_new_token(Token, (
+                    "string", found.group("string"), start_line, column,
+                    line, end - line_start + 1,
+                )))
+        pos = end
+    column = pos - line_start + 1
+    append(_new_token(Token, ("eof", "", line, column, line, column)))
     return tokens

@@ -46,15 +46,20 @@ from .lexer import Token, tokenize
 
 
 class Parser:
-    def __init__(self, source: str) -> None:
-        self.tokens = tokenize(source)
+    def __init__(self, source: str, tokens: list[Token] | None = None) -> None:
+        """``tokens``, when given, is ``tokenize(source)`` already done."""
+        self.tokens = tokenize(source) if tokens is None else tokens
         self.index = 0
         self.bound: list[set[str]] = [set()]
 
     # -- token plumbing --------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        # ``next`` never moves past the closing eof token, so only a
+        # lookahead can run off the end.
+        if offset:
+            return self.tokens[min(self.index + offset, len(self.tokens) - 1)]
+        return self.tokens[self.index]
 
     def next(self) -> Token:
         token = self.tokens[self.index]
@@ -63,7 +68,7 @@ class Parser:
         return token
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.index].kind == kind
 
     def accept(self, kind: str) -> Token | None:
         if self.at(kind):
@@ -573,22 +578,27 @@ class Parser:
 # ---------------------------------------------------------------------------
 
 
+def _parse_all(parser: Parser, rule):
+    """``rule()`` over the whole token list; a text nested deeper than the
+    interpreter's stack is a syntax error, not a ``RecursionError``."""
+    try:
+        node = rule()
+    except RecursionError:
+        raise parser.error("expression nested too deeply") from None
+    parser.expect("eof")
+    return node
+
+
 def parse_module(source: str) -> Module:
     parser = Parser(source)
-    module = parser.parse_module()
-    parser.expect("eof")
-    return module
+    return _parse_all(parser, parser.parse_module)
 
 
 def parse_declarations(source: str) -> list[object]:
     parser = Parser(source)
-    decls = parser.parse_declarations(until={"eof"})
-    parser.expect("eof")
-    return decls
+    return _parse_all(parser, lambda: parser.parse_declarations(until={"eof"}))
 
 
-def parse_expression(source: str):
-    parser = Parser(source)
-    node = parser.parse_expression()
-    parser.expect("eof")
-    return node
+def parse_expression(source: str, tokens: list[Token] | None = None):
+    parser = Parser(source, tokens)
+    return _parse_all(parser, parser.parse_expression)

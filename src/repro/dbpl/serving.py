@@ -7,6 +7,13 @@ the *same* queries with *different* constants thousands of times, so it
 must not re-parse, re-bind, and re-optimize per call either.  This
 module is the parse-once/bind-per-message split:
 
+* :func:`token_shape` abstracts a query's *token list*: every int and
+  string literal becomes its type, and the literal values ride
+  alongside.  The session front door keys its plan cache on that shape,
+  so a text whose tokens it has seen (up to literal values) is served
+  without parsing: a :class:`FrontDoorEntry` records which literal fills
+  which parameter slot, which literals must match verbatim, and the
+  analysis verdict.
 * :func:`parameterize` normalizes a parsed query into a **plan shape**:
   every constant compared in a predicate is replaced by a positional
   parameter slot, and the extracted constants ride alongside.  Two
@@ -20,7 +27,8 @@ module is the parse-once/bind-per-message split:
   constant slots in place — the generated kernels read parameter values
   at run time, so a rebind costs a dict update, not a recompilation.
 * :class:`PlanCache` is a bounded LRU over **plan fingerprints**
-  ``(shape,) + ExecOptions.cache_key()`` scoped to the statistics epoch of
+  ``(shape,) + ExecOptions.cache_key()`` (the session's shape is the
+  token shape plus its scope stamp) scoped to the statistics epoch of
   :meth:`repro.relational.stats.StatsCatalog.epoch`: when the catalog
   decides the data has drifted enough that the cost model would price
   plans differently, the epoch moves and every cached plan is dropped
@@ -48,7 +56,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from typing import NamedTuple
 
+from ..analysis.diagnostics import Diagnostics, span_of
 from ..calculus import ast
 from ..calculus.analysis import uses_constructed_ranges
 from ..calculus.subst import transform
@@ -59,6 +69,7 @@ from ..compiler.plans import PlanStats, pin_relations
 from ..errors import BindingError
 from ..relational import Database
 from ..relational.indexes import SnapshotView
+from .lexer import Token
 
 #: Default bound of the session plan cache (entries, LRU-evicted).
 DEFAULT_PLAN_CACHE_SIZE = 128
@@ -83,7 +94,9 @@ SNAPSHOT_REFUSED = (
 # ---------------------------------------------------------------------------
 
 
-def parameterize(query: ast.Query) -> tuple[ast.Query, tuple]:
+def parameterize(
+    query: ast.Query, operands: list | None = None
+) -> tuple[ast.Query, tuple]:
     """``query`` → (normalized shape, extracted constants).
 
     Every :class:`~repro.calculus.ast.Const` operand of a comparison is
@@ -96,8 +109,12 @@ def parameterize(query: ast.Query) -> tuple[ast.Query, tuple]:
     constructor arguments, arithmetic sub-terms) stay baked in: they
     change what the plan *computes*, so they stay part of the shape and
     queries differing there simply do not share a cache entry.
+
+    When ``operands`` (an empty list) is given, the replaced
+    :class:`~repro.calculus.ast.Const` nodes are appended to it in slot
+    order: their parser spans say which source literal fills each slot.
     """
-    constants: list = []
+    replaced: list = [] if operands is None else operands
 
     def rule(node):
         if not isinstance(node, ast.Cmp):
@@ -105,17 +122,41 @@ def parameterize(query: ast.Query) -> tuple[ast.Query, tuple]:
         left, right = node.left, node.right
         changed = False
         if isinstance(left, ast.Const):
-            left = ast.ParamRef(f"{_SLOT_PREFIX}{len(constants)}")
-            constants.append(node.left.value)
+            left = ast.ParamRef(f"{_SLOT_PREFIX}{len(replaced)}")
+            replaced.append(node.left)
             changed = True
         if isinstance(right, ast.Const):
-            right = ast.ParamRef(f"{_SLOT_PREFIX}{len(constants)}")
-            constants.append(node.right.value)
+            right = ast.ParamRef(f"{_SLOT_PREFIX}{len(replaced)}")
+            replaced.append(node.right)
             changed = True
         return ast.Cmp(node.op, left, right) if changed else None
 
     shape = transform(query, rule)
-    return shape, tuple(constants)
+    return shape, tuple(const.value for const in replaced)
+
+
+def token_shape(tokens: list[Token]) -> tuple[tuple, list]:
+    """``tokens`` → (token shape, literal values).
+
+    The shape is the tokens' texts with every int and string literal
+    replaced by its type (``int`` / ``str``, which no keyword, identifier
+    or symbol text equals); the literal values, in source order and as
+    the parser reads them, ride alongside.  Whitespace and comments are
+    not tokens, so texts that differ only there share a shape.
+    """
+    shape: list = []
+    literals: list = []
+    for token in tokens:
+        kind = token[0]
+        if kind == "int":
+            shape.append(int)
+            literals.append(int(token[1]))
+        elif kind == "string":
+            shape.append(str)
+            literals.append(token[1])
+        else:
+            shape.append(token[1])
+    return tuple(shape), literals
 
 
 def range_query(rexpr: ast.RangeExpr) -> ast.Query:
@@ -129,6 +170,66 @@ def range_query(rexpr: ast.RangeExpr) -> ast.Query:
     if isinstance(rexpr, ast.QueryRange):
         return rexpr.query
     return ast.Query((ast.Branch((ast.Binding("__row", rexpr),), ast.TRUE),))
+
+
+class FrontDoorEntry(NamedTuple):
+    """What the session front door caches per token shape.
+
+    ``slots[i]`` is the index of the literal (in the text's
+    :func:`token_shape` literals) that fills parameter slot ``i`` of
+    ``plan``.  ``fixed`` lists the ``(literal index, value)`` pairs baked
+    into ``plan`` (selector and constructor arguments, target-list and
+    arithmetic constants): a text differing there is another plan.
+    ``verdict`` is the (empty) diagnostics a hit reports, or None when
+    the text must take the miss path every time: analysis was off, found
+    something, or could find something for other constants
+    (:attr:`repro.analysis.checks.AnalysisResult.constant_sensitive`), or
+    a slot is a ``TRUE``/``FALSE`` operand rather than a literal.
+    """
+
+    plan: "PreparedPlan"
+    slots: tuple[int | None, ...]
+    fixed: tuple[tuple[int, object], ...]
+    verdict: Diagnostics | None
+
+    @classmethod
+    def build(
+        cls,
+        plan: "PreparedPlan",
+        tokens: list[Token],
+        literals: list,
+        operands: list,
+        verdict: Diagnostics | None,
+    ) -> "FrontDoorEntry":
+        """The entry for ``plan``, compiled from the text lexed as
+        ``tokens`` (whose :func:`token_shape` literals are ``literals``);
+        ``operands`` are the Const nodes :func:`parameterize` replaced,
+        which the parser stamped with the span of their token."""
+        literal_at = {
+            (token.line, token.column): index
+            for index, token in enumerate(
+                t for t in tokens if t.kind == "int" or t.kind == "string"
+            )
+        }
+        slots = []
+        for const in operands:
+            span = span_of(const)
+            slots.append(None if span is None else literal_at.get((span.line, span.column)))
+        if None in slots:
+            verdict = None  # a TRUE/FALSE operand: no literal fills that slot
+        used = set(slots)
+        fixed = tuple(
+            (index, value) for index, value in enumerate(literals) if index not in used
+        )
+        return cls(plan, tuple(slots), fixed, verdict)
+
+    def constants(self, literals: list) -> tuple | None:
+        """The slot values for a text whose literals are ``literals``, or
+        None when this entry cannot serve it (a fixed literal differs)."""
+        for index, value in self.fixed:
+            if literals[index] != value:
+                return None
+        return tuple([literals[i] for i in self.slots])
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +427,17 @@ class PreparedQuery:
 
 
 class PlanCache:
-    """A bounded LRU of :class:`PreparedPlan` keyed by plan fingerprint.
+    """A bounded LRU of compiled plans keyed by plan fingerprint.
 
     The fingerprint is ``(shape,) + ExecOptions.cache_key()`` — the
-    normalized query with constants abstracted away, plus the normalized
-    execution options (executor, optimizer, shard config): everything
-    that changes what ``compile_query`` would produce or how its
-    pipelines run.  Two calls that resolve to the same options (an
-    explicit default and an unset field, say) share one plan.  Entries
+    query with constants abstracted away (a :class:`Session`'s shape is
+    its token shape and scope stamp, and its entries are
+    :class:`FrontDoorEntry` records around a :class:`PreparedPlan`), plus
+    the normalized execution options (executor, optimizer, shard
+    config): everything that changes what ``compile_query`` would
+    produce or how its pipelines run.  Two calls that resolve to the
+    same options (an explicit default and an unset field, say) share
+    one plan.  Entries
     are scoped to one statistics epoch: when :meth:`StatsCatalog.epoch`
     moves, the whole cache is invalidated at the next touch (the cost
     model would price the plans differently now, so they must all
@@ -385,6 +489,20 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.evictions += 1
             return plan
+
+    def replace(self, key: tuple, plan, epoch: int) -> None:
+        """Store ``plan`` over the entry :meth:`get` just returned for
+        ``key``, which the caller could not use and has recompiled; that
+        lookup is re-counted as a miss (a miss is a compile)."""
+        with self._lock:
+            self._sync_epoch(epoch)
+            self.hits -= 1
+            self.misses += 1
+            self._entries[key] = plan
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     def clear(self) -> None:
         with self._lock:

@@ -17,8 +17,13 @@ the query mentions a constructor application, a bare
 executor-backend registry) — behind a per-session
 :class:`~repro.dbpl.serving.PlanCache`: repeated queries that differ
 only in compared constants share one compiled plan, rebinding constants
-per call.  A constructed range ``Rel{con(args)}`` is a range like any
-other, bare or inside a set former: non-recursive applications inline,
+per call.  ``query`` and ``prepare`` lex the text once and look its
+:func:`~repro.dbpl.serving.token_shape` up in that cache: a hit goes
+tokens → constants → plan run, with no parse, analysis, pruning or
+parameterization; a miss parses the same tokens and does all of that,
+then installs a :class:`~repro.dbpl.serving.FrontDoorEntry`.  A
+constructed range ``Rel{con(args)}`` is a range like any other, bare
+or inside a set former: non-recursive applications inline,
 the rest become compiled fixpoint programs cached with the plan, each
 holding its value and advancing it to the live state per execution
 (:meth:`~repro.compiler.fixpoint.CompiledFixpoint.advance`).
@@ -50,7 +55,9 @@ compiled path; a non-positive one is a
 :class:`~repro.errors.PositivityError`.
 
 Every query and declaration also passes through the static analyzer
-(:mod:`repro.analysis`) before touching the planner.  ``Session.check``
+(:mod:`repro.analysis`) before touching the planner — a plan-cache hit
+replays the verdict cached with its plan, which is served only when it
+is empty and no other constants could change it.  ``Session.check``
 returns the diagnostics for a source string without executing it; the
 ``ExecOptions.analysis`` knob picks the gate policy (``"strict"`` rejects
 error-level diagnostics with a span-carrying
@@ -63,8 +70,7 @@ predicates) are pruned before the planner costs them.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..analysis.diagnostics import Diagnostic, Diagnostics, Span
 from ..calculus import ast
@@ -101,17 +107,20 @@ from .astnodes import (
     TypeName,
     VarDecl,
 )
+from .lexer import Token, tokenize
 from .parser import parse_expression, parse_module
 from .serving import (
     BARE_RANGES,
     DEFAULT_PLAN_CACHE_SIZE,
     SNAPSHOT_REFUSED,
     DatabaseSnapshot,
+    FrontDoorEntry,
     PlanCache,
     PreparedPlan,
     PreparedQuery,
     parameterize,
     range_query,
+    token_shape,
 )
 from .subscriptions import SubscriptionRegistry
 
@@ -137,8 +146,6 @@ def _checks():
 #: decide between the module and expression grammars.
 _DECL_KEYWORDS = ("MODULE", "TYPE", "VAR", "SELECTOR", "CONSTRUCTOR")
 
-_ANALYSIS_CACHE_SIZE = 256
-
 #: ``Session.query(mode=)``: the compiled front door, or the oracle.
 _QUERY_MODES = ("auto", "interpreted")
 
@@ -163,6 +170,16 @@ _FALLBACK_CODES = {
     # executor="vector" ran on the batch pipeline: numpy does not import
     "vector_numpy": "DBPL906",
 }
+
+
+class _Lookup(NamedTuple):
+    """One front-door plan-cache lookup: what a miss needs to install."""
+
+    tokens: list[Token]
+    literals: list
+    key: tuple
+    epoch: int
+    entry: FrontDoorEntry | None
 
 
 class Session:
@@ -193,7 +210,6 @@ class Session:
         #: ``_FALLBACK_CODES``.  Each increment also emits that kind's
         #: DBPL90x hint to ``on_diagnostic``.
         self.fallbacks = dict.fromkeys(_FALLBACK_CODES, 0)
-        self._analysis_cache: OrderedDict[tuple, AnalysisResult] = OrderedDict()
         self._anon = 0
 
     # -- static analysis ------------------------------------------------------
@@ -214,8 +230,10 @@ class Session:
                     module, checks.Scope.from_session(self)
                 ).diagnostics
             else:
-                node = parse_expression(source)
-                diags = self._analysis_result(node, source).diagnostics
+                checks = _checks()
+                diags = checks.analyze_query(
+                    parse_expression(source), checks.Scope.from_session(self)
+                ).diagnostics
         except DBPLSyntaxError as exc:
             diags = Diagnostics()
             diags.error(
@@ -226,27 +244,7 @@ class Session:
         self.last_diagnostics = diags
         return diags
 
-    def _analysis_result(self, node, source: str) -> AnalysisResult:
-        """Analyze a parsed query node through the session analysis cache.
-
-        Keyed by (source, scope stamp): declarations only accumulate, so
-        a stamp match means the same names resolve the same way and the
-        cached result is still valid.
-        """
-        checks = _checks()
-        scope = checks.Scope.from_session(self)
-        key = (source, scope.stamp())
-        result = self._analysis_cache.get(key)
-        if result is not None:
-            self._analysis_cache.move_to_end(key)
-            return result
-        result = checks.analyze_query(node, scope)
-        self._analysis_cache[key] = result
-        while len(self._analysis_cache) > _ANALYSIS_CACHE_SIZE:
-            self._analysis_cache.popitem(last=False)
-        return result
-
-    def _gate(self, node, source: str, mode: str) -> AnalysisResult | None:
+    def _gate(self, node, mode: str) -> AnalysisResult | None:
         """The analyzer front gate for :meth:`query` and :meth:`prepare`.
 
         strict — error diagnostics raise :class:`AnalysisError` (with the
@@ -258,7 +256,8 @@ class Session:
         """
         if mode == "off":
             return None
-        result = self._analysis_result(node, source)
+        checks = _checks()
+        result = checks.analyze_query(node, checks.Scope.from_session(self))
         self.last_diagnostics = result.diagnostics
         if mode == "strict":
             result.diagnostics.raise_if_errors(
@@ -443,12 +442,19 @@ class Session:
         if mode not in _QUERY_MODES:
             raise ValueError(f"mode must be one of {_QUERY_MODES}, got {mode!r}")
         options = self._call_options(options)
-        node = parse_expression(source)
-        if options.snapshot is not None and mode == "interpreted":
-            raise ValueError(SNAPSHOT_REFUSED)
-        analysis = self._gate(node, source, options.analysis)
+        tokens = tokenize(source)
         if mode == "interpreted":
+            node = parse_expression(source, tokens)
+            if options.snapshot is not None:
+                raise ValueError(SNAPSHOT_REFUSED)
+            self._gate(node, options.analysis)
             return self._query_interpreted(node, source)
+        lookup = self._lookup(tokens, options)
+        constants = self._hit(lookup, options.analysis)
+        if constants is not None:
+            return lookup.entry.plan.run(constants, snapshot=options.snapshot)
+        node = parse_expression(source, tokens)
+        analysis = self._gate(node, options.analysis)
         if isinstance(node, BARE_RANGES):
             node = range_query(node)
         if isinstance(node, ast.Query):
@@ -458,7 +464,7 @@ class Session:
                 # prepare() skips this because rebinding could revive them.
                 node = analysis.prune(node)
             try:
-                plan, constants = self._prepared_plan(node, options)
+                plan, constants = self._prepared_plan(node, options, lookup, analysis)
             except PositivityError:
                 raise  # the section 3.3 rejection, not a translation gap
             except DBPLError as exc:
@@ -485,28 +491,83 @@ class Session:
             return set(value.rows)
         raise BindingError(f"not a query expression: {source!r}")
 
-    def _prepared_plan(
-        self, node: ast.Query, options: ExecOptions
-    ) -> tuple[PreparedPlan, tuple]:
-        """Fetch-or-compile the cached plan for ``node``'s shape.
+    def _lookup(self, tokens: list[Token], options: ExecOptions) -> _Lookup:
+        """Look the token shape of ``tokens`` up in the plan cache.
 
-        Cache keys are ``(shape,) + options.cache_key()`` — the
-        normalized options, so per-execution fields (snapshot, analysis)
-        never fragment the cache.
+        Keys are ``((token shape, scope stamp),) + options.cache_key()``:
+        declarations only accumulate, so the stamp's counts (those of
+        :meth:`repro.analysis.checks.Scope.stamp`) identify the names a
+        cached verdict and plan resolved against, and the normalized
+        options keep per-execution fields (snapshot, analysis) from
+        fragmenting the cache.
         """
-        shape, constants = parameterize(node)
-        epoch = self.db.stats.epoch()
-        key = (shape,) + options.cache_key()
-        plan = self.plan_cache.get(key, epoch)
-        if plan is None:
+        shape, literals = token_shape(tokens)
+        db = self.db
+        stamp = (
+            len(db.relations), len(db.selectors), len(db.constructors), len(self.types)
+        )
+        key = ((shape, stamp),) + options.cache_key()
+        epoch = db.stats.epoch()
+        return _Lookup(tokens, literals, key, epoch, self.plan_cache.get(key, epoch))
+
+    def _hit(self, lookup: _Lookup, mode: str) -> tuple | None:
+        """The slot constants when the entry ``lookup`` found serves this
+        text, else None (the miss path).
+
+        A hit parses, analyzes, prunes and parameterizes nothing: the
+        entry's verdict is the empty diagnostics its analysis found, which
+        no other constants could change, so the gate would pass and report
+        nothing — bar setting ``last_diagnostics``.
+        """
+        entry = lookup.entry
+        if entry is None or entry.verdict is None:
+            return None
+        constants = entry.constants(lookup.literals)
+        if constants is not None and mode != "off":
+            self.last_diagnostics = entry.verdict
+        return constants
+
+    def _prepared_plan(
+        self,
+        node: ast.Query,
+        options: ExecOptions,
+        lookup: _Lookup,
+        analysis: AnalysisResult | None,
+    ) -> tuple[PreparedPlan, tuple]:
+        """The miss path's plan for ``node``, the gated parse of
+        ``lookup.tokens``.
+
+        The entry the lookup found is reused when its plan has this shape
+        (a text whose verdict is not cached takes this path every time);
+        otherwise the shape compiles and its entry is installed — in place
+        of the found one, which could not serve this text (another fixed
+        literal, or another pruning).
+        """
+        operands: list = []
+        shape, constants = parameterize(node, operands)
+        entry = lookup.entry
+        if entry is not None and entry.plan.shape == shape:
+            plan = entry.plan
+        else:
             plan = PreparedPlan(
-                self.db, shape, constants, epoch=epoch,
+                self.db, shape, constants, epoch=lookup.epoch,
                 options=options.replace(snapshot=None, analysis=None),
             )
-            plan = self.plan_cache.put(key, plan, epoch)
-        # (Re)wire on every fetch: cached plans predate this session's
-        # hook state, and the assignment is idempotent.
-        plan.on_fallback = self._note_fallback
+            plan.on_fallback = self._note_fallback
+            verdict = None
+            if analysis is not None and not (
+                analysis.diagnostics or analysis.constant_sensitive
+            ):
+                verdict = analysis.diagnostics
+            fresh = FrontDoorEntry.build(
+                plan, lookup.tokens, lookup.literals, operands, verdict
+            )
+            if entry is not None:
+                self.plan_cache.replace(lookup.key, fresh, lookup.epoch)
+            else:
+                winner = self.plan_cache.put(lookup.key, fresh, lookup.epoch)
+                if winner.plan.shape == shape:
+                    plan = winner.plan  # a racing compile of this shape won
         return plan, constants
 
     def prepare(
@@ -526,13 +587,17 @@ class Session:
         ``execute`` advances their held values to the live state.
         """
         options = self._call_options(options)
-        node = parse_expression(source)
+        lookup = self._lookup(tokenize(source), options)
+        constants = self._hit(lookup, options.analysis)
+        if constants is not None:
+            return PreparedQuery(lookup.entry.plan, constants, source)
+        node = parse_expression(source, lookup.tokens)
+        analysis = self._gate(node, options.analysis)
         if isinstance(node, BARE_RANGES):
             node = range_query(node)
         if not isinstance(node, ast.Query):
             raise BindingError(f"not a query expression: {source!r}")
-        self._gate(node, source, options.analysis)
-        plan, constants = self._prepared_plan(node, options)
+        plan, constants = self._prepared_plan(node, options, lookup, analysis)
         return PreparedQuery(plan, constants, source)
 
     def subscribe(
@@ -566,7 +631,7 @@ class Session:
                 "subscriptions maintain live state; snapshot= does not apply"
             )
         node = parse_expression(source)
-        analysis = self._gate(node, source, options.analysis)
+        analysis = self._gate(node, options.analysis)
         registry = SubscriptionRegistry.ensure(self.db)
         if isinstance(node, ast.Constructed):
             return registry.subscribe_fixpoint(

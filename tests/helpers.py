@@ -386,12 +386,14 @@ END two;
 
 #: Query templates, one ``%s`` per *compared* constant (the slots
 #: ``parameterize`` abstracts); ``SEL`` is a selector argument, which
-#: stays part of the shape.
+#: stays part of the shape.  Two equality slots on one attribute make a
+#: constant-sensitive verdict (DBPL010/012 exactly when they differ).
 FRONT_DOOR_TEMPLATES = (
     "E{tc()}",
     "{EACH r IN E{tc()}: TRUE}",
     '{<r.dst> OF EACH r IN E{tc()}: r.src = "%s"}',
     '{<r.src> OF EACH r IN E{tc()}: r.dst = "%s" AND r.src <> "%s"}',
+    '{<r.dst> OF EACH r IN E{tc()}: r.src = "%s" AND r.src = "%s"}',
     '{EACH r IN E{two()}: r.src = "%s"}',
     "{<a.src, b.dst> OF EACH a IN E{tc()}, EACH b IN E{two()}: "
     'a.dst = b.src AND a.src = "%s"}',
@@ -401,14 +403,14 @@ FRONT_DOOR_TEMPLATES = (
 )
 
 
-def random_front_door_session(rng: random.Random):
+def random_front_door_session(rng: random.Random, **session_kwargs):
     """A session over one random digraph ``E`` plus its node names."""
     from repro.dbpl import Session
 
     nodes = [f"n{i}" for i in range(rng.randint(2, 9))]
     count = rng.randint(1, min(20, len(nodes) ** 2))
     edges = {(rng.choice(nodes), rng.choice(nodes)) for _ in range(count)}
-    session = Session()
+    session = Session(**session_kwargs)
     session.execute(FRONT_DOOR_SCHEMA)
     session.insert("E", sorted(edges))
     return session, nodes

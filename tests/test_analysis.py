@@ -294,15 +294,25 @@ class TestSessionFrontDoor:
             s.execute("VAR Y: mystery;")
         assert s.last_diagnostics.has_errors  # the analyzer saw it too
 
-    def test_analysis_cache_hits_and_invalidates_on_declarations(self):
+    def test_front_door_cache_hits_and_invalidates_on_declarations(self):
+        """The verdict is cached with the plan, per token shape and scope
+        stamp: a declaration moves the stamp, and a rejected text leaves
+        no entry behind to be served once its names exist."""
         s = strict_session(rows=[("a", "k", 1)])
         src = '{EACH i IN Items: i.name = "a"}'
         s.query(src)
+        assert (s.plan_cache.misses, s.plan_cache.hits) == (1, 0)
         s.query(src)
-        assert len(s._analysis_cache) == 1
+        assert (s.plan_cache.misses, s.plan_cache.hits) == (1, 1)
         s.execute("TYPE otherrec = RECORD z: STRING END;")
-        s.query(src)  # new scope stamp -> new cache entry
-        assert len(s._analysis_cache) == 2
+        s.query(src)  # new scope stamp -> miss
+        assert (s.plan_cache.misses, s.plan_cache.hits) == (2, 1)
+        later = '{EACH o IN Others: o.z = "b"}'
+        with pytest.raises(AnalysisError, match="DBPL001"):
+            s.query(later)
+        s.execute("TYPE otherrel = RELATION z OF otherrec; VAR Others: otherrel;")
+        s.insert("Others", [("b",)])
+        assert s.query(later) == {("b",)}
 
 
 class TestDeadBranchPruning:

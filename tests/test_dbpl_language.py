@@ -101,6 +101,37 @@ class TestLexer:
         tokens = tokenize("a\n  b")
         assert tokens[1].line == 2 and tokens[1].column == 3
 
+    @pytest.mark.parametrize(
+        "source, column",
+        [
+            ("{EACH r IN R: r.x = ²}", 21),  # was a bare ValueError from int('²')
+            ("{EACH r IN R: r.x = ١٢}", 21),  # was silently the integer 12
+            ("{EACH r IN R: r.x = 1٢}", 22),  # was silently the integer 12
+        ],
+    )
+    def test_non_ascii_digits_are_syntax_errors(self, source, column):
+        with pytest.raises(DBPLSyntaxError) as info:
+            tokenize(source)
+        assert (info.value.line, info.value.column) == (1, column)
+        with pytest.raises(DBPLSyntaxError):
+            parse_expression(source)
+
+    def test_non_ascii_digits_in_identifiers_and_strings_stay(self):
+        tokens = tokenize('x² "١٢"\n  12')
+        assert [(t.kind, t.text) for t in tokens] == [
+            ("ident", "x²"), ("string", "١٢"), ("int", "12"), ("eof", "")
+        ]
+        assert (tokens[2].line, tokens[2].column) == (2, 3)
+
+    def test_check_reports_a_non_ascii_digit_as_dbpl000(self):
+        s = Session()
+        s.execute("TYPE rec = RECORD x: INTEGER END; rel = RELATION x OF rec; VAR R: rel;")
+        diags = s.check("{EACH r IN R:\n r.x = ²}")
+        assert diags.codes() == ["DBPL000"]
+        assert (diags[0].span.line, diags[0].span.column) == (2, 8)
+        with pytest.raises(DBPLSyntaxError):
+            s.query("{EACH r IN R: r.x = ²}")
+
 
 class TestParserShapes:
     def test_module_declarations_counted(self):

@@ -212,10 +212,10 @@ class TestEntryPoints:
         s.insert("Infront", [("table", "chair")])
         source = '{EACH r IN Infront: r.back = "chair"}'
         assert s.query(source) == {("table", "chair")}
-        plan = s.plan_cache.get(
+        entry = s.plan_cache.get(
             next(iter(s.plan_cache._entries)), s.db.stats.epoch()
         )
-        assert plan.options.resolved_executor == "tuple"
+        assert entry.plan.options.resolved_executor == "tuple"
 
     @pytest.mark.parametrize("door", ["query", "prepare", "subscribe"])
     def test_analysis_policy_is_validated_for_per_call_options(self, door):
@@ -406,7 +406,7 @@ class TestObservableFallbacks:
         diags = []
         s.on_diagnostic = diags.append
 
-        def boom(node, options):
+        def boom(*args):
             raise TranslationError("untranslatable shape")
 
         monkeypatch.setattr(s, "_prepared_plan", boom)

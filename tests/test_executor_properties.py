@@ -167,7 +167,7 @@ def test_no_interpreter_detour_behind_a_constructed_range(source, monkeypatch):
     assert s.query(source) == s.query(source) != set()
     assert detours == []
     (key,) = s.plan_cache.keys()
-    cached = s.plan_cache.get(key, s.db.stats.epoch())
+    cached = s.plan_cache.get(key, s.db.stats.epoch()).plan
     for branch in cached.plan.branches:
         for step in branch.steps:
             assert not isinstance(step.source.rexpr, ast.Constructed)

@@ -2,10 +2,18 @@
 plan cache, snapshot reads, and the writer/reader concurrency contract."""
 
 import os
+import random
 import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.analysis.checks as checks_module
+import repro.dbpl.parser as parser_module
+import repro.dbpl.session as session_module
+from helpers import FRONT_DOOR_TEMPLATES, random_front_door_session
 from repro.compiler import EXECUTOR_NAMES, ShardConfig
 from repro.dbpl import (
     DatabaseSnapshot,
@@ -14,7 +22,9 @@ from repro.dbpl import (
     Session,
     parameterize,
     parse_expression,
+    tokenize,
 )
+from repro.dbpl.serving import BARE_RANGES, range_query, token_shape
 from repro.errors import BindingError, TranslationError
 from repro.relational.stats import PLAN_EPOCH_FLOOR
 from repro.compiler.options import ExecOptions
@@ -388,10 +398,12 @@ class TestSnapshots:
         assert s.prepare(inlined).execute(snapshot=snapshot) == set()
         with pytest.raises(ValueError, match="snapshot"):
             s.query(set_former, mode="interpreted", options=pinned)
-        # ... and so is the interpreted *fallback* of a set former.
-        def boom(node, options):
+        # ... and so is the interpreted *fallback* of a set former (of a
+        # shape not in the plan cache: a cached one is served, not compiled).
+        def boom(*args):
             raise TranslationError("untranslatable shape")
 
+        s.plan_cache.clear()
         monkeypatch.setattr(s, "_prepared_plan", boom)
         with pytest.raises(ValueError, match="snapshot"):
             s.query(set_former, options=pinned)
@@ -575,3 +587,222 @@ class TestStatsEpoch:
         s.db.stats.bump_epoch()
         s.query(JOIN3)
         assert s.plan_cache.misses == 2
+
+
+# -- the token-shape front door ----------------------------------------------
+
+#: The ``serve_mixed`` benchmark's three read shapes (``bench/workloads.py``),
+#: over this file's schema, which has the same attributes.
+SERVE_POINT = '{<f.seq, f.tag> OF EACH f IN Fact: f.fk = "%s"}'
+SERVE_JOIN2 = (
+    "{<f.seq, g.grp, g.w> OF EACH f IN Fact, EACH g IN Dim: "
+    'f.fk = g.k AND g.k = "%s"}'
+)
+SERVE_JOIN3 = (
+    "{<f.seq, g.w, h.note, g2.k> OF "
+    "EACH f IN Fact, EACH g IN Dim, EACH h IN Ann, EACH g2 IN Dim: "
+    "f.fk = g.k AND g.grp = h.grp AND h.grp = g2.grp "
+    'AND f.fk = "%s" AND g2.w < %s}'
+)
+#: A RANGE-typed attribute compared with a slot: a constant outside
+#: 0..9 folds the comparison to false (DBPL010 + DBPL012).
+GRADES = """
+TYPE grade = RANGE 0..9;
+     graderec = RECORD id: INTEGER; g: grade; ok: BOOLEAN END;
+     graderel = RELATION id OF graderec;
+VAR Grades: graderel;
+"""
+SERVE_GRADE = "{<x.id> OF EACH x IN Grades: x.g = %s}"
+#: A ``TRUE`` operand is a parameter slot that no literal fills.
+SERVE_FLAG = "{<x.id> OF EACH x IN Grades: x.ok = TRUE AND x.id > %s}"
+#: A conjunction bounding one attribute twice: constant-sensitive too.
+SERVE_RANGE = "{EACH g IN Dim: g.w > %s AND g.w < %s}"
+
+
+def serve_session(**kwargs) -> Session:
+    s = make_session(**kwargs)
+    s.execute(GRADES)
+    s.insert("Grades", [(i, i % 10, i % 3 == 0) for i in range(30)])
+    return s
+
+
+def front_door_session(**kwargs) -> Session:
+    return random_front_door_session(random.Random(11), **kwargs)[0]
+
+
+#: The front-door template that bounds one attribute twice.
+TWO_BOUNDS = '{<r.dst> OF EACH r IN E{tc()}: r.src = "%s" AND r.src = "%s"}'
+assert TWO_BOUNDS in FRONT_DOOR_TEMPLATES
+
+
+def node_draws(template: str) -> list[tuple]:
+    """Two constant tuples for a front-door template: all ``n1``, then
+    ending in ``n3`` (so TWO_BOUNDS gets an equal and a differing pair)."""
+    slots = template.count("%s")
+    return [("n1",) * slots, ("n1",) * (slots - 1) + ("n3",) if slots else ()]
+
+
+#: (session factory, template, two constant draws, served as a hit): a
+#: template's texts are hits exactly when its analysis verdict cannot
+#: depend on the constants.
+FRONT_DOOR_CASES = [
+    (serve_session, SERVE_POINT, [("k1",), ("k4",)], True),
+    (serve_session, SERVE_JOIN2, [("k2",), ("nope",)], True),
+    (serve_session, SERVE_JOIN3, [("k3", 60), ("k5", 0)], True),
+    (serve_session, SERVE_GRADE, [(3,), (12,)], False),
+    (serve_session, SERVE_FLAG, [(4,), (20,)], False),
+    (serve_session, SERVE_RANGE, [(20, 100), (100, 20)], False),
+] + [
+    (front_door_session, template.replace("SEL", "n2"), node_draws(template),
+     template != TWO_BOUNDS)
+    for template in FRONT_DOOR_TEMPLATES
+]
+
+
+def rendered(text: str, gaps) -> str:
+    """``text`` re-spelled token by token, with ``gaps`` (cycled) of
+    whitespace and comments between the tokens."""
+    words = [
+        f'"{t.text}"' if t.kind == "string" else t.text for t in tokenize(text)[:-1]
+    ]
+    out = [words[0]]
+    for i, word in enumerate(words[1:]):
+        out.append(gaps[i % len(gaps)])
+        out.append(word)
+    return "".join(out)
+
+
+def parameterized_shape(text: str):
+    node = parse_expression(text)
+    if isinstance(node, BARE_RANGES):
+        node = range_query(node)
+    return parameterize(node)[0]
+
+
+class CallCounter:
+    """Counts the front door's parse/analysis/parameterize calls."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls = Counter()
+        calls = self.calls
+
+        class CountingParser(parser_module.Parser):
+            def __init__(self, *args, **kwargs):
+                calls["Parser"] += 1
+                super().__init__(*args, **kwargs)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(parser_module, "Parser", CountingParser)
+        monkeypatch.setattr(
+            checks_module, "analyze_query",
+            counted("analyze_query", checks_module.analyze_query),
+        )
+        monkeypatch.setattr(
+            session_module, "parameterize",
+            counted("parameterize", session_module.parameterize),
+        )
+
+
+GAPS = st.lists(
+    st.sampled_from(
+        [" ", "  ", "\n", "\t", "\r\n ", " (* c *) ", "(* (* nested *) \n *)", " \n(**)"]
+    ),
+    min_size=1,
+    max_size=4,
+)
+WORDS = st.text(
+    alphabet=st.characters(exclude_characters='"', exclude_categories=("Cs",)),
+    max_size=6,
+)
+
+
+class TestTokenFrontDoor:
+    """A repeated query shape is served from its tokens."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(FRONT_DOOR_CASES), st.data(), GAPS, GAPS)
+    def test_equal_token_shapes_have_equal_plan_shapes(self, case, data, g1, g2):
+        """Two texts of one template (so equal fixed literals) whose token
+        shapes are equal have equal ``parameterize`` shapes, whatever the
+        compared constants, whitespace and comments."""
+        _, template, draws, _ = case
+        constants = st.tuples(
+            *(st.integers(0, 10**6) if isinstance(c, int) else WORDS for c in draws[0])
+        )
+        one, two = data.draw(constants), data.draw(constants)
+        a, b = rendered(template % one, g1), rendered(template % two, g2)
+        assert token_shape(tokenize(a))[0] == token_shape(tokenize(b))[0], (a, b)
+        assert parameterized_shape(a) == parameterized_shape(b), (a, b)
+
+    @pytest.mark.parametrize(
+        "factory, template, draws, hit", FRONT_DOOR_CASES,
+        ids=[case[1][:48] for case in FRONT_DOOR_CASES],
+    )
+    def test_hit_equals_miss(self, factory, template, draws, hit, monkeypatch):
+        """A warm session (the hit path, where the verdict allows it) and
+        a compile-per-call session (always the miss path) agree on rows,
+        ``last_diagnostics``, ``on_diagnostic`` and fallbacks."""
+        warm_seen, cold_seen = [], []
+        warm = factory(on_diagnostic=warm_seen.append)
+        cold = factory(plan_cache_size=0, on_diagnostic=cold_seen.append)
+        warm.query(template % draws[0])
+        counter = CallCounter(monkeypatch)
+        for constants in draws:
+            text = template % constants
+            del warm_seen[:], cold_seen[:]
+            counter.calls.clear()
+            rows = warm.query(text)
+            assert (not counter.calls) == hit, (text, counter.calls)
+            assert rows == cold.query(text), text
+            assert list(warm.last_diagnostics) == list(cold.last_diagnostics), text
+            assert warm_seen == cold_seen, text
+            assert warm.fallbacks == cold.fallbacks, text
+            assert rows == cold.query(text, mode="interpreted"), text
+        if template == SERVE_GRADE:
+            assert "DBPL010" in {d.code for d in cold_seen}  # 12 is outside 0..9
+
+    def test_a_hit_parses_analyzes_and_parameterizes_nothing(self, monkeypatch):
+        """Clock-free guard: once a shape is cached, a text of that shape
+        — other constants, other whitespace and comments — constructs no
+        Parser and calls neither ``analyze_query`` nor ``parameterize``,
+        through ``query`` and through ``prepare``."""
+        s = serve_session()
+        text = SERVE_JOIN3 % ("k2", 60)
+        reference = s.query(text, mode="interpreted")
+        counter = CallCounter(monkeypatch)
+        s.query(SERVE_JOIN3 % ("k1", 40))
+        assert counter.calls == {"Parser": 1, "analyze_query": 1, "parameterize": 1}
+        counter.calls.clear()
+        assert s.query(text) == reference
+        assert s.query(rendered(text, ["\n (* x *) "])) == reference
+        assert s.prepare(SERVE_JOIN3 % ("k6", 20)).execute("k2", 60) == reference
+        assert counter.calls == {}
+        assert s.plan_cache.misses == 1 and len(s.plan_cache) == 1
+        # A constant-sensitive shape is never served: every text is a miss
+        # path (that reuses the cached plan, so it compiles once).
+        for bounds in [(20, 100), (30, 90)]:
+            s.query(SERVE_RANGE % bounds)
+        assert counter.calls == {"Parser": 2, "analyze_query": 2, "parameterize": 2}
+        assert s.plan_cache.misses == 2
+
+    def test_a_changed_selector_argument_misses(self, monkeypatch):
+        """``SEL`` is baked into the plan: the same token shape with
+        another selector argument is another plan, never the cached one."""
+        template = next(t for t in FRONT_DOOR_TEMPLATES if "SEL" in t)
+        first = template.replace("SEL", "n1") % "n2"
+        changed = template.replace("SEL", "n2") % "n2"
+        oracle = front_door_session()
+        want = {text: oracle.query(text, mode="interpreted") for text in (first, changed)}
+        s = front_door_session()
+        assert s.query(first) == want[first]
+        counter = CallCounter(monkeypatch)
+        assert s.query(changed) == want[changed]
+        assert counter.calls["Parser"] == 1
+        assert s.plan_cache.misses == 2
+        assert s.query(first) == want[first]
