@@ -9,7 +9,6 @@ from .analysis import (
     occurrences_of,
     positivity_violations,
     range_occurrences,
-    uses_constructed_ranges,
 )
 from .evaluator import EvalStats, Evaluator, RangeValue, evaluate
 from .pretty import render, render_pred, render_query, render_range, render_term
@@ -65,5 +64,4 @@ __all__ = [
     "substitute_ranges",
     "transform",
     "unnest_query",
-    "uses_constructed_ranges",
 ]

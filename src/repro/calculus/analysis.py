@@ -172,8 +172,3 @@ def free_tuple_vars(node: ast.Node) -> set[str]:
 
     visit(node, frozenset())
     return free
-
-
-def uses_constructed_ranges(node: ast.Node) -> bool:
-    """True when any range inside ``node`` is a constructor application."""
-    return any(isinstance(n, ast.Constructed) for n in ast.walk(node))

@@ -271,9 +271,16 @@ _NODE_TYPES = (
 
 Node = Union[_NODE_TYPES]  # type: ignore[valid-type]
 
+#: Node classes are final, so a class lookup recognizes a node — an
+#: ``isinstance`` against the whole tuple pays for every miss.
+_NODE_SET = frozenset(_NODE_TYPES)
+#: Field names per node class (``dataclasses.fields`` rebuilds its tuple
+#: on every call).
+_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in _NODE_TYPES}
+
 
 def is_node(obj: object) -> bool:
-    return isinstance(obj, _NODE_TYPES)
+    return obj.__class__ in _NODE_SET
 
 
 def node_span(node: object):
@@ -288,13 +295,13 @@ def node_span(node: object):
 
 def iter_children(node: Node) -> Iterator[Node]:
     """Yield the direct AST children of ``node`` in field order."""
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
-        if is_node(value):
+    for name in _FIELDS[node.__class__]:
+        value = getattr(node, name)
+        if value.__class__ in _NODE_SET:
             yield value
         elif isinstance(value, tuple):
             for item in value:
-                if is_node(item):
+                if item.__class__ in _NODE_SET:
                     yield item
 
 
@@ -303,3 +310,34 @@ def walk(node: Node) -> Iterator[Node]:
     yield node
     for child in iter_children(node):
         yield from walk(child)
+
+
+#: Node classes whose subtrees hold no range expression: terms,
+#: comparisons, ``TRUE`` and the leaf ranges.
+RANGE_FREE = frozenset(
+    (Const, AttrRef, VarRef, ParamRef, Arith, TupleCons, Cmp, TruePred, RelRef, ApplyVar)
+)
+
+
+def find(node: Node, cls: type, skip: frozenset = frozenset()) -> Node | None:
+    """The first ``cls`` node of ``node``'s pre-order :func:`walk`, or
+    None — without generator frames, for checks every query pays.  The
+    subtrees of ``skip`` classes are not searched (pass
+    :data:`RANGE_FREE` when ``cls`` is a range)."""
+    if node.__class__ is cls:
+        return node
+    if node.__class__ in skip:
+        return None
+    for name in _FIELDS[node.__class__]:
+        value = getattr(node, name)
+        if value.__class__ in _NODE_SET:
+            found = find(value, cls, skip)
+            if found is not None:
+                return found
+        elif isinstance(value, tuple):
+            for item in value:
+                if item.__class__ in _NODE_SET:
+                    found = find(item, cls, skip)
+                    if found is not None:
+                        return found
+    return None

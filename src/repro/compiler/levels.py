@@ -18,18 +18,20 @@ programming language compiler:
    application of a positive constructor compiles, whatever its
    recursive occurrences look like
    (:func:`~repro.compiler.fixpoint.compile_fixpoint`), so a
-   closed application has one evaluation path.  This is the level
-   ``Session.query``/``prepare`` compile through: every
-   :class:`~repro.dbpl.serving.PreparedPlan` whose shape mentions a
-   constructor application holds a :class:`CompiledStatement`.
+   closed application has one evaluation path.  A shape with no
+   application is a statement too, at ``compile_query``'s cost: its top
+   plan is the whole program.  Every front-door verb compiles through
+   this level — each :class:`~repro.dbpl.serving.PreparedPlan` and
+   each subscription holds a :class:`CompiledStatement`.
 
-3. **Runtime support level** (``PreparedPlan.run`` at the front door,
-   :meth:`CompiledStatement.run` for library callers) — bring the
-   generated fixpoint programs' values up to the current database state
+3. **Runtime support level** (:meth:`CompiledStatement.run`, the one
+   runtime of every compiled read) — bring the generated fixpoint
+   programs' values up to the current database state
    (:meth:`CompiledStatement.solve`), bind them as the top plan's apply
-   values, execute the top plan.  A compiled program *holds* its value
-   between executions and advances it (:meth:`CompiledFixpoint.advance`):
-   a read with no intervening write runs no plan, a read after inserts
+   values, execute the top plan; an ``identity`` statement's answer is
+   the value itself.  A compiled program *holds* its value between
+   executions and advances it (:meth:`CompiledFixpoint.advance`): a
+   read with no intervening write runs no plan, a read after inserts
    resumes from the appended rows, a read after a delete runs from
    empty.  ``Edge{tc}``'s value is a relation's value in this respect
    too — it keeps its rows and its hash indexes across reads, and lives
@@ -39,7 +41,9 @@ programming language compiler:
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from ..calculus import ast
 from ..calculus.analysis import free_range_names, free_tuple_vars
@@ -60,6 +64,14 @@ from .plans import (
 from .pushdown import PushdownDecision, cost_gated_inline
 from .quantgraph import QuantGraph, build_interconnectivity_graph
 from .specialize import LinearTC, detect_linear_tc
+
+SNAPSHOT_REFUSED = (
+    "snapshot= pins the relations a compiled set former reads; fixpoint "
+    "programs and the interpreted evaluator read live state"
+)
+
+#: The fixpoints and specializations of every plain statement.
+_NOTHING = MappingProxyType({})
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +138,10 @@ class CompiledStatement:
     #: The query the top plan is compiled from: non-recursive
     #: applications inlined, the rest replaced by their apply variables.
     top: ast.Query
-    fixpoints: dict[AppKey, CompiledFixpoint]
-    specializations: dict[AppKey, LinearTC]
+    fixpoints: Mapping[AppKey, CompiledFixpoint]
+    specializations: Mapping[AppKey, LinearTC]
     top_plan: QueryPlan
-    plan_stats: PlanStats = field(default_factory=PlanStats)
-    pushdown_decisions: list[PushdownDecision] = field(default_factory=list)
+    pushdown_decisions: Sequence[PushdownDecision] = field(default_factory=list)
     #: The apply token when the top query is ``{EACH v IN <apply>: TRUE}``
     #: — its answer *is* that value, no scan or dedup needed.
     identity: object | None = None
@@ -168,13 +179,33 @@ class CompiledStatement:
             apply_values.update(program.advance())
         return apply_values
 
-    def run(self, params: dict | None = None) -> set[tuple]:
-        """Execute: fixpoints first (bottom-up), then the top plan."""
-        apply_values = self.solve()
+    def run(
+        self,
+        params: dict | None = None,
+        *,
+        snapshot=None,
+        stats: PlanStats | None = None,
+        on_fallback=None,
+    ) -> set[tuple]:
+        """Execute: fixpoints first (bottom-up), then the top plan.
+
+        ``snapshot`` (a :class:`~repro.dbpl.serving.DatabaseSnapshot`)
+        pins the relations the top plan scans and probes; a statement
+        that runs a fixpoint reads live state, so it refuses one
+        (``ValueError``) rather than drop it.  ``stats`` collects the top
+        plan's counters, and ``on_fallback(kind, detail)`` observes every
+        executor degradation, the fixpoints' included.
+        """
+        if snapshot is not None and self.fixpoints:
+            raise ValueError(SNAPSHOT_REFUSED)
+        apply_values = self.solve(on_fallback)
         if self.identity is not None:
             return set(apply_values[self.identity])
-        ctx = ExecutionContext(self.db, params, apply_values, self.plan_stats)
+        ctx = ExecutionContext(self.db, params, apply_values, stats)
         ctx.shard_config = self.shard_config
+        ctx.on_fallback = on_fallback
+        if snapshot is not None:
+            ctx.source_overrides = snapshot.overrides_for(self.top_plan)
         return self.top_plan.execute(ctx)
 
 
@@ -206,6 +237,19 @@ def compile_statement(
     """
     if options is None:
         options = DEFAULT_OPTIONS
+    if ast.find(query, ast.Constructed, ast.RANGE_FREE) is None:
+        # Nothing to inline or hold: the top plan is the whole program,
+        # and the statement allocates nothing else.
+        return CompiledStatement(
+            db=db,
+            original=query,
+            top=query,
+            fixpoints=_NOTHING,
+            specializations=_NOTHING,
+            top_plan=compile_query(db, query, params, options=options),
+            pushdown_decisions=(),
+            shard_config=options.shard_config,
+        )
     inlined, pushdown_decisions = cost_gated_inline(db, query, params=params)
 
     fixpoints: dict[AppKey, CompiledFixpoint] = {}

@@ -659,6 +659,11 @@ def _compile_value(term: ast.Term, schemas: dict[str, RecordType], params: dict)
         idx = schema.index_of(term.attr)
         var = term.var
         return lambda env: env[var][idx]
+    if isinstance(term, ast.VarRef):
+        if term.var not in schemas:
+            return None
+        var = term.var
+        return lambda env: env[var]
     if isinstance(term, ast.Arith):
         left = _compile_value(term.left, schemas, params)
         right = _compile_value(term.right, schemas, params)

@@ -19,11 +19,11 @@ module is the parse-once/bind-per-message split:
   parameter slot, and the extracted constants ride alongside.  Two
   textually different queries that differ only in those constants share
   one shape — and therefore one compiled plan.
-* :class:`PreparedPlan` compiles a shape once (through
-  :func:`repro.compiler.compile_query` — or, when the shape mentions a
-  constructor application, :func:`repro.compiler.compile_statement`,
-  whose fixpoint programs then live in the plan cache with it — and the
-  executor-backend registry) and executes it many times, rebinding the
+* :class:`PreparedPlan` compiles a shape once, through the paper's one
+  query-compilation level (:func:`repro.compiler.compile_statement`,
+  whose fixpoint programs then live in the plan cache with it), and
+  executes it many times through the one runtime level
+  (:meth:`~repro.compiler.levels.CompiledStatement.run`), rebinding the
   constant slots in place — the generated kernels read parameter values
   at run time, so a rebind costs a dict update, not a recompilation.
 * :class:`PlanCache` is a bounded LRU over **plan fingerprints**
@@ -48,8 +48,9 @@ sub-ranges (selected ranges, nested queries) and residual predicates
 resolve against the live database — crash-free, because everything a
 relation hands a reader is an immutable generation of one committed
 state, but they read latest-committed.  A statement that runs a
-fixpoint would read live state wholesale, so :meth:`PreparedPlan.run`
-refuses a snapshot for it (``ValueError``) rather than drop it.
+fixpoint would read live state wholesale, so
+:meth:`~repro.compiler.levels.CompiledStatement.run` refuses a snapshot
+for it (``ValueError``) rather than drop it.
 """
 
 from __future__ import annotations
@@ -60,9 +61,8 @@ from typing import NamedTuple
 
 from ..analysis.diagnostics import Diagnostics, span_of
 from ..calculus import ast
-from ..calculus.analysis import uses_constructed_ranges
 from ..calculus.subst import transform
-from ..compiler import ExecutionContext, compile_query, compile_statement
+from ..compiler import compile_statement
 from ..compiler.executors import get_backend
 from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
 from ..compiler.plans import PlanStats, pin_relations
@@ -82,11 +82,6 @@ _SLOT_PREFIX = "__bind_"
 #: The bare ranges the front door accepts as queries (:func:`range_query`
 #: desugars them).
 BARE_RANGES = (ast.RelRef, ast.Selected, ast.Constructed, ast.QueryRange)
-
-SNAPSHOT_REFUSED = (
-    "snapshot= pins the relations a compiled set former reads; fixpoint "
-    "programs and the interpreted evaluator read live state"
-)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +242,15 @@ class PreparedPlan:
     restrictions, index-vs-scan gates); rebinding keeps that join order,
     the classic prepared-statement trade.
 
-    A shape that mentions a constructor application compiles through
-    :func:`repro.compiler.compile_statement` (the paper's query
-    compilation level): ``statement`` holds its fixpoint programs,
-    ``plan`` is its top plan, and every execution first advances the
-    fixpoints' held values to the live database and binds them as the
-    top plan's apply values — under the plan lock, which is also what
-    keeps two executions from advancing one value at once.  Any other
-    shape is a bare ``compile_query`` and ``statement`` is None.
+    Every shape compiles through :func:`repro.compiler.compile_statement`
+    (the paper's query compilation level), and every execution is
+    ``statement.run``: it advances the fixpoints' held values (if any)
+    to the live database and runs the top plan over them.
 
     Executions serialize on a per-plan lock: the slot rebind and the
-    pipeline run must be atomic with respect to other executors of the
-    *same* plan (different plans never contend).
+    run must be atomic with respect to other executors of the *same*
+    plan (different plans never contend), and it is what keeps two
+    executions from advancing one held value at once.
     """
 
     __slots__ = (
@@ -266,11 +258,7 @@ class PreparedPlan:
         "shape",
         "param_names",
         "options",
-        "executor",
-        "optimizer",
-        "shard_config",
         "epoch",
-        "plan",
         "statement",
         "executions",
         "on_fallback",
@@ -290,16 +278,13 @@ class PreparedPlan:
         if options is None:
             options = DEFAULT_OPTIONS
         self.options = options
-        executor = options.resolved_executor
-        get_backend(executor)  # validate the name before paying for a compile
+        # Validate the executor name before paying for a compile.
+        get_backend(options.resolved_executor)
         self.db = db
         self.shape = shape
         self.param_names = tuple(
             f"{_SLOT_PREFIX}{i}" for i in range(len(constants))
         )
-        self.executor = executor
-        self.optimizer = options.resolved_optimizer
-        self.shard_config = options.shard_config
         self.epoch = epoch
         self.executions = 0
         #: Observable-degradation hook (``Session`` wires its fallback
@@ -310,14 +295,7 @@ class PreparedPlan:
         self.on_fallback = None
         self._params = dict(zip(self.param_names, constants))
         self._lock = threading.Lock()
-        if uses_constructed_ranges(shape):
-            self.statement = compile_statement(
-                db, shape, self._params, options=options
-            )
-            self.plan = self.statement.top_plan
-        else:
-            self.statement = None
-            self.plan = compile_query(db, shape, self._params, options=options)
+        self.statement = compile_statement(db, shape, self._params, options=options)
 
     def run(
         self,
@@ -335,26 +313,14 @@ class PreparedPlan:
             params = self._params
             for name, value in zip(self.param_names, constants):
                 params[name] = value
-            apply_values = None
-            statement = self.statement
-            if statement is not None:
-                if snapshot is not None and statement.fixpoints:
-                    raise ValueError(SNAPSHOT_REFUSED)
-                apply_values = statement.solve(self.on_fallback)
-                if statement.identity is not None:
-                    self.executions += 1
-                    return set(apply_values[statement.identity])
-            ctx = ExecutionContext(self.db, params, apply_values, stats)
-            ctx.shard_config = self.shard_config
-            ctx.on_fallback = self.on_fallback
-            if snapshot is not None:
-                ctx.source_overrides = snapshot.overrides_for(self.plan)
+            rows = self.statement.run(
+                params, snapshot=snapshot, stats=stats, on_fallback=self.on_fallback
+            )
             self.executions += 1
-            return self.plan.execute(ctx, executor=self.executor)
+            return rows
 
     def explain(self) -> str:
-        compiled = self.plan if self.statement is None else self.statement
-        return compiled.explain()
+        return self.statement.explain()
 
 
 class PreparedQuery:
@@ -417,7 +383,8 @@ class PreparedQuery:
     def __repr__(self) -> str:  # pragma: no cover - display only
         return (
             f"<PreparedQuery slots={self.param_count} "
-            f"executor={self._plan.executor!r} runs={self._plan.executions}>"
+            f"executor={self._plan.options.resolved_executor!r} "
+            f"runs={self._plan.executions}>"
         )
 
 
@@ -434,7 +401,7 @@ class PlanCache:
     its token shape and scope stamp, and its entries are
     :class:`FrontDoorEntry` records around a :class:`PreparedPlan`), plus
     the normalized execution options (executor, optimizer, shard
-    config): everything that changes what ``compile_query`` would
+    config): everything that changes what ``compile_statement`` would
     produce or how its pipelines run.  Two calls that resolve to the
     same options (an explicit default and an unset field, say) share
     one plan.  Entries

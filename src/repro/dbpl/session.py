@@ -10,26 +10,28 @@ former or a selected/constructed range — and returns the raw rows;
 This is the programmer-facing surface of the reproduction: the paper's
 examples run verbatim (see ``examples/dbpl_tour.py``).
 
-Queries run through the compiled executor pipeline — the paper's one
-query-compilation level (:func:`repro.compiler.compile_statement` where
-the query mentions a constructor application, a bare
-:func:`repro.compiler.compile_query` otherwise, plus the
-executor-backend registry) — behind a per-session
+Every read takes one path from text to rows: a bare range desugars to
+the set former that scans it, the paper's one query-compilation level
+(:func:`repro.compiler.compile_statement`, plus the executor-backend
+registry) turns it into a
+:class:`~repro.compiler.levels.CompiledStatement`, and the one runtime
+level (:meth:`~repro.compiler.levels.CompiledStatement.run`) runs it.
+``query`` and ``prepare`` do this behind a per-session
 :class:`~repro.dbpl.serving.PlanCache`: repeated queries that differ
-only in compared constants share one compiled plan, rebinding constants
-per call.  ``query`` and ``prepare`` lex the text once and look its
+only in compared constants share one compiled statement, rebinding
+constants per call.  They lex the text once and look its
 :func:`~repro.dbpl.serving.token_shape` up in that cache: a hit goes
-tokens → constants → plan run, with no parse, analysis, pruning or
-parameterization; a miss parses the same tokens and does all of that,
-then installs a :class:`~repro.dbpl.serving.FrontDoorEntry`.  A
+tokens → constants → statement run, with no parse, analysis, pruning
+or parameterization; a miss parses the same tokens and does all of
+that, then installs a :class:`~repro.dbpl.serving.FrontDoorEntry`.  A
 constructed range ``Rel{con(args)}`` is a range like any other, bare
 or inside a set former: non-recursive applications inline,
 the rest become compiled fixpoint programs cached with the plan, each
 holding its value and advancing it to the live state per execution
 (:meth:`~repro.compiler.fixpoint.CompiledFixpoint.advance`).
-:meth:`Session.subscribe` is
-the one place that still asks whether the query *is* a constructed
-range — to pick the maintenance strategy.  The knobs:
+:meth:`Session.subscribe` compiles the same statement, and the
+statement — not the query's syntax — picks its maintenance.  The
+knobs:
 
 * ``query(..., mode="interpreted")`` forces the reference tuple-at-a-time
   evaluator (the semantic baseline every backend is tested against);
@@ -47,12 +49,14 @@ range — to pick the maintenance strategy.  The knobs:
   ``PreparedQuery.execute``) for repeatable reads under concurrent
   writers.
 
-Query shapes the compiler cannot translate fall back to the interpreted
-evaluator — counted in ``Session.fallbacks`` and hinted (DBPL900;
-compile-time errors only — runtime errors propagate).  Every positive
-constructor compiles, so a closed constructed range never leaves the
-compiled path; a non-positive one is a
-:class:`~repro.errors.PositivityError`.
+There is no interpreted fallback: every query the analyzer accepts
+compiles, and a compile-time error (an unknown relation, attribute or
+identifier) propagates as the typed error the interpreter would raise.
+Every positive constructor compiles, so a closed constructed range never
+leaves the compiled path; a non-positive one is a
+:class:`~repro.errors.PositivityError`.  What *is* counted in
+``Session.fallbacks`` and hinted (DBPL9xx) are the executors' runtime
+degradations.
 
 Every query and declaration also passes through the static analyzer
 (:mod:`repro.analysis`) before touching the planner — a plan-cache hit
@@ -75,15 +79,10 @@ from typing import TYPE_CHECKING, NamedTuple
 from ..analysis.diagnostics import Diagnostic, Diagnostics, Span
 from ..calculus import ast
 from ..calculus.evaluator import Evaluator
+from ..compiler.levels import SNAPSHOT_REFUSED
 from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
 from ..constructors.definition import Constructor
-from ..errors import (
-    AnalysisError,
-    BindingError,
-    DBPLError,
-    DBPLSyntaxError,
-    PositivityError,
-)
+from ..errors import AnalysisError, BindingError, DBPLSyntaxError, EvaluationError
 from ..relational import Database
 from ..selectors import Parameter, SelectedRelation, Selector
 from ..types import (
@@ -112,7 +111,6 @@ from .parser import parse_expression, parse_module
 from .serving import (
     BARE_RANGES,
     DEFAULT_PLAN_CACHE_SIZE,
-    SNAPSHOT_REFUSED,
     DatabaseSnapshot,
     FrontDoorEntry,
     PlanCache,
@@ -150,19 +148,17 @@ _DECL_KEYWORDS = ("MODULE", "TYPE", "VAR", "SELECTOR", "CONSTRUCTOR")
 _QUERY_MODES = ("auto", "interpreted")
 
 #: Every way execution can leave the requested path, and the hint code
-#: that reports it.  The first is the one compile-time detour (taken by
-#: :meth:`Session.query` itself); the rest are runtime degradations the
-#: executors report through ``ExecutionContext.note_fallback`` — the
-#: compiled path was kept, but not the requested physical strategy.
-#: Four kinds.  Codes are never renumbered; a gap is a retired
-#: degradation — three so far, 901 (a positive system outside the
-#: compiled fixpoint fragment ran on the interpreted engine; every
+#: that reports it: runtime degradations the executors report through
+#: ``ExecutionContext.note_fallback`` — the compiled path was kept, but
+#: not the requested physical strategy.  Three kinds.  Codes are never
+#: renumbered; a gap is a retired degradation — four so far, 900 (a
+#: compile-time error re-ran the query on the interpreted evaluator;
+#: every accepted query compiles now), 901 (a positive system outside
+#: the compiled fixpoint fragment ran on the interpreted engine; every
 #: positive system compiles now), 903 (a shipped-buffer inner executor)
 #: and 904 (snapshots ran unsharded; shards now plan over the pinned
 #: rows).
 _FALLBACK_CODES = {
-    # DBPLError at compile time → the reference evaluator re-ran the query
-    "interpreted": "DBPL900",
     # ShardConfig(pool="process") ran on threads (no fork)
     "process_pool": "DBPL902",
     # a branch with no generated pipeline ran on the tuple interpreter
@@ -271,12 +267,12 @@ class Session:
     def _note_fallback(self, kind: str, detail: str, **data) -> None:
         """Count a departure from the requested path and hint about it.
 
-        The one sink for every kind in ``_FALLBACK_CODES``: the session's
-        own compile-time detour and — installed as the ``on_fallback``
-        hook of prepared plans, their fixpoint programs and
-        subscriptions — the executors' runtime degradations.  No result
-        changes; a kind outside the table is a bug in whoever reported
-        it (``KeyError``).
+        The one sink for every kind in ``_FALLBACK_CODES``, installed as
+        the ``on_fallback`` hook of prepared plans and subscriptions
+        (and through their statements, of every fixpoint program): the
+        executors' runtime degradations.  No result changes; a kind
+        outside the table is a bug in whoever reported it
+        (``KeyError``).
         """
         code = _FALLBACK_CODES[kind]
         self.fallbacks[kind] += 1
@@ -425,19 +421,15 @@ class Session:
         :meth:`snapshot`).  A statement that runs a fixpoint (a
         constructed range, bare or inside a set former, that was not
         inlined away) and the interpreted mode read live state, so a
-        snapshot passed with either — or with a set former that turns
-        out to need the interpreted fallback — is a ``ValueError``: a
-        repeatable read is honoured or refused, never dropped.
+        snapshot passed with either is a ``ValueError``: a repeatable
+        read is honoured or refused, never dropped.
 
-        Fallbacks off the compiled path are observable: untranslatable
-        set formers re-run on the reference evaluator, bumping
-        :attr:`fallbacks` and emitting a DBPL900 hint to
-        ``on_diagnostic`` per query.  Every positive constructor
-        compiles (a recursive occurrence under ``SOME`` included); a
-        non-positive one is the section 3.3 :class:`PositivityError` on
-        every spelling, and an :class:`EvaluationError` mid-execution
-        propagates (re-running after partial evaluation would hide real
-        bugs).
+        Every positive constructor compiles (a recursive occurrence
+        under ``SOME`` included); a non-positive one is the section 3.3
+        :class:`PositivityError` on every spelling.  Any other error —
+        at compile time or mid-execution — propagates as the typed error
+        it is; executor degradations are counted in :attr:`fallbacks`
+        and hinted to ``on_diagnostic``.
         """
         if mode not in _QUERY_MODES:
             raise ValueError(f"mode must be one of {_QUERY_MODES}, got {mode!r}")
@@ -451,36 +443,41 @@ class Session:
             return self._query_interpreted(node, source)
         lookup = self._lookup(tokens, options)
         constants = self._hit(lookup, options.analysis)
-        if constants is not None:
-            return lookup.entry.plan.run(constants, snapshot=options.snapshot)
+        if constants is None:
+            # Branches the analyzer proved empty never reach the planner.
+            # Safe here (constants are fixed for this call); prepare()
+            # skips this because rebinding could revive them.
+            node, analysis = self._statement_node(source, tokens, options, prune=True)
+            plan, constants = self._prepared_plan(node, options, lookup, analysis)
+        else:
+            plan = lookup.entry.plan
+        return plan.run(constants, snapshot=options.snapshot)
+
+    def _statement_node(
+        self, source: str, tokens: list[Token], options: ExecOptions, *, prune: bool
+    ) -> tuple[ast.Query, AnalysisResult | None]:
+        """The set former a front-door verb compiles for ``source`` (lexed
+        as ``tokens``), and the gate's verdict on it.
+
+        A bare range desugars to the set former that scans it.  The
+        parser reads an unknown bare identifier as a parameter reference
+        and no front-door query has parameters, so one is the oracle's
+        :class:`EvaluationError`, raised before anything compiles (under
+        ``analysis="strict"`` the gate's DBPL006 comes first).  ``prune``
+        drops the branches the analyzer proved empty.
+        """
         node = parse_expression(source, tokens)
         analysis = self._gate(node, options.analysis)
         if isinstance(node, BARE_RANGES):
             node = range_query(node)
-        if isinstance(node, ast.Query):
-            if analysis is not None:
-                # Branches the analyzer proved empty never reach the
-                # planner.  Safe here (constants are fixed for this call);
-                # prepare() skips this because rebinding could revive them.
-                node = analysis.prune(node)
-            try:
-                plan, constants = self._prepared_plan(node, options, lookup, analysis)
-            except PositivityError:
-                raise  # the section 3.3 rejection, not a translation gap
-            except DBPLError as exc:
-                # Untranslatable shape (compile-time only): reference
-                # evaluator gives the same answers, one tuple at a time.
-                if options.snapshot is not None:
-                    raise ValueError(SNAPSHOT_REFUSED) from exc
-                self._note_fallback(
-                    "interpreted",
-                    f"query fell back to the interpreted evaluator: {exc}",
-                    source=source,
-                    error=exc,
-                )
-                return Evaluator(self.db).eval_query(node)
-            return plan.run(constants, snapshot=options.snapshot)
-        raise BindingError(f"not a query expression: {source!r}")
+        if not isinstance(node, ast.Query):
+            raise BindingError(f"not a query expression: {source!r}")
+        unbound = ast.find(node, ast.ParamRef)
+        if unbound is not None:
+            raise EvaluationError(f"unbound parameter {unbound.name!r}")
+        if prune and analysis is not None:
+            node = analysis.prune(node)
+        return node, analysis
 
     def _query_interpreted(self, node, source: str) -> set[tuple]:
         """The reference path: tuple-at-a-time, no compiler involved."""
@@ -549,9 +546,10 @@ class Session:
         if entry is not None and entry.plan.shape == shape:
             plan = entry.plan
         else:
+            if options.snapshot is not None:
+                options = options.replace(snapshot=None)  # a cached plan pins none
             plan = PreparedPlan(
-                self.db, shape, constants, epoch=lookup.epoch,
-                options=options.replace(snapshot=None, analysis=None),
+                self.db, shape, constants, epoch=lookup.epoch, options=options
             )
             plan.on_fallback = self._note_fallback
             verdict = None
@@ -591,12 +589,9 @@ class Session:
         constants = self._hit(lookup, options.analysis)
         if constants is not None:
             return PreparedQuery(lookup.entry.plan, constants, source)
-        node = parse_expression(source, lookup.tokens)
-        analysis = self._gate(node, options.analysis)
-        if isinstance(node, BARE_RANGES):
-            node = range_query(node)
-        if not isinstance(node, ast.Query):
-            raise BindingError(f"not a query expression: {source!r}")
+        node, analysis = self._statement_node(
+            source, lookup.tokens, options, prune=False
+        )
         plan, constants = self._prepared_plan(node, options, lookup, analysis)
         return PreparedQuery(plan, constants, source)
 
@@ -611,39 +606,26 @@ class Session:
 
         Returns a :class:`~repro.dbpl.subscriptions.Subscription` whose
         :meth:`~repro.dbpl.subscriptions.Subscription.rows` always equal
-        a fresh :meth:`query` of the same source.  Set formers and
-        ranges are maintained incrementally by derivation counting;
-        constructed ranges are their compiled program's held value,
-        resumed on inserts (deletes run from empty).  ``on_change``
-        observes each net change (it runs inside the committing write —
-        do not mutate relations from it);
+        a fresh :meth:`query` of the same source.  The source compiles
+        to the same statement :meth:`query` runs, and the statement picks
+        the maintenance: one whose answer is a held fixpoint value
+        (``Rel{con}``, spelled bare or as a set former) reports that
+        value's growth, resumed on inserts (deletes run from empty);
+        any other is maintained incrementally by derivation counting.
+        ``on_change`` observes each net change (it runs inside the
+        committing write — do not mutate relations from it);
         :meth:`~repro.dbpl.subscriptions.Subscription.changes` drains
         the same events as an iterator.
 
-        Subscriptions read live state, so ``snapshot`` does not apply;
-        and unlike :meth:`query` there is no interpreted fallback — an
-        untranslatable shape raises rather than silently degrading to
-        per-write recomputation on the reference evaluator.
+        Subscriptions read live state, so ``snapshot`` does not apply.
         """
         options = self._call_options(options)
         if options.snapshot is not None:
             raise ValueError(
                 "subscriptions maintain live state; snapshot= does not apply"
             )
-        node = parse_expression(source)
-        analysis = self._gate(node, options.analysis)
-        registry = SubscriptionRegistry.ensure(self.db)
-        if isinstance(node, ast.Constructed):
-            return registry.subscribe_fixpoint(
-                node, source, options, on_change, self._note_fallback
-            )
-        if isinstance(node, BARE_RANGES):
-            node = range_query(node)
-        if not isinstance(node, ast.Query):
-            raise BindingError(f"not a query expression: {source!r}")
-        if analysis is not None:
-            node = analysis.prune(node)
-        return registry.subscribe_query(
+        node, _ = self._statement_node(source, tokenize(source), options, prune=True)
+        return SubscriptionRegistry.ensure(self.db).subscribe(
             node, source, options, on_change, self._note_fallback
         )
 

@@ -6,35 +6,39 @@ counterpart of the paper's view of relations and rules as one algebra:
 a subscription is a derived relation whose extension tracks its
 defining expression continuously instead of being recomputed on demand.
 
-Two maintenance strategies, chosen by the shape of the expression; both
-kinds are clients of the one fixpoint resume path
-(:meth:`~repro.compiler.fixpoint.CompiledFixpoint.advance`):
+Every subscription compiles its query through the one
+query-compilation level (:func:`~repro.compiler.levels.compile_statement`,
+with the requested options, so its fixpoint programs run on the
+requested executor) and is a client of the one fixpoint resume path
+(:meth:`~repro.compiler.fixpoint.CompiledFixpoint.advance`).  One
+maintenance rule, chosen by the compiled statement rather than by the
+query's syntax:
 
-* **Set formers and ranges** use counting-based incremental view
+* A statement whose answer **is** a fixpoint value (its
+  :attr:`~repro.compiler.levels.CompiledStatement.identity`:
+  ``Rel{con}``, bare or spelled ``{EACH r IN Rel{con}: TRUE}``) holds
+  that value as its rows.  A commit advances it (a resume from the
+  appended rows after inserts — sound because every compiled system is
+  positive, hence monotone — and a run from empty after a delete), and
+  the change feed reports the held log's suffix since the last event,
+  or the difference of the two values after a run from empty.  Every
+  positive constructor is maintained this way, a recursive occurrence
+  under ``SOME`` included; a non-positive one is refused at subscribe
+  time (:class:`~repro.errors.PositivityError`).
+
+* Any other statement uses counting-based incremental view
   maintenance.  The subscription keeps the *number of derivations* of
   every result row (a bag, evaluated by running the compiled branch
-  plans without the final duplicate elimination).  Each committed
-  insert/delete batch on a base relation is pushed through the
-  occurrence-split differential of the query with respect to that
-  relation — the same differential the fixpoint seeds use, with the
-  changed relation's new/delta/old states bound as apply values — and
-  the produced derivations adjust the counts.  A row enters the result
-  when its count becomes positive and leaves when it returns to zero,
-  which is exact for select-project-join-union under set semantics.  A
-  set former over a constructed range compiles through
-  :func:`~repro.compiler.levels.compile_statement`: the application's
-  value is its program's held value, and a batch on a relation the
-  value depends on advances it and recounts the top plan over it.
-
-* **Constructed ranges** are their compiled program's held value: a
-  commit advances it (a resume from the appended rows after inserts —
-  sound because every compiled system is positive, hence monotone —
-  and a run from empty after a delete), and the change feed reports
-  the held log's suffix since the last event, or the difference of the
-  two values after a run from empty.  Every positive constructor is
-  maintained this way, a recursive occurrence under ``SOME`` included;
-  a non-positive one is refused at subscribe time
-  (:class:`~repro.errors.PositivityError`).
+  plans without the final duplicate elimination, on a bag-safe
+  executor).  Each committed insert/delete batch on a base relation is
+  pushed through the occurrence-split differential of the top query
+  with respect to that relation — the same differential the fixpoint
+  seeds use, with the changed relation's new/delta/old states bound as
+  apply values — and the produced derivations adjust the counts.  A
+  row enters the result when its count becomes positive and leaves
+  when it returns to zero, which is exact for select-project-join-union
+  under set semantics.  A batch on a relation a held value depends on
+  advances the value and recounts the top plan over it.
 
 Either way the deltas arrive from the write path: once a
 :class:`SubscriptionRegistry` is attached (`Database.attach_sink`),
@@ -60,14 +64,8 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from ..calculus import ast
-from ..calculus.analysis import uses_constructed_ranges
 from ..compiler.executors import get_backend
-from ..compiler.fixpoint import (
-    REPLAN_DRIFT,
-    _ivm_token,
-    compile_application,
-    relation_differential,
-)
+from ..compiler.fixpoint import REPLAN_DRIFT, _ivm_token, relation_differential
 from ..compiler.levels import compile_statement
 from ..compiler.options import ExecOptions
 from ..compiler.plans import CostModel, ExecutionContext, PlanStats, compile_query
@@ -198,13 +196,16 @@ class _DeltaHandler:
 class Subscription:
     """A standing query handle: current rows, a change feed, a callback.
 
-    Concrete maintenance lives in the two subclasses; this base carries
-    the user-facing surface and the shared bookkeeping.  All state is
-    guarded by the registry lock — maintenance already runs under it,
-    readers take it briefly.
+    Holds the query's :class:`~repro.compiler.levels.CompiledStatement`
+    and maintains its answer under the rule the statement picks (see the
+    module docstring).  All state is guarded by the registry lock —
+    maintenance already runs under it, readers take it briefly.
     """
 
-    def __init__(self, registry, source: str, options, on_change) -> None:
+    def __init__(
+        self, registry, node: ast.Query, source: str, options, on_change,
+        on_fallback=None,
+    ) -> None:
         self.registry = registry
         self.source = source
         self.options = options
@@ -213,8 +214,6 @@ class Subscription:
         #: lock and registry lock are both held.
         self.on_change = on_change
         self.active = True
-        #: Base relations whose mutations this subscription watches.
-        self.watched: tuple[str, ...] = ()
         #: Maintenance counters: incrementally applied batches vs. full
         #: recomputations (deletions on fixpoints, ineligible shapes).
         self.delta_batches = 0
@@ -222,6 +221,45 @@ class Subscription:
         self.replans = 0
         self.plan_stats = PlanStats()
         self._pending: deque[ChangeEvent] = deque()
+        db = registry.db
+        self._on_fallback = on_fallback
+        self._optimizer = options.resolved_optimizer
+        # get_backend rejects unknown names, as at every other door.
+        self._executor = _BAG_EXECUTORS.get(
+            get_backend(options.resolved_executor).name, "batch"
+        )
+        #: Compiled with the requested options: its programs hold the
+        #: applications' values, its top plan ranges over them.
+        statement = self._statement = compile_statement(db, node, options=options)
+        self._node = statement.top
+        self._plan = statement.top_plan
+        #: Relations the applications' values depend on: their batches
+        #: advance the values (and recount the top plan over them).
+        self._fixed: frozenset[str] = frozenset().union(
+            *(p.bases for p in statement.fixpoints.values())
+        )
+        read = {
+            n.name
+            for n in ast.walk(statement.top)
+            if isinstance(n, ast.RelRef) and n.name in db.relations
+        }
+        #: Base relations whose mutations this subscription watches.
+        self.watched: tuple[str, ...] = tuple(sorted(read | self._fixed))
+        #: Per-relation differential handler, built on first batch:
+        #: a _DeltaHandler, or _RECOMPUTE when ineligible.
+        self._handlers: dict[str, object] = {}
+        #: The applications' values (plain and "new" tokens) as of the
+        #: last advance.
+        self._values = self._solve()
+        if statement.identity is not None:
+            #: The held value that *is* the answer, and how much of its
+            #: log the change feed has reported.
+            self._held = self._values[statement.identity]
+            self._reported = len(self._held.log)
+        else:
+            #: Derivation counts; result rows are exactly the keys (every
+            #: stored count is positive).
+            self._counts: Counter = Counter(self._execute(self._plan))
 
     # -- user surface -----------------------------------------------------
 
@@ -261,63 +299,13 @@ class Subscription:
         if self.on_change is not None:
             self.on_change(event)
 
-
-class QuerySubscription(Subscription):
-    """Counting-maintained subscription over a set former or range."""
-
-    def __init__(
-        self, registry, node: ast.Query, source, options, on_change,
-        on_fallback=None,
-    ):
-        super().__init__(registry, source, options, on_change)
-        db = registry.db
-        self._on_fallback = on_fallback
-        self._optimizer = options.resolved_optimizer
-        # get_backend rejects unknown names, as at every other door.
-        self._executor = _BAG_EXECUTORS.get(
-            get_backend(options.resolved_executor).name, "batch"
-        )
-        watched = {
-            n.name
-            for n in ast.walk(node)
-            if isinstance(n, ast.RelRef) and n.name in db.relations
-        }
-        exec_options = ExecOptions(optimizer=self._optimizer, executor=self._executor)
-        #: The statement compiled for a set former over a constructed
-        #: range (None for a plain one): its programs hold the
-        #: applications' values, its top plan ranges over them.
-        self._statement = None
-        #: Relations the applications' values depend on: their batches
-        #: advance the values and recount the top plan.
-        self._fixed: frozenset[str] = frozenset()
-        if uses_constructed_ranges(node):
-            self._statement = compile_statement(db, node, options=exec_options)
-            node = self._statement.top
-            self._fixed = frozenset().union(
-                *(p.bases for p in self._statement.fixpoints.values())
-            )
-            self._plan = self._statement.top_plan
-        else:
-            self._plan = compile_query(db, node, options=exec_options)
-        self._node = node
-        self.watched = tuple(sorted(watched | self._fixed))
-        #: Per-relation differential handler, built on first batch:
-        #: a _DeltaHandler, or _RECOMPUTE when ineligible.
-        self._handlers: dict[str, object] = {}
-        #: The applications' values (plain and "new" tokens) as of the
-        #: last recount; None without a statement.
-        self._values = self._solve()
-        #: Derivation counts; result rows are exactly the keys (every
-        #: stored count is positive).
-        self._counts: Counter = Counter(self._execute(self._plan))
-
     def _rows(self) -> frozenset:
+        if self._statement.identity is not None:
+            return frozenset(self._held)
         return frozenset(self._counts)
 
-    def _solve(self) -> dict | None:
+    def _solve(self) -> dict:
         """Advance the statement's fixpoint values to the current state."""
-        if self._statement is None:
-            return None
         values = self._statement.solve(self._on_fallback)
         for token, rows in list(values.items()):
             values[_variant_token(token, "new")] = rows
@@ -325,7 +313,7 @@ class QuerySubscription(Subscription):
 
     def _execute(self, plan, deltas=None) -> list:
         """Run ``plan`` as a bag over the held values plus ``deltas``."""
-        apply_values = {**(self._values or {}), **(deltas or {})}
+        apply_values = {**self._values, **(deltas or {})}
         ctx = ExecutionContext(
             self.registry.db, apply_values=apply_values, stats=self.plan_stats
         )
@@ -381,6 +369,9 @@ class QuerySubscription(Subscription):
     # -- maintenance ------------------------------------------------------
 
     def _apply(self, state: _DeltaState) -> None:
+        if self._statement.identity is not None:
+            self._advance_held(state.name)
+            return
         handler = self._handler(state)
         if handler is _RECOMPUTE:
             self._recompute(state.name)
@@ -443,30 +434,11 @@ class QuerySubscription(Subscription):
             before.keys() - self._counts.keys(),
         )
 
-
-class FixpointSubscription(Subscription):
-    """A constructed range: a client of its compiled program's held value."""
-
-    def __init__(
-        self, registry, node: ast.Constructed, source, options, on_change,
-        on_fallback=None,
-    ):
-        super().__init__(registry, source, options, on_change)
-        self._program = compile_application(
-            registry.db, node, options=options, on_fallback=on_fallback
-        )
-        self.watched = tuple(sorted(self._program.bases))
-        self._root = self._program.system.root
-        self._value = self._program.advance()[self._root]
-        #: How much of the held log the change feed has reported.
-        self._reported = len(self._value.log)
-
-    def _rows(self) -> frozenset:
-        return frozenset(self._value)
-
-    def _apply(self, state: _DeltaState) -> None:
-        before = self._value
-        value = self._value = self._program.advance()[self._root]
+    def _advance_held(self, relation_name: str) -> None:
+        """An identity statement's commit: advance the held value."""
+        before = self._held
+        self._values = self._solve()
+        value = self._held = self._values[self._statement.identity]
         if value is before:
             # Resumed: the rows it gained are the log's suffix.
             inserted, deleted = value.log[self._reported :], ()
@@ -476,7 +448,7 @@ class FixpointSubscription(Subscription):
             inserted, deleted = value - before, before - value
             self.recomputes += 1
         self._reported = len(value.log)
-        self._notify(state.name, inserted, deleted)
+        self._notify(relation_name, inserted, deleted)
 
 
 # ---------------------------------------------------------------------------
@@ -513,30 +485,17 @@ class SubscriptionRegistry:
 
     # -- registration -----------------------------------------------------
 
-    def subscribe_query(
+    def subscribe(
         self, node, source, options, on_change, on_fallback=None
     ) -> Subscription:
-        """Materialize and register a counting-maintained subscription.
+        """Materialize and register a maintained subscription to the
+        set former ``node``.
 
         ``on_fallback(kind, detail)`` observes executor degradations of
         the initial run and of every maintenance batch.
         """
         with self.lock:
-            sub = QuerySubscription(
-                self, node, source, options, on_change, on_fallback
-            )
-            self._register(sub)
-        return sub
-
-    def subscribe_fixpoint(
-        self, node, source, options, on_change, on_fallback=None
-    ) -> Subscription:
-        """Materialize and register a fixpoint-maintained subscription
-        (``on_fallback`` as for :meth:`subscribe_query`)."""
-        with self.lock:
-            sub = FixpointSubscription(
-                self, node, source, options, on_change, on_fallback
-            )
+            sub = Subscription(self, node, source, options, on_change, on_fallback)
             self._register(sub)
         return sub
 

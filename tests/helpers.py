@@ -400,6 +400,11 @@ FRONT_DOOR_TEMPLATES = (
     "{EACH e IN E: SOME t IN E{tc()} (t.src = e.dst AND t.dst = e.src)}",
     '{EACH e IN E: e.src <> "%s" AND SOME t IN E{two()} (t.src = e.dst)}',
     '{EACH r IN E[avoiding("SEL")]{tc()}: r.src = "%s"}',
+    # Whole-row targets: a tuple variable as a value.
+    '{<r> OF EACH r IN E: r.src <> "%s"}',
+    '{<r, r.src> OF EACH r IN E{tc()}: r.dst = "%s"}',
+    "{<r, f> OF EACH r IN E, EACH f IN E{tc()}: "
+    'r.dst = f.src AND f.dst = "%s"}',
 )
 
 
@@ -501,7 +506,7 @@ def assert_subscription_tracks(
     for executor in executors:
         db = db_factory()
         registry = SubscriptionRegistry.ensure(db)
-        sub = registry.subscribe_query(
+        sub = registry.subscribe(
             query, "<harness>", ExecOptions(executor=executor), None
         )
         replayed = set(sub.rows())

@@ -31,9 +31,9 @@ from repro.datalog import DatalogEngine, parse_program
 from repro.dbpl import Session, parse_expression
 from repro.errors import (
     AnalysisError,
+    DBPLError,
     EvaluationError,
     PositivityError,
-    TranslationError,
 )
 from repro.relational.vectors import get_numpy
 
@@ -272,7 +272,6 @@ class TestFallbackChain:
         reference = Evaluator(s.db).eval_query(node)
         assert s.query(self.JOIN) == reference == {("table", "door")}
         assert no_columnar == []
-        assert s.fallbacks["interpreted"] == 0  # still the compiled plan
         assert s.fallbacks["lowering"] == 1
         (hint,) = [g for g in diags if g.code == "DBPL905"]
         assert hint.severity == "hint"
@@ -292,7 +291,6 @@ class TestFallbackChain:
         closure = s.query("Infront{ahead()}", mode="interpreted")
         assert len(closure) == 6
         assert s.query("Infront{ahead()}") == closure
-        assert s.fallbacks["interpreted"] == 0  # still the compiled fixpoint
         assert s.fallbacks["lowering"] == 1
         (hint,) = [g for g in diags if g.code == "DBPL905"]
         assert "executor='batch'" in hint.message
@@ -378,12 +376,7 @@ class TestObservableFallbacks:
         s = make_session()
         s.query('{EACH r IN Infront: r.back = "chair"}')
         s.query("Infront{ahead()}")
-        assert set(s.fallbacks) == {
-            "interpreted",
-            "process_pool",
-            "lowering",
-            "vector_numpy",
-        }
+        assert set(s.fallbacks) == {"process_pool", "lowering", "vector_numpy"}
         assert all(count == 0 for count in s.fallbacks.values())
 
     def test_unknown_kind_is_a_bug_not_a_process_pool_hint(self):
@@ -401,23 +394,54 @@ class TestObservableFallbacks:
             ("DBPL902", "process_pool")
         ]
 
-    def test_interpreted_fallback_counts_and_hints(self, monkeypatch):
-        s = make_session()
+    @pytest.mark.parametrize("analysis", ["lint", "off"])
+    @pytest.mark.parametrize(
+        "source",
+        [
+            '{EACH r IN Nowhere: r.back = "chair"}',
+            '{EACH r IN Infront: r.side = "chair"}',
+            '{<r.side> OF EACH r IN Infront{ahead()}: TRUE}',
+        ],
+    )
+    def test_compile_error_raises_the_oracles_class(self, analysis, source):
+        # Unknown relations and attributes used to take a detour: the
+        # compile-time error re-ran the query on the interpreter, which
+        # raised the same class after a DBPL900 hint.
+        s = Session(options=ExecOptions(analysis=analysis))
+        s.execute(AHEAD)
+        s.insert("Infront", [("table", "chair")])
+        with pytest.raises(DBPLError) as oracle:
+            s.query(source, mode="interpreted")
         diags = []
         s.on_diagnostic = diags.append
+        for door in (s.query, s.prepare, s.subscribe):
+            with pytest.raises(type(oracle.value)):
+                door(source)
+        assert not [g for g in diags if g.code.startswith("DBPL9")]
+        assert not any(s.fallbacks.values())
 
-        def boom(*args):
-            raise TranslationError("untranslatable shape")
-
-        monkeypatch.setattr(s, "_prepared_plan", boom)
-        source = '{EACH r IN Infront: r.back = "chair"}'
-        assert s.query(source) == {("table", "chair")}
-        assert s.fallbacks["interpreted"] == 1
-        hints = [g for g in diags if g.code == "DBPL900"]
-        assert len(hints) == 1
-        assert hints[0].severity == "hint"
-        assert hints[0].data["source"] == source
-        assert "untranslatable shape" in hints[0].message
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    @pytest.mark.parametrize("analysis", ["strict", "lint", "off"])
+    def test_unknown_identifier_is_typed(self, analysis, executor):
+        # The parser reads a bare ``low`` as a parameter reference; the
+        # compiled kernels used to raise a bare KeyError('low').
+        s = Session(options=ExecOptions(analysis=analysis, executor=executor))
+        s.execute(
+            """
+            TYPE level = (low, high);
+                 prec = RECORD p: STRING; l: level END;
+                 prel = RELATION p OF prec;
+            VAR P: prel;
+            """
+        )
+        s.insert("P", [("a", "low"), ("b", "high")])
+        expected = AnalysisError if analysis == "strict" else EvaluationError
+        for source in ("{EACH p IN P: p.l = low}", "{<p.p> OF EACH p IN P: low = p.l}"):
+            for door in (s.query, s.prepare, s.subscribe):
+                with pytest.raises(expected, match="low"):
+                    door(source)
+        with pytest.raises(expected, match="low"):
+            s.query("{EACH p IN P: p.l = low}", mode="interpreted")
 
     @pytest.mark.parametrize(
         "source", ["Infront{reachq()}", "{EACH r IN Infront{reachq()}: TRUE}"]

@@ -26,6 +26,7 @@ import pytest
 
 from helpers import (
     ALL_EXECUTORS,
+    FRONT_DOOR_TEMPLATES,
     assert_executors_agree,
     assert_executors_agree_cold,
     assert_fixpoint_executors_agree,
@@ -39,6 +40,7 @@ from helpers import (
 from repro import paper
 from repro.calculus import dsl as d
 from repro.calculus import ast
+from repro.calculus.evaluator import Evaluator
 from repro.compiler import ExecOptions, ShardConfig
 from repro.constructors.definition import Constructor
 from repro.relational.vectors import get_numpy
@@ -168,7 +170,7 @@ def test_no_interpreter_detour_behind_a_constructed_range(source, monkeypatch):
     assert detours == []
     (key,) = s.plan_cache.keys()
     cached = s.plan_cache.get(key, s.db.stats.epoch()).plan
-    for branch in cached.plan.branches:
+    for branch in cached.statement.top_plan.branches:
         for step in branch.steps:
             assert not isinstance(step.source.rexpr, ast.Constructed)
         assert not any(
@@ -178,6 +180,30 @@ def test_no_interpreter_detour_behind_a_constructed_range(source, monkeypatch):
     assert "fixpoint program for E{tc}" in text and "@tc" in text
     assert s.query(source, mode="interpreted") == s.query(source)
     assert detours  # the oracle does go through the reference engine
+
+
+def test_front_door_never_hands_a_query_to_the_interpreter(monkeypatch):
+    """Clock-free guard: ``query`` and ``prepare`` (mode ``"auto"``) never
+    call ``Evaluator.eval_query`` — the front door's interpreted fallback
+    is gone — on any front-door template, under any executor.  Residual
+    filters still use the evaluator's predicate and range methods."""
+    s, nodes = random_front_door_session(random.Random(9))
+    calls = []
+    original = Evaluator.eval_query
+    monkeypatch.setattr(
+        Evaluator,
+        "eval_query",
+        lambda self, *a, **k: calls.append(a) or original(self, *a, **k),
+    )
+    for template in FRONT_DOOR_TEMPLATES:
+        text = template.replace("SEL", nodes[0]) % ((nodes[-1],) * template.count("%s"))
+        for executor in ALL_EXECUTORS:
+            options = ExecOptions(executor=executor)
+            s.query(text, options=options)
+            s.prepare(text, options=options).execute()
+    assert calls == []
+    s.query(text, mode="interpreted")
+    assert calls  # the oracle does
 
 
 def test_single_worker_config_degrades_to_batch():

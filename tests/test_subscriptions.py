@@ -299,6 +299,37 @@ class TestFixpointSubscription:
             assert_tracks(s, sub, source)
         assert (sub.delta_batches, sub.recomputes) == (1, 2)
 
+    @pytest.mark.parametrize("executor", ["batch", "vector", "tuple"])
+    def test_set_former_spelling_is_the_same_standing_query(self, executor):
+        # The statement, not the syntax, picks the maintenance: the set
+        # former used to recount the whole closure on every commit.
+        s = make_session()
+        spellings = (TC, "{EACH t IN Par{tc()}: TRUE}")
+        events = {source: [] for source in spellings}
+        subs = {
+            source: s.subscribe(
+                source,
+                on_change=events[source].append,
+                options=ExecOptions(executor=executor),
+            )
+            for source in spellings
+        }
+        for write in (
+            lambda: s.insert("Par", [("c", "d"), ("x", "a")]),
+            lambda: s.db.relation("Par").delete([("b", "c")]),
+            lambda: s.assign("Par", [("a", "b"), ("q", "r")]),
+            lambda: s.insert("Emp", [("d", "y", 40)]),
+        ):
+            write()
+            bare, set_former = subs.values()
+            assert bare.rows() == set_former.rows() == s.query(TC, mode="interpreted")
+        assert events[spellings[0]] == events[spellings[1]]
+        assert len(events[TC]) == 3
+        bare, set_former = subs.values()
+        assert bare.watched == set_former.watched == ("Par",)
+        assert (bare.delta_batches, bare.recomputes) == (1, 2)
+        assert (set_former.delta_batches, set_former.recomputes) == (1, 2)
+
 
 class TestSubscriptionProperties:
     """The standing-query invariant over randomized queries/mutations."""

@@ -299,6 +299,33 @@ class TestVectorWithoutNumpy:
         assert {d_.code for d_ in diags} == {"DBPL906"}
         assert len(diags) == s.fallbacks["vector_numpy"]
 
+    @pytest.mark.parametrize(
+        "source, maintenance",
+        [
+            ("{EACH r IN Infront{ahead()}: TRUE}", (1, 0)),
+            ('{EACH r IN Infront{ahead()}: r.front <> "yard"}', (0, 1)),
+        ],
+    )
+    def test_set_former_subscription_counts_and_hints(
+        self, no_numpy, source, maintenance
+    ):
+        """A set former over a constructed range compiles with the
+        requested executor: its fixpoint runs on "vector", degrades and
+        says so — on subscribe and on every maintenance batch."""
+        diags = []
+        s = self._session(diags, executor="vector")
+        sub = s.subscribe(source)
+        assert sub.rows() == s.query(source, mode="interpreted")
+        materialized = s.fallbacks["vector_numpy"]
+        assert materialized == 1  # the initial run, once
+        s.insert("Infront", [("hall", "yard")])
+        assert sub.rows() == s.query(source, mode="interpreted")
+        assert (sub.delta_batches, sub.recomputes) == maintenance
+        assert s.fallbacks["vector_numpy"] > materialized  # maintenance too
+        assert no_numpy == []
+        assert {d_.code for d_ in diags} == {"DBPL906"}
+        assert len(diags) == s.fallbacks["vector_numpy"]
+
     def test_recursive_constructor_agrees(self, no_numpy):
         edges = [(f"n{i}", f"n{i + 1}") for i in range(12)] + [("n12", "n3")]
         assert_fixpoint_executors_agree(
