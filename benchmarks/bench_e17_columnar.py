@@ -77,6 +77,7 @@ def test_e17_wide_carry_equivalence():
     """Wide-carry joins: identical answers across all three executors and
     a grouped-probe-free plan (no residuals) whose projection is fused."""
     from repro.compiler import Project
+    from repro.compiler.operators import lower_branch_columnar
 
     db, query = e17_wide_case(rows=4_000, partners=2_000)
     plan = compile_query(db, query)
@@ -84,7 +85,7 @@ def test_e17_wide_carry_equivalence():
     rows_row, _ = _execute(db, plan, "rowbatch")
     rows_tup, _ = _execute(db, plan, "tuple")
     assert rows_col == rows_row == rows_tup
-    ops = list(plan.branches[0].ensure_pipeline().operators())
+    ops = list(plan.branches[0].lowered(lower_branch_columnar).operators())
     assert not any(isinstance(op, Project) for op in ops)
 
 

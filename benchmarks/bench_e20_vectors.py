@@ -16,7 +16,7 @@ import pytest
 from benchtable import write_table
 from repro.bench import experiments
 from repro.bench.experiments import e20_vectors_case
-from repro.compiler import ExecutionContext, compile_query
+from repro.compiler import ExecutionContext, compile_query, lower_branch_vector
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def test_e20_branch_is_vector_covered(small_case):
     """The benchmark must measure the vector kernels, not a fallback."""
     db, query = small_case
     plan = compile_query(db, query)
-    pipeline = plan.branches[0].ensure_vector_pipeline()
+    pipeline = plan.branches[0].lowered(lower_branch_vector)
     assert pipeline is not None and pipeline.columnar
 
 

@@ -19,11 +19,13 @@ Built-in backends:
     default everywhere.
 ``vector``
     Dictionary-encoded int-id pipelines over typed column buffers
-    (PR 8), run by numpy kernels; falls back per branch to ``batch``
-    for shapes outside the vector coverage rules (residuals, computed
-    ranges, multi-column keys) — and for every branch when numpy does
-    not import, which is the one place that question is asked
-    (:meth:`VectorBackend.pipeline_for`).
+    (PR 8), run by numpy kernels and lowered by the same step walk as
+    ``batch`` (residual filters run on its row-slot kernels after a
+    materialize boundary); falls back per branch to ``batch`` for
+    shapes outside the vector coverage rules (computed ranges,
+    multi-column keys, a step residual before the last step) — and for
+    every branch when numpy does not import, which is the one place
+    that question is asked (:meth:`VectorBackend.pipeline_for`).
 ``sharded``
     Hash-partitioned parallel execution of the columnar pipelines in a
     worker pool (see :mod:`repro.compiler.sharded`), registered when
@@ -38,7 +40,8 @@ Built-in backends:
     backend falls back to it.
 
 The fallback order is data, not inheritance: each backend names its one
-:attr:`~ExecutorBackend.lowering` and the backend a branch drops to when
+:attr:`~ExecutorBackend.lowering` function (memoized per branch by
+``BranchPlan.lowered``) and the backend a branch drops to when
 that lowering yields no pipeline (:attr:`~ExecutorBackend.fallback`),
 and :meth:`ExecutorBackend.pipeline_for` walks the chain.  Spelled out:
 ``vector → batch → tuple``, ``sharded → batch``, ``rowbatch → tuple``.
@@ -50,6 +53,7 @@ numpy through ``ctx.note_fallback("vector_numpy", ...)`` — never silent.
 from __future__ import annotations
 
 from ..relational.vectors import get_numpy
+from .operators import lower_branch, lower_branch_columnar, lower_branch_vector
 
 #: Every accepted executor mode, in preference order.  Kept in sync with
 #: the registry below (the sharded backend registers lazily, so the name
@@ -70,13 +74,14 @@ class ExecutorBackend:
 
     #: Registry key; subclasses override.
     name: str = "?"
-    #: The ``BranchPlan`` method that lowers a branch for this backend
-    #: (None: the tuple interpreter, which needs no pipeline).
-    lowering: str | None = None
+    #: The lowering function that turns a branch into this backend's
+    #: pipeline, memoized per branch by ``BranchPlan.lowered`` (None: the
+    #: tuple interpreter, which needs no pipeline).
+    lowering = None
     #: The backend a branch drops to when ``lowering`` yields no pipeline.
     fallback: str = "tuple"
 
-    def pipeline_for(self, branch, ctx):
+    def pipeline_for(self, branch, ctx=None):
         """The pipeline this backend runs ``branch`` on, or None for the
         tuple interpreter.
 
@@ -84,15 +89,16 @@ class ExecutorBackend:
         that yields a pipeline wins (lowerings are memoized on the
         branch).  A chain that tried a lowering and still ended at the
         interpreter is a degradation, reported through
-        ``ctx.note_fallback`` — paid only when it happens.
+        ``ctx.note_fallback`` — paid only when it happens, and skipped
+        without a ``ctx`` (``explain()`` asking what would run).
         """
         backend = self
         while backend.lowering is not None:
-            pipeline = getattr(branch, backend.lowering)()
+            pipeline = branch.lowered(backend.lowering)
             if pipeline is not None:
                 return pipeline
             backend = get_backend(backend.fallback)
-        if backend is not self:
+        if backend is not self and ctx is not None:
             ctx.note_fallback(
                 "lowering",
                 "no operator pipeline could be generated for a branch; "
@@ -126,14 +132,14 @@ class RowBatchBackend(ExecutorBackend):
     """Row-major flat-carry batched pipelines (PR 3's layout)."""
 
     name = "rowbatch"
-    lowering = "ensure_row_pipeline"
+    lowering = staticmethod(lower_branch)
 
 
 class BatchBackend(ExecutorBackend):
     """Columnar struct-of-arrays pipelines with fusion — the default."""
 
     name = "batch"
-    lowering = "ensure_pipeline"
+    lowering = staticmethod(lower_branch_columnar)
 
 
 class VectorBackend(ExecutorBackend):
@@ -148,16 +154,17 @@ class VectorBackend(ExecutorBackend):
     """
 
     name = "vector"
-    lowering = "ensure_vector_pipeline"
+    lowering = staticmethod(lower_branch_vector)
     fallback = "batch"
 
-    def pipeline_for(self, branch, ctx):
+    def pipeline_for(self, branch, ctx=None):
         if get_numpy() is None:
-            ctx.note_fallback(
-                "vector_numpy",
-                "numpy is not importable; executor='vector' ran a branch "
-                "on the batch pipeline",
-            )
+            if ctx is not None:
+                ctx.note_fallback(
+                    "vector_numpy",
+                    "numpy is not importable; executor='vector' ran a branch "
+                    "on the batch pipeline",
+                )
             return get_backend(self.fallback).pipeline_for(branch, ctx)
         return super().pipeline_for(branch, ctx)
 

@@ -23,39 +23,49 @@ is lowered once into a linear pipeline of physical operators that pass
 * :class:`DeltaApply` — the semi-naive ``produced - known`` subtraction
   the fixpoint driver applies per iteration.
 
-Two batch layouts are generated from the same priced plans:
+The columnar and vector pipelines come out of **one step walk**
+(:func:`_step_walk`) with pluggable kernels.  The walk decides what
+they share: the entries (access, filter, step residual, one per
+residual conjunct, project), whether the projection fuses, backward
+liveness — each entry's slot layout before and after, at variable
+granularity, so values are never copied between operators — where the
+residual filters sit, and the est-row attachment.  A kernel set turns
+one entry at one layout into one operator:
 
-1. **Columnar (struct-of-arrays) carries** — the default
-   (``executor="batch"``, :func:`lower_branch_columnar`).  A batch is
-   ``(n, slots)``: one aligned list of *source rows* per still-live
-   binding variable (liveness computed per pipeline boundary, exactly
-   as before, but at variable granularity — values are never copied
-   between operators).  Generated kernels compose C-level primitives:
-   ``map``/``itemgetter`` column slices feed the hash probes,
-   ``chain``/``repeat`` expand surviving slots, ``compress`` applies
-   filter masks — and the projection **fuses into the producing
-   HashJoin / Scan / Filter** whenever no residual predicate follows,
-   so result tuples are materialized exactly once, in the final fused
-   pass.  Residual quantifiers and memberships run **batched**: rows
-   are grouped by the bindings the predicate reads and each distinct
-   group is decided once per batch — via one grouped index probe for
-   the recognized ``Some``/``InRel`` shapes, via a memoized reference-
-   evaluator call otherwise.  The cost model gates the physical
-   details: selective single-variable filters (priced selectivity ≤
-   :data:`FILTER_PUSH_SEL`) push into the join's probe as
-   per-distinct-key build-side filtering.
+1. **Row-slot kernels** (:class:`_ColumnarKernels`; ``executor="batch"``
+   through :func:`lower_branch_columnar`).  A batch is ``(n, slots)``:
+   one aligned list of *source rows* per live binding variable.
+   Generated kernels compose C-level primitives: ``map``/``itemgetter``
+   column slices feed the hash probes, ``chain``/``repeat`` expand
+   surviving slots, ``compress`` applies filter masks — and the
+   projection **fuses into the producing HashJoin / Scan / Filter**
+   whenever no residual predicate follows, so result tuples are
+   materialized exactly once.  Residual quantifiers and memberships run
+   **batched**: rows are grouped by the bindings the predicate reads
+   and each distinct group is decided once per batch — via one grouped
+   index probe for the recognized ``Some``/``InRel`` shapes, via a
+   memoized reference-evaluator call otherwise.  A prelude gates
+   selective single-variable filters (priced selectivity ≤
+   :data:`FILTER_PUSH_SEL`) into the join's probe as per-distinct-key
+   build-side filtering.
 
-2. **Row-major flat carries** — PR 3's layout, kept as
-   ``executor="rowbatch"`` so benchmark E17 can measure what the
-   columnar conversion buys, and reachable only by that name.  A batch
-   row is a flat tuple of exactly the live values; each operator is one
-   generated list comprehension with attribute access inlined as
-   constant indexing.
+2. **Id-space kernels** (:class:`_VectorKernels`; ``executor="vector"``
+   through :func:`lower_branch_vector`, which first checks its coverage
+   rules).  Slots carry int64 row indexes into dictionary-encoded
+   tables; the walk runs unfused, and at the first residual entry it
+   appends a :class:`VectorMaterialize` and finishes on the row-slot
+   kernels (residual filters, then the row-space projection).
 
-Both lower lazily.  A branch with an untranslatable term falls from its
-pipeline straight to the tuple-at-a-time interpreter
-(``executor="tuple"``, benchmark E16's baseline) — the row-major layout
-is never a fallback for the columnar one.
+Row-major flat carries — PR 3's layout — stay a separate lowering,
+:func:`lower_branch`, kept as ``executor="rowbatch"`` so benchmark E17
+can measure what the columnar conversion buys; its item-level liveness
+is its own.  A batch row is a flat tuple of exactly the live values.
+
+Every lowering runs lazily, once per branch (``BranchPlan.lowered``).
+A branch with an untranslatable term falls from its pipeline straight
+to the tuple-at-a-time interpreter (``executor="tuple"``, benchmark
+E16's baseline) — the row-major layout is never a fallback for the
+columnar one.
 
 Every operator accumulates the **actual row count** it produced, which
 ``explain()`` reports next to the optimizer's estimates — the batched
@@ -647,7 +657,7 @@ class DeltaApply(Operator):
 
 
 # ---------------------------------------------------------------------------
-# Lowering: priced loop steps -> generated operator pipeline
+# Row-major lowering (rowbatch): priced loop steps -> flat-carry pipeline
 # ---------------------------------------------------------------------------
 #
 # Carry layouts are tuples of *items*: ("attr", var, idx) carries one
@@ -791,6 +801,11 @@ class BranchPipeline:
         self.tail_ops = tail_ops
         self.columnar = columnar
         self.fused = fused
+
+    @property
+    def executions(self) -> int:
+        """Runs so far (the leading operator runs on every one)."""
+        return self.step_ops[0][0].executions
 
     def operators(self):
         for ops in self.step_ops:
@@ -1022,7 +1037,7 @@ def lower_branch(
 
 
 # ---------------------------------------------------------------------------
-# Columnar lowering: struct-of-arrays carries with operator fusion
+# The step walk and its row-slot kernels: struct-of-arrays carries
 # ---------------------------------------------------------------------------
 #
 # A columnar batch is ``(n, slots)``: ``n`` is the row count and each
@@ -1115,141 +1130,35 @@ class _ColGen(_CodeGen):
         return f"({left} {op} {right})"
 
 
-def lower_branch_columnar(
-    steps,
-    residual: ast.Pred,
-    schemas,
-    target_terms,
-    target_desc: str,
-    params: dict,
-    est_out: float | None = None,
-) -> BranchPipeline | None:
-    """Lower priced loop steps into the columnar operator pipeline.
+def _unpack_src(indices) -> str:
+    return "".join(f"    s{i} = slots[{i}]\n" for i in sorted(set(indices)))
 
-    Returns None when some term cannot be expressed as generated code
-    (the executor then falls back to tuple-at-a-time interpretation).
+
+class _ColumnarKernels:
+    """The row-slot kernel set: generated C-level list code over
+    ``(n, slots)`` carries of source rows.
+
+    Every entry of ``executor="batch"``, and the residual filters and
+    row-space projection of a vector pipeline after its
+    :class:`VectorMaterialize` boundary.  ``step_conjs`` holds each
+    step's Filter conjuncts; ``step_push`` its G2-pushed ones.
     """
-    if not steps:
-        return None
-    gen = _ColGen(schemas, params)
-    bound_rank = {step.var: s for s, step in enumerate(steps)}
-    bound_vars = set(bound_rank)
 
-    def term_reads(term: ast.Term):
-        vars_ = free_tuple_vars(term)
-        if not vars_ <= bound_vars:
-            return None
-        return vars_
+    #: Row slots are the end of the line: no boundary to cross.
+    tail = None
 
-    # --- G2: cost-gated pushdown of selective single-variable filters ---
-    # A HashJoin step whose priced filter selectivity clears the
-    # FILTER_PUSH_SEL gate filters its buckets per distinct key at probe
-    # time; the conjuncts leave the Filter operator entirely.
-    step_conjs: dict[int, list] = {}
-    step_push: dict[int, tuple] = {}
-    for s, step in enumerate(steps):
-        kept: list = []
-        push_srcs: list[str] = []
-        push_descs: list[str] = []
-        sel = getattr(step, "est_filter_sel", None)
-        hash_join = bool(step.key_positions) and any(
-            free_tuple_vars(t) for t in step.key_terms
-        )
-        allow = hash_join and sel is not None and sel <= FILTER_PUSH_SEL
-        for conj, desc in zip(step.filter_conjs, step.filter_descs):
-            src = None
-            if allow and (
-                free_tuple_vars(conj.left) | free_tuple_vars(conj.right)
-            ) <= {step.var}:
-                src = gen.col_cmp(conj, {}, step.var)
-            if src is None:
-                kept.append((conj, desc))
-            else:
-                push_srcs.append(src)
-                push_descs.append(desc)
-        step_conjs[s] = kept
-        if push_srcs:
-            fn = gen.define(
-                "_push", "def _push(r):\n    return " + " and ".join(push_srcs) + "\n"
-            )
-            step_push[s] = (fn, ", ".join(push_descs))
+    def __init__(self, gen, steps, target_terms, target_desc, step_conjs, step_push):
+        self.gen = gen
+        self.steps = steps
+        self.target_terms = target_terms
+        self.target_desc = target_desc
+        self.step_conjs = step_conjs
+        self.step_push = step_push
 
-    # --- the pipeline's entries, each with the variables it reads ---
-    entries: list[tuple] = []
-    for s, step in enumerate(steps):
-        reads: set = set()
-        for term in step.key_terms:
-            vars_ = term_reads(term)
-            if vars_ is None:
-                return None
-            reads |= vars_
-        entries.append(("access", s, reads))
-        if step_conjs[s]:
-            freads: set = set()
-            for conj, _desc in step_conjs[s]:
-                left = term_reads(conj.left)
-                right = term_reads(conj.right)
-                if left is None or right is None:
-                    return None
-                freads |= left | right
-            entries.append(("filter", s, freads))
-        for pred in step.residual_preds:
-            entries.append(("step_residual", (s, pred), {step.var}))
-    has_residual = not isinstance(residual, ast.TruePred)
-    if has_residual:
-        for conj in conjuncts(residual):
-            entries.append(
-                ("residual", conj, {v for v in free_tuple_vars(conj) if v in bound_vars})
-            )
-    if target_terms is None:
-        proj_reads = {steps[0].var}
-    else:
-        proj_reads = set()
-        for term in target_terms:
-            vars_ = term_reads(term)
-            if vars_ is None:
-                return None
-            proj_reads |= vars_
-    entries.append(("project", target_terms, proj_reads))
-
-    # --- fusion: Project (and the final step's filter) folds into the
-    # producing access operator exactly when no residual follows it ---
-    last = len(steps) - 1
-    fuse = not has_residual and not steps[last].residual_preds
-    fused_conds: list = []
-    if fuse:
-        fused_conds = step_conjs[last]
-        entries = [
-            e
-            for e in entries
-            if e[0] != "project" and not (e[0] == "filter" and e[1] == last)
-        ]
-        kind, payload, reads = entries[-1]
-        extra = set(proj_reads)
-        for conj, _desc in fused_conds:
-            left = term_reads(conj.left)
-            right = term_reads(conj.right)
-            if left is None or right is None:
-                return None
-            extra |= left | right
-        entries[-1] = (kind, payload, reads | extra)
-
-    # --- liveness: after entry k a slot survives iff some later entry
-    # reads its variable ---
-    n_entries = len(entries)
-    after: list[set] = [set()] * n_entries
-    running: set = set()
-    for k in range(n_entries - 1, -1, -1):
-        after[k] = set(running)
-        running |= entries[k][2]
-
-    # --- generation -----------------------------------------------------
-
-    def unpack_src(indices) -> str:
-        return "".join(f"    s{i} = slots[{i}]\n" for i in sorted(set(indices)))
-
-    def key_columns(step, slot_of, names):
+    def _key_columns(self, step, slot_of, names):
         """Source expressions for the probe-key columns, or None."""
+        gen = self.gen
+        schemas = gen.schemas
         cols = []
         for term in step.key_terms:
             vars_ = free_tuple_vars(term)
@@ -1281,12 +1190,13 @@ def lower_branch_columnar(
                     cols.append(f"[{expr} for {unp} in _zip({srcs})]")
         return cols
 
-    def emit_comprehension(step, slot_of, names, conds_pairs, arg_rows: str, n_known):
+    def _emit_comprehension(self, step, slot_of, names, conds_pairs, arg_rows: str, n_known):
         """The fused final pass: access + filter + project in one loop."""
+        gen = self.gen
         var = step.var
         gen.touched = set()
-        if target_terms is None:
-            root = steps[0].var
+        if self.target_terms is None:
+            root = self.steps[0].var
             if root == var:
                 target = "r"
             else:
@@ -1295,7 +1205,7 @@ def lower_branch_columnar(
                     return None
                 gen.touched.add(root)
         else:
-            exprs = [gen.col_term(t, names, var) for t in target_terms]
+            exprs = [gen.col_term(t, names, var) for t in self.target_terms]
             if any(e is None for e in exprs):
                 return None
             target = _tuple_src(exprs)
@@ -1307,10 +1217,10 @@ def lower_branch_columnar(
             cond_srcs.append(src)
         cond = f" if {' and '.join(cond_srcs)}" if cond_srcs else ""
         read = [v for v in sorted(slot_of, key=slot_of.get) if v in gen.touched]
+        unp = ", ".join(f"e{slot_of[v]}" for v in read)
+        srcs = ", ".join(f"s{slot_of[v]}" for v in read)
         if arg_rows == "_b":  # hash-join buckets aligned with the batch
             if read:
-                unp = ", ".join(f"e{slot_of[v]}" for v in read)
-                srcs = ", ".join(f"s{slot_of[v]}" for v in read)
                 return (
                     f"    return [{target} for {unp}, _bk in _zip({srcs}, _b) "
                     f"for r in _bk{cond}]\n"
@@ -1318,8 +1228,6 @@ def lower_branch_columnar(
             return f"    return [{target} for _bk in _b for r in _bk{cond}]\n"
         # scan / constant-key bucket: one shared row source
         if read:
-            unp = ", ".join(f"e{slot_of[v]}" for v in read)
-            srcs = ", ".join(f"s{slot_of[v]}" for v in read)
             if len(read) == 1:
                 j = slot_of[read[0]]
                 return (
@@ -1338,8 +1246,9 @@ def lower_branch_columnar(
             f"    return [{target} for _t in _range(n) for r in {arg_rows}{cond}]\n"
         )
 
-    def gen_access(k, s, layout_before, layout_after, final):
-        step = steps[s]
+    def access(self, s, layout_before, layout_after, final):
+        gen = self.gen
+        step = self.steps[s]
         var = step.var
         slot_of = {v: i for i, v in enumerate(layout_before)}
         names = {v: f"e{slot_of[v]}" for v in slot_of}
@@ -1347,20 +1256,21 @@ def lower_branch_columnar(
             not free_tuple_vars(t) for t in step.key_terms
         )
         is_join = bool(step.key_positions) and not const_key
-        parents = [v for v in layout_after if v != var]
-        conds_pairs = fused_conds if final else []
+        # A fused final access applies the last step's filter itself.
+        conds_pairs = self.step_conjs[s] if final else []
+        body = "    n, slots = batch\n" + _unpack_src(slot_of.values())
 
         if is_join:
-            cols = key_columns(step, slot_of, names)
+            cols = self._key_columns(step, slot_of, names)
             if cols is None or not layout_before:
                 return None
             key = cols[0] if len(cols) == 1 else f"_zip({', '.join(cols)})"
             scalar = len(cols) == 1
-            body = "    n, slots = batch\n"
-            body += unpack_src(slot_of.values())
             if final:
                 body += f"    _b = _map(get, {key}, _rep(EMPTY))\n"
-                tail = emit_comprehension(step, slot_of, names, conds_pairs, "_b", False)
+                tail = self._emit_comprehension(
+                    step, slot_of, names, conds_pairs, "_b", False
+                )
                 if tail is None:
                     return None
                 body += tail
@@ -1381,18 +1291,16 @@ def lower_branch_columnar(
                 else:
                     body += "    return (_sum(_c), [])\n"
             fn = gen.define("_join", "def _join(get, batch, EMPTY):\n" + body)
-            push_fn, push_desc = step_push.get(s, (None, ""))
+            push_fn, push_desc = self.step_push.get(s, (None, ""))
             return HashJoin(
                 step.source, step.key_positions, scalar, fn, push_fn, push_desc
             )
 
         # Scan or constant-key IndexLookup: one shared row source.
         arg = "bucket" if const_key else "rows"
-        body = "    n, slots = batch\n"
-        body += unpack_src(slot_of.values())
         leading = s == 0
         if final:
-            tail = emit_comprehension(step, slot_of, names, conds_pairs, arg, leading)
+            tail = self._emit_comprehension(step, slot_of, names, conds_pairs, arg, leading)
             if tail is None:
                 return None
             body += tail
@@ -1429,14 +1337,14 @@ def lower_branch_columnar(
         fn = gen.define("_scan", "def _scan(rows, batch):\n" + body)
         return Scan(step.source, fn, step.pushdown)
 
-    def gen_filter(s, layout_before, layout_after):
+    def filter(self, s, layout_before, layout_after):
         slot_of = {v: i for i, v in enumerate(layout_before)}
         names = {v: f"e{slot_of[v]}" for v in slot_of}
         conds = []
         read: set = set()
         descs = []
-        for conj, desc in step_conjs[s]:
-            src = gen.col_cmp(conj, names, None)
+        for conj, desc in self.step_conjs[s]:
+            src = self.gen.col_cmp(conj, names, None)
             if src is None:
                 return None
             conds.append(src)
@@ -1446,7 +1354,7 @@ def lower_branch_columnar(
         cond = " and ".join(conds)
         body = "    n, slots = batch\n"
         read_idx = sorted(slot_of[v] for v in read if v in slot_of)
-        body += unpack_src(set(read_idx) | {slot_of[v] for v in layout_after})
+        body += _unpack_src(set(read_idx) | {slot_of[v] for v in layout_after})
         if not read_idx:
             kept = ", ".join(f"s{j}" for j in keep)
             body += (
@@ -1469,25 +1377,34 @@ def lower_branch_columnar(
                 body += f"    return (_len({outs[0]}), [{', '.join(outs)}])\n"
             else:
                 body += "    return (_sum(_m), [])\n"
-        fn = gen.define("_filter", "def _filter(batch):\n" + body)
+        fn = self.gen.define("_filter", "def _filter(batch):\n" + body)
         return Filter(tuple(descs), fn)
 
-    def gen_project(layout_before):
+    def residual(self, pred, read_vars, layout_before, layout_after):
+        slot_of = {v: i for i, v in enumerate(layout_before)}
+        if any(v not in slot_of for v in read_vars):
+            return None
+        var_rows = [(v, self.gen.schemas[v], slot_of[v]) for v in read_vars]
+        keep_slots = [slot_of[v] for v in layout_after]
+        probe = _residual_probe(pred, var_rows, self.gen)
+        return BatchedResidualFilter(pred, var_rows, keep_slots, probe)
+
+    def project(self, layout_before):
         slot_of = {v: i for i, v in enumerate(layout_before)}
         names = {v: f"e{slot_of[v]}" for v in slot_of}
         body = "    n, slots = batch\n"
-        if target_terms is None:
-            root = steps[0].var
+        if self.target_terms is None:
+            root = self.steps[0].var
             if root not in slot_of:
                 return None
             body += f"    return slots[{slot_of[root]}]\n"
         else:
-            exprs = [gen.col_term(t, names, None) for t in target_terms]
+            exprs = [self.gen.col_term(t, names, None) for t in self.target_terms]
             if any(e is None for e in exprs):
                 return None
             target = _tuple_src(exprs)
             read = sorted(
-                {v for t in target_terms for v in free_tuple_vars(t)},
+                {v for t in self.target_terms for v in free_tuple_vars(t)},
                 key=lambda v: slot_of.get(v, -1),
             )
             if not read:
@@ -1499,64 +1416,104 @@ def lower_branch_columnar(
                 unp = ", ".join(f"e{slot_of[v]}" for v in read)
                 srcs = ", ".join(f"slots[{slot_of[v]}]" for v in read)
                 body += f"    return [{target} for {unp} in _zip({srcs})]\n"
-        fn = gen.define("_project", "def _project(batch):\n" + body)
-        return Project(target_desc, fn)
+        fn = self.gen.define("_project", "def _project(batch):\n" + body)
+        return Project(self.target_desc, fn)
 
+
+def _step_walk(steps, residual, target_terms, step_conjs, kernels, fusable, est_out):
+    """Lower priced loop steps through one kernel set (None on failure).
+
+    The walk decides everything the batch and vector lowerings share:
+    the entries (access, filter, step residual, one per residual
+    conjunct, project) with the variables each reads, whether Project
+    (and the final step's filter) fuses into the last access — only
+    when ``fusable`` and no residual follows — backward liveness and so
+    each entry's slot layout before and after, where residual filters
+    sit, and the est-row attachment.  ``kernels`` turns one entry at
+    one layout into one operator.  An id-space kernel set names a
+    ``tail`` set: the walk appends ``kernels.materialize(layout)``
+    before the first residual entry and runs every later entry on the
+    tail's kernels.  ``step_conjs[s]`` holds the ``(conj, desc)`` pairs
+    step ``s``'s Filter entry applies.
+    """
+    bound_rank = {step.var: s for s, step in enumerate(steps)}
+
+    def vars_of(terms) -> set:
+        # A variable bound nowhere here fails in the kernel that reads it.
+        return {v for term in terms for v in free_tuple_vars(term)}
+
+    # --- the pipeline's entries, each with the variables it reads ---
+    last = len(steps) - 1
+    entries: list[tuple] = []
+    for s, step in enumerate(steps):
+        entries.append(("access", s, vars_of(step.key_terms)))
+        if step_conjs[s]:
+            sides = [side for conj, _desc in step_conjs[s] for side in (conj.left, conj.right)]
+            entries.append(("filter", s, vars_of(sides)))
+        for pred in step.residual_preds:
+            entries.append(("step_residual", (s, pred), {step.var}))
+    has_residual = not isinstance(residual, ast.TruePred)
+    if has_residual:
+        for conj in conjuncts(residual):
+            entries.append(("residual", (last, conj), vars_of([conj]) & bound_rank.keys()))
+    proj_reads = {steps[0].var} if target_terms is None else vars_of(target_terms)
+    entries.append(("project", None, proj_reads))
+
+    # --- fusion: Project (and the final step's filter) folds into the
+    # producing access operator exactly when no residual follows it ---
+    fuse = fusable and not has_residual and not steps[last].residual_preds
+    if fuse:
+        # The folded entries are the trailing ones: no residual follows.
+        folded = [e for e in entries if e[0] == "project" or e[:2] == ("filter", last)]
+        entries = entries[: len(entries) - len(folded)]
+        kind, payload, reads = entries[-1]
+        entries[-1] = (kind, payload, reads.union(*(e[2] for e in folded)))
+
+    # --- liveness: after entry k a slot survives iff some later entry
+    # reads its variable ---
+    n_entries = len(entries)
+    after: list[set] = [set()] * n_entries
+    running: set = set()
+    for k in range(n_entries - 1, -1, -1):
+        after[k] = set(running)
+        running |= entries[k][2]
+
+    # --- generation: one kernel call per entry ---
     step_ops: list[list[Operator]] = []
     tail_ops: list[Operator] = []
     layout: list[str] = []
     current: list[Operator] = []
     for k, (kind, payload, reads) in enumerate(entries):
+        if kind == "project":  # standalone: a residual precedes it, or no fusion
+            op = kernels.project(layout)
+            if op is None:
+                return None
+            tail_ops.append(op)
+            continue
+        s = payload if kind in ("access", "filter") else payload[0]
+        final = kind == "access" and fuse and s == last
+        layout_after = [] if final else [st.var for st in steps[: s + 1] if st.var in after[k]]
         if kind == "access":
-            s = payload
-            final_here = fuse and s == last
-            if final_here:
-                layout_after: list[str] = []
-            else:
-                layout_after = [
-                    st.var for st in steps[: s + 1] if st.var in after[k]
-                ]
-            op = gen_access(k, s, layout, layout_after, final_here)
+            op = kernels.access(s, layout, layout_after, final)
             if op is None:
                 return None
             current = [op]
             step_ops.append(current)
-            layout = layout_after
         elif kind == "filter":
-            s = payload
-            layout_after = [st.var for st in steps[: s + 1] if st.var in after[k]]
-            op = gen_filter(s, layout, layout_after)
+            op = kernels.filter(s, layout, layout_after)
             if op is None:
                 return None
             current.append(op)
-            layout = layout_after
-        elif kind in ("step_residual", "residual"):
-            if kind == "step_residual":
-                s, pred = payload
-                read_vars = [steps[s].var]
-                bound_here = steps[: s + 1]
-            else:
-                pred = payload
-                read_vars = sorted(reads, key=lambda v: bound_rank[v])
-                bound_here = steps
-            layout_after = [st.var for st in bound_here if st.var in after[k]]
-            slot_of = {v: i for i, v in enumerate(layout)}
-            if any(v not in slot_of for v in read_vars):
-                return None
-            var_rows = [(v, schemas[v], slot_of[v]) for v in read_vars]
-            keep_slots = [slot_of[v] for v in layout_after]
-            probe = _residual_probe(pred, var_rows, gen)
-            op = BatchedResidualFilter(pred, var_rows, keep_slots, probe)
-            if kind == "step_residual":
-                current.append(op)
-            else:
-                tail_ops.append(op)
-            layout = layout_after
-        else:  # standalone project (a residual precedes it)
-            op = gen_project(layout)
+        else:
+            if kernels.tail is not None:
+                current.append(kernels.materialize(layout))
+                kernels = kernels.tail
+            read_vars = sorted(reads, key=bound_rank.get)
+            op = kernels.residual(payload[1], read_vars, layout, layout_after)
             if op is None:
                 return None
-            tail_ops.append(op)
+            (current if kind == "step_residual" else tail_ops).append(op)
+        layout = layout_after
 
     for s, ops in enumerate(step_ops):
         ops[-1].est_rows = steps[s].est_cumulative
@@ -1565,6 +1522,65 @@ def lower_branch_columnar(
     else:
         step_ops[-1][-1].est_rows = est_out
     return BranchPipeline(step_ops, tail_ops, columnar=True, fused=fuse)
+
+
+def lower_branch_columnar(
+    steps,
+    residual: ast.Pred,
+    schemas,
+    target_terms,
+    target_desc: str,
+    params: dict,
+    est_out: float | None = None,
+) -> BranchPipeline | None:
+    """Lower priced loop steps into the columnar operator pipeline.
+
+    The G2 pushdown prelude, then the step walk on the row-slot
+    kernels.  Returns None when some term cannot be expressed as
+    generated code (the executor then falls back to tuple-at-a-time
+    interpretation).
+    """
+    if not steps:
+        return None
+    gen = _ColGen(schemas, params)
+
+    # --- G2: cost-gated pushdown of selective single-variable filters ---
+    # A HashJoin step whose priced filter selectivity clears the
+    # FILTER_PUSH_SEL gate filters its buckets per distinct key at probe
+    # time; the conjuncts leave the Filter operator entirely.
+    step_conjs: dict[int, list] = {}
+    step_push: dict[int, tuple] = {}
+    for s, step in enumerate(steps):
+        kept: list = []
+        push_srcs: list[str] = []
+        push_descs: list[str] = []
+        sel = getattr(step, "est_filter_sel", None)
+        hash_join = bool(step.key_positions) and any(
+            free_tuple_vars(t) for t in step.key_terms
+        )
+        allow = hash_join and sel is not None and sel <= FILTER_PUSH_SEL
+        for conj, desc in zip(step.filter_conjs, step.filter_descs):
+            src = None
+            if allow and (
+                free_tuple_vars(conj.left) | free_tuple_vars(conj.right)
+            ) <= {step.var}:
+                src = gen.col_cmp(conj, {}, step.var)
+            if src is None:
+                kept.append((conj, desc))
+            else:
+                push_srcs.append(src)
+                push_descs.append(desc)
+        step_conjs[s] = kept
+        if push_srcs:
+            fn = gen.define(
+                "_push", "def _push(r):\n    return " + " and ".join(push_srcs) + "\n"
+            )
+            step_push[s] = (fn, ", ".join(push_descs))
+
+    kernels = _ColumnarKernels(
+        gen, steps, target_terms, target_desc, step_conjs, step_push
+    )
+    return _step_walk(steps, residual, target_terms, step_conjs, kernels, True, est_out)
 
 
 # ---------------------------------------------------------------------------
@@ -1584,11 +1600,9 @@ def lower_branch_columnar(
 # verdict per *dictionary value* rather than per row, and projection
 # deduplicates id tuples before decoding only the distinct survivors.
 #
-# Shapes the vector lowering does not cover fall back —
-# per-branch to the columnar kernels, and per-operator through the
-# :class:`VectorMaterialize` boundary, which rebuilds the PR 4 row-slot
-# carry so residual predicates and whole-row targets reuse the grouped
-# residual machinery unchanged.
+# Shapes the vector lowering does not cover fall back per branch to the
+# columnar pipeline; residual predicates run past a
+# :class:`VectorMaterialize` boundary on the row-slot kernels.
 
 #: Ordered comparisons evaluated per dictionary value (see _filter_lut);
 #: = and <> compare ids directly and never build a table.
@@ -1908,11 +1922,11 @@ class VectorFilter(Operator):
 
 
 class VectorMaterialize(Operator):
-    """Boundary to the columnar tail: index slots become row slots.
+    """Boundary to the row-slot kernels: index slots become row slots.
 
-    Emits the PR 4 columnar carry — parallel lists of raw source rows —
-    so residual predicates and whole-row targets reuse the existing
-    grouped residual machinery and row-space projection unchanged.
+    Emits the columnar carry — parallel lists of raw source rows — on
+    which the step walk runs the remaining entries: residual filters
+    and the row-space projection.
     """
 
     __slots__ = ("specs",)
@@ -2021,45 +2035,6 @@ class VectorProject(Operator):
         return cols
 
 
-class VectorTailProject(Operator):
-    """Projection over materialized row slots (the fallback tail)."""
-
-    __slots__ = ("terms", "single")
-
-    def __init__(self, desc: str, terms, single: bool) -> None:
-        super().__init__(f"VPROJECT {desc}")
-        #: ("attr", slot, index) | ("row", slot) | ("const", value spec).
-        self.terms = terms
-        self.single = single
-
-    def run(self, ctx, batch):
-        n, slots = batch
-        if self.single:
-            out = list(slots[self.terms[0][1]])
-            ctx.stats.tuples_emitted += len(out)
-            return out
-        proto: list = [None] * len(self.terms)
-        attrs = []
-        rowts = []
-        for pos, term in enumerate(self.terms):
-            if term[0] == "attr":
-                attrs.append((pos, slots[term[1]], term[2]))
-            elif term[0] == "row":
-                rowts.append((pos, slots[term[1]]))
-            else:
-                proto[pos] = _spec_value(term[1], ctx)
-        out = []
-        append = out.append
-        for k in range(n):
-            for pos, col, idx in attrs:
-                proto[pos] = col[k][idx]
-            for pos, col in rowts:
-                proto[pos] = col[k]
-            append(tuple(proto))
-        ctx.stats.tuples_emitted += len(out)
-        return out
-
-
 def _const_spec(term, params):
     """``("const", v)`` / ``("param", name)`` for an environment-free term."""
     if isinstance(term, ast.Const):
@@ -2095,6 +2070,69 @@ def _vector_cond(conj, bound_rank, s, schemas, params):
     return None
 
 
+class _VectorKernels:
+    """The id-space kernel set: numpy operators over ``(n, islots)``
+    carries of int64 row indexes into each step's encoded table.
+
+    Access, filter and the deduplicating projection are theirs; residual
+    entries are not — the walk crosses to ``tail`` (the row-slot
+    kernels) through :meth:`materialize` just before the first one.
+    ``accesses``, ``filters`` and ``proj`` are the coverage prelude's
+    normalized per-step access, filter conditions and target terms.
+    """
+
+    def __init__(self, steps, refs, accesses, filters, proj, single, target_desc, tail):
+        self.steps = steps
+        self.refs = refs
+        self.accesses = accesses
+        self.filters = filters
+        #: ("col", var, position) | ("row", var) | ("const", value spec).
+        self.proj = proj
+        self.single = single
+        self.target_desc = target_desc
+        self.tail = tail
+        self.rank = {step.var: s for s, step in enumerate(steps)}
+
+    def _ref(self, var):
+        return self.refs[self.rank[var]]
+
+    def access(self, s, layout_before, layout_after, final):
+        step = self.steps[s]
+        acc = self.accesses[s]
+        desc = step.source.describe()
+        if acc[0] == "scan":
+            return VectorScan(self.refs[s], desc, keep=step.var in layout_after)
+        slot_of = {v: i for i, v in enumerate(layout_before)}
+        out_plan = tuple(-1 if v == step.var else slot_of[v] for v in layout_after)
+        if acc[0] == "const":
+            return VectorConstLookup(self.refs[s], desc, acc[1], acc[2], out_plan)
+        _j, pos, pvar, ppos = acc
+        return VectorHashJoin(
+            self.refs[s], desc, pos, self._ref(pvar), ppos, slot_of[pvar], out_plan
+        )
+
+    def filter(self, s, layout_before, layout_after):
+        slot_of = {v: i for i, v in enumerate(layout_before)}
+        conds = tuple(
+            (slot_of[var], self._ref(var), pos, op, spec)
+            for var, pos, op, spec, _desc in self.filters[s]
+        )
+        descs = [c[-1] for c in self.filters[s]]
+        return VectorFilter(conds, tuple(slot_of[v] for v in layout_after), descs)
+
+    def materialize(self, layout):
+        return VectorMaterialize(tuple((i, self._ref(v)) for i, v in enumerate(layout)))
+
+    def project(self, layout_before):
+        slot_of = {v: i for i, v in enumerate(layout_before)}
+        terms = tuple(
+            item if item[0] == "const"
+            else (item[0], slot_of[item[1]], self._ref(item[1]), *item[2:])
+            for item in self.proj
+        )
+        return VectorProject(self.target_desc, terms, single=self.single)
+
+
 def lower_branch_vector(
     steps,
     residual: ast.Pred,
@@ -2106,8 +2144,10 @@ def lower_branch_vector(
 ) -> BranchPipeline | None:
     """Lower priced loop steps into the vector (int-id) pipeline.
 
-    Coverage rules — anything outside them returns None and the branch
-    falls back to the columnar pipeline (then tuple):
+    The coverage prelude, then the step walk (no fusion) on the
+    id-space kernels, crossing to the row-slot kernels at the first
+    residual.  Coverage rules — anything outside them returns None and
+    the branch falls back to the columnar pipeline (then tuple):
 
     * every step reads a stored relation, except that a fixpoint
       variable may supply the *leading scan* (its delta rows encode per
@@ -2175,203 +2215,32 @@ def lower_branch_vector(
             return None
 
     # --- targets --------------------------------------------------------
-    if target_terms is None:
-        proj: list = []
-        proj_reads = {steps[0].var}
-    else:
-        proj = []
-        proj_reads = set()
-        for term in target_terms:
-            if isinstance(term, ast.AttrRef):
-                schema = schemas.get(term.var)
-                if term.var not in bound_rank or schema is None:
-                    return None
-                proj.append(("col", term.var, schema.index_of(term.attr)))
-                proj_reads.add(term.var)
-            elif isinstance(term, ast.VarRef):
-                if term.var not in bound_rank:
-                    return None
-                proj.append(("row", term.var))
-                proj_reads.add(term.var)
-            else:
-                spec = _const_spec(term, params)
-                if spec is None:
-                    return None
-                proj.append(("const", spec))
-
-    # --- entries + liveness (same discipline as the columnar lowering) --
-    entries: list[tuple] = []
-    for s, step in enumerate(steps):
-        acc = accesses[s]
-        entries.append(("access", s, {acc[2]} if acc[0] == "join" else set()))
-        if filters[s]:
-            entries.append(("filter", s, {c[0] for c in filters[s]}))
-    has_residual = not isinstance(residual, ast.TruePred)
-    tail_preds = list(steps[last].residual_preds)
-    tail_mode = has_residual or bool(tail_preds)
-    if tail_mode:
-        tail_reads = set(proj_reads)
-        if tail_preds:
-            tail_reads.add(steps[last].var)
-        if has_residual:
-            for conj in conjuncts(residual):
-                tail_reads |= {
-                    v for v in free_tuple_vars(conj) if v in bound_rank
-                }
-        entries.append(("tail", None, tail_reads))
-    else:
-        entries.append(("project", None, proj_reads))
-
-    n_entries = len(entries)
-    after: list[set] = [set()] * n_entries
-    running: set = set()
-    for k in range(n_entries - 1, -1, -1):
-        after[k] = set(running)
-        running |= entries[k][2]
-
-    # --- generation -----------------------------------------------------
-    step_ops: list[list[Operator]] = []
-    tail_ops: list[Operator] = []
-    layout: list[str] = []
-    current: list[Operator] = []
-    for k, (kind, payload, _reads) in enumerate(entries):
-        if kind == "access":
-            s = payload
-            step = steps[s]
-            acc = accesses[s]
-            slot_of = {v: i for i, v in enumerate(layout)}
-            layout_after = [st.var for st in steps[: s + 1] if st.var in after[k]]
-            desc = step.source.describe()
-            if acc[0] == "scan":
-                op = VectorScan(refs[s], desc, keep=step.var in layout_after)
-            else:
-                out_plan = tuple(
-                    -1 if v == step.var else slot_of[v] for v in layout_after
-                )
-                if acc[0] == "const":
-                    op = VectorConstLookup(refs[s], desc, acc[1], acc[2], out_plan)
-                else:
-                    _j, pos, pvar, ppos = acc
-                    op = VectorHashJoin(
-                        refs[s],
-                        desc,
-                        pos,
-                        refs[bound_rank[pvar]],
-                        ppos,
-                        slot_of[pvar],
-                        out_plan,
-                    )
-            current = [op]
-            step_ops.append(current)
-            layout = layout_after
-        elif kind == "filter":
-            s = payload
-            slot_of = {v: i for i, v in enumerate(layout)}
-            layout_after = [st.var for st in steps[: s + 1] if st.var in after[k]]
-            conds = tuple(
-                (slot_of[var], refs[bound_rank[var]], pos, op_, spec)
-                for var, pos, op_, spec, _desc in filters[s]
-            )
-            descs = [c[-1] for c in filters[s]]
-            op = VectorFilter(
-                conds, tuple(slot_of[v] for v in layout_after), descs
-            )
-            current.append(op)
-            layout = layout_after
-        elif kind == "tail":
-            slot_of = {v: i for i, v in enumerate(layout)}
-            current.append(
-                VectorMaterialize(
-                    tuple((slot_of[v], refs[bound_rank[v]]) for v in layout)
-                )
-            )
-            row_slot = {v: i for i, v in enumerate(layout)}
-            keep = list(range(len(layout)))
-            gen = _ColGen(schemas, params)
-            for pred in tail_preds:
-                var = steps[last].var
-                if var not in row_slot:
-                    return None
-                var_rows = [(var, schemas[var], row_slot[var])]
-                probe = _residual_probe(pred, var_rows, gen)
-                current.append(BatchedResidualFilter(pred, var_rows, keep, probe))
-            if has_residual:
-                for conj in conjuncts(residual):
-                    read_vars = sorted(
-                        (v for v in free_tuple_vars(conj) if v in bound_rank),
-                        key=lambda v: bound_rank[v],
-                    )
-                    if any(v not in row_slot for v in read_vars):
-                        return None
-                    var_rows = [(v, schemas[v], row_slot[v]) for v in read_vars]
-                    probe = _residual_probe(conj, var_rows, gen)
-                    tail_ops.append(
-                        BatchedResidualFilter(conj, var_rows, keep, probe)
-                    )
-            tproj = _vector_tail_project(
-                target_terms, steps, row_slot, schemas, params, target_desc
-            )
-            if tproj is None:
-                return None
-            tail_ops.append(tproj)
-        else:  # pure-vector projection
-            slot_of = {v: i for i, v in enumerate(layout)}
-            if target_terms is None:
-                root = steps[0].var
-                if root not in slot_of:
-                    return None
-                terms: tuple = (("row", slot_of[root], refs[bound_rank[root]]),)
-                op = VectorProject(target_desc, terms, single=True)
-            else:
-                items: list = []
-                for item in proj:
-                    if item[0] == "col":
-                        _c, var, idx = item
-                        items.append(
-                            ("col", slot_of[var], refs[bound_rank[var]], idx)
-                        )
-                    elif item[0] == "row":
-                        _c, var = item
-                        items.append(("row", slot_of[var], refs[bound_rank[var]]))
-                    else:
-                        items.append(item)
-                op = VectorProject(target_desc, tuple(items), single=False)
-            tail_ops.append(op)
-
-    for s, ops in enumerate(step_ops):
-        ops[-1].est_rows = steps[s].est_cumulative
-    if tail_ops:
-        tail_ops[-1].est_rows = est_out
-    else:
-        step_ops[-1][-1].est_rows = est_out
-    return BranchPipeline(step_ops, tail_ops, columnar=True, fused=False)
-
-
-def _vector_tail_project(
-    target_terms, steps, row_slot, schemas, params, target_desc
-):
-    """Build the row-space projection closing a materialized tail."""
-    if target_terms is None:
-        j = row_slot.get(steps[0].var)
-        if j is None:
-            return None
-        return VectorTailProject(target_desc, (("row", j),), single=True)
-    terms = []
-    for term in target_terms:
+    single = target_terms is None
+    proj: list = [("row", steps[0].var)] if single else []
+    for term in target_terms or ():
         if isinstance(term, ast.AttrRef):
-            j = row_slot.get(term.var)
             schema = schemas.get(term.var)
-            if j is None or schema is None:
+            if term.var not in bound_rank or schema is None:
                 return None
-            terms.append(("attr", j, schema.index_of(term.attr)))
+            proj.append(("col", term.var, schema.index_of(term.attr)))
         elif isinstance(term, ast.VarRef):
-            j = row_slot.get(term.var)
-            if j is None:
+            if term.var not in bound_rank:
                 return None
-            terms.append(("row", j))
+            proj.append(("row", term.var))
         else:
             spec = _const_spec(term, params)
             if spec is None:
                 return None
-            terms.append(("const", spec))
-    return VectorTailProject(target_desc, tuple(terms), single=False)
+            proj.append(("const", spec))
+
+    step_conjs = {
+        s: list(zip(step.filter_conjs, step.filter_descs))
+        for s, step in enumerate(steps)
+    }
+    tail = _ColumnarKernels(
+        _ColGen(schemas, params), steps, target_terms, target_desc, step_conjs, {}
+    )
+    kernels = _VectorKernels(
+        steps, refs, accesses, filters, proj, single, target_desc, tail
+    )
+    return _step_walk(steps, residual, target_terms, step_conjs, kernels, False, est_out)

@@ -31,20 +31,23 @@ during execution, so estimation quality is testable.
 
 Plans *execute* through the batched physical-operator pipelines of
 :mod:`repro.compiler.operators`, dispatched by name through the
-:mod:`repro.compiler.executors` backend registry.  The default
-(``executor="batch"``) lowers each branch into **columnar
+:mod:`repro.compiler.executors` backend registry.  Each backend names
+one lowering function, and a :class:`BranchPlan` keeps what each
+lowering produced in one memo (:meth:`BranchPlan.lowered`).  The
+default (``executor="batch"``) lowers each branch into **columnar
 struct-of-arrays** pipelines — aligned per-variable row slots expanded
 by C-level kernels, grouped residual probes, and projection fused into
 the producing join or filter — with fusion decisions cost-gated by the
-:class:`CostModel`.  ``executor="sharded"`` runs the same columnar
-pipelines hash-partitioned across a worker pool
+:class:`CostModel`; ``executor="vector"`` lowers through the same step
+walk onto dictionary-encoded id-space kernels.  ``executor="sharded"``
+runs the columnar pipelines hash-partitioned across a worker pool
 (:mod:`repro.compiler.sharded`, benchmark E18).  A branch no columnar
 pipeline can be generated for drops to the tuple-at-a-time interpreter
 (``executor="tuple"``) — one hop, reported through
 :meth:`ExecutionContext.note_fallback`.  ``executor="rowbatch"`` (the
 PR 3 row-major batched pipelines) runs only when asked for by name: it
 and ``"tuple"`` are the baselines benchmarks E16/E17 measure each layer
-against on identical plans.
+against on identical plans.  ``explain()`` shows the pipelines that ran.
 """
 
 from __future__ import annotations
@@ -66,13 +69,7 @@ from .options import (
     DEFAULT_OPTIONS,
     ExecOptions,
 )
-from .operators import (
-    Dedup,
-    _batch_len,
-    lower_branch,
-    lower_branch_columnar,
-    lower_branch_vector,
-)
+from .operators import Dedup, _batch_len
 
 #: Join orders are enumerated exactly (Selinger-style subset DP) up to
 #: this many bindings per branch; wider branches fall back to greedy
@@ -84,11 +81,6 @@ DP_LIMIT = 6
 
 #: Every accepted executor mode (see :mod:`repro.compiler.executors`).
 EXECUTORS = EXECUTOR_NAMES
-
-#: Sentinel: a branch plan whose operator pipeline has not been lowered
-#: yet (lowering is lazy so estimate-only compilations never pay for it).
-_PENDING = object()
-
 
 @dataclass
 class PlanStats:
@@ -857,19 +849,11 @@ class BranchPlan:
     #: to price them, so operator codegen is deferred to first use).
     target_terms: tuple | None = None
     params: dict = field(default_factory=dict)
-    #: The lowered columnar physical-operator pipeline: _PENDING until
-    #: first use, then a BranchPipeline, or None when some term could not
-    #: be generated (the tuple interpreter is the fallback).
-    pipeline: object | None = None
-    #: The row-major batched pipeline of PR 3, kept as benchmark E17's
-    #: measurement baseline — lowered only when ``executor="rowbatch"``
-    #: is requested by name, never as a fallback.
-    row_pipeline: object | None = None
-    #: The dictionary-encoded vector pipeline (``executor="vector"``):
-    #: _PENDING until first use, then a BranchPipeline, or None when the
-    #: branch shape is outside the vector coverage rules (the columnar
-    #: pipeline is the fallback).
-    vector_pipeline: object | None = None
+    #: The lowered physical-operator pipelines, keyed by the lowering
+    #: function each backend names: a BranchPipeline, or None when that
+    #: lowering does not cover the branch.  Filled only by
+    #: :meth:`lowered`, on first use.
+    pipelines: dict = field(default_factory=dict)
     # Actual per-step binding counts, accumulated over every execution of
     # this plan; explain() divides by `executions` so the reported actuals
     # stay commensurable with the per-execution estimates.
@@ -880,10 +864,12 @@ class BranchPlan:
     #: dedup-aware merged count (see repro.compiler.sharded.ShardReport).
     shards: object | None = None
 
-    def ensure_pipeline(self):
-        """Lower to the columnar pipeline on first use (None on failure)."""
-        if self.pipeline is _PENDING:
-            self.pipeline = lower_branch_columnar(
+    def lowered(self, lowering):
+        """This branch's pipeline from ``lowering``, memoized (None when
+        the lowering does not cover the branch)."""
+        pipelines = self.pipelines
+        if lowering not in pipelines:
+            pipelines[lowering] = lowering(
                 self.steps,
                 self.residual,
                 self.schemas,
@@ -892,49 +878,12 @@ class BranchPlan:
                 self.params,
                 est_out=self.est_out,
             )
-        return self.pipeline
+        return pipelines[lowering]
 
-    def ensure_row_pipeline(self):
-        """Lower to the row-major pipeline on first use (None on failure)."""
-        if self.row_pipeline is _PENDING:
-            self.row_pipeline = lower_branch(
-                self.steps,
-                self.residual,
-                self.schemas,
-                self.target_terms,
-                self.target_desc,
-                self.params,
-                est_out=self.est_out,
-            )
-        return self.row_pipeline
-
-    def ensure_vector_pipeline(self):
-        """Lower to the vector pipeline on first use (None on failure)."""
-        if self.vector_pipeline is _PENDING:
-            self.vector_pipeline = lower_branch_vector(
-                self.steps,
-                self.residual,
-                self.schemas,
-                self.target_terms,
-                self.target_desc,
-                self.params,
-                est_out=self.est_out,
-            )
-        return self.vector_pipeline
-
-    def execute(
-        self, ctx: ExecutionContext, out: set, executor: str | None = None
-    ) -> None:
-        """Run this branch, adding result tuples to ``out``."""
-        executor = DEFAULT_EXECUTOR if executor is None else executor
-        get_backend(executor).execute_branch(self, ctx, out)
-
-    def execute_batch(self, ctx: ExecutionContext, pipeline=None) -> list:
+    def execute_batch(self, ctx: ExecutionContext, pipeline) -> list:
         """Run a lowered operator pipeline, returning the projected batch
         (duplicates included — the caller's Dedup/union eliminates them,
         exactly as the tuple interpreter's ``out.add`` does)."""
-        if pipeline is None:
-            pipeline = self.pipeline
         if len(self.actual_rows) != len(self.steps):
             self.actual_rows = [0] * len(self.steps)
         self.executions += 1
@@ -1016,10 +965,15 @@ class BranchPlan:
 
         run(0, {})
 
-    def explain(self, indent: str = "") -> str:
-        # Estimates model ONE execution; actuals are accumulated across
-        # all executions (e.g. fixpoint iterations), so report the
-        # per-execution average next to the estimate.
+    def explain(self, indent: str = "", executor: str | None = None) -> str:
+        """The loop nest with est/act rows, then the operators: every
+        pipeline that has run, or before any run the one ``executor``
+        would run (lowering nothing else).
+
+        Estimates model ONE execution; actuals are accumulated across all
+        executions (e.g. fixpoint iterations), so the per-execution
+        average is reported next to the estimate.
+        """
         lines = []
         have_actuals = self.executions > 0 and len(self.actual_rows) == len(self.steps)
 
@@ -1042,9 +996,14 @@ class BranchPlan:
         lines.append(emit)
         if self.shards is not None and self.shards.executions:
             lines.append(f"{indent}{self.shards.explain_line()}")
-        if self.ensure_pipeline() is not None:
+        ran = [p for p in self.pipelines.values() if p is not None and p.executions]
+        if not ran:
+            backend = get_backend(DEFAULT_EXECUTOR if executor is None else executor)
+            pipeline = backend.pipeline_for(self)
+            ran = [] if pipeline is None else [pipeline]
+        for pipeline in ran:
             lines.append(f"{indent}operators:")
-            lines.append(self.pipeline.explain(indent + "  "))
+            lines.append(pipeline.explain(indent + "  "))
         return "\n".join(lines)
 
 
@@ -1077,7 +1036,7 @@ class QueryPlan:
         parts = [f"PLAN [optimizer={self.optimizer} executor={self.executor}]"]
         for i, branch in enumerate(self.branches):
             parts.append(f"BRANCH {i}:")
-            parts.append(branch.explain(indent="  "))
+            parts.append(branch.explain("  ", self.executor))
         if self.dedup.executions:
             parts.append(self.dedup.explain_line())
         return "\n".join(parts)
@@ -1442,9 +1401,6 @@ def compile_branch(
         est_out=est_card,
         target_terms=branch.targets,
         params=params,
-        pipeline=_PENDING,
-        row_pipeline=_PENDING,
-        vector_pipeline=_PENDING,
     )
 
 

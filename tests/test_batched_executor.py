@@ -37,6 +37,7 @@ from repro.compiler import (
     compile_fixpoint,
     compile_query,
 )
+from repro.compiler.operators import lower_branch, lower_branch_columnar
 from repro.constructors import instantiate
 from repro.constructors.engines import seminaive_fixpoint
 from repro.workloads import (
@@ -146,7 +147,7 @@ def test_quantifier_residual_batched():
     assert batch_rows == Evaluator(db).eval_query(q)
     residuals = [
         op
-        for op in plan.branches[0].pipeline.operators()
+        for op in plan.branches[0].lowered(lower_branch_columnar).operators()
         if isinstance(op, ResidualFilter)
     ]
     assert len(residuals) == 1 and residuals[0].actual_rows == len(batch_rows)
@@ -186,7 +187,7 @@ class TestOperatorPipeline:
             d.branch(d.each("r", "Infront"), pred=d.eq(d.a("r", "front"), "table"))
         )
         plan = compile_query(db, q)
-        ops = list(plan.branches[0].ensure_pipeline().operators())
+        ops = list(plan.branches[0].lowered(lower_branch_columnar).operators())
         assert isinstance(ops[0], IndexLookup)
         stats = PlanStats()
         rows = plan.execute(ExecutionContext(db, stats=stats))
@@ -203,7 +204,7 @@ class TestOperatorPipeline:
             )
         )
         plan = compile_query(db, q)
-        ops = list(plan.branches[0].ensure_pipeline().operators())
+        ops = list(plan.branches[0].lowered(lower_branch_columnar).operators())
         assert isinstance(ops[0], Scan)
         assert isinstance(ops[1], HashJoin)
         # No residual follows, so the projection fuses into the final
@@ -211,7 +212,7 @@ class TestOperatorPipeline:
         assert isinstance(ops[-1], HashJoin)
         assert not any(isinstance(op, Project) for op in ops)
         # The row-major baseline pipeline keeps the standalone Project.
-        row_ops = list(plan.branches[0].ensure_row_pipeline().operators())
+        row_ops = list(plan.branches[0].lowered(lower_branch).operators())
         assert isinstance(row_ops[-1], Project)
 
     def test_per_operator_actuals_reported(self):
@@ -231,7 +232,7 @@ class TestOperatorPipeline:
         assert "act=" in text and "DEDUP" in text
         join = [
             op
-            for op in plan.branches[0].pipeline.operators()
+            for op in plan.branches[0].lowered(lower_branch_columnar).operators()
             if isinstance(op, HashJoin)
         ][0]
         assert join.actual_rows == 2 and join.executions == 1

@@ -25,6 +25,7 @@ from repro.compiler import (
     compile_fixpoint,
     compile_query,
 )
+from repro.compiler.operators import lower_branch_columnar
 from repro.constructors import instantiate
 from repro.datalog import DatalogEngine, parse_program
 from repro.relational import Database
@@ -68,7 +69,7 @@ def _join_query(pred_extra=None, targets=None):
 
 
 def _ops(plan, branch=0):
-    return list(plan.branches[branch].ensure_pipeline().operators())
+    return list(plan.branches[branch].lowered(lower_branch_columnar).operators())
 
 
 class TestProjectFusion:
@@ -77,7 +78,7 @@ class TestProjectFusion:
         plan = compile_query(db, _join_query())
         ops = _ops(plan)
         assert not any(isinstance(op, Project) for op in ops)
-        assert plan.branches[0].pipeline.fused
+        assert plan.branches[0].lowered(lower_branch_columnar).fused
         rows = plan.execute(ExecutionContext(db))
         assert rows == Evaluator(db).eval_query(_join_query())
 
@@ -99,7 +100,7 @@ class TestProjectFusion:
         ops = _ops(plan)
         assert any(isinstance(op, BatchedResidualFilter) for op in ops)
         assert isinstance(ops[-1], Project)
-        assert not plan.branches[0].pipeline.fused
+        assert not plan.branches[0].lowered(lower_branch_columnar).fused
         rows = plan.execute(ExecutionContext(db))
         assert rows == Evaluator(db).eval_query(q)
 

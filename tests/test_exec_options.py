@@ -25,7 +25,7 @@ from repro.calculus import dsl as d
 from repro.calculus.evaluator import Evaluator
 from repro.compiler import executors as executors_mod
 from repro.compiler import fixpoint as fixpoint_mod
-from repro.compiler import plans as plans_mod
+from repro.compiler.operators import lower_branch, lower_branch_columnar, lower_branch_vector
 from repro.constructors import instantiate
 from repro.datalog import DatalogEngine, parse_program
 from repro.dbpl import Session, parse_expression
@@ -249,15 +249,15 @@ class TestFallbackChain:
         row-major lowering is recorded."""
         row_major_calls = []
         monkeypatch.setattr(
-            plans_mod, "lower_branch_columnar", lambda *a, **kw: None
+            executors_mod.BatchBackend, "lowering", staticmethod(lambda *a, **kw: None)
         )
-        original = plans_mod.BranchPlan.ensure_row_pipeline
+        original = executors_mod.RowBatchBackend.lowering
 
-        def spy(branch):
-            row_major_calls.append(branch)
-            return original(branch)
+        def spy(*args, **kwargs):
+            row_major_calls.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(plans_mod.BranchPlan, "ensure_row_pipeline", spy)
+        monkeypatch.setattr(executors_mod.RowBatchBackend, "lowering", staticmethod(spy))
         return row_major_calls
 
     @pytest.mark.parametrize("executor", ["batch", "vector", "sharded"])
@@ -300,7 +300,7 @@ class TestFallbackChain:
         # vector → batch is the documented per-branch coverage rule: the
         # columnar pipeline answers and no fallback is counted.
         monkeypatch.setattr(
-            plans_mod, "lower_branch_vector", lambda *a, **kw: None
+            executors_mod.VectorBackend, "lowering", staticmethod(lambda *a, **kw: None)
         )
         s = Session(options=ExecOptions(executor="vector"))
         s.execute(AHEAD)
@@ -338,9 +338,9 @@ class TestFallbackChain:
         rows = plan.execute(ExecutionContext(db))
         assert rows == Evaluator(db).eval_query(INFRONT_QUERY)
         (branch,) = plan.branches
-        assert branch.row_pipeline is not None
-        assert branch.row_pipeline is not plans_mod._PENDING
-        assert branch.pipeline is plans_mod._PENDING  # columnar never lowered
+        # One memo entry: the row-major pipeline; columnar never lowered.
+        assert list(branch.pipelines) == [lower_branch]
+        assert branch.pipelines[lower_branch] is not None
 
 
 class TestRegistry:
@@ -369,6 +369,94 @@ class TestRegistry:
             "rowbatch": ["rowbatch", "tuple"],
             "tuple": ["tuple"],
         }
+
+
+EDGES_SCHEMA = """
+TYPE node = STRING; edgerec = RECORD src, dst: node END;
+     edgerel = RELATION ... OF edgerec;
+VAR Edge: edgerel;
+"""
+TWO_HOPS = (
+    '{<e.src, f.dst> OF EACH e IN Edge, EACH f IN Edge: '
+    'e.dst = f.src AND e.src = "n3"}'
+)
+
+
+class TestExplainShowsWhatRan:
+    """``explain()`` renders the pipeline an executor ran, and explaining
+    lowers nothing but the plan's own executor's pipeline."""
+
+    #: The executed operators, per executor, in pipeline order.
+    RAN = {
+        "vector": ["VLOOKUP Edge[0]", "VJOIN Edge[0]", "VPROJECT <e.src, f.dst>  (id dedup)"],
+        "rowbatch": ["INDEXLOOKUP Edge[0]", "HASHJOIN Edge build[0]", "PROJECT <e.src, f.dst>"],
+        "batch": ["INDEXLOOKUP Edge[0]", "HASHJOIN Edge build[0]"],
+    }
+    LOWERING = {
+        "vector": lower_branch_vector,
+        "rowbatch": lower_branch,
+        "batch": lower_branch_columnar,
+    }
+
+    def _prepared(self, executor, text=TWO_HOPS):
+        if executor == "vector" and get_numpy() is None:
+            pytest.skip("the vector kernels need numpy")
+        s = Session(options=ExecOptions(executor=executor))
+        s.execute(EDGES_SCHEMA)
+        s.insert("Edge", [("n3", "n4"), ("n4", "n5"), ("n3", "n6"), ("n6", "n7"), ("n1", "n3")])
+        prepared = s.prepare(text)
+        (branch,) = prepared.plan.statement.top_plan.branches
+        return prepared, branch
+
+    @staticmethod
+    def _operator_lines(text):
+        lines = text.splitlines()
+        assert sum(line.strip() == "operators:" for line in lines) == 1, text
+        start = next(i for i, line in enumerate(lines) if line.strip() == "operators:")
+        ops = []
+        for line in lines[start + 1 :]:
+            if line.strip().startswith("DEDUP"):
+                break
+            ops.append(line.strip())
+        return ops
+
+    @pytest.mark.parametrize("executor", sorted(RAN))
+    def test_explain_renders_the_executed_operators(self, executor):
+        prepared, branch = self._prepared(executor)
+        for _ in range(3):
+            assert prepared.execute() == {("n3", "n5"), ("n3", "n7")}
+        ops = self._operator_lines(prepared.explain())
+        assert [op.split("  [")[0] for op in ops] == self.RAN[executor]
+        assert all("act=" in op and "act=-" not in op for op in ops), ops
+        # The memo holds exactly the pipeline that ran.
+        assert list(branch.pipelines) == [self.LOWERING[executor]]
+
+    @pytest.mark.parametrize("executor", sorted(RAN))
+    def test_explain_before_any_run_lowers_only_its_own_executor(self, executor):
+        prepared, branch = self._prepared(executor)
+        ops = self._operator_lines(prepared.explain())
+        assert [op.split("  [")[0] for op in ops] == self.RAN[executor]
+        assert all("act=-" in op for op in ops), ops
+        assert list(branch.pipelines) == [self.LOWERING[executor]]
+
+    def test_explain_names_no_operators_for_the_interpreter(self):
+        prepared, branch = self._prepared("tuple")
+        prepared.execute()
+        assert "operators:" not in prepared.explain()
+        assert branch.pipelines == {}
+
+    def test_a_vector_branch_that_fell_back_shows_the_columnar_pipeline(self):
+        # A column-to-column comparison is outside the vector coverage
+        # rules: the memo records the refusal, then the batch pipeline.
+        prepared, branch = self._prepared(
+            "vector", TWO_HOPS.replace('e.src = "n3"', "e.src < f.dst")
+        )
+        assert prepared.execute() == {("n1", "n4"), ("n1", "n6"), ("n3", "n5"), ("n3", "n7")}
+        assert list(branch.pipelines) == [lower_branch_vector, lower_branch_columnar]
+        assert branch.pipelines[lower_branch_vector] is None
+        ops = self._operator_lines(prepared.explain())
+        assert ops[0].startswith("SCAN Edge") and "act=-" not in ops[0]
+        assert not any(op.startswith("V") for op in ops)
 
 
 class TestObservableFallbacks:

@@ -15,7 +15,7 @@ import pytest
 from helpers import forced_shard_config, transitive_closure
 from repro import paper
 from repro.calculus import Evaluator, dsl as d
-from repro.compiler import plans as plans_mod
+from repro.compiler import executors as executors_mod
 from repro.compiler import (
     ExecutionContext,
     ExecutorBackend,
@@ -233,7 +233,7 @@ class TestShardConfigSurface:
     def test_sharded_never_lowers_a_vector_pipeline(self, monkeypatch, pool):
         lowered = []
         monkeypatch.setattr(
-            plans_mod.BranchPlan, "ensure_vector_pipeline", lowered.append
+            executors_mod.VectorBackend, "lowering", staticmethod(lowered.append)
         )
         db = _db({(f"k{i % 5}", i) for i in range(60)})
         q = d.query(

@@ -22,7 +22,8 @@ from helpers import (
 )
 from repro import ExecOptions, paper
 from repro.calculus import dsl as d
-from repro.compiler import ShardConfig, plans as plans_mod
+from repro.compiler import BatchedResidualFilter, Project, ShardConfig, executors as executors_mod
+from repro.compiler import lower_branch_vector
 from repro.dbpl import Session
 from repro.relational import Dictionary, EncodedTable, Relation
 from repro.relational import vectors as vectors_mod
@@ -235,13 +236,13 @@ class TestVectorWithoutNumpy:
         and record every use of the vector lowering."""
         monkeypatch.setattr(vectors_mod, "_NUMPY_MODULE", False)
         lowered = []
-        original = plans_mod.BranchPlan.ensure_vector_pipeline
+        original = executors_mod.VectorBackend.lowering
 
-        def spy(branch):
-            lowered.append(branch)
-            return original(branch)
+        def spy(*args, **kwargs):
+            lowered.append(args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(plans_mod.BranchPlan, "ensure_vector_pipeline", spy)
+        monkeypatch.setattr(executors_mod.VectorBackend, "lowering", staticmethod(spy))
         assert get_numpy() is None
         return lowered
 
@@ -345,3 +346,117 @@ class TestVectorWithoutNumpy:
         assert s.query(JOIN) == JOIN_ROWS
         assert s.fallbacks["vector_numpy"] == 0
         assert "DBPL906" not in {d_.code for d_ in diags}
+
+
+SHAPES_SCHEMA = """
+TYPE node = STRING; edgerec = RECORD src, dst: node END;
+     edgerel = RELATION ... OF edgerec;
+     wrec = RECORD src, dst: node; w: INTEGER END;
+     wrel = RELATION ... OF wrec;
+VAR Edge, Block: edgerel; W: wrel;
+CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
+BEGIN EACH r IN Rel: TRUE,
+      <t.src, r.dst> OF EACH t IN Rel{tc()}, EACH r IN Rel: t.dst = r.src
+END tc;
+"""
+NOT_BLOCKED = "NOT SOME b IN Block (b.src = f.dst AND b.dst = e.src)"
+
+#: (query, covered by the vector lowering, its operator labels).  Binding
+#: order is the written one (``optimizer="syntactic"``); an uncovered
+#: branch runs on the batch pipeline instead.
+VECTOR_SHAPES = [
+    # Pure id space: scan + range filter + join, a constant lookup, and
+    # a whole-row target.
+    (
+        "{<e.src, f.dst> OF EACH e IN W, EACH f IN Edge: e.dst = f.src AND e.w > 2}",
+        True,
+        ("VSCAN W", "VFILTER [e.w > __bind_0]", "VJOIN Edge[0]",
+         "VPROJECT <e.src, f.dst>  (id dedup)"),
+    ),
+    (
+        '{<e.src, f.dst> OF EACH e IN Edge, EACH f IN Edge: e.dst = f.src AND e.src = "n3"}',
+        True,
+        ("VLOOKUP Edge[0]", "VJOIN Edge[0]", "VPROJECT <e.src, f.dst>  (id dedup)"),
+    ),
+    (
+        "{<e, f.dst> OF EACH e IN Edge, EACH f IN Edge: e.dst = f.src}",
+        True,
+        ("VSCAN Edge", "VJOIN Edge[0]", "VPROJECT <e, f.dst>  (id dedup)"),
+    ),
+    # A residual on the last step: id space up to the materialize
+    # boundary, then the columnar residual and row-space projection.
+    (
+        f"{{<e.src, f.dst> OF EACH e IN Edge, EACH f IN Edge: e.dst = f.src AND {NOT_BLOCKED}}}",
+        True,
+        ("VSCAN Edge", "VJOIN Edge[0]", "VMATERIALIZE",
+         f"RESIDUAL NOT ({NOT_BLOCKED[4:]})  (grouped index probe)",
+         "PROJECT <e.src, f.dst>"),
+    ),
+    # Outside the coverage rules.
+    (  # a step residual on a non-last step
+        "{<e.src, f.dst> OF EACH e IN Edge, EACH f IN Edge: "
+        "e.dst = f.src AND SOME b IN Block (b.src = e.dst)}",
+        False,
+        None,
+    ),
+    (  # a multi-column key
+        "{<e.src, f.dst> OF EACH e IN Edge, EACH f IN Edge: e.dst = f.src AND e.src = f.dst}",
+        False,
+        None,
+    ),
+    (  # a mid-pipeline cross product
+        '{<e.src, f.dst> OF EACH e IN Edge, EACH f IN Edge: e.src = "n1"}',
+        False,
+        None,
+    ),
+    (  # an apply source that is not the leading scan
+        "{<e.src, t.dst> OF EACH e IN Edge, EACH t IN Edge{tc()}: e.dst = t.src}",
+        False,
+        None,
+    ),
+    (  # a computed range
+        '{<e.src, r.dst> OF EACH e IN Edge, EACH r IN {EACH x IN Edge: x.src = "n1"}: '
+        "e.dst = r.src}",
+        False,
+        None,
+    ),
+]
+
+
+class TestVectorPipelineShapes:
+    """What the step walk builds on the id-space kernels, shape by shape."""
+
+    @pytest.fixture
+    def session(self):
+        if get_numpy() is None:
+            pytest.skip("the vector kernels need numpy")
+        s = Session(options=ExecOptions(executor="vector", optimizer="syntactic"))
+        s.execute(SHAPES_SCHEMA)
+        edges = [(f"n{i}", f"n{(i * 3 + 1) % 7}") for i in range(7)]
+        s.insert("Edge", edges + [("n3", "n5"), ("n5", "n6")])
+        s.insert("Block", [("n2", "n0"), ("n5", "n3")])
+        s.insert("W", [(src, dst, i) for i, (src, dst) in enumerate(edges)])
+        return s
+
+    @pytest.mark.parametrize("text, covered, labels", VECTOR_SHAPES)
+    def test_shape(self, session, text, covered, labels):
+        prepared = session.prepare(text)
+        (branch,) = prepared.plan.statement.top_plan.branches
+        pipeline = branch.lowered(lower_branch_vector)
+        assert (pipeline is not None) == covered
+        if covered:
+            assert tuple(op.label for op in pipeline.operators()) == labels
+        assert prepared.execute() == session.query(text, mode="interpreted")
+
+    def test_residual_tail_drops_dead_slots(self, session):
+        # The residual reads e and f, the target only e: f's slot does
+        # not survive the residual filter.
+        text = f"{{<e.src> OF EACH e IN Edge, EACH f IN Edge: e.dst = f.src AND {NOT_BLOCKED}}}"
+        prepared = session.prepare(text)
+        (branch,) = prepared.plan.statement.top_plan.branches
+        ops = list(branch.lowered(lower_branch_vector).operators())
+        (residual,) = [op for op in ops if isinstance(op, BatchedResidualFilter)]
+        assert [pos for _var, _schema, pos in residual.var_rows] == [0, 1]
+        assert residual.keep_slots == (0,)
+        assert isinstance(ops[-1], Project)
+        assert prepared.execute() == session.query(text, mode="interpreted")
