@@ -224,6 +224,7 @@ def compile_statement(
     params: dict | None = None,
     *,
     options: ExecOptions | None = None,
+    estimates: Mapping[object, float] | None = None,
 ) -> CompiledStatement:
     """Level 2: produce an executable program for one query form.
 
@@ -233,7 +234,9 @@ def compile_statement(
     program (a non-positive one is a :class:`PositivityError`).  An open
     application (one correlated with an enclosing tuple variable or
     parameter) stays with the residual evaluator.  ``options`` reach the
-    fixpoint programs and the top plan alike.
+    fixpoint programs and the top plan alike.  ``estimates`` price the
+    top plan's ApplyVars that the caller binds itself (a standing-query
+    family's parameter relation).
     """
     if options is None:
         options = DEFAULT_OPTIONS
@@ -246,7 +249,10 @@ def compile_statement(
             top=query,
             fixpoints=_NOTHING,
             specializations=_NOTHING,
-            top_plan=compile_query(db, query, params, options=options),
+            top_plan=compile_query(
+                db, query, params, CostModel(db, estimates) if estimates else None,
+                options=options,
+            ),
             pushdown_decisions=(),
             shard_config=options.shard_config,
         )
@@ -254,7 +260,7 @@ def compile_statement(
 
     fixpoints: dict[AppKey, CompiledFixpoint] = {}
     specializations: dict[AppKey, LinearTC] = {}
-    top_estimates: dict[object, float] = {}
+    top_estimates: dict[object, float] = dict(estimates or {})
     interned: dict[ast.Constructed, ast.ApplyVar] = {}
 
     def intern(n: ast.Constructed) -> ast.ApplyVar:

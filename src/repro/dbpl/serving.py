@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 from ..analysis.diagnostics import Diagnostics, span_of
 from ..calculus import ast
-from ..calculus.subst import transform
+from ..calculus.subst import map_children
 from ..compiler import compile_statement
 from ..compiler.executors import get_backend
 from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
@@ -83,6 +83,8 @@ _SLOT_PREFIX = "__bind_"
 #: desugars them).
 BARE_RANGES = (ast.RelRef, ast.Selected, ast.Constructed, ast.QueryRange)
 
+_RANGES = frozenset(BARE_RANGES + (ast.ApplyVar,))
+
 
 # ---------------------------------------------------------------------------
 # Shape normalization
@@ -90,7 +92,7 @@ BARE_RANGES = (ast.RelRef, ast.Selected, ast.Constructed, ast.QueryRange)
 
 
 def parameterize(
-    query: ast.Query, operands: list | None = None
+    query: ast.Query, operands: list | None = None, *, slot=None
 ) -> tuple[ast.Query, tuple]:
     """``query`` → (normalized shape, extracted constants).
 
@@ -108,25 +110,38 @@ def parameterize(
     When ``operands`` (an empty list) is given, the replaced
     :class:`~repro.calculus.ast.Const` nodes are appended to it in slot
     order: their parser spans say which source literal fills each slot.
+
+    ``slot(i)`` (a term) replaces slot ``i`` instead of a ParamRef, and
+    then only the comparisons of the branch predicates are lifted — under
+    ``SOME``/``ALL``/``NOT`` too, but not inside a range expression (a
+    nested set former, a selector or constructor argument), so every
+    closed application stays closed.  A standing-query family lifts its
+    constants this way into attributes of its parameter relation
+    (:mod:`repro.dbpl.subscriptions`).
     """
     replaced: list = [] if operands is None else operands
+    if slot is None:
+        make, into_ranges = (lambda i: ast.ParamRef(f"{_SLOT_PREFIX}{i}")), True
+    else:
+        make, into_ranges = slot, False
 
-    def rule(node):
-        if not isinstance(node, ast.Cmp):
-            return None
-        left, right = node.left, node.right
-        changed = False
-        if isinstance(left, ast.Const):
-            left = ast.ParamRef(f"{_SLOT_PREFIX}{len(replaced)}")
-            replaced.append(node.left)
-            changed = True
-        if isinstance(right, ast.Const):
-            right = ast.ParamRef(f"{_SLOT_PREFIX}{len(replaced)}")
-            replaced.append(node.right)
-            changed = True
-        return ast.Cmp(node.op, left, right) if changed else None
+    def lift(node):
+        if node.__class__ is ast.Cmp:
+            left, right = node.left, node.right
+            if left.__class__ is ast.Const:
+                left = make(len(replaced))
+                replaced.append(node.left)
+            if right.__class__ is ast.Const:
+                right = make(len(replaced))
+                replaced.append(node.right)
+            if left is node.left and right is node.right:
+                return node
+            return ast.Cmp(node.op, left, right)
+        if not into_ranges and node.__class__ in _RANGES:
+            return node
+        return map_children(node, lift)
 
-    shape = transform(query, rule)
+    shape = lift(query)
     return shape, tuple(const.value for const in replaced)
 
 

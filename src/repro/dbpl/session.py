@@ -607,13 +607,16 @@ class Session:
         Returns a :class:`~repro.dbpl.subscriptions.Subscription` whose
         :meth:`~repro.dbpl.subscriptions.Subscription.rows` always equal
         a fresh :meth:`query` of the same source.  The source compiles
-        to the same statement :meth:`query` runs, and the statement picks
-        the maintenance: one whose answer is a held fixpoint value
-        (``Rel{con}``, spelled bare or as a set former) reports that
-        value's growth, resumed on inserts (deletes run from empty);
-        any other is maintained incrementally by derivation counting.
-        ``on_change`` observes each net change (it runs inside the
-        committing write — do not mutate relations from it);
+        to the statement :meth:`query` runs with its compared constants
+        lifted into a parameter relation, shared by every subscription of
+        the same shape (a *family*, maintained as one standing query),
+        and the statement picks the maintenance: one whose answer is a
+        held fixpoint value (``Rel{con}``, spelled bare or as a set
+        former) reports that value's growth, resumed on inserts (deletes
+        run from empty); any other is maintained incrementally by
+        derivation counting.  ``on_change`` observes each net change (it
+        runs inside the committing write, after every family is
+        maintained — do not mutate relations from it);
         :meth:`~repro.dbpl.subscriptions.Subscription.changes` drains
         the same events as an iterator.
 

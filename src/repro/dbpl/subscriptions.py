@@ -6,55 +6,77 @@ counterpart of the paper's view of relations and rules as one algebra:
 a subscription is a derived relation whose extension tracks its
 defining expression continuously instead of being recomputed on demand.
 
-Every subscription compiles its query through the one
-query-compilation level (:func:`~repro.compiler.levels.compile_statement`,
-with the requested options, so its fixpoint programs run on the
-requested executor) and is a client of the one fixpoint resume path
-(:meth:`~repro.compiler.fixpoint.CompiledFixpoint.advance`).  One
-maintenance rule, chosen by the compiled statement rather than by the
-query's syntax:
+**Families.**  Subscriptions are maintained per *shape*, not per
+subscriber.  Each subscription's query is lifted by
+:func:`~repro.dbpl.serving.parameterize`: every constant compared in a
+branch predicate (under ``SOME``/``ALL``/``NOT`` too, but not inside a
+range expression) becomes an attribute ``__sub.cᵢ`` of a **parameter
+relation** ``(sub_id, c₀…cₖ)``.  Subscriptions whose lifted shapes,
+plan-relevant options and fallback hooks agree form one family — the
+paper's move of turning a scalar constructor parameter into a
+relation-valued one.  A family holds
 
-* A statement whose answer **is** a fixpoint value (its
-  :attr:`~repro.compiler.levels.CompiledStatement.identity`:
-  ``Rel{con}``, bare or spelled ``{EACH r IN Rel{con}: TRUE}``) holds
-  that value as its rows.  A commit advances it (a resume from the
-  appended rows after inserts — sound because every compiled system is
-  positive, hence monotone — and a run from empty after a delete), and
-  the change feed reports the held log's suffix since the last event,
-  or the difference of the two values after a run from empty.  Every
-  positive constructor is maintained this way, a recursive occurrence
-  under ``SOME`` included; a non-positive one is refused at subscribe
-  time (:class:`~repro.errors.PositivityError`).
+* one :class:`~repro.compiler.levels.CompiledStatement` of the lifted
+  query with ``EACH __sub IN <parameter relation>`` bound first in every
+  branch and ``__sub.sub_id`` emitted ahead of the row, compiled through
+  the one query-compilation level with the requested options (its
+  fixpoint programs run on the requested executor and hold values every
+  member shares);
+* the parameter relation itself, one row per member, bound as an apply
+  value and replaced (copy-on-write, indexes rebuilt lazily) when a
+  member joins or leaves;
+* per changed relation, one differential plan, priced with the observed
+  delta and parameter-relation sizes and re-planned when either drifts.
+
+A singleton is a family of one.  A new member's rows are the family's
+top plan over a one-row parameter relation: subscribing compiles
+nothing once its family exists.  The statement picks the maintenance:
+
+* A statement whose answer **is** a fixpoint value (``Rel{con}``, bare
+  or spelled ``{EACH r IN Rel{con}: TRUE}``) holds that value as every
+  member's rows.  A commit advances it (a resume from the appended rows
+  after inserts — sound because every compiled system is positive,
+  hence monotone — and a run from empty after a delete), and each
+  member's change feed reports the held log's suffix since its own last
+  event, or the difference of the two values after a run from empty.  A
+  non-positive constructor is refused at subscribe time
+  (:class:`~repro.errors.PositivityError`).
 
 * Any other statement uses counting-based incremental view
-  maintenance.  The subscription keeps the *number of derivations* of
-  every result row (a bag, evaluated by running the compiled branch
-  plans without the final duplicate elimination, on a bag-safe
-  executor).  Each committed insert/delete batch on a base relation is
-  pushed through the occurrence-split differential of the top query
-  with respect to that relation — the same differential the fixpoint
-  seeds use, with the changed relation's new/delta/old states bound as
-  apply values — and the produced derivations adjust the counts.  A
-  row enters the result when its count becomes positive and leaves
-  when it returns to zero, which is exact for select-project-join-union
-  under set semantics.  A batch on a relation a held value depends on
-  advances the value and recounts the top plan over it.
+  maintenance.  Each member keeps the *number of derivations* of every
+  result row (a bag, evaluated by running the compiled branch plans
+  without the final duplicate elimination, on a bag-safe executor).
+  Each committed insert/delete batch on a base relation is pushed
+  through the family's occurrence-split differential of the lifted top
+  query with respect to that relation — the same differential the
+  fixpoint seeds use, with the changed relation's new/delta/old states
+  bound as apply values — once per phase for the whole family; an
+  equality slot is a hash join against the parameter relation, a range
+  slot the planner's filter over the delta × parameter product.  The
+  produced ``(sub_id, row)`` derivations are split by member and adjust
+  that member's counts: a row enters its result when the count becomes
+  positive and leaves when it returns to zero, which is exact for
+  select-project-join-union under set semantics.  A batch on a relation
+  a held value depends on advances the value and recounts the top plan
+  once for the family.
 
 Either way the deltas arrive from the write path: once a
 :class:`SubscriptionRegistry` is attached (`Database.attach_sink`),
 every effective mutation commits inside the registry lock and reports
 its insert/delete batch (see ``Relation._delta_guard``), so maintenance
 is atomic with the commit and two relations can never interleave.
-Mid-stream re-planning carries over: fixpoint resumption inherits the
-drift-triggered re-optimization of the compiled engine, and the
-counting path re-prices a relation's differential plan when observed
-batch sizes drift past the same threshold.
+
+**Callbacks.**  A commit first maintains every watching family and
+queues every member's event; only then do the ``on_change`` callbacks
+run, each isolated from the others.  The first exception a callback
+raises is re-raised once all have run — the commit stands, and no
+member is left stale by another member's callback.  Callbacks run
+synchronously inside the commit and must not mutate relations.
 
 Queries whose occurrences of a relation are not all direct binding
 ranges (e.g. a relation referenced inside a membership predicate) fall
 back to full recomputation for that relation's batches — results stay
-exact, only the incremental speedup is lost.  ``on_change`` callbacks
-run synchronously inside the commit and must not mutate relations.
+exact, only the incremental speedup is lost.
 """
 
 from __future__ import annotations
@@ -62,15 +84,18 @@ from __future__ import annotations
 import threading
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import count
 
 from ..calculus import ast
 from ..compiler.executors import get_backend
 from ..compiler.fixpoint import REPLAN_DRIFT, _ivm_token, relation_differential
 from ..compiler.levels import compile_statement
 from ..compiler.options import ExecOptions
-from ..compiler.plans import CostModel, ExecutionContext, PlanStats, compile_query
+from ..compiler.plans import CostModel, ExecutionContext, compile_query
 from ..constructors.engines import _variant_token
-
+from ..relational import HashIndex
+from ..types import ANY, INTEGER, Field, RecordType
+from .serving import parameterize
 
 # ---------------------------------------------------------------------------
 # Bag (multiset) evaluation of compiled plans
@@ -120,6 +145,18 @@ def _execute_bag(plan, ctx: ExecutionContext, executor: str) -> list:
     return out
 
 
+def _by_member(derivations) -> dict[int, list]:
+    """Split ``(sub_id, row)`` derivations into each member's rows."""
+    split: dict[int, list] = {}
+    for sub_id, row in derivations:
+        rows = split.get(sub_id)
+        if rows is None:
+            split[sub_id] = [row]
+        else:
+            rows.append(row)
+    return split
+
+
 # ---------------------------------------------------------------------------
 # Delta batches
 # ---------------------------------------------------------------------------
@@ -129,7 +166,7 @@ class _DeltaState:
     """One committed mutation of one relation, in all three states the
     occurrence-split differential binds: ``old`` (before the batch),
     ``mid`` (after deletions, before insertions) and ``live`` (after).
-    Built once per commit and shared by every watching subscription."""
+    Built once per commit and shared by every watching family."""
 
     __slots__ = ("name", "live", "ins", "dels", "mid", "old")
 
@@ -162,6 +199,14 @@ class _DeltaState:
         old = mid + dels if dels else mid
         return cls(relation.name, live, ins, dels, mid, old)
 
+    def phases(self):
+        """``(sign, new, delta, old)`` per non-empty phase: the delete
+        phase (old → mid), then the insert phase (mid → live)."""
+        if self.dels:
+            yield -1, self.mid, self.dels, self.old
+        if self.ins:
+            yield +1, self.live, self.ins, self.mid
+
 
 @dataclass(frozen=True)
 class ChangeEvent:
@@ -173,19 +218,307 @@ class ChangeEvent:
     deleted: frozenset
 
 
-#: Handler sentinel: this relation's batches recompute the whole result.
+# ---------------------------------------------------------------------------
+# Families: one lifted shape, its parameter relation, its plans
+# ---------------------------------------------------------------------------
+
+#: The tuple variable every family branch binds to its parameter relation.
+_SUB = "__sub"
+_SUB_ID = ast.AttrRef(_SUB, "sub_id")
+
+
+def _slot(i: int) -> ast.AttrRef:
+    return ast.AttrRef(_SUB, f"c{i}")
+
+
+class _Params(list):
+    """A family's parameter relation: one ``(sub_id, c₀…cₖ)`` row per
+    member.  Replaced, never mutated, when a member joins or leaves, so
+    the hash indexes an equality slot probes are built once per
+    membership (``ExecutionContext.index_rows`` asks ``index_on``)."""
+
+    __slots__ = ("_indexes",)
+
+    def __init__(self, rows=()) -> None:
+        super().__init__(rows)
+        self._indexes: dict[tuple[int, ...], HashIndex] = {}
+
+    def index_on(self, positions: tuple[int, ...]) -> HashIndex:
+        index = self._indexes.get(positions)
+        if index is None:
+            index = self._indexes[positions] = HashIndex(positions, self)
+        return index
+
+
+def _family_query(shape: ast.Query, token: str, slots: int) -> ast.Query:
+    """``shape`` with every branch ranging over the parameter relation
+    first and emitting ``(__sub.sub_id, row)``."""
+    schema = RecordType(
+        "params",
+        (Field("sub_id", INTEGER),) + tuple(Field(f"c{i}", ANY) for i in range(slots)),
+    )
+    head = ast.Binding(_SUB, ast.ApplyVar(token, schema))
+    branches = []
+    for branch in shape.branches:
+        if branch.targets is None:
+            row = ast.VarRef(branch.bindings[0].var)
+        else:
+            row = ast.TupleCons(branch.targets)
+        branches.append(
+            ast.Branch((head,) + branch.bindings, branch.pred, (_SUB_ID, row))
+        )
+    return ast.Query(tuple(branches))
+
+
+def _held_answer(top: ast.Query):
+    """The apply token whose value *is* the answer of the family query
+    ``top`` (one branch ``EACH v IN <apply>: TRUE`` before lifting), or
+    None."""
+    if len(top.branches) != 1:
+        return None
+    (branch,) = top.branches
+    if branch.pred != ast.TRUE or len(branch.bindings) != 2:
+        return None
+    binding = branch.bindings[1]
+    if isinstance(binding.range, ast.ApplyVar) and branch.targets[1] == ast.VarRef(
+        binding.var
+    ):
+        return binding.range.token
+    return None
+
+
+#: A relation whose batches recompute the family's answer.
 _RECOMPUTE = object()
 
 
-class _DeltaHandler:
-    """A compiled differential plan plus the delta estimate it was
-    priced with (drift against it triggers a re-plan)."""
+class _Differential:
+    """A compiled differential plan plus the sizes it was priced with
+    (drift against either triggers a re-plan)."""
 
-    __slots__ = ("plan", "delta_est")
+    __slots__ = ("plan", "delta_est", "params_est")
 
-    def __init__(self, plan, delta_est: float) -> None:
+    def __init__(self, plan, delta_est: float, params_est: float) -> None:
         self.plan = plan
         self.delta_est = delta_est
+        self.params_est = params_est
+
+
+class _Family:
+    """Every subscription of one lifted shape.
+
+    Holds the family's compiled statement, its parameter relation and its
+    per-relation differential plans; maintains every member's rows under
+    the rule the statement picks (see the module docstring).
+    """
+
+    def __init__(
+        self, db, key, shape: ast.Query, slots: int, options, on_fallback, serial: int
+    ) -> None:
+        self.db = db
+        self.key = key
+        #: The parameter relation's apply token, and the variant the
+        #: differentials read (they read every apply value as "new").
+        self.token = f"__params{serial}"
+        self.new_token = _variant_token(self.token, "new")
+        self.on_fallback = on_fallback
+        self.optimizer = options.resolved_optimizer
+        # get_backend rejects unknown names, as at every other door.
+        self.executor = _BAG_EXECUTORS.get(
+            get_backend(options.resolved_executor).name, "batch"
+        )
+        #: Compiled with the requested options and priced for the one-row
+        #: parameter relation a joining member's rows are counted over.
+        statement = self.statement = compile_statement(
+            db,
+            _family_query(shape, self.token, slots),
+            options=options,
+            estimates={self.token: 1.0},
+        )
+        #: Relations the applications' values depend on: their batches
+        #: advance the values (and recount the top plan over them).
+        self.fixed: frozenset[str] = frozenset().union(
+            *(p.bases for p in statement.fixpoints.values())
+        )
+        read = {
+            n.name
+            for n in ast.walk(statement.top)
+            if isinstance(n, ast.RelRef) and n.name in db.relations
+        }
+        #: Base relations whose mutations this family watches.
+        self.watched: tuple[str, ...] = tuple(sorted(read | self.fixed))
+        #: The held value's token when it *is* every member's answer.
+        self.identity = _held_answer(statement.top)
+        self.members: dict[int, Subscription] = {}
+        self.params = _Params()
+        #: Per-relation differential, built on first batch: a
+        #: _Differential, or _RECOMPUTE when ineligible.
+        self.plans: dict[str, object] = {}
+        self.replans = 0
+        #: The applications' values (plain and "new" tokens) as of the
+        #: last advance.
+        self.values = self._solve()
+        if self.identity is not None:
+            self.held = self.values[self.identity]
+
+    # -- membership -------------------------------------------------------
+
+    def join(self, sub: "Subscription", constants: tuple) -> None:
+        row = (sub.sub_id,) + constants
+        if self.identity is not None:
+            sub._reported = len(self.held.log)
+        else:
+            counted = self._count(_Params([row]))
+            sub._counts = counted.get(sub.sub_id, Counter())
+        self.members[sub.sub_id] = sub
+        self.params = _Params([*self.params, row])
+
+    def leave(self, sub: "Subscription") -> None:
+        del self.members[sub.sub_id]
+        self.params = _Params([row for row in self.params if row[0] != sub.sub_id])
+
+    # -- evaluation -------------------------------------------------------
+
+    def _solve(self) -> dict:
+        """Advance the statement's fixpoint values to the current state."""
+        values = self.statement.solve(self.on_fallback)
+        for token, rows in list(values.items()):
+            values[_variant_token(token, "new")] = rows
+        return values
+
+    def _count(self, params: _Params) -> dict[int, Counter]:
+        """Each member's derivation counts of the top plan over ``params``."""
+        ctx = ExecutionContext(
+            self.db, apply_values={**self.values, self.token: params}
+        )
+        ctx.on_fallback = self.on_fallback
+        derivations = _execute_bag(self.statement.top_plan, ctx, self.executor)
+        return {
+            sub_id: Counter(rows) for sub_id, rows in _by_member(derivations).items()
+        }
+
+    # -- maintenance ------------------------------------------------------
+
+    def differential(self, state: _DeltaState):
+        """The plan that maintains this family under ``state``, or None
+        when the commit is maintained whole (:meth:`refresh`)."""
+        name = state.name
+        if self.identity is not None or name in self.fixed:
+            return None
+        observed = float(max(len(state.ins), len(state.dels), 1))
+        members = float(len(self.members))
+        current = self.plans.get(name)
+        if current is None:
+            current = self.plans[name] = self._compile_differential(
+                name, observed, members
+            )
+        elif (
+            current is not _RECOMPUTE
+            and self.optimizer == "cost"
+            and max(observed / current.delta_est, members / current.params_est)
+            > REPLAN_DRIFT
+        ):
+            # Mid-stream re-plan: batches or membership outgrew the
+            # priced estimates enough that the join orders may be stale.
+            current = self.plans[name] = self._compile_differential(
+                name, observed, members
+            )
+            self.replans += 1
+        return None if current is _RECOMPUTE else current.plan
+
+    def _compile_differential(self, name: str, delta_est: float, params_est: float):
+        """The occurrence-split differential of the lifted top w.r.t.
+        ``name``; _RECOMPUTE if ineligible."""
+        db = self.db
+        variants = relation_differential(
+            self.statement.top, name, db.relation(name).element_type
+        )
+        if variants is None:
+            return _RECOMPUTE
+        full = float(max(1, len(db.relation(name))))
+        estimates = {
+            _ivm_token(name, "delta"): delta_est,
+            _ivm_token(name, "new"): full,
+            _ivm_token(name, "old"): full,
+            self.new_token: params_est,
+        }
+        plan = compile_query(
+            db,
+            ast.Query(tuple(variants)),
+            cost_model=CostModel(db, estimates),
+            options=ExecOptions(optimizer=self.optimizer, executor=self.executor),
+        )
+        return _Differential(plan, delta_est, params_est)
+
+    def fold(self, derivations, sign: int) -> None:
+        """Fold one phase's ``(sub_id, row)`` derivations into the
+        members' counts, noting the rows that enter or leave a member's
+        result."""
+        members = self.members
+        for sub_id, row in derivations:
+            member = members[sub_id]
+            counts = member._counts
+            count = counts.get(row, 0) + sign
+            if count > 0:
+                counts[row] = count
+                if count == 1 and sign > 0:
+                    member._entered.append(row)
+            elif counts.pop(row, 0) > 0:
+                member._left.append(row)
+
+    def settle(self, relation_name: str, events: list) -> None:
+        """Queue each member's net change of one differential commit."""
+        for member in self.members.values():
+            member.delta_batches += 1
+            inserted, deleted = member._entered, member._left
+            if not inserted and not deleted:
+                continue
+            member._entered, member._left = [], []
+            if inserted and deleted:
+                # A row deleted and re-derived within one batch is no net
+                # change (delete() then insert() folded into one assign()).
+                churn = set(inserted) & set(deleted)
+                if churn:
+                    inserted = [r for r in inserted if r not in churn]
+                    deleted = [r for r in deleted if r not in churn]
+            member._queue(relation_name, inserted, deleted, events)
+
+    def refresh(self, relation_name: str, events: list) -> None:
+        """Maintain a commit whole: advance the held value, or recount."""
+        if self.identity is not None:
+            self._advance_held(relation_name, events)
+            return
+        self.values = self._solve()
+        fresh = self._count(self.params)
+        for sub_id, member in self.members.items():
+            before = member._counts
+            after = member._counts = fresh.get(sub_id, Counter())
+            member.recomputes += 1
+            member._queue(
+                relation_name,
+                after.keys() - before.keys(),
+                before.keys() - after.keys(),
+                events,
+            )
+
+    def _advance_held(self, relation_name: str, events: list) -> None:
+        """An identity family's commit: advance the shared held value."""
+        before = self.held
+        self.values = self._solve()
+        value = self.held = self.values[self.identity]
+        resumed = value is before
+        if not resumed:
+            # Ran from empty: a new value, diffed against the old one.
+            inserted, deleted = value - before, before - value
+        for member in self.members.values():
+            if resumed:
+                # The rows it gained since this member's last event are
+                # the log's suffix.
+                member.delta_batches += 1
+                member._queue(relation_name, value.log[member._reported :], (), events)
+            else:
+                member.recomputes += 1
+                member._queue(relation_name, inserted, deleted, events)
+            member._reported = len(value.log)
 
 
 # ---------------------------------------------------------------------------
@@ -196,70 +529,45 @@ class _DeltaHandler:
 class Subscription:
     """A standing query handle: current rows, a change feed, a callback.
 
-    Holds the query's :class:`~repro.compiler.levels.CompiledStatement`
-    and maintains its answer under the rule the statement picks (see the
+    A member of its :class:`_Family`, which maintains its answer (see the
     module docstring).  All state is guarded by the registry lock —
     maintenance already runs under it, readers take it briefly.
     """
 
-    def __init__(
-        self, registry, node: ast.Query, source: str, options, on_change,
-        on_fallback=None,
-    ) -> None:
+    def __init__(self, registry, family: _Family, sub_id: int, source, options, on_change) -> None:
         self.registry = registry
+        self.family = family
+        #: This member's row id in its family's parameter relation.
+        self.sub_id = sub_id
         self.source = source
         self.options = options
-        #: Called synchronously (inside the committing write) with each
-        #: :class:`ChangeEvent`.  Must not mutate relations: the write
-        #: lock and registry lock are both held.
+        #: Called synchronously (inside the committing write, after every
+        #: watching family is maintained) with each :class:`ChangeEvent`.
+        #: Must not mutate relations: the write lock and registry lock
+        #: are both held.
         self.on_change = on_change
         self.active = True
         #: Maintenance counters: incrementally applied batches vs. full
         #: recomputations (deletions on fixpoints, ineligible shapes).
         self.delta_batches = 0
         self.recomputes = 0
-        self.replans = 0
-        self.plan_stats = PlanStats()
         self._pending: deque[ChangeEvent] = deque()
-        db = registry.db
-        self._on_fallback = on_fallback
-        self._optimizer = options.resolved_optimizer
-        # get_backend rejects unknown names, as at every other door.
-        self._executor = _BAG_EXECUTORS.get(
-            get_backend(options.resolved_executor).name, "batch"
-        )
-        #: Compiled with the requested options: its programs hold the
-        #: applications' values, its top plan ranges over them.
-        statement = self._statement = compile_statement(db, node, options=options)
-        self._node = statement.top
-        self._plan = statement.top_plan
-        #: Relations the applications' values depend on: their batches
-        #: advance the values (and recount the top plan over them).
-        self._fixed: frozenset[str] = frozenset().union(
-            *(p.bases for p in statement.fixpoints.values())
-        )
-        read = {
-            n.name
-            for n in ast.walk(statement.top)
-            if isinstance(n, ast.RelRef) and n.name in db.relations
-        }
-        #: Base relations whose mutations this subscription watches.
-        self.watched: tuple[str, ...] = tuple(sorted(read | self._fixed))
-        #: Per-relation differential handler, built on first batch:
-        #: a _DeltaHandler, or _RECOMPUTE when ineligible.
-        self._handlers: dict[str, object] = {}
-        #: The applications' values (plain and "new" tokens) as of the
-        #: last advance.
-        self._values = self._solve()
-        if statement.identity is not None:
-            #: The held value that *is* the answer, and how much of its
-            #: log the change feed has reported.
-            self._held = self._values[statement.identity]
-            self._reported = len(self._held.log)
-        else:
-            #: Derivation counts; result rows are exactly the keys (every
-            #: stored count is positive).
-            self._counts: Counter = Counter(self._execute(self._plan))
+        #: Derivation counts (a counting family; result rows are exactly
+        #: the keys, every stored count positive), or how much of the
+        #: shared held value's log this member's feed has reported.
+        self._counts: Counter | None = None
+        self._reported = 0
+        #: Rows that entered and left the result in the commit being
+        #: maintained (:meth:`_Family.fold`, drained by ``settle``).
+        self._entered: list = []
+        self._left: list = []
+        #: The rows at close, kept once the family stops maintaining them.
+        self._closed_rows: frozenset | None = None
+
+    @property
+    def watched(self) -> tuple[str, ...]:
+        """Base relations whose mutations this subscription watches."""
+        return self.family.watched
 
     # -- user surface -----------------------------------------------------
 
@@ -291,164 +599,22 @@ class Subscription:
 
     # -- maintenance plumbing --------------------------------------------
 
-    def _notify(self, relation_name: str, inserted, deleted) -> None:
+    def _rows(self) -> frozenset:
+        if self._closed_rows is not None:
+            return self._closed_rows
+        if self._counts is None:
+            return frozenset(self.family.held)
+        return frozenset(self._counts)
+
+    def _queue(self, relation_name: str, inserted, deleted, events: list) -> None:
+        """Queue a net change; its callback runs once the commit's
+        maintenance is done (:meth:`SubscriptionRegistry.emit`)."""
         if not inserted and not deleted:
             return
         event = ChangeEvent(relation_name, frozenset(inserted), frozenset(deleted))
         self._pending.append(event)
         if self.on_change is not None:
-            self.on_change(event)
-
-    def _rows(self) -> frozenset:
-        if self._statement.identity is not None:
-            return frozenset(self._held)
-        return frozenset(self._counts)
-
-    def _solve(self) -> dict:
-        """Advance the statement's fixpoint values to the current state."""
-        values = self._statement.solve(self._on_fallback)
-        for token, rows in list(values.items()):
-            values[_variant_token(token, "new")] = rows
-        return values
-
-    def _execute(self, plan, deltas=None) -> list:
-        """Run ``plan`` as a bag over the held values plus ``deltas``."""
-        apply_values = {**self._values, **(deltas or {})}
-        ctx = ExecutionContext(
-            self.registry.db, apply_values=apply_values, stats=self.plan_stats
-        )
-        ctx.on_fallback = self._on_fallback
-        return _execute_bag(plan, ctx, self._executor)
-
-    # -- differential plans ----------------------------------------------
-
-    def _compile_delta(self, name: str, delta_est: float) -> object:
-        """Compile the occurrence-split differential w.r.t. ``name``,
-        priced with the given delta estimate; _RECOMPUTE if ineligible
-        (or if a held value depends on ``name``)."""
-        if name in self._fixed:
-            return _RECOMPUTE
-        db = self.registry.db
-        variants = relation_differential(
-            self._node, name, db.relation(name).element_type
-        )
-        if variants is None:
-            return _RECOMPUTE
-        full = float(max(1, len(db.relation(name))))
-        estimates = {
-            _ivm_token(name, "delta"): delta_est,
-            _ivm_token(name, "new"): full,
-            _ivm_token(name, "old"): full,
-        }
-        plan = compile_query(
-            db,
-            ast.Query(tuple(variants)),
-            cost_model=CostModel(db, estimates),
-            options=ExecOptions(optimizer=self._optimizer, executor=self._executor),
-        )
-        return _DeltaHandler(plan, delta_est)
-
-    def _handler(self, state: _DeltaState) -> object:
-        observed = float(max(len(state.ins), len(state.dels), 1))
-        handler = self._handlers.get(state.name)
-        if handler is None:
-            handler = self._compile_delta(state.name, observed)
-            self._handlers[state.name] = handler
-        elif (
-            handler is not _RECOMPUTE
-            and self._optimizer == "cost"
-            and observed / handler.delta_est > REPLAN_DRIFT
-        ):
-            # Mid-stream re-plan: batches outgrew the priced estimate
-            # enough that the chosen join orders may be stale.
-            handler = self._compile_delta(state.name, observed)
-            self._handlers[state.name] = handler
-            self.replans += 1
-        return handler
-
-    # -- maintenance ------------------------------------------------------
-
-    def _apply(self, state: _DeltaState) -> None:
-        if self._statement.identity is not None:
-            self._advance_held(state.name)
-            return
-        handler = self._handler(state)
-        if handler is _RECOMPUTE:
-            self._recompute(state.name)
-            return
-        name = state.name
-        inserted_net: list = []
-        deleted_net: list = []
-        if state.dels:
-            # Delete phase: the relation went old -> mid.
-            removed = self._execute(
-                handler.plan,
-                {
-                    _ivm_token(name, "new"): state.mid,
-                    _ivm_token(name, "delta"): state.dels,
-                    _ivm_token(name, "old"): state.old,
-                },
-            )
-            self._fold(removed, -1, inserted_net, deleted_net)
-        if state.ins:
-            # Insert phase: the relation went mid -> live.
-            added = self._execute(
-                handler.plan,
-                {
-                    _ivm_token(name, "new"): state.live,
-                    _ivm_token(name, "delta"): state.ins,
-                    _ivm_token(name, "old"): state.mid,
-                },
-            )
-            self._fold(added, +1, inserted_net, deleted_net)
-        if inserted_net and deleted_net:
-            # A row deleted and re-derived within one batch is no net
-            # change (delete() then insert() folded into one assign()).
-            churn = set(inserted_net) & set(deleted_net)
-            if churn:
-                inserted_net = [r for r in inserted_net if r not in churn]
-                deleted_net = [r for r in deleted_net if r not in churn]
-        self.delta_batches += 1
-        self._notify(name, inserted_net, deleted_net)
-
-    def _fold(self, derivations, sign: int, inserted_net, deleted_net) -> None:
-        counts = self._counts
-        for row in derivations:
-            count = counts.get(row, 0) + sign
-            if count <= 0:
-                if counts.pop(row, 0) > 0:
-                    deleted_net.append(row)
-            else:
-                counts[row] = count
-                if sign > 0 and count == 1:
-                    inserted_net.append(row)
-
-    def _recompute(self, relation_name: str) -> None:
-        before = self._counts
-        self._values = self._solve()
-        self._counts = Counter(self._execute(self._plan))
-        self.recomputes += 1
-        self._notify(
-            relation_name,
-            self._counts.keys() - before.keys(),
-            before.keys() - self._counts.keys(),
-        )
-
-    def _advance_held(self, relation_name: str) -> None:
-        """An identity statement's commit: advance the held value."""
-        before = self._held
-        self._values = self._solve()
-        value = self._held = self._values[self._statement.identity]
-        if value is before:
-            # Resumed: the rows it gained are the log's suffix.
-            inserted, deleted = value.log[self._reported :], ()
-            self.delta_batches += 1
-        else:
-            # Ran from empty: a new value, diffed against the old one.
-            inserted, deleted = value - before, before - value
-            self.recomputes += 1
-        self._reported = len(value.log)
-        self._notify(relation_name, inserted, deleted)
+            events.append((self.on_change, event))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +623,7 @@ class Subscription:
 
 
 class SubscriptionRegistry:
-    """Per-database fan-out from committed write batches to subscriptions.
+    """Per-database fan-out from committed write batches to families.
 
     Installed as the database's write-capture sink
     (:meth:`~repro.relational.Database.attach_sink`): every effective
@@ -472,7 +638,11 @@ class SubscriptionRegistry:
         self.db = db
         self.lock = threading.RLock()
         self.subscriptions: list[Subscription] = []
-        self._by_relation: dict[str, list[Subscription]] = {}
+        #: Family key -> family: ``(lifted shape, options.cache_key(),
+        #: on_fallback hook, constant types)``.
+        self.families: dict[tuple, _Family] = {}
+        self._by_relation: dict[str, list[_Family]] = {}
+        self._ids = count()
         #: Committed write batches seen (whether or not anybody watched).
         self.emits = 0
 
@@ -489,45 +659,107 @@ class SubscriptionRegistry:
         self, node, source, options, on_change, on_fallback=None
     ) -> Subscription:
         """Materialize and register a maintained subscription to the
-        set former ``node``.
+        set former ``node``, as a member of the family of its shape.
 
         ``on_fallback(kind, detail)`` observes executor degradations of
         the initial run and of every maintenance batch.
         """
+        shape, constants = parameterize(node, slot=_slot)
+        # Constant types are part of the key: one member's comparison
+        # must never raise on another member's constant.
+        key = (
+            shape,
+            options.cache_key(),
+            on_fallback,
+            tuple(type(c) for c in constants),
+        )
         with self.lock:
-            sub = Subscription(self, node, source, options, on_change, on_fallback)
-            self._register(sub)
+            family = self.families.get(key)
+            fresh = family is None
+            if fresh:
+                family = _Family(
+                    self.db, key, shape, len(constants), options, on_fallback,
+                    next(self._ids),
+                )
+            sub = Subscription(
+                self, family, next(self._ids), source, options, on_change
+            )
+            family.join(sub, constants)
+            if fresh:
+                self.families[key] = family
+                for name in family.watched:
+                    self._by_relation.setdefault(name, []).append(family)
+            self.subscriptions.append(sub)
         return sub
-
-    def _register(self, sub: Subscription) -> None:
-        self.subscriptions.append(sub)
-        for name in sub.watched:
-            self._by_relation.setdefault(name, []).append(sub)
 
     def unregister(self, sub: Subscription) -> None:
         with self.lock:
-            if sub in self.subscriptions:
-                self.subscriptions.remove(sub)
-            for name in sub.watched:
-                watchers = self._by_relation.get(name)
-                if watchers and sub in watchers:
-                    watchers.remove(sub)
-                    if not watchers:
-                        del self._by_relation[name]
+            if sub not in self.subscriptions:
+                return
+            self.subscriptions.remove(sub)
+            sub._closed_rows = sub._rows()
             sub.active = False
+            family = sub.family
+            family.leave(sub)
+            if family.members:
+                return
+            # The family's last member: drop the family.
+            del self.families[family.key]
+            for name in family.watched:
+                watchers = self._by_relation[name]
+                watchers.remove(family)
+                if not watchers:
+                    del self._by_relation[name]
 
     # -- the sink protocol (called by Relation mutations) -----------------
 
     def emit(self, relation, inserted, deleted) -> None:
-        """Maintain every watching subscription for one committed batch.
+        """Maintain every watching family for one committed batch, then
+        run the members' callbacks.
 
         Called by the mutating relation with its write lock and
-        :attr:`lock` both held, after the commit is visible.
+        :attr:`lock` both held, after the commit is visible.  Each
+        differential runs once per family and phase, every family's in
+        one shared :class:`~repro.compiler.plans.ExecutionContext` per
+        phase.
         """
         self.emits += 1
-        watchers = self._by_relation.get(relation.name)
-        if not watchers:
+        families = self._by_relation.get(relation.name)
+        if not families:
             return
         state = _DeltaState.build(relation, inserted, deleted)
-        for sub in list(watchers):
-            sub._apply(state)
+        name = state.name
+        events: list = []
+        counted = []
+        for family in families:
+            plan = family.differential(state)
+            if plan is None:
+                family.refresh(name, events)
+            else:
+                counted.append((family, plan))
+        if counted:
+            for sign, new, delta, old in state.phases():
+                values = {
+                    _ivm_token(name, "new"): new,
+                    _ivm_token(name, "delta"): delta,
+                    _ivm_token(name, "old"): old,
+                }
+                for family, _ in counted:
+                    values.update(family.values)
+                    values[family.new_token] = family.params
+                ctx = ExecutionContext(self.db, apply_values=values)
+                for family, plan in counted:
+                    ctx.on_fallback = family.on_fallback
+                    family.fold(_execute_bag(plan, ctx, family.executor), sign)
+            for family, _ in counted:
+                family.settle(name, events)
+        errors = []
+        for callback, event in events:
+            try:
+                callback(event)
+            except Exception as exc:  # isolated: later callbacks still run
+                errors.append(exc)
+        if errors:
+            if len(errors) > 1:
+                errors[0].add_note(f"{len(errors) - 1} more on_change callback(s) raised")
+            raise errors[0]

@@ -486,42 +486,139 @@ def random_prop_mutations(rng: random.Random, db: Database) -> list:
     return ops
 
 
+def standing_family(query, rng: random.Random, count: int = 50) -> list[str]:
+    """DBPL texts of ``query`` and its standing-query family.
+
+    The first text is ``query`` itself; then ``count`` same-shape
+    variants with their compared constants re-drawn from the prop domain
+    (duplicates included); then
+    ``query`` plus a branch made dead by a contradictory constant pair
+    (the front door prunes it, so it joins the family of ``query``);
+    then two queries with an equality slot and a slot inside ``SOME``
+    (a family of their own).
+    """
+    from repro.calculus.pretty import render_query
+    from repro.calculus.subst import substitute_params
+    from repro.dbpl.serving import parameterize
+
+    shape, constants = parameterize(query)
+
+    def fill(values) -> str:
+        slots = {f"__bind_{i}": d.const(value) for i, value in enumerate(values)}
+        return render_query(substitute_params(shape, slots))
+
+    def redraw(value):
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, int):
+            return rng.randrange(8)
+        return f"k{int(10 * rng.random() ** 2)}"
+
+    # Three re-drawn constant tuples besides the query's own keep the
+    # reference evaluator's work per batch at a handful of distinct texts.
+    drawn = [constants] + [[redraw(c) for c in constants] for _ in range(3)]
+    texts = [render_query(query)]
+    texts += [fill(rng.choice(drawn)) for _ in range(count)]
+    first = query.branches[0]
+    var = first.bindings[0].var
+    dead = d.branch(
+        d.each("z", "P"),
+        pred=d.and_(d.eq(d.a("z", "n"), 1), d.eq(d.a("z", "n"), 2)),
+        targets=None if first.targets is None else [d.a("z", t.attr) for t in first.targets],
+    )
+    texts.append(render_query(d.query(*query.branches, dead)))
+    for _ in range(2):
+        some = d.some("w", "P", d.and_(
+            d.eq(d.a("w", "k"), d.a(var, "k")), d.gt(d.a("w", "n"), rng.randrange(8))
+        ))
+        key = d.eq(d.a(var, "f"), f"k{int(4 * rng.random() ** 2)}")
+        pred = d.and_(key, some) if first.pred == d.TRUE else d.and_(first.pred, key, some)
+        texts.append(render_query(d.query(
+            d.branch(*first.bindings, pred=pred, targets=first.targets)
+        )))
+    return texts
+
+
 def assert_subscription_tracks(
     db_factory,
     query,
     mutations,
     executors: tuple[str, ...] = ALL_EXECUTORS,
+    seed: int = 0,
 ) -> None:
-    """Subscribe under every backend and replay a mutation script.
+    """Subscribe a standing family under every backend and replay a
+    mutation script, subscribing and closing members between batches.
 
-    After every batch the maintained rows must equal the reference
-    evaluator on the live database — the standing-query invariant
-    ``sub.rows() == fresh query()`` — and at the end the emitted change
-    events must replay from the initial result to the final one (each
-    event inserting only absent rows and deleting only present ones).
+    ``query`` and its :func:`standing_family` subscribe through the
+    session front door; before every batch a few members close and a few
+    new ones (from the same family texts) join.  After every batch each
+    live member's rows must equal the reference evaluator on the live
+    database — the standing-query invariant ``sub.rows() == fresh
+    query()`` — and a closed member keeps the rows it had.  Every
+    member's change events must replay from its initial result to its
+    final one (each event inserting only absent rows and deleting only
+    present ones), and closing the last member leaves no family behind.
     """
     from repro.compiler import ExecOptions
-    from repro.dbpl.subscriptions import SubscriptionRegistry
+    from repro.dbpl import Session, parse_expression
+
+    rng = random.Random(seed)
+    texts = standing_family(query, rng)
+    initial, reserve = texts, texts[1:] * 2
+    rng.shuffle(reserve)
+    # Per (batch, text): every backend replays the same script.
+    references: dict[tuple[int, str], set] = {}
+
+    def reference(db, step: int, text: str) -> set:
+        key = (step, text)
+        if key not in references:
+            references[key] = Evaluator(db).eval_query(parse_expression(text))
+        return references[key]
 
     for executor in executors:
         db = db_factory()
-        registry = SubscriptionRegistry.ensure(db)
-        sub = registry.subscribe(
-            query, "<harness>", ExecOptions(executor=executor), None
-        )
-        replayed = set(sub.rows())
-        assert sub.rows() == Evaluator(db).eval_query(query)
-        for kind, name, rows in mutations:
+        session = Session(db=db)
+        options = ExecOptions(executor=executor)
+        live: list = []
+
+        def join(text: str, step: int) -> None:
+            sub = session.subscribe(text, options=options)
+            assert sub.rows() == reference(db, step, text), text
+            live.append([text, sub, set(sub.rows())])
+
+        def replay(member) -> None:
+            text, sub, replayed = member
+            for event in sub.changes():
+                assert event.deleted <= replayed, text
+                assert not (event.inserted & replayed), text
+                replayed = (replayed - event.deleted) | event.inserted
+            assert replayed == sub.rows(), text
+            member[2] = replayed
+
+        for text in initial:
+            join(text, 0)
+        # The pruned text joined the family of the query itself.
+        assert live[-3][1].family is live[0][1].family
+        joins = iter(reserve)
+        closed: list = []
+        for step, (kind, name, rows) in enumerate(mutations, 1):
+            for _ in range(3):
+                member = live.pop(rng.randrange(len(live)))
+                replay(member)
+                member[1].close()
+                closed.append((member[1], member[1].rows()))
+            for text in [next(joins) for _ in range(3)]:
+                join(text, step - 1)
             getattr(db.relation(name), kind)(rows)
-            reference = Evaluator(db).eval_query(query)
-            assert sub.rows() == reference, (
-                f"subscription under {executor!r} diverged after "
-                f"{kind} on {name}: {len(sub.rows())} rows vs "
-                f"{len(reference)} reference rows"
-            )
-        for event in sub.changes():
-            assert event.deleted <= replayed
-            assert not (event.inserted & replayed)
-            replayed = (replayed - event.deleted) | event.inserted
-        assert replayed == sub.rows()
-        sub.close()
+            for text, sub, _ in live:
+                want = reference(db, step, text)
+                assert sub.rows() == want, (
+                    f"subscription under {executor!r} diverged after "
+                    f"{kind} on {name}: {len(sub.rows())} rows vs "
+                    f"{len(want)} reference rows\n{text}"
+                )
+            assert all(sub.rows() == rows_at_close for sub, rows_at_close in closed)
+        for member in live:
+            replay(member)
+            member[1].close()
+        assert not db.subscriptions.families

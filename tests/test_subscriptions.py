@@ -6,6 +6,7 @@ maintenance for set formers, fixpoint resumption for constructed
 ranges, full recomputation where neither applies.
 """
 
+import pathlib
 import random
 
 import pytest
@@ -19,9 +20,11 @@ from helpers import (
 )
 
 from repro import ExecOptions
-from repro.dbpl import Session
+from repro.dbpl import Session, subscriptions
 from repro.dbpl.subscriptions import SubscriptionRegistry
 from repro.errors import SchemaError
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 SCHEMA = """
 TYPE erec = RECORD name, dept: STRING; sal: INTEGER END;
@@ -184,11 +187,11 @@ class TestCountingMaintenance:
     def test_large_batch_triggers_replan(self):
         s = make_session()
         sub = s.subscribe(JOIN)
-        s.insert("Par", [("a", "b0")])  # prices the handler for tiny deltas
+        s.insert("Par", [("a", "b0")])  # prices the plan for tiny deltas
         big = [(f"n{i}", f"n{i + 1}") for i in range(64)]
         s.insert("Par", big)
         assert_tracks(s, sub, JOIN)
-        assert sub.replans >= 1
+        assert sub.family.replans >= 1
 
     def test_bare_range_and_selected_range_subscribe(self):
         s = make_session()
@@ -331,8 +334,173 @@ class TestFixpointSubscription:
         assert (set_former.delta_batches, set_former.recomputes) == (1, 2)
 
 
+class TestCallbackIsolation:
+    """A raising ``on_change`` never leaves another watcher stale."""
+
+    def test_raising_callback_leaves_later_watchers_current(self):
+        low, high = "{EACH e IN Emp: e.sal > 10}", "{EACH e IN Emp: e.sal > 20}"
+        s = make_session()
+
+        def boom(event):
+            raise RuntimeError("boom")
+
+        first = s.subscribe(low, on_change=boom)
+        second = s.subscribe(high)
+        with pytest.raises(RuntimeError, match="boom"):
+            s.insert("Emp", [("x", "z", 50)])
+        assert ("x", "z", 50) in s.query(high)  # the commit stands
+        assert_tracks(s, first, low)
+        assert_tracks(s, second, high)
+        assert [event.inserted for event in second.changes()] == [{("x", "z", 50)}]
+
+    def test_raising_member_inside_a_family(self):
+        sources = [f"{{EACH e IN Emp: e.sal > {i}}}" for i in range(50)]
+        s = make_session()
+        called = []
+
+        def watcher(i):
+            def on_change(event):
+                called.append(i)
+                if i in (10, 20):
+                    raise RuntimeError(f"member {i}")
+            return on_change
+
+        subs = [s.subscribe(src, on_change=watcher(i)) for i, src in enumerate(sources)]
+        assert len({sub.family for sub in subs}) == 1
+        with pytest.raises(RuntimeError, match="member 10") as raised:
+            s.insert("Emp", [("x", "z", 45)])
+        assert raised.value.__notes__ == ["1 more on_change callback(s) raised"]
+        assert sorted(called) == list(range(45))  # every callback ran once
+        for sub, source in zip(subs, sources):
+            assert_tracks(s, sub, source)
+        with pytest.raises(RuntimeError, match="member 10"):
+            s.db.relation("Emp").delete([("x", "z", 45), ("b", "x", 20)])
+        assert sorted(called) == sorted(list(range(45)) * 2)
+        called.clear()
+        s.insert("Emp", [("y", "z", 5)])
+        assert sorted(called) == list(range(5))
+        for sub, source in zip(subs, sources):
+            assert_tracks(s, sub, source)
+
+
+class TestFamilies:
+    """Clock-free guards: maintenance costs one plan run per watching
+    family, not one per subscriber."""
+
+    @pytest.fixture
+    def standing(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCH))
+        from workloads import EMP_JOIN, REACH, StandingWrites
+
+        compiles = []
+        real_compile = subscriptions.compile_statement
+        monkeypatch.setattr(
+            subscriptions, "compile_statement",
+            lambda *a, **kw: compiles.append(a) or real_compile(*a, **kw),
+        )
+        wl = StandingWrites(0, "quick")
+        s = wl.loaded_session()
+        subs = [s.subscribe(source) for source in wl.sources]
+        assert len(compiles) == len(s.db.subscriptions.families) == 4
+        runs = []
+        real_run = subscriptions._execute_bag
+        monkeypatch.setattr(
+            subscriptions, "_execute_bag",
+            lambda plan, ctx, executor: runs.append(plan) or real_run(plan, ctx, executor),
+        )
+        prefix = EMP_JOIN.partition("%")[0]
+        join = next(sub for src, sub in zip(wl.sources, subs) if src.startswith(prefix))
+        reach = subs[wl.sources.index(REACH)]
+        return wl, s, subs, runs, join.family, reach.family
+
+    def test_one_plan_run_per_watching_family(self, standing):
+        wl, s, subs, runs, _, _ = standing
+        rows = [(f"y{i}", wl.depts[i % len(wl.depts)], 20 * i) for i in range(8)]
+        s.insert("Emp", rows)
+        assert len(runs) == 3  # the sal, dept and join families; 19 subscribers
+        runs.clear()
+        s.db.relation("Emp").delete(rows[:5])
+        assert len(runs) == 3
+        for source, sub in zip(wl.sources, subs):
+            assert sub.rows() == s.query(source), source
+
+    def test_par_commit_touches_only_join_and_reach_families(self, standing):
+        wl, s, subs, runs, join, reach = standing
+        for write in (
+            lambda: s.insert("Par", [(wl.depts[0], "t_new"), ("t_new", "o0")]),
+            lambda: s.db.relation("Par").delete([(wl.depts[0], "t_new")]),
+        ):
+            before = [(sub.delta_batches, sub.recomputes) for sub in subs]
+            runs.clear()
+            write()
+            touched = {
+                sub.family
+                for sub, counters in zip(subs, before)
+                if (sub.delta_batches, sub.recomputes) != counters
+            }
+            assert touched == {join, reach}
+            assert len(runs) == 1  # the join family's; reach advances its held value
+            for source, sub in zip(wl.sources, subs):
+                assert sub.rows() == s.query(source), source
+
+    def test_closing_last_member_drops_family(self, standing):
+        wl, s, subs, runs, join, _ = standing
+        registry = s.db.subscriptions
+        members = [sub for sub in subs if sub.family is join]
+        for sub in members[:-1]:
+            sub.close()
+            assert registry.families[join.key] is join
+        members[-1].close()
+        assert join.key not in registry.families
+        assert all(join not in families for families in registry._by_relation.values())
+        runs.clear()
+        s.insert("Par", [(wl.depts[0], "t_new")])
+        assert runs == []  # nobody counts over Par any more
+        for source, sub in zip(wl.sources, subs):
+            if sub.active:
+                assert sub.rows() == s.query(source), source
+
+    def test_equality_slot_sees_members_joining_later(self):
+        # The second commit probes the parameter relation's hash index,
+        # which must cover the member that joined after the first one.
+        source = '{EACH e IN Emp: e.dept = "%s"}'
+        s = make_session()
+        subs = {dept: s.subscribe(source % dept) for dept in ("x", "y", "w", "v")}
+        s.insert("Emp", [("d", "x", 1), ("e", "y", 2)])
+        subs["z"] = s.subscribe(source % "z")
+        s.insert("Emp", [("f", "z", 3), ("g", "x", 4)])
+        subs.pop("y").close()
+        s.insert("Emp", [("h", "z", 5), ("i", "y", 6)])
+        for dept, sub in subs.items():
+            assert_tracks(s, sub, source % dept)
+        (family,) = {sub.family for sub in subs.values()}
+        (plan,) = (differential.plan for differential in family.plans.values())
+        assert "HASHJOIN @new:__params" in plan.explain()
+
+    def test_identity_members_share_the_held_value(self):
+        s = make_session()
+        early = s.subscribe(TC)
+        s.insert("Par", [("c", "d")])
+        late = s.subscribe(TC)
+        assert late.family is early.family
+        s.insert("Par", [("d", "e")])
+        assert early.rows() == late.rows() == s.query(TC)
+        gained = {("d", "e"), ("c", "e"), ("b", "e"), ("a", "e")}
+        assert [event.inserted for event in early.changes()] == [
+            {("c", "d"), ("b", "d"), ("a", "d")}, gained
+        ]
+        (event,) = late.changes()
+        assert event.inserted == gained
+        early.close()
+        s.db.relation("Par").delete([("a", "b")])
+        assert_tracks(s, late, TC)
+        assert late.recomputes == 1
+
+
 class TestSubscriptionProperties:
-    """The standing-query invariant over randomized queries/mutations."""
+    """The standing-query invariant over randomized queries/mutations,
+    for the query's whole family (>= 50 same-shape members, subscribed
+    and closed between batches)."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_subscriptions_track_reference(self, seed):
@@ -342,5 +510,5 @@ class TestSubscriptionProperties:
         initial = clone_database(db)
         mutations = random_prop_mutations(rng, db)
         assert_subscription_tracks(
-            lambda: clone_database(initial), query, mutations
+            lambda: clone_database(initial), query, mutations, seed=seed
         )
