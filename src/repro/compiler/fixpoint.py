@@ -20,20 +20,21 @@ variable stays on the program between executions as a
 :class:`HeldValue` (an append-only row log, its membership set, hash
 indexes grown the way :meth:`~repro.relational.Relation._view` grows a
 relation's, and its statistics), stamped with the ``(version, log, n)``
-head of every base relation it is the least fixpoint over.  Plans read
-base relations through views pinned at those heads, so the stamp is
-exact even while writers commit.  :meth:`CompiledFixpoint.advance`
-brings the value up to the current state — an unchanged stamp is a
-*hit* and runs no plan; base relations that were only appended to seed
-deltas from their log suffixes through the occurrence-split
-differential of every equation w.r.t. each changed relation, and
-:meth:`CompiledFixpoint.resume` continues semi-naive iteration from
-the held value (sound because every compiled system is positive: old
-rows stay derivable, the seeds cover every new one-step derivation,
-values are sets); a replaced log (delete, assign, cold
-materialization) runs from empty.  That is the one resume path: the
-statement compiler's runtime level and both subscription kinds call
-it.  :meth:`CompiledFixpoint.run` keeps its run-from-empty meaning.
+head of every base relation it is the least fixpoint over.  Plans run
+against the database pinned at those heads (``db.snapshot(bases)``), so
+the stamp is exact even while writers commit.
+:meth:`CompiledFixpoint.advance` brings the value up to the live state
+or a caller's snapshot — an unchanged stamp is a *hit* and runs no
+plan; base relations that were only appended to seed deltas from their
+log suffixes through the occurrence-split differential of every
+equation w.r.t. each changed relation, and :meth:`CompiledFixpoint.resume`
+continues semi-naive iteration from the held value (sound because every
+compiled system is positive: old rows stay derivable, the seeds cover
+every new one-step derivation, values are sets); anything else — a
+replaced log (delete, assign, cold materialization), an older snapshot
+— runs from empty.  That is the one resume path: the statement
+compiler's runtime level and both subscription kinds call it.
+:meth:`CompiledFixpoint.run` keeps its run-from-empty meaning.
 
 **Every positive system compiles.**  Positivity is
 :func:`compile_fixpoint`'s own gate: a non-positive system is a
@@ -103,7 +104,6 @@ from .plans import (
     PlanStats,
     QueryPlan,
     compile_query,
-    pin_relations,
 )
 
 #: Re-optimize the differential plans once an observed delta (or full
@@ -361,13 +361,8 @@ class CompiledFixpoint:
         self.diff_estimates = estimates
         self.replans += 1
 
-    def _context(self, note, views, plans, apply_values=None) -> ExecutionContext:
-        """An execution context for ``plans`` with every base relation
-        read through its pinned view in ``views``."""
-        ctx = ExecutionContext(
-            self.db, apply_values=apply_values, stats=self.plan_stats
-        )
-        ctx.source_overrides = pin_relations(views, plans)
+    def _context(self, note, pinned, apply_values=None) -> ExecutionContext:
+        ctx = ExecutionContext(pinned, apply_values=apply_values, stats=self.plan_stats)
         ctx.shard_config = self.shard_config
         ctx.on_fallback = note
         return ctx
@@ -390,16 +385,16 @@ class CompiledFixpoint:
 
     # -- execution ------------------------------------------------------------
 
-    def _pin(self) -> dict:
-        """A view of every base relation pinned at its current head."""
-        return {name: self.db.relation(name).snapshot_view() for name in self.bases}
+    def _heads(self, pinned) -> dict[str, tuple]:
+        """The head every base relation is pinned at in ``pinned``."""
+        return {name: pinned.relation(name).head for name in self.bases}
 
     def _current(self) -> dict[object, object]:
         """Every fixpoint variable's "new" token bound to its held value."""
         return {_variant_token(key, "new"): value for key, value in self.held.items()}
 
     @contextmanager
-    def _advancing(self, views: dict):
+    def _advancing(self, pinned):
         """Around one run or resume: yields the fallback note; stamps the
         held values with the pinned heads on success and drops them on
         failure — a half-propagated value must never be resumed."""
@@ -408,50 +403,59 @@ class CompiledFixpoint:
         except BaseException:
             self.held, self.stamp = {}, {}
             raise
-        self.stamp = {name: view.head for name, view in views.items()}
+        self.stamp = self._heads(pinned)
 
     def run(
-        self, max_iterations: int = 100_000, stats: FixpointStats | None = None
+        self,
+        max_iterations: int = 100_000,
+        stats: FixpointStats | None = None,
+        db=None,
     ) -> dict[AppKey, HeldValue]:
-        """Run from empty against the current state: the held values
-        start over, and are returned as by :meth:`advance`."""
+        """Run from empty against ``db`` (default: the live database),
+        pinned at its current heads: the held values start over, and are
+        returned as by :meth:`advance`."""
         stats = stats if stats is not None else FixpointStats()
         stats.mode = "compiled-seminaive"
-        views = self._pin()
-        with self._advancing(views) as note:
+        pinned = (self.db if db is None else db).snapshot(self.bases)
+        with self._advancing(pinned) as note:
             self.degraded.clear()
             self.held = {
                 key: HeldValue(len(app.element_type.attribute_names))
                 for key, app in self.system.apps.items()
             }
             # Whole-firing branches read the (still empty) "new" values.
-            ctx = self._context(note, views, self.base_plans.values(), self._current())
+            ctx = self._context(note, pinned, self._current())
             produced = {
                 key: plan.execute(ctx, executor=self.executor)
                 for key, plan in self.base_plans.items()
             }
             self.recomputes += 1
             self.last = ("recomputed", 0)
-            self._converge(views, produced, max_iterations, stats, note)
+            self._converge(pinned, produced, max_iterations, stats, note)
         return self.held
 
     def advance(
-        self, max_iterations: int = 100_000, stats: FixpointStats | None = None
+        self,
+        max_iterations: int = 100_000,
+        stats: FixpointStats | None = None,
+        db=None,
     ) -> dict[AppKey, HeldValue]:
-        """Bring the held values up to the current state and return them.
+        """Bring the held values up to ``db``'s state (default: the live
+        database; a :class:`~repro.relational.DatabaseSnapshot` may pin
+        an older one) and return them.
 
-        The stamp still current → a hit, no plan runs.  Every base
-        relation that moved still has its stamped log, only longer →
-        :meth:`resume` from the appended rows.  Anything else (nothing
-        held yet, a replaced log, a relation an equation reads outside a
-        binding range) → :meth:`run` from empty.  The values are live:
-        valid until the next advance, so a caller copies what it keeps.
+        ``db``'s heads equal to the stamp → a hit, no plan runs.  Every
+        base relation that moved still has its stamped log, only longer
+        → :meth:`resume` from the appended rows.  Anything else (nothing
+        held yet, a replaced log, an older state, a relation an equation
+        reads outside a binding range) → :meth:`run` from empty.  The
+        values are live: valid until the next advance, so a caller
+        copies what it keeps.
         """
         stats = stats if stats is not None else FixpointStats()
-        views = self._pin()
-        if self.held and all(
-            view.head is self.stamp[name] for name, view in views.items()
-        ):
+        pinned = (self.db if db is None else db).snapshot(self.bases)
+        heads = self._heads(pinned)
+        if self.held and all(heads[name] is self.stamp[name] for name in heads):
             self.hits += 1
             self.last = ("hit", 0)
             stats.mode = "compiled-hit"
@@ -459,23 +463,23 @@ class CompiledFixpoint:
                 for kind, detail in self.degraded.items():
                     self.on_fallback(kind, detail)
             return self.held
-        appended = self._appended(views)
+        appended = self._appended(heads)
         if appended is None:
-            return self.run(max_iterations, stats)
-        self.resume(views, appended, max_iterations, stats)
+            return self.run(max_iterations, stats, pinned)
+        self.resume(pinned, appended, max_iterations, stats)
         return self.held
 
-    def _appended(self, views: dict) -> dict[str, list] | None:
-        """Per moved base relation, the rows appended since the stamp —
-        None when any of them cannot seed a resume."""
+    def _appended(self, heads: dict) -> dict[str, list] | None:
+        """Per moved base relation, the rows appended between the stamp
+        and ``heads`` — None when any of them cannot seed a resume."""
         if not self.held:
             return None
         appended: dict[str, list] = {}
-        for name, view in views.items():
+        for name, head in heads.items():
             then = self.stamp[name]
-            if view.head is then:
+            if head is then:
                 continue
-            fresh = self.db.relation(name).appended_since(then, view.head)
+            fresh = self.db.relation(name).appended_since(then, head)
             if fresh is None or self._seed_plans(name) is None:
                 return None
             appended[name] = fresh
@@ -515,7 +519,7 @@ class CompiledFixpoint:
 
     def resume(
         self,
-        views: dict,
+        pinned,
         appended: dict[str, list],
         max_iterations: int = 100_000,
         stats: FixpointStats | None = None,
@@ -524,9 +528,9 @@ class CompiledFixpoint:
         relations were appended to.
 
         ``appended`` maps each moved base relation to the rows committed
-        since the stamp; ``views`` pins every base relation at its new
-        head.  Each moved relation's seed plans run with one occurrence
-        bound to its appended rows, its other occurrences and every other
+        since the stamp; ``pinned`` is the database at the new heads.
+        Each moved relation's seed plans run with one occurrence bound to
+        its appended rows, its other occurrences and every other
         relation — moved ones included — at the new heads, and fixpoint
         variables to the held values.  The seeds cover every derivation
         through an appended row, which is sound because every compiled
@@ -536,7 +540,7 @@ class CompiledFixpoint:
         """
         stats = stats if stats is not None else FixpointStats()
         stats.mode = "compiled-seminaive-resume"
-        with self._advancing(views) as note:
+        with self._advancing(pinned) as note:
             produced: dict[AppKey, set] = {key: set() for key in self.system.apps}
             for name, fresh in appended.items():
                 plans = self._seed_plans(name)
@@ -545,18 +549,19 @@ class CompiledFixpoint:
                 # Later occurrences read the new state too: a superset of
                 # the stamped one, so only derivations that hold now, and
                 # a derivation found twice is absorbed once.
-                apply_values[_ivm_token(name, "new")] = views[name].rows
-                apply_values[_ivm_token(name, "old")] = views[name].rows
-                ctx = self._context(note, views, plans.values(), apply_values)
+                apply_values[_ivm_token(name, "new")] = apply_values[
+                    _ivm_token(name, "old")
+                ] = pinned.relation(name).raw_list()
+                ctx = self._context(note, pinned, apply_values)
                 for key, plan in plans.items():
                     produced[key] |= plan.execute(ctx, executor=self.executor)
             self.resumes += 1
             self.last = ("resumed", sum(len(rows) for rows in appended.values()))
-            self._converge(views, produced, max_iterations, stats, note)
+            self._converge(pinned, produced, max_iterations, stats, note)
 
     def _converge(
         self,
-        views: dict,
+        pinned,
         produced: dict[AppKey, set],
         max_iterations: int,
         stats: FixpointStats,
@@ -604,7 +609,7 @@ class CompiledFixpoint:
                 old_token = _variant_token(key, "old")
                 if old_token in old_tokens_used:
                     apply_values[old_token] = held[key] - deltas[key]
-            ctx = self._context(note, views, self.diff_plans.values(), apply_values)
+            ctx = self._context(note, pinned, apply_values)
             new_deltas: dict[AppKey, set] = {}
             for key in system.apps:
                 produced_rows = self.diff_plans[key].execute(ctx, executor=executor)

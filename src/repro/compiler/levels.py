@@ -26,7 +26,7 @@ programming language compiler:
 
 3. **Runtime support level** (:meth:`CompiledStatement.run`, the one
    runtime of every compiled read) — bring the generated fixpoint
-   programs' values up to the current database state
+   programs' values up to the current database state, or a snapshot's
    (:meth:`CompiledStatement.solve`), bind them as the top plan's apply
    values, execute the top plan; an ``identity`` statement's answer is
    the value itself.  A compiled program *holds* its value between
@@ -64,11 +64,6 @@ from .plans import (
 from .pushdown import PushdownDecision, cost_gated_inline
 from .quantgraph import QuantGraph, build_interconnectivity_graph
 from .specialize import LinearTC, detect_linear_tc
-
-SNAPSHOT_REFUSED = (
-    "snapshot= pins the relations a compiled set former reads; fixpoint "
-    "programs and the interpreted evaluator read live state"
-)
 
 #: The fixpoints and specializations of every plain statement.
 _NOTHING = MappingProxyType({})
@@ -164,8 +159,8 @@ class CompiledStatement:
 
     # -- Level 3: runtime ---------------------------------------------------------
 
-    def solve(self, on_fallback=None) -> dict[object, set]:
-        """Every fixpoint variable's value against the live database.
+    def solve(self, on_fallback=None, db=None) -> dict[object, set]:
+        """Every fixpoint variable's value against ``db`` (default: live).
 
         Each program advances its held values (a hit, a resume from the
         appended rows, or a run from empty); those values are live —
@@ -176,7 +171,7 @@ class CompiledStatement:
         apply_values: dict[object, set] = {}
         for program in self.fixpoints.values():
             program.on_fallback = on_fallback
-            apply_values.update(program.advance())
+            apply_values.update(program.advance(db=db))
         return apply_values
 
     def run(
@@ -189,23 +184,20 @@ class CompiledStatement:
     ) -> set[tuple]:
         """Execute: fixpoints first (bottom-up), then the top plan.
 
-        ``snapshot`` (a :class:`~repro.dbpl.serving.DatabaseSnapshot`)
-        pins the relations the top plan scans and probes; a statement
-        that runs a fixpoint reads live state, so it refuses one
-        (``ValueError``) rather than drop it.  ``stats`` collects the top
-        plan's counters, and ``on_fallback(kind, detail)`` observes every
+        ``snapshot`` (a :class:`~repro.relational.DatabaseSnapshot`) is
+        the database the whole statement reads — the fixpoints' held
+        values follow it by their hit/resume/recompute rule, and the top
+        plan runs against it.  ``stats`` collects the top plan's
+        counters, and ``on_fallback(kind, detail)`` observes every
         executor degradation, the fixpoints' included.
         """
-        if snapshot is not None and self.fixpoints:
-            raise ValueError(SNAPSHOT_REFUSED)
-        apply_values = self.solve(on_fallback)
+        db = self.db if snapshot is None else snapshot
+        apply_values = self.solve(on_fallback, db)
         if self.identity is not None:
             return set(apply_values[self.identity])
-        ctx = ExecutionContext(self.db, params, apply_values, stats)
+        ctx = ExecutionContext(db, params, apply_values, stats)
         ctx.shard_config = self.shard_config
         ctx.on_fallback = on_fallback
-        if snapshot is not None:
-            ctx.source_overrides = snapshot.overrides_for(self.top_plan)
         return self.top_plan.execute(ctx)
 
 

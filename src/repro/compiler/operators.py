@@ -1646,18 +1646,12 @@ def _encode_apply(rows, schema) -> EncodedTable:
 def _encoded_table(ctx, ref: SourceRef) -> EncodedTable:
     """Resolve the encoded table a vector operator reads.
 
-    Resolution order: a pinned relation state (snapshot reads, fixpoint
-    base relations — the relation's own encoded generation at the pinned
-    head; shard overrides never reach vector kernels), then fixpoint
-    variables (encoded per delta), then a cold relation's pushed-down
-    partition scan, then the relation's own version-cached encoded view.
+    Resolution order: fixpoint variables (encoded per delta), then a
+    cold relation's pushed-down partition scan, then the relation's own
+    version-cached encoded view — at its pinned head when ``ctx.db`` is
+    a snapshot.  Shard overrides never reach vector kernels.
     """
     source = ref.source
-    overrides = ctx.source_overrides
-    if overrides is not None:
-        pinned = overrides.get(id(source))
-        if pinned is not None:
-            return pinned.encoded()
     if source.kind == "apply":
         rows = ctx.apply_values.get(source.token)
         if rows is None:

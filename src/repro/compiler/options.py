@@ -60,11 +60,10 @@ class ExecOptions:
         Static-analyzer gate policy for session front doors:
         ``strict`` | ``lint`` | ``off``.
     ``snapshot``
-        A :class:`~repro.dbpl.serving.DatabaseSnapshot` pinning the
-        relation state compiled set formers read (session front doors
-        only; refused with ``ValueError`` where it cannot be honoured —
-        subscriptions, a statement that runs a fixpoint, the
-        interpreted mode).
+        A :class:`~repro.relational.DatabaseSnapshot` (``Session.
+        snapshot()``): the database a session front door's query reads,
+        in either mode, fixpoints included.  Only ``subscribe``, which
+        maintains live state, refuses one (``ValueError``).
     """
 
     executor: str | None = None

@@ -123,11 +123,11 @@ class ExecutionContext:
         #: (buckets, memo) pairs with the bucket dict held and
         #: identity-checked so a rebuilt index restarts the memo.
         self.pushed_buckets: dict[object, tuple[dict, dict]] = {}
-        #: Per-source views (``rows`` + ``index_on(positions)``: a
-        #: ShardView or a pinned SnapshotView), keyed by the Source
-        #: object's id — the sharded backend materializes one override
-        #: map per shard, snapshots and fixpoints pin relation states, and
-        #: generated pipelines transparently read the views instead.
+        #: The sharded backend's per-shard partition map: Source id →
+        #: :class:`~repro.relational.indexes.ShardView` (``rows`` +
+        #: ``index_on(positions)``), read by generated pipelines in place
+        #: of the source.  Nothing else overrides a source: a pinned read
+        #: runs against a pinned ``db`` (a DatabaseSnapshot).
         self.source_overrides: dict[int, object] | None = None
         #: Per-execution-context cache of the vector kernels: encoded
         #: fixpoint-variable tables, dictionary translation arrays, and
@@ -286,19 +286,6 @@ class Source:
         if self.kind == "apply":
             return render_range(ast.ApplyVar(self.token, self.schema))
         return render_range(self.rexpr)
-
-
-def pin_relations(views: dict, plans) -> dict[int, object]:
-    """The ``source_overrides`` that read every relation source of
-    ``plans`` through its pinned view in ``views`` (name →
-    :class:`~repro.relational.indexes.SnapshotView`)."""
-    return {
-        id(step.source): views[step.source.name]
-        for plan in plans
-        for branch in plan.branches
-        for step in branch.steps
-        if step.source.kind == "relation" and step.source.name in views
-    }
 
 
 def _source_for(db: Database, rexpr: ast.RangeExpr, params: dict) -> Source:

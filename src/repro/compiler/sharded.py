@@ -15,9 +15,9 @@ access path reads them, so a cold store-backed lead is pruned and
 projected by the same pushed-down scan as under any other backend — are
 split into ``k`` shards and the *whole* lowered pipeline runs once per
 shard, each worker under its own :class:`~.plans.ExecutionContext`
-(private operation counters, private residual/pushdown memos) with a
-per-shard **source override map** layered over the context's own (a
-snapshot's pinned views stay in force): the leading source answers with
+(private operation counters, private residual/pushdown memos) over the
+context's ``db`` — a snapshot read's pinned database stays in force —
+with a per-shard **source override map**: the leading source answers with
 the shard's rows, and — when the first downstream hash join keys purely
 on the leading variable — lead rows are hashed on that key and the
 join's *build side* is hash-partitioned on the same key, so each worker
@@ -25,13 +25,13 @@ builds an index over ``rows/k`` build rows instead of all of them
 (without such a join the lead rows are simply dealt).
 Stored relations answer build-side partitions from
 :meth:`~repro.relational.relation.Relation.partitions` (version-cached
-shard views; a snapshot-pinned build side is partitioned from its pinned
-rows); fixpoint variables are partitioned once per iteration, so
-each iteration's delta is split exactly once and every shard probes its
-own slice.  Every other step sees its full source, which keeps the
-decomposition correct for arbitrary downstream joins, filters, and
-residual predicates: each output tuple derives from exactly one leading
-row, hence from exactly one shard.
+shard views, at the pinned head under a snapshot); fixpoint variables
+are partitioned once per iteration, so each iteration's delta is split
+exactly once and every shard probes its own slice.  Every other step
+sees its full source, which keeps the decomposition correct for
+arbitrary downstream joins, filters, and residual predicates: each
+output tuple derives from exactly one leading row, hence from exactly
+one shard.
 
 Shard outputs are merged with a **dedup-aware union**: the per-shard
 result batches (which may repeat tuples *across* shards) are unioned
@@ -231,11 +231,9 @@ def _partition_leading(rows, lead_var: str, align, k: int):
 
 def _build_partitions(ctx: ExecutionContext, step, k: int):
     """Shard views of an aligned join's build side: version-cached for
-    live stored relations, computed per execution otherwise — fixpoint
-    deltas, and a snapshot-pinned relation's pinned rows."""
+    stored relations, computed per execution for fixpoint deltas."""
     source = step.source
-    pinned = ctx.source_overrides is not None and id(source) in ctx.source_overrides
-    if source.kind == "relation" and not pinned:
+    if source.kind == "relation":
         relation = ctx.db.relation(source.name)
         attrs = tuple(
             relation.element_type.attribute_names[i] for i in step.key_positions
@@ -392,12 +390,8 @@ class ShardedBackend(BatchBackend):
                 out.update(batch)
             return
         _prewarm(branch, pipeline, ctx, skip_sources=set(shard_overrides[0]))
-        pinned = ctx.source_overrides or {}  # unsplit sources stay pinned
         tasks = [
-            partial(
-                _run_shard, pipeline, ctx.db, ctx.params, ctx.apply_values,
-                {**pinned, **overrides},
-            )
+            partial(_run_shard, pipeline, ctx.db, ctx.params, ctx.apply_values, overrides)
             for overrides in shard_overrides
         ]
         results = _run_tasks(tasks, config, ctx)

@@ -16,9 +16,9 @@ from .astnodes import (
 )
 from .lexer import Token, tokenize
 from .parser import Parser, parse_declarations, parse_expression, parse_module
+from ..relational import DatabaseSnapshot
 from .serving import (
     DEFAULT_PLAN_CACHE_SIZE,
-    DatabaseSnapshot,
     PlanCache,
     PreparedPlan,
     PreparedQuery,

@@ -35,22 +35,16 @@ module is the parse-once/bind-per-message split:
   (re-optimization on next use).  Small writes do not move the epoch —
   a cache invalidated per insert would never hit under mixed
   read/write traffic.
-* :class:`DatabaseSnapshot` pins a version-stamped
-  :class:`~repro.relational.indexes.SnapshotView` of every relation and
-  feeds them to plans through ``ExecutionContext.source_overrides`` —
-  the same mechanism the sharded executor uses for partition views, and
-  the two compose: each shard's map is layered over the snapshot's — so
-  a reader's scans and index probes all see one committed state while
-  writers keep committing, under every executor.
-
-Snapshot scope: relation *scans and join probes* are pinned.  Computed
-sub-ranges (selected ranges, nested queries) and residual predicates
-resolve against the live database — crash-free, because everything a
-relation hands a reader is an immutable generation of one committed
-state, but they read latest-committed.  A statement that runs a
-fixpoint would read live state wholesale, so
-:meth:`~repro.compiler.levels.CompiledStatement.run` refuses a snapshot
-for it (``ValueError``) rather than drop it.
+* A snapshot read is a read against a
+  :class:`~repro.relational.DatabaseSnapshot` — the database with every
+  relation pinned at one committed head.  :class:`PreparedPlan` hands it
+  to the runtime level as the database the whole statement reads, so
+  every reader — scans and index probes, residual predicates, selectors,
+  nested ranges, open constructor applications, vector encodings and
+  shard partitions — sees one committed state while writers keep
+  committing, under every executor.  A statement's held fixpoint values
+  follow the snapshot by their hit/resume/recompute rule
+  (:meth:`~repro.compiler.fixpoint.CompiledFixpoint.advance`).
 """
 
 from __future__ import annotations
@@ -65,10 +59,9 @@ from ..calculus.subst import map_children
 from ..compiler import compile_statement
 from ..compiler.executors import get_backend
 from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
-from ..compiler.plans import PlanStats, pin_relations
+from ..compiler.plans import PlanStats
 from ..errors import BindingError
-from ..relational import Database
-from ..relational.indexes import SnapshotView
+from ..relational import Database, DatabaseSnapshot
 from .lexer import Token
 
 #: Default bound of the session plan cache (entries, LRU-evicted).
@@ -315,7 +308,7 @@ class PreparedPlan:
     def run(
         self,
         constants: tuple,
-        snapshot: "DatabaseSnapshot | None" = None,
+        snapshot: DatabaseSnapshot | None = None,
         stats: PlanStats | None = None,
     ) -> set[tuple]:
         """Execute with ``constants`` bound into the plan's slots."""
@@ -376,7 +369,7 @@ class PreparedQuery:
     def execute(
         self,
         *constants,
-        snapshot: "DatabaseSnapshot | None" = None,
+        snapshot: DatabaseSnapshot | None = None,
         stats: PlanStats | None = None,
     ) -> set[tuple]:
         """Run the prepared plan; positional ``constants`` rebind slots."""
@@ -513,41 +506,3 @@ class PlanCache:
             "invalidations": self.invalidations,
             "hit_rate": round(self.hit_rate, 4),
         }
-
-
-# ---------------------------------------------------------------------------
-# Snapshots
-# ---------------------------------------------------------------------------
-
-
-class DatabaseSnapshot:
-    """Version-stamped pinned views of every relation, taken atomically
-    enough: each view pins exactly one committed state of its relation
-    (immutable generations guarantee per-relation consistency; the
-    snapshot is taken relation-by-relation without a global write freeze).
-
-    ``overrides_for(plan)`` produces the ``ExecutionContext.
-    source_overrides`` map that makes a compiled plan's relation scans
-    and index probes read the pinned views instead of the live data.
-    """
-
-    def __init__(self, db: Database) -> None:
-        self.db = db
-        self.views: dict[str, SnapshotView] = {
-            name: rel.snapshot_view() for name, rel in db.relations.items()
-        }
-
-    def rows(self, name: str) -> list[tuple]:
-        return self.views[name].rows
-
-    def version(self, name: str) -> int:
-        return self.views[name].version
-
-    def overrides_for(self, plan) -> dict[int, object]:
-        return pin_relations(self.views, (plan,))
-
-    def __repr__(self) -> str:  # pragma: no cover - display only
-        stamps = ", ".join(
-            f"{name}@v{view.version}" for name, view in sorted(self.views.items())
-        )
-        return f"<DatabaseSnapshot {stamps}>"

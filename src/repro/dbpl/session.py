@@ -45,8 +45,8 @@ knobs:
   :class:`~repro.dbpl.serving.PreparedQuery` handle for repeated
   execution with rebound constants.
 * ``snapshot()`` pins the current committed state of every relation;
-  pass it as ``ExecOptions(snapshot=...)`` to ``query`` (or to
-  ``PreparedQuery.execute``) for repeatable reads under concurrent
+  pass it as ``ExecOptions(snapshot=...)`` to ``query`` — either mode —
+  or to ``PreparedQuery.execute`` for repeatable reads under concurrent
   writers.
 
 There is no interpreted fallback: every query the analyzer accepts
@@ -79,11 +79,10 @@ from typing import TYPE_CHECKING, NamedTuple
 from ..analysis.diagnostics import Diagnostic, Diagnostics, Span
 from ..calculus import ast
 from ..calculus.evaluator import Evaluator
-from ..compiler.levels import SNAPSHOT_REFUSED
 from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
 from ..constructors.definition import Constructor
 from ..errors import AnalysisError, BindingError, DBPLSyntaxError, EvaluationError
-from ..relational import Database
+from ..relational import Database, DatabaseSnapshot
 from ..selectors import Parameter, SelectedRelation, Selector
 from ..types import (
     ATOMIC_TYPES,
@@ -111,7 +110,6 @@ from .parser import parse_expression, parse_module
 from .serving import (
     BARE_RANGES,
     DEFAULT_PLAN_CACHE_SIZE,
-    DatabaseSnapshot,
     FrontDoorEntry,
     PlanCache,
     PreparedPlan,
@@ -417,12 +415,8 @@ class Session:
         backend; ``mode="interpreted"`` forces the reference evaluator
         instead; any other mode is a ``ValueError``.  Execution knobs
         arrive on ``options`` (layered over the session's own); a
-        snapshot pins the relation state compiled set formers read (see
-        :meth:`snapshot`).  A statement that runs a fixpoint (a
-        constructed range, bare or inside a set former, that was not
-        inlined away) and the interpreted mode read live state, so a
-        snapshot passed with either is a ``ValueError``: a repeatable
-        read is honoured or refused, never dropped.
+        snapshot (see :meth:`snapshot`) is the database the query reads,
+        in either mode — fixpoints included.
 
         Every positive constructor compiles (a recursive occurrence
         under ``SOME`` included); a non-positive one is the section 3.3
@@ -437,10 +431,8 @@ class Session:
         tokens = tokenize(source)
         if mode == "interpreted":
             node = parse_expression(source, tokens)
-            if options.snapshot is not None:
-                raise ValueError(SNAPSHOT_REFUSED)
             self._gate(node, options.analysis)
-            return self._query_interpreted(node, source)
+            return self._query_interpreted(node, source, options.snapshot or self.db)
         lookup = self._lookup(tokens, options)
         constants = self._hit(lookup, options.analysis)
         if constants is None:
@@ -479,12 +471,13 @@ class Session:
             node = analysis.prune(node)
         return node, analysis
 
-    def _query_interpreted(self, node, source: str) -> set[tuple]:
-        """The reference path: tuple-at-a-time, no compiler involved."""
+    def _query_interpreted(self, node, source: str, db) -> set[tuple]:
+        """The reference path over ``db``: tuple-at-a-time, no compiler
+        involved."""
         if isinstance(node, ast.Query):
-            return Evaluator(self.db).eval_query(node)
+            return Evaluator(db).eval_query(node)
         if isinstance(node, BARE_RANGES):
-            value = Evaluator(self.db).resolve_range(node, {})
+            value = Evaluator(db).resolve_range(node, {})
             return set(value.rows)
         raise BindingError(f"not a query expression: {source!r}")
 
@@ -636,11 +629,11 @@ class Session:
         """Pin the current committed state of every relation.
 
         Pass the returned snapshot to :meth:`query` or
-        ``PreparedQuery.execute`` for repeatable reads: compiled scans
-        and index probes see exactly the pinned versions, regardless of
+        ``PreparedQuery.execute`` for repeatable reads: everything the
+        query reads sees exactly the pinned versions, regardless of
         concurrent writers.
         """
-        return DatabaseSnapshot(self.db)
+        return self.db.snapshot()
 
     def assign(self, target: str, rows) -> None:
         """``Target := rows`` or ``Target[sel(args)] := rows``."""

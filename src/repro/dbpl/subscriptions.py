@@ -66,11 +66,13 @@ every effective mutation commits inside the registry lock and reports
 its insert/delete batch (see ``Relation._delta_guard``), so maintenance
 is atomic with the commit and two relations can never interleave.
 
-**Callbacks.**  A commit first maintains every watching family and
+**Isolation.**  A commit first maintains every watching family and
 queues every member's event; only then do the ``on_change`` callbacks
-run, each isolated from the others.  The first exception a callback
-raises is re-raised once all have run — the commit stands, and no
-member is left stale by another member's callback.  Callbacks run
+run.  A family whose maintenance raises drops its half-folded counts
+and recounts whole at its next commit; every callback runs whatever
+another raised.  The first maintenance error, else the first callback
+error, is re-raised once all have run — the commit stands, and no
+member is left stale by another family or callback.  Callbacks run
 synchronously inside the commit and must not mutate relations.
 
 Queries whose occurrences of a relation are not all direct binding
@@ -354,6 +356,9 @@ class _Family:
         #: _Differential, or _RECOMPUTE when ineligible.
         self.plans: dict[str, object] = {}
         self.replans = 0
+        #: Set when a commit's maintenance raised (:meth:`fail`): the
+        #: next commit recounts whole.
+        self.stale = False
         #: The applications' values (plain and "new" tokens) as of the
         #: last advance.
         self.values = self._solve()
@@ -402,7 +407,7 @@ class _Family:
         """The plan that maintains this family under ``state``, or None
         when the commit is maintained whole (:meth:`refresh`)."""
         name = state.name
-        if self.identity is not None or name in self.fixed:
+        if self.stale or self.identity is not None or name in self.fixed:
             return None
         observed = float(max(len(state.ins), len(state.dels), 1))
         members = float(len(self.members))
@@ -482,8 +487,21 @@ class _Family:
                     deleted = [r for r in deleted if r not in churn]
             member._queue(relation_name, inserted, deleted, events)
 
+    def fail(self) -> None:
+        """Drop a raising commit's half-folded counts: each member's rows
+        revert to its last settled result (deletes fold before inserts,
+        so that is the rows now, less those that entered, plus those that
+        left), and the next commit recounts whole."""
+        self.stale = True
+        for member in self.members.values():
+            if member._counts is not None:
+                rows = (member._counts.keys() - set(member._entered)) | set(member._left)
+                member._counts = Counter(dict.fromkeys(rows, 1))
+            member._entered, member._left = [], []
+
     def refresh(self, relation_name: str, events: list) -> None:
         """Maintain a commit whole: advance the held value, or recount."""
+        self.stale = False
         if self.identity is not None:
             self._advance_held(relation_name, events)
             return
@@ -730,36 +748,49 @@ class SubscriptionRegistry:
         state = _DeltaState.build(relation, inserted, deleted)
         name = state.name
         events: list = []
+        failed: list = []
         counted = []
         for family in families:
-            plan = family.differential(state)
-            if plan is None:
-                family.refresh(name, events)
-            else:
-                counted.append((family, plan))
-        if counted:
-            for sign, new, delta, old in state.phases():
-                values = {
-                    _ivm_token(name, "new"): new,
-                    _ivm_token(name, "delta"): delta,
-                    _ivm_token(name, "old"): old,
-                }
-                for family, _ in counted:
-                    values.update(family.values)
-                    values[family.new_token] = family.params
-                ctx = ExecutionContext(self.db, apply_values=values)
-                for family, plan in counted:
-                    ctx.on_fallback = family.on_fallback
-                    family.fold(_execute_bag(plan, ctx, family.executor), sign)
+            try:
+                plan = family.differential(state)
+                if plan is None:
+                    family.refresh(name, events)
+                else:
+                    counted.append((family, plan))
+            except Exception as exc:  # isolated: other families still run
+                family.fail()
+                failed.append(exc)
+        for sign, new, delta, old in state.phases():
+            if not counted:
+                break
+            values = {
+                _ivm_token(name, "new"): new,
+                _ivm_token(name, "delta"): delta,
+                _ivm_token(name, "old"): old,
+            }
             for family, _ in counted:
-                family.settle(name, events)
-        errors = []
+                values.update(family.values)
+                values[family.new_token] = family.params
+            ctx = ExecutionContext(self.db, apply_values=values)
+            for family, plan in counted:
+                ctx.on_fallback = family.on_fallback
+                try:
+                    family.fold(_execute_bag(plan, ctx, family.executor), sign)
+                except Exception as exc:
+                    family.fail()
+                    failed.append(exc)
+            counted = [entry for entry in counted if not entry[0].stale]
+        for family, _ in counted:
+            family.settle(name, events)
+        raised = []
         for callback, event in events:
             try:
                 callback(event)
             except Exception as exc:  # isolated: later callbacks still run
-                errors.append(exc)
+                raised.append(exc)
+        errors = failed + raised
         if errors:
             if len(errors) > 1:
-                errors[0].add_note(f"{len(errors) - 1} more on_change callback(s) raised")
+                more = "error(s) raised" if failed else "on_change callback(s) raised"
+                errors[0].add_note(f"{len(errors) - 1} more {more}")
             raise errors[0]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count
 
@@ -48,6 +49,19 @@ class SLDStats:
     max_depth_seen: int = 0
 
 
+@contextmanager
+def recursion_limit(needed: int):
+    """At least ``needed`` as the interpreter's recursion limit, for the
+    block only: a process-wide limit would outlive the engine."""
+    old = sys.getrecursionlimit()
+    if old < needed:
+        sys.setrecursionlimit(needed)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
 _CMP = {
     "=": lambda a, b: a == b,
     "\\=": lambda a, b: a != b,
@@ -68,11 +82,9 @@ class SLDEngine:
         self.max_depth = max_depth
         self.stats = SLDStats()
         self._rename = count()
-        # Resolution recurses one Python frame per goal; make sure the
-        # interpreter's limit is not hit before our own depth budget.
-        needed = max_depth * 6 + 1000
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
+        #: Resolution recurses one Python frame per goal; the interpreter's
+        #: limit must not be hit before our own depth budget.
+        self._stack = max_depth * 6 + 1000
 
     # -- resolution -----------------------------------------------------------
 
@@ -128,15 +140,16 @@ class SLDEngine:
         """All ground instances of ``goal`` provable from the KB."""
         out: set[tuple] = set()
         try:
-            for subst in self.solve((goal,)):
-                row = ground_tuple(goal, subst)
-                if row is None:
-                    raise EvaluationError(
-                        f"answer to {goal} is not ground "
-                        f"(non-range-restricted rule?)"
-                    )
-                out.add(row)
-                self.stats.answers += 1
+            with recursion_limit(self._stack):
+                for subst in self.solve((goal,)):
+                    row = ground_tuple(goal, subst)
+                    if row is None:
+                        raise EvaluationError(
+                            f"answer to {goal} is not ground "
+                            f"(non-range-restricted rule?)"
+                        )
+                    out.add(row)
+                    self.stats.answers += 1
         except RecursionError:
             raise DepthLimitExceeded(
                 "SLD resolution exhausted the interpreter stack; the goal "
@@ -146,6 +159,5 @@ class SLDEngine:
 
     def prove(self, goal: Atom) -> bool:
         """True when at least one proof of ``goal`` exists."""
-        for _ in self.solve((goal,)):
-            return True
-        return False
+        with recursion_limit(self._stack):
+            return next(self.solve((goal,)), None) is not None

@@ -19,14 +19,13 @@ goal-directed like SLD, terminating like the fixpoint engines.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import count
 
 from ..datalog.ast import Atom, Comparison, Const, Var
 from ..errors import ConvergenceError, EvaluationError
 from .kb import KnowledgeBase
-from .sld import _CMP
+from .sld import _CMP, recursion_limit
 from .unify import Subst, ground_tuple, rename_apart, unify_atoms, walk
 
 #: A binding pattern: constants where the call is bound, None where free.
@@ -54,10 +53,6 @@ class TabledEngine:
         self.stats = TabledStats()
         self.tables: dict[tuple[str, Pattern], set[tuple]] = {}
         self._rename = count()
-        # Subgoal expansion recurses one Python frame per distinct subgoal
-        # along a derivation chain; deep chains need a deep stack.
-        if sys.getrecursionlimit() < 100_000:
-            sys.setrecursionlimit(100_000)
 
     # -- pattern handling ------------------------------------------------------
 
@@ -79,18 +74,21 @@ class TabledEngine:
         """All ground instances of ``goal``, computed with tabling."""
         pattern = self._pattern_of(goal, {})
         subgoal = (goal.pred, pattern)
-        for _ in range(self.max_rounds):
-            self.stats.rounds += 1
-            self._changed = False
-            self._expanded: set[tuple[str, Pattern]] = set()
-            self._in_progress: set[tuple[str, Pattern]] = set()
-            self._expand(subgoal)
-            if not self._changed:
-                break
-        else:
-            raise ConvergenceError(
-                f"tabled evaluation did not stabilize in {self.max_rounds} rounds"
-            )
+        # Subgoal expansion recurses one Python frame per distinct subgoal
+        # along a derivation chain; deep chains need a deep stack.
+        with recursion_limit(100_000):
+            for _ in range(self.max_rounds):
+                self.stats.rounds += 1
+                self._changed = False
+                self._expanded: set[tuple[str, Pattern]] = set()
+                self._in_progress: set[tuple[str, Pattern]] = set()
+                self._expand(subgoal)
+                if not self._changed:
+                    break
+            else:
+                raise ConvergenceError(
+                    f"tabled evaluation did not stabilize in {self.max_rounds} rounds"
+                )
         answers = self.tables.get(subgoal, set())
         # Post-filter for repeated variables in the goal (p(X, X)).
         out: set[tuple] = set()

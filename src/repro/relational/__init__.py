@@ -11,15 +11,14 @@ from .algebra import (
     semijoin,
     union,
 )
-from .database import Database
+from .database import Database, DatabaseSnapshot
 from .indexes import (
     HashIndex,
     ShardView,
-    SnapshotView,
     partition_rows,
     partition_views,
 )
-from .relation import Relation
+from .relation import PinnedRelation, Relation
 from .rows import Row
 from .stats import ColumnStats, DeltaStats, Histogram, StatsCatalog, TableStats
 from .storage import (
@@ -37,16 +36,17 @@ __all__ = [
     "ColumnStats",
     "ColumnVector",
     "Database",
+    "DatabaseSnapshot",
     "DeltaStats",
     "Dictionary",
     "EncodedTable",
     "HashIndex",
     "Histogram",
+    "PinnedRelation",
     "Relation",
     "RelationStore",
     "Row",
     "ShardView",
-    "SnapshotView",
     "StatsCatalog",
     "TableStats",
     "open_database",

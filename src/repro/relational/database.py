@@ -5,7 +5,8 @@ it owns relation variables (section 2.2) and registers the selector and
 selector/constructor abstractions defined over them (sections 2.3 and 3).
 Selectors and constructors are *defined* in their own subpackages; the
 database only stores and resolves them by name so that query evaluation,
-compilation, and the surface-language binder share one name space.
+compilation, and the surface-language binder share one name space —
+as does a :class:`DatabaseSnapshot` of it, its relations pinned.
 """
 
 from __future__ import annotations
@@ -14,11 +15,48 @@ from collections.abc import Iterable
 
 from ..errors import NameResolutionError, SchemaError
 from ..types import RelationType
-from .relation import Relation
+from .relation import PinnedRelation, Relation
 from .stats import StatsCatalog
 
 
-class Database:
+class _Scope:
+    """Name resolution shared by a database and its snapshots."""
+
+    def relation(self, name: str):
+        try:
+            return self.relations[name]
+        except KeyError:
+            known = ", ".join(sorted(self.relations)) or "<none>"
+            raise NameResolutionError(
+                f"unknown relation {name!r}; declared relations: {known}"
+            ) from None
+
+    def __getitem__(self, name: str):
+        return self.relation(name)
+
+    def __contains__(self, name: str) -> bool:
+        return name in self.relations
+
+    def selector(self, name: str):
+        try:
+            return self.selectors[name]
+        except KeyError:
+            raise NameResolutionError(f"unknown selector {name!r}") from None
+
+    def constructor(self, name: str):
+        try:
+            return self.constructors[name]
+        except KeyError:
+            raise NameResolutionError(f"unknown constructor {name!r}") from None
+
+    def snapshot(self, names: Iterable[str] | None = None) -> "DatabaseSnapshot":
+        """The relations ``names`` (default: all) pinned at their current
+        committed heads; the others, the rule registries and the
+        statistics answer as here."""
+        return DatabaseSnapshot(self, names)
+
+
+class Database(_Scope):
     """A scope of relation variables plus selector/constructor registries."""
 
     def __init__(self, name: str = "db") -> None:
@@ -81,21 +119,6 @@ class Database:
 
         return open_database(path)
 
-    def relation(self, name: str) -> Relation:
-        try:
-            return self.relations[name]
-        except KeyError:
-            known = ", ".join(sorted(self.relations)) or "<none>"
-            raise NameResolutionError(
-                f"unknown relation {name!r}; declared relations: {known}"
-            ) from None
-
-    def __getitem__(self, name: str) -> Relation:
-        return self.relation(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.relations
-
     # -- rule registries -----------------------------------------------------
 
     def register_selector(self, selector) -> None:
@@ -110,20 +133,31 @@ class Database:
             )
         self.constructors[constructor.name] = constructor
 
-    def selector(self, name: str):
-        try:
-            return self.selectors[name]
-        except KeyError:
-            raise NameResolutionError(f"unknown selector {name!r}") from None
-
-    def constructor(self, name: str):
-        try:
-            return self.constructors[name]
-        except KeyError:
-            raise NameResolutionError(f"unknown constructor {name!r}") from None
-
     def __repr__(self) -> str:  # pragma: no cover - display only
         return (
             f"<Database {self.name}: {len(self.relations)} relations, "
             f"{len(self.selectors)} selectors, {len(self.constructors)} constructors>"
         )
+
+
+class DatabaseSnapshot(_Scope):
+    """A read-only database whose relations are pinned at one committed
+    head each (:class:`~repro.relational.relation.PinnedRelation`; taken
+    relation by relation, without a global write freeze).
+
+    Every reader resolves relations through the database it is handed,
+    so a read run against a snapshot — ``ExecutionContext(snapshot,
+    ...)``, ``Evaluator(snapshot)``, ``ExecOptions(snapshot=...)`` at the
+    front door — is pinned whole: scans, probes, residuals, selectors,
+    nested ranges, constructor applications, fixpoints.
+    """
+
+    def __init__(self, db: _Scope, names: Iterable[str] | None = None) -> None:
+        relations = dict(db.relations)
+        for name in relations if names is None else names:
+            relations[name] = db.relation(name).snapshot_view()
+        self.relations: dict[str, Relation | PinnedRelation] = relations
+        self.name = db.name
+        self.selectors = db.selectors
+        self.constructors = db.constructors
+        self.stats = db.stats

@@ -9,8 +9,8 @@ An index is **immutable once published**: a relation caches one
 generation per attribute positions under its hit/extend/rebuild rule
 (``Relation._view``), and growth is :meth:`HashIndex.extended` — a *new*
 index that is copy-on-write at bucket granularity, sharing every
-untouched bucket list with its predecessor — so a reader (or a pinned
-:class:`SnapshotView`) keeps probing exactly the committed state its
+untouched bucket list with its predecessor — so a reader (or a relation
+pinned at an older head) keeps probing exactly the committed state its
 index was built for while appends cost O(delta + distinct keys), not a
 rebuild.  This module holds no cache and no version logic of its own.
 """
@@ -158,51 +158,6 @@ class ShardView:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-class SnapshotView(ShardView):
-    """A pinned view of a whole relation at one committed head.
-
-    Snapshot reads and compiled fixpoints hand plans these views through
-    ``ExecutionContext.source_overrides`` — the ``rows`` + ``index_on``
-    contract :class:`ShardView` already implements for partitions — so a
-    reader keeps scanning (and index-probing) the rows that existed when
-    the view was taken, no matter how many writers commit meanwhile.
-    The pinned list is one immutable generation of the relation's row
-    log; ``head`` is the relation's ``(version, log, n)`` it was taken
-    at; ``index_source`` (``positions -> HashIndex``) and
-    ``encoded_source`` (``() -> EncodedTable``) resolve exactly that
-    state, sharing the relation's own immutable generations instead of
-    rebuilding them per view.
-    """
-
-    __slots__ = ("name", "head", "_index_source", "_encoded_source")
-
-    def __init__(
-        self, rows: list[tuple], name: str, head: tuple, index_source, encoded_source
-    ) -> None:
-        super().__init__(rows)
-        self.name = name
-        self.head = head
-        self._index_source = index_source
-        self._encoded_source = encoded_source
-
-    @property
-    def version(self) -> int:
-        return self.head[0]
-
-    def index_on(self, positions: tuple[int, ...]) -> HashIndex:
-        index = self._indexes.get(positions)
-        if index is None:
-            index = self._indexes[positions] = self._index_source(positions)
-        return index
-
-    def encoded(self):
-        """The pinned rows as the relation's dictionary-encoded table."""
-        return self._encoded_source()
-
-    def __repr__(self) -> str:  # pragma: no cover - display only
-        return f"<SnapshotView {self.name}@v{self.version}: {len(self.rows)} rows>"
 
 
 def partition_rows(

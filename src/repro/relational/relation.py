@@ -48,7 +48,7 @@ from operator import itemgetter
 
 from ..errors import TypeMismatchError
 from ..types import RelationType, check_relation_assignment
-from .indexes import HashIndex, ShardView, SnapshotView, partition_views
+from .indexes import HashIndex, ShardView, partition_views
 from .rows import Row
 from .stats import TableStats
 from .vectors import Dictionary, EncodedTable
@@ -579,26 +579,76 @@ class Relation:
         copy._head = (1, log[:n], n)
         return copy
 
-    def snapshot_view(self) -> SnapshotView:
-        """A pinned view of the current committed state: the snapshot-read
-        primitive of the serving layer (``repro.dbpl.serving``) and of
-        compiled fixpoints, which read their base relations at one head.
-
-        The view holds one immutable row-list generation and its head, and
-        resolves indexes and the encoded table through :meth:`_view` for
-        exactly that head — the relation's own generation while the version
-        stands, a private one once it has moved on — so a reader keeps
-        scanning and probing one committed state while writers move on.
-        """
-        head = self._materialize()
-        return SnapshotView(
-            self._view(_ROWS, head),
-            self.name,
-            head,
-            lambda positions: self._view(("index", positions), head),
-            lambda: self._view(_ENCODED, head),
-        )
+    def snapshot_view(self) -> "PinnedRelation":
+        """The relation's read API pinned at the current committed head:
+        what a :class:`~repro.relational.database.DatabaseSnapshot`
+        answers for it (snapshot reads, compiled fixpoints' base
+        relations).  A cold relation materializes first."""
+        return PinnedRelation(self, self._materialize())
 
     def __repr__(self) -> str:  # pragma: no cover - display only
         return f"<Relation {self.name}: {len(self)} x {self.rtype.element.name}>"
 
+
+class PinnedRelation:
+    """A relation's read API at one committed head.
+
+    Every read is :meth:`Relation._view` at ``head`` — the relation's own
+    generation while its version stands, a private one once writers have
+    moved on (kept here, so a pinned reader rebuilds it once) — so
+    whatever reads through it scans, probes and encodes one committed
+    state.  A pinned head is materialized: there is no cold store to
+    push scans down to.  Nothing writes through it.
+    """
+
+    __slots__ = ("_rel", "head", "name", "element_type", "_held")
+
+    cold_store = None
+
+    def __init__(self, rel: Relation, head: tuple) -> None:
+        self._rel = rel
+        self.head = head
+        self.name = rel.name
+        self.element_type = rel.rtype.element
+        self._held: dict = {}
+
+    def _view(self, slot: tuple):
+        payload = self._held.get(slot)
+        if payload is None:
+            payload = self._held[slot] = self._rel._view(slot, self.head)
+        return payload
+
+    @property
+    def version(self) -> int:
+        return self.head[0]
+
+    def __len__(self) -> int:
+        return self.head[2]
+
+    def raw_list(self) -> list[tuple]:
+        return self._view(_ROWS)
+
+    def rows(self) -> frozenset[tuple]:
+        return self._view(_SET)
+
+    raw = rows
+
+    def index_on(self, attrs: tuple[str, ...]) -> HashIndex:
+        positions = tuple(self.element_type.index_of(a) for a in attrs)
+        return self._view(("index", positions))
+
+    def partitions(self, key: tuple[str, ...], k: int) -> tuple[ShardView, ...]:
+        positions = tuple(self.element_type.index_of(a) for a in key)
+        return self._view(("shards", positions, k))
+
+    def encoded(self) -> EncodedTable:
+        return self._view(_ENCODED)
+
+    def stats(self) -> TableStats:  # the live relation's: estimates only
+        return self._rel.stats()
+
+    def scan_pushdown(self, projection, selection, params=None):
+        return None
+
+    def snapshot_view(self) -> "PinnedRelation":
+        return self

@@ -112,28 +112,43 @@ def test_constructed_ranges_in_set_formers_through_the_front_door(seed):
 
     ``Session.query`` ≡ the oracle on every executor; a prepared handle
     ≡ ``query`` with its own and with rebound constants; the cached
-    program re-runs against live state after a write; nothing falls
-    back; and one shape is one plan-cache entry.
+    program re-runs against live state after a write, and against the
+    pinned state under a snapshot taken before it; nothing falls back;
+    and one shape is one plan-cache entry.
     """
     rng = random.Random(3000 + seed)
     s, nodes = random_front_door_session(rng)
     drawn = random_front_door_queries(rng, nodes)
-    handles = []
+    handles, answers = [], []
     for shapes, (template, constants, other) in enumerate(drawn, start=1):
         text, rebound = template % constants, template % other
         prepared = s.prepare(text)
         handles.append(prepared)
-        assert (
-            s.query(text) == prepared.execute() == s.query(text, mode="interpreted")
-        ), text
+        answers.append(s.query(text, mode="interpreted"))
+        assert s.query(text) == prepared.execute() == answers[-1], text
         assert (
             s.query(rebound)
             == prepared.execute(*other)
             == s.query(rebound, mode="interpreted")
         ), rebound
         assert len(s.plan_cache) == shapes, text
-    # One more edge: the cached programs must not serve the old value.
+    # One more edge and one fewer: a snapshot taken before still answers
+    # the old value, and the cached programs must not serve it live.
+    snapshot = s.snapshot()
+    pinned = ExecOptions(snapshot=snapshot)
     s.insert("E", [(rng.choice(nodes), "fresh")])
+    s.relation("E").delete([rng.choice(sorted(snapshot["E"].raw_list()))])
+    for prepared, (template, constants, _), answer in zip(handles, drawn, answers):
+        text = template % constants
+        assert s.query(text, mode="interpreted", options=pinned) == answer, text
+        assert prepared.execute(snapshot=snapshot) == answer, text
+        for executor in ALL_EXECUTORS:
+            options = ExecOptions(
+                executor=executor, shard_config=forced_shard_config()
+            )
+            assert s.query(text, options=pinned.over(options)) == answer, (text, executor)
+            handle = s.prepare(text, options=options)
+            assert handle.execute(snapshot=snapshot) == answer, (text, executor)
     for prepared, (template, constants, _) in zip(handles, drawn):
         text = template % constants
         oracle = s.query(text, mode="interpreted")

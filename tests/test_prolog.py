@@ -1,5 +1,7 @@
 """Tests for the proof-oriented engines: SLD resolution and tabling."""
 
+import sys
+
 import pytest
 
 from repro.datalog import parse_atom, parse_program
@@ -156,6 +158,25 @@ class TestTabled:
         assert TabledEngine(make_kb(edges)).all_answers(goal) == SLDEngine(
             make_kb(edges)
         ).all_answers(goal)
+
+
+class TestRecursionLimit:
+    """The engines deepen the interpreter stack only while they answer."""
+
+    DEPTH = 400
+
+    @pytest.mark.parametrize("engine_class", [SLDEngine, TabledEngine])
+    def test_limit_is_restored_after_a_deep_chain(self, engine_class):
+        edges = [(f"n{i}", f"n{i + 1}") for i in range(self.DEPTH)]
+        before = sys.getrecursionlimit()
+        engine = engine_class(make_kb(edges))
+        assert sys.getrecursionlimit() == before
+        answers = engine.all_answers(parse_atom("ahead(n0, Y)"))
+        assert len(answers) == self.DEPTH
+        assert sys.getrecursionlimit() == before
+        if engine_class is SLDEngine:
+            assert engine.prove(parse_atom(f"ahead(n0, n{self.DEPTH})"))
+            assert sys.getrecursionlimit() == before
 
 
 class TestKnowledgeBase:

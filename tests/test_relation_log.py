@@ -161,7 +161,7 @@ class TestGenerations:
         index = rel.index_on(attrs)
         objects = {
             "list": rel.raw_list(),
-            "snapshot": rel.snapshot_view().rows,
+            "snapshot": rel.snapshot_view().raw_list(),
             "set": rel.raw(),
             "encoded rows": rel.encoded().rows,
             "encoded ids": [col.ids for col in rel.encoded().columns],
@@ -221,11 +221,11 @@ class TestGenerations:
         snap = rel.snapshot_view()
         rel.insert([(100, 0)])
         live = rel.index_on(attrs)
-        pinned = snap.index_on(live.positions)
+        pinned = snap.index_on(attrs)
         assert pinned is not live and pinned._total_rows == 40
         # The slot never steps back: the live generation is still published.
         assert rel.peek_index(live.positions) is live
-        assert snap.index_on(live.positions) is pinned
+        assert snap.index_on(attrs) is pinned
 
     def test_partitions_are_cached_per_version(self):
         rel, attrs = self.build()
@@ -331,7 +331,7 @@ class TestConcurrentWriter:
             try:
                 while not stop.is_set():
                     view = rel.snapshot_view()
-                    assert span_of(view.rows) == states[view.version]
+                    assert span_of(view.raw_list()) == states[view.version]
                     span_of(rel.raw_list())
                     index = rel.index_on(("tag",))
                     bucket = index.buckets[(0,)]  # every row has tag 0

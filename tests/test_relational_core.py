@@ -153,14 +153,14 @@ class TestRelationIndexes:
         early = rel.snapshot_view()  # pinned before any index exists
         live = rel.index_on(("src",))
         late = rel.snapshot_view()
-        assert early.index_on((0,)) is live
-        assert late.index_on((0,)) is live
+        assert early.index_on(("src",)) is live
+        assert late.index_on(("src",)) is live
         rel.insert([("a", "d")])
         assert rel.index_on(("src",)) is not live
         # The snapshot keeps answering the pinned rows from the same object.
-        assert late.index_on((0,)) is live
-        assert sorted(late.index_on((0,)).lookup(("a",))) == [("a", "b"), ("a", "c")]
-        assert sorted(late.rows) == [("a", "b"), ("a", "c")]
+        assert late.index_on(("src",)) is live
+        assert sorted(late.index_on(("src",)).lookup(("a",))) == [("a", "b"), ("a", "c")]
+        assert sorted(late.raw_list()) == [("a", "b"), ("a", "c")]
 
 
 class TestWritesThatChangeNothing:

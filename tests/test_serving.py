@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import repro.analysis.checks as checks_module
 import repro.dbpl.parser as parser_module
 import repro.dbpl.session as session_module
-from helpers import FRONT_DOOR_TEMPLATES, random_front_door_session
+from helpers import FRONT_DOOR_SCHEMA, FRONT_DOOR_TEMPLATES, random_front_door_session
 from repro.compiler import EXECUTOR_NAMES, ShardConfig
 from repro.dbpl import (
     DatabaseSnapshot,
@@ -71,6 +71,49 @@ END hop;
 """
 
 CLOSURE = {("table", "chair"), ("chair", "door"), ("table", "door")}
+
+
+SNAPSHOT_SCHEMA = """
+TYPE rrec = RECORD a, b: INTEGER END;
+     rrel = RELATION ... OF rrec;
+VAR R: rrel; S: rrel;
+SELECTOR known FOR Rel: rrel;
+BEGIN EACH t IN Rel: SOME u IN S (u.a = t.a) END known;
+CONSTRUCTOR tc FOR Rel: rrel (): rrel;
+BEGIN EACH r IN Rel: TRUE,
+      <r.a, t.b> OF EACH r IN Rel, EACH t IN Rel{tc()}: r.b = t.a
+END tc;
+CONSTRUCTOR from FOR Rel: rrel (x: INTEGER): rrel;
+BEGIN EACH r IN Rel: r.a = x,
+      <t.a, r.b> OF EACH t IN Rel{from(x)}, EACH r IN Rel: t.b = r.a
+END from;
+"""
+
+
+def _churn(s):
+    """Deletes and inserts after the snapshot: S (1,10), (2,1) → (2,50)."""
+    s.relation("S").delete([(1, 10), (2, 1)])
+    s.insert("S", [(2, 50)])
+    s.insert("R", [(3, 3)])
+
+
+def _cut_path(s):
+    s.relation("S").delete([(2, 3)])
+    s.insert("R", [(3, 3)])
+
+
+#: (query, initial S, the writes after the snapshot), one per reader a
+#: snapshot read must pin; R starts as {(1,1), (2,2)}.
+SNAPSHOT_SHAPES = (
+    ("{EACH r IN R: SOME t IN S (t.a = r.a)}", [(1, 10), (2, 1)], _churn),
+    ("{EACH r IN R: ALL t IN S (t.a <> r.a OR t.b > 100)}", [(1, 10), (2, 1)], _churn),
+    ("{EACH r IN R: r.a IN {<t.a> OF EACH t IN S: TRUE}}", [(1, 10), (2, 1)], _churn),
+    ("{EACH r IN R: SOME t IN S (t.a = r.a AND t.b > r.b)}", [(1, 10), (2, 1)], _churn),
+    ("{EACH r IN R[known()]: TRUE}", [(1, 10), (2, 1)], _churn),
+    ("{EACH r IN R: SOME t IN S{from(r.a)} (t.b = 3)}", [(1, 2), (2, 3)], _cut_path),
+    ("S{tc()}", [(1, 10), (2, 1)], _churn),
+    ("{EACH r IN S{tc()}: r.a = 1}", [(1, 10), (2, 1)], _churn),
+)
 
 
 def closure_session() -> Session:
@@ -301,10 +344,10 @@ class TestSnapshots:
     def test_snapshot_is_version_stamped(self):
         s = make_session()
         snap = s.snapshot()
-        v = snap.version("Fact")
+        v = snap["Fact"].version
         s.insert("Fact", [(900, "k0", "hot")])
         assert s.relation("Fact").version == v + 1
-        assert snap.version("Fact") == v
+        assert snap["Fact"].version == v
 
     def test_snapshot_query_ignores_later_writes(self):
         s = make_session()
@@ -373,37 +416,86 @@ class TestSnapshots:
         assert "SHARDS k=3" in prepared.explain()
         assert not any(s.fallbacks.values()), s.fallbacks
 
-    def test_snapshot_that_cannot_be_honoured_is_refused(self):
-        """Fixpoint programs and the interpreted paths read live state;
-        they used to take the snapshot and answer from live rows."""
+    def test_snapshot_pins_every_reader(self):
+        """Every reader of a snapshot read sees the pinned state: scans,
+        grouped and complement probes, memberships, the residual
+        evaluator, selector predicates, open applications and fixpoint
+        programs, on every executor and every door.  Residuals and
+        selectors used to read live rows; fixpoints and the interpreted
+        mode used to refuse the snapshot."""
+        for shape, rows, write in SNAPSHOT_SHAPES:
+            s = Session()
+            s.execute(SNAPSHOT_SCHEMA)
+            s.insert("R", [(1, 1), (2, 2)])
+            s.insert("S", rows)
+            expected = s.query(shape, mode="interpreted")
+            snapshot = s.snapshot()
+            pinned = ExecOptions(snapshot=snapshot)
+            write(s)
+            assert s.query(shape, mode="interpreted") != expected, shape
+            assert s.query(shape, mode="interpreted", options=pinned) == expected, shape
+            for executor in EXECUTOR_NAMES:
+                options = ExecOptions(executor=executor)
+                got = s.query(shape, options=pinned.over(options))
+                assert got == expected, (shape, executor)
+                got = s.prepare(shape, options=options).execute(snapshot=snapshot)
+                assert got == expected, (shape, executor, "prepared")
+                assert s.query(shape, options=options) != expected, (shape, executor)
+
+    def test_held_value_follows_the_snapshot(self):
+        """A snapshot read of a fixpoint statement goes through the held
+        value's hit/resume/recompute rule: the snapshot's heads equal to
+        the stamp hit, an older state runs from empty, and the next live
+        read resumes from there."""
+        s = Session()
+        s.execute(FRONT_DOOR_SCHEMA)
+        s.insert("E", [("a", "b"), ("b", "c")])
+        prepared = s.prepare("E{tc()}")
+        (program,) = prepared.plan.statement.fixpoints.values()
+        at_snapshot = prepared.execute()
+        snapshot = s.snapshot()
+        s.insert("E", [("c", "d")])
+        assert prepared.execute(snapshot=snapshot) == at_snapshot
+        assert program.last == ("hit", 0)
+        live = prepared.execute()
+        assert program.last == ("resumed", 1) and live > at_snapshot
+        assert prepared.execute(snapshot=snapshot) == at_snapshot
+        assert program.last == ("recomputed", 0)
+        assert prepared.execute() == live
+        assert program.last == ("resumed", 1)
+
+    def test_snapshot_of_a_closure_session(self):
         s = closure_session()
         set_former = '{EACH r IN Infront: r.front <> "vase"}'
         snapshot = s.snapshot()
         pinned = ExecOptions(snapshot=snapshot)
         s.insert("Infront", [("door", "wall")])
-        assert len(s.query(set_former, options=pinned)) == 2  # honoured
-        # A statement that runs a fixpoint is refused on every spelling:
-        # bare, inside a set former (it used to answer from live rows),
-        # query() or a prepared handle.
+        assert len(s.query(set_former, options=pinned)) == 2
+        # A statement that runs a fixpoint, bare or inside a set former,
+        # through query() or a prepared handle.
         over_closure = '{EACH r IN Infront{ahead()}: r.front = "table"}'
-        for source in ("Infront{ahead()}", over_closure):
-            with pytest.raises(ValueError, match="snapshot"):
-                s.query(source, options=pinned)
-            with pytest.raises(ValueError, match="snapshot"):
-                s.prepare(source).execute(snapshot=snapshot)
+        for source, answer in (
+            ("Infront{ahead()}", CLOSURE),
+            (over_closure, {r for r in CLOSURE if r[0] == "table"}),
+        ):
+            assert s.query(source, options=pinned) == answer
+            assert s.prepare(source).execute(snapshot=snapshot) == answer
+            assert s.query(source) != answer
         # A non-recursive application inlined away leaves only scans.
         inlined = '{EACH r IN Infront{hop()}: r.front = "chair"}'
         assert s.query(inlined, options=pinned) == set()
         assert s.query(inlined) == {("chair", "wall")}
         assert s.prepare(inlined).execute(snapshot=snapshot) == set()
+        assert len(s.query(set_former, mode="interpreted", options=pinned)) == 2
+        # Only subscriptions, which maintain live state, refuse one.
         with pytest.raises(ValueError, match="snapshot"):
-            s.query(set_former, mode="interpreted", options=pinned)
+            s.subscribe(set_former, options=pinned)
 
     def test_snapshot_of_database_object(self):
         s = make_session()
         snap = DatabaseSnapshot(s.db)
-        assert set(snap.views) == {"Fact", "Dim", "Ann"}
-        assert len(snap.rows("Dim")) == 7
+        assert set(snap.relations) == {"Fact", "Dim", "Ann"}
+        assert len(snap["Dim"].raw_list()) == 7
 
 
 class TestTornReads:
@@ -413,7 +505,7 @@ class TestTornReads:
     N_ROWS = 400
     N_ROUNDS = 60
 
-    def _stress(self, read_once):
+    def _stress(self, read_once, rounds=N_ROUNDS):
         s = Session()
         s.execute(
             """
@@ -437,7 +529,7 @@ class TestTornReads:
 
         def reader():
             try:
-                for _ in range(self.N_ROUNDS):
+                for _ in range(rounds):
                     rows = read_once(s)
                     assert len(rows) == self.N_ROWS, "phantom or lost rows"
                     generations = {b for _, b in rows}
@@ -464,16 +556,36 @@ class TestTornReads:
     def test_snapshot_reads_are_never_torn(self):
         def read(s):
             snap = s.snapshot()
-            return snap.rows("R")
+            return snap["R"].raw_list()
 
         self._stress(read)
 
-    def test_compiled_snapshot_queries_under_writer_churn(self):
+    @staticmethod
+    def _snapshot_read(source):
         def read(s):
             snap = s.snapshot()
-            return list(s.query("{EACH r IN R: r.a >= 0}", options=ExecOptions(snapshot=snap)))
+            return list(s.query(source, options=ExecOptions(snapshot=snap)))
 
-        self._stress(read)
+        return read
+
+    def test_compiled_snapshot_queries_under_writer_churn(self):
+        self._stress(self._snapshot_read("{EACH r IN R: r.a >= 0}"))
+
+    # A probe and a residual read the same snapshot as the scan: a later
+    # generation's larger ``b`` would drop every row.
+
+    def test_snapshot_grouped_probes_under_writer_churn(self):
+        self._stress(
+            self._snapshot_read("{EACH r IN R: SOME t IN R (t.a = r.a AND t.b = r.b)}")
+        )
+
+    def test_snapshot_residuals_under_writer_churn(self):
+        # ``<=`` keeps the quantifier off the probe path: the residual
+        # evaluator runs it, O(rows²) per read, hence fewer rounds.
+        self._stress(
+            self._snapshot_read("{EACH r IN R: SOME t IN R (t.a = r.a AND t.b <= r.b)}"),
+            rounds=4,
+        )
 
 
 class TestConcurrentServing:

@@ -383,6 +383,37 @@ class TestCallbackIsolation:
             assert_tracks(s, sub, source)
 
 
+class TestFamilyIsolation:
+    """A family whose maintenance raises leaves every other family
+    current, and recounts whole once its query evaluates again."""
+
+    BAD = "{EACH r IN R: 10 DIV r.b > 1}"
+    GOOD = "{EACH r IN R: r.a > 0}"
+
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_raising_family_leaves_the_others_current(self, bad_first):
+        s = Session()
+        s.execute(
+            "TYPE rrec = RECORD a, b: INTEGER END; rrel = RELATION ... OF rrec; VAR R: rrel;"
+        )
+        s.insert("R", [(1, 1), (2, 2)])
+        order = (self.BAD, self.GOOD) if bad_first else (self.GOOD, self.BAD)
+        subs = {source: s.subscribe(source) for source in order}
+        good, bad = subs[self.GOOD], subs[self.BAD]
+        with pytest.raises(ZeroDivisionError):
+            s.insert("R", [(3, 0)])
+        assert (3, 0) in s.relation("R").raw()  # the commit stands
+        assert_tracks(s, good, self.GOOD)
+        assert [(e.inserted, e.deleted) for e in good.changes()] == [({(3, 0)}, set())]
+        s.relation("R").delete([(3, 0)])
+        assert_tracks(s, bad, self.BAD)
+        assert_tracks(s, good, self.GOOD)
+        assert [(e.inserted, e.deleted) for e in good.changes()] == [(set(), {(3, 0)})]
+        s.insert("R", [(4, 4)])
+        assert_tracks(s, bad, self.BAD)
+        assert bad.delta_batches and bad.recomputes == 1
+
+
 class TestFamilies:
     """Clock-free guards: maintenance costs one plan run per watching
     family, not one per subscriber."""
