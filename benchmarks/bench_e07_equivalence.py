@@ -6,7 +6,8 @@ from repro import paper
 from repro.bench import experiments
 from repro.calculus import dsl as d
 from repro.constructors import instantiate
-from repro.datalog import DatalogEngine, datalog_to_database, parse_program, system_to_program
+from repro.datalog import DatalogEngine, declare_program, parse_program, system_to_program
+from repro.relational import Database
 from repro.workloads import binary_tree
 
 from benchtable import write_table
@@ -34,7 +35,8 @@ def test_e07_datalog_to_constructor_roundtrip(benchmark, tree_db):
     edges = set(tree_db["Infront"].rows())
 
     def roundtrip():
-        db, apps = datalog_to_database(TC, {"infront": edges})
+        db = Database("datalog")
+        apps = declare_program(db, TC, {"infront": edges})
         from repro.constructors import construct
 
         return construct(db, apps["ahead"]).rows

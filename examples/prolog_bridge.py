@@ -10,8 +10,9 @@ set-oriented engines terminate.
 """
 
 from repro.constructors import construct
-from repro.datalog import DatalogEngine, datalog_to_database, parse_atom, parse_program
+from repro.datalog import DatalogEngine, declare_program, parse_atom, parse_program
 from repro.prolog import DepthLimitExceeded, KnowledgeBase, SLDEngine, TabledEngine
+from repro.relational import Database
 
 SG = """
 sg(X, Y) :- flat(X, Y).
@@ -29,7 +30,8 @@ print("program:")
 print(program)
 
 # 1. constructors (via the lemma's constructive translation)
-db, apps = datalog_to_database(program, EDB)
+db = Database("sg")
+apps = declare_program(db, program, EDB)
 constructed = construct(db, apps["sg"])
 print(f"\nconstructor engine: {len(constructed.rows)} sg tuples "
       f"({constructed.stats.mode})")
@@ -61,7 +63,8 @@ except DepthLimitExceeded:
     print("\nSLD loops on the cycle (depth budget exceeded) —")
 
 tabled = TabledEngine(kb2).all_answers(parse_atom("ahead(X, Y)"))
-db2, apps2 = datalog_to_database(TC, cyclic)
+db2 = Database("tc")
+apps2 = declare_program(db2, TC, cyclic)
 fixpoint = construct(db2, apps2["ahead"])
 assert fixpoint.rows == tabled == {(x, y) for x in "abc" for y in "abc"}
 print("while the set-oriented fixpoint finds all"

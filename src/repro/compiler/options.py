@@ -3,7 +3,7 @@
 Every front door (``Session``/``Session.query``/``prepare``/
 ``subscribe``, ``compile_query``, ``run_query``, ``compile_statement``,
 ``compile_fixpoint``, ``construct_compiled``,
-``DatalogEngine.solve``/``solve_compiled``)
+``DatalogEngine.solve``/``query``)
 takes its execution knobs — executor, optimizer, shard configuration,
 analysis policy, snapshot — one way: a frozen :class:`ExecOptions`
 passed as ``options=``.  ``None`` fields mean "inherit the caller's

@@ -4,8 +4,8 @@ Partitioned execution of the columnar operator pipelines of
 :mod:`repro.compiler.operators` across a ``concurrent.futures`` worker
 pool.  The backend plugs into the :mod:`repro.compiler.executors`
 registry, so every entry point — ``compile_query``, the fixpoint driver,
-``DatalogEngine.solve(mode="compiled")`` — inherits it by passing
-``executor="sharded"``.
+``compile_statement`` and so a compiled Datalog goal — inherits it by
+passing ``options=ExecOptions(executor="sharded")``.
 
 How a branch is sharded
 -----------------------

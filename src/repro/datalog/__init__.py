@@ -4,7 +4,7 @@ from .ast import Atom, Comparison, Const, Literal, Program, Rule, Term, Var, mka
 from .engine import DatalogEngine, DatalogStats
 from .from_constructors import system_to_program
 from .parser import parse_atom, parse_program
-from .to_constructors import datalog_to_database
+from .to_constructors import declare_program
 
 __all__ = [
     "Atom",
@@ -17,7 +17,7 @@ __all__ = [
     "Rule",
     "Term",
     "Var",
-    "datalog_to_database",
+    "declare_program",
     "mkatom",
     "parse_atom",
     "parse_program",

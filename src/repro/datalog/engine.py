@@ -7,12 +7,12 @@ evaluators (constructor fixpoints, this engine, and SLD resolution)
 against each other, which is the strongest correctness evidence a
 reproduction can offer.
 
-``mode="compiled"`` routes the program through the section 3.4
-translation (:mod:`repro.datalog.to_constructors`) into constructor
-systems and runs the planner's batched fixpoint executor on them —
-Datalog queries get cost-based join ordering, hash-join access paths,
-and set-at-a-time execution for free, while the substitution engines
-remain the semantic baseline.
+``mode="compiled"`` takes the program for what the section 3.4 lemma
+says it is, constructor declarations over a database
+(:func:`~repro.datalog.to_constructors.declare_program`), and compiles
+each goal once into a held :class:`~repro.compiler.levels.CompiledStatement`
+— the one runtime every compiled read has (held values, every executor),
+while the substitution engines remain the semantic baseline.
 
 Only positive programs (no negation) with optional comparison literals
 are supported, matching the section 3.4 fragment.  Rules must be range
@@ -24,9 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.diagnostics import Diagnostics
-from ..compiler.options import ExecOptions
+from ..compiler.levels import CompiledStatement, compile_statement
+from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
+from ..constructors.engines import FixpointStats
 from ..errors import DatalogAnalysisError, TranslationError
-from .ast import Atom, Comparison, Const, Program, Rule
+from ..relational import Database
+from .ast import Atom, Comparison, Const, Program, Rule, Var
+from .to_constructors import declare_program, goal_query, program_facts, program_fields
 
 Bindings = dict[str, object]
 Facts = dict[str, set[tuple]]
@@ -97,20 +101,36 @@ _UNSET = object()
 
 
 class DatalogEngine:
-    """Evaluates a positive Datalog program over extensional facts."""
+    """Evaluates a positive Datalog program over extensional facts:
+    a fact dict, declared into a database of the engine's own on first
+    compiled use, or a :class:`~repro.relational.Database` the program
+    is declared into at once — every mode then reads its current state.
+    """
 
-    def __init__(self, program: Program, edb: Facts | None = None) -> None:
+    def __init__(self, program: Program, edb: Facts | Database | None = None) -> None:
         self.diagnostics = _analysis_gate(program)
         self.program = program
-        self.edb: Facts = {p: set(rows) for p, rows in (edb or {}).items()}
-        # Facts written inline in the program join the EDB.
-        for rule in program.rules:
-            if rule.is_fact:
-                self.edb.setdefault(rule.head.pred, set()).add(
-                    tuple(t.value for t in rule.head.terms)  # type: ignore[union-attr]
-                )
         self.idb_rules = [r for r in program.rules if not r.is_fact]
         self.idb_preds = {r.head.pred for r in self.idb_rules}
+        self.db = edb if isinstance(edb, Database) else None
+        # Facts written inline in the program join the EDB.
+        facts = program_facts(program, None if self.db is not None else edb)
+        self._facts = facts if self.db is None else None
+        self.fields = program_fields(program, facts, self.db)
+        if self.db is not None:
+            declare_program(self.db, program)
+        #: Compiled goal statements, by goal query and options.
+        self._statements: dict[tuple, CompiledStatement] = {}
+
+    @property
+    def edb(self) -> Facts:
+        """The extensional facts (and IDB seed facts) the rules start from."""
+        if self._facts is not None:
+            return self._facts
+        return {
+            pred: self.db[f"{pred}__base" if pred in self.idb_preds else pred].rows()
+            for pred in self.fields
+        }
 
     # -- rule application ---------------------------------------------------
 
@@ -259,51 +279,26 @@ class DatalogEngine:
 
     # -- compiled evaluation ----------------------------------------------------
 
-    def solve_compiled(
-        self,
-        stats: DatalogStats | None = None,
-        *,
-        options: ExecOptions | None = None,
-    ) -> dict[str, frozenset]:
-        """Evaluate through the constructor translation and the batched
-        fixpoint executor (see :mod:`repro.compiler`).
-
-        Each IDB predicate's least model is the value of its translated
-        constructor application; mutually recursive predicates share one
-        instantiated system, so every strongly connected component is
-        solved exactly once.  ``options.executor`` names a backend in
-        the :mod:`repro.compiler.executors` registry — ``"batch"``
-        (columnar struct-of-arrays pipelines, the default), ``"vector"``,
-        ``"sharded"`` (hash-partitioned parallel execution;
-        ``options.shard_config`` tunes its worker pool), or the
-        ``"tuple"``/``"rowbatch"`` baselines — so Datalog programs
-        inherit every executor improvement unchanged.
-        """
-        from ..compiler.fixpoint import construct_compiled
-        from .to_constructors import datalog_to_database
-
-        stats = stats if stats is not None else DatalogStats()
-        stats.mode = "compiled"
-        db, applications = datalog_to_database(self.program, self.edb)
-        totals: dict[str, frozenset] = {
-            pred: frozenset(rows) for pred, rows in self.edb.items()
-        }
-        solved: set[str] = set()
-        for pred, application in applications.items():
-            if pred in solved:
-                continue
-            result = construct_compiled(db, application, options=options)
-            # Harvest every application of the instantiated system: a
-            # mutually recursive clique is computed once, not per root.
-            for key, rows in result.values.items():
-                name = key.constructor
-                if name.startswith("c_") and name[2:] in applications:
-                    totals[name[2:]] = frozenset(rows)
-                    solved.add(name[2:])
-            stats.iterations += result.stats.iterations
-            stats.tuples_derived += result.stats.tuples_derived
-            stats.rule_firings += len(result.system.apps)
-        return totals
+    def statement(
+        self, goal: Atom, options: ExecOptions | None = None
+    ) -> CompiledStatement:
+        """The statement whose rows are ``goal``'s ground instances,
+        compiled once per goal and options: a re-asked goal advances its
+        held values.  An unknown predicate is DBPL103, a wrong arity
+        DBPL104."""
+        query = goal_query(goal, self.idb_preds, self.fields)
+        options = options if options is not None else DEFAULT_OPTIONS
+        key = (query, options.cache_key())
+        statement = self._statements.get(key)
+        if statement is None:
+            if self.db is None:
+                self.db = Database("datalog")
+                # A predicate without facts is empty.
+                facts = dict.fromkeys(self.fields, ()) | self._facts
+                declare_program(self.db, self.program, facts)
+            statement = compile_statement(self.db, query, options=options)
+            self._statements[key] = statement
+        return statement
 
     def solve(
         self,
@@ -312,18 +307,48 @@ class DatalogEngine:
         *,
         options: ExecOptions | None = None,
     ) -> dict[str, frozenset]:
+        """Every predicate's value, EDB predicates included; ``options``
+        reach the plans of ``compiled`` mode (see :meth:`statement`)."""
         if mode == "naive":
             return self.solve_naive(stats)
         if mode == "seminaive":
             return self.solve_seminaive(stats)
-        if mode == "compiled":
-            return self.solve_compiled(stats, options=options)
-        raise ValueError(f"unknown mode {mode!r}")
+        if mode != "compiled":
+            raise ValueError(f"unknown mode {mode!r}")
+        stats = stats if stats is not None else DatalogStats()
+        stats.mode = "compiled"
+        totals = {pred: frozenset(rows) for pred, rows in self.edb.items()}
+        solved: set[str] = set()
+        for pred in sorted(self.idb_preds):  # a clique is solved once
+            if pred in solved:
+                continue
+            goal = Atom(pred, tuple(Var(f"X{i}") for i in range(len(self.fields[pred]))))
+            statement = self.statement(goal, options)
+            for program in statement.fixpoints.values():
+                fixpoint_stats = FixpointStats()
+                for key, rows in program.advance(stats=fixpoint_stats).items():
+                    totals[key.constructor[2:]] = frozenset(rows)
+                    solved.add(key.constructor[2:])
+                stats.iterations += fixpoint_stats.iterations
+                stats.tuples_derived += fixpoint_stats.tuples_derived
+                stats.rule_firings += len(program.system.apps)
+            if pred not in solved:  # inlined: the top plan computes it
+                totals[pred] = frozenset(statement.run())
+        return totals
 
     def query(
-        self, goal: Atom, mode: str = "seminaive", stats: DatalogStats | None = None
+        self,
+        goal: Atom,
+        mode: str = "seminaive",
+        stats: DatalogStats | None = None,
+        *,
+        options: ExecOptions | None = None,
     ) -> set[tuple]:
-        """All ground instances of ``goal`` entailed by the program."""
+        """All ground instances of ``goal`` entailed by the program
+        (``stats`` counts the substitution modes' work)."""
+        if mode == "compiled":
+            return self.statement(goal, options).run()
+        goal_query(goal, self.idb_preds, self.fields)  # DBPL103/104 as compiled
         solution = self.solve(mode, stats)
         rows = solution.get(goal.pred, frozenset())
         out: set[tuple] = set()

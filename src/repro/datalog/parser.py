@@ -8,7 +8,7 @@ Accepts the function-free fragment of section 3.4:
     bigger(X, Y) :- size(X, SX), size(Y, SY), SX > SY.
 
 Variables start with an upper-case letter or ``_``; constants are
-lower-case symbols, integers, or double-quoted strings.  ``%`` starts a
+lower-case symbols, ASCII ``[0-9]`` integers, or double-quoted strings.  ``%`` starts a
 line comment.  Comparison operators use PROLOG spellings
 (``=``, ``\\=``, ``<``, ``=<``, ``>``, ``>=``); ``\\+`` negates a body
 atom (parsed for the static analyzer — the positive engines reject it).
@@ -36,7 +36,7 @@ _TOKEN_RE = re.compile(
   | (?P<rparen>\))
   | (?P<comma>,)
   | (?P<dot>\.)
-  | (?P<number>-?\d+)
+  | (?P<number>-?[0-9]+)
   | (?P<string>"[^"]*")
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     """,
@@ -163,7 +163,11 @@ class _Parser:
         token = self.next()
         kind, value, line, col = token
         if kind == "number":
-            return self._mark(token, Const(int(value)))
+            try:  # more digits than sys.get_int_max_str_digits()
+                number = int(value)
+            except ValueError:
+                raise DBPLSyntaxError("integer literal too long", line, col) from None
+            return self._mark(token, Const(number))
         if kind == "string":
             return self._mark(token, Const(value[1:-1]))
         if kind == "name":

@@ -15,7 +15,10 @@ from repro.datalog import (
     parse_atom,
     parse_program,
 )
-from repro.errors import DBPLSyntaxError, TranslationError
+from repro.analysis.diagnostics import span_of
+from repro.compiler import ExecOptions
+from repro.dbpl import Session
+from repro.errors import DatalogAnalysisError, DBPLSyntaxError, SchemaError, TranslationError
 
 TC_SOURCE = """
 % transitive closure of infront
@@ -257,3 +260,131 @@ class TestEngineCompiled:
         assert stats.mode == "compiled"
         assert stats.iterations >= 3
         assert stats.tuples_derived >= len(CHAIN_TC)
+
+
+MODES = ("naive", "seminaive", "compiled")
+EDGE_SCHEMA = """
+TYPE erec = RECORD src, dst: STRING END;
+     erel = RELATION src, dst OF erec;
+VAR edge: erel;
+"""
+PATH_SOURCE = """
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- edge(X, Z), path(Z, Y).
+"""
+
+
+def edge_session(rows=(("a", "b"), ("b", "c"))) -> Session:
+    session = Session()
+    session.execute(EDGE_SCHEMA)
+    session.insert("edge", list(rows))
+    return session
+
+
+class TestGoalChecks:
+    """A goal is translated (and checked) the same way in every mode."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "text, code",
+        [("path(X)", "DBPL104"), ("path(X, Y, Z)", "DBPL104"), ("nosuch(X)", "DBPL103")],
+    )
+    def test_wrong_arity_or_unknown_predicate(self, mode, text, code):
+        engine = DatalogEngine(parse_program(PATH_SOURCE), {"edge": {("a", "b"), ("b", "c")}})
+        goal = parse_atom(text)
+        with pytest.raises(DatalogAnalysisError) as info:
+            engine.query(goal, mode)
+        assert [d.code for d in info.value.diagnostics.errors] == [code]
+        assert (info.value.line, info.value.column) == (1, 1)
+        assert info.value.span == span_of(goal)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ragged_facts_are_rejected_at_construction(self, mode):
+        ragged = {"edge": [("a", "b"), ("b", "c", "d")]}
+        with pytest.raises(DatalogAnalysisError, match="DBPL104.*edge") as info:
+            DatalogEngine(parse_program(PATH_SOURCE), ragged).solve(mode)
+        assert [d.code for d in info.value.diagnostics.errors] == ["DBPL104"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_query_takes_options(self, mode):
+        engine = DatalogEngine(parse_program(PATH_SOURCE), {"edge": {("a", "b"), ("b", "c")}})
+        for executor in ("batch", "tuple"):
+            options = ExecOptions(executor=executor)
+            got = engine.query(parse_atom("path(a, X)"), mode, options=options)
+            assert got == {("a", "b"), ("a", "c")}
+
+
+class TestDatabaseBoundEngine:
+    """``DatalogEngine(program, session.db)``: the program's constructors
+    live in the caller's database and its goals are held statements."""
+
+    def test_edb_reads_the_relation_by_position(self):
+        session = edge_session()
+        engine = DatalogEngine(parse_program(PATH_SOURCE), session.db)
+        assert engine.fields["edge"] == ("src", "dst")
+        for mode in MODES:
+            assert engine.query(parse_atom("path(a, X)"), mode) == {("a", "b"), ("a", "c")}
+
+    def test_held_goal_hits_resumes_and_recomputes(self):
+        session = edge_session()
+        engine = DatalogEngine(parse_program(PATH_SOURCE), session.db)
+        goal = parse_atom("path(X, Y)")
+        (program,) = engine.statement(goal).fixpoints.values()
+
+        def ask():
+            got = engine.query(goal, "compiled")
+            assert got == engine.query(goal, "seminaive")
+            assert got == session.query("path__base{c_path}")
+            return got
+
+        ask()
+        ask()
+        assert program.last == ("hit", 0)
+        session.insert("edge", [("c", "d")])
+        assert ("a", "d") in ask()
+        assert program.last == ("resumed", 1)
+        session.relation("edge").delete([("a", "b")])
+        assert ("a", "d") not in ask()
+        assert program.last == ("recomputed", 0)
+
+    def test_front_door_serves_the_constructors(self):
+        session = edge_session()
+        engine = DatalogEngine(parse_program(PATH_SOURCE), session.db)
+        subscription = session.subscribe("path__base{c_path}")
+        session.insert("edge", [("c", "d")])
+        want = engine.query(parse_atom("path(X, Y)"), "compiled")
+        assert subscription.rows() == want == session.query("path__base{c_path}")
+        assert session.query('{EACH t IN path__base{c_path}: t.a0 = "a"}') == {
+            row for row in want if row[0] == "a"
+        }
+
+    def test_a_mutual_clique_is_solved_once(self):
+        src = """
+        even(X) :- zero(X).
+        even(X) :- succ(Y, X), odd(Y).
+        odd(X) :- succ(Y, X), even(Y).
+        """
+        edb = {"zero": {(0,)}, "succ": {(i, i + 1) for i in range(6)}}
+        stats = DatalogStats()
+        solution = DatalogEngine(parse_program(src), edb).solve("compiled", stats)
+        assert solution["even"] == {(0,), (2,), (4,), (6,)}
+        assert solution["odd"] == {(1,), (3,), (5,)}
+        # One system of two applications (even's), not one per member.
+        assert stats.rule_firings == 2
+
+    def test_redeclaring_reuses_and_conflicts_raise(self):
+        session = edge_session()
+        first = DatalogEngine(parse_program(PATH_SOURCE), session.db)
+        again = DatalogEngine(parse_program(PATH_SOURCE), session.db)
+        assert again.solve("compiled")["path"] == first.solve("seminaive")["path"]
+        with pytest.raises(SchemaError, match="c_path"):
+            DatalogEngine(parse_program("path(X, Y) :- edge(Y, X)."), session.db)
+
+    def test_missing_relation_and_arity_mismatch(self):
+        session = edge_session()
+        with pytest.raises(DatalogAnalysisError, match="DBPL103") as info:
+            DatalogEngine(parse_program("p(X) :- missing(X)."), session.db)
+        assert info.value.column == 9
+        with pytest.raises(DatalogAnalysisError, match="DBPL104") as info:
+            DatalogEngine(parse_program("p(X) :- edge(X)."), session.db)
+        assert info.value.column == 9

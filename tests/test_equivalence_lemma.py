@@ -14,12 +14,13 @@ from repro.constructors import apply_constructor, construct, instantiate, solve_
 from repro.calculus import dsl as d
 from repro.datalog import (
     DatalogEngine,
-    datalog_to_database,
+    declare_program,
     parse_atom,
     parse_program,
     system_to_program,
 )
 from repro.errors import TranslationError
+from repro.relational import Database
 from repro.prolog import KnowledgeBase, SLDEngine, TabledEngine
 
 from helpers import SCENE_INFRONT, SCENE_ONTOP
@@ -32,8 +33,9 @@ ahead(X, Y) :- infront(X, Z), ahead(Z, Y).
 
 class TestDatalogToConstructors:
     def test_tc_program(self):
-        db, apps = datalog_to_database(
-            parse_program(TC_SOURCE), {"infront": set(SCENE_INFRONT)}
+        db = Database("datalog")
+        apps = declare_program(
+            db, parse_program(TC_SOURCE), {"infront": set(SCENE_INFRONT)}
         )
         result = construct(db, apps["ahead"])
         oracle = DatalogEngine(
@@ -51,7 +53,8 @@ class TestDatalogToConstructors:
             "up": {("x", "a"), ("y", "b"), ("z", "c")},
             "down": {("a", "p"), ("b", "q"), ("c", "z")},
         }
-        db, apps = datalog_to_database(parse_program(src), edb)
+        db = Database("datalog")
+        apps = declare_program(db, parse_program(src), edb)
         result = construct(db, apps["sg"])
         oracle = DatalogEngine(parse_program(src), edb).solve()["sg"]
         assert result.rows == oracle
@@ -63,7 +66,8 @@ class TestDatalogToConstructors:
         odd(X) :- succ(Y, X), even(Y).
         """
         edb = {"zero": {(0,)}, "succ": {(i, i + 1) for i in range(8)}}
-        db, apps = datalog_to_database(parse_program(src), edb)
+        db = Database("datalog")
+        apps = declare_program(db, parse_program(src), edb)
         even = construct(db, apps["even"])
         odd = construct(db, apps["odd"])
         assert even.rows == {(0,), (2,), (4,), (6,), (8,)}
@@ -79,18 +83,20 @@ class TestDatalogToConstructors:
             "height": {("t1", 12), ("t2", 3)},
             "edge": {("a", "b"), ("b", "c"), ("z", "w")},
         }
-        db, apps = datalog_to_database(parse_program(src), edb)
+        db = Database("datalog")
+        apps = declare_program(db, parse_program(src), edb)
         assert construct(db, apps["tall"]).rows == {("t1",)}
         assert construct(db, apps["reach"]).rows == {("b",), ("c",)}
 
     def test_idb_facts_seed_base(self):
         src = "p(X, Y) :- q(X, Y).\np(seed, seed)."
-        db, apps = datalog_to_database(parse_program(src), {"q": {("a", "b")}})
+        db = Database("datalog")
+        apps = declare_program(db, parse_program(src), {"q": {("a", "b")}})
         assert construct(db, apps["p"]).rows == {("a", "b"), ("seed", "seed")}
 
     def test_inconsistent_arity_rejected(self):
         with pytest.raises(TranslationError, match="arities"):
-            datalog_to_database(parse_program("p(a).\np(a, b)."))
+            declare_program(Database("datalog"), parse_program("p(a).\np(a, b)."))
 
 
 class TestConstructorsToDatalog:

@@ -27,7 +27,7 @@ from repro.compiler import executors as executors_mod
 from repro.compiler import fixpoint as fixpoint_mod
 from repro.compiler.operators import lower_branch, lower_branch_columnar, lower_branch_vector
 from repro.constructors import instantiate
-from repro.datalog import DatalogEngine, parse_program
+from repro.datalog import DatalogEngine, parse_atom, parse_program
 from repro.dbpl import Session, parse_expression
 from repro.errors import (
     AnalysisError,
@@ -141,7 +141,7 @@ ENTRY_POINTS = (
     "compile_statement",
     "construct_compiled",
     "DatalogEngine.solve",
-    "DatalogEngine.solve_compiled",
+    "DatalogEngine.query",
 )
 
 
@@ -174,7 +174,9 @@ def _entry_points() -> dict:
         ).run(),
         "construct_compiled": lambda **kw: construct_compiled(s.db, node, **kw).rows,
         "DatalogEngine.solve": lambda **kw: engine.solve("compiled", **kw),
-        "DatalogEngine.solve_compiled": lambda **kw: engine.solve_compiled(**kw),
+        "DatalogEngine.query": lambda **kw: engine.query(
+            parse_atom("path(a, X)"), "compiled", **kw
+        ),
     }
 
 
