@@ -29,6 +29,7 @@ from ..errors import EvaluationError
 from ..relational import Database, Relation
 from ..types import INTEGER, RecordType, record
 from . import ast
+from .analysis import free_tuple_vars
 
 
 @dataclass
@@ -63,12 +64,11 @@ def _is_cacheable(rexpr: ast.RangeExpr) -> bool:
     """True when the range's value cannot change within one evaluation.
 
     Cacheable ranges reference no enclosing tuple variables (no correlated
-    arguments) and no fixpoint variables (whose approximations the fixpoint
-    engines advance between evaluator instances).
+    arguments; an inline query's own variables are fine) and no fixpoint
+    variables (whose approximations the fixpoint engines advance between
+    evaluator instances).
     """
-    return not any(
-        isinstance(n, (ast.AttrRef, ast.VarRef, ast.ApplyVar)) for n in ast.walk(rexpr)
-    )
+    return not free_tuple_vars(rexpr) and ast.find(rexpr, ast.ApplyVar) is None
 
 
 class Evaluator:

@@ -125,6 +125,18 @@ def negation_normal_form(pred: ast.Pred) -> ast.Pred:
     return pos(pred)
 
 
+def membership_existential(pred: ast.InRel, attrs, var: str) -> ast.Pred:
+    """``t IN R`` as ``SOME var IN R (var.a1 = t1 AND ...)``, ``attrs``
+    being ``R``'s attribute names — ``NOT TRUE`` when the arities differ
+    (a tuple of another width is never a member)."""
+    element = pred.element
+    items = element.items if isinstance(element, ast.TupleCons) else (element,)
+    if len(items) != len(attrs):
+        return ast.Not(ast.TRUE)
+    body = [ast.Cmp("=", ast.AttrRef(var, a), t) for a, t in zip(attrs, items)]
+    return ast.Some((var,), pred.range, conjoin(body))
+
+
 def eliminate_universals(pred: ast.Pred) -> ast.Pred:
     """Rewrite every ``ALL vs IN E (p)`` as ``NOT SOME vs IN E (NOT p)``.
 
@@ -184,7 +196,7 @@ def _inlinable(query: ast.Query) -> ast.Branch | None:
 
 def unnest_query(query: ast.Query) -> ast.Query:
     """Exhaustively apply N1–N3 right-to-left, flattening nested ranges."""
-    fresh = FreshNames(bound_vars(query))
+    fresh = FreshNames(bound_vars(query) | free_tuple_vars(query))
 
     def unnest_range(rng: ast.RangeExpr) -> tuple[ast.RangeExpr, object]:
         """Returns (new range, predicate-maker) where the maker builds the
@@ -197,7 +209,11 @@ def unnest_query(query: ast.Query) -> ast.Query:
                 inner_pred = inner.pred
 
                 def make(var: str, _iv=inner_var, _ip=inner_pred, _m=maker):
-                    p = rename_vars(_ip, {_iv: var}) if _iv != var else _ip
+                    p = _ip
+                    if _iv != var:
+                        if var in bound_vars(p):  # keep ``var`` from being captured
+                            p = rename_vars(p, {var: fresh.fresh(var)})
+                        p = rename_vars(p, {_iv: var})
                     if _m is not None:
                         p = conjoin((_m(var), p))
                     return p

@@ -10,7 +10,9 @@ everything the paper needs:
   expressions (also used to splice fixpoint ApplyVars in);
 * :func:`substitute_params` — scalar formal parameters -> terms;
 * :func:`rename_vars` — alpha-renaming of tuple variables (fresh names
-  avoid capture when bodies are inlined into surrounding queries).
+  avoid capture when bodies are inlined into surrounding queries);
+* :func:`substitute_free` — the free references of tuple variables ->
+  terms (constructor inlining, residual lifting).
 """
 
 from __future__ import annotations
@@ -99,6 +101,33 @@ def rename_vars(node: ast.Node, mapping: dict[str, str]) -> ast.Node:
         return None
 
     return transform(node, rule)
+
+
+def substitute_free(node: ast.Node, replace: Callable[[ast.Node], ast.Node | None]) -> ast.Node:
+    """Replace the *free* tuple-variable references of ``node``.
+
+    ``replace(ref)`` receives every ``AttrRef``/``VarRef`` whose variable
+    no quantifier or binding inside ``node`` rebinds, and returns its
+    replacement term or None to keep it.
+    """
+
+    def go(n: ast.Node, bound: frozenset) -> ast.Node:
+        cls = n.__class__
+        if cls is ast.AttrRef or cls is ast.VarRef:
+            new = None if n.var in bound else replace(n)
+            return n if new is None else new
+        if cls is ast.Some or cls is ast.All:
+            return cls(n.vars, go(n.range, bound), go(n.pred, bound | set(n.vars)))
+        if cls is ast.Branch:
+            inner = bound | {b.var for b in n.bindings}
+            return ast.Branch(
+                tuple(ast.Binding(b.var, go(b.range, bound)) for b in n.bindings),
+                go(n.pred, inner),
+                None if n.targets is None else tuple(go(t, inner) for t in n.targets),
+            )
+        return map_children(n, lambda child: go(child, bound))
+
+    return go(node, frozenset())
 
 
 def bound_vars(node: ast.Node) -> set[str]:

@@ -106,17 +106,17 @@ class ExecutorBackend:
             )
         return None
 
-    def execute_branch(self, branch, ctx, out: set, dedup=None) -> None:
+    def execute_branch(self, branch, ctx, out: set, dedup) -> None:
         """Run ``branch`` under ``ctx``, adding result tuples to ``out``."""
-        pipeline = self.pipeline_for(branch, ctx)
+        self.run_on(branch, ctx, self.pipeline_for(branch, ctx), out, dedup)
+
+    @staticmethod
+    def run_on(branch, ctx, pipeline, out: set, dedup) -> None:
+        """Run ``branch`` on ``pipeline`` (None: the tuple interpreter)."""
         if pipeline is None:
             branch.execute_tuple(ctx, out)
-            return
-        batch = branch.execute_batch(ctx, pipeline)
-        if dedup is not None:
-            dedup.absorb(batch, out)
         else:
-            out.update(batch)
+            dedup.absorb(branch.execute_batch(ctx, pipeline), out)
 
     def describe(self) -> str:
         return self.name

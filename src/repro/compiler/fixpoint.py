@@ -52,8 +52,8 @@ come through it.
 
 The default ``executor="batch"`` runs the **columnar** pipelines: each
 iteration's delta sets are hashed once per execution context and probed
-through C-level column kernels, residual quantifiers are checked once
-per distinct binding (grouped index probes), and the differential
+through C-level column kernels, residual quantifiers are decided once
+per distinct group by compiled sub-plans, and the differential
 projections fuse into their producing joins.  ``executor="rowbatch"``
 (the PR 3 row-major batches) and ``executor="tuple"`` (the original
 interpreter) are by-name measurement baselines (benchmarks E16/E17);

@@ -224,8 +224,10 @@ def compile_statement(
     every remaining **closed** application — binding range, quantifier
     range or nested — becomes a fixpoint variable and its compiled
     program (a non-positive one is a :class:`PositivityError`).  An open
-    application (one correlated with an enclosing tuple variable or
-    parameter) stays with the residual evaluator.  ``options`` reach the
+    application stays in the query: one over a parameter slot is a
+    computed range, one correlated with an enclosing tuple variable is
+    the residual's one interpreted shape, decided by the evaluator once
+    per group (:func:`~.plans.compile_residual`).  ``options`` reach the
     fixpoint programs and the top plan alike.  ``estimates`` price the
     top plan's ApplyVars that the caller binds itself (a standing-query
     family's parameter relation).

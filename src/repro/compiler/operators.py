@@ -16,8 +16,10 @@ is lowered once into a linear pipeline of physical operators that pass
   positions (relations reuse their version-cached indexes, fixpoint
   deltas are built once per iteration), then probed per batch row;
 * :class:`Filter` — compiled comparison conjuncts over the batch;
-* :class:`ResidualFilter` — the leftover predicate (quantifiers,
-  memberships) checked through the reference evaluator, batch-applied;
+* :class:`BatchedResidualFilter` — a leftover predicate (quantifiers,
+  memberships, ``OR``/``NOT``) decided once per distinct *group* of what
+  it reads by its :class:`GroupResidual`: generated tests and compiled
+  semi-join plans over the groups;
 * :class:`Project` — positional target extraction;
 * :class:`Dedup` — the per-query union with duplicate elimination;
 * :class:`DeltaApply` — the semi-naive ``produced - known`` subtraction
@@ -40,11 +42,7 @@ one entry at one layout into one operator:
    surviving slots, ``compress`` applies filter masks — and the
    projection **fuses into the producing HashJoin / Scan / Filter**
    whenever no residual predicate follows, so result tuples are
-   materialized exactly once.  Residual quantifiers and memberships run
-   **batched**: rows are grouped by the bindings the predicate reads
-   and each distinct group is decided once per batch — via one grouped
-   index probe for the recognized ``Some``/``InRel`` shapes, via a
-   memoized reference-evaluator call otherwise.  A prelude gates
+   materialized exactly once.  A prelude gates
    selective single-variable filters (priced selectivity ≤
    :data:`FILTER_PUSH_SEL`) into the join's probe as per-distinct-key
    build-side filtering.
@@ -59,9 +57,11 @@ one entry at one layout into one operator:
 Row-major flat carries — PR 3's layout — stay a separate lowering,
 :func:`lower_branch`, kept as ``executor="rowbatch"`` so benchmark E17
 can measure what the columnar conversion buys; its item-level liveness
-is its own.  A batch row is a flat tuple of exactly the live values.
+is its own (a batch row is a flat tuple of exactly the live values),
+and its :class:`ResidualFilter` calls the reference evaluator per row.
 
-Every lowering runs lazily, once per branch (``BranchPlan.lowered``).
+Every lowering runs lazily, once per branch (``BranchPlan.lowered``),
+and lowers its residuals' sub-plans with it.
 A branch with an untranslatable term falls from its pipeline straight
 to the tuple-at-a-time interpreter (``executor="tuple"``, benchmark
 E16's baseline) — the row-major layout is never a fallback for the
@@ -75,11 +75,13 @@ interpreter.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain, compress, repeat
 from operator import ge, gt, itemgetter, le, lt
 
 from ..calculus import ast
 from ..calculus.analysis import free_tuple_vars
+from ..calculus.pretty import render_pred
 from ..calculus.rewrite import conjoin, conjuncts
 from ..errors import EvaluationError
 from ..relational.vectors import Dictionary, EncodedTable, get_numpy, translation
@@ -302,19 +304,13 @@ class Filter(Operator):
 
 
 class ResidualFilter(Operator):
-    """The leftover predicate, checked through the reference evaluator.
-
-    Quantifiers, memberships, and anything else the plan compiler could
-    not turn into keys or generated filters run here, batch-applied
-    with one rich environment per surviving row.  The carry layout
-    keeps whole rows for exactly the variables this predicate reads.
-    """
+    """The row-major residual: the reference evaluator, once per row
+    (``executor="rowbatch"``); the carry keeps whole rows for exactly
+    the variables the predicate reads."""
 
     __slots__ = ("pred", "var_rows")
 
     def __init__(self, pred: ast.Pred, var_rows) -> None:
-        from ..calculus.pretty import render_pred
-
         super().__init__(f"RESIDUAL {render_pred(pred)}")
         #: (var, schema, carry position of the var's whole row) triples.
         self.var_rows = tuple(var_rows)
@@ -338,271 +334,145 @@ class ResidualFilter(Operator):
         return out
 
 
-class ResidualProbe:
-    """A recognized residual shape that reduces to one grouped index probe.
-
-    ``Some``-quantifiers whose body is a conjunction of equalities linking
-    quantified attributes to outer terms become a semi-join: resolve the
-    (environment-free) range once per execution, hash it once on the
-    correlated positions, and the per-group verdict is a bucket-existence
-    check.  ``All``-quantifiers whose body is a *disjunction of
-    inequalities* (``<>`` comparisons, or negated equalities) reduce by
-    complement — ``ALL s (s.a <> t1 OR ...)`` is ``NOT SOME s (s.a = t1
-    AND ...)`` — to the same probe with the verdict flipped (an
-    anti-join).  ``InRel`` memberships become one set-membership per
-    group.  ``Not`` of any of these flips the verdict.  Attribute
-    positions are looked up from the resolved range's schema at
-    probe-build time, so the plan does not need the range schema at
-    compile time.
-    """
-
-    __slots__ = ("kind", "rexpr", "attrs", "key_fn", "negate")
-
-    def __init__(self, kind: str, rexpr, attrs: tuple[str, ...], key_fn, negate: bool):
-        self.kind = kind  # "some" | "inrel"
-        self.rexpr = rexpr
-        self.attrs = attrs
-        self.key_fn = key_fn
-        self.negate = negate
-
-    def checker(self, ctx):
-        """Build the per-group verdict closure for one execution."""
-        value = ctx.evaluator.resolve_range(self.rexpr, {})
-        rows = value.rows
-        key_fn = self.key_fn
-        negate = self.negate
-        if self.kind == "inrel":
-            members = ctx.member_set(self.rexpr, rows)
-
-            def check(group):
-                element = key_fn(group)
-                if type(element) is not tuple:
-                    element = (element,)
-                return (element in members) is not negate
-
-            return check
-        rexpr = self.rexpr
-        if (
-            isinstance(rexpr, ast.RelRef)
-            and rexpr.name not in ctx.params
-            and rexpr.name in ctx.db
-        ):
-            # Stored relation: the version-aware index cache, so an
-            # in-place mutation between executions on a reused context
-            # can never serve a stale probe table.
-            index = ctx.db.relation(rexpr.name).index_on(self.attrs)
-        else:
-            positions = tuple(value.schema.index_of(a) for a in self.attrs)
-            index = ctx.index_rows(rexpr, rows, positions)
-        ctx.stats.index_lookups += 1
-        buckets = index.probe_table(scalar=len(self.attrs) == 1)
-
-        def check(group):
-            return (key_fn(group) in buckets) is not negate
-
-        return check
-
-
-def _static_residual_range(rexpr) -> bool:
-    """True when a residual's range needs no enclosing environment.
-
-    Fixpoint variables are fine (the execution context binds them per
-    iteration); correlated ranges referencing outer tuple variables are
-    not — those keep the grouped-evaluator fallback, which passes the
-    group's environment through.
-    """
-    return not any(
-        isinstance(node, (ast.AttrRef, ast.VarRef)) for node in ast.walk(rexpr)
-    )
-
-
 class BatchedResidualFilter(ResidualFilter):
-    """Columnar residual check: grouped, memoized, and probe-accelerated.
+    """Columnar residual: each row is keyed by what the predicate reads,
+    the distinct keys (the *groups*) are decided at once by the compiled
+    :class:`GroupResidual`, and survivors are compressed out of every
+    live slot.  ``backend`` runs the sub-plans: ``batch`` under the
+    columnar and sharded pipelines, ``vector`` under a vector tail."""
 
-    Instead of one reference-evaluator call per batch row, rows are
-    grouped by the bound values the predicate actually reads (the rows
-    of ``var_rows``); each distinct group is checked **once per batch**
-    (the memo) through either a :class:`ResidualProbe` (quantifier and
-    membership shapes — one grouped index probe, no evaluator at all) or
-    the evaluator fallback (fully general: correlated ranges, universal
-    quantifiers, disjunctions).  Joins multiply rows but not distinct
-    bindings, so the memo turns per-row predicate cost into per-distinct
-    cost; surviving rows are compressed out of every live slot at C
-    level.
-    """
+    __slots__ = ("program", "key_fn", "keep_slots", "backend")
 
-    __slots__ = ("keep_slots", "probe")
-
-    def __init__(self, pred: ast.Pred, var_rows, keep_slots, probe=None) -> None:
-        super().__init__(pred, var_rows)
+    def __init__(self, program, key_fn, keep_slots, backend) -> None:
+        super().__init__(program.pred, ())
+        self.label += f"  per group <{', '.join(f'{v}.{a}' for v, a in program.items)}>"
+        self.program = program
+        self.key_fn = key_fn
         self.keep_slots = tuple(keep_slots)
-        self.probe = probe
-        if probe is not None:
-            self.label += "  (grouped index probe)"
-        else:
-            self.label += "  (memoized per batch)"
+        self.backend = backend
 
-    def _checker(self, ctx):
-        if self.probe is not None:
-            return self.probe.checker(ctx)
-        evaluator = ctx.evaluator
-        pred = self.pred
-        stats = ctx.stats
-        var_rows = self.var_rows
-        if len(var_rows) == 1:
-            var, schema, _pos = var_rows[0]
-
-            def check(row):
-                stats.residual_evals += 1
-                return evaluator.eval_pred(pred, {var: (row, schema)})
-
-            return check
-        metas = tuple((var, schema) for var, schema, _pos in var_rows)
-
-        def check(rows):
-            stats.residual_evals += 1
-            env = {var: (row, schema) for (var, schema), row in zip(metas, rows)}
-            return evaluator.eval_pred(pred, env)
-
-        return check
+    def explain_line(self, per: int | None = None) -> str:
+        return "\n".join([super().explain_line(per), *self.program.root.explain_lines("  ")])
 
     def run(self, ctx, batch):
         n, slots = batch
         keep = self.keep_slots
         if n == 0:
             return (0, [slots[i] for i in keep])
+        keys = self.key_fn(n, slots)
+        groups = set(keys)
         ctx.stats.residual_checks += n
-        var_rows = self.var_rows
-        if len(var_rows) == 1:
-            groups = slots[var_rows[0][2]]
-        elif var_rows:
-            groups = zip(*[slots[pos] for _var, _schema, pos in var_rows])
-        else:
-            # The predicate reads no bound variable: one verdict decides
-            # the whole batch.
-            groups = repeat((), n)
-        check = self._checker(ctx)
-        memo: dict = {}
-        memo_get = memo.get
-        mask = []
-        add = mask.append
-        for group in groups:
-            verdict = memo_get(group)
-            if verdict is None:
-                verdict = memo[group] = check(group)
-            add(verdict)
+        ctx.stats.residual_groups += len(groups)
+        hits = self.program.root.run(ctx, groups, self.backend)
+        if len(hits) == len(groups):
+            return (n, [slots[i] for i in keep])
+        mask = list(map(hits.__contains__, keys))
         kept = [list(compress(slots[i], mask)) for i in keep]
-        survivors = len(kept[0]) if kept else sum(mask)
-        return (survivors, kept)
+        return (len(kept[0]) if kept else sum(mask), kept)
 
 
-def _disjuncts(pred: ast.Pred) -> tuple:
-    """The top-level disjuncts of ``pred`` (flattening nested ORs)."""
-    if isinstance(pred, ast.Or):
-        out: list = []
-        for part in pred.parts:
-            out.extend(_disjuncts(part))
-        return tuple(out)
-    return (pred,)
+GroupResidual = namedtuple("GroupResidual", "pred items root plans")
+GroupResidual.__doc__ = """A residual conjunct compiled as a query over its groups (by
+:func:`repro.compiler.plans.compile_residual`): ``items`` are the ``(var,
+attr)`` pairs of the group key (none: one constant column), ``root`` the
+set algebra deciding a set of keys, ``plans`` its compiled semi-joins."""
 
 
-def _probe_key(equalities, qvar: str, names: dict, gen):
-    """Compile the correlated probe key of a quantifier body.
+class _GroupNode:
+    """A node of a residual's set algebra: ``run(ctx, groups, backend)``
+    is the subset of the key tuples ``groups`` that satisfies it."""
 
-    ``equalities`` are ``(left, right)`` pairs that must each equate one
-    attribute of the quantified variable with a term over outer
-    bindings; returns ``(attrs, key_fn)`` or None when any pair does not
-    fit the shape.
-    """
-    attrs: list[str] = []
-    exprs: list[str] = []
-    for left, right in equalities:
-        matched = False
-        for qside, outer in ((left, right), (right, left)):
-            if (
-                isinstance(qside, ast.AttrRef)
-                and qside.var == qvar
-                and qvar not in free_tuple_vars(outer)
-            ):
-                expr = gen.col_term(outer, names, None)
-                if expr is not None:
-                    attrs.append(qside.attr)
-                    exprs.append(expr)
-                    matched = True
-                    break
-        if not matched:
-            return None
-    if not attrs:
-        return None
-    key_src = exprs[0] if len(exprs) == 1 else _tuple_src(exprs)
-    key_fn = gen.define("_rkey", f"def _rkey(k):\n    return {key_src}\n")
-    return tuple(attrs), key_fn
+    __slots__ = ("label", "parts", "plan")
+
+    def __init__(self, label: str, parts: tuple = (), plan=None) -> None:
+        self.label = label
+        self.parts = parts
+        self.plan = plan
+
+    def explain_lines(self, indent: str) -> list[str]:
+        lines = [f"{indent}{self.label}"]
+        if self.plan is not None:
+            lines.extend(f"{indent}  {line}" for line in self.plan.explain().splitlines())
+        for part in self.parts:
+            lines.extend(part.explain_lines(indent + "  "))
+        return lines
 
 
-def _residual_probe(pred: ast.Pred, var_rows, gen) -> ResidualProbe | None:
-    """Recognize a probe-reducible residual, compiling its key extractor.
+class GroupTest(_GroupNode):
+    """The quantifier-free part: one generated predicate over the key."""
 
-    ``var_rows`` fixes the group-key layout: a single ``(var, schema,
-    slot)`` triple means the group is that variable's row; several mean a
-    tuple of rows in that order.  Returns None when the predicate needs
-    the evaluator fallback.
-    """
-    negate = False
-    if isinstance(pred, ast.Not):
-        negate = True
-        pred = pred.pred
-    if len(var_rows) == 1:
-        names = {var_rows[0][0]: "k"}
-    else:
-        names = {vr[0]: f"k[{i}]" for i, vr in enumerate(var_rows)}
-    if isinstance(pred, ast.InRel):
-        if not _static_residual_range(pred.range):
-            return None
-        expr = gen.col_term(pred.element, names, None)
-        if expr is None:
-            return None
-        key_fn = gen.define("_rkey", f"def _rkey(k):\n    return {expr}\n")
-        return ResidualProbe("inrel", pred.range, (), key_fn, negate)
-    if isinstance(pred, ast.Some) and len(pred.vars) == 1:
-        qvar = pred.vars[0]
-        if qvar in names or not _static_residual_range(pred.range):
-            return None
-        equalities = []
-        for conj in conjuncts(pred.pred):
-            if not (isinstance(conj, ast.Cmp) and conj.op == "="):
-                return None
-            equalities.append((conj.left, conj.right))
-        key = _probe_key(equalities, qvar, names, gen)
-        if key is None:
-            return None
-        attrs, key_fn = key
-        return ResidualProbe("some", pred.range, attrs, key_fn, negate)
-    if isinstance(pred, ast.All) and len(pred.vars) == 1:
-        # Complement probe (ROADMAP follow-up): a universal whose body is
-        # a disjunction of inequalities is the negation of an existential
-        # over the complementary equalities —
-        #   ALL s IN R (s.a <> t1 OR s.b <> t2)
-        #     ==  NOT SOME s IN R (s.a = t1 AND s.b = t2)
-        # — one grouped anti-join probe per batch, no evaluator calls.
-        qvar = pred.vars[0]
-        if qvar in names or not _static_residual_range(pred.range):
-            return None
-        equalities = []
-        for disj in _disjuncts(pred.pred):
-            if isinstance(disj, ast.Not) and (
-                isinstance(disj.pred, ast.Cmp) and disj.pred.op == "="
-            ):
-                equalities.append((disj.pred.left, disj.pred.right))
-            elif isinstance(disj, ast.Cmp) and disj.op == "<>":
-                equalities.append((disj.left, disj.right))
+    __slots__ = ("fn",)
+
+    def __init__(self, desc: str, fn) -> None:
+        super().__init__(f"TEST {desc}")
+        self.fn = fn
+
+    def run(self, ctx, groups: set, backend) -> set:
+        return self.fn(groups)
+
+
+class GroupLogic(_GroupNode):
+    """``AND`` restricts (a part decides its predecessor's survivors),
+    ``OR`` is the union (a part decides the groups not yet in it),
+    ``NOT`` the complement."""
+
+    __slots__ = ()
+
+    def run(self, ctx, groups: set, backend) -> set:
+        if self.label == "NOT":
+            return groups - self.parts[0].run(ctx, groups, backend) if groups else groups
+        accepted: set = set()
+        for part in self.parts:
+            hit = part.run(ctx, groups, backend) if groups else groups
+            if self.label == "AND":
+                groups = hit
             else:
-                return None
-        key = _probe_key(equalities, qvar, names, gen)
-        if key is None:
-            return None
-        attrs, key_fn = key
-        return ResidualProbe("some", pred.range, attrs, key_fn, not negate)
-    return None
+                accepted |= hit
+                groups = groups - hit
+        return groups if self.label == "AND" else accepted
+
+
+class GroupSemiJoin(_GroupNode):
+    """``SOME x IN R (Q)`` as the compiled plan ``{<g> OF EACH g IN
+    @groups, EACH x IN R: Q}``, the group set bound as the apply value
+    ``token`` on the parent's context (its db or snapshot, params and
+    fixpoint values)."""
+
+    __slots__ = ("token",)
+
+    def __init__(self, label: str, plan, token) -> None:
+        super().__init__(label, plan=plan)
+        self.token = token
+
+    def run(self, ctx, groups: set, backend) -> set:
+        if not groups:
+            return groups
+        ctx.apply_values[self.token] = groups
+        out: set = set()
+        for branch in self.plan.branches:
+            out.update(row[0] for row in branch.execute_batch(ctx, backend.pipeline_for(branch)))
+        return out
+
+
+class GroupEvaluated(_GroupNode):
+    """The one residual shape still interpreted: a range no plan can
+    bind, still correlated with the row once inline queries are unnested
+    (an open constructor application, a selector with a correlated
+    argument, an inline query with a target list), decided by the
+    reference evaluator once per group."""
+
+    __slots__ = ("pred", "var", "schema")
+
+    def __init__(self, label: str, pred: ast.Pred, var: str, schema) -> None:
+        super().__init__(f"EVALUATED {label}  (per group)")
+        self.pred = pred
+        self.var = var
+        self.schema = schema
+
+    def run(self, ctx, groups: set, backend) -> set:
+        ctx.stats.residual_evals += len(groups)
+        eval_pred, pred, var, schema = ctx.evaluator.eval_pred, self.pred, self.var, self.schema
+        return {key for key in groups if eval_pred(pred, {var: (key, schema)})}
 
 
 class Project(Operator):
@@ -814,8 +684,31 @@ class BranchPipeline:
 
     def explain(self, indent: str = "") -> str:
         return "\n".join(
-            f"{indent}{op.explain_line()}" for op in self.operators()
+            f"{indent}{line}"
+            for op in self.operators()
+            for line in op.explain_line().splitlines()
         )
+
+
+def run_pipeline(pipeline: BranchPipeline, ctx) -> tuple[list, list[int], list[int]]:
+    """Run a lowered pipeline: ``(batch, step_counts, op_counts)``, the
+    counts for the caller to tally (``BranchPlan.tally``) — at once, or
+    serially after a shard worker finishes."""
+    step_counts: list[int] = []
+    op_counts: list[int] = []
+    batch = (1, []) if pipeline.columnar else [()]
+    for ops in pipeline.step_ops:
+        for op in ops:
+            batch = op.run(ctx, batch)
+            op_counts.append(_batch_len(batch))
+        step_counts.append(_batch_len(batch))
+    for op in pipeline.tail_ops:
+        batch = op.run(ctx, batch)
+        op_counts.append(_batch_len(batch))
+    if pipeline.fused:
+        # The fused final operator emitted the projection itself.
+        ctx.stats.tuples_emitted += len(batch)
+    return batch, step_counts, op_counts
 
 
 def lower_branch(
@@ -826,11 +719,13 @@ def lower_branch(
     target_desc: str,
     params: dict,
     est_out: float | None = None,
+    residuals: dict | None = None,
 ) -> BranchPipeline | None:
     """Lower priced loop steps into the batched operator pipeline.
 
     Returns None when some term cannot be expressed as generated code
-    (the plan then falls back to tuple-at-a-time execution).
+    (the plan then falls back to tuple-at-a-time execution).  Compiled
+    ``residuals`` go unused: :class:`ResidualFilter` interprets.
     """
     if not steps:
         return None
@@ -977,28 +872,13 @@ def lower_branch(
                 f"    return [e for e in batch if {' and '.join(conds)}]\n",
             )
             current.append(Filter(step.filter_descs, fn))
-        elif kind == "step_residual":
-            step = payload
-            pos = prev_pos.get(("row", step.var))
-            if pos is None:
+        elif kind in ("step_residual", "residual"):
+            pred = conjoin(payload.residual_preds) if kind == "step_residual" else payload
+            reads = [v for v in sorted(free_tuple_vars(pred)) if v in schemas]
+            if any(("row", v) not in prev_pos for v in reads):
                 return None
-            current.append(
-                ResidualFilter(
-                    conjoin(step.residual_preds),
-                    [(step.var, schemas[step.var], pos)],
-                )
-            )
-        elif kind == "residual":
-            pos_of = prev_pos
-            var_rows = []
-            for var in sorted(free_tuple_vars(payload)):
-                if var not in schemas:
-                    continue
-                pos = pos_of.get(("row", var))
-                if pos is None:
-                    return None
-                var_rows.append((var, schemas[var], pos))
-            tail_ops.append(ResidualFilter(payload, var_rows))
+            op = ResidualFilter(pred, [(v, schemas[v], prev_pos[("row", v)]) for v in reads])
+            (current if kind == "step_residual" else tail_ops).append(op)
         else:  # project
             if target_terms is None:
                 expr = gen.row_expr(steps[0].var, prev_pos, None)
@@ -1134,6 +1014,15 @@ def _unpack_src(indices) -> str:
     return "".join(f"    s{i} = slots[{i}]\n" for i in sorted(set(indices)))
 
 
+def _per_row_src(expr: str, read) -> str:
+    """``return`` one ``expr`` per carry, reading slots ``read`` as ``e<j>``."""
+    if not read:
+        return f"    return [{expr}] * n\n"
+    unp = ", ".join(f"e{j}" for j in sorted(read))
+    srcs = ", ".join(f"slots[{j}]" for j in sorted(read))
+    return f"    return [{expr} for {unp} in {srcs if len(read) == 1 else f'_zip({srcs})'}]\n"
+
+
 class _ColumnarKernels:
     """The row-slot kernel set: generated C-level list code over
     ``(n, slots)`` carries of source rows.
@@ -1147,13 +1036,19 @@ class _ColumnarKernels:
     #: Row slots are the end of the line: no boundary to cross.
     tail = None
 
-    def __init__(self, gen, steps, target_terms, target_desc, step_conjs, step_push):
+    def __init__(
+        self, gen, steps, target_terms, target_desc, step_conjs, step_push, residuals, backend
+    ):
         self.gen = gen
         self.steps = steps
         self.target_terms = target_terms
         self.target_desc = target_desc
         self.step_conjs = step_conjs
         self.step_push = step_push
+        #: Residual conjunct -> its GroupResidual (BranchPlan.residuals).
+        self.residuals = residuals
+        #: The backend residual sub-plans are lowered for and run on.
+        self.backend = backend
 
     def _key_columns(self, step, slot_of, names):
         """Source expressions for the probe-key columns, or None."""
@@ -1381,13 +1276,23 @@ class _ColumnarKernels:
         return Filter(tuple(descs), fn)
 
     def residual(self, pred, read_vars, layout_before, layout_after):
+        program = self.residuals.get(pred)
         slot_of = {v: i for i, v in enumerate(layout_before)}
-        if any(v not in slot_of for v in read_vars):
+        backend = self.backend
+        # The sub-plans are lowered now, with their parent: no lowering is
+        # left for a shard worker.
+        if program is None or any(v not in slot_of for v, _a in program.items) or any(
+            backend.pipeline_for(b) is None for p in program.plans for b in p.branches
+        ):
             return None
-        var_rows = [(v, self.gen.schemas[v], slot_of[v]) for v in read_vars]
+        schemas = self.gen.schemas
+        key = _tuple_src(
+            [f"e{slot_of[v]}[{schemas[v].index_of(a)}]" for v, a in program.items] or ["None"]
+        )
+        body = _per_row_src(key, {slot_of[v] for v, _a in program.items})
+        key_fn = self.gen.define("_rkey", "def _rkey(n, slots):\n" + body)
         keep_slots = [slot_of[v] for v in layout_after]
-        probe = _residual_probe(pred, var_rows, self.gen)
-        return BatchedResidualFilter(pred, var_rows, keep_slots, probe)
+        return BatchedResidualFilter(program, key_fn, keep_slots, self.backend)
 
     def project(self, layout_before):
         slot_of = {v: i for i, v in enumerate(layout_before)}
@@ -1402,20 +1307,8 @@ class _ColumnarKernels:
             exprs = [self.gen.col_term(t, names, None) for t in self.target_terms]
             if any(e is None for e in exprs):
                 return None
-            target = _tuple_src(exprs)
-            read = sorted(
-                {v for t in self.target_terms for v in free_tuple_vars(t)},
-                key=lambda v: slot_of.get(v, -1),
-            )
-            if not read:
-                body += f"    return [{target}] * n\n"
-            elif len(read) == 1:
-                j = slot_of[read[0]]
-                body += f"    return [{target} for e{j} in slots[{j}]]\n"
-            else:
-                unp = ", ".join(f"e{slot_of[v]}" for v in read)
-                srcs = ", ".join(f"slots[{slot_of[v]}]" for v in read)
-                body += f"    return [{target} for {unp} in _zip({srcs})]\n"
+            read = {slot_of[v] for t in self.target_terms for v in free_tuple_vars(t)}
+            body += _per_row_src(_tuple_src(exprs), read)
         fn = self.gen.define("_project", "def _project(batch):\n" + body)
         return Project(self.target_desc, fn)
 
@@ -1532,14 +1425,17 @@ def lower_branch_columnar(
     target_desc: str,
     params: dict,
     est_out: float | None = None,
+    residuals: dict | None = None,
 ) -> BranchPipeline | None:
     """Lower priced loop steps into the columnar operator pipeline.
 
     The G2 pushdown prelude, then the step walk on the row-slot
-    kernels.  Returns None when some term cannot be expressed as
-    generated code (the executor then falls back to tuple-at-a-time
-    interpretation).
+    kernels, the ``residuals``' sub-plans lowered for ``batch``.
+    Returns None when some term cannot be expressed as generated code
+    (the executor then falls back to tuple-at-a-time interpretation).
     """
+    from .executors import get_backend  # executors imports this module
+
     if not steps:
         return None
     gen = _ColGen(schemas, params)
@@ -1578,7 +1474,8 @@ def lower_branch_columnar(
             step_push[s] = (fn, ", ".join(push_descs))
 
     kernels = _ColumnarKernels(
-        gen, steps, target_terms, target_desc, step_conjs, step_push
+        gen, steps, target_terms, target_desc, step_conjs, step_push,
+        residuals or {}, get_backend("batch"),
     )
     return _step_walk(steps, residual, target_terms, step_conjs, kernels, True, est_out)
 
@@ -2135,6 +2032,7 @@ def lower_branch_vector(
     target_desc: str,
     params: dict,
     est_out: float | None = None,
+    residuals: dict | None = None,
 ) -> BranchPipeline | None:
     """Lower priced loop steps into the vector (int-id) pipeline.
 
@@ -2152,9 +2050,12 @@ def lower_branch_vector(
       an earlier binding;
     * step filters are single-column ``attr OP const/param`` comparisons;
     * residual predicates (step-level ones only on the last step) run on
-      the columnar side of a :class:`VectorMaterialize` boundary;
+      the columnar side of a :class:`VectorMaterialize` boundary, their
+      sub-plans on ``vector``;
     * targets are attributes, constants, parameters, or whole rows.
     """
+    from .executors import get_backend  # executors imports this module
+
     if not steps:
         return None
     bound_rank = {step.var: s for s, step in enumerate(steps)}
@@ -2232,7 +2133,8 @@ def lower_branch_vector(
         for s, step in enumerate(steps)
     }
     tail = _ColumnarKernels(
-        _ColGen(schemas, params), steps, target_terms, target_desc, step_conjs, {}
+        _ColGen(schemas, params), steps, target_terms, target_desc, step_conjs, {},
+        residuals or {}, get_backend("vector"),
     )
     kernels = _VectorKernels(
         steps, refs, accesses, filters, proj, single, target_desc, tail

@@ -17,8 +17,11 @@ branch bodies inside generated fixpoint programs:
   the written binding order instead, so the benchmarks (E14) can
   measure what the statistics buy;
 * equality conjuncts on constants and on bound variables are consumed by
-  the access path; any remaining predicate parts (quantifiers,
-  inequalities, memberships) run as residual filters;
+  the access path and comparisons become filters; every remaining
+  conjunct (quantifiers, memberships, ``OR``/``NOT``) is a *residual*,
+  compiled as a query over its groups — the distinct tuples of what it
+  reads — into generated tests and semi-join plans
+  (:func:`compile_residual`);
 * targets compile to positional extractors.
 
 Executing a plan needs an :class:`ExecutionContext` carrying the
@@ -36,8 +39,8 @@ one lowering function, and a :class:`BranchPlan` keeps what each
 lowering produced in one memo (:meth:`BranchPlan.lowered`).  The
 default (``executor="batch"``) lowers each branch into **columnar
 struct-of-arrays** pipelines — aligned per-variable row slots expanded
-by C-level kernels, grouped residual probes, and projection fused into
-the producing join or filter — with fusion decisions cost-gated by the
+by C-level kernels, residuals decided per group by their sub-plans, and
+projection fused into the producing join or filter — cost-gated by the
 :class:`CostModel`; ``executor="vector"`` lowers through the same step
 walk onto dictionary-encoded id-space kernels.  ``executor="sharded"``
 runs the columnar pipelines hash-partitioned across a worker pool
@@ -52,16 +55,20 @@ against on identical plans.  ``explain()`` shows the pipelines that ran.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, fields
+from itertools import combinations, count
 
 from ..calculus import ast
 from ..calculus.analysis import free_tuple_vars
 from ..calculus.evaluator import Evaluator
-from ..calculus.rewrite import conjoin, conjuncts
+from ..calculus.pretty import render_pred, render_range, render_term
+from ..calculus.rewrite import (
+    conjoin, conjuncts, membership_existential, negation_normal_form, unnest_query,
+)
+from ..calculus.subst import FreshNames, bound_vars, substitute_free
 from ..errors import DBPLError, EvaluationError, NameResolutionError, SchemaError
 from ..relational import Database, HashIndex
-from ..types import RecordType
+from ..types import ANY, Field, RecordType
 from .executors import EXECUTOR_NAMES, get_backend
 from .options import (
     DEFAULT_EXECUTOR,
@@ -69,7 +76,10 @@ from .options import (
     DEFAULT_OPTIONS,
     ExecOptions,
 )
-from .operators import Dedup, _batch_len
+from .operators import (
+    Dedup, GroupEvaluated, GroupLogic, GroupResidual, GroupSemiJoin, GroupTest, _ColGen,
+    run_pipeline,
+)
 
 #: Join orders are enumerated exactly (Selinger-style subset DP) up to
 #: this many bindings per branch; wider branches fall back to greedy
@@ -87,17 +97,25 @@ class PlanStats:
     """Operation counters for compiled execution.
 
     ``residual_checks`` counts rows that reached a residual predicate;
-    ``residual_evals`` counts actual reference-evaluator invocations —
-    the columnar executor's per-batch memoization and grouped index
-    probes make the second far smaller than the first.
+    ``residual_groups`` the distinct groups (read-attribute tuples) the
+    columnar residuals decided for them; ``residual_evals`` actual
+    reference-evaluator invocations — one per row under the ``tuple``
+    and ``rowbatch`` executors, and under the columnar ones only for the
+    ranges no plan can bind (``GroupEvaluated``), once per group.
     """
 
     rows_scanned: int = 0
     index_lookups: int = 0
     residual_checks: int = 0
+    residual_groups: int = 0
     residual_evals: int = 0
     tuples_emitted: int = 0
     iterations: int = 0
+
+    def add(self, other: "PlanStats") -> None:
+        """Add ``other``'s counters to these (a shard worker's, merged)."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 class ExecutionContext:
@@ -115,7 +133,6 @@ class ExecutionContext:
         self.apply_values = dict(apply_values or {})
         self.stats = stats if stats is not None else PlanStats()
         self._indexes: dict[tuple, tuple[object, HashIndex]] = {}
-        self._member_sets: dict[object, frozenset | set] = {}
         #: Per-operator memos of build-side-filtered buckets — the
         #: cost-gated probe-pushdown cache of the columnar executor.
         #: Keyed by the HashJoin operator object itself (a recycled id
@@ -142,6 +159,9 @@ class ExecutionContext:
         #: a branch with no generated pipeline dropping to the tuple
         #: interpreter — surface as counters and DBPL9xx hints.
         self.on_fallback = None
+        #: In a shard worker: the residual sub-plans' counts, as
+        #: ``(branch, pipeline, *counts)``, tallied after the workers finish.
+        self.deferred: list | None = None
         # The residual evaluator shares params/apply values with the plan.
         self.evaluator = Evaluator(db, self.params, self.apply_values)
 
@@ -153,7 +173,7 @@ class ExecutionContext:
 
     def index_rows(self, token: object, rows, positions: tuple[int, ...]) -> HashIndex:
         """A hash index over a materialized row set: a fixpoint variable's
-        value, a computed range, a residual's range.
+        value, a computed range, a residual's group set.
 
         A held fixpoint value (:class:`~repro.compiler.fixpoint.HeldValue`)
         answers with its own index, extended across executions.  Anything
@@ -161,9 +181,8 @@ class ExecutionContext:
         token or a hashable range node) with ``rows`` held and
         identity-checked, so a freed row set can never hand its index to
         another one, and per-iteration fixpoint values rebuild cleanly.
-        Stored relations do not come through here — their sources and
-        :class:`~repro.compiler.operators.ResidualProbe` use the
-        relation's version-aware index cache.
+        Stored relations do not come through here — their sources use
+        the relation's version-aware index cache.
         """
         index_on = getattr(rows, "index_on", None)
         if index_on is not None:
@@ -173,20 +192,6 @@ class ExecutionContext:
         if entry is None or entry[0] is not rows:
             entry = self._indexes[key] = (rows, HashIndex(positions, rows))
         return entry[1]
-
-    def member_set(self, token: object, rows) -> frozenset | set:
-        """``rows`` as a set, cached per execution (membership residuals).
-
-        Keyed by the residual's range expression (``token``, a hashable
-        frozen AST node) rather than by object identity, so a freed row
-        list can never alias another range's members.
-        """
-        if isinstance(rows, (set, frozenset)):
-            return rows
-        members = self._member_sets.get(token)
-        if members is None:
-            members = self._member_sets[token] = set(rows)
-        return members
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +286,6 @@ class Source:
     def describe(self) -> str:
         if self.kind == "relation":
             return self.name
-        from ..calculus.pretty import render_range
-
         if self.kind == "apply":
             return render_range(ast.ApplyVar(self.token, self.schema))
         return render_range(self.rexpr)
@@ -785,11 +788,9 @@ class LoopStep:
     filter_descs: tuple[str, ...] = ()
     filter_conjs: tuple = ()
     # Residual predicates anchored on this variable alone (memberships,
-    # quantifiers): checked through the evaluator as soon as the
-    # variable binds, so the priced selectivity matches where the
-    # filtering actually happens.
+    # quantifiers): checked as soon as the variable binds, so the priced
+    # selectivity matches where the filtering actually happens.
     residual_preds: tuple = ()
-    residual_descs: tuple[str, ...] = ()
     # Cost-model estimates, recorded for explain().
     est_source_rows: float | None = None
     est_out_rows: float | None = None
@@ -809,7 +810,7 @@ class LoopStep:
             access = f"index{list(self.key_positions)}"
         filters = f" filter[{', '.join(self.filter_descs)}]" if self.filters else ""
         residual = (
-            f" residual[{', '.join(self.residual_descs)}]"
+            f" residual[{', '.join(map(render_pred, self.residual_preds))}]"
             if self.residual_preds
             else ""
         )
@@ -836,6 +837,9 @@ class BranchPlan:
     #: to price them, so operator codegen is deferred to first use).
     target_terms: tuple | None = None
     params: dict = field(default_factory=dict)
+    #: Residual conjunct (a step's or the leaf's) -> its compiled
+    #: :class:`~repro.compiler.operators.GroupResidual`.
+    residuals: dict = field(default_factory=dict)
     #: The lowered physical-operator pipelines, keyed by the lowering
     #: function each backend names: a BranchPipeline, or None when that
     #: lowering does not cover the branch.  Filled only by
@@ -864,56 +868,55 @@ class BranchPlan:
                 self.target_desc,
                 self.params,
                 est_out=self.est_out,
+                residuals=self.residuals,
             )
         return pipelines[lowering]
 
     def execute_batch(self, ctx: ExecutionContext, pipeline) -> list:
         """Run a lowered operator pipeline, returning the projected batch
         (duplicates included — the caller's Dedup/union eliminates them,
-        exactly as the tuple interpreter's ``out.add`` does)."""
+        exactly as the tuple interpreter's ``out.add`` does).  Under a
+        shard worker's context the counts are deferred to
+        ``ctx.deferred``."""
+        batch, step_counts, op_counts = run_pipeline(pipeline, ctx)
+        if ctx.deferred is None:
+            self.tally(pipeline, step_counts, op_counts, len(batch))
+        else:
+            ctx.deferred.append((self, pipeline, step_counts, op_counts, len(batch)))
+        return batch
+
+    def tally(self, pipeline, step_counts, op_counts, emitted: int) -> None:
+        """Add one run's counts to this branch's and its operators'."""
         if len(self.actual_rows) != len(self.steps):
             self.actual_rows = [0] * len(self.steps)
         self.executions += 1
-        actual = self.actual_rows
-        batch = (1, []) if pipeline.columnar else [()]
-        for i, ops in enumerate(pipeline.step_ops):
-            for op in ops:
-                op.executions += 1
-                batch = op.run(ctx, batch)
-                op.actual_rows += _batch_len(batch)
-            actual[i] += _batch_len(batch)
-        for op in pipeline.tail_ops:
+        self.actual_rows = [a + c for a, c in zip(self.actual_rows, step_counts)]
+        for op, count in zip(pipeline.operators(), op_counts):
             op.executions += 1
-            batch = op.run(ctx, batch)
-            op.actual_rows += _batch_len(batch)
-        if pipeline.fused:
-            # The fused final operator emitted the projection itself.
-            ctx.stats.tuples_emitted += len(batch)
-        self.actual_emitted += len(batch)
-        return batch
+            op.actual_rows += count
+        self.actual_emitted += emitted
 
     def execute_tuple(self, ctx: ExecutionContext, out: set) -> None:
         """The original tuple-at-a-time interpreted loop nest."""
         stats = ctx.stats
-        residual = self.residual
-        has_residual = not isinstance(residual, ast.TruePred)
+        leaf_residuals = conjuncts(self.residual)
         schemas = self.schemas
-        evaluator = ctx.evaluator
+        eval_pred = ctx.evaluator.eval_pred
         if len(self.actual_rows) != len(self.steps):
             self.actual_rows = [0] * len(self.steps)
         self.executions += 1
         actual = self.actual_rows
 
+        def holds(preds, env: dict) -> bool:
+            stats.residual_checks += 1
+            stats.residual_evals += 1
+            rich_env = {v: (row, schemas[v]) for v, row in env.items()}
+            return all(eval_pred(pred, rich_env) for pred in preds)
+
         def run(depth: int, env: dict) -> None:
             if depth == len(self.steps):
-                if has_residual:
-                    stats.residual_checks += 1
-                    stats.residual_evals += 1
-                    rich_env = {
-                        v: (row, schemas[v]) for v, row in env.items()
-                    }
-                    if not evaluator.eval_pred(residual, rich_env):
-                        return
+                if leaf_residuals and not holds(leaf_residuals, env):
+                    return
                 out.add(self.target_fn(env))
                 stats.tuples_emitted += 1
                 self.actual_emitted += 1
@@ -938,13 +941,7 @@ class BranchPlan:
                         ok = False
                         break
                 if ok and step_residuals:
-                    stats.residual_checks += 1
-                    stats.residual_evals += 1
-                    rich_env = {v: (r, schemas[v]) for v, r in env.items()}
-                    for pred in step_residuals:
-                        if not evaluator.eval_pred(pred, rich_env):
-                            ok = False
-                            break
+                    ok = holds(step_residuals, env)
                 if ok:
                     actual[depth] += 1
                     run(depth + 1, env)
@@ -974,8 +971,6 @@ class BranchPlan:
                 suffix = f"  [est={step.est_cumulative:.1f} act={act}]"
             lines.append(f"{indent}{step.describe()}{suffix}")
         if not isinstance(self.residual, ast.TruePred):
-            from ..calculus.pretty import render_pred
-
             lines.append(f"{indent}RESIDUAL {render_pred(self.residual)}")
         emit = f"{indent}EMIT {self.target_desc}"
         if self.est_out is not None:
@@ -1182,8 +1177,6 @@ def compile_branch(
     residual: list[ast.Pred] = []
     # var -> ((pos, op, value), ...): priced single-variable comparisons.
     restrictions: dict[str, tuple] = {}
-    from ..calculus.pretty import render_pred
-
     for group, conj in enumerate(conjuncts(branch.pred)):
         handled = False
         if isinstance(conj, ast.Cmp) and conj.op == "=":
@@ -1212,10 +1205,10 @@ def compile_branch(
 
     # Residual predicates anchored on exactly one binding variable
     # (memberships, quantifiers) are pulled out of the leaf residual:
-    # they run — evaluator-checked — at the step where their variable
-    # binds, and the cost model prices their selectivity into that step,
-    # so the join order can exploit them and the estimates describe
-    # where the filtering actually happens.
+    # they run at the step where their variable binds, and the cost model
+    # prices their selectivity into that step, so the join order can
+    # exploit them and the estimates describe where the filtering
+    # actually happens.
     anchored_residuals: dict[str, list] = {}
     leftover: list[ast.Pred] = []
     for conj in residual:
@@ -1323,7 +1316,6 @@ def compile_branch(
                 filter_descs=tuple(step_descs),
                 filter_conjs=tuple(step_conjs),
                 residual_preds=step_residuals,
-                residual_descs=tuple(render_pred(p) for p in step_residuals),
                 est_source_rows=final.source_rows,
                 est_out_rows=final.out_rows,
                 est_cumulative=est_card,
@@ -1360,6 +1352,15 @@ def compile_branch(
         if not placed:
             residual.append(ast.Cmp("=", left, other))
 
+    # Every residual conjunct, a step's or the leaf's, compiles as a
+    # query over its groups.
+    residual_pred = conjoin(tuple(residual))
+    at_steps = [(p, step.est_cumulative) for step in steps for p in step.residual_preds]
+    residuals = {
+        p: compile_residual(db, p, schemas, params, optimizer, cost_model, est)
+        for p, est in at_steps + [(p, est_card) for p in conjuncts(residual_pred)]
+    }
+
     # Targets
     if branch.targets is None:
         var = branch.bindings[0].var
@@ -1370,8 +1371,6 @@ def compile_branch(
         if any(e is None for e in extractors):
             raise EvaluationError("untranslatable target term in branch")
         target_fn = lambda env: tuple(fn(env) for fn in extractors)
-        from ..calculus.pretty import render_term
-
         target_desc = "<" + ", ".join(render_term(t) for t in branch.targets) + ">"
 
     # The operator pipeline is lowered lazily (first execute/explain):
@@ -1379,7 +1378,7 @@ def compile_branch(
     # those plans should not pay for operator code generation.
     return BranchPlan(
         steps=steps,
-        residual=conjoin(tuple(residual)),
+        residual=residual_pred,
         target_fn=target_fn,
         target_desc=target_desc,
         schemas=schemas,
@@ -1388,6 +1387,7 @@ def compile_branch(
         est_out=est_card,
         target_terms=branch.targets,
         params=params,
+        residuals=residuals,
     )
 
 
@@ -1410,6 +1410,125 @@ def _compile_cmp(conj: ast.Cmp, schemas, params):
     if op == ">=":
         return lambda env: left(env) >= right(env)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Residuals: a query over the groups
+# ---------------------------------------------------------------------------
+
+
+#: Apply tokens of the residuals' group sets (``@__groups<n>``).
+_GROUP_TOKENS = count()
+
+
+def compile_residual(
+    db: Database, pred: ast.Pred, schemas: dict, params: dict, optimizer: str,
+    cost_model: CostModel, est_groups: float | None,
+) -> GroupResidual:
+    """Compile one residual conjunct as a query over its groups.
+
+    The group key is what ``pred`` reads of the branch's bindings: ``v.a``,
+    or every attribute of ``v`` where it uses ``v`` whole.  ``pred`` is
+    lifted onto one variable ranging over the distinct keys — the apply
+    value of a fresh token, priced at ``est_groups`` rows — and compiled
+    into its set algebra:
+
+    * ``AND`` restricts, ``OR`` takes the union, ``NOT`` the complement;
+    * the quantifier-free parts of an ``AND``/``OR`` are one generated
+      test over the key;
+    * ``SOME x IN R (Q)`` is one compiled semi-join ``{<g> OF EACH g IN
+      @groups, EACH x IN R: Q}``, inline-query ranges unnested first
+      (N1/N2); a quantifier inside ``Q`` is a residual of that plan, so
+      it recurses through this rule;
+    * ``ALL x IN R (Q)`` is ``NOT SOME x IN R (NOT Q)`` in negation normal
+      form, ``t IN R`` is ``SOME x IN R (x.a1 = t1 AND ...)`` (never, when
+      the arities differ);
+    * a range no plan can bind — still correlated once unnested — is
+      decided by the evaluator, once per group (``GroupEvaluated``).
+    """
+    fresh = FreshNames(bound_vars(pred) | free_tuple_vars(pred))
+    var = fresh.fresh("g")
+    slots: dict = {}  # (v, a) -> its key position i, lifted as var.k<i>
+
+    def lift(ref):
+        if ref.var not in schemas:
+            return None
+        whole = ref.__class__ is ast.VarRef
+        attrs = schemas[ref.var].attribute_names if whole else (ref.attr,)
+        keys = [ast.AttrRef(var, f"k{slots.setdefault((ref.var, a), len(slots))}") for a in attrs]
+        return ast.TupleCons(tuple(keys)) if whole else keys[0]
+
+    lifted = substitute_free(pred, lift)
+    # A predicate that reads no binding still has one (constant) key column.
+    schema = RecordType("groups", tuple(Field(f"k{i}", ANY) for i in range(max(1, len(slots)))))
+    token = f"__groups{next(_GROUP_TOKENS)}"
+    estimates = {**cost_model.apply_estimates, token: max(1.0, est_groups or 1.0)}
+    model = CostModel(db, estimates, cost_model.use_histograms, cost_model.apply_tables)
+    plans: list[QueryPlan] = []
+
+    def evaluated(p: ast.Pred) -> GroupEvaluated:
+        return GroupEvaluated(render_pred(p), p, var, schema)
+
+    def semijoin(some: ast.Some):
+        head = ast.Binding(var, ast.ApplyVar(token, schema))
+        bindings = (head, *(ast.Binding(v, some.range) for v in some.vars))
+        query = ast.Query((ast.Branch(bindings, some.pred, (ast.VarRef(var),)),))
+        (branch,) = unnest_query(query).branches
+        if any(free_tuple_vars(b.range) for b in branch.bindings):
+            return None
+        plans.append(QueryPlan([compile_branch(db, branch, params, optimizer, model)], optimizer))
+        return GroupSemiJoin(f"SEMIJOIN {render_pred(some)}", plans[-1], token)
+
+    def node(p: ast.Pred):
+        if _quantifier_free(p):
+            gen = _ColGen({var: schema}, params)
+            src = _pred_src(p, gen, {var: "k"})
+            if src is None:
+                return evaluated(p)
+            test = f"def _test(groups):\n    return {{k for k in groups if {src}}}\n"
+            return GroupTest(render_pred(p), gen.define("_test", test))
+        if isinstance(p, (ast.And, ast.Or)):
+            free = [q for q in p.parts if _quantifier_free(q)]
+            parts = [node(q) for q in p.parts if not _quantifier_free(q)]
+            if free:
+                parts.insert(0, node(free[0] if len(free) == 1 else type(p)(tuple(free))))
+            if len(parts) == 1:
+                return parts[0]
+            return GroupLogic(type(p).__name__.upper(), tuple(parts))
+        if isinstance(p, ast.Not):
+            return GroupLogic("NOT", (node(p.pred),))
+        if isinstance(p, ast.All):
+            semi = semijoin(ast.Some(p.vars, p.range, negation_normal_form(ast.Not(p.pred))))
+            return evaluated(p) if semi is None else GroupLogic("NOT", (semi,))
+        if isinstance(p, ast.Some):
+            return semijoin(p) or evaluated(p)
+        try:
+            names = _static_schema_of(db, p.range, params).attribute_names
+        except DBPLError:
+            return evaluated(p)
+        return node(membership_existential(p, names, fresh.fresh("m")))
+
+    root = node(lifted)  # fills ``plans``
+    return GroupResidual(pred, tuple(slots), root, tuple(plans))
+
+
+def _quantifier_free(pred: ast.Pred) -> bool:
+    return not any(isinstance(n, (ast.Some, ast.All, ast.InRel)) for n in ast.walk(pred))
+
+
+def _pred_src(pred: ast.Pred, gen, names: dict) -> str | None:
+    """Python source for a quantifier-free predicate, or None."""
+    if isinstance(pred, ast.TruePred):
+        return "True"
+    if isinstance(pred, ast.Cmp):
+        return gen.col_cmp(pred, names)
+    if isinstance(pred, ast.Not):
+        inner = _pred_src(pred.pred, gen, names)
+        return None if inner is None else f"(not {inner})"
+    parts = [_pred_src(p, gen, names) for p in pred.parts]
+    if any(p is None for p in parts):
+        return None
+    return "(" + (" and " if isinstance(pred, ast.And) else " or ").join(parts) + ")"
 
 
 def estimate_branch(

@@ -28,7 +28,13 @@ from dataclasses import dataclass
 
 from ..calculus import ast
 from ..calculus.rewrite import conjoin, simplify
-from ..calculus.subst import FreshNames, bound_vars, substitute_params, substitute_ranges
+from ..calculus.subst import (
+    FreshNames,
+    bound_vars,
+    substitute_free,
+    substitute_params,
+    substitute_ranges,
+)
 from ..errors import EvaluationError
 from ..relational import Database
 
@@ -78,17 +84,6 @@ def _attr_substitution(
     return mapping
 
 
-def _substitute_attrs(pred: ast.Pred, mapping: dict[tuple[str, str], ast.Term]) -> ast.Pred:
-    from ..calculus.subst import transform
-
-    def rule(n: ast.Node) -> ast.Node | None:
-        if isinstance(n, ast.AttrRef) and (n.var, n.attr) in mapping:
-            return mapping[(n.var, n.attr)]
-        return None
-
-    return transform(pred, rule)  # type: ignore[return-value]
-
-
 def inline_branch(
     db: Database, branch: ast.Branch, binding_index: int
 ) -> list[ast.Branch] | None:
@@ -110,12 +105,14 @@ def inline_branch(
         # Standardize the body branch apart from the outer branch.
         renamed = fresh.freshen_all(body_branch)
         mapping = _attr_substitution(db, binding.range, renamed, binding.var)
-        new_pred = _substitute_attrs(branch.pred, mapping)
+
+        def swap(ref, mapping=mapping):
+            return mapping.get((ref.var, getattr(ref, "attr", None)))
+
+        new_pred = substitute_free(branch.pred, swap)
         new_targets = None
         if branch.targets is not None:
-            new_targets = tuple(
-                _substitute_attrs_term(t, mapping) for t in branch.targets
-            )
+            new_targets = tuple(substitute_free(t, swap) for t in branch.targets)
         new_bindings = (
             branch.bindings[:binding_index]
             + renamed.bindings
@@ -129,17 +126,6 @@ def inline_branch(
         else:
             out.append(ast.Branch(new_bindings, combined, new_targets))
     return out
-
-
-def _substitute_attrs_term(term: ast.Term, mapping) -> ast.Term:
-    from ..calculus.subst import transform
-
-    def rule(n: ast.Node) -> ast.Node | None:
-        if isinstance(n, ast.AttrRef) and (n.var, n.attr) in mapping:
-            return mapping[(n.var, n.attr)]
-        return None
-
-    return transform(term, rule)  # type: ignore[return-value]
 
 
 @dataclass

@@ -15,7 +15,8 @@ access path reads them, so a cold store-backed lead is pruned and
 projected by the same pushed-down scan as under any other backend — are
 split into ``k`` shards and the *whole* lowered pipeline runs once per
 shard, each worker under its own :class:`~.plans.ExecutionContext`
-(private operation counters, private residual/pushdown memos) over the
+(private operation counters, pushdown memos and residual group sets; the
+residual sub-plans' counts come back with the shard's) over the
 context's ``db`` — a snapshot read's pinned database stays in force —
 with a per-shard **source override map**: the leading source answers with
 the shard's rows, and — when the first downstream hash join keys purely
@@ -71,7 +72,7 @@ from ..calculus.analysis import free_tuple_vars
 from ..errors import DBPLError
 from ..relational.indexes import ShardView, partition_views
 from .executors import BatchBackend, register_backend
-from .operators import _batch_len
+from .operators import run_pipeline
 from .plans import ExecutionContext, _compile_value
 
 
@@ -272,30 +273,35 @@ def _prewarm(branch, pipeline, ctx: ExecutionContext, skip_sources) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_shard(pipeline, db, params, apply_values, overrides):
+def _sub_branches(pipeline):
+    """``(branch, pipeline)`` of every residual sub-plan branch under
+    ``pipeline``: a shard reports their counts by position in this list,
+    which survives the process pool's pickling."""
+    for op in pipeline.operators():
+        for plan in getattr(getattr(op, "program", None), "plans", ()):
+            for branch in plan.branches:
+                sub = op.backend.pipeline_for(branch)
+                yield branch, sub
+                yield from _sub_branches(sub)
+
+
+def _run_shard(pipeline, subs, db, params, apply_values, overrides):
     """Run one shard's pipeline under a private execution context.
 
-    Returns ``(batch, step_counts, op_counts, stats)`` — the produced
-    rows plus the per-step / per-operator actual counts and the shard's
-    private :class:`~.plans.PlanStats`, merged serially by the caller so
-    shared operator counters are never mutated from worker threads.
+    Returns ``(batch, step_counts, op_counts, stats, deferred)`` — the
+    produced rows plus the per-step / per-operator actual counts, the
+    shard's private :class:`~.plans.PlanStats` and the counts of the
+    residual sub-plans it ran (keyed by position in ``subs``), merged
+    serially by the caller so shared operator counters are never
+    mutated from worker threads.
     """
     ctx = ExecutionContext(db, params, apply_values)
     ctx.source_overrides = overrides
-    step_counts: list[int] = []
-    op_counts: list[int] = []
-    batch = (1, []) if pipeline.columnar else [()]
-    for ops in pipeline.step_ops:
-        for op in ops:
-            batch = op.run(ctx, batch)
-            op_counts.append(_batch_len(batch))
-        step_counts.append(_batch_len(batch))
-    for op in pipeline.tail_ops:
-        batch = op.run(ctx, batch)
-        op_counts.append(_batch_len(batch))
-    if pipeline.fused:
-        ctx.stats.tuples_emitted += len(batch)
-    return batch, step_counts, op_counts, ctx.stats
+    ctx.deferred = []
+    batch, step_counts, op_counts = run_pipeline(pipeline, ctx)
+    position = {id(branch): i for i, (branch, _sub) in reversed(list(enumerate(subs)))}
+    deferred = [(position[id(branch)], *counts) for branch, _sub, *counts in ctx.deferred]
+    return batch, step_counts, op_counts, ctx.stats, deferred
 
 
 #: Fork-inherited task table for the per-call process pool (set
@@ -375,27 +381,21 @@ class ShardedBackend(BatchBackend):
 
     name = "sharded"
 
-    def execute_branch(self, branch, ctx, out: set, dedup=None) -> None:
+    def execute_branch(self, branch, ctx, out: set, dedup) -> None:
         config = ctx.shard_config or DEFAULT_CONFIG
         pipeline = self.pipeline_for(branch, ctx)
-        if pipeline is None:
-            branch.execute_tuple(ctx, out)
-            return
-        shard_overrides = self._plan_shards(branch, ctx, config)
+        shard_overrides = pipeline and self._plan_shards(branch, ctx, config)
         if shard_overrides is None:
-            batch = branch.execute_batch(ctx, pipeline)
-            if dedup is not None:
-                dedup.absorb(batch, out)
-            else:
-                out.update(batch)
+            self.run_on(branch, ctx, pipeline, out, dedup)
             return
         _prewarm(branch, pipeline, ctx, skip_sources=set(shard_overrides[0]))
+        subs = list(_sub_branches(pipeline))
         tasks = [
-            partial(_run_shard, pipeline, ctx.db, ctx.params, ctx.apply_values, overrides)
+            partial(_run_shard, pipeline, subs, ctx.db, ctx.params, ctx.apply_values, overrides)
             for overrides in shard_overrides
         ]
         results = _run_tasks(tasks, config, ctx)
-        self._merge(branch, pipeline, ctx, results, out, dedup)
+        self._merge(branch, pipeline, subs, ctx, results, out, dedup)
         if config.pool == "process" and not hasattr(os, "fork"):
             branch.shards.note("pool=threads")
 
@@ -449,36 +449,23 @@ class ShardedBackend(BatchBackend):
 
     # -- merging -------------------------------------------------------------
 
-    def _merge(self, branch, pipeline, ctx, results, out: set, dedup) -> None:
-        if len(branch.actual_rows) != len(branch.steps):
-            branch.actual_rows = [0] * len(branch.steps)
-        branch.executions += 1
-        operators = list(pipeline.operators())
-        for op in operators:
-            op.executions += 1
+    def _merge(self, branch, pipeline, subs, ctx, results, out: set, dedup) -> None:
         produced: set = set()
         produced_counts: list[int] = []
-        stats = ctx.stats
-        for batch, step_counts, op_counts, shard_stats in results:
+        for batch, _steps, _ops, shard_stats, deferred in results:
             produced.update(batch)
             produced_counts.append(len(batch))
-            for i, count in enumerate(step_counts):
-                branch.actual_rows[i] += count
-            for op, count in zip(operators, op_counts):
-                op.actual_rows += count
-            stats.rows_scanned += shard_stats.rows_scanned
-            stats.index_lookups += shard_stats.index_lookups
-            stats.residual_checks += shard_stats.residual_checks
-            stats.residual_evals += shard_stats.residual_evals
-            stats.tuples_emitted += shard_stats.tuples_emitted
-        branch.actual_emitted += sum(produced_counts)
+            ctx.stats.add(shard_stats)
+            for i, *counts in deferred:
+                sub_branch, sub_pipeline = subs[i]
+                sub_branch.tally(sub_pipeline, *counts)
+        step_counts = [sum(c) for c in zip(*(r[1] for r in results))]
+        op_counts = [sum(c) for c in zip(*(r[2] for r in results))]
+        branch.tally(pipeline, step_counts, op_counts, sum(produced_counts))
         if branch.shards is None:
             branch.shards = ShardReport()
         branch.shards.record(produced_counts, len(produced))
-        if dedup is not None:
-            dedup.absorb(produced, out)
-        else:
-            out.update(produced)
+        dedup.absorb(produced, out)
 
 
 register_backend(ShardedBackend())

@@ -234,24 +234,36 @@ def assert_analyzer_clean(db: Database, query, params: dict | None = None) -> No
     )
 
 
-def assert_plan_accounting(plan, result_size: int) -> None:
-    """est/act sanity of a just-executed plan.
+def assert_plan_accounting(plan, result_size: int | None) -> None:
+    """est/act sanity of a just-executed plan and its residual sub-plans.
 
     Estimates exist on every step, actual counters are consistent
     (non-negative, executions recorded), and the rendered explain text
-    carries both numbers without crashing.
+    carries both numbers without crashing.  Every residual's sub-plans
+    (``result_size=None``: they may not have run) are checked the same
+    way, and a residual operator that ran renders them beneath it.
     """
+    from repro.compiler import BatchedResidualFilter
+
+    text = plan.explain()
+    assert "est=" in text and "act=" in text
     for branch in plan.branches:
-        assert branch.executions >= 1
-        assert len(branch.actual_rows) == len(branch.steps)
-        assert all(count >= 0 for count in branch.actual_rows)
-        assert branch.actual_emitted >= 0
+        if result_size is not None or branch.executions:
+            assert branch.executions >= 1
+            assert len(branch.actual_rows) == len(branch.steps)
+            assert all(count >= 0 for count in branch.actual_rows)
+            assert branch.actual_emitted >= 0
         for step in branch.steps:
             assert step.est_cumulative is not None and step.est_cumulative >= 0
         assert branch.est_out is not None and branch.est_out >= 0
-    text = plan.explain()
-    assert "est=" in text and "act=" in text
-    if plan.dedup.executions:
+        for program in branch.residuals.values():
+            for sub in program.plans:
+                assert_plan_accounting(sub, None)
+        for pipeline in branch.pipelines.values():
+            for op in pipeline.operators() if pipeline is not None else ():
+                if isinstance(op, BatchedResidualFilter) and op.executions:
+                    assert all(line in text for line in op.explain_line().splitlines())
+    if result_size is not None and plan.dedup.executions:
         assert plan.dedup.actual_rows == result_size
 
 

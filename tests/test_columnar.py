@@ -4,9 +4,10 @@ The PR 4 safety net on top of the 50-seed equivalence suite in
 ``test_batched_executor.py``: plan-shape assertions that Project fuses
 into the producing operator exactly when no residual follows, the
 cost-gated probe-pushdown of selective filters, the per-batch
-memoization of residual checks (regression test: evaluator invocations
-are bounded by *distinct* bindings, not rows), and the grouped
-index-probe fast paths for ``Some``/``InRel`` residuals.
+grouping of residual checks (regression test: a residual decides each
+*distinct* read-attribute tuple once, not each row), and residual
+quantifiers and memberships answered by compiled plans with no
+evaluator call.
 """
 
 import random
@@ -202,15 +203,36 @@ class TestPushFilterMemoIsolation:
         assert len(second) > len(first)
 
 
-class TestBatchedResiduals:
-    def test_memoization_regression(self):
-        """Residual checks are memoized per batch: the evaluator runs
-        once per distinct binding, not once per joined row.
+def _read_groups(db, *terms) -> set:
+    """The distinct tuples of ``terms`` over the rows of the base join:
+    the most groups a residual reading exactly ``terms`` may decide."""
+    return Evaluator(db).eval_query(_join_query(targets=list(terms)))
 
-        The syntactic order pins ``y`` onto the hash join, so its rows
-        reach the residual repeated once per matching ``x`` row; an
-        All-quantifier keeps the evaluator fallback in play.
-        """
+
+def _run_grouped(db, q, **compile_kwargs):
+    """Execute ``q`` on the batch pipeline; return (rows, stats) after
+    checking the answer against the evaluator and that the residual
+    never called it."""
+    plan = compile_query(db, q, **compile_kwargs)
+    stats = PlanStats()
+    rows = plan.execute(ExecutionContext(db, stats=stats), executor="batch")
+    assert rows == Evaluator(db).eval_query(q)
+    assert stats.residual_evals == 0
+    assert stats.residual_checks >= stats.residual_groups
+    return rows, stats
+
+
+class TestBatchedResiduals:
+    """A residual is decided once per distinct group of what it reads,
+    by compiled plans: answers match the evaluator, the evaluator is
+    never called, and no residual decides more groups than there are
+    distinct read-attribute tuples."""
+
+    def test_memoization_regression(self):
+        """Joins multiply rows but not groups: with ``y`` pinned onto
+        the hash join its rows reach the universal repeated once per
+        matching ``x`` row, and the residual still decides each distinct
+        ``y.a7`` once."""
         db = _wide_db(rows=200, keys=8)  # heavy key duplication
         q = _join_query(
             pred_extra=d.all_(
@@ -222,78 +244,44 @@ class TestBatchedResiduals:
                 ),
             )
         )
-        plan = compile_query(db, q, options=ExecOptions(optimizer="syntactic"))
-        stats = PlanStats()
-        rows = plan.execute(ExecutionContext(db, stats=stats), executor="batch")
-        assert rows == Evaluator(db).eval_query(q)
-        distinct_y = len(db["R2"])
-        assert 0 < stats.residual_evals <= distinct_y
-        assert stats.residual_checks > stats.residual_evals
+        _rows, stats = _run_grouped(db, q, options=ExecOptions(optimizer="syntactic"))
+        assert 0 < stats.residual_groups <= len(_read_groups(db, d.a("y", "a7")))
+        assert stats.residual_checks > stats.residual_groups
 
     def test_some_residual_uses_grouped_probe(self):
         db = _wide_db()
         q = _join_query(
             pred_extra=d.some("s", "R1", d.eq(d.a("s", "a0"), d.a("y", "a7")))
         )
-        plan = compile_query(db, q)
-        residuals = [
-            op for op in _ops(plan) if isinstance(op, BatchedResidualFilter)
-        ]
-        assert len(residuals) == 1 and residuals[0].probe is not None
-        stats = PlanStats()
-        rows = plan.execute(ExecutionContext(db, stats=stats))
-        assert stats.residual_evals == 0  # no evaluator calls at all
-        assert rows == Evaluator(db).eval_query(q)
+        _rows, stats = _run_grouped(db, q)
+        assert stats.residual_groups <= len(_read_groups(db, d.a("y", "a7")))
 
     def test_inrel_and_negation_fast_path(self):
         db = _wide_db()
-        q = _join_query(
-            pred_extra=d.not_(
-                d.in_(
-                    d.tup(d.a("y", "a7"), d.a("y", "a1"), d.a("y", "a2"), d.a("y", "a0")),
-                    "R2",
-                )
-            )
-        )
+        element = (d.a("y", "a7"), d.a("y", "a1"), d.a("y", "a2"), d.a("y", "a0"))
+        q = _join_query(pred_extra=d.not_(d.in_(d.tup(*element), "R2")))
         plan = compile_query(db, q)
-        residuals = [
-            op for op in _ops(plan) if isinstance(op, BatchedResidualFilter)
-        ]
-        assert residuals and residuals[0].probe is not None
-        stats = PlanStats()
-        rows = plan.execute(ExecutionContext(db, stats=stats))
-        assert stats.residual_evals == 0
-        assert rows == Evaluator(db).eval_query(q)
+        rows, stats = _run_grouped(db, q)
+        assert stats.residual_groups <= len(_read_groups(db, *element))
         assert rows == plan.execute(ExecutionContext(db), executor="tuple")
 
     def test_all_quantifier_uses_complement_probe(self):
-        """ALL s (s.a <> outer.b) runs as one grouped anti-join probe:
-        the complement existential is hashed once and each distinct
-        binding costs a bucket-existence check — zero evaluator calls."""
+        """``ALL s (s.a <> outer.b)`` is the complement of one semi-join.
+        s ranges over R2, whose a0 values share the "bk" domain with
+        y.a0, and y itself is in R2: the universal can never hold, so
+        the complement must filter everything, exactly as the reference
+        evaluator says."""
         db = _wide_db()
-        # s ranges over R2, whose a0 values share the "bk" domain with
-        # y.a0 — the probe genuinely decides, and (since y itself is in
-        # R2) the universal can never hold: the complement must filter
-        # everything, exactly as the reference evaluator says.
         q = _join_query(
             pred_extra=d.all_("s", "R2", d.ne(d.a("s", "a0"), d.a("y", "a0")))
         )
-        plan = compile_query(db, q)
-        residuals = [
-            op for op in _ops(plan) if isinstance(op, BatchedResidualFilter)
-        ]
-        assert len(residuals) == 1 and residuals[0].probe is not None
-        assert residuals[0].probe.negate  # complement: flipped verdict
-        stats = PlanStats()
-        rows = plan.execute(ExecutionContext(db, stats=stats))
-        assert stats.residual_evals == 0
-        assert rows == Evaluator(db).eval_query(q) == set()
+        rows, stats = _run_grouped(db, q)
+        assert rows == set()
+        assert 0 < stats.residual_groups <= len(_read_groups(db, d.a("y", "a0")))
 
     def test_all_quantifier_probe_disjunction_and_negation(self):
-        """OR-of-inequality bodies and negated-equality disjuncts compile
-        to a multi-attribute complement probe; NOT ALL flips back to a
-        plain semi-join verdict.  Answers match the evaluator with zero
-        evaluator calls on the residual."""
+        """OR-of-inequality bodies and negated-equality disjuncts, and
+        NOT ALL around them: two outer attributes, one group each."""
         db = _wide_db()
         body = d.or_(
             d.not_(d.eq(d.a("s", "a0"), d.a("y", "a7"))),
@@ -301,21 +289,14 @@ class TestBatchedResiduals:
         )
         for wrap in (lambda p: p, d.not_):
             q = _join_query(pred_extra=wrap(d.all_("s", "R2", body)))
-            plan = compile_query(db, q)
-            residuals = [
-                op for op in _ops(plan) if isinstance(op, BatchedResidualFilter)
-            ]
-            assert residuals and residuals[0].probe is not None
-            assert residuals[0].probe.attrs == ("a0", "a1")
-            stats = PlanStats()
-            rows = plan.execute(ExecutionContext(db, stats=stats))
-            assert stats.residual_evals == 0
-            assert rows == Evaluator(db).eval_query(q)
+            _rows, stats = _run_grouped(db, q)
+            reads = _read_groups(db, d.a("y", "a7"), d.a("x", "a1"))
+            assert stats.residual_groups <= len(reads)
 
-    def test_all_quantifier_range_body_keeps_evaluator_fallback(self):
-        """A universal whose body is not a disjunction of inequalities
-        (here: a range comparison) cannot complement into equalities —
-        the memoized evaluator fallback stays in charge."""
+    def test_all_quantifier_range_body_compiles(self):
+        """A universal whose body mixes a range comparison into the
+        disjunction compiles like any other: its negation-normal-form
+        complement is one semi-join with a comparison filter."""
         db = _wide_db(rows=120, keys=10)
         q = _join_query(
             pred_extra=d.all_("s", "R2", d.or_(
@@ -323,17 +304,12 @@ class TestBatchedResiduals:
                 d.ge(d.a("s", "a1"), 0),
             ))
         )
-        plan = compile_query(db, q)
-        residuals = [
-            op for op in _ops(plan) if isinstance(op, BatchedResidualFilter)
-        ]
-        assert residuals and residuals[0].probe is None
-        stats = PlanStats()
-        rows = plan.execute(ExecutionContext(db, stats=stats))
-        assert rows == Evaluator(db).eval_query(q)
-        assert stats.residual_evals > 0  # the fallback really ran
+        _rows, stats = _run_grouped(db, q)
+        assert stats.residual_groups <= len(_read_groups(db, d.a("y", "a7")))
 
-    def test_multi_variable_residual_falls_back_memoized(self):
+    def test_multi_variable_residual_compiles(self):
+        """An existential correlated with two outer variables through an
+        equality and an inequality: one group per (y.a7, x.a1)."""
         db = _wide_db(rows=120, keys=15)
         q = _join_query(
             pred_extra=d.some(
@@ -345,21 +321,15 @@ class TestBatchedResiduals:
                 ),
             )
         )
-        plan = compile_query(db, q)
-        residuals = [
-            op for op in _ops(plan) if isinstance(op, BatchedResidualFilter)
-        ]
-        assert residuals and residuals[0].probe is None  # two outer vars + inequality
-        stats = PlanStats()
-        rows = plan.execute(ExecutionContext(db, stats=stats))
-        assert rows == Evaluator(db).eval_query(q)
-        assert stats.residual_evals <= stats.residual_checks
+        _rows, stats = _run_grouped(db, q)
+        assert stats.residual_groups <= len(_read_groups(db, d.a("y", "a7"), d.a("x", "a1")))
 
     def test_probe_sees_relation_mutation_on_reused_context(self):
-        """Regression: the grouped Some-probe must go through the
-        relation's version-aware index cache, so re-executing on a
+        """Regression: the residual's semi-join must read the relation
+        through its version-aware index cache, so re-executing on a
         *reused* ExecutionContext after an in-place insert sees the new
-        rows (it used to serve the pre-mutation index)."""
+        rows (the grouped probe it replaced once served the
+        pre-mutation index)."""
         db = _wide_db(rows=60, keys=6)
         q = _join_query(
             pred_extra=d.some("s", "R1", d.eq(d.a("s", "a0"), d.a("y", "a7")))
@@ -375,8 +345,8 @@ class TestBatchedResiduals:
         assert after == plan.execute(ExecutionContext(db), executor="tuple")
 
     def test_quantifier_over_delta_in_fixpoint(self):
-        """Residual probes over fixpoint variables resolve per iteration
-        (fresh execution context), so grouped probes never see stale
+        """Residual semi-joins over fixpoint variables read them per
+        iteration (fresh execution context), so they never see stale
         delta values across iterations or re-plans."""
         edges = e15_drift_edges(comps=3, sources=10, leaves=10)
         db = paper.cad_database(infront=edges, mutual=False)

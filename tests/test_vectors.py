@@ -22,7 +22,7 @@ from helpers import (
 )
 from repro import ExecOptions, paper
 from repro.calculus import dsl as d
-from repro.compiler import BatchedResidualFilter, Project, ShardConfig, executors as executors_mod
+from repro.compiler import BatchedResidualFilter, PlanStats, Project, ShardConfig, executors as executors_mod
 from repro.compiler import lower_branch_vector
 from repro.dbpl import Session
 from repro.relational import Dictionary, EncodedTable, Relation
@@ -389,7 +389,7 @@ VECTOR_SHAPES = [
         f"{{<e.src, f.dst> OF EACH e IN Edge, EACH f IN Edge: e.dst = f.src AND {NOT_BLOCKED}}}",
         True,
         ("VSCAN Edge", "VJOIN Edge[0]", "VMATERIALIZE",
-         f"RESIDUAL NOT ({NOT_BLOCKED[4:]})  (grouped index probe)",
+         f"RESIDUAL NOT ({NOT_BLOCKED[4:]})  per group <f.dst, e.src>",
          "PROJECT <e.src, f.dst>"),
     ),
     # Outside the coverage rules.
@@ -450,13 +450,19 @@ class TestVectorPipelineShapes:
 
     def test_residual_tail_drops_dead_slots(self, session):
         # The residual reads e and f, the target only e: f's slot does
-        # not survive the residual filter.
+        # not survive the residual filter.  The residual is decided once
+        # per distinct (f.dst, e.src) group by its compiled semi-join,
+        # with no evaluator call.
         text = f"{{<e.src> OF EACH e IN Edge, EACH f IN Edge: e.dst = f.src AND {NOT_BLOCKED}}}"
         prepared = session.prepare(text)
         (branch,) = prepared.plan.statement.top_plan.branches
         ops = list(branch.lowered(lower_branch_vector).operators())
         (residual,) = [op for op in ops if isinstance(op, BatchedResidualFilter)]
-        assert [pos for _var, _schema, pos in residual.var_rows] == [0, 1]
         assert residual.keep_slots == (0,)
         assert isinstance(ops[-1], Project)
-        assert prepared.execute() == session.query(text, mode="interpreted")
+        stats = PlanStats()
+        assert prepared.execute(stats=stats) == session.query(text, mode="interpreted")
+        joined = session.query("{<f.dst, e.src> OF EACH e IN Edge, EACH f IN Edge: e.dst = f.src}")
+        assert stats.residual_evals == 0
+        assert 0 < stats.residual_groups <= len(joined)
+        assert stats.residual_checks >= stats.residual_groups
