@@ -21,9 +21,9 @@ Built-in backends:
     Dictionary-encoded int-id pipelines over typed column buffers
     (PR 8), run by numpy kernels and lowered by the same step walk as
     ``batch`` (residual filters run on its row-slot kernels after a
-    materialize boundary); falls back per branch to ``batch`` for
-    shapes outside the vector coverage rules (computed ranges,
-    multi-column keys, a step residual before the last step) — and for
+    materialize boundary); runs a branch on ``batch``'s pipeline when
+    the branch is outside the vector coverage rules (computed ranges,
+    multi-column keys, a step residual before the last step) — and
     every branch when numpy does not import, which is the one place
     that question is asked (:meth:`VectorBackend.pipeline_for`).
 ``sharded``
@@ -33,21 +33,20 @@ Built-in backends:
     :func:`get_backend` for bare uses of this module).
 ``tuple``
     The original interpreted loop nest (benchmark E16's baseline) and
-    the floor of every fallback chain.
+    the oracle the property suites check the pipelines against: it
+    runs only when asked for by name.
 ``rowbatch``
     PR 3's row-major flat-carry operator pipelines: a measurement
-    baseline (E17) that runs only when asked for by name — no other
-    backend falls back to it.
+    baseline (E17) that runs only when asked for by name.
 
-The fallback order is data, not inheritance: each backend names its one
-:attr:`~ExecutorBackend.lowering` function (memoized per branch by
-``BranchPlan.lowered``) and the backend a branch drops to when
-that lowering yields no pipeline (:attr:`~ExecutorBackend.fallback`),
-and :meth:`ExecutorBackend.pipeline_for` walks the chain.  Spelled out:
-``vector → batch → tuple``, ``sharded → batch``, ``rowbatch → tuple``.
-Reaching the interpreter from a batched backend is reported through
-``ctx.note_fallback("lowering", ...)``, and ``vector`` running without
-numpy through ``ctx.note_fallback("vector_numpy", ...)`` — never silent.
+Each backend names its one :attr:`~ExecutorBackend.lowering` function
+(memoized per branch by ``BranchPlan.lowered``).  The columnar and
+row-major lowerings are total — every branch gets a pipeline — so the
+one fallback edge is data on ``vector``
+(:attr:`~ExecutorBackend.fallback`): ``vector → batch``, the vector
+coverage rule, which is not a degradation.  ``vector`` running without
+numpy is one, reported through ``ctx.note_fallback("vector_numpy", ...)``
+— never silent.
 """
 
 from __future__ import annotations
@@ -78,33 +77,15 @@ class ExecutorBackend:
     #: pipeline, memoized per branch by ``BranchPlan.lowered`` (None: the
     #: tuple interpreter, which needs no pipeline).
     lowering = None
-    #: The backend a branch drops to when ``lowering`` yields no pipeline.
-    fallback: str = "tuple"
+    #: The backend whose pipeline runs a branch ``lowering`` declines
+    #: (only the vector lowering declines any).
+    fallback: str | None = None
 
     def pipeline_for(self, branch, ctx=None):
         """The pipeline this backend runs ``branch`` on, or None for the
-        tuple interpreter.
-
-        Walks the fallback chain from this backend: the first lowering
-        that yields a pipeline wins (lowerings are memoized on the
-        branch).  A chain that tried a lowering and still ended at the
-        interpreter is a degradation, reported through
-        ``ctx.note_fallback`` — paid only when it happens, and skipped
-        without a ``ctx`` (``explain()`` asking what would run).
-        """
-        backend = self
-        while backend.lowering is not None:
-            pipeline = branch.lowered(backend.lowering)
-            if pipeline is not None:
-                return pipeline
-            backend = get_backend(backend.fallback)
-        if backend is not self and ctx is not None:
-            ctx.note_fallback(
-                "lowering",
-                "no operator pipeline could be generated for a branch; "
-                f"executor={self.name!r} ran it on the tuple interpreter",
-            )
-        return None
+        tuple interpreter.  ``ctx`` (absent when ``explain()`` asks what
+        would run) receives degradation reports."""
+        return None if self.lowering is None else branch.lowered(self.lowering)
 
     def execute_branch(self, branch, ctx, out: set, dedup) -> None:
         """Run ``branch`` under ``ctx``, adding result tuples to ``out``."""
@@ -165,8 +146,11 @@ class VectorBackend(ExecutorBackend):
                     "numpy is not importable; executor='vector' ran a branch "
                     "on the batch pipeline",
                 )
-            return get_backend(self.fallback).pipeline_for(branch, ctx)
-        return super().pipeline_for(branch, ctx)
+        else:
+            pipeline = branch.lowered(self.lowering)
+            if pipeline is not None:
+                return pipeline
+        return get_backend(self.fallback).pipeline_for(branch, ctx)
 
 
 _BACKENDS: dict[str, ExecutorBackend] = {}

@@ -61,11 +61,15 @@ is its own (a batch row is a flat tuple of exactly the live values),
 and its :class:`ResidualFilter` calls the reference evaluator per row.
 
 Every lowering runs lazily, once per branch (``BranchPlan.lowered``),
-and lowers its residuals' sub-plans with it.
-A branch with an untranslatable term falls from its pipeline straight
-to the tuple-at-a-time interpreter (``executor="tuple"``, benchmark
-E16's baseline) — the row-major layout is never a fallback for the
-columnar one.
+and lowers its residuals' sub-plans with it.  The columnar and
+row-major lowerings are total: they return a pipeline for every branch
+— one with no bindings too — and a term no generated code can express
+(a variable bound nowhere, an unknown operator) raises the
+:class:`~repro.errors.EvaluationError` the reference evaluator raises
+for it.  Only the vector lowering declines branches (its coverage
+rules; ``executor="vector"`` then runs them on ``batch``), and the
+tuple-at-a-time interpreter (``executor="tuple"``, benchmark E16's
+baseline) runs only when named.
 
 Every operator accumulates the **actual row count** it produced, which
 ``explain()`` reports next to the optimizer's estimates — the batched
@@ -352,7 +356,8 @@ class BatchedResidualFilter(ResidualFilter):
         self.backend = backend
 
     def explain_line(self, per: int | None = None) -> str:
-        return "\n".join([super().explain_line(per), *self.program.root.explain_lines("  ")])
+        lines = self.program.root.explain_lines("  ", self.backend.name)
+        return "\n".join([super().explain_line(per), *lines])
 
     def run(self, ctx, batch):
         n, slots = batch
@@ -389,12 +394,13 @@ class _GroupNode:
         self.parts = parts
         self.plan = plan
 
-    def explain_lines(self, indent: str) -> list[str]:
+    def explain_lines(self, indent: str, executor: str) -> list[str]:
+        """This node and its sub-plans, headed by the ``executor`` they run on."""
         lines = [f"{indent}{self.label}"]
         if self.plan is not None:
-            lines.extend(f"{indent}  {line}" for line in self.plan.explain().splitlines())
+            lines.extend(f"{indent}  {line}" for line in self.plan.explain(executor).splitlines())
         for part in self.parts:
-            lines.extend(part.explain_lines(indent + "  "))
+            lines.extend(part.explain_lines(indent + "  ", executor))
         return lines
 
 
@@ -536,38 +542,47 @@ class DeltaApply(Operator):
 # from a layout whenever the same variable's whole row is live there.
 
 
-def _term_items(term: ast.Term, schemas) -> list | None:
-    """The carry items a term reads, or None when untranslatable."""
+def _bound_schema(schemas, var: str):
+    """``var``'s schema: a variable bound nowhere is the evaluator's error."""
+    schema = schemas.get(var)
+    if schema is None:
+        raise EvaluationError(f"unbound tuple variable {var!r}")
+    return schema
+
+
+def _op_src(table: dict, op: str, kind: str) -> str:
+    """An operator's source fragment; an unknown one is the evaluator's error."""
+    src = table.get(op)
+    if src is None:
+        raise EvaluationError(f"unknown {kind} operator {op!r}")
+    return src
+
+
+def _term_items(term: ast.Term, schemas) -> list:
+    """The carry items a term reads."""
     if isinstance(term, (ast.Const, ast.ParamRef)):
         return []
     if isinstance(term, ast.AttrRef):
-        schema = schemas.get(term.var)
-        if schema is None:
-            return None
-        return [("attr", term.var, schema.index_of(term.attr))]
+        return [("attr", term.var, _bound_schema(schemas, term.var).index_of(term.attr))]
     if isinstance(term, ast.VarRef):
-        if term.var not in schemas:
-            return None
+        _bound_schema(schemas, term.var)
         return [("row", term.var)]
     if isinstance(term, ast.Arith):
-        left = _term_items(term.left, schemas)
-        right = _term_items(term.right, schemas)
-        if left is None or right is None:
-            return None
-        return left + right
+        return _term_items(term.left, schemas) + _term_items(term.right, schemas)
     if isinstance(term, ast.TupleCons):
-        out: list = []
-        for item in term.items:
-            sub = _term_items(item, schemas)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    return None
+        return [item for sub in term.items for item in _term_items(sub, schemas)]
+    raise EvaluationError(f"not a term: {term!r}")
 
 
 class _CodeGen:
-    """Generates operator inner loops against flat carry layouts."""
+    """Generates operator inner loops against flat carry layouts.
+
+    Every term compiles: a variable bound nowhere, an unknown operator
+    or a non-term raises the :class:`~repro.errors.EvaluationError` the
+    reference evaluator raises for it.  ``env`` tells :meth:`attr_expr`
+    and :meth:`row_expr` where bound variables live — here carry
+    positions, in :class:`_ColGen` slot loop names.
+    """
 
     def __init__(self, schemas, params: dict) -> None:
         self.schemas = schemas
@@ -587,62 +602,50 @@ class _CodeGen:
 
     # -- expressions --------------------------------------------------------
 
-    def term_expr(self, term: ast.Term, pos_of: dict, cur_var: str | None):
-        """Python source for a term, or None when untranslatable."""
+    def term_expr(self, term: ast.Term, env: dict, cur_var: str | None) -> str:
+        """Python source for a term; ``cur_var``'s row is ``r``."""
         if isinstance(term, ast.Const):
             return self.const(term.value)
         if isinstance(term, ast.ParamRef):
             return f"_params[{term.name!r}]"
         if isinstance(term, ast.AttrRef):
-            schema = self.schemas.get(term.var)
-            if schema is None:
-                return None
-            return self.attr_expr(term.var, schema.index_of(term.attr), pos_of, cur_var)
+            idx = _bound_schema(self.schemas, term.var).index_of(term.attr)
+            return self.attr_expr(term.var, idx, env, cur_var)
         if isinstance(term, ast.VarRef):
-            return self.row_expr(term.var, pos_of, cur_var)
+            return self.row_expr(term.var, env, cur_var)
         if isinstance(term, ast.Arith):
-            left = self.term_expr(term.left, pos_of, cur_var)
-            right = self.term_expr(term.right, pos_of, cur_var)
-            op = _ARITH_SRC.get(term.op)
-            if left is None or right is None or op is None:
-                return None
-            return f"({left} {op} {right})"
+            left = self.term_expr(term.left, env, cur_var)
+            right = self.term_expr(term.right, env, cur_var)
+            return f"({left} {_op_src(_ARITH_SRC, term.op, 'arithmetic')} {right})"
         if isinstance(term, ast.TupleCons):
-            items = [self.term_expr(i, pos_of, cur_var) for i in term.items]
-            if any(i is None for i in items):
-                return None
-            return _tuple_src(items)
-        return None
+            return _tuple_src([self.term_expr(i, env, cur_var) for i in term.items])
+        raise EvaluationError(f"not a term: {term!r}")
 
-    def attr_expr(self, var: str, idx: int, pos_of: dict, cur_var: str | None):
+    def attr_expr(self, var: str, idx: int, pos_of: dict, cur_var: str | None) -> str:
         if var == cur_var:
             return f"r[{idx}]"
         pos = pos_of.get(("attr", var, idx))
         if pos is not None:
             return f"e[{pos}]"
-        pos = pos_of.get(("row", var))
-        if pos is not None:
-            return f"e[{pos}][{idx}]"
-        return None
+        return f"{self.row_expr(var, pos_of, None)}[{idx}]"
 
-    def row_expr(self, var: str, pos_of: dict, cur_var: str | None):
+    def row_expr(self, var: str, pos_of: dict, cur_var: str | None) -> str:
         if var == cur_var:
             return "r"
         pos = pos_of.get(("row", var))
-        return f"e[{pos}]" if pos is not None else None
+        if pos is None:
+            raise EvaluationError(f"unbound tuple variable {var!r}")
+        return f"e[{pos}]"
 
-    def item_expr(self, item, pos_of: dict, cur_var: str | None):
+    def item_expr(self, item, pos_of: dict, cur_var: str | None) -> str:
         if item[0] == "row":
             return self.row_expr(item[1], pos_of, cur_var)
         return self.attr_expr(item[1], item[2], pos_of, cur_var)
 
-    def cmp_expr(self, conj: ast.Cmp, pos_of: dict):
-        left = self.term_expr(conj.left, pos_of, None)
-        right = self.term_expr(conj.right, pos_of, None)
-        op = _CMP_SRC.get(conj.op)
-        if left is None or right is None or op is None:
-            return None
-        return f"({left} {op} {right})"
+    def cmp_expr(self, conj: ast.Cmp, env: dict, cur_var: str | None = None) -> str:
+        left = self.term_expr(conj.left, env, cur_var)
+        right = self.term_expr(conj.right, env, cur_var)
+        return f"({left} {_op_src(_CMP_SRC, conj.op, 'comparison')} {right})"
 
 
 def _tuple_src(exprs: list[str]) -> str:
@@ -675,7 +678,7 @@ class BranchPipeline:
     @property
     def executions(self) -> int:
         """Runs so far (the leading operator runs on every one)."""
-        return self.step_ops[0][0].executions
+        return next(self.operators()).executions
 
     def operators(self):
         for ops in self.step_ops:
@@ -720,15 +723,11 @@ def lower_branch(
     params: dict,
     est_out: float | None = None,
     residuals: dict | None = None,
-) -> BranchPipeline | None:
-    """Lower priced loop steps into the batched operator pipeline.
+) -> BranchPipeline:
+    """Lower priced loop steps into the row-major operator pipeline.
 
-    Returns None when some term cannot be expressed as generated code
-    (the plan then falls back to tuple-at-a-time execution).  Compiled
-    ``residuals`` go unused: :class:`ResidualFilter` interprets.
+    Compiled ``residuals`` go unused: :class:`ResidualFilter` interprets.
     """
-    if not steps:
-        return None
     gen = _CodeGen(schemas, params)
     has_residual = not isinstance(residual, ast.TruePred)
 
@@ -737,25 +736,16 @@ def lower_branch(
     entry_items: list[list] = []
     access_entry: dict[int, int] = {}
     for s, step in enumerate(steps):
-        items: list = []
-        for term in step.key_terms:
-            sub = _term_items(term, schemas)
-            if sub is None:
-                return None
-            items.extend(sub)
         access_entry[s] = len(entries)
         entries.append(("access", step))
-        entry_items.append(items)
+        entry_items.append([i for term in step.key_terms for i in _term_items(term, schemas)])
         if step.filter_conjs:
-            items = []
-            for conj in step.filter_conjs:
-                left = _term_items(conj.left, schemas)
-                right = _term_items(conj.right, schemas)
-                if left is None or right is None:
-                    return None
-                items.extend(left + right)
             entries.append(("filter", step))
-            entry_items.append(items)
+            entry_items.append([
+                i
+                for conj in step.filter_conjs
+                for i in _term_items(conj.left, schemas) + _term_items(conj.right, schemas)
+            ])
         if step.residual_preds:
             # Single-variable residuals (memberships, quantifiers) run
             # right after their step binds; they read the whole row.
@@ -767,14 +757,9 @@ def lower_branch(
             [("row", v) for v in sorted(free_tuple_vars(residual)) if v in schemas]
         )
     if target_terms is None:
-        project_items: list | None = [("row", steps[0].var)]
+        project_items = [("row", steps[0].var)]
     else:
-        project_items = []
-        for term in target_terms:
-            sub = _term_items(term, schemas)
-            if sub is None:
-                return None
-            project_items.extend(sub)
+        project_items = [i for term in target_terms for i in _term_items(term, schemas)]
     entries.append(("project", target_terms))
     entry_items.append(project_items)
 
@@ -813,8 +798,6 @@ def lower_branch(
             s = bound_rank[step.var]
             layout = layouts[s]
             emits = [gen.item_expr(item, prev_pos, step.var) for item in layout]
-            if any(e is None for e in emits):
-                return None
             arity = len(step.schema.attribute_names)
             identity = emits == [f"r[{i}]" for i in range(arity)]
             emit_src = "r" if identity else _tuple_src(emits)
@@ -822,8 +805,6 @@ def lower_branch(
                 key_exprs = [
                     gen.term_expr(term, prev_pos, None) for term in step.key_terms
                 ]
-                if any(k is None for k in key_exprs):
-                    return None
                 if all(not free_tuple_vars(term) for term in step.key_terms):
                     # Constant key: one lookup shared by the batch.
                     key_fn = gen.define(
@@ -864,8 +845,6 @@ def lower_branch(
         elif kind == "filter":
             step = payload
             conds = [gen.cmp_expr(conj, prev_pos) for conj in step.filter_conjs]
-            if any(c is None for c in conds):
-                return None
             fn = gen.define(
                 "_filter",
                 "def _filter(batch):\n"
@@ -875,24 +854,14 @@ def lower_branch(
         elif kind in ("step_residual", "residual"):
             pred = conjoin(payload.residual_preds) if kind == "step_residual" else payload
             reads = [v for v in sorted(free_tuple_vars(pred)) if v in schemas]
-            if any(("row", v) not in prev_pos for v in reads):
-                return None
             op = ResidualFilter(pred, [(v, schemas[v], prev_pos[("row", v)]) for v in reads])
             (current if kind == "step_residual" else tail_ops).append(op)
         else:  # project
-            if target_terms is None:
-                expr = gen.row_expr(steps[0].var, prev_pos, None)
-                if expr is None:
-                    return None
-                exprs = [expr]
-                single = True
+            single = target_terms is None
+            if single:
+                exprs = [gen.row_expr(steps[0].var, prev_pos, None)]
             else:
-                exprs = [
-                    gen.term_expr(term, prev_pos, None) for term in target_terms
-                ]
-                if any(e is None for e in exprs):
-                    return None
-                single = False
+                exprs = [gen.term_expr(term, prev_pos, None) for term in target_terms]
             identity = (
                 not single
                 and len(exprs) == len(prev_pos)
@@ -960,54 +929,20 @@ class _ColGen(_CodeGen):
         self.ns.update(_COLUMNAR_NS)
         self.touched: set[str] = set()
 
-    def col_term(self, term: ast.Term, names: dict, cur_var: str | None):
-        """Python source for a term; bound rows are reachable through
-        ``names[var]`` (loop variables or group-key subscripts), the
-        current step's source row through ``r``."""
-        if isinstance(term, ast.Const):
-            return self.const(term.value)
-        if isinstance(term, ast.ParamRef):
-            return f"_params[{term.name!r}]"
-        if isinstance(term, ast.AttrRef):
-            schema = self.schemas.get(term.var)
-            if schema is None:
-                return None
-            idx = schema.index_of(term.attr)
-            if term.var == cur_var:
-                return f"r[{idx}]"
-            base = names.get(term.var)
-            if base is None:
-                return None
-            self.touched.add(term.var)
-            return f"{base}[{idx}]"
-        if isinstance(term, ast.VarRef):
-            if term.var == cur_var:
-                return "r"
-            base = names.get(term.var)
-            if base is not None:
-                self.touched.add(term.var)
-            return base
-        if isinstance(term, ast.Arith):
-            left = self.col_term(term.left, names, cur_var)
-            right = self.col_term(term.right, names, cur_var)
-            op = _ARITH_SRC.get(term.op)
-            if left is None or right is None or op is None:
-                return None
-            return f"({left} {op} {right})"
-        if isinstance(term, ast.TupleCons):
-            items = [self.col_term(i, names, cur_var) for i in term.items]
-            if any(i is None for i in items):
-                return None
-            return _tuple_src(items)
-        return None
+    def attr_expr(self, var: str, idx: int, names: dict, cur_var: str | None) -> str:
+        return f"r[{idx}]" if var == cur_var else f"{self.row_expr(var, names, None)}[{idx}]"
 
-    def col_cmp(self, conj: ast.Cmp, names: dict, cur_var: str | None = None):
-        left = self.col_term(conj.left, names, cur_var)
-        right = self.col_term(conj.right, names, cur_var)
-        op = _CMP_SRC.get(conj.op)
-        if left is None or right is None or op is None:
-            return None
-        return f"({left} {op} {right})"
+    def row_expr(self, var: str, names: dict, cur_var: str | None) -> str:
+        """Bound rows are reachable through ``names[var]`` (loop
+        variables or group-key subscripts), the current step's source
+        row through ``r``."""
+        if var == cur_var:
+            return "r"
+        base = names.get(var)
+        if base is None:
+            raise EvaluationError(f"unbound tuple variable {var!r}")
+        self.touched.add(var)
+        return base
 
 
 def _unpack_src(indices) -> str:
@@ -1051,7 +986,7 @@ class _ColumnarKernels:
         self.backend = backend
 
     def _key_columns(self, step, slot_of, names):
-        """Source expressions for the probe-key columns, or None."""
+        """Source expressions for the probe-key columns."""
         gen = self.gen
         schemas = gen.schemas
         cols = []
@@ -1065,17 +1000,10 @@ class _ColumnarKernels:
                 idx = schemas[term.var].index_of(term.attr)
                 cols.append(f"_map(_ig({idx}), s{slot_of[term.var]})")
             elif not vars_:
-                expr = gen.col_term(term, {}, None)
-                if expr is None:
-                    return None
-                cols.append(f"_rep({expr})")
+                cols.append(f"_rep({gen.term_expr(term, {}, None)})")
             else:
-                read = sorted(vars_, key=lambda v: slot_of.get(v, -1))
-                if any(v not in slot_of for v in read):
-                    return None
-                expr = gen.col_term(term, names, None)
-                if expr is None:
-                    return None
+                expr = gen.term_expr(term, names, None)
+                read = sorted(vars_, key=slot_of.get)
                 if len(read) == 1:
                     j = slot_of[read[0]]
                     cols.append(f"[{expr} for e{j} in s{j}]")
@@ -1091,25 +1019,10 @@ class _ColumnarKernels:
         var = step.var
         gen.touched = set()
         if self.target_terms is None:
-            root = self.steps[0].var
-            if root == var:
-                target = "r"
-            else:
-                target = names.get(root)
-                if target is None:
-                    return None
-                gen.touched.add(root)
+            target = gen.row_expr(self.steps[0].var, names, var)
         else:
-            exprs = [gen.col_term(t, names, var) for t in self.target_terms]
-            if any(e is None for e in exprs):
-                return None
-            target = _tuple_src(exprs)
-        cond_srcs = []
-        for conj, _desc in conds_pairs:
-            src = gen.col_cmp(conj, names, var)
-            if src is None:
-                return None
-            cond_srcs.append(src)
+            target = _tuple_src([gen.term_expr(t, names, var) for t in self.target_terms])
+        cond_srcs = [gen.cmp_expr(conj, names, var) for conj, _desc in conds_pairs]
         cond = f" if {' and '.join(cond_srcs)}" if cond_srcs else ""
         read = [v for v in sorted(slot_of, key=slot_of.get) if v in gen.touched]
         unp = ", ".join(f"e{slot_of[v]}" for v in read)
@@ -1157,18 +1070,11 @@ class _ColumnarKernels:
 
         if is_join:
             cols = self._key_columns(step, slot_of, names)
-            if cols is None or not layout_before:
-                return None
             key = cols[0] if len(cols) == 1 else f"_zip({', '.join(cols)})"
             scalar = len(cols) == 1
             if final:
                 body += f"    _b = _map(get, {key}, _rep(EMPTY))\n"
-                tail = self._emit_comprehension(
-                    step, slot_of, names, conds_pairs, "_b", False
-                )
-                if tail is None:
-                    return None
-                body += tail
+                body += self._emit_comprehension(step, slot_of, names, conds_pairs, "_b", False)
             else:
                 body += f"    _b = _list(_map(get, {key}, _rep(EMPTY)))\n"
                 body += "    _c = _list(_map(_len, _b))\n"
@@ -1195,10 +1101,7 @@ class _ColumnarKernels:
         arg = "bucket" if const_key else "rows"
         leading = s == 0
         if final:
-            tail = self._emit_comprehension(step, slot_of, names, conds_pairs, arg, leading)
-            if tail is None:
-                return None
-            body += tail
+            body += self._emit_comprehension(step, slot_of, names, conds_pairs, arg, leading)
         elif leading:
             if var in layout_after:
                 body += (
@@ -1222,8 +1125,6 @@ class _ColumnarKernels:
             body += f"    return (n * _nr, [{', '.join(outs)}])\n"
         if const_key:
             key_exprs = [gen.term_expr(t, {}, None) for t in step.key_terms]
-            if any(e is None for e in key_exprs):
-                return None
             key_fn = gen.define(
                 "_key", f"def _key():\n    return {_tuple_src(key_exprs)}\n"
             )
@@ -1239,10 +1140,7 @@ class _ColumnarKernels:
         read: set = set()
         descs = []
         for conj, desc in self.step_conjs[s]:
-            src = self.gen.col_cmp(conj, names, None)
-            if src is None:
-                return None
-            conds.append(src)
+            conds.append(self.gen.cmp_expr(conj, names))
             read |= free_tuple_vars(conj.left) | free_tuple_vars(conj.right)
             descs.append(desc)
         keep = [slot_of[v] for v in layout_after]
@@ -1276,15 +1174,13 @@ class _ColumnarKernels:
         return Filter(tuple(descs), fn)
 
     def residual(self, pred, read_vars, layout_before, layout_after):
-        program = self.residuals.get(pred)
+        program = self.residuals[pred]
         slot_of = {v: i for i, v in enumerate(layout_before)}
-        backend = self.backend
         # The sub-plans are lowered now, with their parent: no lowering is
         # left for a shard worker.
-        if program is None or any(v not in slot_of for v, _a in program.items) or any(
-            backend.pipeline_for(b) is None for p in program.plans for b in p.branches
-        ):
-            return None
+        for plan in program.plans:
+            for branch in plan.branches:
+                self.backend.pipeline_for(branch)
         schemas = self.gen.schemas
         key = _tuple_src(
             [f"e{slot_of[v]}[{schemas[v].index_of(a)}]" for v, a in program.items] or ["None"]
@@ -1299,14 +1195,9 @@ class _ColumnarKernels:
         names = {v: f"e{slot_of[v]}" for v in slot_of}
         body = "    n, slots = batch\n"
         if self.target_terms is None:
-            root = self.steps[0].var
-            if root not in slot_of:
-                return None
-            body += f"    return slots[{slot_of[root]}]\n"
+            body += f"    return slots[{slot_of[self.steps[0].var]}]\n"
         else:
-            exprs = [self.gen.col_term(t, names, None) for t in self.target_terms]
-            if any(e is None for e in exprs):
-                return None
+            exprs = [self.gen.term_expr(t, names, None) for t in self.target_terms]
             read = {slot_of[v] for t in self.target_terms for v in free_tuple_vars(t)}
             body += _per_row_src(_tuple_src(exprs), read)
         fn = self.gen.define("_project", "def _project(batch):\n" + body)
@@ -1314,7 +1205,7 @@ class _ColumnarKernels:
 
 
 def _step_walk(steps, residual, target_terms, step_conjs, kernels, fusable, est_out):
-    """Lower priced loop steps through one kernel set (None on failure).
+    """Lower priced loop steps through one kernel set.
 
     The walk decides everything the batch and vector lowerings share:
     the entries (access, filter, step residual, one per residual
@@ -1354,7 +1245,7 @@ def _step_walk(steps, residual, target_terms, step_conjs, kernels, fusable, est_
 
     # --- fusion: Project (and the final step's filter) folds into the
     # producing access operator exactly when no residual follows it ---
-    fuse = fusable and not has_residual and not steps[last].residual_preds
+    fuse = fusable and bool(steps) and not has_residual and not steps[last].residual_preds
     if fuse:
         # The folded entries are the trailing ones: no residual follows.
         folded = [e for e in entries if e[0] == "project" or e[:2] == ("filter", last)]
@@ -1378,33 +1269,22 @@ def _step_walk(steps, residual, target_terms, step_conjs, kernels, fusable, est_
     current: list[Operator] = []
     for k, (kind, payload, reads) in enumerate(entries):
         if kind == "project":  # standalone: a residual precedes it, or no fusion
-            op = kernels.project(layout)
-            if op is None:
-                return None
-            tail_ops.append(op)
+            tail_ops.append(kernels.project(layout))
             continue
         s = payload if kind in ("access", "filter") else payload[0]
         final = kind == "access" and fuse and s == last
         layout_after = [] if final else [st.var for st in steps[: s + 1] if st.var in after[k]]
         if kind == "access":
-            op = kernels.access(s, layout, layout_after, final)
-            if op is None:
-                return None
-            current = [op]
+            current = [kernels.access(s, layout, layout_after, final)]
             step_ops.append(current)
         elif kind == "filter":
-            op = kernels.filter(s, layout, layout_after)
-            if op is None:
-                return None
-            current.append(op)
+            current.append(kernels.filter(s, layout, layout_after))
         else:
             if kernels.tail is not None:
                 current.append(kernels.materialize(layout))
                 kernels = kernels.tail
             read_vars = sorted(reads, key=bound_rank.get)
             op = kernels.residual(payload[1], read_vars, layout, layout_after)
-            if op is None:
-                return None
             (current if kind == "step_residual" else tail_ops).append(op)
         layout = layout_after
 
@@ -1426,18 +1306,14 @@ def lower_branch_columnar(
     params: dict,
     est_out: float | None = None,
     residuals: dict | None = None,
-) -> BranchPipeline | None:
+) -> BranchPipeline:
     """Lower priced loop steps into the columnar operator pipeline.
 
     The G2 pushdown prelude, then the step walk on the row-slot
     kernels, the ``residuals``' sub-plans lowered for ``batch``.
-    Returns None when some term cannot be expressed as generated code
-    (the executor then falls back to tuple-at-a-time interpretation).
     """
     from .executors import get_backend  # executors imports this module
 
-    if not steps:
-        return None
     gen = _ColGen(schemas, params)
 
     # --- G2: cost-gated pushdown of selective single-variable filters ---
@@ -1456,16 +1332,13 @@ def lower_branch_columnar(
         )
         allow = hash_join and sel is not None and sel <= FILTER_PUSH_SEL
         for conj, desc in zip(step.filter_conjs, step.filter_descs):
-            src = None
             if allow and (
                 free_tuple_vars(conj.left) | free_tuple_vars(conj.right)
             ) <= {step.var}:
-                src = gen.col_cmp(conj, {}, step.var)
-            if src is None:
-                kept.append((conj, desc))
-            else:
-                push_srcs.append(src)
+                push_srcs.append(gen.cmp_expr(conj, {}, step.var))
                 push_descs.append(desc)
+            else:
+                kept.append((conj, desc))
         step_conjs[s] = kept
         if push_srcs:
             fn = gen.define(
@@ -1590,8 +1463,6 @@ def _translation(ctx, src, dst):
     either side grows, and the identity checks guard against ``id()``
     reuse after garbage collection.
     """
-    if src is dst:
-        return None
     cache = ctx.vector_cache
     key = ("xl", id(src), id(dst))
     entry = cache.get(key)
@@ -1736,9 +1607,7 @@ class VectorHashJoin(Operator):
         probe = _encoded_table(ctx, self.probe_ref)
         ctx.stats.index_lookups += n
         pcol = probe.columns[self.probe_pos]
-        trans = _translation(
-            ctx, pcol.dictionary, build.columns[self.build_pos].dictionary
-        )
+        pdict, bdict = pcol.dictionary, build.columns[self.build_pos].dictionary
         np = get_numpy()
         order, starts, counts = build.csr(self.build_pos)
         ng = len(counts)
@@ -1747,8 +1616,8 @@ class VectorHashJoin(Operator):
             empty = np.empty(0, dtype=np.int64)
             return (0, [empty for _ in self.out_plan])
         keys = pcol.np_ids()[slot]
-        if trans is not None:
-            keys = np.frombuffer(trans, dtype=np.int64)[keys]
+        if pdict is not bdict:
+            keys = np.frombuffer(_translation(ctx, pdict, bdict), dtype=np.int64)[keys]
             valid = (keys >= 0) & (keys < ng)
         else:
             # Ids are non-negative; the shared dictionary may still
@@ -2039,8 +1908,9 @@ def lower_branch_vector(
     The coverage prelude, then the step walk (no fusion) on the
     id-space kernels, crossing to the row-slot kernels at the first
     residual.  Coverage rules — anything outside them returns None and
-    the branch falls back to the columnar pipeline (then tuple):
+    the branch runs on the columnar pipeline instead:
 
+    * the branch binds at least one variable;
     * every step reads a stored relation, except that a fixpoint
       variable may supply the *leading scan* (its delta rows encode per
       execution); apply sources anywhere else — and computed ranges

@@ -44,13 +44,12 @@ projection fused into the producing join or filter — cost-gated by the
 :class:`CostModel`; ``executor="vector"`` lowers through the same step
 walk onto dictionary-encoded id-space kernels.  ``executor="sharded"``
 runs the columnar pipelines hash-partitioned across a worker pool
-(:mod:`repro.compiler.sharded`, benchmark E18).  A branch no columnar
-pipeline can be generated for drops to the tuple-at-a-time interpreter
-(``executor="tuple"``) — one hop, reported through
-:meth:`ExecutionContext.note_fallback`.  ``executor="rowbatch"`` (the
-PR 3 row-major batched pipelines) runs only when asked for by name: it
-and ``"tuple"`` are the baselines benchmarks E16/E17 measure each layer
-against on identical plans.  ``explain()`` shows the pipelines that ran.
+(:mod:`repro.compiler.sharded`, benchmark E18).  Every branch lowers
+into a columnar pipeline; the tuple-at-a-time interpreter
+(``executor="tuple"``) and ``executor="rowbatch"`` (the PR 3 row-major
+batched pipelines) run only when asked for by name: they are the
+oracle and the baselines benchmarks E16/E17 measure each layer against
+on identical plans.  ``explain()`` shows the pipelines that ran.
 """
 
 from __future__ import annotations
@@ -156,8 +155,8 @@ class ExecutionContext:
         #: Observable-fallback hook: callable(kind, detail) installed by
         #: the serving layer (see ``Session._note_fallback``) so silent
         #: executor degradations — process pool falling back to threads,
-        #: a branch with no generated pipeline dropping to the tuple
-        #: interpreter — surface as counters and DBPL9xx hints.
+        #: ``vector`` running without numpy — surface as counters and
+        #: DBPL9xx hints.
         self.on_fallback = None
         #: In a shard worker: the residual sub-plans' counts, as
         #: ``(branch, pipeline, *counts)``, tallied after the workers finish.
@@ -841,8 +840,8 @@ class BranchPlan:
     #: :class:`~repro.compiler.operators.GroupResidual`.
     residuals: dict = field(default_factory=dict)
     #: The lowered physical-operator pipelines, keyed by the lowering
-    #: function each backend names: a BranchPipeline, or None when that
-    #: lowering does not cover the branch.  Filled only by
+    #: function each backend names: a BranchPipeline, or None when the
+    #: vector lowering does not cover the branch.  Filled only by
     #: :meth:`lowered`, on first use.
     pipelines: dict = field(default_factory=dict)
     # Actual per-step binding counts, accumulated over every execution of
@@ -857,7 +856,7 @@ class BranchPlan:
 
     def lowered(self, lowering):
         """This branch's pipeline from ``lowering``, memoized (None when
-        the lowering does not cover the branch)."""
+        the vector lowering does not cover the branch)."""
         pipelines = self.pipelines
         if lowering not in pipelines:
             pipelines[lowering] = lowering(
@@ -1014,11 +1013,14 @@ class QueryPlan:
     def est_cost(self) -> float:
         return sum(b.est_cost or 0.0 for b in self.branches)
 
-    def explain(self) -> str:
-        parts = [f"PLAN [optimizer={self.optimizer} executor={self.executor}]"]
+    def explain(self, executor: str | None = None) -> str:
+        """The plan as ``executor`` (default: its own) runs it — a
+        residual's sub-plan names the backend of the pipeline it is in."""
+        executor = self.executor if executor is None else executor
+        parts = [f"PLAN [optimizer={self.optimizer} executor={executor}]"]
         for i, branch in enumerate(self.branches):
             parts.append(f"BRANCH {i}:")
-            parts.append(branch.explain("  ", self.executor))
+            parts.append(branch.explain("  ", executor))
         if self.dedup.executions:
             parts.append(self.dedup.explain_line())
         return "\n".join(parts)
@@ -1192,7 +1194,9 @@ def compile_branch(
         if handled:
             continue
         vars_needed = _term_vars(conj)
-        if vars_needed <= set(binding_vars) and isinstance(conj, ast.Cmp):
+        # A comparison that reads no binding has no step to filter at:
+        # it is a residual over one constant group.
+        if vars_needed and vars_needed <= set(binding_vars) and isinstance(conj, ast.Cmp):
             fn = _compile_cmp(conj, schemas, params)
             if fn is not None:
                 cheap.append((vars_needed, fn, render_pred(conj), conj))
@@ -1483,8 +1487,6 @@ def compile_residual(
         if _quantifier_free(p):
             gen = _ColGen({var: schema}, params)
             src = _pred_src(p, gen, {var: "k"})
-            if src is None:
-                return evaluated(p)
             test = f"def _test(groups):\n    return {{k for k in groups if {src}}}\n"
             return GroupTest(render_pred(p), gen.define("_test", test))
         if isinstance(p, (ast.And, ast.Or)):
@@ -1516,18 +1518,15 @@ def _quantifier_free(pred: ast.Pred) -> bool:
     return not any(isinstance(n, (ast.Some, ast.All, ast.InRel)) for n in ast.walk(pred))
 
 
-def _pred_src(pred: ast.Pred, gen, names: dict) -> str | None:
-    """Python source for a quantifier-free predicate, or None."""
+def _pred_src(pred: ast.Pred, gen, names: dict) -> str:
+    """Python source for a quantifier-free predicate."""
     if isinstance(pred, ast.TruePred):
         return "True"
     if isinstance(pred, ast.Cmp):
-        return gen.col_cmp(pred, names)
+        return gen.cmp_expr(pred, names)
     if isinstance(pred, ast.Not):
-        inner = _pred_src(pred.pred, gen, names)
-        return None if inner is None else f"(not {inner})"
+        return f"(not {_pred_src(pred.pred, gen, names)})"
     parts = [_pred_src(p, gen, names) for p in pred.parts]
-    if any(p is None for p in parts):
-        return None
     return "(" + (" and " if isinstance(pred, ast.And) else " or ").join(parts) + ")"
 
 

@@ -374,9 +374,9 @@ def _run_tasks(tasks, config: ShardConfig, ctx: ExecutionContext | None = None):
 class ShardedBackend(BatchBackend):
     """Partitioned parallel execution of the columnar pipelines.
 
-    Falls back to the plain (unsharded) batch path when a branch has no
-    generated pipeline, when the leading input is below the sharding
-    threshold, or when only one shard would be created.
+    Runs the plain (unsharded) batch path when the leading input is
+    below the sharding threshold, or when only one shard would be
+    created.
     """
 
     name = "sharded"
@@ -384,7 +384,7 @@ class ShardedBackend(BatchBackend):
     def execute_branch(self, branch, ctx, out: set, dedup) -> None:
         config = ctx.shard_config or DEFAULT_CONFIG
         pipeline = self.pipeline_for(branch, ctx)
-        shard_overrides = pipeline and self._plan_shards(branch, ctx, config)
+        shard_overrides = self._plan_shards(branch, ctx, config)
         if shard_overrides is None:
             self.run_on(branch, ctx, pipeline, out, dedup)
             return

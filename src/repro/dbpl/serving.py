@@ -298,8 +298,7 @@ class PreparedPlan:
         #: Observable-degradation hook (``Session`` wires its fallback
         #: counters here): called with ``(kind, detail)`` whenever an
         #: execution silently downgrades — shard pools degrading to
-        #: threads, a branch dropping to the tuple interpreter, "vector"
-        #: without numpy.
+        #: threads, "vector" without numpy.
         self.on_fallback = None
         self._params = dict(zip(self.param_names, constants))
         self._lock = threading.Lock()

@@ -148,19 +148,18 @@ _QUERY_MODES = ("auto", "interpreted")
 #: Every way execution can leave the requested path, and the hint code
 #: that reports it: runtime degradations the executors report through
 #: ``ExecutionContext.note_fallback`` — the compiled path was kept, but
-#: not the requested physical strategy.  Three kinds.  Codes are never
-#: renumbered; a gap is a retired degradation — four so far, 900 (a
+#: not the requested physical strategy.  Two kinds.  Codes are never
+#: renumbered; a gap is a retired degradation — five so far, 900 (a
 #: compile-time error re-ran the query on the interpreted evaluator;
 #: every accepted query compiles now), 901 (a positive system outside
 #: the compiled fixpoint fragment ran on the interpreted engine; every
-#: positive system compiles now), 903 (a shipped-buffer inner executor)
-#: and 904 (snapshots ran unsharded; shards now plan over the pinned
-#: rows).
+#: positive system compiles now), 903 (a shipped-buffer inner executor),
+#: 904 (snapshots ran unsharded; shards now plan over the pinned rows)
+#: and 905 (a branch with no generated pipeline ran on the tuple
+#: interpreter; the columnar and row-major lowerings are total now).
 _FALLBACK_CODES = {
     # ShardConfig(pool="process") ran on threads (no fork)
     "process_pool": "DBPL902",
-    # a branch with no generated pipeline ran on the tuple interpreter
-    "lowering": "DBPL905",
     # executor="vector" ran on the batch pipeline: numpy does not import
     "vector_numpy": "DBPL906",
 }

@@ -19,3 +19,23 @@ def cad_db() -> Database:
 @pytest.fixture
 def edge_db() -> Database:
     return make_edge_db([("a", "b"), ("b", "c"), ("c", "d"), ("b", "d")])
+
+
+@pytest.fixture
+def pipeline_requests(monkeypatch):
+    """``(executor, pipeline)`` for every branch a backend is asked to run
+    (``ExecutorBackend.pipeline_for``; ``vector`` asks ``batch`` for the
+    branches outside its coverage), so a property can assert that the
+    compiled lowerings are total: only ``tuple`` answers None."""
+    from repro.compiler.executors import ExecutorBackend
+
+    requests = []
+    original = ExecutorBackend.pipeline_for
+
+    def recording(self, branch, ctx=None):
+        pipeline = original(self, branch, ctx)
+        requests.append((self.name, pipeline))
+        return pipeline
+
+    monkeypatch.setattr(ExecutorBackend, "pipeline_for", recording)
+    return requests

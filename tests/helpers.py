@@ -234,6 +234,15 @@ def assert_analyzer_clean(db: Database, query, params: dict | None = None) -> No
     )
 
 
+def assert_every_branch_lowered(requests) -> None:
+    """Every branch ``batch``, ``sharded`` and ``rowbatch`` were asked to
+    run got a generated pipeline (``requests``: the ``pipeline_requests``
+    fixture) — no compiled backend hands a branch to the interpreter."""
+    assert {"batch", "sharded", "rowbatch"} <= {name for name, _p in requests}
+    refused = [name for name, pipeline in requests if pipeline is None and name != "tuple"]
+    assert refused == []
+
+
 def assert_plan_accounting(plan, result_size: int | None) -> None:
     """est/act sanity of a just-executed plan and its residual sub-plans.
 

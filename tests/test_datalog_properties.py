@@ -23,6 +23,9 @@ from repro.compiler.executors import executor_names
 from repro.datalog import Atom, DatalogEngine, Var, parse_program
 from repro.dbpl import Session
 
+#: Run as CI's property step (``-m property``), not in its tier-1 step.
+pytestmark = pytest.mark.property
+
 SEEDS = 25
 DOMAIN = range(6)
 SCHEMA = """

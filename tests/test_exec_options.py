@@ -235,7 +235,8 @@ class TestEntryPoints:
 
 
 class TestFallbackChain:
-    """vector → batch → tuple, and nothing reaches the row-major lowering."""
+    """vector → batch is the one edge, and nothing reaches the row-major
+    lowering unless it is named."""
 
     #: The quantified residual puts the branch outside the vector
     #: coverage rules, so "vector" reaches the columnar lowering too.
@@ -244,59 +245,6 @@ class TestFallbackChain:
         "r.back = t.front AND SOME u IN Infront (u.front = t.back)}"
     )
     ROWS = [("table", "chair"), ("chair", "door"), ("door", "wall")]
-
-    @pytest.fixture
-    def no_columnar(self, monkeypatch):
-        """Columnar lowering fails for every branch; any use of the
-        row-major lowering is recorded."""
-        row_major_calls = []
-        monkeypatch.setattr(
-            executors_mod.BatchBackend, "lowering", staticmethod(lambda *a, **kw: None)
-        )
-        original = executors_mod.RowBatchBackend.lowering
-
-        def spy(*args, **kwargs):
-            row_major_calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(executors_mod.RowBatchBackend, "lowering", staticmethod(spy))
-        return row_major_calls
-
-    @pytest.mark.parametrize("executor", ["batch", "vector", "sharded"])
-    def test_drops_to_tuple_interpreter_and_counts(self, no_columnar, executor):
-        diags = []
-        s = Session(
-            on_diagnostic=diags.append, options=ExecOptions(executor=executor)
-        )
-        s.execute(AHEAD)
-        s.insert("Infront", self.ROWS)
-        node = parse_expression(self.JOIN)
-        reference = Evaluator(s.db).eval_query(node)
-        assert s.query(self.JOIN) == reference == {("table", "door")}
-        assert no_columnar == []
-        assert s.fallbacks["lowering"] == 1
-        (hint,) = [g for g in diags if g.code == "DBPL905"]
-        assert hint.severity == "hint"
-        # Without numpy "vector" hands the branch to "batch" first
-        # (DBPL906), so batch is the backend that reached the floor.
-        if executor == "vector" and get_numpy() is None:
-            executor = "batch"
-        assert f"executor={executor!r}" in hint.message
-
-    def test_constructed_range_drop_is_counted_once_per_query(self, no_columnar):
-        # Every branch of every iteration drops to the interpreter; the
-        # fixpoint driver used to run them all without a word.
-        diags = []
-        s = Session(on_diagnostic=diags.append)
-        s.execute(AHEAD)
-        s.insert("Infront", self.ROWS)
-        closure = s.query("Infront{ahead()}", mode="interpreted")
-        assert len(closure) == 6
-        assert s.query("Infront{ahead()}") == closure
-        assert s.fallbacks["lowering"] == 1
-        (hint,) = [g for g in diags if g.code == "DBPL905"]
-        assert "executor='batch'" in hint.message
-        assert no_columnar == []
 
     def test_vector_coverage_gap_is_not_a_degradation(self, monkeypatch):
         # vector → batch is the documented per-branch coverage rule: the
@@ -308,29 +256,43 @@ class TestFallbackChain:
         s.execute(AHEAD)
         s.insert("Infront", self.ROWS)
         assert s.query(self.JOIN) == {("table", "door")}
-        assert s.fallbacks["lowering"] == 0
+        # Only numpy's absence (DBPL906) counts; the coverage gap never does.
+        assert s.fallbacks == {"process_pool": 0, "vector_numpy": int(get_numpy() is None)}
 
-    def test_subscription_maintenance_takes_the_same_chain(self, no_columnar):
-        source = (
-            "{<r.front, t.back> OF EACH r IN Infront, EACH t IN Infront: "
-            "r.back = t.front}"
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    def test_a_variable_bound_nowhere_is_the_evaluators_error(self, executor):
+        # No lowering declines a term: one that names a variable bound
+        # nowhere raises the error class and message the evaluator does.
+        db = make_cad_db()
+        query = d.query(
+            d.branch(d.each("r", "Infront"), pred=d.eq(d.a("r", "back"), d.a("z", "front")))
         )
-        s = make_session()
-        diags = []
-        s.on_diagnostic = diags.append
-        sub = s.subscribe(source)
-        assert sub.rows() == {("table", "door")}
-        assert s.fallbacks["lowering"] == 1
-        s.insert("Infront", [("door", "wall")])
-        assert sub.recomputes == 0  # counting maintenance, in bag mode
-        assert sub.rows() == s.query(source, mode="interpreted")
-        assert ("chair", "wall") in sub.rows()
-        assert no_columnar == []
-        # ... and reports the drop like every other door (it used to
-        # run the interpreter without a word): the branch at subscribe,
-        # then one differential variant per occurrence of Infront.
-        assert s.fallbacks["lowering"] == 3
-        assert [g.code for g in diags] == ["DBPL905"] * 3
+        with pytest.raises(EvaluationError, match="unbound tuple variable 'z'"):
+            Evaluator(db).eval_query(query)
+        with pytest.raises(EvaluationError, match="unbound tuple variable 'z'"):
+            options = ExecOptions(executor=executor)
+            compile_query(db, query, options=options).execute(ExecutionContext(db))
+
+    @pytest.mark.parametrize("executor", ALL_EXECUTORS)
+    def test_a_branch_that_binds_or_reads_nothing_lowers(self, executor):
+        # A comparison that reads no binding is decided, not dropped (it
+        # once had no step to filter at), and a branch with no bindings
+        # gets a pipeline like any other.
+        db = make_cad_db()
+        cases = [
+            (d.branch(d.each("r", "Infront"), pred=d.gt(1, 2)), set()),
+            (d.branch(pred=d.gt(1, 2), targets=[1]), set()),
+            (d.branch(pred=d.some("r", "Infront", d.eq(d.a("r", "back"), "chair")),
+                      targets=[1, "x"]), {(1, "x")}),
+        ]
+        for branch, expected in cases:
+            query = d.query(branch)
+            assert Evaluator(db).eval_query(query) == expected
+            plan = compile_query(db, query, options=ExecOptions(executor=executor))
+            assert plan.execute(ExecutionContext(db)) == expected, branch
+            (planned,) = plan.branches
+            ran = [p for p in planned.pipelines.values() if p is not None and p.executions]
+            assert len(ran) == (executor != "tuple"), branch
 
     def test_rowbatch_by_name_still_runs_the_row_major_lowering(self):
         db = make_cad_db()
@@ -356,19 +318,22 @@ class TestRegistry:
         assert len(set(ALL_EXECUTORS)) == len(ALL_EXECUTORS)
 
     def test_fallback_chains_end_at_the_interpreter(self):
+        # The compiled lowerings are total: no chain reaches the
+        # interpreter, which runs only when named.  vector → batch (the
+        # vector coverage rule) is the one edge left.
         chains = {}
         for name in executor_names():
             chain = [name]
             backend = executors_mod.get_backend(name)
-            while backend.lowering is not None:
+            while backend.fallback is not None:
                 backend = executors_mod.get_backend(backend.fallback)
                 chain.append(backend.name)
             chains[name] = chain
         assert chains == {
-            "vector": ["vector", "batch", "tuple"],
-            "batch": ["batch", "tuple"],
-            "sharded": ["sharded", "tuple"],
-            "rowbatch": ["rowbatch", "tuple"],
+            "vector": ["vector", "batch"],
+            "batch": ["batch"],
+            "sharded": ["sharded"],
+            "rowbatch": ["rowbatch"],
             "tuple": ["tuple"],
         }
 
@@ -466,7 +431,7 @@ class TestObservableFallbacks:
         s = make_session()
         s.query('{EACH r IN Infront: r.back = "chair"}')
         s.query("Infront{ahead()}")
-        assert set(s.fallbacks) == {"process_pool", "lowering", "vector_numpy"}
+        assert set(s.fallbacks) == {"process_pool", "vector_numpy"}
         assert all(count == 0 for count in s.fallbacks.values())
 
     def test_unknown_kind_is_a_bug_not_a_process_pool_hint(self):

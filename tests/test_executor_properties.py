@@ -27,6 +27,7 @@ import pytest
 from helpers import (
     ALL_EXECUTORS,
     FRONT_DOOR_TEMPLATES,
+    assert_every_branch_lowered,
     assert_executors_agree,
     assert_executors_agree_cold,
     assert_fixpoint_executors_agree,
@@ -45,6 +46,9 @@ from repro.compiler import ExecOptions, ShardConfig
 from repro.constructors.definition import Constructor
 from repro.relational.vectors import get_numpy
 
+#: Run as CI's property step (``-m property``), not in its tier-1 step.
+pytestmark = pytest.mark.property
+
 
 #: The suite's seed budget (the acceptance bar is >=50; with the
 #: storage-backed leg the harness spans 110+ seeds overall).
@@ -55,16 +59,17 @@ FRONT_DOOR_SEEDS = 40
 
 
 @pytest.mark.parametrize("seed", range(QUERY_SEEDS))
-def test_random_queries_agree_across_executors(seed):
+def test_random_queries_agree_across_executors(seed, pipeline_requests):
     rng = random.Random(seed)
     db = random_prop_database(rng)
     for _ in range(2):  # two draws per seed: more shapes per database
         query = random_prop_query(rng)
         assert_executors_agree(db, query)
+    assert_every_branch_lowered(pipeline_requests)
 
 
 @pytest.mark.parametrize("seed", range(FIXPOINT_SEEDS))
-def test_random_fixpoints_agree_across_executors(seed):
+def test_random_fixpoints_agree_across_executors(seed, pipeline_requests):
     rng = random.Random(1000 + seed)
     nodes = rng.randint(2, 12)
     count = rng.randint(0, min(30, nodes * nodes))
@@ -79,10 +84,11 @@ def test_random_fixpoints_agree_across_executors(seed):
         d.constructed("Infront", "ahead"),
         oracle=transitive_closure(edges),
     )
+    assert_every_branch_lowered(pipeline_requests)
 
 
 @pytest.mark.parametrize("seed", range(STORAGE_SEEDS))
-def test_random_queries_agree_on_storage_backed_relations(seed, tmp_path):
+def test_random_queries_agree_on_storage_backed_relations(seed, tmp_path, pipeline_requests):
     """Spill → reopen → every backend still matches the oracle.
 
     Tiny partitions force multi-partition layouts even on the small
@@ -104,10 +110,11 @@ def test_random_queries_agree_on_storage_backed_relations(seed, tmp_path):
         assert reopened.relation(name).is_cold
     query = random_prop_query(rng)
     assert_executors_agree_cold(db, path, query)
+    assert_every_branch_lowered(pipeline_requests)
 
 
 @pytest.mark.parametrize("seed", range(FRONT_DOOR_SEEDS))
-def test_constructed_ranges_in_set_formers_through_the_front_door(seed):
+def test_constructed_ranges_in_set_formers_through_the_front_door(seed, pipeline_requests):
     """The paper's central move: ``E{tc()}`` is a range like any other.
 
     ``Session.query`` ≡ the oracle on every executor; a prepared handle
@@ -160,6 +167,8 @@ def test_constructed_ranges_in_set_formers_through_the_front_door(seed):
             assert s.query(text, options=options) == oracle, (text, executor)
     degraded = {kind for kind, count in s.fallbacks.items() if count}
     assert degraded <= ({"vector_numpy"} if get_numpy() is None else set())
+    assert "lowering" not in s.fallbacks
+    assert_every_branch_lowered(pipeline_requests)
 
 
 @pytest.mark.parametrize(

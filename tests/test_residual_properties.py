@@ -26,6 +26,7 @@ from helpers import (
     ALL_EXECUTORS,
     PROP_RELATIONS,
     PROPREC,
+    assert_every_branch_lowered,
     assert_plan_accounting,
     forced_shard_config,
     random_prop_database,
@@ -35,6 +36,9 @@ from repro.calculus import Evaluator, ast, dsl as d
 from repro.compiler import EXECUTOR_NAMES, ExecOptions, ExecutionContext, PlanStats, compile_query
 from repro.dbpl import Session
 from repro.types import relation_type
+
+#: Run as CI's property step (``-m property``), not in its tier-1 step.
+pytestmark = pytest.mark.property
 
 #: The residual shapes the columnar executors still interpret: a range
 #: that stays correlated with the row once inline queries are unnested.
@@ -140,7 +144,7 @@ def _draw_case(seed: int):
 
 
 @pytest.mark.parametrize("seed", range(150))
-def test_residual_shapes_agree(seed):
+def test_residual_shapes_agree(seed, pipeline_requests):
     db, fix, query = _draw_case(seed)
     apply_values = {"fix": fix}
     expected = Evaluator(db, PARAMS, apply_values).eval_query(query)
@@ -154,6 +158,7 @@ def test_residual_shapes_agree(seed):
         if executor in ("batch", "vector"):
             assert stats.residual_evals == 0, (executor, plan.explain())
             assert stats.residual_groups <= stats.residual_checks
+    assert_every_branch_lowered(pipeline_requests)
 
 
 SCHEMA = """

@@ -32,6 +32,9 @@ from repro.relational import Database, partition_rows, partition_views
 from repro.types import INTEGER, STRING, record, relation_type
 from repro.compiler.options import ExecOptions
 
+#: Run as CI's property step (``-m property``), not in its tier-1 step.
+pytestmark = pytest.mark.property
+
 WREC = record("wrec", k=STRING, n=INTEGER)
 
 

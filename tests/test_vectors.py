@@ -466,3 +466,34 @@ class TestVectorPipelineShapes:
         assert stats.residual_evals == 0
         assert 0 < stats.residual_groups <= len(joined)
         assert stats.residual_checks >= stats.residual_groups
+
+
+PARTS_SCHEMA = """
+TYPE partrec = RECORD name, kind: STRING; wt: INTEGER END;
+     partrel = RELATION ... OF partrec;
+     rulerec = RECORD kind, note: STRING END;
+     rulerel = RELATION ... OF rulerec;
+VAR Parts: partrel; Rules: rulerel;
+"""
+
+
+@pytest.mark.parametrize(
+    "executor, scan", [("vector", "VSCAN @__groups"), ("batch", "SCAN @__groups")]
+)
+def test_residual_sub_plan_header_names_the_backend_it_ran_on(executor, scan):
+    # A semi-join sub-plan runs on its parent pipeline's backend; its
+    # PLAN header once named the compile-time default (batch) over VSCAN
+    # and VJOIN operators under a vector parent.
+    if executor == "vector" and get_numpy() is None:
+        pytest.skip("the vector kernels need numpy")
+    s = Session(options=ExecOptions(executor=executor))
+    s.execute(PARTS_SCHEMA)
+    s.insert("Parts", [("bolt", "metal", 5), ("cog", "metal", 2), ("peg", "wood", 7)])
+    s.insert("Rules", [("metal", "recycle"), ("glass", "fragile")])
+    text = "{EACH p IN Parts: p.wt > 3 AND SOME r IN Rules (r.kind = p.kind)}"
+    prepared = s.prepare(text)
+    assert prepared.execute() == s.query(text, mode="interpreted") == {("bolt", "metal", 5)}
+    explain = prepared.explain()
+    sub = explain[explain.index("SEMIJOIN"):]
+    assert f"PLAN [optimizer=cost executor={executor}]" in sub
+    assert scan in sub and ("VJOIN Rules[0]" in sub) == (executor == "vector")
