@@ -212,8 +212,9 @@ class HashJoin(Operator):
     their version-cached hash indexes, fixpoint variables (deltas, new
     values) are hashed once per execution context — there is no
     per-tuple index maintenance anywhere in the loop.  ``fn`` is the
-    generated probe loop; single-column keys probe a scalar-keyed view
-    of the buckets to avoid a key-tuple allocation per batch row.
+    generated probe loop over the index's one bucket dict, building
+    each key in the index's own form (a one-column key is the bare
+    value, so a probe allocates no key tuple).
 
     When the cost model gates a selective single-variable filter into
     the join (``push_fn``), the probe goes through a per-execution
@@ -222,16 +223,10 @@ class HashJoin(Operator):
     expansion) see only surviving rows.
     """
 
-    __slots__ = ("source", "positions", "scalar", "fn", "push_fn")
+    __slots__ = ("source", "positions", "fn", "push_fn")
 
     def __init__(
-        self,
-        source,
-        positions: tuple[int, ...],
-        scalar: bool,
-        fn,
-        push_fn=None,
-        push_desc: str = "",
+        self, source, positions: tuple[int, ...], fn, push_fn=None, push_desc: str = ""
     ) -> None:
         label = f"HASHJOIN {source.describe()} build{list(positions)}"
         if push_fn is not None:
@@ -239,7 +234,6 @@ class HashJoin(Operator):
         super().__init__(label)
         self.source = source
         self.positions = positions
-        self.scalar = scalar
         self.fn = fn
         self.push_fn = push_fn
 
@@ -247,8 +241,7 @@ class HashJoin(Operator):
         if not batch:
             return batch
         _rows, index_provider = self.source.rows_and_indexable(ctx)
-        index = index_provider(self.positions)
-        buckets = index.scalar_buckets() if self.scalar else index.buckets
+        buckets = index_provider(self.positions).buckets
         get = buckets.get
         if self.push_fn is not None:
             get = self._pushed_get(ctx, buckets)
@@ -654,6 +647,12 @@ def _tuple_src(exprs: list[str]) -> str:
     return "(" + ", ".join(exprs) + ",)"
 
 
+def _key_src(exprs: list[str]) -> str:
+    """A hash-index key in :func:`~repro.relational.indexes.key_getter`'s
+    form: the bare value of one expression, the tuple of several."""
+    return exprs[0] if len(exprs) == 1 else _tuple_src(exprs)
+
+
 class BranchPipeline:
     """The lowered physical form of one branch plan.
 
@@ -809,7 +808,7 @@ def lower_branch(
                     # Constant key: one lookup shared by the batch.
                     key_fn = gen.define(
                         "_key",
-                        f"def _key():\n    return {_tuple_src(key_exprs)}\n",
+                        f"def _key():\n    return {_key_src(key_exprs)}\n",
                     )
                     fn = gen.define(
                         "_lookup",
@@ -820,15 +819,13 @@ def lower_branch(
                         step.source, step.key_positions, key_fn, fn
                     )
                 else:
-                    scalar = len(key_exprs) == 1
-                    key_src = key_exprs[0] if scalar else _tuple_src(key_exprs)
                     fn = gen.define(
                         "_join",
                         "def _join(get, batch, EMPTY):\n"
                         f"    return [{emit_src} for e in batch "
-                        f"for r in get({key_src}, EMPTY)]\n",
+                        f"for r in get({_key_src(key_exprs)}, EMPTY)]\n",
                     )
-                    op = HashJoin(step.source, step.key_positions, scalar, fn)
+                    op = HashJoin(step.source, step.key_positions, fn)
             else:
                 body = f"    return [{emit_src} for e in batch for r in rows]\n"
                 if identity:
@@ -1071,7 +1068,6 @@ class _ColumnarKernels:
         if is_join:
             cols = self._key_columns(step, slot_of, names)
             key = cols[0] if len(cols) == 1 else f"_zip({', '.join(cols)})"
-            scalar = len(cols) == 1
             if final:
                 body += f"    _b = _map(get, {key}, _rep(EMPTY))\n"
                 body += self._emit_comprehension(step, slot_of, names, conds_pairs, "_b", False)
@@ -1093,9 +1089,7 @@ class _ColumnarKernels:
                     body += "    return (_sum(_c), [])\n"
             fn = gen.define("_join", "def _join(get, batch, EMPTY):\n" + body)
             push_fn, push_desc = self.step_push.get(s, (None, ""))
-            return HashJoin(
-                step.source, step.key_positions, scalar, fn, push_fn, push_desc
-            )
+            return HashJoin(step.source, step.key_positions, fn, push_fn, push_desc)
 
         # Scan or constant-key IndexLookup: one shared row source.
         arg = "bucket" if const_key else "rows"
@@ -1126,7 +1120,7 @@ class _ColumnarKernels:
         if const_key:
             key_exprs = [gen.term_expr(t, {}, None) for t in step.key_terms]
             key_fn = gen.define(
-                "_key", f"def _key():\n    return {_tuple_src(key_exprs)}\n"
+                "_key", f"def _key():\n    return {_key_src(key_exprs)}\n"
             )
             fn = gen.define("_lookup", "def _lookup(bucket, batch):\n" + body)
             return IndexLookup(step.source, step.key_positions, key_fn, fn)

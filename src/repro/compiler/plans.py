@@ -925,7 +925,7 @@ class BranchPlan:
                 _rows, index_provider = step.source.rows_and_indexable(ctx)
                 key = tuple(fn(env) for fn in step.key_values)
                 index = index_provider(step.key_positions)
-                candidates = index.lookup(key)
+                candidates = index.lookup(key[0] if len(key) == 1 else key)
                 stats.index_lookups += 1
             else:
                 candidates = step.source.scan_rows(ctx, step.pushdown)
@@ -998,6 +998,9 @@ class QueryPlan:
     #: The union's duplicate-elimination operator (batched path); its
     #: actual count is the number of distinct tuples the plan added.
     dedup: Dedup = field(default_factory=Dedup)
+    #: The executor the last :meth:`execute` ran on (None before any
+    #: run): the one :meth:`explain` names by default.
+    ran_executor: str | None = None
 
     def execute(
         self, ctx: ExecutionContext, executor: str | None = None
@@ -1007,6 +1010,7 @@ class QueryPlan:
         out: set[tuple] = set()
         for branch in self.branches:
             backend.execute_branch(branch, ctx, out, dedup=self.dedup)
+        self.ran_executor = executor
         return out
 
     @property
@@ -1014,9 +1018,11 @@ class QueryPlan:
         return sum(b.est_cost or 0.0 for b in self.branches)
 
     def explain(self, executor: str | None = None) -> str:
-        """The plan as ``executor`` (default: its own) runs it — a
-        residual's sub-plan names the backend of the pipeline it is in."""
-        executor = self.executor if executor is None else executor
+        """The plan as ``executor`` runs it — by default the executor it
+        last ran on, else its own; a residual's sub-plan names the
+        backend of the pipeline it is in."""
+        if executor is None:
+            executor = self.ran_executor or self.executor
         parts = [f"PLAN [optimizer={self.optimizer} executor={executor}]"]
         for i, branch in enumerate(self.branches):
             parts.append(f"BRANCH {i}:")
@@ -1361,7 +1367,7 @@ def compile_branch(
     residual_pred = conjoin(tuple(residual))
     at_steps = [(p, step.est_cumulative) for step in steps for p in step.residual_preds]
     residuals = {
-        p: compile_residual(db, p, schemas, params, optimizer, cost_model, est)
+        p: compile_residual(db, p, schemas, params, optimizer, cost_model, est, sources)
         for p, est in at_steps + [(p, est_card) for p in conjuncts(residual_pred)]
     }
 
@@ -1427,15 +1433,16 @@ _GROUP_TOKENS = count()
 
 def compile_residual(
     db: Database, pred: ast.Pred, schemas: dict, params: dict, optimizer: str,
-    cost_model: CostModel, est_groups: float | None,
+    cost_model: CostModel, est_groups: float | None, sources: dict,
 ) -> GroupResidual:
     """Compile one residual conjunct as a query over its groups.
 
     The group key is what ``pred`` reads of the branch's bindings: ``v.a``,
     or every attribute of ``v`` where it uses ``v`` whole.  ``pred`` is
     lifted onto one variable ranging over the distinct keys — the apply
-    value of a fresh token, priced at ``est_groups`` rows — and compiled
-    into its set algebra:
+    value of a fresh token, priced at ``est_groups`` rows but never more
+    than the product of the key attributes' distinct counts in their
+    ``sources``' statistics — and compiled into its set algebra:
 
     * ``AND`` restricts, ``OR`` takes the union, ``NOT`` the complement;
     * the quantifier-free parts of an ``AND``/``OR`` are one generated
@@ -1466,7 +1473,15 @@ def compile_residual(
     # A predicate that reads no binding still has one (constant) key column.
     schema = RecordType("groups", tuple(Field(f"k{i}", ANY) for i in range(max(1, len(slots)))))
     token = f"__groups{next(_GROUP_TOKENS)}"
-    estimates = {**cost_model.apply_estimates, token: max(1.0, est_groups or 1.0)}
+    est, cap = max(1.0, est_groups or 1.0), 1.0
+    for v, a in slots:
+        table = cost_model.source_table(sources[v]) if v in sources else None
+        if table is None or table.row_count <= 0:
+            break
+        cap *= max(1, table.distinct(schemas[v].index_of(a)))
+    else:
+        est = min(est, cap)
+    estimates = {**cost_model.apply_estimates, token: est}
     model = CostModel(db, estimates, cost_model.use_histograms, cost_model.apply_tables)
     plans: list[QueryPlan] = []
 

@@ -248,11 +248,11 @@ def _prewarm(branch, pipeline, ctx: ExecutionContext, skip_sources) -> None:
     """Build shared relation indexes in the calling thread before fan-out.
 
     Worker threads would otherwise race to lazily build the same
-    relation index or scalar-bucket view; the races are benign (every
-    build sees the same immutable rows) but wasteful, so the structures
-    that live on the :class:`~repro.relational.relation.Relation` itself
-    — its version-cached indexes and ``raw_list`` — are materialized
-    once up front.  Only relation sources warm: apply/computed sources
+    relation index; the races are benign (every build sees the same
+    immutable rows) but wasteful, so the structures that live on the
+    :class:`~repro.relational.relation.Relation` itself — its
+    version-cached indexes and ``raw_list`` — are materialized once up
+    front.  Only relation sources warm: apply/computed sources
     cache their indexes on the *execution context*, and every shard
     worker runs under its own context, so warming them here would build
     an index no worker ever sees.  Sources in ``skip_sources`` are
@@ -261,11 +261,9 @@ def _prewarm(branch, pipeline, ctx: ExecutionContext, skip_sources) -> None:
     for step in branch.steps:
         if step.source.kind != "relation" or id(step.source) in skip_sources:
             continue
-        rows, provider = step.source.rows_and_indexable(ctx)
+        _rows, provider = step.source.rows_and_indexable(ctx)
         if step.key_positions:
-            index = provider(step.key_positions)
-            if index is not None and len(step.key_positions) == 1:
-                index.scalar_buckets()
+            provider(step.key_positions)
 
 
 # ---------------------------------------------------------------------------

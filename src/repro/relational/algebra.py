@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .indexes import HashIndex
+from .indexes import HashIndex, key_getter
 
 
 def select(rows: Iterable[tuple], pred: Callable[[tuple], bool]) -> set[tuple]:
@@ -69,10 +69,10 @@ def equijoin(
     rpos = tuple(rp for _, rp in pairs)
     lpos = tuple(lp for lp, _ in pairs)
     index = HashIndex(rpos, right)
+    key_of = key_getter(lpos)
     out: set[tuple] = set()
     for lrow in left:
-        key = tuple(lrow[i] for i in lpos)
-        for rrow in index.lookup(key):
+        for rrow in index.lookup(key_of(lrow)):
             out.add(lrow + rrow)
     return out
 

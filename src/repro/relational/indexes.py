@@ -2,8 +2,13 @@
 
 The paper's runtime level (section 4) generates *physical access paths*
 — materialized partitions of a relation keyed by the constant values a
-query restricts on.  :class:`HashIndex` is the underlying mechanism: a
-dict from key projection to the list of matching rows, in row order.
+query restricts on.  :class:`HashIndex` is the underlying mechanism: one
+dict from key to the list of matching rows, in row order.  The key form
+is decided here and nowhere else (:func:`key_getter`): a one-column key
+is the bare value, a wider key the value tuple, and an index on no
+columns keeps every row in one bucket under ``()``.  Probers — the
+generated join kernels, constant-key lookups, the tuple-at-a-time
+engine, the algebra's equi-join — build their keys in that same form.
 
 An index is **immutable once published**: a relation caches one
 generation per attribute positions under its hit/extend/rebuild rule
@@ -17,92 +22,69 @@ rebuild.  This module holds no cache and no version logic of its own.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import defaultdict
+from collections.abc import Callable, Iterable
+from operator import itemgetter
+
+
+def key_getter(positions: tuple[int, ...]) -> Callable[[tuple], object]:
+    """The key of a row for an index on ``positions``: the bare value of
+    one position, the value tuple of several, ``()`` for none."""
+    if len(positions) == 1:
+        return itemgetter(positions[0])
+    if positions:
+        return itemgetter(*positions)
+    return _no_key
+
+
+def _no_key(row: tuple) -> tuple:
+    return ()
 
 
 class HashIndex:
     """A hash partition of a row set on a tuple of attribute positions."""
 
-    __slots__ = (
-        "positions",
-        "buckets",
-        "_total_rows",
-        "_max_bucket_rows",
-        "_scalar",
-    )
+    __slots__ = ("positions", "buckets", "_total_rows", "_max_bucket_rows")
 
     def __init__(self, positions: tuple[int, ...], rows: Iterable[tuple]) -> None:
         self.positions = positions
-        buckets: dict[tuple, list[tuple]] = {}
-        total = 0
-        heaviest = 0
+        # The factory is dropped after the build, so a missing key reads
+        # like a plain dict's.
+        buckets: defaultdict = defaultdict(list)
+        key_of = key_getter(positions)
         for row in rows:
-            key = tuple(row[i] for i in positions)
-            bucket = buckets.setdefault(key, [])
-            bucket.append(row)
-            total += 1
-            if len(bucket) > heaviest:
-                heaviest = len(bucket)
-        self.buckets = buckets
+            buckets[key_of(row)].append(row)
+        buckets.default_factory = None
+        self.buckets: dict = buckets
         # Buckets are immutable after build (growth is a new index, see
         # :meth:`extended`), so the planner's skew probe is O(1).
-        self._total_rows = total
-        self._max_bucket_rows = heaviest
-        self._scalar: dict | None = None
+        self._total_rows = sum(map(len, buckets.values()))
+        self._max_bucket_rows = max(map(len, buckets.values()), default=0)
 
     def extended(self, rows: Iterable[tuple]) -> "HashIndex":
         """A new index over this one's rows followed by ``rows``.
 
         Copy-on-write at bucket granularity: the bucket dict is copied
-        shallowly, only the buckets ``rows`` touch are replaced (by
-        ``old + new`` lists), and the counters and an already-built
-        scalar view are carried forward the same way — equal to a fresh
-        build over the concatenation, with ``self`` left untouched.
+        shallowly and only the buckets ``rows`` touch are replaced (by
+        ``old + new`` lists) — equal to a fresh build over the
+        concatenation, with ``self`` left untouched.
         """
         new = HashIndex(self.positions, rows)
         merged = self.buckets.copy()
-        scalar = None if self._scalar is None else self._scalar.copy()
         heaviest = self._max_bucket_rows
         for key, added in new.buckets.items():
             old = merged.get(key)
             bucket = merged[key] = old + added if old else added
-            if scalar is not None:
-                scalar[key[0]] = bucket
             if len(bucket) > heaviest:
                 heaviest = len(bucket)
-        new.buckets, new._scalar = merged, scalar
+        new.buckets = merged
         new._total_rows += self._total_rows
         new._max_bucket_rows = heaviest
         return new
 
-    def lookup(self, key: tuple) -> list[tuple]:
-        """All rows whose projection on ``positions`` equals ``key``."""
+    def lookup(self, key) -> list[tuple]:
+        """All rows whose key (in :func:`key_getter`'s form) is ``key``."""
         return self.buckets.get(key, _EMPTY)
-
-    def scalar_buckets(self) -> dict:
-        """Buckets keyed by the bare value of a single-position key.
-
-        The batched executor probes this view so a one-column join needs
-        no key-tuple allocation per probe; built lazily, once per index.
-        """
-        if self._scalar is None:
-            self._scalar = {key[0]: rows for key, rows in self.buckets.items()}
-        return self._scalar
-
-    def probe_table(self, scalar: bool = False) -> dict:
-        """The grouped-probe view of the index: a bucket dict fetched
-        once per batch and then tested per distinct key (``key in
-        probe_table`` for semi-join verdicts, ``probe_table.get`` for
-        the generated join kernels' C-level ``map`` probes).
-        ``scalar=True`` answers with the bare-value view of a
-        single-position index."""
-        return self.scalar_buckets() if scalar else self.buckets
-
-    def keys(self) -> Iterable[tuple]:
-        return self.buckets.keys()
-
-    def __len__(self) -> int:
-        return len(self.buckets)
 
     # -- planner statistics -------------------------------------------------
 
@@ -173,18 +155,14 @@ def partition_rows(
     if k <= 1:
         return [list(rows)]
     shards: list[list[tuple]] = [[] for _ in range(k)]
-    if positions:
-        if len(positions) == 1:
-            pos = positions[0]
-            for row in rows:
-                shards[hash(row[pos]) % k].append(row)
-        else:
-            for row in rows:
-                shards[hash(tuple(row[i] for i in positions)) % k].append(row)
-    else:
-        for row in rows:
-            shards[hash(row) % k].append(row)
+    key_of = key_getter(positions) if positions else _whole_row
+    for row in rows:
+        shards[hash(key_of(row)) % k].append(row)
     return shards
+
+
+def _whole_row(row: tuple) -> tuple:
+    return row
 
 
 def partition_views(

@@ -426,17 +426,19 @@ class TestDatalogInheritsExecutor:
 
 
 class TestGroupedProbeApi:
-    def test_probe_table_views(self):
+    def test_one_bucket_dict_keyed_in_the_index_form(self):
         from repro.relational import HashIndex
 
-        rows = [("a", 1), ("a", 2), ("b", 3)]
-        index = HashIndex((0,), rows)
-        table = index.probe_table()
-        assert ("a",) in table and ("c",) not in table
-        assert table.get(("b",)) == [("b", 3)]
-        scalar = index.probe_table(scalar=True)
-        assert "a" in scalar and scalar.get("b") == [("b", 3)]
-        assert scalar.get("missing") is None
+        rows = [("a", 1, "x"), ("a", 2, "y"), ("b", 3, "x")]
+        one = HashIndex((0,), rows)  # one column: the bare value
+        assert "a" in one.buckets and ("a",) not in one.buckets
+        assert one.buckets.get("b") == [("b", 3, "x")]
+        assert one.buckets.get("missing") is None and one.lookup("missing") == []
+        two = HashIndex((0, 2), rows)  # wider: the value tuple
+        assert two.lookup(("a", "y")) == [("a", 2, "y")]
+        assert ("b", "y") not in two.buckets
+        whole = HashIndex((), rows)  # no columns: one bucket, row order
+        assert whole.buckets == {(): rows}
 
 
 class TestExplainUnderReplans:

@@ -406,6 +406,33 @@ class TestExplainShowsWhatRan:
         assert all("act=-" in op for op in ops), ops
         assert list(branch.pipelines) == [self.LOWERING[executor]]
 
+    @pytest.mark.parametrize(
+        "executor, first_op", [("vector", "VLOOKUP R[0]"), ("batch", "INDEXLOOKUP R[0]")]
+    )
+    def test_header_names_the_executor_that_ran(self, executor, first_op):
+        # The plan is compiled for one executor and run on the other: the
+        # header used to name the compiled-for one above the operators
+        # of the one that ran.
+        if get_numpy() is None:
+            pytest.skip("the vector kernels need numpy")
+        s = Session()
+        s.execute(
+            "TYPE rrec = RECORD a, b: STRING END; rrel = RELATION ... OF rrec; VAR R: rrel;"
+        )
+        s.insert("R", [(f"k{i % 5}", f"v{i}") for i in range(50)])
+        other = "batch" if executor == "vector" else "vector"
+        plan = compile_query(
+            s.db,
+            parse_expression('{<r.b> OF EACH r IN R: r.a = "k1"}'),
+            options=ExecOptions(executor=other),
+        )
+        assert plan.explain().startswith(f"PLAN [optimizer=cost executor={other}]")
+        got = plan.execute(ExecutionContext(s.db), executor=executor)
+        assert got == {(f"v{i}",) for i in range(1, 50, 5)}
+        text = plan.explain()
+        assert text.splitlines()[0] == f"PLAN [optimizer=cost executor={executor}]"
+        assert first_op in self._operator_lines(text)[0]
+
     def test_explain_names_no_operators_for_the_interpreter(self):
         prepared, branch = self._prepared("tuple")
         prepared.execute()

@@ -335,7 +335,7 @@ def test_index_rows_never_hands_a_freed_sets_index_to_another():
         del first
         second = {(trial + 1, "b")}
         index = ctx.index_rows("token", second, (0,))
-        assert index.lookup((trial + 1,)) == [(trial + 1, "b")]
+        assert index.lookup(trial + 1) == [(trial + 1, "b")]
 
 
 def test_readers_see_the_closure_of_a_committed_prefix():

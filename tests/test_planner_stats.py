@@ -292,6 +292,57 @@ class TestResidualPricing:
         model = CostModel(db)
         assert model.predicate_selectivity(d.TRUE) == 1.0
 
+    def test_group_set_priced_at_most_its_distinct_keys(self):
+        """The bench's ``quant`` shape over parts with 2 kinds x 3
+        weights: ~110 rows are estimated to reach the residual, but its
+        group set ``<p.kind, p.wt>`` has at most 6 keys."""
+        from repro.dbpl import Session
+
+        s = Session()
+        s.execute(
+            "TYPE linkrec = RECORD parent, child: STRING END; linkrel = RELATION ... OF linkrec;"
+            " partrec = RECORD pid, kind: STRING; wt: INTEGER END;"
+            " partrel = RELATION ... OF partrec;"
+            " rulerec = RECORD kind: STRING; wt: INTEGER END; rulerel = RELATION ... OF rulerec;"
+            " VAR Links: linkrel; Parts: partrel; Rules: rulerel;"
+        )
+        parts = [(f"p{i}", f"k{i % 2}", 3 + i % 3) for i in range(3000)]
+        links = [(f"a{i % 40}", f"p{i}") for i in range(3000)]
+        rules = [("k0", 4), ("k1", 9)]
+        s.insert("Parts", parts)
+        s.insert("Links", links)
+        s.insert("Rules", rules)
+        text = (
+            "{<l.parent, p.kind, p.wt> OF EACH l IN Links, EACH p IN Parts: "
+            "l.child = p.pid AND p.wt >= 4 AND "
+            "ALL r IN Rules (r.kind <> p.kind OR r.wt <= p.wt)}"
+        )
+        prepared = s.prepare(text)
+        kept = {
+            pid: (kind, wt) for pid, kind, wt in parts
+            if wt >= 4 and all(rk != kind or rw <= wt for rk, rw in rules)
+        }
+        assert prepared.execute() == {
+            (parent, *kept[child]) for parent, child in links if child in kept
+        }
+        stats = s.db["Parts"].stats()
+        cap = stats.distinct(1) * stats.distinct(2)
+        assert cap == 6
+        (branch,) = prepared.plan.statement.top_plan.branches
+        (parts_step,) = [step for step in branch.steps if step.var == "p"]
+        assert parts_step.est_cumulative > cap  # the rows reaching the residual
+        (residual,) = branch.residuals.values()
+        (plan,) = residual.plans
+        (groups,) = [
+            step for step in plan.branches[0].steps
+            if str(getattr(step.source, "token", "")).startswith("__groups")
+        ]
+        assert groups.est_source_rows == cap
+        # The explained sub-plan: the group step's estimate within the cap.
+        explain = prepared.explain()
+        line = next(ln for ln in explain.splitlines() if "EACH g IN @__groups" in ln)
+        assert float(line.split("[est=")[1].split()[0]) <= cap
+
 
 class TestBulkLoad:
     def test_insert_many_matches_insert(self):

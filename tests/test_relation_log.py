@@ -166,7 +166,6 @@ class TestGenerations:
             "encoded rows": rel.encoded().rows,
             "encoded ids": [col.ids for col in rel.encoded().columns],
             "buckets": index.buckets,
-            "scalar": index.scalar_buckets(),
         }
         return objects, copy.deepcopy(objects)
 
@@ -188,18 +187,16 @@ class TestGenerations:
     def test_insert_extends_the_index_bucket_by_bucket(self):
         rel, attrs = self.build()
         old = rel.index_on(attrs)
-        old.scalar_buckets()
         rel.insert([(100, 0), (101, 9)])
         new = rel.index_on(attrs)
         assert new is not old
         for tag in (1, 2, 3, 4):  # untouched: shared, not copied
-            assert new.buckets[(tag,)] is old.buckets[(tag,)]
-        assert new.buckets[(0,)] is not old.buckets[(0,)]
-        assert new.buckets[(0,)][-1] == (100, 0) and len(old.buckets[(0,)]) == 8
-        assert (9,) not in old.buckets and new.lookup((9,)) == [(101, 9)]
+            assert new.buckets[tag] is old.buckets[tag]
+        assert new.buckets[0] is not old.buckets[0]
+        assert new.buckets[0][-1] == (100, 0) and len(old.buckets[0]) == 8
+        assert 9 not in old.buckets and new.lookup(9) == [(101, 9)]
         fresh = HashIndex(new.positions, rel.raw_list())
         assert new.buckets == fresh.buckets
-        assert new.scalar_buckets() == fresh.scalar_buckets()
         assert new.selectivity() == fresh.selectivity()
         assert new.max_bucket_fraction() == fresh.max_bucket_fraction()
         assert rel.peek_index(new.positions) is new
@@ -334,7 +331,7 @@ class TestConcurrentWriter:
                     assert span_of(view.raw_list()) == states[view.version]
                     span_of(rel.raw_list())
                     index = rel.index_on(("tag",))
-                    bucket = index.buckets[(0,)]  # every row has tag 0
+                    bucket = index.buckets[0]  # every row has tag 0
                     assert len(bucket) == index._total_rows
                     span_of(bucket)
             except Exception as exc:  # noqa: BLE001 - recorded for the assert

@@ -130,8 +130,8 @@ class TestRelationIndexes:
     def test_index_lookup(self):
         rel = Relation("E", EDGES, [("a", "b"), ("a", "c"), ("b", "c")])
         idx = rel.index_on(("src",))
-        assert sorted(idx.lookup(("a",))) == [("a", "b"), ("a", "c")]
-        assert idx.lookup(("z",)) == []
+        assert sorted(idx.lookup("a")) == [("a", "b"), ("a", "c")]
+        assert idx.lookup("z") == []
 
     def test_index_cache_reused_until_mutation(self):
         rel = Relation("E", EDGES, [("a", "b")])
@@ -141,7 +141,7 @@ class TestRelationIndexes:
         rel.insert([("b", "c")])
         idx3 = rel.index_on(("src",))
         assert idx3 is not idx1
-        assert idx3.lookup(("b",)) == [("b", "c")]
+        assert idx3.lookup("b") == [("b", "c")]
 
     def test_multi_attribute_index(self):
         rel = Relation("E", EDGES, [("a", "b"), ("a", "c")])
@@ -159,7 +159,7 @@ class TestRelationIndexes:
         assert rel.index_on(("src",)) is not live
         # The snapshot keeps answering the pinned rows from the same object.
         assert late.index_on(("src",)) is live
-        assert sorted(late.index_on(("src",)).lookup(("a",))) == [("a", "b"), ("a", "c")]
+        assert sorted(late.index_on(("src",)).lookup("a")) == [("a", "b"), ("a", "c")]
         assert sorted(late.raw_list()) == [("a", "b"), ("a", "c")]
 
 
