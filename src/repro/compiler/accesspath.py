@@ -128,7 +128,7 @@ def choose_access_path(
     "Obviously, a physical access path would be generated only in case of
     heavy query usage" — this function decides what counts as heavy from
     table statistics: the estimated size of the constructed relation
-    (catalog observations of previous runs when available), whether a
+    (the value a registered program holds, when one does), whether a
     goal-directed specialization exists (which makes logical invocations
     cheap), and the caller's expected invocation count.
     """
@@ -145,25 +145,14 @@ def choose_access_path(
         # (estimated) iteration count.
         logical_per_call = est_full * 2.0
 
-    # Per-lookup partition size: the observed value statistics when a
-    # previous run recorded them (skew-blended equality selectivity over
-    # the partition attribute — heavy partitions are probed more often),
-    # measured distincts next, the sqrt heuristic last.
-    observation = (
-        db.stats.fixpoint_observation(system.root)
-        if getattr(db, "stats", None) is not None
-        else None
-    )
-    result_schema = system.apps[system.root].result_type.element
-    pos = result_schema.index_of(attr)
-    if (
-        observation is not None
-        and observation.table is not None
-        and observation.table.row_count > 0
-    ):
-        partition_rows = est_full * observation.table.eq_selectivity(pos)
-    elif observation is not None and len(observation.distinct) > pos:
-        partition_rows = est_full / max(1, observation.distinct[pos])
+    # Per-lookup partition size: the statistics of the value a registered
+    # program holds (skew-blended equality selectivity over the partition
+    # attribute — heavy partitions are probed more often), else the sqrt
+    # heuristic.
+    held = model.held_value(system.root)
+    pos = system.apps[system.root].result_type.element.index_of(attr)
+    if held is not None and held.stats.table.row_count > 0:
+        partition_rows = est_full * held.stats.table.eq_selectivity(pos)
     else:
         partition_rows = max(1.0, est_full ** 0.5)
 

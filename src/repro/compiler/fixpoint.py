@@ -36,6 +36,13 @@ replaced log (delete, assign, cold materialization), an older snapshot
 compiler's runtime level and both subscription kinds call it.
 :meth:`CompiledFixpoint.run` keeps its run-from-empty meaning.
 
+**A database holds each program once** (:func:`held_program`), weakly,
+under every application of its system: ``Ontop{above(Infront)}`` reads
+the program ``Infront{ahead(Ontop)}`` compiled, and every statement over
+``Cyc{tc}`` reads one value, under the program's lock
+(:meth:`~repro.compiler.levels.CompiledStatement.solve`).  The planner
+prices a fixpoint variable from that value (:func:`~.plans.held_value`).
+
 **Every positive system compiles.**  Positivity is
 :func:`compile_fixpoint`'s own gate: a non-positive system is a
 :class:`~repro.errors.PositivityError` (section 3.3) at every door.  A
@@ -71,6 +78,8 @@ measures what a re-plan saves on delta-drifting workloads.
 
 from __future__ import annotations
 
+import threading
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -104,6 +113,7 @@ from .plans import (
     PlanStats,
     QueryPlan,
     compile_query,
+    held_value,
 )
 
 #: Re-optimize the differential plans once an observed delta (or full
@@ -198,7 +208,7 @@ class HeldValue(set):
         return index
 
 
-@dataclass
+@dataclass(eq=False)
 class CompiledFixpoint:
     """The compiled fixpoint program for one instantiated system, and
     the value it last converged to."""
@@ -257,6 +267,8 @@ class CompiledFixpoint:
     degraded: dict[str, str] = field(default_factory=dict)
     #: The stored relations the system reads (the stamp's scope).
     bases: frozenset[str] = field(init=False, repr=False)
+    #: Held by every statement reading the values, from ``advance`` on.
+    lock: threading.RLock = field(default_factory=threading.RLock, repr=False)
 
     def __post_init__(self) -> None:
         self.bases = base_relation_names(self.db, self.system)
@@ -634,23 +646,6 @@ class CompiledFixpoint:
         stats.final_sizes = {k.describe(): len(v) for k, v in held.items()}
         stats.replans += self.replans - replans_before
         self.plan_stats.iterations = stats.iterations
-        # Stats hook: remember the converged sizes (with exact per-column
-        # distinct counts and histograms from the absorbed deltas) so later
-        # compilations of the same application start from measured
-        # cardinalities.  Observations are scoped to the base relations the
-        # system actually reads: only their mutations invalidate them.
-        catalog = getattr(self.db, "stats", None)
-        if catalog is not None:
-            for key, value in held.items():
-                tracked = value.stats.table
-                distinct = tuple(c.distinct for c in tracked.columns)
-                catalog.record_fixpoint(
-                    key,
-                    len(value),
-                    distinct,
-                    relations=self.bases,
-                    table=tracked,
-                )
 
 
 def fixpoint_apply_estimates(
@@ -659,18 +654,17 @@ def fixpoint_apply_estimates(
     """Cardinality estimates for every fixpoint-variable token.
 
     Full values ("new"/"old" variants and the plain key, as referenced by
-    top plans) are priced from catalog observations of previous runs when
-    available, and from total base size times an assumed growth factor
-    otherwise.  Deltas are priced separately — and much smaller — which
-    is what makes the cost model drive differential loop nests off the
-    delta side.
+    top plans) are priced at the size of the value a registered program
+    holds when one does, and from total base size times an assumed growth
+    factor otherwise.  Deltas are priced separately — and much smaller —
+    which is what makes the cost model drive differential loop nests off
+    the delta side.
     """
-    catalog = getattr(db, "stats", None)
     base_total = sum(len(r) for r in db.relations.values()) or 8
     estimates: dict[object, float] = {}
     for key in system.apps:
-        observed = catalog.constructed_estimate(key) if catalog is not None else None
-        full = observed if observed is not None else base_total * CostModel.RECURSIVE_GROWTH
+        value = held_value(db, key)
+        full = float(len(value)) if value is not None else base_total * CostModel.RECURSIVE_GROWTH
         delta = max(1.0, full ** 0.5)
         estimates[key] = full
         estimates[_variant_token(key, "new")] = full
@@ -785,6 +779,28 @@ def compile_application(
     )
     program.on_fallback = on_fallback
     return program
+
+
+def held_program(
+    db: Database, application: ast.Constructed, options: ExecOptions
+) -> tuple[CompiledFixpoint, AppKey]:
+    """The program of the closed ``application`` under ``options`` — one
+    per ``(key, options.cache_key())`` in ``db.programs``, registered
+    under every application of its system — and the application's key."""
+    programs = db.programs
+    if programs is None:
+        programs = db.programs = weakref.WeakValueDictionary()
+    options_key = options.cache_key()
+    key = AppKey(application.constructor, application.base, application.args)
+    program = programs.get((key, options_key))
+    if program is None:
+        program = compile_application(db, application, options=options)
+        key = program.system.root
+        # A program a racing compile registered first is the one held.
+        program = programs.setdefault((key, options_key), program)
+        for app in program.system.apps:
+            programs.setdefault((app, options_key), program)
+    return program, key
 
 
 def construct_compiled(

@@ -34,14 +34,19 @@ programming language compiler:
    read with no intervening write runs no plan, a read after inserts
    resumes from the appended rows, a read after a delete runs from
    empty.  ``Edge{tc}``'s value is a relation's value in this respect
-   too — it keeps its rows and its hash indexes across reads, and lives
-   as long as the plan-cache entry (or subscription) that holds the
-   statement.
+   too — it keeps its rows and its hash indexes across reads.  The
+   database holds each closed application's program once
+   (:func:`~repro.compiler.fixpoint.held_program`): every statement over
+   it — plan-cache entries, prepared handles, subscription families,
+   Datalog goals — reads one value, which lives as long as one of them
+   does.  A statement reads it under the program's lock
+   (:meth:`CompiledStatement.solve`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -51,7 +56,7 @@ from ..calculus.subst import map_children
 from ..constructors.instantiate import AppKey
 from ..constructors.positivity import definition_violations
 from ..relational import Database
-from .fixpoint import CompiledFixpoint, compile_application, fixpoint_apply_estimates
+from .fixpoint import CompiledFixpoint, fixpoint_apply_estimates, held_program
 from .graphutils import Digraph, connected_components, recursive_nodes
 from .options import DEFAULT_OPTIONS, ExecOptions
 from .plans import (
@@ -141,6 +146,12 @@ class CompiledStatement:
     #: — its answer *is* that value, no scan or dedup needed.
     identity: object | None = None
     shard_config: object | None = None
+    #: The distinct programs of :attr:`fixpoints`, in the one order every
+    #: statement takes their locks in.
+    programs: tuple[CompiledFixpoint, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.programs = tuple(sorted(set(self.fixpoints.values()), key=id))
 
     def explain(self) -> str:
         lines = ["query compilation level:"]
@@ -159,20 +170,26 @@ class CompiledStatement:
 
     # -- Level 3: runtime ---------------------------------------------------------
 
-    def solve(self, on_fallback=None, db=None) -> dict[object, set]:
-        """Every fixpoint variable's value against ``db`` (default: live).
+    @contextmanager
+    def solve(self, db=None, on_fallback=None, stats=None):
+        """Every fixpoint variable's value against ``db`` (default: live),
+        for the duration of the ``with`` block.
 
-        Each program advances its held values (a hit, a resume from the
-        appended rows, or a run from empty); those values are live —
-        valid until the next ``solve``, so callers copy what they keep.
-        ``on_fallback(kind, detail)`` observes the programs' executor
-        degradations.
+        Each program is locked (in :attr:`programs` order, so statements
+        sharing programs never deadlock) and advances its held values (a
+        hit, a resume from the appended rows, or a run from empty); no
+        other statement can move them until the block exits.  Callers
+        copy what they keep.  ``on_fallback(kind, detail)`` observes the
+        programs' executor degradations; ``stats`` (a ``FixpointStats``)
+        receives the advances' counters.
         """
-        apply_values: dict[object, set] = {}
-        for program in self.fixpoints.values():
-            program.on_fallback = on_fallback
-            apply_values.update(program.advance(db=db))
-        return apply_values
+        with ExitStack() as locks:
+            apply_values: dict[object, set] = {}
+            for program in self.programs:
+                locks.enter_context(program.lock)
+                program.on_fallback = on_fallback
+                apply_values.update(program.advance(stats=stats, db=db))
+            yield apply_values
 
     def run(
         self,
@@ -192,13 +209,14 @@ class CompiledStatement:
         executor degradation, the fixpoints' included.
         """
         db = self.db if snapshot is None else snapshot
-        apply_values = self.solve(on_fallback, db)
-        if self.identity is not None:
-            return set(apply_values[self.identity])
-        ctx = ExecutionContext(db, params, apply_values, stats)
-        ctx.shard_config = self.shard_config
-        ctx.on_fallback = on_fallback
-        return self.top_plan.execute(ctx)
+        # A statement with nothing held skips the lock-taking path.
+        with self.solve(db, on_fallback) if self.programs else nullcontext({}) as apply_values:
+            if self.identity is not None:
+                return set(apply_values[self.identity])
+            ctx = ExecutionContext(db, params, apply_values, stats)
+            ctx.shard_config = self.shard_config
+            ctx.on_fallback = on_fallback
+            return self.top_plan.execute(ctx)
 
 
 def _is_closed(application: ast.Constructed) -> bool:
@@ -222,8 +240,9 @@ def compile_statement(
 
     Non-recursive applications are inlined where the cost gate approves;
     every remaining **closed** application — binding range, quantifier
-    range or nested — becomes a fixpoint variable and its compiled
-    program (a non-positive one is a :class:`PositivityError`).  An open
+    range or nested — becomes a fixpoint variable read from the
+    database's one program for it (:func:`~.fixpoint.held_program`; a
+    non-positive one is a :class:`PositivityError`).  An open
     application stays in the query: one over a parameter slot is a
     computed range, one correlated with an enclosing tuple variable is
     the residual's one interpreted shape, decided by the evaluator once
@@ -258,15 +277,14 @@ def compile_statement(
     interned: dict[ast.Constructed, ast.ApplyVar] = {}
 
     def intern(n: ast.Constructed) -> ast.ApplyVar:
-        program = compile_application(db, n, options=options)
+        program, key = held_program(db, n, options)
         system = program.system
-        fixpoints[system.root] = program
+        fixpoints[key] = program
         shape = detect_linear_tc(db, system)
         if shape is not None:
             specializations[system.root] = shape
         top_estimates.update(fixpoint_apply_estimates(db, system))
-        root = system.apps[system.root]
-        return ast.ApplyVar(system.root, root.result_type.element)
+        return ast.ApplyVar(key, system.apps[key].result_type.element)
 
     def rewrite(n: ast.Node) -> ast.Node:
         # Outermost first: a nested application belongs to its parent's

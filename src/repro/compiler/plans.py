@@ -318,6 +318,23 @@ def _is_delta_token(token: object) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def held_value(db, key: object):
+    """The value of application ``key`` that a program registered on
+    ``db`` holds (:func:`~.fixpoint.held_program`), or None."""
+    programs = getattr(db, "programs", None)
+    if not programs:
+        return None
+    # The backing dict's items, copied in one step: another thread may
+    # register or drop a program meanwhile.
+    for (app, _), ref in list(programs.data.items()):
+        program = ref()
+        if program is not None and app == key:
+            value = program.held.get(key)
+            if value is not None:
+                return value
+    return None
+
+
 class CostModel:
     """Prices loop-nest steps from table statistics.
 
@@ -333,9 +350,9 @@ class CostModel:
     the statistics cannot see (fixpoint variables, computed ranges) are
     priced through ``apply_estimates`` — the fixpoint compiler passes
     separate estimates for full values and for deltas, which is what
-    keeps deltas driving the differential loop nests — with catalog
-    observations of previously converged fixpoints (including their
-    absorbed per-column statistics) as the fallback.
+    keeps deltas driving the differential loop nests — with the value a
+    registered fixpoint program holds (its size and absorbed per-column
+    statistics, :func:`held_value`) as the fallback.
     """
 
     #: Rows assumed for a computed range nobody has statistics for.
@@ -362,13 +379,14 @@ class CostModel:
         apply_tables: dict[object, object] | None = None,
     ) -> None:
         self.db = db
-        self.catalog = getattr(db, "stats", None)
         self.apply_estimates = dict(apply_estimates or {})
         self.use_histograms = use_histograms
         #: Live TableStats per fixpoint-variable key — the mid-fixpoint
         #: re-optimizer passes the statistics absorbed so far, which beat
-        #: both the catalog (previous runs) and the sqrt heuristic.
+        #: both a held value and the sqrt heuristic.
         self.apply_tables = dict(apply_tables or {})
+        #: key → :func:`held_value`, looked up once per model.
+        self._held: dict = {}
 
     # -- cardinalities -------------------------------------------------------
 
@@ -387,12 +405,12 @@ class CostModel:
         if isinstance(token, tuple) and len(token) == 3 and token[0] == "__seminaive__":
             kind = token[1]
             key = token[2]
-        observed = (
-            self.catalog.constructed_estimate(key) if self.catalog is not None else None
-        )
-        if observed is None:
+        value = self.held_value(key)
+        if value is None:
             base_total = sum(len(r) for r in self.db.relations.values()) or 8
             observed = base_total * self.RECURSIVE_GROWTH
+        else:
+            observed = float(len(value))
         if kind == "delta":
             # Deltas shrink toward convergence; sqrt of the full value is
             # a deliberately small estimate so deltas drive loop nests.
@@ -422,9 +440,9 @@ class CostModel:
         """The :class:`TableStats` describing a source, when one exists.
 
         Relations answer with their live stats; fixpoint variables answer
-        with the statistics absorbed over the value the last time the
-        same application converged (catalog observations), which carry
-        distinct counts *and* histograms for the constructed columns.
+        with the statistics absorbed over the value a registered program
+        holds, which carry distinct counts *and* histograms for the
+        constructed columns.
         """
         if source.kind == "relation":
             return self.db[source.name].stats()
@@ -439,11 +457,16 @@ class CostModel:
             table = self.apply_tables.get(key)
             if table is not None:
                 return table
-            if self.catalog is not None:
-                observation = self.catalog.fixpoint_observation(key)
-                if observation is not None:
-                    return observation.table
+            value = self.held_value(key)
+            if value is not None:
+                return value.stats.table
         return None
+
+    def held_value(self, key: object):
+        """:func:`held_value` of ``key``, memoized for this model."""
+        if key not in self._held:
+            self._held[key] = held_value(self.db, key)
+        return self._held[key]
 
     def key_selectivity(self, source: Source, positions: tuple[int, ...]) -> float:
         if not positions:

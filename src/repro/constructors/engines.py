@@ -36,7 +36,7 @@ from ..calculus import ast
 from ..calculus.evaluator import EvalStats, Evaluator
 from ..calculus.subst import map_children
 from ..errors import ConvergenceError, PositivityError
-from ..relational import Database, DeltaStats
+from ..relational import Database
 from .instantiate import AppKey, InstantiatedSystem
 
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -61,35 +61,6 @@ class FixpointStats:
 
 
 Values = dict[AppKey, frozenset]
-
-
-def _record_observations(
-    db: Database,
-    system: InstantiatedSystem,
-    values: Values,
-    delta_stats: dict[AppKey, DeltaStats] | None = None,
-) -> None:
-    """Stats hook: feed converged fixpoint sizes to the planner catalog.
-
-    Later compilations of the same application then price its fixpoint
-    variables from measured cardinalities (and, when the semi-naive
-    engine tracked deltas, exact per-column distinct counts).
-    """
-    catalog = getattr(db, "stats", None)
-    if catalog is None:
-        return
-    from .instantiate import base_relation_names
-
-    read_relations = base_relation_names(db, system)
-    for key, rows in values.items():
-        distinct: tuple[int, ...] = ()
-        table = None
-        if delta_stats is not None and key in delta_stats:
-            table = delta_stats[key].table
-            distinct = tuple(c.distinct for c in table.columns)
-        catalog.record_fixpoint(
-            key, len(rows), distinct, relations=read_relations, table=table
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +95,6 @@ def naive_fixpoint(
         stats.peak_delta = max(stats.peak_delta, grown)
         if new == values:
             stats.final_sizes = {k.describe(): len(v) for k, v in values.items()}
-            _record_observations(db, system, values)
             return values
         if history_detection:
             token = _state_token(new)
@@ -296,19 +266,11 @@ def seminaive_fixpoint(
     }
 
     # Iteration 1: the non-recursive branches seed the computation.
-    # Delta statistics are absorbed incrementally as each delta is applied
-    # (the planner's catalog receives them at convergence).
-    delta_stats: dict[AppKey, DeltaStats] = {
-        key: DeltaStats(len(app.element_type.attribute_names))
-        for key, app in system.apps.items()
-    }
     evaluator = Evaluator(db, stats=stats.eval_stats)
     values: dict[AppKey, set] = {
         key: set(evaluator.eval_query(base_queries[key])) for key in system.apps
     }
     deltas: dict[AppKey, set] = {key: set(values[key]) for key in system.apps}
-    for key, delta in deltas.items():
-        delta_stats[key].absorb(delta)
     stats.iterations = 1
     stats.tuples_derived = sum(len(d) for d in deltas.values())
     stats.peak_delta = stats.tuples_derived
@@ -333,7 +295,6 @@ def seminaive_fixpoint(
             new_deltas[key] = produced - values[key]
         for key in system.apps:
             values[key] |= new_deltas[key]
-            delta_stats[key].absorb(new_deltas[key])
         deltas = new_deltas
         stats.iterations += 1
         grown = sum(len(d) for d in deltas.values())
@@ -342,5 +303,4 @@ def seminaive_fixpoint(
 
     frozen = {key: frozenset(rows) for key, rows in values.items()}
     stats.final_sizes = {k.describe(): len(v) for k, v in frozen.items()}
-    _record_observations(db, system, frozen, delta_stats)
     return frozen

@@ -100,7 +100,7 @@ def base_relation_names(db: Database, system: InstantiatedSystem) -> frozenset[s
     The union of every relation name referenced by any equation body or
     by any application key (base ranges and relation-valued arguments),
     filtered to names that exist in ``db``.  This is the staleness scope
-    of a fixpoint observation: mutating any *other* relation cannot
+    of a held fixpoint value: mutating any *other* relation cannot
     change the system's value.
     """
     from ..calculus.analysis import free_range_names

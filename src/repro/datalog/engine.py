@@ -10,9 +10,14 @@ reproduction can offer.
 ``mode="compiled"`` takes the program for what the section 3.4 lemma
 says it is, constructor declarations over a database
 (:func:`~repro.datalog.to_constructors.declare_program`), and compiles
-each goal once into a held :class:`~repro.compiler.levels.CompiledStatement`
-— the one runtime every compiled read has (held values, every executor),
-while the substitution engines remain the semantic baseline.
+each goal *shape* once into a :class:`~repro.dbpl.serving.PreparedPlan`
+— the one runtime every compiled read has (held values, every executor)
+— with the goal's constants as its slots: ``path(a, Y)`` and
+``path(b, Y)`` are one statement over the database's one held value of
+``path``.  The substitution engines remain the semantic baseline.
+
+Every mode reads the database's current state, or the snapshot an
+``ExecOptions(snapshot=...)`` names.
 
 Only positive programs (no negation) with optional comparison literals
 are supported, matching the section 3.4 fragment.  Rules must be range
@@ -24,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..analysis.diagnostics import Diagnostics
-from ..compiler.levels import CompiledStatement, compile_statement
+from ..compiler.levels import CompiledStatement
 from ..compiler.options import DEFAULT_OPTIONS, ExecOptions
 from ..constructors.engines import FixpointStats
+from ..dbpl.serving import PreparedPlan, parameterize
 from ..errors import DatalogAnalysisError, TranslationError
-from ..relational import Database
+from ..relational import Database, DatabaseSnapshot
 from .ast import Atom, Comparison, Const, Program, Rule, Var
 from .to_constructors import declare_program, goal_query, program_facts, program_fields
 
@@ -119,18 +125,27 @@ class DatalogEngine:
         self.fields = program_fields(program, facts, self.db)
         if self.db is not None:
             declare_program(self.db, program)
-        #: Compiled goal statements, by goal query and options.
-        self._statements: dict[tuple, CompiledStatement] = {}
+        #: Compiled goal plans, by goal shape, constant types and options.
+        self._statements: dict[tuple, PreparedPlan] = {}
 
-    @property
-    def edb(self) -> Facts:
-        """The extensional facts (and IDB seed facts) the rules start from."""
-        if self._facts is not None:
+    def edb(self, snapshot: DatabaseSnapshot | None = None) -> Facts:
+        """The extensional facts (and IDB seed facts) the rules start
+        from, as of ``snapshot`` (default: now)."""
+        if snapshot is None and self._facts is not None:
             return self._facts
+        db = self.db if snapshot is None else snapshot
         return {
-            pred: self.db[f"{pred}__base" if pred in self.idb_preds else pred].rows()
+            pred: db[f"{pred}__base" if pred in self.idb_preds else pred].rows()
             for pred in self.fields
         }
+
+    def _snapshot(self, options: ExecOptions | None) -> DatabaseSnapshot | None:
+        """``options.snapshot``, which must be of the engine's database."""
+        snapshot = options.snapshot if options is not None else None
+        # A snapshot answers with its database's statistics catalog.
+        if snapshot is not None and (self.db is None or snapshot.stats is not self.db.stats):
+            raise ValueError("the snapshot is not of this engine's database")
+        return snapshot
 
     # -- rule application ---------------------------------------------------
 
@@ -202,10 +217,12 @@ class DatalogEngine:
 
     # -- naive evaluation ---------------------------------------------------------
 
-    def solve_naive(self, stats: DatalogStats | None = None) -> dict[str, frozenset]:
+    def solve_naive(
+        self, stats: DatalogStats | None = None, snapshot: DatabaseSnapshot | None = None
+    ) -> dict[str, frozenset]:
         stats = stats if stats is not None else DatalogStats()
         stats.mode = "naive"
-        totals: Facts = {p: set(rows) for p, rows in self.edb.items()}
+        totals: Facts = {p: set(rows) for p, rows in self.edb(snapshot).items()}
         while True:
             stats.iterations += 1
             new: Facts = {}
@@ -227,11 +244,11 @@ class DatalogEngine:
     # -- semi-naive evaluation -------------------------------------------------------
 
     def solve_seminaive(
-        self, stats: DatalogStats | None = None
+        self, stats: DatalogStats | None = None, snapshot: DatabaseSnapshot | None = None
     ) -> dict[str, frozenset]:
         stats = stats if stats is not None else DatalogStats()
         stats.mode = "seminaive"
-        totals: Facts = {p: set(rows) for p, rows in self.edb.items()}
+        totals: Facts = {p: set(rows) for p, rows in self.edb(snapshot).items()}
 
         # Round 1: every rule fires once against the EDB state.
         deltas: Facts = {p: set() for p in self.idb_preds}
@@ -279,26 +296,34 @@ class DatalogEngine:
 
     # -- compiled evaluation ----------------------------------------------------
 
-    def statement(
-        self, goal: Atom, options: ExecOptions | None = None
-    ) -> CompiledStatement:
-        """The statement whose rows are ``goal``'s ground instances,
-        compiled once per goal and options: a re-asked goal advances its
-        held values.  An unknown predicate is DBPL103, a wrong arity
-        DBPL104."""
-        query = goal_query(goal, self.idb_preds, self.fields)
+    def _plan(
+        self, goal: Atom, options: ExecOptions | None
+    ) -> tuple[PreparedPlan, tuple]:
+        """The plan of ``goal``'s shape, compiled once per shape, constant
+        types and options, and the goal's constants to bind into it.  An
+        unknown predicate is DBPL103, a wrong arity DBPL104."""
+        shape, constants = parameterize(goal_query(goal, self.idb_preds, self.fields))
         options = options if options is not None else DEFAULT_OPTIONS
-        key = (query, options.cache_key())
-        statement = self._statements.get(key)
-        if statement is None:
+        key = (shape, tuple(map(type, constants)), options.cache_key())
+        plan = self._statements.get(key)
+        if plan is None:
             if self.db is None:
                 self.db = Database("datalog")
                 # A predicate without facts is empty.
                 facts = dict.fromkeys(self.fields, ()) | self._facts
                 declare_program(self.db, self.program, facts)
-            statement = compile_statement(self.db, query, options=options)
-            self._statements[key] = statement
-        return statement
+            plan = self._statements[key] = PreparedPlan(
+                self.db, shape, constants, options=options
+            )
+        return plan, constants
+
+    def statement(
+        self, goal: Atom, options: ExecOptions | None = None
+    ) -> CompiledStatement:
+        """The statement whose rows are ``goal``'s ground instances: one
+        per goal shape and options, so a re-asked goal — or one differing
+        only in its constants — advances the same held values."""
+        return self._plan(goal, options)[0].statement
 
     def solve(
         self,
@@ -308,32 +333,35 @@ class DatalogEngine:
         options: ExecOptions | None = None,
     ) -> dict[str, frozenset]:
         """Every predicate's value, EDB predicates included; ``options``
-        reach the plans of ``compiled`` mode (see :meth:`statement`)."""
+        reach the plans of ``compiled`` mode (see :meth:`statement`), and
+        their ``snapshot`` is the state every mode reads."""
+        snapshot = self._snapshot(options)
         if mode == "naive":
-            return self.solve_naive(stats)
+            return self.solve_naive(stats, snapshot)
         if mode == "seminaive":
-            return self.solve_seminaive(stats)
+            return self.solve_seminaive(stats, snapshot)
         if mode != "compiled":
             raise ValueError(f"unknown mode {mode!r}")
         stats = stats if stats is not None else DatalogStats()
         stats.mode = "compiled"
-        totals = {pred: frozenset(rows) for pred, rows in self.edb.items()}
+        totals = {pred: frozenset(rows) for pred, rows in self.edb(snapshot).items()}
         solved: set[str] = set()
         for pred in sorted(self.idb_preds):  # a clique is solved once
             if pred in solved:
                 continue
             goal = Atom(pred, tuple(Var(f"X{i}") for i in range(len(self.fields[pred]))))
-            statement = self.statement(goal, options)
-            for program in statement.fixpoints.values():
-                fixpoint_stats = FixpointStats()
-                for key, rows in program.advance(stats=fixpoint_stats).items():
+            plan, _ = self._plan(goal, options)
+            statement = plan.statement
+            fixpoint_stats = FixpointStats()
+            with statement.solve(snapshot, stats=fixpoint_stats) as values:
+                for key, rows in values.items():
                     totals[key.constructor[2:]] = frozenset(rows)
                     solved.add(key.constructor[2:])
-                stats.iterations += fixpoint_stats.iterations
-                stats.tuples_derived += fixpoint_stats.tuples_derived
-                stats.rule_firings += len(program.system.apps)
+            stats.iterations += fixpoint_stats.iterations
+            stats.tuples_derived += fixpoint_stats.tuples_derived
+            stats.rule_firings += sum(len(p.system.apps) for p in statement.programs)
             if pred not in solved:  # inlined: the top plan computes it
-                totals[pred] = frozenset(statement.run())
+                totals[pred] = frozenset(plan.run((), snapshot))
         return totals
 
     def query(
@@ -347,9 +375,10 @@ class DatalogEngine:
         """All ground instances of ``goal`` entailed by the program
         (``stats`` counts the substitution modes' work)."""
         if mode == "compiled":
-            return self.statement(goal, options).run()
+            plan, constants = self._plan(goal, options)
+            return plan.run(constants, self._snapshot(options))
         goal_query(goal, self.idb_preds, self.fields)  # DBPL103/104 as compiled
-        solution = self.solve(mode, stats)
+        solution = self.solve(mode, stats, options=options)
         rows = solution.get(goal.pred, frozenset())
         out: set[tuple] = set()
         for fact in rows:

@@ -155,14 +155,20 @@ def _rule_to_branch(
 
 def goal_query(goal: Atom, idb: set[str], fields: Fields) -> ast.Query:
     """The query whose rows are ``goal``'s ground instances: the body of
-    the rule ``goal :- goal``."""
+    the rule ``goal :- goal``, except that a constant's target is the
+    attribute the predicate equates with it — so the constants occur in
+    comparisons only, where :func:`~repro.dbpl.serving.parameterize`
+    lifts them into slots."""
     branch = _rule_to_branch(Rule(goal, (goal,)), idb, fields)
-    if branch.pred == ast.TRUE and branch.targets == tuple(
-        ast.AttrRef("t0", name) for name in fields[goal.pred]
-    ):
+    attrs = tuple(ast.AttrRef("t0", name) for name in fields[goal.pred])
+    targets = tuple(
+        attr if isinstance(term, Const) else target
+        for attr, term, target in zip(attrs, goal.terms, branch.targets)
+    )
+    if branch.pred == ast.TRUE and targets == attrs:
         # Distinct variables only: the rows are the range's own.
-        branch = ast.Branch(branch.bindings, ast.TRUE, None)
-    return ast.Query((branch,))
+        targets = None
+    return ast.Query((ast.Branch(branch.bindings, branch.pred, targets),))
 
 
 def declare_program(

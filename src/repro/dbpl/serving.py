@@ -21,7 +21,8 @@ module is the parse-once/bind-per-message split:
   one shape — and therefore one compiled plan.
 * :class:`PreparedPlan` compiles a shape once, through the paper's one
   query-compilation level (:func:`repro.compiler.compile_statement`,
-  whose fixpoint programs then live in the plan cache with it), and
+  whose fixpoint programs are the database's one program per closed
+  application, kept alive by the plans that reference them), and
   executes it many times through the one runtime level
   (:meth:`~repro.compiler.levels.CompiledStatement.run`), rebinding the
   constant slots in place — the generated kernels read parameter values
@@ -44,7 +45,8 @@ module is the parse-once/bind-per-message split:
   shard partitions — sees one committed state while writers keep
   committing, under every executor.  A statement's held fixpoint values
   follow the snapshot by their hit/resume/recompute rule
-  (:meth:`~repro.compiler.fixpoint.CompiledFixpoint.advance`).
+  (:meth:`~repro.compiler.fixpoint.CompiledFixpoint.advance`) — shared
+  ones too, under their programs' locks.
 """
 
 from __future__ import annotations
@@ -255,10 +257,11 @@ class PreparedPlan:
     ``statement.run``: it advances the fixpoints' held values (if any)
     to the live database and runs the top plan over them.
 
-    Executions serialize on a per-plan lock: the slot rebind and the
-    run must be atomic with respect to other executors of the *same*
-    plan (different plans never contend), and it is what keeps two
-    executions from advancing one held value at once.
+    Executions serialize on a per-plan lock that keeps only the slot
+    rebind: the kernels read the slots until the run ends, so a rebind
+    waits for it.  Held values are guarded by their programs' own locks
+    (:meth:`~repro.compiler.levels.CompiledStatement.solve`), which every
+    statement over them takes.
     """
 
     __slots__ = (

@@ -20,8 +20,9 @@ relation-valued one.  A family holds
   query with ``EACH __sub IN <parameter relation>`` bound first in every
   branch and ``__sub.sub_id`` emitted ahead of the row, compiled through
   the one query-compilation level with the requested options (its
-  fixpoint programs run on the requested executor and hold values every
-  member shares);
+  fixpoint programs, run on the requested executor, are the database's
+  one program per application: every member — and every other statement
+  over the application — reads one held value);
 * the parameter relation itself, one row per member, bound as an apply
   value and replaced (copy-on-write, indexes rebuilt lazily) when a
   member joins or leaves;
@@ -359,11 +360,13 @@ class _Family:
         #: Set when a commit's maintenance raised (:meth:`fail`): the
         #: next commit recounts whole.
         self.stale = False
-        #: The applications' values (plain and "new" tokens) as of the
-        #: last advance.
-        self.values = self._solve()
+        #: A counting family's values (plain and "new" tokens) as of its
+        #: last count, or the value that is every member's answer.
+        self.values: dict = {}
+        self.held = None
         if self.identity is not None:
-            self.held = self.values[self.identity]
+            with statement.solve(on_fallback=on_fallback) as values:
+                self.held = values[self.identity]
 
     # -- membership -------------------------------------------------------
 
@@ -383,20 +386,18 @@ class _Family:
 
     # -- evaluation -------------------------------------------------------
 
-    def _solve(self) -> dict:
-        """Advance the statement's fixpoint values to the current state."""
-        values = self.statement.solve(self.on_fallback)
-        for token, rows in list(values.items()):
-            values[_variant_token(token, "new")] = rows
-        return values
-
     def _count(self, params: _Params) -> dict[int, Counter]:
-        """Each member's derivation counts of the top plan over ``params``."""
-        ctx = ExecutionContext(
-            self.db, apply_values={**self.values, self.token: params}
-        )
-        ctx.on_fallback = self.on_fallback
-        derivations = _execute_bag(self.statement.top_plan, ctx, self.executor)
+        """Advance the statement's fixpoint values to the current state,
+        then each member's derivation counts of the top plan over them and
+        ``params``."""
+        with self.statement.solve(on_fallback=self.on_fallback) as values:
+            # The differentials read every value as its "new" variant.
+            self.values = {**values, **{_variant_token(t, "new"): v for t, v in values.items()}}
+            ctx = ExecutionContext(
+                self.db, apply_values={**self.values, self.token: params}
+            )
+            ctx.on_fallback = self.on_fallback
+            derivations = _execute_bag(self.statement.top_plan, ctx, self.executor)
         return {
             sub_id: Counter(rows) for sub_id, rows in _by_member(derivations).items()
         }
@@ -505,7 +506,6 @@ class _Family:
         if self.identity is not None:
             self._advance_held(relation_name, events)
             return
-        self.values = self._solve()
         fresh = self._count(self.params)
         for sub_id, member in self.members.items():
             before = member._counts
@@ -519,24 +519,28 @@ class _Family:
             )
 
     def _advance_held(self, relation_name: str, events: list) -> None:
-        """An identity family's commit: advance the shared held value."""
+        """An identity family's commit: advance the shared held value.
+        Each member has seen the held log up to its ``_reported`` length
+        (other statements may have advanced the value since): it gains
+        the log's suffix after a resume, else the difference of the new
+        value and that prefix of the old one."""
         before = self.held
-        self.values = self._solve()
-        value = self.held = self.values[self.identity]
-        resumed = value is before
-        if not resumed:
-            # Ran from empty: a new value, diffed against the old one.
-            inserted, deleted = value - before, before - value
-        for member in self.members.values():
-            if resumed:
-                # The rows it gained since this member's last event are
-                # the log's suffix.
-                member.delta_batches += 1
-                member._queue(relation_name, value.log[member._reported :], (), events)
-            else:
-                member.recomputes += 1
-                member._queue(relation_name, inserted, deleted, events)
-            member._reported = len(value.log)
+        with self.statement.solve(on_fallback=self.on_fallback) as values:
+            value = self.held = values[self.identity]
+            diffs: dict[int, tuple] = {}
+            for member in self.members.values():
+                seen = member._reported
+                if value is before:
+                    member.delta_batches += 1
+                    member._queue(relation_name, value.log[seen:], (), events)
+                else:
+                    # Ran from empty: a new value.
+                    member.recomputes += 1
+                    if seen not in diffs:
+                        old = before if seen == len(before.log) else set(before.log[:seen])
+                        diffs[seen] = (value - old, old - value)
+                    member._queue(relation_name, *diffs[seen], events)
+                member._reported = len(value.log)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +625,9 @@ class Subscription:
         if self._closed_rows is not None:
             return self._closed_rows
         if self._counts is None:
-            return frozenset(self.family.held)
+            # The prefix of the shared held log this member has been told
+            # about: other statements may advance the value meanwhile.
+            return frozenset(self.family.held.log[: self._reported])
         return frozenset(self._counts)
 
     def _queue(self, relation_name: str, inserted, deleted, events: list) -> None:
@@ -768,6 +774,10 @@ class SubscriptionRegistry:
                 _ivm_token(name, "delta"): delta,
                 _ivm_token(name, "old"): old,
             }
+            # Read without the programs' locks: the values were advanced at
+            # the last commit of every relation they depend on, and commits
+            # wait for this one, so a reader can only hit them or replace
+            # them (a snapshot read runs from empty into a new value).
             for family, _ in counted:
                 values.update(family.values)
                 values[family.new_token] = family.params

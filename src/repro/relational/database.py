@@ -11,6 +11,7 @@ as does a :class:`DatabaseSnapshot` of it, its relations pinned.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable
 
 from ..errors import NameResolutionError, SchemaError
@@ -65,9 +66,16 @@ class Database(_Scope):
         # Populated by repro.selectors / repro.constructors definitions.
         self.selectors: dict[str, object] = {}
         self.constructors: dict[str, object] = {}
-        #: Planner statistics: base-table stats resolved by name plus the
-        #: observed sizes of converged fixpoints (see repro.relational.stats).
+        #: Planner statistics: base-table stats resolved by name (see
+        #: repro.relational.stats).
         self.stats = StatsCatalog(self)
+        #: ``(application key, options.cache_key())`` → the one compiled
+        #: fixpoint program holding that application's value, weakly: a
+        #: program lives as long as some statement references it (see
+        #: ``repro.compiler.fixpoint.held_program``, which creates the
+        #: table on first use — a database that never compiles a closed
+        #: application allocates none).
+        self.programs: weakref.WeakValueDictionary | None = None
         #: The write-capture sink mutations report deltas to (a
         #: ``repro.dbpl.subscriptions.SubscriptionRegistry`` once anything
         #: subscribes; None until then).  Held here, not imported: the

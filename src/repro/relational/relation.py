@@ -134,7 +134,11 @@ class Relation:
         #: forever — append-only, so ids stay stable across versions).
         self._dicts: tuple[Dictionary, ...] | None = None
         #: Writers serialize here; readers never take it (reentrant, so
-        #: an ``on_change`` callback may test membership mid-commit).
+        #: an ``on_change`` callback may test membership mid-commit).  The
+        #: one-time loads a reader may trigger (rows of a cold relation,
+        #: the dictionaries) take ``_publish_lock`` instead: a reader
+        #: holding a fixpoint program's lock must never wait for a writer
+        #: whose commit maintains a subscription over the same program.
         self._write_lock = threading.RLock()
         #: Write-capture sink (duck-typed: ``lock``/``emit``): the
         #: database's SubscriptionRegistry once anything subscribes, else
@@ -182,7 +186,7 @@ class Relation:
         """
         head = self._head
         if head[1] is None:
-            with self._write_lock:
+            with self._publish_lock:
                 head = self._head
                 if head[1] is None:
                     # A cold encoded() already decoded every row: keep its
@@ -306,9 +310,11 @@ class Relation:
 
     def _install(self, log: list[tuple]) -> None:
         """Commit ``log`` as a new lineage: no view of the old one can be
-        extended, so they are dropped and rebuild on next use."""
-        self._views = {}
-        self._head = (self._head[0] + 1, log, len(log))
+        extended, so they are dropped and rebuild on next use (under the
+        publish lock: a reader loading a cold log must not overwrite it)."""
+        with self._publish_lock:
+            self._views = {}
+            self._head = (self._head[0] + 1, log, len(log))
 
     def _delta_guard(self, changed=True):
         """(lock-or-null context, sink-or-None) for one mutation's commit.
@@ -494,7 +500,7 @@ class Relation:
         """
         dicts = self._dicts
         if dicts is None:
-            with self._write_lock:
+            with self._publish_lock:
                 dicts = self._dicts
                 if dicts is None:
                     if self._store is not None:

@@ -21,11 +21,9 @@ Statistics are maintained **incrementally**: a :class:`TableStats` is
 built once from a relation's rows and then updated in place by
 :meth:`TableStats.add_rows` / :meth:`TableStats.remove_rows` on every
 insert/delete (see :class:`~repro.relational.relation.Relation`), and a
-:class:`DeltaStats` absorbs each semi-naive delta as the fixpoint engine
-applies it.  The per-database :class:`StatsCatalog` additionally records
-*observed* sizes of converged fixpoints, so later compilations of the
-same constructor application start from a measured cardinality instead
-of a guess.
+:class:`DeltaStats` absorbs each semi-naive delta as the compiled
+fixpoint engine applies it to a held value — the statistics later
+compilations over the same constructor application are priced with.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 #: Target bucket count for equi-depth histograms.
 HISTOGRAM_BUCKETS = 16
@@ -472,58 +469,17 @@ class DeltaStats:
         )
 
 
-@dataclass
-class FixpointObservation:
-    """A converged fixpoint's measured size (and distincts when known).
-
-    ``versions`` snapshots the version stamps of the base relations the
-    instantiated application actually *reads*; the catalog treats the
-    observation as stale — and drops it — once any of *those* relations
-    has mutated since.  Mutations of unrelated tables do not discard it.
-
-    ``table``, when present, is the exact :class:`TableStats` absorbed
-    delta-by-delta while the fixpoint converged: full per-column
-    distinct counts and histograms over the constructed value, which the
-    cost model uses to price joins and range filters against fixpoint
-    variables in later compilations.
-    """
-
-    rows: int
-    distinct: tuple[int, ...] = ()
-    runs: int = 1
-    versions: dict[str, int] = field(default_factory=dict)
-    table: "TableStats | None" = None
-
-    def merge(
-        self,
-        rows: int,
-        distinct: tuple[int, ...],
-        versions: dict[str, int],
-        table: "TableStats | None" = None,
-    ) -> None:
-        self.rows = rows
-        if distinct:
-            self.distinct = distinct
-        self.versions = versions
-        # The table payload must match the run that produced the latest
-        # version stamp: an engine that tracked no statistics (table is
-        # None) drops any previous table rather than letting a fresh
-        # stamp vouch for a distribution observed on older data.
-        self.table = table
-        self.runs += 1
-
-
 class StatsCatalog:
-    """Per-database statistics: base-table stats plus fixpoint observations.
+    """Per-database statistics: base-table stats and the plan epoch.
 
     Base-table statistics live on the relations themselves (lazily built,
-    incrementally maintained); the catalog resolves them by name and owns
-    the cross-compilation memory of observed constructed-relation sizes.
+    incrementally maintained); the catalog resolves them by name.  A
+    constructed relation's statistics live on the value its fixpoint
+    program holds (``Database.programs``).
     """
 
     def __init__(self, db) -> None:
         self._db = db
-        self._observations: dict[object, FixpointObservation] = {}
         self._epoch = 0
         #: Per-relation row counts at the last epoch stamp (plus the
         #: relation name set itself — declaring a variable moves the
@@ -581,75 +537,3 @@ class StatsCatalog:
     def analyze(self) -> dict[str, TableStats]:
         """Force statistics for every declared relation (ANALYZE)."""
         return {name: rel.stats() for name, rel in self._db.relations.items()}
-
-    # -- fixpoint observations ----------------------------------------------
-
-    def _versions(self, relations: Iterable[str] | None = None) -> dict[str, int]:
-        """Version stamps of ``relations`` (default: every relation).
-
-        Callers that know which base relations an application reads pass
-        them explicitly, so the resulting observation is invalidated only
-        by mutations it can actually see — not by writes to unrelated
-        tables.
-        """
-        if relations is None:
-            return {name: rel.version for name, rel in self._db.relations.items()}
-        all_relations = self._db.relations
-        return {
-            name: all_relations[name].version
-            for name in relations
-            if name in all_relations
-        }
-
-    def record_fixpoint(
-        self,
-        key: object,
-        rows: int,
-        distinct: tuple[int, ...] = (),
-        relations: Iterable[str] | None = None,
-        table: "TableStats | None" = None,
-    ) -> None:
-        """Remember the converged size of one instantiated application.
-
-        ``relations`` names the base relations the application reads
-        (the observation's staleness scope); ``table`` optionally carries
-        the exact statistics absorbed over the converged value.
-        """
-        versions = self._versions(relations)
-        observation = self._observations.get(key)
-        if observation is None:
-            self._observations[key] = FixpointObservation(
-                rows, distinct, versions=versions, table=table
-            )
-        else:
-            observation.merge(rows, distinct, versions, table)
-
-    def fixpoint_observation(self, key: object) -> FixpointObservation | None:
-        """The recorded observation, dropped if any *read* relation mutated."""
-        observation = self._observations.get(key)
-        if observation is None:
-            return None
-        all_relations = self._db.relations
-        for name, version in observation.versions.items():
-            rel = all_relations.get(name)
-            if rel is None or rel.version != version:
-                del self._observations[key]
-                return None
-        return observation
-
-    def constructed_estimate(self, key: object) -> float | None:
-        """Observed cardinality of an instantiated application, if any
-        (stale observations — base relations mutated since — return None)."""
-        observation = self.fixpoint_observation(key)
-        return float(observation.rows) if observation is not None else None
-
-    def summary(self) -> str:
-        lines = [f"statistics catalog for database {self._db.name!r}:"]
-        for name, rel in sorted(self._db.relations.items()):
-            lines.append(f"  {name}: {rel.stats().describe()}")
-        for key, obs in self._observations.items():
-            desc = key.describe() if hasattr(key, "describe") else repr(key)
-            lines.append(
-                f"  observed {desc}: rows={obs.rows} (over {obs.runs} runs)"
-            )
-        return "\n".join(lines)

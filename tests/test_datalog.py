@@ -333,19 +333,21 @@ class TestDatabaseBoundEngine:
 
         def ask():
             got = engine.query(goal, "compiled")
+            outcome = program.last
             assert got == engine.query(goal, "seminaive")
+            # The front door reads the goal's program: a hit.
             assert got == session.query("path__base{c_path}")
-            return got
+            assert program.last == ("hit", 0)
+            return got, outcome
 
         ask()
-        ask()
-        assert program.last == ("hit", 0)
+        assert ask()[1] == ("hit", 0)
         session.insert("edge", [("c", "d")])
-        assert ("a", "d") in ask()
-        assert program.last == ("resumed", 1)
+        got, outcome = ask()
+        assert ("a", "d") in got and outcome == ("resumed", 1)
         session.relation("edge").delete([("a", "b")])
-        assert ("a", "d") not in ask()
-        assert program.last == ("recomputed", 0)
+        got, outcome = ask()
+        assert ("a", "d") not in got and outcome == ("recomputed", 0)
 
     def test_front_door_serves_the_constructors(self):
         session = edge_session()
@@ -388,3 +390,39 @@ class TestDatabaseBoundEngine:
         with pytest.raises(DatalogAnalysisError, match="DBPL104") as info:
             DatalogEngine(parse_program("p(X) :- edge(X)."), session.db)
         assert info.value.column == 9
+
+    def test_every_mode_reads_the_snapshot(self):
+        session = edge_session([("a", "b")])
+        engine = DatalogEngine(parse_program(PATH_SOURCE), session.db)
+        pinned = ExecOptions(snapshot=session.snapshot())
+        session.insert("edge", [("b", "c")])
+        goal = parse_atom("path(X, Y)")
+        for mode in MODES:
+            assert engine.query(goal, mode, options=pinned) == {("a", "b")}, mode
+            assert engine.solve(mode, options=pinned)["path"] == {("a", "b")}, mode
+            assert len(engine.query(goal, mode)) == 3, mode
+            assert engine.solve(mode, options=pinned)["edge"] == {("a", "b")}, mode
+
+    def test_a_snapshot_of_another_database_is_refused(self):
+        other = ExecOptions(snapshot=edge_session().snapshot())
+        facts = DatalogEngine(parse_program(PATH_SOURCE), {"edge": {("a", "b")}})
+        bound = DatalogEngine(parse_program(PATH_SOURCE), edge_session().db)
+        for engine in (facts, bound):
+            for mode in MODES:
+                with pytest.raises(ValueError, match="snapshot"):
+                    engine.query(parse_atom("path(X, Y)"), mode, options=other)
+
+    def test_bound_goals_share_one_statement_and_one_program(self):
+        chain = [(f"n{i}", f"n{i + 1}") for i in range(60)]
+        session = edge_session(chain)
+        engine = DatalogEngine(parse_program(PATH_SOURCE), session.db)
+        for k in range(60):
+            goal = parse_atom(f'path("n{k}", Y)')
+            want = engine.query(goal, "seminaive")
+            assert engine.query(goal, "compiled") == want == {
+                (f"n{k}", f"n{j}") for j in range(k + 1, 61)
+            }
+        assert len(engine._statements) == 1
+        (program,) = engine.statement(parse_atom('path("n0", Y)')).programs
+        assert set(session.db.programs.values()) == {program}
+        assert (program.recomputes, program.hits) == (1, 59)

@@ -6,6 +6,7 @@ cost-gated access paths, estimation quality), the pushdown gate, and an
 explain() regression pinning the chosen plan for one BOM query.
 """
 
+import gc
 import random
 
 import pytest
@@ -19,8 +20,8 @@ from repro.compiler import (
     choose_access_path,
     compile_fixpoint,
     compile_query,
+    compile_statement,
     cost_gated_inline,
-    construct_compiled,
     estimate_branch,
     run_query,
 )
@@ -94,21 +95,34 @@ class TestTableStats:
         assert tracked.table.distinct(0) == 2
 
     def test_catalog_records_fixpoint_observations(self):
+        """The database records the program a statement reads, and the
+        planner's observation of the application is the value it holds."""
         db = bom_database(generate_bom(assemblies=1, depth=3, seed=1))
         node = d.constructed("Contains", "explode")
-        result = construct_compiled(db, node)
-        system = instantiate(db, node)
-        observed = db.stats.constructed_estimate(system.root)
-        assert observed == len(result.rows)
+        statement = compile_statement(db, d.query(d.branch(d.each("e", node))))
+        (program,) = statement.programs
+        assert list(db.programs.values()) == [program]
+        rows = statement.run()
+        assert CostModel(db).apply_cardinality(program.system.root) == len(rows)
 
     def test_catalog_observation_invalidated_by_base_mutation(self):
+        """The observation follows the base relation: an insert grows the
+        held value at the next read, and once no statement holds the
+        program the planner is back to its heuristic."""
         db = bom_database(generate_bom(assemblies=1, depth=3, seed=1))
         node = d.constructed("Contains", "explode")
-        construct_compiled(db, node)
-        system = instantiate(db, node)
-        assert db.stats.constructed_estimate(system.root) is not None
+        statement = compile_statement(db, d.query(d.branch(d.each("e", node))))
+        before = statement.run()
         db["Contains"].insert([("brand_new_part", "brand_new_sub")])
-        assert db.stats.constructed_estimate(system.root) is None
+        after = statement.run()
+        root = statement.programs[0].system.root
+        assert len(after) == len(before) + 1
+        assert CostModel(db).apply_cardinality(root) == len(after)
+        del statement
+        gc.collect()
+        assert not db.programs
+        guess = len(db["Contains"]) * CostModel.RECURSIVE_GROWTH
+        assert CostModel(db).apply_cardinality(root) == guess
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +475,22 @@ class TestExplainRegression:
         assert base_plan.branches[0].actual_emitted == len(db["Contains"])
 
     def test_estimation_quality_reported(self):
+        """A second statement over a held application prices its ApplyVar
+        at the held size, and reads the first one's program."""
         db = bom_database(generate_bom(assemblies=2, depth=3, fanout=3, seed=7))
         node = d.constructed("Contains", "explode")
-        first = construct_compiled(db, node)
-        # second compilation sees the recorded observation: the top-level
-        # full-value estimate now equals the measured size exactly
-        system = instantiate(db, node)
-        model = CostModel(db)
-        assert model.apply_cardinality(system.root) == len(first.rows)
+        first = compile_statement(db, d.query(d.branch(d.each("e", node))))
+        rows = first.run()
+        second = compile_statement(
+            db,
+            d.query(d.branch(
+                d.each("e", node), pred=d.eq(d.a("e", "part"), "assembly0"),
+                targets=[d.a("e", "sub")],
+            )),
+        )
+        assert second.programs == first.programs
+        (step,) = second.top_plan.branches[0].steps
+        assert step.source.kind == "apply" and step.est_source_rows == len(rows)
 
     def test_estimate_branch_orders_of_magnitude(self):
         db = _skewed_db()

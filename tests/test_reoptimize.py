@@ -6,15 +6,23 @@ observed, and re-enumerates join orders with the live numbers once they
 drift beyond ``replan_drift``.  These tests pin: the re-plan fires on a
 delta-exploding workload, results stay identical to the interpreted
 semi-naive engine, the ``replans`` counter is surfaced, and re-planning
-reduces scanned rows.  Plus the satellite regression: a fixpoint
-observation survives mutations of relations the application never reads.
+reduces scanned rows.  Plus the scoping of what the planner observes of
+a fixpoint — the value the database's one program for it holds: it
+survives mutations of relations the application never reads.
 """
 
 
 from helpers import INFRONTREL, OBJECTREL, SCENE_OBJECTS
 from repro import paper
 from repro.calculus import dsl as d
-from repro.compiler import REPLAN_DRIFT, compile_fixpoint, construct_compiled
+from repro.compiler import (
+    REPLAN_DRIFT,
+    CostModel,
+    compile_fixpoint,
+    compile_statement,
+    construct_compiled,
+)
+from repro.compiler.plans import Source
 from repro.constructors import construct, instantiate
 from repro.constructors.engines import FixpointStats, seminaive_fixpoint
 from repro.workloads import random_digraph
@@ -148,6 +156,12 @@ class TestReplanSurfacing:
 
 
 class TestObservationScoping:
+    """The planner observes a fixpoint through the value the database's
+    one program for it holds: scoped, like the value, to the relations
+    the application reads."""
+
+    QUERY = d.query(d.branch(d.each("r", d.constructed("Infront", "ahead"))))
+
     def _db(self):
         db = paper.cad_database(mutual=False)
         # a relation the `ahead` application never reads
@@ -156,44 +170,35 @@ class TestObservationScoping:
 
     def test_observation_survives_unrelated_mutation(self):
         db = self._db()
-        node = d.constructed("Infront", "ahead")
-        construct_compiled(db, node)
-        system = instantiate(db, node)
-        assert db.stats.constructed_estimate(system.root) is not None
+        statement = compile_statement(db, self.QUERY)
+        statement.run()
         db["Bystander"].insert([("p", "q")])
         db["Objects"].insert([("new_thing", "decor")])
-        assert db.stats.constructed_estimate(system.root) is not None
+        statement.run()
+        assert statement.programs[0].last == ("hit", 0)
 
     def test_observation_dropped_on_read_mutation(self):
         db = self._db()
-        node = d.constructed("Infront", "ahead")
-        construct_compiled(db, node)
-        system = instantiate(db, node)
+        statement = compile_statement(db, self.QUERY)
+        before = len(statement.run())
         db["Infront"].insert([("door", "rug")])
-        assert db.stats.constructed_estimate(system.root) is None
+        after = statement.run()
+        (program,) = statement.programs
+        assert program.last == ("resumed", 1) and len(after) > before
+        assert CostModel(db).apply_cardinality(program.system.root) == len(after)
 
     def test_observation_survives_declaring_new_relation(self):
         db = self._db()
-        node = d.constructed("Infront", "ahead")
-        construct_compiled(db, node)
-        system = instantiate(db, node)
+        statement = compile_statement(db, self.QUERY)
+        statement.run()
         db.declare("Latecomer", OBJECTREL, SCENE_OBJECTS)
-        assert db.stats.constructed_estimate(system.root) is not None
-
-    def test_interpreted_engines_scope_observations_too(self):
-        db = self._db()
-        node = d.constructed("Infront", "ahead")
-        construct(db, node)  # records via the interpreted engine hook
-        system = instantiate(db, node)
-        assert db.stats.constructed_estimate(system.root) is not None
-        db["Bystander"].insert([("m", "n")])
-        assert db.stats.constructed_estimate(system.root) is not None
+        statement.run()
+        assert statement.programs[0].last == ("hit", 0)
 
     def test_observation_carries_value_statistics(self):
         db = self._db()
-        node = d.constructed("Infront", "ahead")
-        result = construct_compiled(db, node)
-        system = instantiate(db, node)
-        observation = db.stats.fixpoint_observation(system.root)
-        assert observation is not None and observation.table is not None
-        assert observation.table.row_count == len(result.rows)
+        statement = compile_statement(db, self.QUERY)
+        rows = statement.run()
+        root = statement.programs[0].system.root
+        table = CostModel(db).source_table(Source("apply", token=root))
+        assert table is not None and table.row_count == len(rows)
