@@ -702,7 +702,7 @@ def e14_planner() -> Table:
     )
 
     # Estimation quality straight from the winning plan's explain().
-    diff_branch = prog_cost.diff_plans[system.root].branches[0]
+    diff_branch = prog_cost.diff_plans[system.root].plan.branches[0]
     last_step = diff_branch.steps[-1]
     actual = diff_branch.actual_rows[-1] / max(1, diff_branch.executions)
     table.note("plans carry estimates: explain() reports est vs act per step, e.g. "

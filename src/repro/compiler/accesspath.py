@@ -27,7 +27,7 @@ from ..calculus import ast
 from ..constructors.instantiate import instantiate
 from ..errors import EvaluationError
 from ..relational import Database
-from .fixpoint import compile_fixpoint, fixpoint_apply_estimates
+from .fixpoint import compile_fixpoint
 from .plans import CostModel
 from .specialize import SpecializedStats, bound_query, detect_linear_tc
 
@@ -133,7 +133,7 @@ def choose_access_path(
     cheap), and the caller's expected invocation count.
     """
     system = instantiate(db, application)
-    model = CostModel(db, fixpoint_apply_estimates(db, system))
+    model = CostModel(db)
     est_full = model.apply_cardinality(system.root)
 
     shape = detect_linear_tc(db, system) if allow_specialization else None
@@ -151,8 +151,8 @@ def choose_access_path(
     # heuristic.
     held = model.held_value(system.root)
     pos = system.apps[system.root].result_type.element.index_of(attr)
-    if held is not None and held.stats.table.row_count > 0:
-        partition_rows = est_full * held.stats.table.eq_selectivity(pos)
+    if held is not None and held.stats.row_count > 0:
+        partition_rows = est_full * held.stats.eq_selectivity(pos)
     else:
         partition_rows = max(1.0, est_full ** 0.5)
 

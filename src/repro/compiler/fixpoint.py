@@ -17,31 +17,33 @@ operator whose counters surface in :meth:`CompiledFixpoint.explain`.
 
 **A program holds its value.**  The converged value of every fixpoint
 variable stays on the program between executions as a
-:class:`HeldValue` (an append-only row log, its membership set, hash
-indexes grown the way :meth:`~repro.relational.Relation._view` grows a
-relation's, and its statistics), stamped with the ``(version, log, n)``
-head of every base relation it is the least fixpoint over.  Plans run
-against the database pinned at those heads (``db.snapshot(bases)``), so
-the stamp is exact even while writers commit.
-:meth:`CompiledFixpoint.advance` brings the value up to the live state
-or a caller's snapshot — an unchanged stamp is a *hit* and runs no
-plan; base relations that were only appended to seed deltas from their
-log suffixes through the occurrence-split differential of every
-equation w.r.t. each changed relation, and :meth:`CompiledFixpoint.resume`
-continues semi-naive iteration from the held value (sound because every
-compiled system is positive: old rows stay derivable, the seeds cover
-every new one-step derivation, values are sets); anything else — a
-replaced log (delete, assign, cold materialization), an older snapshot
-— runs from empty.  That is the one resume path: the statement
-compiler's runtime level and both subscription kinds call it.
-:meth:`CompiledFixpoint.run` keeps its run-from-empty meaning.
+:class:`HeldValue` (an append-only row log, its membership set, and
+views over the log — hash indexes and statistics — grown the way
+:meth:`~repro.relational.Relation._view` grows a relation's), stamped
+with the ``(version, log, n)`` head of every base relation it is the
+least fixpoint over.  Plans run against the database pinned at those
+heads (``db.snapshot(bases)``), so the stamp is exact even while
+writers commit.  :meth:`CompiledFixpoint.advance` brings the value up
+to the live state or a caller's snapshot — an unchanged stamp is a
+*hit* and runs no plan; base relations that were only appended to seed
+deltas from their log suffixes through the occurrence-split
+differential of every equation w.r.t. each changed relation, and
+:meth:`CompiledFixpoint.resume` continues semi-naive iteration from the
+held value (sound because every compiled system is positive: old rows
+stay derivable, the seeds cover every new one-step derivation, values
+are sets); anything else — a replaced log (delete, assign, cold
+materialization), an older snapshot — runs from empty.  That is the one
+resume path: the statement compiler's runtime level and both
+subscription kinds call it.  :meth:`CompiledFixpoint.run` keeps its
+run-from-empty meaning.
 
 **A database holds each program once** (:func:`held_program`), weakly,
 under every application of its system: ``Ontop{above(Infront)}`` reads
 the program ``Infront{ahead(Ontop)}`` compiled, and every statement over
 ``Cyc{tc}`` reads one value, under the program's lock
 (:meth:`~repro.compiler.levels.CompiledStatement.solve`).  The planner
-prices a fixpoint variable from that value (:func:`~.plans.held_value`).
+prices a fixpoint variable from that value — its size and its
+statistics view (:func:`~.plans.held_value`).
 
 **Every positive system compiles.**  Positivity is
 :func:`compile_fixpoint`'s own gate: a non-positive system is a
@@ -64,14 +66,22 @@ per distinct group by compiled sub-plans, and the differential
 projections fuse into their producing joins.  ``executor="rowbatch"``
 (the PR 3 row-major batches) and ``executor="tuple"`` (the original
 interpreter) are by-name measurement baselines (benchmarks E16/E17);
-the executor is preserved across mid-fixpoint re-plans.
+the executor is preserved across re-plans.
 
-Differential plans are additionally **re-optimized mid-fixpoint**: the
-delta cardinalities a plan was priced with are compared against the
-deltas actually observed after every iteration, and once they drift
-beyond :data:`REPLAN_DRIFT` (in either direction) the join orders are
-re-enumerated with the live numbers and the new plans swapped in.  The
-``replans`` counter is surfaced by :meth:`CompiledFixpoint.explain` and
+**One way to price and re-plan a differential.**  Every differential
+plan — the rounds of a fixpoint, the seeds of a resume, a standing
+query's maintenance (:mod:`repro.dbpl.subscriptions`) — is a
+:class:`Differential`: the compiled plan and the apply sizes its cost
+model priced it with.  Before it runs, :meth:`Differential.plan_for`
+compares those prices with the sizes observed now; once one exceeds its
+price by more than :data:`REPLAN_DRIFT`, the join orders are
+re-enumerated at the observed sizes and statistics, which become the
+new prices.  Only an underestimate re-plans: deltas shrinking toward
+convergence are the normal life of a fixpoint, and re-planning on them
+would recompile every round near the end for no possible order change.
+So the prices are a ratchet: once sizes outgrow them, they follow the
+sizes up and stay there.  The ``replans`` counter (rounds that
+re-planned) is surfaced by :meth:`CompiledFixpoint.explain` and
 :class:`~repro.constructors.engines.FixpointStats`; benchmark E15
 measures what a re-plan saves on delta-drifting workloads.
 """
@@ -102,7 +112,7 @@ from ..constructors.instantiate import (
 )
 from ..constructors.positivity import is_system_positive
 from ..errors import ConvergenceError, PositivityError
-from ..relational import Database, DeltaStats, HashIndex
+from ..relational import Database, HashIndex, TableStats
 from .operators import DeltaApply
 from .options import DEFAULT_OPTIONS, ExecOptions
 from .plans import (
@@ -113,12 +123,11 @@ from .plans import (
     PlanStats,
     QueryPlan,
     compile_query,
-    held_value,
 )
 
-#: Re-optimize the differential plans once an observed delta (or full
-#: value) cardinality drifts beyond this factor — in either direction —
-#: from the estimate the current plans were priced with.
+#: Re-plan a differential once an observed apply size (a delta, a full
+#: value, a base relation's appended rows) exceeds the size its plan was
+#: priced with by more than this factor.  Overestimates never re-plan.
 REPLAN_DRIFT = 4.0
 
 
@@ -161,9 +170,72 @@ def relation_differential(
     return variants
 
 
+class Differential:
+    """One differential plan and the apply sizes its cost model priced.
+
+    A fixpoint's rounds, a resume's seeds and a standing query's
+    maintenance all hold these.  ``estimates`` price the tokens the model
+    cannot size (base-relation states, parameter relations); the rest
+    are :meth:`~.plans.CostModel.apply_cardinality`'s.  ``held`` seeds
+    the model's held-value memo with a program's own values.  Only the
+    cost optimizer reads prices, so only it re-plans.
+    """
+
+    __slots__ = ("db", "query", "options", "replan_drift", "priced", "plan")
+
+    def __init__(
+        self,
+        db: Database,
+        query: ast.Query,
+        options: ExecOptions,
+        estimates: dict | None = None,
+        replan_drift: float | None = REPLAN_DRIFT,
+        held: dict | None = None,
+    ) -> None:
+        self.db = db
+        self.query = query
+        self.options = options
+        cost = options.resolved_optimizer == "cost"
+        self.replan_drift = replan_drift if cost else None
+        self._compile(estimates or {}, held)
+
+    def _compile(self, estimates: dict, held: dict | None) -> None:
+        model = CostModel(
+            self.db, {t: max(1.0, float(n)) for t, n in estimates.items()}, held=held
+        )
+        self.plan = compile_query(self.db, self.query, cost_model=model, options=self.options)
+        tokens = {n.token for n in ast.walk(self.query) if isinstance(n, ast.ApplyVar)}
+        #: Apply token → the size the current plan was priced with.
+        self.priced = {token: model.apply_cardinality(token) for token in tokens}
+
+    def plan_for(self, observed: dict, held: dict | None = None) -> QueryPlan:
+        """The plan to run over apply values of the ``observed`` sizes
+        (token → rows): re-planned at those sizes, and ``held``'s
+        statistics, once one exceeds its price by more than
+        :attr:`replan_drift`."""
+        drift = self.replan_drift
+        priced = self.priced
+        if drift is not None and any(
+            max(1.0, n) > drift * max(1.0, priced[t])
+            for t, n in observed.items()
+            if t in priced
+        ):
+            self._compile({**priced, **observed}, held)
+        return self.plan
+
+
 # ---------------------------------------------------------------------------
 # Held values
 # ---------------------------------------------------------------------------
+
+#: Serializes extending held statistics in place (two planners may read
+#: one value).
+_STATS_LOCK = threading.Lock()
+
+
+def _extend_stats(stats: TableStats, rows: list) -> TableStats:
+    stats.add_rows_batch(rows)
+    return stats
 
 
 class HeldValue(set):
@@ -171,41 +243,58 @@ class HeldValue(set):
 
     A set of rows — what plans scan, what the semi-naive ``produced -
     known`` tests against, what a reader copies — over an append-only
-    ``log`` of the same rows in derivation order.  Hash indexes follow
-    :meth:`~repro.relational.Relation._view`'s rule: an index built at
-    the current log length is a hit, an older one is extended by the
-    rows appended since (:meth:`HashIndex.extended`), so probing a value
-    that grew by a resume costs the growth, not a rebuild.  ``stats``
-    are the value's statistics, absorbed delta by delta.  Only
+    ``log`` of the same rows in derivation order.  Its views follow
+    :meth:`~repro.relational.Relation._view`'s rule (:meth:`_view`): a
+    view built at the current log length is a hit, an older one is
+    extended by the rows appended since, so reading a value that grew by
+    a resume costs the growth, not a rebuild.  The views are hash
+    indexes (:meth:`index_on`, extended copy-on-write by
+    :meth:`HashIndex.extended`) and the value's :attr:`stats`.  Only
     :meth:`absorb` grows it; a run from empty starts a new one.
     """
 
-    __slots__ = ("log", "stats", "_indexes")
+    __slots__ = ("log", "arity", "_views")
 
     def __init__(self, arity: int) -> None:
         super().__init__()
         self.log: list[tuple] = []
-        self.stats = DeltaStats(arity)
-        #: positions -> (log length it covers, index)
-        self._indexes: dict[tuple[int, ...], tuple[int, HashIndex]] = {}
+        self.arity = arity
+        #: slot -> (log length it covers, view)
+        self._views: dict[object, tuple[int, object]] = {}
 
     def absorb(self, fresh: set) -> None:
         """Add ``fresh`` — rows not in the value yet."""
         self.update(fresh)
         self.log.extend(fresh)
-        self.stats.absorb(fresh)
 
-    def index_on(self, positions: tuple[int, ...]) -> HashIndex:
+    def _view(self, slot, build, extend):
+        """The view in ``slot`` over the first ``n`` logged rows, ``n``
+        the log's length now (it may grow meanwhile): held, else
+        ``extend``-ed by the rows appended since, else ``build``-t."""
         n = len(self.log)
-        held = self._indexes.get(positions)
+        held = self._views.get(slot)
         if held is None:
-            index = HashIndex(positions, self.log)
+            view = build(self.log[:n])
         elif held[0] == n:
             return held[1]
         else:
-            index = held[1].extended(self.log[held[0] :])
-        self._indexes[positions] = (n, index)
-        return index
+            view = extend(held[1], self.log[held[0] : n])
+        self._views[slot] = (n, view)
+        return view
+
+    def index_on(self, positions: tuple[int, ...]) -> HashIndex:
+        return self._view(
+            positions, lambda log: HashIndex(positions, log), HashIndex.extended
+        )
+
+    @property
+    def stats(self) -> TableStats:
+        """The value's statistics: built on first read, then extended in
+        place by the rows appended since — exact at every read."""
+        with _STATS_LOCK:
+            return self._view(
+                "stats", lambda log: TableStats.from_rows(log, self.arity), _extend_stats
+            )
 
 
 @dataclass(eq=False)
@@ -216,12 +305,8 @@ class CompiledFixpoint:
     db: Database
     system: InstantiatedSystem
     base_plans: dict[AppKey, QueryPlan]
-    diff_plans: dict[AppKey, QueryPlan]
-    #: The differential branch bodies, kept for mid-fixpoint re-planning.
-    diff_branches: dict[AppKey, ast.Query] = field(default_factory=dict)
-    #: The per-token cardinality estimates the current ``diff_plans``
-    #: were priced with; drift is measured against these.
-    diff_estimates: dict[object, float] = field(default_factory=dict)
+    #: The differential of every equation, run each round.
+    diff_plans: dict[AppKey, Differential] = field(default_factory=dict)
     optimizer: str = DEFAULT_OPTIMIZER
     #: Which executor backend runs the compiled plans ("batch" columnar
     #: pipelines by default; "rowbatch"/"tuple" for measurement;
@@ -238,7 +323,7 @@ class CompiledFixpoint:
     on_fallback: object | None = None
     #: Drift factor that triggers a re-plan; None disables re-planning.
     replan_drift: float | None = REPLAN_DRIFT
-    #: How many times run() swapped in re-optimized differential plans.
+    #: Rounds (seed waves included) in which some differential re-planned.
     replans: int = 0
     plan_stats: PlanStats = field(default_factory=PlanStats)
     #: The semi-naive ``produced - known`` operators, one per fixpoint
@@ -249,10 +334,10 @@ class CompiledFixpoint:
     held: dict[AppKey, HeldValue] = field(default_factory=dict)
     #: Base relation name → the head ``held`` is the least fixpoint over.
     stamp: dict[str, tuple] = field(default_factory=dict)
-    #: Base relation name → seed plans per fixpoint variable, compiled on
-    #: its first append; None when an equation reads it outside a
-    #: binding range (its appends run from empty).
-    seed_plans: dict[str, dict[AppKey, QueryPlan] | None] = field(default_factory=dict)
+    #: Base relation name → the seed differential per fixpoint variable,
+    #: compiled on its first append; None when an equation reads it
+    #: outside a binding range (its appends run from empty).
+    seed_plans: dict[str, dict[AppKey, Differential] | None] = field(default_factory=dict)
     #: Executions by outcome: the stamp still held, a resume from the
     #: appended rows, a run from empty.
     hits: int = 0
@@ -306,72 +391,37 @@ class CompiledFixpoint:
             lines.append("base:")
             lines.append(self.base_plans[key].explain())
             lines.append("differential:")
-            lines.append(self.diff_plans[key].explain())
+            lines.append(self.diff_plans[key].plan.explain())
+            for name, seeds in sorted(self.seed_plans.items()):
+                if seeds and key in seeds:
+                    lines.append(f"seed w.r.t. {name}:")
+                    lines.append(seeds[key].plan.explain())
             delta_op = self.delta_ops.get(key)
             if delta_op is not None and delta_op.executions:
                 lines.append(delta_op.explain_line())
         return "\n".join(lines)
 
-    # -- mid-fixpoint re-optimization ---------------------------------------
+    # -- re-planning ------------------------------------------------------------
 
-    def _max_drift(self, deltas: dict) -> float:
-        """Worst observed/estimated cardinality underestimate ratio.
+    def _differential(self, query: ast.Query, estimates: dict | None = None) -> Differential:
+        return Differential(
+            self.db,
+            query,
+            ExecOptions(optimizer=self.optimizer, executor=self.executor),
+            estimates,
+            self.replan_drift,
+            self.held,
+        )
 
-        Only *under*estimates trigger a re-plan: deltas shrinking toward
-        convergence is the normal life of a fixpoint, not drift, and
-        re-planning on it would recompile every differential plan per
-        iteration near the end for no possible order change.  The priced
-        estimates are a ratchet — once a wave of deltas has exploded
-        past them, the estimates follow it up and stay there.
-        """
-        worst = 1.0
-        for key in self.system.apps:
-            comparisons = (
-                (_variant_token(key, "delta"), len(deltas[key])),
-                (_variant_token(key, "new"), len(self.held[key])),
-            )
-            for token, observed in comparisons:
-                estimated = self.diff_estimates.get(token)
-                if estimated is None:
-                    continue
-                obs = max(1.0, float(observed))
-                est = max(1.0, float(estimated))
-                worst = max(worst, obs / est)
-        return worst
-
-    def _replan(self, deltas: dict) -> None:
-        """Re-enumerate differential join orders with live cardinalities.
-
-        Besides the observed sizes, the live per-column statistics
-        absorbed so far (distinct counts, histograms over the held
-        values) are threaded into the cost model, replacing the
-        sqrt-distinct heuristic for fixpoint variables with measured
-        selectivities.
-        """
-        estimates = dict(self.diff_estimates)
-        for key in self.system.apps:
-            full = max(1.0, float(len(self.held[key])))
-            delta = max(1.0, float(len(deltas[key])))
-            estimates[key] = full
-            estimates[_variant_token(key, "new")] = full
-            estimates[_variant_token(key, "old")] = full
-            estimates[_variant_token(key, "delta")] = delta
-        live_tables = {
-            key: value.stats.table
-            for key, value in self.held.items()
-            if value.stats.table.row_count > 0
-        }
-        model = CostModel(self.db, estimates, apply_tables=live_tables)
-        for key, query in self.diff_branches.items():
-            # Re-lowered plans keep the driver's executor: columnar
-            # pipelines (delta hash sides, fused projection) are rebuilt
-            # against the re-enumerated join orders mid-fixpoint.
-            self.diff_plans[key] = compile_query(
-                self.db, query, cost_model=model,
-                options=ExecOptions(optimizer=self.optimizer, executor=self.executor),
-            )
-        self.diff_estimates = estimates
-        self.replans += 1
+    def _plans(self, differentials: dict, observed: dict) -> dict[AppKey, QueryPlan]:
+        """Every differential's plan for the ``observed`` apply sizes
+        (:meth:`Differential.plan_for`); a round in which any of them
+        re-plans counts once in :attr:`replans`."""
+        before = [d.plan for d in differentials.values()]
+        plans = {key: d.plan_for(observed, self.held) for key, d in differentials.items()}
+        if any(p is not q for p, q in zip(plans.values(), before)):
+            self.replans += 1
+        return plans
 
     def _context(self, note, pinned, apply_values=None) -> ExecutionContext:
         ctx = ExecutionContext(pinned, apply_values=apply_values, stats=self.plan_stats)
@@ -406,16 +456,19 @@ class CompiledFixpoint:
         return {_variant_token(key, "new"): value for key, value in self.held.items()}
 
     @contextmanager
-    def _advancing(self, pinned):
+    def _advancing(self, pinned, stats: FixpointStats):
         """Around one run or resume: yields the fallback note; stamps the
-        held values with the pinned heads on success and drops them on
-        failure — a half-propagated value must never be resumed."""
+        held values with the pinned heads on success (and counts the
+        rounds that re-planned into ``stats``) and drops them on failure
+        — a half-propagated value must never be resumed."""
+        replans = self.replans
         try:
             yield self._note_once()
         except BaseException:
             self.held, self.stamp = {}, {}
             raise
         self.stamp = self._heads(pinned)
+        stats.replans += self.replans - replans
 
     def run(
         self,
@@ -429,7 +482,7 @@ class CompiledFixpoint:
         stats = stats if stats is not None else FixpointStats()
         stats.mode = "compiled-seminaive"
         pinned = (self.db if db is None else db).snapshot(self.bases)
-        with self._advancing(pinned) as note:
+        with self._advancing(pinned, stats) as note:
             self.degraded.clear()
             self.held = {
                 key: HeldValue(len(app.element_type.attribute_names))
@@ -492,42 +545,33 @@ class CompiledFixpoint:
             if head is then:
                 continue
             fresh = self.db.relation(name).appended_since(then, head)
-            if fresh is None or self._seed_plans(name) is None:
+            if fresh is None or self._seeds(name) is None:
                 return None
             appended[name] = fresh
         return appended
 
-    def _seed_plans(self, name: str) -> dict[AppKey, QueryPlan] | None:
+    def _seeds(self, name: str) -> dict[AppKey, Differential] | None:
         """The occurrence-split differential of every equation w.r.t.
-        base relation ``name`` (compiled on first need)."""
-        if name in self.seed_plans:
-            return self.seed_plans[name]
-        db = self.db
-        schema = db.relation(name).element_type
-        estimates = {
-            _variant_token(key, "new"): float(max(1, len(value)))
-            for key, value in self.held.items()
-        }
-        full = float(max(1, len(db.relation(name))))
-        estimates[_ivm_token(name, "new")] = full
-        estimates[_ivm_token(name, "old")] = full
-        estimates[_ivm_token(name, "delta")] = max(1.0, full**0.5)
-        model = CostModel(db, estimates)
-        plans: dict[AppKey, QueryPlan] | None = {}
-        for key, app in self.system.apps.items():
-            variants = relation_differential(app.body, name, schema)
-            if variants is None:
-                plans = None
-                break
-            if variants:
-                plans[key] = compile_query(
-                    db,
-                    ast.Query(tuple(variants)),
-                    cost_model=model,
-                    options=ExecOptions(optimizer=self.optimizer, executor=self.executor),
-                )
-        self.seed_plans[name] = plans
-        return plans
+        base relation ``name`` (compiled on first need), its appended
+        rows priced at √ of the relation."""
+        if name not in self.seed_plans:
+            relation = self.db.relation(name)
+            full = len(relation)
+            estimates = {
+                _ivm_token(name, "new"): full,
+                _ivm_token(name, "old"): full,
+                _ivm_token(name, "delta"): full**0.5,
+            }
+            seeds: dict[AppKey, Differential] | None = {}
+            for key, app in self.system.apps.items():
+                variants = relation_differential(app.body, name, relation.element_type)
+                if variants is None:
+                    seeds = None
+                    break
+                if variants:
+                    seeds[key] = self._differential(ast.Query(tuple(variants)), estimates)
+            self.seed_plans[name] = seeds
+        return self.seed_plans[name]
 
     def resume(
         self,
@@ -547,23 +591,25 @@ class CompiledFixpoint:
         variables to the held values.  The seeds cover every derivation
         through an appended row, which is sound because every compiled
         system is positive (monotone), and values are sets, so a
-        derivation seeded twice is absorbed once.  Only the seeded rows
-        are absorbed into the held statistics.
+        derivation seeded twice is absorbed once.  The seeded rows are
+        the first wave; a seed priced for fewer appended rows than
+        arrived re-plans first (:meth:`Differential.plan_for`).
         """
         stats = stats if stats is not None else FixpointStats()
         stats.mode = "compiled-seminaive-resume"
-        with self._advancing(pinned) as note:
+        with self._advancing(pinned, stats) as note:
             produced: dict[AppKey, set] = {key: set() for key in self.system.apps}
             for name, fresh in appended.items():
-                plans = self._seed_plans(name)
                 apply_values: dict[object, object] = self._current()
                 apply_values[_ivm_token(name, "delta")] = fresh
                 # Later occurrences read the new state too: a superset of
                 # the stamped one, so only derivations that hold now, and
                 # a derivation found twice is absorbed once.
-                apply_values[_ivm_token(name, "new")] = apply_values[
-                    _ivm_token(name, "old")
-                ] = pinned.relation(name).raw_list()
+                live = pinned.relation(name).raw_list()
+                apply_values[_ivm_token(name, "new")] = live
+                apply_values[_ivm_token(name, "old")] = live
+                observed = {token: len(rows) for token, rows in apply_values.items()}
+                plans = self._plans(self._seeds(name), observed)
                 ctx = self._context(note, pinned, apply_values)
                 for key, plan in plans.items():
                     produced[key] |= plan.execute(ctx, executor=self.executor)
@@ -585,7 +631,7 @@ class CompiledFixpoint:
         system = self.system
         executor = self.executor
         held = self.held
-        replans_before = self.replans
+        plans = {key: diff.plan for key, diff in self.diff_plans.items()}
         self.delta_ops = {key: DeltaApply(key.describe()) for key in system.apps}
         deltas = {
             key: self.delta_ops[key].apply(rows, held[key])
@@ -601,7 +647,7 @@ class CompiledFixpoint:
         # unconditionally would make linear chains quadratic.
         old_tokens_used = {
             step.source.token
-            for qp in self.diff_plans.values()
+            for qp in plans.values()
             for branch_plan in qp.branches
             for step in branch_plan.steps
             if step.source.kind == "apply"
@@ -624,7 +670,7 @@ class CompiledFixpoint:
             ctx = self._context(note, pinned, apply_values)
             new_deltas: dict[AppKey, set] = {}
             for key in system.apps:
-                produced_rows = self.diff_plans[key].execute(ctx, executor=executor)
+                produced_rows = plans[key].execute(ctx, executor=executor)
                 new_deltas[key] = self.delta_ops[key].apply(produced_rows, held[key])
             for key, delta in new_deltas.items():
                 held[key].absorb(delta)
@@ -633,44 +679,16 @@ class CompiledFixpoint:
             grown = sum(len(d) for d in deltas.values())
             stats.tuples_derived += grown
             stats.peak_delta = max(stats.peak_delta, grown)
-            # Mid-fixpoint re-optimization: when the observed cardinalities
-            # drift too far from what the current differential plans were
-            # priced with, re-enumerate join orders with the live numbers.
-            if (
-                self.replan_drift is not None
-                and any(deltas.values())
-                and self._max_drift(deltas) > self.replan_drift
-            ):
-                self._replan(deltas)
+            if grown:
+                observed = {}
+                for key, value in held.items():
+                    observed[_variant_token(key, "delta")] = len(deltas[key])
+                    observed[_variant_token(key, "new")] = len(value)
+                    observed[_variant_token(key, "old")] = len(value)
+                plans = self._plans(self.diff_plans, observed)
 
         stats.final_sizes = {k.describe(): len(v) for k, v in held.items()}
-        stats.replans += self.replans - replans_before
         self.plan_stats.iterations = stats.iterations
-
-
-def fixpoint_apply_estimates(
-    db: Database, system: InstantiatedSystem
-) -> dict[object, float]:
-    """Cardinality estimates for every fixpoint-variable token.
-
-    Full values ("new"/"old" variants and the plain key, as referenced by
-    top plans) are priced at the size of the value a registered program
-    holds when one does, and from total base size times an assumed growth
-    factor otherwise.  Deltas are priced separately — and much smaller —
-    which is what makes the cost model drive differential loop nests off
-    the delta side.
-    """
-    base_total = sum(len(r) for r in db.relations.values()) or 8
-    estimates: dict[object, float] = {}
-    for key in system.apps:
-        value = held_value(db, key)
-        full = float(len(value)) if value is not None else base_total * CostModel.RECURSIVE_GROWTH
-        delta = max(1.0, full ** 0.5)
-        estimates[key] = full
-        estimates[_variant_token(key, "new")] = full
-        estimates[_variant_token(key, "old")] = full
-        estimates[_variant_token(key, "delta")] = delta
-    return estimates
 
 
 def compile_fixpoint(
@@ -693,15 +711,10 @@ def compile_fixpoint(
     Positivity makes it monotone, so the iteration still reaches the
     least fixpoint, and every positive system compiles.
 
-    Base and differential variants are priced through separate cost
-    models: base branches see only stored relations, while differential
-    branches join against fixpoint variables whose (small) delta
-    estimates come from :func:`fixpoint_apply_estimates`.  Those
-    estimates are retained on the result so :meth:`CompiledFixpoint.run`
-    can detect drift and re-optimize mid-fixpoint; ``replan_drift``
-    tunes the trigger (None disables it).  Re-planning only makes sense
-    for the cost-based optimizer — the legacy orders ignore estimates —
-    so it is disabled for the others.
+    Base branches see only stored relations; each differential is a
+    :class:`Differential`, its deltas priced small (√ of the full value),
+    which drives the loop nests off the delta side.  ``replan_drift``
+    tunes when a round re-plans (None never does).
 
     Execution knobs arrive on ``options``.  ``replan_drift`` stays a
     separate argument — it tunes the fixpoint driver, not execution.
@@ -713,48 +726,40 @@ def compile_fixpoint(
         raise PositivityError(
             f"instantiated system for {system.root.describe()} is not positive"
         )
-    estimates = fixpoint_apply_estimates(db, system)
     base_model = CostModel(db)
-    diff_model = CostModel(db, estimates)
     base_plans: dict[AppKey, QueryPlan] = {}
-    diff_plans: dict[AppKey, QueryPlan] = {}
     diff_queries: dict[AppKey, ast.Query] = {}
     for key, app in system.apps.items():
         base_branches: list[ast.Branch] = []
-        diff_branches: list[ast.Branch] = []
+        differential: list[ast.Branch] = []
         for branch in app.body.branches:
             positions = occurrence_positions(branch, is_fixpoint_variable)
             if positions is None:
                 whole: ast.Branch = as_new(branch)  # type: ignore[assignment]
                 base_branches.append(whole)
-                diff_branches.append(whole)
+                differential.append(whole)
             elif positions:
-                diff_branches.extend(split_occurrences(branch, positions, variant))
+                differential.extend(split_occurrences(branch, positions, variant))
             else:
                 base_branches.append(branch)
         base_plans[key] = compile_query(
             db, ast.Query(tuple(base_branches)), cost_model=base_model,
             options=ExecOptions(optimizer=optimizer),
         )
-        diff_queries[key] = ast.Query(tuple(diff_branches))
-        diff_plans[key] = compile_query(
-            db, diff_queries[key], cost_model=diff_model,
-            options=ExecOptions(optimizer=optimizer),
-        )
-    if optimizer != "cost":
-        replan_drift = None
-    return CompiledFixpoint(
+        diff_queries[key] = ast.Query(tuple(differential))
+    program = CompiledFixpoint(
         db,
         system,
         base_plans,
-        diff_plans,
-        diff_branches=diff_queries,
-        diff_estimates=estimates,
         optimizer=optimizer,
         executor=options.resolved_executor,
         shard_config=options.shard_config,
-        replan_drift=replan_drift,
+        replan_drift=replan_drift if optimizer == "cost" else None,
     )
+    program.diff_plans = {
+        key: program._differential(query) for key, query in diff_queries.items()
+    }
+    return program
 
 
 def compile_application(

@@ -56,7 +56,7 @@ from ..calculus.subst import map_children
 from ..constructors.instantiate import AppKey
 from ..constructors.positivity import definition_violations
 from ..relational import Database
-from .fixpoint import CompiledFixpoint, fixpoint_apply_estimates, held_program
+from .fixpoint import CompiledFixpoint, held_program
 from .graphutils import Digraph, connected_components, recursive_nodes
 from .options import DEFAULT_OPTIONS, ExecOptions
 from .plans import (
@@ -273,7 +273,6 @@ def compile_statement(
 
     fixpoints: dict[AppKey, CompiledFixpoint] = {}
     specializations: dict[AppKey, LinearTC] = {}
-    top_estimates: dict[object, float] = dict(estimates or {})
     interned: dict[ast.Constructed, ast.ApplyVar] = {}
 
     def intern(n: ast.Constructed) -> ast.ApplyVar:
@@ -283,7 +282,6 @@ def compile_statement(
         shape = detect_linear_tc(db, system)
         if shape is not None:
             specializations[system.root] = shape
-        top_estimates.update(fixpoint_apply_estimates(db, system))
         return ast.ApplyVar(key, system.apps[key].result_type.element)
 
     def rewrite(n: ast.Node) -> ast.Node:
@@ -309,10 +307,10 @@ def compile_statement(
         ):
             identity = branch.bindings[0].range.token
 
-    # The top plan joins against materialized fixpoint values: price those
-    # ApplyVars with the same full-value estimates the fixpoints used.
+    # The top plan joins against the held fixpoint values: the cost model
+    # prices those ApplyVars from the values (or the growth heuristic).
     top_plan = compile_query(
-        db, rewritten, params, cost_model=CostModel(db, top_estimates),
+        db, rewritten, params, cost_model=CostModel(db, estimates),
         options=options,
     )
     return CompiledStatement(

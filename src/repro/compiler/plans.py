@@ -304,13 +304,12 @@ def _source_for(db: Database, rexpr: ast.RangeExpr, params: dict) -> Source:
     return Source("computed", rexpr=rexpr)
 
 
-def _is_delta_token(token: object) -> bool:
-    return (
-        isinstance(token, tuple)
-        and len(token) == 3
-        and token[0] == "__seminaive__"
-        and token[1] == "delta"
-    )
+def _variant(token: object) -> tuple[str | None, object]:
+    """``(kind, key)`` of a semi-naive variant token ``("__seminaive__",
+    kind, key)``; ``(None, token)`` for any other apply token."""
+    if isinstance(token, tuple) and len(token) == 3 and token[0] == "__seminaive__":
+        return token[1], token[2]
+    return None, token
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +345,15 @@ class CostModel:
     comparisons against constants (``<``, ``<=``, ``>``, ``>=``) are
     priced from per-column **equi-depth histograms** instead of a blind
     constant; ``use_histograms=False`` restores the constant (for
-    measuring what the histograms buy — see benchmark E15).  Sources
-    the statistics cannot see (fixpoint variables, computed ranges) are
-    priced through ``apply_estimates`` — the fixpoint compiler passes
-    separate estimates for full values and for deltas, which is what
-    keeps deltas driving the differential loop nests — with the value a
-    registered fixpoint program holds (its size and absorbed per-column
-    statistics, :func:`held_value`) as the fallback.
+    measuring what the histograms buy — see benchmark E15).  An apply
+    source (a fixpoint variable, a bound row set) is priced from
+    ``apply_estimates`` when it has one, else from the value a
+    registered fixpoint program holds (:func:`held_value`: its size and
+    its statistics view), else from the growth heuristic — and a delta
+    at √ of the full value, small, which is what keeps deltas driving
+    the differential loop nests.  ``held`` seeds the held-value memo: a
+    re-plan (:class:`~.fixpoint.Differential`) prices its program's own
+    values.
     """
 
     #: Rows assumed for a computed range nobody has statistics for.
@@ -376,17 +377,13 @@ class CostModel:
         db: Database,
         apply_estimates: dict[object, float] | None = None,
         use_histograms: bool = True,
-        apply_tables: dict[object, object] | None = None,
+        held: dict | None = None,
     ) -> None:
         self.db = db
         self.apply_estimates = dict(apply_estimates or {})
         self.use_histograms = use_histograms
-        #: Live TableStats per fixpoint-variable key — the mid-fixpoint
-        #: re-optimizer passes the statistics absorbed so far, which beat
-        #: both a held value and the sqrt heuristic.
-        self.apply_tables = dict(apply_tables or {})
         #: key → :func:`held_value`, looked up once per model.
-        self._held: dict = {}
+        self.held: dict = dict(held or {})
 
     # -- cardinalities -------------------------------------------------------
 
@@ -400,11 +397,7 @@ class CostModel:
     def apply_cardinality(self, token: object) -> float:
         if token in self.apply_estimates:
             return self.apply_estimates[token]
-        key = token
-        kind = None
-        if isinstance(token, tuple) and len(token) == 3 and token[0] == "__seminaive__":
-            kind = token[1]
-            key = token[2]
+        kind, key = _variant(token)
         value = self.held_value(key)
         if value is None:
             base_total = sum(len(r) for r in self.db.relations.values()) or 8
@@ -440,33 +433,22 @@ class CostModel:
         """The :class:`TableStats` describing a source, when one exists.
 
         Relations answer with their live stats; fixpoint variables answer
-        with the statistics absorbed over the value a registered program
-        holds, which carry distinct counts *and* histograms for the
-        constructed columns.
+        with the statistics view of their held value, which carries
+        distinct counts *and* histograms for the constructed columns.
         """
         if source.kind == "relation":
             return self.db[source.name].stats()
         if source.kind == "apply":
-            key = source.token
-            if (
-                isinstance(key, tuple)
-                and len(key) == 3
-                and key[0] == "__seminaive__"
-            ):
-                key = key[2]
-            table = self.apply_tables.get(key)
-            if table is not None:
-                return table
-            value = self.held_value(key)
+            value = self.held_value(_variant(source.token)[1])
             if value is not None:
-                return value.stats.table
+                return value.stats
         return None
 
     def held_value(self, key: object):
         """:func:`held_value` of ``key``, memoized for this model."""
-        if key not in self._held:
-            self._held[key] = held_value(self.db, key)
-        return self._held[key]
+        if key not in self.held:
+            self.held[key] = held_value(self.db, key)
+        return self.held[key]
 
     def key_selectivity(self, source: Source, positions: tuple[int, ...]) -> float:
         if not positions:
@@ -1087,7 +1069,7 @@ def _delta_rank(source: Source) -> int:
     """Tiebreak preference: deltas first, then other fixpoint variables."""
     if source.kind != "apply":
         return 2
-    return 0 if _is_delta_token(source.token) else 1
+    return 0 if _variant(source.token)[0] == "delta" else 1
 
 
 def _order_cost_based(
@@ -1505,7 +1487,7 @@ def compile_residual(
     else:
         est = min(est, cap)
     estimates = {**cost_model.apply_estimates, token: est}
-    model = CostModel(db, estimates, cost_model.use_histograms, cost_model.apply_tables)
+    model = CostModel(db, estimates, cost_model.use_histograms, cost_model.held)
     plans: list[QueryPlan] = []
 
     def evaluated(p: ast.Pred) -> GroupEvaluated:

@@ -243,16 +243,16 @@ def seminaive_fixpoint(
     diff_queries: dict[AppKey, ast.Query] = {}
     for key, app in system.apps.items():
         base_branches: list[ast.Branch] = []
-        diff_branches: list[ast.Branch] = []
+        differential: list[ast.Branch] = []
         for branch in app.body.branches:
             positions = occurrence_positions(branch, is_fixpoint_variable)
             assert positions is not None  # guaranteed by eligibility check
             if positions:
-                diff_branches.extend(split_occurrences(branch, positions, variant))
+                differential.extend(split_occurrences(branch, positions, variant))
             else:
                 base_branches.append(branch)
         base_queries[key] = ast.Query(tuple(base_branches))
-        diff_queries[key] = ast.Query(tuple(diff_branches))
+        diff_queries[key] = ast.Query(tuple(differential))
 
     # "old" values (V - delta) are only needed by non-linear rules; for the
     # common linear case computing them every iteration would be quadratic.

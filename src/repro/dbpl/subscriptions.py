@@ -26,8 +26,10 @@ relation-valued one.  A family holds
 * the parameter relation itself, one row per member, bound as an apply
   value and replaced (copy-on-write, indexes rebuilt lazily) when a
   member joins or leaves;
-* per changed relation, one differential plan, priced with the observed
-  delta and parameter-relation sizes and re-planned when either drifts.
+* per changed relation, one :class:`~repro.compiler.fixpoint.Differential`
+  — the same kind a fixpoint's rounds and resume seeds hold — priced
+  with the observed batch, relation and parameter-relation sizes, and
+  re-planned by its one rule once a commit outgrows them.
 
 A singleton is a family of one.  A new member's rows are the family's
 top plan over a one-row parameter relation: subscribing compiles
@@ -91,10 +93,10 @@ from itertools import count
 
 from ..calculus import ast
 from ..compiler.executors import get_backend
-from ..compiler.fixpoint import REPLAN_DRIFT, _ivm_token, relation_differential
+from ..compiler.fixpoint import Differential, _ivm_token, relation_differential
 from ..compiler.levels import compile_statement
 from ..compiler.options import ExecOptions
-from ..compiler.plans import CostModel, ExecutionContext, compile_query
+from ..compiler.plans import ExecutionContext
 from ..constructors.engines import _variant_token
 from ..relational import HashIndex
 from ..types import ANY, INTEGER, Field, RecordType
@@ -294,18 +296,6 @@ def _held_answer(top: ast.Query):
 _RECOMPUTE = object()
 
 
-class _Differential:
-    """A compiled differential plan plus the sizes it was priced with
-    (drift against either triggers a re-plan)."""
-
-    __slots__ = ("plan", "delta_est", "params_est")
-
-    def __init__(self, plan, delta_est: float, params_est: float) -> None:
-        self.plan = plan
-        self.delta_est = delta_est
-        self.params_est = params_est
-
-
 class _Family:
     """Every subscription of one lifted shape.
 
@@ -354,8 +344,9 @@ class _Family:
         self.members: dict[int, Subscription] = {}
         self.params = _Params()
         #: Per-relation differential, built on first batch: a
-        #: _Differential, or _RECOMPUTE when ineligible.
+        #: Differential, or _RECOMPUTE when ineligible.
         self.plans: dict[str, object] = {}
+        #: Commits whose differential re-planned.
         self.replans = 0
         #: Set when a commit's maintenance raised (:meth:`fail`): the
         #: next commit recounts whole.
@@ -410,50 +401,38 @@ class _Family:
         name = state.name
         if self.stale or self.identity is not None or name in self.fixed:
             return None
-        observed = float(max(len(state.ins), len(state.dels), 1))
-        members = float(len(self.members))
+        observed = {
+            _ivm_token(name, "delta"): max(len(state.ins), len(state.dels)),
+            _ivm_token(name, "new"): len(state.live),
+            _ivm_token(name, "old"): len(state.live),
+            self.new_token: len(self.members),
+        }
         current = self.plans.get(name)
         if current is None:
-            current = self.plans[name] = self._compile_differential(
-                name, observed, members
-            )
-        elif (
-            current is not _RECOMPUTE
-            and self.optimizer == "cost"
-            and max(observed / current.delta_est, members / current.params_est)
-            > REPLAN_DRIFT
-        ):
-            # Mid-stream re-plan: batches or membership outgrew the
-            # priced estimates enough that the join orders may be stale.
-            current = self.plans[name] = self._compile_differential(
-                name, observed, members
-            )
+            current = self.plans[name] = self._differential(name, observed)
+        if current is _RECOMPUTE:
+            return None
+        plan = current.plan
+        if current.plan_for(observed) is not plan:
             self.replans += 1
-        return None if current is _RECOMPUTE else current.plan
+        return current.plan
 
-    def _compile_differential(self, name: str, delta_est: float, params_est: float):
+    def _differential(self, name: str, observed: dict):
         """The occurrence-split differential of the lifted top w.r.t.
-        ``name``; _RECOMPUTE if ineligible."""
+        ``name``, priced at the ``observed`` sizes; _RECOMPUTE if
+        ineligible."""
         db = self.db
         variants = relation_differential(
             self.statement.top, name, db.relation(name).element_type
         )
         if variants is None:
             return _RECOMPUTE
-        full = float(max(1, len(db.relation(name))))
-        estimates = {
-            _ivm_token(name, "delta"): delta_est,
-            _ivm_token(name, "new"): full,
-            _ivm_token(name, "old"): full,
-            self.new_token: params_est,
-        }
-        plan = compile_query(
+        return Differential(
             db,
             ast.Query(tuple(variants)),
-            cost_model=CostModel(db, estimates),
-            options=ExecOptions(optimizer=self.optimizer, executor=self.executor),
+            ExecOptions(optimizer=self.optimizer, executor=self.executor),
+            observed,
         )
-        return _Differential(plan, delta_est, params_est)
 
     def fold(self, derivations, sign: int) -> None:
         """Fold one phase's ``(sub_id, row)`` derivations into the

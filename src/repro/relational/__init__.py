@@ -20,7 +20,7 @@ from .indexes import (
 )
 from .relation import PinnedRelation, Relation
 from .rows import Row
-from .stats import ColumnStats, DeltaStats, Histogram, StatsCatalog, TableStats
+from .stats import ColumnStats, Histogram, StatsCatalog, TableStats
 from .storage import (
     RelationStore,
     open_database,
@@ -37,7 +37,6 @@ __all__ = [
     "ColumnVector",
     "Database",
     "DatabaseSnapshot",
-    "DeltaStats",
     "Dictionary",
     "EncodedTable",
     "HashIndex",

@@ -4,7 +4,7 @@ The paper's runtime level decides between generated access paths; those
 decisions need numbers.  This module maintains the three quantities the
 planner (:class:`repro.compiler.plans.CostModel`) prices plans with:
 
-* **cardinalities** — ``|R|`` per relation (and per fixpoint delta);
+* **cardinalities** — ``|R|`` per relation;
 * **distinct-value counts** — per column, kept *exactly* via value
   multisets so estimates stay correct under insert *and* delete;
 * **selectivities** — the classic System-R estimates derived from the
@@ -20,10 +20,11 @@ planner (:class:`repro.compiler.plans.CostModel`) prices plans with:
 Statistics are maintained **incrementally**: a :class:`TableStats` is
 built once from a relation's rows and then updated in place by
 :meth:`TableStats.add_rows` / :meth:`TableStats.remove_rows` on every
-insert/delete (see :class:`~repro.relational.relation.Relation`), and a
-:class:`DeltaStats` absorbs each semi-naive delta as the compiled
-fixpoint engine applies it to a held value — the statistics later
-compilations over the same constructor application are priced with.
+insert/delete (see :class:`~repro.relational.relation.Relation`).  A
+fixpoint program's held value has the same statistics as a view, built
+on first read and extended by the rows it grew by
+(:attr:`~repro.compiler.fixpoint.HeldValue.stats`) — what compilations
+over the constructor application are priced with.
 """
 
 from __future__ import annotations
@@ -331,7 +332,7 @@ class TableStats:
         quantity (distinct multisets, heavy-hitter counts, histograms)
         once per batch instead of once per row — the bulk-load path of
         :meth:`~repro.relational.relation.Relation.insert_many` and
-        ``assign``, and of the fixpoint engines' delta absorption.
+        ``assign``, and of a held value's statistics view.
         """
         if not isinstance(rows, (list, tuple, set, frozenset)):
             rows = list(rows)
@@ -435,47 +436,13 @@ class TableStats:
         return f"<TableStats {self.describe()}>"
 
 
-class DeltaStats:
-    """Running statistics over the deltas of one fixpoint variable.
-
-    The semi-naive engine absorbs every per-iteration delta; the result
-    is exact statistics over the accumulated fixpoint value, available to
-    differential plan pricing without rescanning the value.
-    """
-
-    __slots__ = ("table", "deltas_applied", "peak_delta", "last_delta")
-
-    def __init__(self, arity: int) -> None:
-        self.table = TableStats(arity)
-        self.deltas_applied = 0
-        self.peak_delta = 0
-        self.last_delta = 0
-
-    def absorb(self, delta: Iterable[tuple]) -> None:
-        delta = delta if isinstance(delta, (list, tuple, set, frozenset)) else list(delta)
-        self.table.add_rows_batch(delta)
-        self.deltas_applied += 1
-        self.last_delta = len(delta)
-        self.peak_delta = max(self.peak_delta, self.last_delta)
-
-    @property
-    def row_count(self) -> int:
-        return self.table.row_count
-
-    def describe(self) -> str:
-        return (
-            f"{self.table.describe()} deltas={self.deltas_applied} "
-            f"peak_delta={self.peak_delta}"
-        )
-
-
 class StatsCatalog:
     """Per-database statistics: base-table stats and the plan epoch.
 
     Base-table statistics live on the relations themselves (lazily built,
     incrementally maintained); the catalog resolves them by name.  A
-    constructed relation's statistics live on the value its fixpoint
-    program holds (``Database.programs``).
+    constructed relation's statistics are a view of the value its
+    fixpoint program holds (``Database.programs``).
     """
 
     def __init__(self, db) -> None:

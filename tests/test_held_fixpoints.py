@@ -26,9 +26,10 @@ from helpers import (
 )
 
 from repro.compiler import ExecOptions, ExecutionContext
+from repro.compiler.fixpoint import HeldValue
 from repro.constructors.definition import Constructor
 from repro.dbpl import Session
-from repro.relational import Database, HashIndex
+from repro.relational import Database, HashIndex, TableStats
 from repro.relational.vectors import get_numpy
 
 #: The front-door schema plus a second edge relation and the recursion
@@ -118,6 +119,18 @@ def program_of(s: Session, text: str):
     return program
 
 
+def assert_held_stats_exact(s: Session) -> None:
+    """Every held value's statistics view equals statistics built
+    afresh over the value: its row count and per-column value counts."""
+    for program in set(s.db.programs.values()):
+        for value in program.held.values():
+            exact = TableStats.from_rows(value, value.arity)
+            assert value.stats.row_count == exact.row_count == len(value)
+            assert [c.counts for c in value.stats.columns] == [
+                c.counts for c in exact.columns
+            ]
+
+
 def random_write(rng: random.Random, s: Session, nodes) -> None:
     """One insert, delete or assign on E or F (absent and present rows
     mixed in, so some writes change nothing)."""
@@ -141,7 +154,7 @@ def test_held_values_track_random_writes_on_every_executor(seed):
     """After every write, on every executor: ``query`` ≡ the reference
     evaluator, a prepared handle ≡ ``query``, and a subscription ≡ a
     fresh query — while the cached programs advance instead of
-    re-running."""
+    re-running, and every held value's statistics view stays exact."""
     rng = random.Random(9_000 + seed)
     nodes = [f"n{i}" for i in range(rng.randint(3, 7))]
     s = session(
@@ -163,6 +176,8 @@ def test_held_values_track_random_writes_on_every_executor(seed):
             for o in options:
                 assert s.query(text, options=o) == oracle, (text, o.executor, step)
                 assert s.prepare(text, options=o).execute() == oracle, (text, o.executor)
+            # After every hit, resume and run from empty.
+            assert_held_stats_exact(s)
         for text, sub in subs:
             assert sub.rows() == s.query(text, mode="interpreted"), (text, step)
     degraded = {kind for kind, count in s.fallbacks.items() if count}
@@ -272,7 +287,7 @@ class TestAdvanceOutcomes:
         s.query(text)
         program = program_of(s, text)
         (value,) = program.held.values()
-        assert (0,) in value._indexes  # the top plan's probe, built once
+        assert (0,) in value._views  # the top plan's probe, built once
         built = []
         original = HashIndex.__init__
         monkeypatch.setattr(
@@ -394,3 +409,43 @@ def test_readers_see_the_closure_of_a_committed_prefix():
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[0]
     assert s.query("E{tc()}") == closure(n)
+
+
+def test_the_statistics_view_stays_exact_while_the_value_grows():
+    """Planners read a held value's statistics without its program's
+    lock while the program absorbs rounds: every read extends the view
+    by exactly the rows it covers, so none is counted twice."""
+    value = HeldValue(2)
+    rounds = [{(f"n{r}", f"m{i}") for i in range(20)} for r in range(2000)]
+    errors: list = []
+    done = threading.Event()
+
+    def absorber():
+        for fresh in rounds:
+            value.absorb(fresh)
+        done.set()
+
+    def reader():
+        try:
+            while not done.is_set():
+                assert value.stats.row_count <= len(value.log)
+        except Exception as exc:  # noqa: BLE001 - recorded for the assert
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=absorber))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        done.set()
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    exact = TableStats.from_rows(value, 2)
+    assert value.stats.row_count == exact.row_count == len(value)
+    assert [c.counts for c in value.stats.columns] == [c.counts for c in exact.columns]

@@ -12,8 +12,13 @@ survives mutations of relations the application never reads.
 """
 
 
+import re
+
+import pytest
+
 from helpers import INFRONTREL, OBJECTREL, SCENE_OBJECTS
 from repro import paper
+from repro.bench.experiments import e15_drift_edges
 from repro.calculus import dsl as d
 from repro.compiler import (
     REPLAN_DRIFT,
@@ -25,6 +30,7 @@ from repro.compiler import (
 from repro.compiler.plans import Source
 from repro.constructors import construct, instantiate
 from repro.constructors.engines import FixpointStats, seminaive_fixpoint
+from repro.dbpl import Session
 from repro.workloads import random_digraph
 from repro.compiler.options import ExecOptions
 
@@ -148,6 +154,51 @@ class TestReplanSurfacing:
         assert result.stats.replans >= 1
         baseline = construct_compiled(_tc_db(drifting_edges(comps=3, sources=20, leaves=20)), node, replan_drift=None)
         assert result.rows == baseline.rows
+
+
+class TestReplanThroughTheFrontDoor:
+    """A registered program — the one ``Session.query`` reads — re-plans
+    its rounds and its resume seeds by one rule."""
+
+    def test_a_registered_program_replans_and_prices_later_shapes(self):
+        s = Session(_tc_db(e15_drift_edges(comps=4, sources=30, leaves=30)))
+        text = "Infront{ahead}"
+        rows = s.query(text)
+        (program,) = s.prepare(text).plan.statement.programs
+        assert program in s.db.programs.values()
+        assert program.replans >= 1
+        assert rows == s.query(text, mode="interpreted")
+        # A second shape prices its ApplyVar from the held value's
+        # statistics view, extended to the value the first read left.
+        (value,) = program.held.values()
+        shape = '{EACH r IN Infront{ahead}: r.head = "s0_0"}'
+        (step,) = s.prepare(shape).plan.statement.top_plan.branches[0].steps
+        assert step.source.kind == "apply"
+        assert step.est_cumulative == pytest.approx(value.stats.matching_rows((0,)))
+        assert value.stats.row_count == len(value)
+        assert s.query(shape) == s.query(shape, mode="interpreted")
+
+    def test_a_bulk_append_replans_the_resume_seed(self):
+        layers = [[f"l{k}_{i}" for i in range(5)] for k in range(4)]
+        pairs = [(a, b) for k in range(3) for a in layers[k] for b in layers[k + 1]]
+        dag, appended = pairs[::3], [p for i, p in enumerate(pairs) if i % 3]
+        s = Session(_tc_db(dag))
+        text = "Infront{ahead}"
+        s.query(text)
+        (program,) = s.prepare(text).plan.statement.programs
+        replans = program.replans
+        assert len(appended) > 4 * (len(dag) + len(appended)) ** 0.5
+        s.insert("Infront", appended)
+        rows = s.query(text)
+        assert program.last == ("resumed", len(appended))
+        assert program.replans == replans + 1
+        assert rows == s.query(text, mode="interpreted")
+        explained = program.explain().split("seed w.r.t. Infront:")[1]
+        steps = re.findall(r"@Δ\('__ivm__', 'Infront'\).*\[est=([\d.]+) act=([\d.]+)\]", explained)
+        assert steps
+        for est, act in steps:
+            assert float(act) == len(appended)
+            assert float(act) / 4 <= float(est) <= float(act) * 4
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ class TestShardedFixpoint:
         )
         values = program.run()
         assert set(values[system.root]) == transitive_closure(edges)
-        (diff_plan,) = program.diff_plans.values()
+        (diff_plan,) = (diff.plan for diff in program.diff_plans.values())
         reports = [b.shards for b in diff_plan.branches if b.shards is not None]
         assert reports and any(r.executions >= 1 for r in reports)
         assert "SHARDS" in program.explain()
