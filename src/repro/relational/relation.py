@@ -18,7 +18,9 @@ invariants carry that contract:
    live rows in commit order; writers (serialized on ``_write_lock``)
    only ever ``extend`` it past ``n`` or install a *new* list object, so
    ``log[:n]`` is immutable for as long as anyone holds that head — a
-   version *is* a length prefix.
+   version *is* a length prefix.  A store-backed relation starts *cold*,
+   ``(version, None, n, tail)``: its rows are the stored ones followed by
+   the inserted ``tail[: n - stored]``, a list grown the same way.
 2. **Immutable generations.**  Every derived view (row list, frozenset,
    hash index per positions, encoded table, shard partitions) lives in a
    slot holding ``(head, payload)``, and :meth:`Relation._view` is the
@@ -29,8 +31,10 @@ invariants carry that contract:
    whatever a reader was handed corresponds to exactly one committed
    state forever, and a stale cache is only ever too short, never wrong.
 3. **Writer-owned key map.**  ``_members`` maps key → row (row → row
-   for ``RELATION ... OF``) and answers key integrity and membership.
-   It is built lazily from the log on the first insert/delete/``in``
+   for ``RELATION ... OF``) for the rows in memory — the log, or a cold
+   relation's tail plus each stored partition a bounds-pruned key check
+   read (no other can hold a checked key) — and answers key integrity and
+   membership.  It is built lazily on the first insert/delete/``in``
    after a load, touched only under ``_write_lock`` and never handed to
    a reader; read-only relations never pay for it.
 4. **Validate, then mutate.**  A batch is checked whole — against the
@@ -44,6 +48,7 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
+from itertools import islice
 from operator import itemgetter
 
 from ..errors import TypeMismatchError
@@ -62,7 +67,8 @@ _ROWS, _SET, _ENCODED = ("rows",), ("set",), ("encoded",)
 
 def _encode(rel, head):
     if head[1] is None:  # cold: the stored id pages *are* the encoding
-        return rel._store.encoded_table()
+        table, tail = rel._store.encoded_table(), rel._tail(head)
+        return table.extended(tail, table.rows + tail) if tail else table
     return EncodedTable.from_rows(rel._view(_ROWS, head), rel.dictionaries())
 
 
@@ -79,7 +85,8 @@ _VIEW_KINDS = {
     ),
     "encoded": (
         _encode,
-        lambda rel, head, old, fresh: old.extended(fresh, rel._view(_ROWS, head)),
+        lambda rel, head, old, fresh: old.extended(fresh, old.rows + fresh)
+        if head[1] is None else old.extended(fresh, rel._view(_ROWS, head)),
     ),
     # ``sharded`` is on trial (ROADMAP item 5a): partitions simply rebuild.
     "shards": (
@@ -98,6 +105,7 @@ class Relation:
         "_head",
         "_members",
         "_key_of",
+        "_key_positions",
         "_views",
         "_publish_lock",
         "_stats",
@@ -115,15 +123,17 @@ class Relation:
     ) -> None:
         self.name = name
         self.rtype = rtype
-        #: (version, log, n): the committed state (invariant 1).  ``log``
-        #: is None while a store-backed relation is still cold.
-        self._head: tuple[int, list[tuple] | None, int] = (0, [], 0)
-        #: key → row, writer-owned (invariant 3); None until first needed.
-        self._members: dict | None = None
+        #: (version, log, n): the committed state (invariant 1); a cold
+        #: head is (version, None, n, tail).
+        self._head: tuple = (0, [], 0)
+        #: (rows, key → row, read) for the in-memory list ``rows``
+        #: (invariant 3), writer-owned; None until first needed.
+        self._members: tuple | None = None
         key = tuple(rtype.element.index_of(a) for a in rtype.key)
         #: Row → its key: the bare value for a one-attribute key (no key
         #: tuple per row); the row itself (``tuple(row) is row``) when keyless.
         self._key_of = itemgetter(*key) if key else tuple
+        self._key_positions = key or tuple(range(len(rtype.element.attribute_names)))
         #: slot → (head, payload) generations (invariant 2).  Replaced by
         #: a fresh dict whenever a new log is installed, so views of a
         #: dead lineage are dropped with it.
@@ -156,15 +166,17 @@ class Relation:
     def from_store(cls, name: str, rtype: RelationType, store) -> "Relation":
         """A cold relation backed by a spilled store (no rows in memory).
 
-        Cardinality and statistics come from the store's manifest, so
-        the planner and ``StatsCatalog.epoch()`` work without a scan; the
-        first operation that needs the rows loads them (:meth:`_materialize`),
-        after which the relation is a warm one — mutations included.
+        Cardinality comes from the store's manifest, so ``len`` and
+        ``StatsCatalog.epoch()`` work without a scan; statistics load on
+        the first :meth:`stats`.  Inserts stay cold: their keys are checked
+        through the store's bounds-pruned :meth:`lookup
+        <repro.relational.storage.RelationStore.lookup>` and the rows join
+        an in-memory tail.  The first operation that needs the rows loads
+        them (:meth:`_materialize`), after which the relation is a warm one.
         """
         rel = cls(name, rtype)
         rel._store = store
-        rel._head = (0, None, store.row_count)
-        rel._stats = store.load_stats()
+        rel._head = (0, None, store.row_count, [])
         return rel
 
     # -- value access -------------------------------------------------------
@@ -178,8 +190,13 @@ class Relation:
         """True while a store-backed relation has not materialized rows."""
         return self._head[1] is None
 
+    def _tail(self, head) -> list[tuple]:
+        """The rows cold ``head`` holds past the stored ones."""
+        return head[3][: head[2] - self._store.row_count]
+
     def _materialize(self) -> tuple[int, list[tuple], int]:
-        """The committed head, loading the log from the store on first need.
+        """The committed head, loading the log — the stored rows plus the
+        tail — from the store on first need.
 
         Materialization is *not* a mutation: the version stays put and no
         delta is emitted — the rows were always logically present.
@@ -189,11 +206,13 @@ class Relation:
             with self._publish_lock:
                 head = self._head
                 if head[1] is None:
-                    # A cold encoded() already decoded every row: keep its
-                    # table and aligned list (published, so the log is a
-                    # copy of it) instead of reading the pages again.
+                    # A cold encoded() of this head already decoded every
+                    # row: keep its table and aligned list (published, so
+                    # the log is a copy of it) instead of reading again.
                     cold = self._views.get(_ENCODED)
-                    log = self._store.scan() if cold is None else cold[1].rows[:]
+                    if cold is not None and cold[0] is not head:
+                        cold = None
+                    log = self._store.scan() + self._tail(head) if cold is None else cold[1].rows[:]
                     head = (head[0], log, len(log))
                     self._views = {} if cold is None else {
                         _ROWS: (head, cold[1].rows),
@@ -238,11 +257,17 @@ class Relation:
         cold materialization).
 
         Invariant 1 in one place: on the same log object ``log[:n]`` never
-        changes, so what was inserted since a head is a slice of it.
+        changes, so what was inserted since a head is a slice of it — and
+        likewise of two cold heads' shared tail.
         """
-        if now[1] is None or then[1] is not now[1] or then[2] > now[2]:
+        if then[1] is not now[1] or then[2] > now[2]:
             return None
-        return now[1][then[2] : now[2]]
+        if now[1] is not None:
+            return now[1][then[2] : now[2]]
+        if then[3] is not now[3]:
+            return None
+        stored = self._store.row_count
+        return now[3][then[2] - stored : now[2] - stored]
 
     def rows(self) -> frozenset[tuple]:
         """The current value as an immutable set of raw tuples — what the
@@ -283,7 +308,7 @@ class Relation:
     def __contains__(self, item: object) -> bool:
         row = item.values if isinstance(item, Row) else item
         with self._write_lock:
-            return self._holds(self._key_map(), row)
+            return self._holds(self._head, row)
 
     def is_empty(self) -> bool:
         return not self._head[2]
@@ -294,27 +319,40 @@ class Relation:
 
     # -- checked mutation ----------------------------------------------------
 
-    def _key_map(self) -> dict:
-        """``_members``, built from the log on first need (write lock held)."""
-        members = self._members
-        if members is None:
-            log = self._materialize()[1]
-            members = self._members = dict(zip(map(self._key_of, log), log))
-        return members
+    def _key_map(self, head, probes=()) -> tuple[list, dict, set | None]:
+        """``_members`` (write lock held): ``head``'s in-memory list (its
+        log, or a cold head's tail) and its key map, rebuilt for another list.
+        While cold the map also holds the stored partitions in ``read``, which
+        gains each one whose bounds admit a key of ``probes``: so a key the
+        map lacks is stored nowhere, and no partition is read twice."""
+        rows = head[1] if head[1] is not None else head[3]
+        held = self._members
+        if held is None or held[0] is not rows:
+            live = rows[: head[2]] if head[1] is not None else self._tail(head)
+            held = (rows, dict(zip(map(self._key_of, live), live)), set())
+            self._members = held
+        if head[1] is None and probes:
+            members, key_of = held[1], self._key_of
+            probes = [row for row in probes if key_of(row) not in members]
+            stored = self._store.lookup(self._key_positions, probes, held[2]) if probes else ()
+            members.update(zip(map(key_of, stored), stored))
+        return held
 
-    def _holds(self, members: dict, row: object) -> bool:
+    def _holds(self, head, row: object) -> bool:
         """Whether ``row`` is stored (a wrong-arity probe is simply absent)."""
         if not isinstance(row, tuple) or len(row) != len(self.rtype.element.attribute_names):
             return False
-        return members.get(self._key_of(row)) == row
+        return self._key_map(head, (row,))[1].get(self._key_of(row)) == row
 
-    def _install(self, log: list[tuple]) -> None:
+    def _install(self, log: list[tuple], members: dict | None = None) -> None:
         """Commit ``log`` as a new lineage: no view of the old one can be
         extended, so they are dropped and rebuild on next use (under the
-        publish lock: a reader loading a cold log must not overwrite it)."""
+        publish lock: a reader loading a cold log must not overwrite it).
+        ``members``, when given, is the key map of ``log``."""
         with self._publish_lock:
             self._views = {}
             self._head = (self._head[0] + 1, log, len(log))
+        self._members = None if members is None else (log, members, None)
 
     def _delta_guard(self, changed=True):
         """(lock-or-null context, sink-or-None) for one mutation's commit.
@@ -359,7 +397,6 @@ class Relation:
                 stats = TableStats(len(self.rtype.element.attribute_names))
                 stats.add_rows_batch(new_rows)
                 self._stats = stats
-                self._members = None
                 self._install(list(new_rows))
                 if sink is not None:
                     sink.emit(self, inserted, deleted)
@@ -371,7 +408,10 @@ class Relation:
         checked when they were committed) and one batched statistics
         absorption; then the key map and the log grow by the fresh rows
         and a new head is published.  Nothing is proportional to
-        ``len(self)``, and nothing is mutated when a check fails.
+        ``len(self)``, and nothing is mutated when a check fails.  A cold
+        relation stays cold: keys its tail lacks are looked up in the
+        stored partitions whose bounds admit them (each read once), and
+        the fresh rows join the tail.
         """
         raw = [self._coerce(r) for r in rows]
         element = self.rtype.element
@@ -382,8 +422,8 @@ class Relation:
                     f"(insert into {self.name})"
                 )
         with self._write_lock:
-            version, log, n = self._materialize()
-            members = self._key_map()
+            head = self._head
+            memory, members, _ = self._key_map(head, raw)
             key_of = self._key_of
             staged: dict = {}
             for row in raw:
@@ -398,13 +438,19 @@ class Relation:
             if not staged:
                 return
             fresh = list(staged.values())
-            if self._stats is not None:
-                self._stats.add_rows_batch(fresh)
             guard, sink = self._delta_guard()
             with guard:
                 members.update(staged)
-                log.extend(fresh)
-                self._head = (version + 1, log, n + len(fresh))
+                memory.extend(fresh)
+                # Commit under the lock a reader loads a cold head's rows
+                # or statistics under: onto the head it left, never past it.
+                with self._publish_lock:
+                    head = self._head
+                    if head[1] is not None and head[1] is not memory:
+                        head[1].extend(fresh)  # a reader loaded the cold head
+                    self._head = (head[0] + 1, head[1], head[2] + len(fresh), *head[3:])
+                    if self._stats is not None:
+                        self._stats.add_rows_batch(fresh)
                 if sink is not None:
                     sink.emit(self, fresh, ())
 
@@ -421,17 +467,18 @@ class Relation:
         """
         raw = {self._coerce(r) for r in rows}
         with self._write_lock:
-            members = self._key_map()
-            removed = [row for row in raw if self._holds(members, row)]
+            head = self._materialize()
+            removed = [row for row in raw if self._holds(head, row)]
             if not removed:
                 return
             guard, sink = self._delta_guard()
             with guard:
                 if self._stats is not None:
                     self._stats.remove_rows(removed)
+                members = self._key_map(head)[1]
                 for row in removed:
                     del members[self._key_of(row)]
-                self._install(list(members.values()))
+                self._install(list(members.values()), members)
                 if sink is not None:
                     sink.emit(self, (), removed)
 
@@ -441,7 +488,6 @@ class Relation:
             guard, sink = self._delta_guard(old_rows)
             with guard:
                 self._stats = None
-                self._members = None
                 self._install([])
                 if sink is not None:
                     sink.emit(self, (), old_rows)
@@ -522,36 +568,47 @@ class Relation:
         previous table (buffer memcpy + one dictionary pass over the
         fresh rows), other mutations re-encode against the persistent
         dictionaries.  While cold, the stored id pages *are* the
-        encoding: they are concatenated without materializing the log.
+        encoding: concatenated and extended by the tail, no log loaded.
         """
         return self._view(_ENCODED, self._head)
 
     # -- statistics ---------------------------------------------------------
 
     def stats(self) -> TableStats:
-        """Table statistics: maintained incrementally, rebuilt lazily.
+        """Table statistics: maintained incrementally, built on first use.
 
         Inserts and deletes update the live object in place (see
         :meth:`insert`/:meth:`delete`); a wholesale :meth:`assign`
         installs fresh statistics computed during the assignment itself.
+        A cold relation's first call loads the persisted statistics (or
+        counts the stored rows when there are none) and absorbs the tail,
+        under the publish lock an insert commits under.
         """
-        if self._stats is None:
-            self._stats = TableStats.from_rows(
-                self.raw_list(), len(self.rtype.element.attribute_names)
-            )
-        return self._stats
+        stats = self._stats
+        if stats is None:
+            with self._publish_lock:
+                stats, head, store = self._stats, self._head, self._store
+                arity = len(self.rtype.element.attribute_names)
+                if stats is None and head[1] is None:
+                    stats = store.load_stats() or TableStats.from_rows(store.scan(), arity)
+                    stats.add_rows_batch(self._tail(head))
+                elif stats is None:
+                    stats = TableStats.from_rows(islice(head[1], head[2]), arity)
+                self._stats = stats
+        return stats
 
     # -- storage pushdown ----------------------------------------------------
 
     @property
     def cold_store(self):
-        """The backing RelationStore while cold (pushdown-capable), else None.
+        """The backing RelationStore while cold with no tail (pushdown-capable), else None.
 
-        Once the relation materializes (any whole-set read or mutation),
-        in-memory rows are authoritative and pushdown turns itself off —
-        the store keeps describing the spilled state, not the live one.
+        Once the relation materializes (any whole-set read or mutation
+        but an insert) or a cold insert leaves a tail, the store no longer
+        describes the live state alone and pushdown turns itself off.
         """
-        return self._store if self.is_cold else None
+        head = self._head
+        return self._store if head[1] is None and head[2] == self._store.row_count else None
 
     def scan_pushdown(self, projection, selection, params=None):
         """Rows via the store's projection/predicate-pushdown reader.

@@ -31,14 +31,16 @@ the surviving partitions' decoded values row by row.
 
 One private walk (:meth:`RelationStore._walk`) does all of that
 and every reader consumes it: ``scan`` keeps the rows, ``encoded_scan``
-the id buffers too, ``encoded_table`` is ``encoded_scan`` unpushed.
+the id buffers too, ``encoded_table`` is ``encoded_scan`` unpushed, and
+``lookup`` (a cold insert's key check) walks the partitions a key fits.
 
 Stored bytes are outside input: a damaged store is a
 :class:`~repro.errors.StorageError` naming the file, never a wrong row
 or a bare builtin exception.  Manifests are validated once, where they
 load (keys, partition entries, ``row_count`` = Σ partition rows), pickles
-on load, page headers and lengths in ``_read_columns`` (``.bin`` is the
-only page codec), ids in the walk's decode.
+on load (whatever ``pickle.load`` raises; damaged optional statistics
+read as none), page headers and lengths in ``_read_columns`` (``.bin``
+is the only page codec), ids in the walk's decode.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ def _partition_matches(minmax: dict, pos: int, op: str, value) -> bool:
             return hi >= value
         if op == "<>":
             return not (lo == hi == value)
+        if op == "in":
+            return any(not (v < lo or v > hi) for v in value)
     except TypeError:
         return True
     return True
@@ -227,12 +231,12 @@ class StoreCounters:
 class RelationStore:
     """Lazy reader over one spilled relation directory.
 
-    Everything heavy — dictionaries, statistics, the schema pickle, the
-    id pages themselves — loads on first demand; constructing a store
-    (and therefore opening a database) reads and validates only the
-    small per-relation ``meta.json``, which is what lets a reopened
-    database answer ``len(rel)`` and plan from persisted statistics
-    before any scan (so ``row_count`` must equal what the scan returns).
+    Everything heavy loads on first demand.  Constructing a store reads
+    and validates only the small per-relation ``meta.json`` (opening a
+    database adds the schema pickle), which is what lets a reopened
+    database answer ``len(rel)`` before any scan (so ``row_count`` must
+    equal what the scan returns).  The statistics load when the relation
+    is first priced, the dictionaries when a walk first decodes a page.
     """
 
     __slots__ = (
@@ -240,6 +244,7 @@ class RelationStore:
         "meta",
         "counters",
         "_dicts",
+        "_issued",
         "_stats",
         "_rtype",
         "_lock",
@@ -268,7 +273,7 @@ class RelationStore:
                 "the sum of its partitions' rows"
             )
         self.counters = StoreCounters()
-        self._dicts = None
+        self._dicts = self._issued = None
         self._stats = False  # tri-state: False=unloaded, None=absent
         self._rtype = None
         self._lock = threading.Lock()
@@ -299,7 +304,9 @@ class RelationStore:
             with self._lock:
                 dicts = self._dicts
                 if dicts is None:
-                    dicts = self._dicts = self._unpickle("dicts.pkl")
+                    dicts = self._unpickle("dicts.pkl")
+                    self._issued = tuple(map(len, dicts))  # what the pages may cite
+                    self._dicts = dicts
         return dicts
 
     def load_stats(self):
@@ -319,9 +326,7 @@ class RelationStore:
         try:
             with open(filename, "rb") as fh:
                 return pickle.load(fh)
-        except (  # what pickle.load is documented to raise on damaged input
-            OSError, pickle.PickleError, EOFError, AttributeError, ImportError, IndexError
-        ) as exc:
+        except Exception as exc:  # damaged bytes make pickle.load raise anything
             raise StorageError(f"unreadable {filename!r}: {exc!r}") from exc
 
     # -- page reading -------------------------------------------------------
@@ -380,7 +385,7 @@ class RelationStore:
 
     # -- scanning -----------------------------------------------------------
 
-    def _walk(self, projection, selection, params, buffers: dict | None = None) -> list:
+    def _walk(self, projection, selection, params, buffers=None, parts=None) -> list:
         """The one partition walk behind every reader: the matching rows.
 
         ``projection`` is a tuple of column positions the caller will
@@ -392,7 +397,8 @@ class RelationStore:
         predicates.  Rows are always full-width: dead columns hold None,
         safe exactly because the pushdown compiler proved nothing reads
         them.  With ``buffers`` (``encoded_scan``) the surviving ids of
-        each live column are appended to ``buffers[pos]`` as well.
+        each live column are appended to ``buffers[pos]`` as well; with
+        ``parts`` only those manifest partitions are walked.
         """
         resolved = _resolve_selection(selection, params)
         arity = self.arity
@@ -400,16 +406,19 @@ class RelationStore:
             live = tuple(range(arity))
         else:
             live = tuple(sorted({*projection, *(pos for pos, _, _ in resolved)}))
-        values = [d.values for d in self.load_dictionaries()]
+        values = None  # the dictionaries load once some partition survives
         # One output list, no per-partition pieces handed back: every extra
         # live container per partition moves cold reads' full-GC cadence
         # (ROADMAP item 6 has the measurement).
         rows: list = []
         template = [None] * arity
-        for part in self.meta["partitions"]:
+        for part in self.meta["partitions"] if parts is None else parts:
             if not _may_match(part, resolved):
                 self.counters.partitions_pruned += 1
                 continue
+            if values is None:  # ids past the persisted ones (a tail's) are damage too
+                values = [d.values if len(d) == n else d.values[:n]
+                          for d, n in zip(self.load_dictionaries(), self._issued)]
             columns = self._read_columns(part, live)
             decoded = {}
             for pos, ids in columns.items():
@@ -452,6 +461,19 @@ class RelationStore:
     def scan(self, projection=None, selection=(), params=None) -> list:
         """Materialize matching rows, decoding only the live columns."""
         return self._walk(projection, selection, params)
+
+    def lookup(self, positions, rows, read: set) -> list:
+        """A cold relation's key check: every row of the partitions not in
+        ``read`` (manifest indices, which they then join) whose bounds admit,
+        on each of ``positions``, some row of ``rows``.  The others are never
+        read, and when none admits neither are the dictionaries."""
+        keys = [(pos, "in", {row[pos] for row in rows}) for pos in positions]
+        parts = self.meta["partitions"]
+        fresh = [i for i, p in enumerate(parts) if i not in read and _may_match(p, keys)]
+        found = self._walk(None, (), None, parts=[parts[i] for i in fresh])
+        self.counters.partitions_pruned += len(parts) - len(read) - len(fresh)
+        read.update(fresh)
+        return found
 
     def encoded_scan(self, projection=None, selection=(), params=None):
         """An EncodedTable of the matching rows, straight from id pages.

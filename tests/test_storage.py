@@ -81,12 +81,16 @@ class TestFormatRoundTrip:
         with pytest.raises(StorageError, match="not a repro-columnar"):
             open_database(str(bogus))
 
-    def test_mutation_materializes_and_stays_queryable(self, spilled):
+    def test_insert_stays_cold_and_queryable(self, spilled):
         db, path = spilled
         cold = open_database(path)
         rel = cold.relation("People")
+        store = rel.cold_store
         rel.insert([("zz99", 99, "c0")])
-        assert not rel.is_cold
+        # The manifest's bounds exclude the key: no page is read and the
+        # row waits in the in-memory tail.
+        assert rel.is_cold
+        assert store.counters.partitions_read == 0
         assert rel.cold_store is None  # pushdown turns off after writes
         assert ("zz99", 99, "c0") in rel
         assert len(rel) == len(db.relation("People")) + 1

@@ -31,6 +31,7 @@ QUERY = "{EACH r IN R: r.a >= 0}"
 PAGE = os.path.join("R", "part-0000.bin")
 MANIFEST = os.path.join("R", "meta.json")
 DICTS = os.path.join("R", "dicts.pkl")
+STATS = os.path.join("R", "stats.pkl")
 SCHEMA = os.path.join("R", "schema.pkl")
 TOP_MANIFEST = os.path.join("store", "meta.json")
 
@@ -77,6 +78,24 @@ def edit(relative: str, change):
     return mutate
 
 
+def flip_string(relative: str, text: str = "v1"):
+    """Overwrite the first byte of the pickled string ``text`` in the
+    pickle at ``relative`` with 0xff: no longer UTF-8, so ``pickle.load``
+    raises ``UnicodeDecodeError``, which it is not documented to raise."""
+
+    def mutate(path: str) -> None:
+        filename = os.path.join(path, relative)
+        with open(filename, "rb") as fh:
+            data = fh.read()
+        opcode = b"\x8c" + bytes([len(text)]) + text.encode()  # SHORT_BINUNICODE
+        at = data.index(opcode) + 2
+        with open(filename, "r+b") as fh:
+            fh.seek(at)
+            fh.write(b"\xff")
+
+    return mutate
+
+
 def names(relative: str, detail: str) -> str:
     """A pattern: the message names ``relative`` and then says ``detail``."""
     return re.escape(relative) + ".*" + detail
@@ -89,6 +108,7 @@ FAULTS = [
     ("page_cut_to_5_bytes", cut(to=5), "truncated page header.*" + names(PAGE, "")),
     ("page_cut_by_3_bytes", cut(by=3), "truncated id page.*" + names(PAGE, "column 1")),
     ("dictionaries_emptied", empty(DICTS), names(DICTS, "")),
+    ("dictionaries_string_byte_flipped", flip_string(DICTS), names(DICTS, "UnicodeDecodeError")),
     ("schema_emptied", empty(SCHEMA), names(SCHEMA, "")),
     (
         "manifest_partition_without_minmax",
@@ -153,3 +173,17 @@ def test_damage_is_a_storage_error_naming_the_file(tmp_path, mutate, pattern, op
     mutate(path)
     with pytest.raises(StorageError, match=pattern):
         Session(open_database(path), options=options).query(QUERY)
+
+
+@pytest.mark.parametrize("options", EXECUTORS)
+def test_damaged_statistics_only_cost_the_persisted_statistics(tmp_path, options):
+    # stats.pkl is optional: damage there means "no persisted statistics",
+    # so the first planning counts the stored rows and answers stay exact.
+    db = Database("faults")
+    db.declare("R", relation_type("rs", record("r", a=INTEGER, b=STRING), key=("a",)), ROWS)
+    path = str(tmp_path / "store")
+    db.spill(path, rows_per_partition=PER_PARTITION)
+    flip_string(STATS)(path)
+    cold = open_database(path)
+    assert Session(cold, options=options).query(QUERY) == Session(db).query(QUERY)
+    assert cold.relation("R").stats().row_count == len(ROWS)
