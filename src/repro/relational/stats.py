@@ -32,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterable
+from functools import partial
 
 #: Target bucket count for equi-depth histograms.
 HISTOGRAM_BUCKETS = 16
@@ -78,26 +79,26 @@ class Histogram:
         """Build from an exact value multiset; None when unorderable."""
         if not counts:
             return None
-        items = None
+        values = None
         for _ in range(4):
             try:
-                items = sorted(counts.items())
+                values = sorted(counts)  # distinct keys: no tie for counts to break
                 break
             except TypeError:
                 return None  # mixed/unorderable value domain
             except RuntimeError:
                 continue  # a concurrent writer resized the multiset; retry
-        if items is None:
+        if values is None:
             return None
         total = sum(counts.values())
         target = max(1, total // max(1, buckets))
-        lo = items[0][0]
+        lo, last = values[0], values[-1]
         bounds: list = []
         depths: list[int] = []
         acc = 0
-        for value, count in items:
-            acc += count
-            if acc >= target or value == items[-1][0]:
+        for value in values:
+            acc += counts[value]
+            if acc >= target or value == last:
                 bounds.append(value)
                 depths.append(acc)
                 acc = 0
@@ -121,9 +122,6 @@ class Histogram:
         except TypeError:
             return -1
         return min(i, len(self.bounds) - 1)
-
-    def add(self, value: object) -> None:
-        self.add_bulk(value, 1)
 
     def add_bulk(self, value: object, count: int) -> None:
         """Attribute ``count`` identical values to their bucket at once.
@@ -206,23 +204,61 @@ class ColumnStats:
     * the **equi-depth histogram** is built lazily on the first range
       probe and updated incrementally until stale (see
       :class:`Histogram`), then rebuilt from the multiset.
+
+    Statistics read from a persisted summary (:meth:`from_summary`) start
+    with ``counts`` None: the summary answers the estimates, and the
+    mutators and a histogram rebuild load the multiset (:meth:`multiset`).
     """
 
     __slots__ = ("counts", "_max_count", "_max_dirty", "mcv_rescans",
-                 "_histogram", "_histogram_failed", "histogram_builds")
+                 "_histogram", "_histogram_failed", "histogram_builds",
+                 "_distinct", "_source")
 
     def __init__(self) -> None:
-        self.counts: Counter = Counter()
+        self.counts: Counter | None = Counter()
         self._max_count = 0
         self._max_dirty = False
         self.mcv_rescans = 0
         self._histogram: Histogram | None = None
         self._histogram_failed = False
         self.histogram_builds = 0
+        self._distinct = 0
+        self._source = None
+
+    @classmethod
+    def from_summary(cls, entry: dict, source) -> "ColumnStats":
+        """A column planned from :meth:`summary`'s ``entry``; ``source()``
+        returns the exact multiset when something first needs it."""
+        column, histogram = cls(), entry["histogram"]
+        column.counts, column._source = None, source
+        column._distinct, column._max_count = int(entry["distinct"]), int(entry["max_count"])
+        if histogram is None:
+            column._histogram_failed = True
+        else:
+            bounds, depths = list(histogram["bounds"]), [int(d) for d in histogram["depths"]]
+            if not bounds or len(bounds) != len(depths):
+                raise ValueError(f"malformed histogram {histogram!r}")
+            column._histogram = Histogram(histogram["lo"], bounds, depths)
+        return column
+
+    def summary(self) -> dict:
+        """Distinct and heavy-hitter counts and the histogram (None when
+        unorderable), as JSON values."""
+        h = self.histogram()
+        return {"distinct": self.distinct, "max_count": self.max_count,
+                "histogram": h and {"lo": h.lo, "bounds": h.bounds, "depths": h.depths}}
+
+    def multiset(self) -> Counter:
+        """The exact value multiset, loaded from the source on first need."""
+        counts = self.counts
+        if counts is None:
+            counts = self.counts = self._source()
+        return counts
 
     @property
     def distinct(self) -> int:
-        return len(self.counts)
+        counts = self.counts
+        return self._distinct if counts is None else len(counts)
 
     @property
     def max_count(self) -> int:
@@ -240,19 +276,9 @@ class ColumnStats:
 
     def most_common_fraction(self, total_rows: int) -> float:
         """Fraction of rows carrying the most frequent value (skew signal)."""
-        if not self.counts or total_rows <= 0:
+        if not self.distinct or total_rows <= 0:
             return 0.0
         return self.max_count / total_rows
-
-    def add(self, value: object) -> None:
-        count = self.counts[value] + 1
-        self.counts[value] = count
-        if not self._max_dirty and count > self._max_count:
-            self._max_count = count
-        if self._histogram is not None:
-            self._histogram.add(value)
-        elif self._histogram_failed:
-            self._histogram_failed = False  # domain changed; retry later
 
     def add_many(self, values) -> None:
         """Batch insert: one ``Counter.update`` for the multiset and one
@@ -263,6 +289,8 @@ class ColumnStats:
         if not fresh:
             return
         counts = self.counts
+        if counts is None:
+            counts = self.multiset()
         counts.update(fresh)
         if not self._max_dirty:
             for value in fresh:
@@ -276,11 +304,14 @@ class ColumnStats:
             self._histogram_failed = False  # domain changed; retry later
 
     def remove(self, value: object) -> None:
-        old = self.counts.get(value, 0)
+        counts = self.counts
+        if counts is None:
+            counts = self.multiset()
+        old = counts.get(value, 0)
         if old - 1 > 0:
-            self.counts[value] = old - 1
+            counts[value] = old - 1
         else:
-            self.counts.pop(value, None)
+            counts.pop(value, None)
         if old and not self._max_dirty and old == self._max_count:
             # Another value may share the maximum: recompute lazily.
             self._max_dirty = True
@@ -292,7 +323,7 @@ class ColumnStats:
         if self._histogram is not None and self._histogram.stale():
             self._histogram = None
         if self._histogram is None and not self._histogram_failed:
-            self._histogram = Histogram.from_counts(self.counts)
+            self._histogram = Histogram.from_counts(self.multiset())
             if self._histogram is None:
                 self._histogram_failed = True
             else:
@@ -316,23 +347,37 @@ class TableStats:
         stats.add_rows_batch(rows)
         return stats
 
-    # -- incremental maintenance -------------------------------------------
+    @classmethod
+    def from_summary(cls, summary, arity: int, counts_of) -> "TableStats":
+        """Statistics planned from :meth:`summary`'s output alone; column
+        ``pos``'s exact multiset is ``counts_of(pos)``, called on first
+        need.  Raises ValueError when the summary is malformed."""
+        try:
+            stats, entries = cls(0), summary["columns"]
+            if len(entries) != arity:
+                raise ValueError(f"{len(entries)} column summaries for {arity} columns")
+            stats.arity, stats.row_count = arity, int(summary["row_count"])
+            stats.columns = tuple(
+                ColumnStats.from_summary(entry, partial(counts_of, pos))
+                for pos, entry in enumerate(entries)
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed statistics summary: {exc!r}") from None
+        return stats
 
-    def add_rows(self, rows: Iterable[tuple]) -> None:
-        columns = self.columns
-        for row in rows:
-            self.row_count += 1
-            for pos, value in enumerate(row[: self.arity]):
-                columns[pos].add(value)
+    def summary(self) -> dict:
+        """The JSON-able summary a spilled relation plans from."""
+        return {"row_count": self.row_count, "columns": [c.summary() for c in self.columns]}
+
+    # -- incremental maintenance -------------------------------------------
 
     def add_rows_batch(self, rows: Iterable[tuple]) -> None:
         """Absorb a whole batch: one column-slice pass per column.
 
-        Equivalent to :meth:`add_rows` but updates every derived
-        quantity (distinct multisets, heavy-hitter counts, histograms)
-        once per batch instead of once per row — the bulk-load path of
-        :meth:`~repro.relational.relation.Relation.insert_many` and
-        ``assign``, and of a held value's statistics view.
+        Every derived quantity (distinct multisets, heavy-hitter counts,
+        histograms) is updated once per batch, not once per row — the
+        path of every insert, ``assign``, and a held value's statistics
+        view.  ``add_rows`` is the same method.
         """
         if not isinstance(rows, (list, tuple, set, frozenset)):
             rows = list(rows)
@@ -341,6 +386,8 @@ class TableStats:
         self.row_count += len(rows)
         for pos, column in enumerate(self.columns):
             column.add_many([row[pos] for row in rows])
+
+    add_rows = add_rows_batch
 
     def remove_rows(self, rows: Iterable[tuple]) -> None:
         columns = self.columns
@@ -386,7 +433,7 @@ class TableStats:
         if not (0 <= pos < self.arity):
             return None
         column = self.columns[pos]
-        if not column.counts:
+        if not column.distinct:
             return 0.0
         if op == "<>":
             return max(0.0, 1.0 - self.eq_selectivity(pos))

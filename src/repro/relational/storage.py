@@ -4,19 +4,19 @@ The paper assumes database-resident relations; everything above this
 module so far assumed *memory*-resident ones.  This module closes the
 gap with a deliberately small on-disk format that reuses the PR 8
 encoding verbatim: each relation directory persists its per-column
-:class:`~repro.relational.vectors.Dictionary` objects once (the
-dictionary pages) and its rows as fixed-width ``array('q')`` id pages,
-split into partitions of ``rows_per_partition`` rows.
+:class:`~repro.relational.vectors.Dictionary` values once (the value
+pages) and its rows as fixed-width ``array('q')`` id pages, split into
+partitions of ``rows_per_partition`` rows.
 
 Layout of a spilled database directory::
 
-    <db>/meta.json                  format magic + relation names
+    <db>/meta.json                  format magic, version, relation names
     <db>/<relation>/meta.json       arity, row count, partition manifest
                                     (per partition: file, rows, per-column
-                                    min/max for pruning)
+                                    min/max for pruning and id-page CRC32)
     <db>/<relation>/schema.pkl      pickled RelationType (self-description)
-    <db>/<relation>/dicts.pkl       pickled per-column dictionaries
-    <db>/<relation>/stats.pkl       pickled TableStats (optional)
+    <db>/<relation>/dict-<pos>.bin  column ``pos``'s value page
+    <db>/<relation>/stats.json      statistics summary (optional)
     <db>/<relation>/part-NNNN.bin   one id page per column, seekable
 
 A partition file is a 17-byte header (``RPC1`` magic, format version,
@@ -24,10 +24,18 @@ column count, row count) followed by one little-endian int64 id buffer
 per column, each exactly ``8 * rows`` bytes.  Fixed-width pages are the
 whole point: the reader computes the byte offset of any column and
 **seeks past dead columns**, so a projection-pushdown scan performs I/O
-and decoding proportional to the live columns of the *matching*
-partitions only.  Predicate pushdown prunes whole partitions against
-the manifest's per-column min/max before any page is read, then filters
-the surviving partitions' decoded values row by row.
+proportional to the live columns of the *matching* partitions only.
+Predicate pushdown prunes whole partitions against the manifest's
+per-column min/max before any page is read, then decides each pushed
+conjunct once per distinct id of the surviving pages.  A value page
+(``RPV2`` magic, format version, kind, count, CRC32 of the body) holds
+int64 values as one ``array('q')``, and strings (kind ``s``) or tagged
+scalars (kind ``t``: bool, int of any size, float, None) as an offsets
+array plus a blob; a store decodes only the ids its walks cite, once.
+``stats.json`` holds the row count and per column the distinct count,
+the heavy-hitter count and the equi-depth histogram, so a fresh handle
+plans without counting; exact multisets are recounted from the id pages
+when a write first needs them.
 
 One private walk (:meth:`RelationStore._walk`) does all of that
 and every reader consumes it: ``scan`` keeps the rows, ``encoded_scan``
@@ -37,10 +45,11 @@ the id buffers too, ``encoded_table`` is ``encoded_scan`` unpushed, and
 Stored bytes are outside input: a damaged store is a
 :class:`~repro.errors.StorageError` naming the file, never a wrong row
 or a bare builtin exception.  Manifests are validated once, where they
-load (keys, partition entries, ``row_count`` = Σ partition rows), pickles
-on load (whatever ``pickle.load`` raises; damaged optional statistics
-read as none), page headers and lengths in ``_read_columns`` (``.bin``
-is the only page codec), ids in the walk's decode.
+load (format version, keys, partition entries, ``row_count`` = Σ
+partition rows), the schema pickle on load, page headers, lengths and
+CRC32s where a page is read (``.bin`` is the only page codec), ids
+against their value page's count in the walk.  A damaged ``stats.json``
+reads as no statistics: the planner counts the stored rows instead.
 """
 
 from __future__ import annotations
@@ -51,8 +60,11 @@ import pickle
 import struct
 import sys
 import threading
+import zlib
 from array import array
-from operator import itemgetter
+from collections import Counter
+from itertools import accumulate, compress, repeat
+from operator import eq, ge, gt, itemgetter, le, lt, ne
 
 from ..errors import StorageError
 
@@ -64,11 +76,145 @@ __all__ = [
 
 #: Database-level format magic recorded in the top ``meta.json``.
 _FORMAT = "repro-columnar"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 #: Partition page header: magic, format version, columns, rows.
 _PAGE_MAGIC = b"RPC1"
 _PAGE_HEADER = struct.Struct("<4sBIQ")
+
+#: Value page header: magic, format version, kind, count, CRC32 of the body.
+_VALUE_MAGIC = b"RPV2"
+_VALUE_HEADER = struct.Struct("<4sBcQI")
+
+
+# ---------------------------------------------------------------------------
+# Value pages: what an id means, decoded id by id
+# ---------------------------------------------------------------------------
+
+
+def _ints(data, typecode: str = "q") -> array:
+    """A little-endian int64 buffer as an array (native byte order)."""
+    out = array(typecode)
+    out.frombytes(data)
+    if sys.byteorder != "little":
+        out.byteswap()
+    return out
+
+
+def _le(values: array) -> bytes:
+    if sys.byteorder != "little":
+        values = array(values.typecode, values)
+        values.byteswap()
+    return values.tobytes()
+
+
+def _tag(value) -> str:
+    """A mixed column's scalar as a tag letter plus text (ints in hex: no digit limit)."""
+    if isinstance(value, bool):
+        return "b1" if value else "b0"
+    if isinstance(value, int):
+        return f"i{value:x}"
+    if isinstance(value, float):
+        return "f" + value.hex()
+    if isinstance(value, str):
+        return "s" + value
+    if value is None:
+        return "n"
+    raise StorageError(f"a {type(value).__name__} value has no stored form")
+
+
+_UNTAG = {"b": "1".__eq__, "i": lambda text: int(text, 16), "f": float.fromhex, "s": str,
+          "n": lambda text: None}
+
+
+def _untag(text: str):
+    return _UNTAG[text[0]](text[1:])
+
+
+def _value_page(values: list) -> bytes:
+    """A column's value page: its header, then the values as int64s (kind
+    ``q``), or the character offsets and UTF-8 text of strings (kind
+    ``s``) or of tagged scalars (kind ``t``)."""
+    if all(type(v) is int and -(2**63) <= v < 2**63 for v in values):
+        kind, body = b"q", _le(array("q", values))
+    else:
+        kind = b"s" if all(type(v) is str for v in values) else b"t"
+        items = values if kind == b"s" else [_tag(v) for v in values]
+        offsets = array("q", accumulate(map(len, items), initial=0))
+        body = _le(offsets) + "".join(items).encode("utf-8", "surrogatepass")
+    crc = zlib.crc32(body)
+    return _VALUE_HEADER.pack(_VALUE_MAGIC, _FORMAT_VERSION, kind, len(values), crc) + body
+
+
+class _ValuePage:
+    """One column's persisted values, decoded only where a walk cites them.
+
+    ``values`` maps each id :meth:`cite` saw to its value, and the page
+    keeps what it decoded for its store's lifetime: a dict while partly
+    decoded (ints to strings only, so the collector stops traversing it,
+    and a dead handle that read one partition frees that partition's
+    values, not a slot per id), the ``array`` itself for an int64 page.
+    """
+
+    __slots__ = ("filename", "count", "values", "_offsets", "_text", "_item",
+                 "_counters", "_lock")
+
+    def __init__(self, filename: str, data: bytes, counters) -> None:
+        if len(data) < _VALUE_HEADER.size:
+            raise StorageError(f"truncated value page header in {filename!r}")
+        magic, version, kind, count, crc = _VALUE_HEADER.unpack_from(data)
+        if magic != _VALUE_MAGIC or version != _FORMAT_VERSION or kind not in b"qst":
+            raise StorageError(
+                f"bad value page header in {filename!r}: magic {magic!r}, "
+                f"version {version}, kind {kind!r}"
+            )
+        body = data[_VALUE_HEADER.size :]
+        if zlib.crc32(body) != crc:
+            raise StorageError(f"checksum mismatch in value page {filename!r}")
+        self.filename, self.count, self._counters = filename, count, counters
+        self._lock = threading.Lock()
+        if kind == b"q":
+            if len(body) != 8 * count:
+                raise StorageError(f"truncated value page {filename!r}")
+            self.values, self._text = _ints(body), None
+            return
+        head = 8 * (count + 1)
+        try:
+            offsets, text = _ints(body[:head]), body[head:].decode("utf-8", "surrogatepass")
+        except ValueError as exc:  # a cut offsets array, or bytes that are not UTF-8
+            raise StorageError(f"undecodable value page {filename!r}: {exc!r}") from None
+        if len(offsets) != count + 1 or offsets[0] != 0 or offsets[-1] != len(text):
+            raise StorageError(f"truncated value page {filename!r}")
+        self.values, self._offsets, self._text = {}, offsets, text
+        self._item = None if kind == b"s" else _untag
+
+    def cite(self, ids):
+        """``values`` with every id of ``ids`` (all below ``count``) decoded."""
+        values = self.values
+        if self._text is None:
+            return values
+        with self._lock:
+            missing = set(ids).difference(values)  # empty once another thread completed it
+            offsets, text, item = self._offsets, self._text, self._item
+            if item is None:
+                for i in missing:
+                    values[i] = text[offsets[i] : offsets[i + 1]]
+            else:
+                try:
+                    for i in missing:
+                        values[i] = item(text[offsets[i] : offsets[i + 1]])
+                except (ValueError, KeyError, IndexError) as exc:
+                    raise StorageError(
+                        f"undecodable value in {self.filename!r}: {exc!r}"
+                    ) from None
+            self._counters.values_decoded += len(missing)
+            if len(values) == self.count:
+                self._text = None  # every id decoded: nothing left to cite
+        return values
+
+    def all(self) -> list:
+        """Every value, in id order."""
+        return list(map(self.cite(range(self.count)).__getitem__, range(self.count)))
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +314,7 @@ def _resolve_selection(selection, params) -> list:
     return resolved
 
 
-_CMP = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_CMP = {"=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +340,12 @@ def _load_manifest(filename: str, required: tuple = ()) -> dict:
 class StoreCounters:
     """Observability for scans: what the readers actually touched.
 
-    ``rows_decoded``/``cells_decoded`` count id→value decodes (the work
-    pushdown exists to avoid); ``bytes_read`` counts page bytes pulled
-    off disk.  E22 and the pushdown tests assert on the ratios.
+    ``rows_decoded``/``cells_decoded`` count the rows and cells of the id
+    pages read (the work pushdown exists to avoid); ``bytes_read`` counts
+    id-page bytes pulled off disk.  E22 and the pushdown tests assert on
+    the ratios.  ``values_decoded`` counts the strings and tagged scalars
+    built from value pages, each at most once per store (an int64 page is
+    read by index).
     """
 
     __slots__ = (
@@ -212,17 +354,15 @@ class StoreCounters:
         "rows_decoded",
         "cells_decoded",
         "bytes_read",
+        "values_decoded",
     )
 
     def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
-        self.partitions_read = 0
-        self.partitions_pruned = 0
-        self.rows_decoded = 0
-        self.cells_decoded = 0
-        self.bytes_read = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
@@ -231,29 +371,49 @@ class StoreCounters:
 class RelationStore:
     """Lazy reader over one spilled relation directory.
 
-    Everything heavy loads on first demand.  Constructing a store reads
-    and validates only the small per-relation ``meta.json`` (opening a
-    database adds the schema pickle), which is what lets a reopened
-    database answer ``len(rel)`` before any scan (so ``row_count`` must
-    equal what the scan returns).  The statistics load when the relation
-    is first priced, the dictionaries when a walk first decodes a page.
+    Everything heavy loads on first demand.  A database opens its stores
+    with the row counts of its own manifest and the schema pickles, which
+    is what lets a reopened database answer ``len(rel)`` before any scan
+    (so ``row_count`` must equal what the scan returns); the per-relation
+    ``meta.json`` is read and validated on first use (a store constructed
+    on its own reads it at once).  The statistics summary loads when the
+    relation is first priced, a column's value page when a walk first
+    reads that column, and each page decodes only the ids walks cite.
     """
 
     __slots__ = (
         "path",
-        "meta",
+        "_meta",
+        "_rows",
         "counters",
+        "_pages",
         "_dicts",
-        "_issued",
         "_stats",
         "_rtype",
         "_lock",
     )
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, row_count: int | None = None) -> None:
         self.path = path
-        manifest = os.path.join(path, "meta.json")
-        self.meta = meta = _load_manifest(manifest, ("name", "arity", "row_count", "partitions"))
+        self._meta, self._rows = None, row_count
+        self.counters = StoreCounters()
+        self._pages: dict = {}
+        self._dicts = None
+        self._stats = False  # tri-state: False=unloaded, None=absent
+        self._rtype = None
+        self._lock = threading.Lock()
+        if row_count is None:
+            self._load_meta()
+
+    @property
+    def meta(self) -> dict:
+        """The relation's validated ``meta.json``, read on first use."""
+        meta = self._meta
+        return self._load_meta() if meta is None else meta
+
+    def _load_meta(self) -> dict:
+        manifest = os.path.join(self.path, "meta.json")
+        meta = _load_manifest(manifest, ("name", "arity", "row_count", "partitions"))
         parts = meta["partitions"]
         well_formed = isinstance(meta["arity"], int) and isinstance(parts, list) and all(
             isinstance(part, dict)
@@ -272,11 +432,13 @@ class RelationStore:
                 f"manifest {manifest!r}: row_count {meta['row_count']!r} is not "
                 "the sum of its partitions' rows"
             )
-        self.counters = StoreCounters()
-        self._dicts = self._issued = None
-        self._stats = False  # tri-state: False=unloaded, None=absent
-        self._rtype = None
-        self._lock = threading.Lock()
+        if self._rows not in (None, meta["row_count"]):
+            raise StorageError(
+                f"manifest {manifest!r}: row_count {meta['row_count']!r}, but the "
+                f"database manifest says {self._rows!r}"
+            )
+        self._rows, self._meta = meta["row_count"], meta
+        return meta
 
     # -- self-description ---------------------------------------------------
 
@@ -290,53 +452,88 @@ class RelationStore:
 
     @property
     def row_count(self) -> int:
-        return self.meta["row_count"]
+        return self._rows
 
     def relation_type(self):
         rtype = self._rtype
         if rtype is None:
-            rtype = self._rtype = self._unpickle("schema.pkl")
+            data = self._read_file("schema.pkl")
+            try:
+                rtype = self._rtype = pickle.loads(data)
+            except Exception as exc:  # damaged bytes make pickle.loads raise anything
+                raise StorageError(
+                    f"unreadable {os.path.join(self.path, 'schema.pkl')!r}: {exc!r}"
+                ) from exc
         return rtype
 
+    def _read_file(self, filename: str) -> bytes:
+        """The whole of one of the relation's files."""
+        filename = os.path.join(self.path, filename)
+        try:
+            with open(filename, "rb") as fh:
+                return fh.read()
+        except OSError as exc:
+            raise StorageError(f"unreadable {filename!r}: {exc}") from exc
+
+    def _values(self, pos: int) -> _ValuePage:
+        """Column ``pos``'s value page, read and checked once per store."""
+        page = self._pages.get(pos)
+        if page is None:
+            name = f"dict-{pos}.bin"
+            page = _ValuePage(os.path.join(self.path, name), self._read_file(name), self.counters)
+            page = self._pages.setdefault(pos, page)
+        return page
+
     def load_dictionaries(self) -> tuple:
+        """One full :class:`~repro.relational.vectors.Dictionary` per column:
+        what encoding needs (``encoded_scan``, a cold relation's
+        ``dictionaries()`` and its tail); reading rows never builds one."""
+        from .vectors import Dictionary
+
         dicts = self._dicts
         if dicts is None:
             with self._lock:
                 dicts = self._dicts
                 if dicts is None:
-                    dicts = self._unpickle("dicts.pkl")
-                    self._issued = tuple(map(len, dicts))  # what the pages may cite
-                    self._dicts = dicts
+                    dicts = self._dicts = tuple(
+                        Dictionary.of(self._values(pos).all()) for pos in range(self.arity)
+                    )
         return dicts
 
     def load_stats(self):
-        """The persisted TableStats, or None when the spill had none or
-        they no longer read (they are optional: the planner recomputes)."""
+        """The persisted statistics summary as a TableStats, or None when
+        the spill had none or it no longer reads (it is optional: the
+        planner recounts).  Exact multisets load on a write's first need."""
+        from .stats import TableStats
+
         stats = self._stats
         if stats is False:
             try:
-                stats = self._unpickle("stats.pkl")
-            except StorageError:
+                summary = json.loads(self._read_file("stats.json"))
+                stats = TableStats.from_summary(summary, self.arity, self.column_counts)
+                if stats.row_count != self.row_count:
+                    raise ValueError("the summary counts other rows")
+            except (StorageError, ValueError):
                 stats = None
             self._stats = stats
         return stats
 
-    def _unpickle(self, filename: str):
-        filename = os.path.join(self.path, filename)
-        try:
-            with open(filename, "rb") as fh:
-                return pickle.load(fh)
-        except Exception as exc:  # damaged bytes make pickle.load raise anything
-            raise StorageError(f"unreadable {filename!r}: {exc!r}") from exc
+    def column_counts(self, pos: int) -> Counter:
+        """The exact multiset of column ``pos``'s stored values, recounted
+        from its id pages (one ``Counter`` per page, one decode per id)."""
+        ids = Counter()
+        for part in self.meta["partitions"]:
+            ids.update(self._read_columns(part, (pos,))[0][pos])
+        values = self._values(pos).cite(ids)
+        return Counter({values[i]: n for i, n in ids.items()})
 
     # -- page reading -------------------------------------------------------
 
-    def _read_columns(self, part: dict, live: tuple) -> dict:
-        """``{pos: array('Q')}`` of the partition's live id pages.
-
-        Read *unsigned*: a valid id reads the same either way and a
-        negative one becomes too large for any dictionary, so the walk's
-        decode rejects both with the bounds check it performs anyway.
+    def _read_columns(self, part: dict, live: tuple) -> tuple[dict, dict]:
+        """``({pos: array('Q')}, {pos: value page})`` of the partition's
+        live columns, every id below its value page's count (one C-level
+        ``max`` per page).  Read *unsigned*: a valid id reads the same
+        either way and a negative one becomes too large for any page.
         """
         filename = os.path.join(self.path, part["file"])
         if not filename.endswith(".bin"):
@@ -345,6 +542,7 @@ class RelationStore:
                 "(the only page codec)"
             )
         nrows = part["rows"]
+        crcs = part.get("crc") if isinstance(part.get("crc"), str) else ""
         out = {}
         try:
             with open(filename, "rb") as fh:
@@ -370,18 +568,26 @@ class RelationStore:
                         raise StorageError(
                             f"truncated id page in {filename!r} (column {pos})"
                         )
-                    ids = array("Q")
-                    ids.frombytes(body)
-                    if sys.byteorder != "little":
-                        ids.byteswap()
-                    out[pos] = ids
+                    if f"{zlib.crc32(body):08x}" != crcs[8 * pos : 8 * pos + 8]:
+                        raise StorageError(
+                            f"checksum mismatch in id page {filename!r} (column {pos}) "
+                            "against its manifest entry's crc"
+                        )
+                    out[pos] = _ints(body, "Q")
         except OSError as exc:
             raise StorageError(f"unreadable partition page {filename!r}: {exc}") from exc
         self.counters.partitions_read += 1
         self.counters.rows_decoded += nrows
         self.counters.cells_decoded += nrows * len(live)
         self.counters.bytes_read += _PAGE_HEADER.size + 8 * nrows * len(live)
-        return out
+        pages = {pos: self._values(pos) for pos in live}
+        for pos, ids in out.items():
+            if ids and max(ids) >= pages[pos].count:
+                raise StorageError(
+                    f"id page {filename!r} holds an id the dictionary of "
+                    f"column {pos} never issued"
+                )
+        return out, pages
 
     # -- scanning -----------------------------------------------------------
 
@@ -391,14 +597,16 @@ class RelationStore:
         ``projection`` is a tuple of column positions the caller will
         read (None → all); ``selection`` a tuple of symbolic
         ``(pos, op, spec)`` pushdown predicates.  Each partition the
-        manifest cannot prune is read (live columns only), decoded — an
-        id its dictionary never issued is a :class:`StorageError` here,
-        before any row or table exists — and pre-filtered on the pushed
-        predicates.  Rows are always full-width: dead columns hold None,
-        safe exactly because the pushdown compiler proved nothing reads
-        them.  With ``buffers`` (``encoded_scan``) the surviving ids of
-        each live column are appended to ``buffers[pos]`` as well; with
-        ``parts`` only those manifest partitions are walked.
+        manifest cannot prune is read (live columns only) and checked —
+        an id its value page never issued is a :class:`StorageError`
+        here, before any row or table exists.  Each pushed conjunct is
+        decided once per distinct id on the page, and only the kept
+        rows' ids are decoded, column by column.  Rows are always
+        full-width: dead columns hold None, safe exactly because the
+        pushdown compiler proved nothing reads them.  With ``buffers``
+        (``encoded_scan``) the surviving ids of each live column are
+        appended to ``buffers[pos]`` as well; with ``parts`` only those
+        manifest partitions are walked.
         """
         resolved = _resolve_selection(selection, params)
         arity = self.arity
@@ -406,56 +614,44 @@ class RelationStore:
             live = tuple(range(arity))
         else:
             live = tuple(sorted({*projection, *(pos for pos, _, _ in resolved)}))
-        values = None  # the dictionaries load once some partition survives
         # One output list, no per-partition pieces handed back: every extra
         # live container per partition moves cold reads' full-GC cadence
         # (ROADMAP item 6 has the measurement).
         rows: list = []
-        template = [None] * arity
         for part in self.meta["partitions"] if parts is None else parts:
             if not _may_match(part, resolved):
                 self.counters.partitions_pruned += 1
                 continue
-            if values is None:  # ids past the persisted ones (a tail's) are damage too
-                values = [d.values if len(d) == n else d.values[:n]
-                          for d, n in zip(self.load_dictionaries(), self._issued)]
-            columns = self._read_columns(part, live)
-            decoded = {}
-            for pos, ids in columns.items():
+            columns, pages = self._read_columns(part, live)
+            keep = None  # every row of the partition
+            for pos, op, value in resolved:
+                ids, cmp = columns[pos], _CMP.get(op)
+                if cmp is None:
+                    continue  # the compiled filters re-check every conjunct
+                cited = set(ids) if keep is None else set(map(ids.__getitem__, keep))
+                values = pages[pos].cite(cited)
                 try:
-                    decoded[pos] = [values[pos][i] for i in ids]
-                except IndexError:
-                    raise StorageError(
-                        f"id page {os.path.join(self.path, part['file'])!r} holds an "
-                        f"id the dictionary of column {pos} never issued"
-                    ) from None
-            keep = range(part["rows"])
-            if resolved:
-                try:
-                    keep = [
-                        i
-                        for i in keep
-                        if all(
-                            _CMP[op](decoded[pos][i], value)
-                            for pos, op, value in resolved
-                        )
-                    ]
-                except (TypeError, KeyError):
-                    # A surprise comparison: hand the whole partition
-                    # downstream, where the compiled filters re-check.
-                    keep = range(part["rows"])
+                    ok = {i for i in cited if cmp(values[i], value)}
+                except TypeError:
+                    continue  # a surprise comparison: left to them as well
+                if keep is None:
+                    keep = list(compress(range(part["rows"]), map(ok.__contains__, ids)))
+                else:
+                    keep = [r for r in keep if ids[r] in ok]
+            if keep is not None:
+                columns = {
+                    pos: array("Q", map(ids.__getitem__, keep)) for pos, ids in columns.items()
+                }
             if buffers is not None:
                 for pos, ids in columns.items():
-                    buf = buffers.setdefault(pos, array("q"))
-                    if len(keep) == len(ids):
-                        buf.frombytes(ids.tobytes())
-                    else:
-                        buf.extend([ids[i] for i in keep])
-            for i in keep:
-                row = template[:]
-                for pos in live:
-                    row[pos] = decoded[pos][i]
-                rows.append(tuple(row))
+                    buffers.setdefault(pos, array("q")).frombytes(ids.tobytes())
+            if not live:  # nothing read, nothing pushed: every row, all None
+                rows.extend(repeat((None,) * arity, part["rows"]))
+                continue
+            cols = [repeat(None)] * arity
+            for pos, ids in columns.items():
+                cols[pos] = map(pages[pos].cite(ids).__getitem__, ids)
+            rows.extend(zip(*cols))
         return rows
 
     def scan(self, projection=None, selection=(), params=None) -> list:
@@ -466,7 +662,7 @@ class RelationStore:
         """A cold relation's key check: every row of the partitions not in
         ``read`` (manifest indices, which they then join) whose bounds admit,
         on each of ``positions``, some row of ``rows``.  The others are never
-        read, and when none admits neither are the dictionaries."""
+        read, and when none admits neither are the value pages."""
         keys = [(pos, "in", {row[pos] for row in rows}) for pos in positions]
         parts = self.meta["partitions"]
         fresh = [i for i, p in enumerate(parts) if i not in read and _may_match(p, keys)]
@@ -525,7 +721,7 @@ def _write_partition(path: str, chunk: list, dicts: tuple) -> dict:
     nrows = len(chunk)
     ncols = len(dicts)
     pages = [
-        d.encode_batch(map(itemgetter(pos), chunk)) for pos, d in enumerate(dicts)
+        _le(d.encode_batch(map(itemgetter(pos), chunk))) for pos, d in enumerate(dicts)
     ]
     minmax = {}
     for pos in range(ncols):
@@ -536,14 +732,13 @@ def _write_partition(path: str, chunk: list, dicts: tuple) -> dict:
     with open(filename, "wb") as fh:
         fh.write(_PAGE_HEADER.pack(_PAGE_MAGIC, _FORMAT_VERSION, ncols, nrows))
         for page in pages:
-            if sys.byteorder != "little":
-                page = array("q", page)
-                page.byteswap()
-            fh.write(page.tobytes())
+            fh.write(page)
     return {
         "file": os.path.basename(filename),
         "rows": nrows,
         "minmax": minmax,
+        # One string, eight hex digits per column: no container per entry.
+        "crc": "".join(f"{zlib.crc32(page):08x}" for page in pages),
     }
 
 
@@ -582,10 +777,11 @@ def spill_relation(rel, path: str, rows_per_partition: int = 4096) -> RelationSt
         json.dump(meta, fh, indent=1, sort_keys=True)
     with open(os.path.join(path, "schema.pkl"), "wb") as fh:
         pickle.dump(rel.rtype, fh)
-    with open(os.path.join(path, "dicts.pkl"), "wb") as fh:
-        pickle.dump(dicts, fh)
-    with open(os.path.join(path, "stats.pkl"), "wb") as fh:
-        pickle.dump(rel.stats(), fh)
+    for pos, d in enumerate(dicts):
+        with open(os.path.join(path, f"dict-{pos}.bin"), "wb") as fh:
+            fh.write(_value_page(d.values[:]))
+    with open(os.path.join(path, "stats.json"), "w", encoding="utf-8") as fh:
+        json.dump(rel.stats().summary(), fh)
     return RelationStore(path)
 
 
@@ -597,15 +793,18 @@ def spill_database(db, path: str, rows_per_partition: int = 4096) -> None:
     """
     os.makedirs(path, exist_ok=True)
     names = sorted(db.relations)
-    for name in names:
-        spill_relation(
+    rows = {
+        name: spill_relation(
             db.relations[name], os.path.join(path, name), rows_per_partition
-        )
+        ).row_count
+        for name in names
+    }
     meta = {
         "format": _FORMAT,
         "version": _FORMAT_VERSION,
         "name": db.name,
         "relations": names,
+        "rows": rows,  # what opening needs: relation manifests load on first use
     }
     with open(os.path.join(path, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
@@ -628,16 +827,19 @@ def open_database(path: str):
         raise StorageError(
             f"{path!r} is not a {_FORMAT} database directory"
         )
-    if meta.get("version", 0) > _FORMAT_VERSION:
+    if meta.get("version") != _FORMAT_VERSION:
         raise StorageError(
-            f"{path!r} uses format version {meta['version']}, "
-            f"newer than this reader ({_FORMAT_VERSION})"
+            f"manifest {manifest!r} has format version {meta.get('version')!r}; "
+            f"this reader reads version {_FORMAT_VERSION} only"
         )
+    rows = meta.get("rows")
     if not isinstance(meta.get("relations"), list):
         raise StorageError(f"manifest {manifest!r} lacks ['relations']")
+    if not (isinstance(rows, dict) and all(type(rows.get(n)) is int for n in meta["relations"])):
+        raise StorageError(f"manifest {manifest!r} lacks a row count per relation")
     db = Database(meta.get("name", "db"))
     for name in meta["relations"]:
-        store = RelationStore(os.path.join(path, name))
+        store = RelationStore(os.path.join(path, name), rows[name])
         rel = Relation.from_store(name, store.relation_type(), store)
         rel._sink = db.subscriptions
         db.relations[name] = rel

@@ -89,31 +89,27 @@ class Dictionary:
     def __len__(self) -> int:
         return len(self.values)
 
+    @classmethod
+    def of(cls, values: list) -> "Dictionary":
+        """The dictionary whose ``values`` are ``values`` (ids are positions)."""
+        d = cls()
+        d.values, d.ids = values, dict(zip(values, range(len(values))))
+        return d
+
     def encode_batch(self, column) -> array:
-        """Encode an iterable of values, registering fresh ones."""
+        """Encode an iterable of values, registering fresh ones: once each,
+        in first-encounter order, then one C-level pass over the column."""
+        column = column if isinstance(column, list) else list(column)
         ids = self.ids
-        out = array("q")
-        append = out.append
-        missing = object()
-        get = ids.get
-        pending: list = []
-        for value in column:
-            i = get(value, missing)
-            if i is missing:
-                pending.append((len(out), value))
-                append(-1)
-            else:
-                append(i)
-        if pending:
+        fresh = [value for value in dict.fromkeys(column) if value not in ids]
+        if fresh:
             with self._lock:
                 values = self.values
-                for pos, value in pending:
-                    i = get(value, missing)
-                    if i is missing:
-                        i = ids[value] = len(values)
+                for value in fresh:
+                    if value not in ids:
+                        ids[value] = len(values)
                         values.append(value)
-                    out[pos] = i
-        return out
+        return array("q", map(ids.__getitem__, column))
 
     def encode(self, value) -> int:
         """The value's id, registering it when unseen."""
@@ -135,8 +131,9 @@ class Dictionary:
     def decode(self, i: int):
         return self.values[i]
 
-    # Locks do not pickle; a dictionary loaded from a spilled store's
-    # ``dicts.pkl`` (see repro.relational.storage) gets a private one.
+    # Locks do not pickle; an unpickled dictionary gets a private one.  (A
+    # spilled store keeps no pickled dictionary: it writes value pages, see
+    # repro.relational.storage, and ``Dictionary.of`` rebuilds one.)
     def __getstate__(self):
         return (self.ids, self.values)
 

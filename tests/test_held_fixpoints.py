@@ -367,13 +367,17 @@ def test_readers_see_the_closure_of_a_committed_prefix():
 
     s = session(chain[:5])
     s.query("E{tc()}")
-    committed = [5]
+    # ``committed`` grows once an insert has returned, ``attempted`` before
+    # it starts: the commit lands somewhere inside the call, so a read may
+    # see edge i + 1 before ``committed`` says so, never before ``attempted``.
+    committed, attempted = [5], [5]
     errors: list = []
     stop = threading.Event()
 
     def writer():
         try:
             for i in range(5, n):
+                attempted.append(i + 1)
                 s.insert("E", [chain[i]])
                 committed.append(i + 1)
                 time.sleep(0.0005)  # let commits land while reads advance
@@ -387,7 +391,7 @@ def test_readers_see_the_closure_of_a_committed_prefix():
             while not stop.is_set():
                 low = committed[-1]
                 rows = s.query("E{tc()}")
-                high = committed[-1]
+                high = attempted[-1]
                 k = max(j for j in range(1, n + 1) if chain[j - 1] in rows)
                 assert low <= k <= high, (low, k, high)
                 assert rows == closure(k), k

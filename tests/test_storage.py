@@ -186,7 +186,7 @@ class TestPersistedStats:
         assert [c.distinct for c in cold.columns] == [
             c.distinct for c in warm.columns
         ]
-        assert cold_rel.is_cold  # stats came from stats.pkl, not a scan
+        assert cold_rel.is_cold  # the stats.json summary, not a scan
 
     def test_reopened_database_plans_like_the_warm_one(self, spilled):
         # No pruning predicate here: partition pruning legitimately
