@@ -178,10 +178,13 @@ class Differential:
     cannot size (base-relation states, parameter relations); the rest
     are :meth:`~.plans.CostModel.apply_cardinality`'s.  ``held`` seeds
     the model's held-value memo with a program's own values.  Only the
-    cost optimizer reads prices, so only it re-plans.
+    cost optimizer reads prices, so only it re-plans — at drifted sizes,
+    or once a relation it priced as scanning through its store no
+    longer does (:attr:`~repro.relational.Relation.scan_store`), where
+    an index now costs no load.
     """
 
-    __slots__ = ("db", "query", "options", "replan_drift", "priced", "plan")
+    __slots__ = ("db", "query", "options", "replan_drift", "priced", "plan", "pushed")
 
     def __init__(
         self,
@@ -203,6 +206,8 @@ class Differential:
         model = CostModel(
             self.db, {t: max(1.0, float(n)) for t, n in estimates.items()}, held=held
         )
+        #: The relations priced as scanning through their stores.
+        self.pushed = [r for r in self.db.relations.values() if r.scan_store is not None]
         self.plan = compile_query(self.db, self.query, cost_model=model, options=self.options)
         tokens = {n.token for n in ast.walk(self.query) if isinstance(n, ast.ApplyVar)}
         #: Apply token → the size the current plan was priced with.
@@ -215,10 +220,13 @@ class Differential:
         :attr:`replan_drift`."""
         drift = self.replan_drift
         priced = self.priced
-        if drift is not None and any(
-            max(1.0, n) > drift * max(1.0, priced[t])
-            for t, n in observed.items()
-            if t in priced
+        if drift is not None and (
+            any(
+                max(1.0, n) > drift * max(1.0, priced[t])
+                for t, n in observed.items()
+                if t in priced
+            )
+            or (self.pushed and any(r.scan_store is None for r in self.pushed))
         ):
             self._compile({**priced, **observed}, held)
         return self.plan

@@ -1430,22 +1430,27 @@ def _encoded_table(ctx, ref: SourceRef) -> EncodedTable:
     relation = ctx.db.relation(source.name)
     pushdown = ref.pushdown
     if pushdown is not None:
-        store = relation.cold_store
-        if store is not None:
-            # Scan-access pushdown: a partial encoded table holding only
-            # the matching partitions' rows, dead columns left undecoded.
-            # Cached per ref identity (two branches share step indexes,
-            # not refs) with the ref held against id() reuse.
-            cache = ctx.vector_cache
-            key = ("pscan", id(ref))
-            entry = cache.get(key)
-            if entry is None or entry[0] is not ref or entry[1] is not store:
+        # Scan-access pushdown: a partial encoded table holding only the
+        # matching partitions' rows, dead columns left undecoded.  Decided
+        # once per execution and cached per ref identity (two branches
+        # share step indexes, not refs) with the ref held against id()
+        # reuse, so every operator of the step reads the same table even
+        # when the scan that fills it spends the relation's pushdown
+        # budget (``Relation.scan_store``).
+        cache = ctx.vector_cache
+        key = ("pscan", id(ref))
+        entry = cache.get(key)
+        if entry is None or entry[0] is not ref:
+            store = relation.scan_store
+            table = None
+            if store is not None:
                 table = store.encoded_scan(
                     pushdown.projection, pushdown.selection, ctx.params
                 )
-                entry = (ref, store, table)
-                cache[key] = entry
-            return entry[2]
+            entry = (ref, table)
+            cache[key] = entry
+        if entry[1] is not None:
+            return entry[1]
     return relation.encoded()
 
 

@@ -161,8 +161,20 @@ class ExecutionContext:
         #: In a shard worker: the residual sub-plans' counts, as
         #: ``(branch, pipeline, *counts)``, tallied after the workers finish.
         self.deferred: list | None = None
-        # The residual evaluator shares params/apply values with the plan.
-        self.evaluator = Evaluator(db, self.params, self.apply_values)
+        self._evaluator: Evaluator | None = None
+
+    @property
+    def evaluator(self) -> Evaluator:
+        """The reference evaluator over this context's params and apply
+        values, built on first use: only computed ranges and the residual
+        shapes still interpreted read it.  Nothing writes ``params``, and
+        the one apply-value write before a first use (a semi-join binding
+        its group set) binds a token only that semi-join's sub-plan
+        reads, so a late build sees what an eager one would."""
+        evaluator = self._evaluator
+        if evaluator is None:
+            evaluator = self._evaluator = Evaluator(self.db, self.params, self.apply_values)
+        return evaluator
 
     def note_fallback(self, kind: str, detail: str) -> None:
         """Report a silent-degradation event to the installed hook."""
@@ -579,36 +591,54 @@ class CostModel:
         key_positions: tuple[int, ...],
         restrictions: tuple = (),
         residual_sel: float = 1.0,
+        invocations: float = 1.0,
+        key_constants: tuple = (),
     ) -> "StepEstimate":
         """Price one loop step given the key positions usable as an index,
-        the single-variable comparison filters that run at the step, and
-        the combined selectivity of priced residual predicates anchored
-        on the step's variable (memberships, quantifiers)."""
+        the single-variable comparison filters that run at the step, the
+        combined selectivity of priced residual predicates anchored on
+        the step's variable (memberships, quantifiers), how many times
+        the step runs (the rows bound before it), and the keys compared
+        to a constant, as ``(pos, "=", value)`` triples."""
         card = self.source_cardinality(source)
         filter_sel = self.restriction_selectivity(source, restrictions) * residual_sel
+        # A relation whose scans push down to its store (a cold one) reads
+        # only the partitions its manifest cannot prune under the step's
+        # restrictions and constant keys; any other scan reads every row,
+        # so pricing is unchanged for every in-memory plan.
+        store = self.db[source.name].scan_store if source.kind == "relation" else None
+        scan_rows = card
+        if store is not None and (restrictions or key_constants):
+            scan_rows *= store.prune_fraction(restrictions + key_constants)
+        scan_rows = max(scan_rows, 1.0)
+        matched = card
         if key_positions:
             matched = card * self.key_selectivity(source, key_positions)
             # Cost-gated access path: an index pays off when a lookup is
             # expected to return strictly fewer rows than a full scan.
-            if matched < card:
+            build_cost = card * self.INDEX_BUILD_WEIGHT
+            if store is not None:
+                # The build reads and decodes the whole relation first,
+                # so over the step's runs it must beat the pushed-down
+                # scan, which reads only the partitions the bounds admit.
+                build_cost += card
+            if matched < card and (
+                store is None
+                or build_cost + invocations * (1.0 + matched) < invocations * scan_rows
+            ):
                 return StepEstimate(
                     source_rows=card,
                     out_rows=matched * filter_sel,
                     per_invocation=1.0 + matched,
-                    build_cost=card * self.INDEX_BUILD_WEIGHT,
+                    build_cost=build_cost,
                     use_index=True,
                 )
-        # A cold store-backed relation scans only the partitions its
-        # manifest cannot prune under the step's restrictions; warm
-        # relations report fraction 1.0, so pricing is unchanged for
-        # every in-memory plan.
-        scan_rows = card
-        if restrictions and source.kind == "relation":
-            scan_rows *= self.db[source.name].scan_cost_fraction(restrictions)
+        # A key the scan declined still filters: its equalities run at
+        # the step.
         return StepEstimate(
             source_rows=card,
-            out_rows=card * filter_sel,
-            per_invocation=max(scan_rows, 1.0),
+            out_rows=matched * filter_sel,
+            per_invocation=scan_rows,
             build_cost=0.0,
             use_index=False,
         )
@@ -719,12 +749,14 @@ def _scan_restriction_spec(conj: ast.Cmp, schemas: dict, params: dict):
 
 
 def _restriction_of(conj: ast.Cmp, schemas: dict, params: dict):
-    """``(var, pos, op, value)`` — the pushed form resolved now — for the
-    conjuncts the cost model prices from histograms instead of treating
-    as free filters, or None.  Equalities are priced as keys, not here;
-    an unbound parameter yields no restriction."""
+    """``(var, pos, op, value)`` — the pushed form resolved now — for a
+    comparison of one attribute against a constant, or None.  An
+    unbound parameter yields no restriction.  The cost model prices the
+    other operators from histograms instead of treating them as free
+    filters; an equality it prices as a key, and its constant only
+    prunes a cold scan's partitions."""
     spec = _scan_restriction_spec(conj, schemas, params)
-    if spec is None or spec[2] == "=":
+    if spec is None:
         return None
     var, pos, op, (kind, payload) = spec
     if kind == "param":
@@ -1079,6 +1111,7 @@ def _order_cost_based(
     cost_model: CostModel,
     restrictions: dict[str, tuple] | None = None,
     residual_sels: dict[str, float] | None = None,
+    key_constants: dict[str, tuple] | None = None,
 ) -> list[str]:
     """Pick the loop-nest order minimizing estimated cost.
 
@@ -1088,19 +1121,23 @@ def _order_cost_based(
     ``restrictions`` (histogram-priced range/inequality filters) and
     ``residual_sels`` (priced memberships/quantifiers) shrink a step's
     output cardinality, which is what lets a restricted scan of a big
-    table win the outer position.
+    table win the outer position; ``key_constants`` (keys compared to a
+    constant) prune a cold scan.
     """
     position = {v: i for i, v in enumerate(binding_vars)}
     restrictions = restrictions or {}
     residual_sels = residual_sels or {}
+    key_constants = key_constants or {}
 
-    def transition(var: str, bound: frozenset) -> StepEstimate:
+    def transition(var: str, bound: frozenset, invocations: float) -> StepEstimate:
         keys = _available_keys(var, bound, equalities)
         return cost_model.price_step(
             sources[var],
             tuple(pos for (_g, pos, _o) in keys),
             restrictions.get(var, ()),
             residual_sels.get(var, 1.0),
+            invocations,
+            key_constants.get(var, ()),
         )
 
     def tiebreak(order: tuple[str, ...]) -> tuple:
@@ -1122,7 +1159,7 @@ def _order_cost_based(
                 for var in combo:
                     prev = subset - {var}
                     prev_cost, prev_card, prev_order = best[prev]
-                    est = transition(var, prev)
+                    est = transition(var, prev, prev_card)
                     cost = prev_cost + est.build_cost + prev_card * est.per_invocation
                     card = prev_card * est.out_rows
                     order = prev_order + (var,)
@@ -1145,7 +1182,7 @@ def _order_cost_based(
         best_var = None
         best_key = None
         for var in remaining:
-            est = transition(var, bound)
+            est = transition(var, bound, card)
             key = (
                 est.build_cost + card * est.per_invocation,
                 card * est.out_rows,
@@ -1154,7 +1191,7 @@ def _order_cost_based(
             )
             if best_key is None or key < best_key:
                 best_var, best_key = var, key
-        est = transition(best_var, bound)
+        est = transition(best_var, bound, card)
         card *= est.out_rows
         ordered.append(best_var)
         remaining.remove(best_var)
@@ -1188,8 +1225,10 @@ def compile_branch(
     equalities: list[tuple[int, str, int, ast.Term]] = []  # (group, var, pos, other)
     cheap: list[tuple[set[str], object, str, ast.Cmp]] = []
     residual: list[ast.Pred] = []
-    # var -> ((pos, op, value), ...): priced single-variable comparisons.
+    # var -> ((pos, op, value), ...): priced single-variable comparisons,
+    # and the keys compared to a constant.
     restrictions: dict[str, tuple] = {}
+    key_constants: dict[str, tuple] = {}
     for group, conj in enumerate(conjuncts(branch.pred)):
         handled = False
         if isinstance(conj, ast.Cmp) and conj.op == "=":
@@ -1203,6 +1242,10 @@ def compile_branch(
                     equalities.append((group, left.var, pos, right))
                     handled = True
         if handled:
+            restriction = _restriction_of(conj, schemas, params)
+            if restriction is not None:
+                var, pos, op, value = restriction
+                key_constants[var] = key_constants.get(var, ()) + ((pos, op, value),)
             continue
         vars_needed = _term_vars(conj)
         # A comparison that reads no binding has no step to filter at:
@@ -1246,7 +1289,7 @@ def compile_branch(
     elif optimizer == "cost":
         ordered = _order_cost_based(
             binding_vars, sources, equalities, cost_model, restrictions,
-            residual_sels,
+            residual_sels, key_constants,
         )
     else:
         raise ValueError(
@@ -1280,11 +1323,14 @@ def compile_branch(
         # index only when the estimated lookup beats a scan (the
         # syntactic baseline always consumes them).
         var_residual_sel = residual_sels.get(var, 1.0)
+        var_key_constants = key_constants.get(var, ())
         estimate = cost_model.price_step(
             sources[var],
             tuple(pos for (_g, pos, _o) in available),
             var_restrictions,
             var_residual_sel,
+            est_card,
+            var_key_constants,
         )
         use_keys = estimate.use_index or optimizer == "syntactic"
         key_positions: list[int] = []
@@ -1307,9 +1353,12 @@ def compile_branch(
                 step_filters.append(fn)
                 step_descs.append(desc)
                 step_conjs.append(conj)
-        final = cost_model.price_step(
-            sources[var], tuple(key_positions), var_restrictions, var_residual_sel
-        )
+        final = estimate  # declined keys still filter at the step
+        if use_keys:
+            final = cost_model.price_step(
+                sources[var], tuple(key_positions), var_restrictions, var_residual_sel,
+                est_card, var_key_constants,
+            )
         est_cost += final.build_cost + est_card * final.per_invocation
         est_card *= final.out_rows
         step_residuals = tuple(anchored_residuals.get(var, ()))

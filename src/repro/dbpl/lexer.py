@@ -16,6 +16,14 @@ with ``isalnum()`` characters or ``_``.
 The token list is also the session front door's cache key: a query
 whose tokens equal a seen one up to its literal values is served from
 the plan cache without parsing (:func:`repro.dbpl.serving.token_shape`).
+A hit needs only that key, not positioned tokens, so the front door
+first asks :func:`shape_of`, which computes the same key from one
+``findall`` of :data:`_SHAPE_RE` (every match one token, trailing blanks
+included) and builds no :class:`Token`.  It declines — returns None —
+whatever only :func:`tokenize` can decide: non-ASCII text, a comment
+opener, a character no token starts with (an unterminated string's
+quote among them), or an int literal too long for ``int()``.  A miss
+still tokenizes, since the parser and the cache entry need positions.
 """
 
 from __future__ import annotations
@@ -37,18 +45,38 @@ SYMBOLS = [
     "<", ">", "=", "+", "-", "*",
 ]
 
+# The token grammar's pieces, shared by both scanners.
+_BLANK = r" \t\r\n"  # a regex character-class body
+_COMMENT = r"\(\*"
+_STRING_BODY = r'[^"]*'  # between the quotes
+_INT = r"[0-9]+"
+_SYMBOL = "|".join(re.escape(symbol) for symbol in SYMBOLS)  # longest first
+
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<space>[ \t\r\n]+)
-  | (?P<comment>\(\*)
-  | "(?P<string>[^"]*)"
-  | (?P<int>[0-9]+)
+    rf"""
+    (?P<space>[{_BLANK}]+)
+  | (?P<comment>{_COMMENT})
+  | "(?P<string>{_STRING_BODY})"
+  | (?P<int>{_INT})
   | (?P<word>[^\W\d]\w*)
-  | (?P<symbol>"""
-    + "|".join(re.escape(symbol) for symbol in SYMBOLS)  # longest first
-    + ")",
+  | (?P<symbol>{_SYMBOL})
+    """,
     re.VERBOSE,
 )
+
+#: :func:`shape_of`'s scan: the same tokens, identifiers ASCII only.
+#: Group 1 is a token's text; a comment opener or a character no token
+#: starts with matches with group 1 empty, which no token is (a string
+#: token keeps its quotes).  Blanks after a token belong to its match,
+#: so trailing blanks are consumed, not skipped.
+_SHAPE_RE = re.compile(
+    rf"""(?:{_COMMENT}|("{_STRING_BODY}"|{_INT}|[A-Za-z_][A-Za-z0-9_]*|{_SYMBOL})|[^{_BLANK}])[{_BLANK}]*"""
+)
+
+#: A literal token's type by its first character: ``int`` / ``str``, as
+#: :func:`repro.dbpl.serving.token_shape` abstracts it.
+_LITERAL_TYPE = dict.fromkeys("0123456789", int)
+_LITERAL_TYPE['"'] = str
 
 
 class Token(NamedTuple):
@@ -131,3 +159,30 @@ def tokenize(source: str) -> list[Token]:
     column = pos - line_start + 1
     append(_new_token(Token, ("eof", "", line, column, line, column)))
     return tokens
+
+
+def shape_of(source: str) -> tuple[tuple, list] | None:
+    """``token_shape(tokenize(source))`` without building tokens, or None
+    where only :func:`tokenize` can decide (see the module docstring).
+
+    When it is not None, :func:`tokenize` accepts ``source``: every
+    character is part of a token or a blank, and the tokens are those
+    :func:`tokenize` would find.
+    """
+    if not source.isascii():
+        return None
+    found = _SHAPE_RE.findall(source)
+    if "" in found:  # a comment opener or a character no token starts with
+        return None
+    literal_type = _LITERAL_TYPE
+    shape = [literal_type.get(text[0], text) for text in found]
+    shape.append("")  # the eof token
+    try:  # more digits than sys.get_int_max_str_digits()
+        literals = [
+            text[1:-1] if text[0] == '"' else int(text)
+            for text in found
+            if text[0] in literal_type
+        ]
+    except ValueError:
+        return None
+    return tuple(shape), literals

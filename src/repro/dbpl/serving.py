@@ -148,6 +148,11 @@ def token_shape(tokens: list[Token]) -> tuple[tuple, list]:
     or symbol text equals); the literal values, in source order and as
     the parser reads them, ride alongside.  Whitespace and comments are
     not tokens, so texts that differ only there share a shape.
+
+    The session front door looks a text up by
+    :func:`repro.dbpl.lexer.shape_of`, the same pair computed from the
+    text without building tokens; it calls this only for a text that
+    scan declines (a comment, a non-ASCII character).
     """
     shape: list = []
     literals: list = []
@@ -250,7 +255,12 @@ class PreparedPlan:
     in-place dict update — no re-lowering, no re-optimization.  The plan
     was *priced* with the constants seen at compile time (histogram
     restrictions, index-vs-scan gates); rebinding keeps that join order,
-    the classic prepared-statement trade.
+    the classic prepared-statement trade.  One thing re-plans it: a
+    relation whose scans pushed down to its store when the plan was
+    priced (a cold one, on which an index costs a whole load) no longer
+    does — it was loaded, or its scans have read it whole already
+    (:attr:`~repro.relational.Relation.scan_store`) — so the next
+    execution compiles the shape again and an index may serve it.
 
     Every shape compiles through :func:`repro.compiler.compile_statement`
     (the paper's query compilation level), and every execution is
@@ -275,6 +285,7 @@ class PreparedPlan:
         "on_fallback",
         "_params",
         "_lock",
+        "_pushed",
     )
 
     def __init__(
@@ -305,7 +316,13 @@ class PreparedPlan:
         self.on_fallback = None
         self._params = dict(zip(self.param_names, constants))
         self._lock = threading.Lock()
-        self.statement = compile_statement(db, shape, self._params, options=options)
+        self._compile()
+
+    def _compile(self) -> None:
+        db = self.db
+        #: The relations priced as scanning through their stores.
+        self._pushed = [rel for rel in db.relations.values() if rel.scan_store is not None]
+        self.statement = compile_statement(db, self.shape, self._params, options=self.options)
 
     def run(
         self,
@@ -323,6 +340,9 @@ class PreparedPlan:
             params = self._params
             for name, value in zip(self.param_names, constants):
                 params[name] = value
+            pushed = self._pushed
+            if pushed and any(rel.scan_store is None for rel in pushed):
+                self._compile()
             rows = self.statement.run(
                 params, snapshot=snapshot, stats=stats, on_fallback=self.on_fallback
             )

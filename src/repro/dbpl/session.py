@@ -19,10 +19,12 @@ level (:meth:`~repro.compiler.levels.CompiledStatement.run`) runs it.
 ``query`` and ``prepare`` do this behind a per-session
 :class:`~repro.dbpl.serving.PlanCache`: repeated queries that differ
 only in compared constants share one compiled statement, rebinding
-constants per call.  They lex the text once and look its
-:func:`~repro.dbpl.serving.token_shape` up in that cache: a hit goes
-tokens → constants → statement run, with no parse, analysis, pruning
-or parameterization; a miss parses the same tokens and does all of
+constants per call.  They look the text's
+:func:`~repro.dbpl.serving.token_shape` up in that cache, found by one
+regex scan (:func:`~repro.dbpl.lexer.shape_of`; a text with a comment
+or a non-ASCII character is tokenized for it): a hit goes scan →
+constants → statement run, with no tokens, parse, analysis, pruning or
+parameterization; a miss tokenizes and parses the text and does all of
 that, then installs a :class:`~repro.dbpl.serving.FrontDoorEntry`.  A
 constructed range ``Rel{con(args)}`` is a range like any other, bare
 or inside a set former: non-recursive applications inline,
@@ -105,7 +107,7 @@ from .astnodes import (
     TypeName,
     VarDecl,
 )
-from .lexer import Token, tokenize
+from .lexer import Token, shape_of, tokenize
 from .parser import parse_expression, parse_module
 from .serving import (
     BARE_RANGES,
@@ -166,9 +168,12 @@ _FALLBACK_CODES = {
 
 
 class _Lookup(NamedTuple):
-    """One front-door plan-cache lookup: what a miss needs to install."""
+    """One front-door plan-cache lookup: what a miss needs to install.
 
-    tokens: list[Token]
+    ``tokens`` is None when the scan found the shape; a miss lexes then.
+    """
+
+    tokens: list[Token] | None
     literals: list
     key: tuple
     epoch: int
@@ -427,19 +432,17 @@ class Session:
         if mode not in _QUERY_MODES:
             raise ValueError(f"mode must be one of {_QUERY_MODES}, got {mode!r}")
         options = self._call_options(options)
-        tokens = tokenize(source)
         if mode == "interpreted":
-            node = parse_expression(source, tokens)
+            node = parse_expression(source)
             self._gate(node, options.analysis)
             return self._query_interpreted(node, source, options.snapshot or self.db)
-        lookup = self._lookup(tokens, options)
+        lookup = self._lookup(source, options)
         constants = self._hit(lookup, options.analysis)
         if constants is None:
             # Branches the analyzer proved empty never reach the planner.
             # Safe here (constants are fixed for this call); prepare()
             # skips this because rebinding could revive them.
-            node, analysis = self._statement_node(source, tokens, options, prune=True)
-            plan, constants = self._prepared_plan(node, options, lookup, analysis)
+            plan, constants = self._miss(source, lookup, options, prune=True)
         else:
             plan = lookup.entry.plan
         return plan.run(constants, snapshot=options.snapshot)
@@ -480,8 +483,11 @@ class Session:
             return set(value.rows)
         raise BindingError(f"not a query expression: {source!r}")
 
-    def _lookup(self, tokens: list[Token], options: ExecOptions) -> _Lookup:
-        """Look the token shape of ``tokens`` up in the plan cache.
+    def _lookup(self, source: str, options: ExecOptions) -> _Lookup:
+        """Look the token shape of ``source`` up in the plan cache.
+
+        The shape comes from :func:`shape_of`; a text it declines is
+        tokenized here (raising the lexer's error, if any).
 
         Keys are ``((token shape, scope stamp),) + options.cache_key()``:
         declarations only accumulate, so the stamp's counts (those of
@@ -490,7 +496,12 @@ class Session:
         options keep per-execution fields (snapshot, analysis) from
         fragmenting the cache.
         """
-        shape, literals = token_shape(tokens)
+        tokens = None
+        scanned = shape_of(source)
+        if scanned is None:
+            tokens = tokenize(source)
+            scanned = token_shape(tokens)
+        shape, literals = scanned
         db = self.db
         stamp = (
             len(db.relations), len(db.selectors), len(db.constructors), len(self.types)
@@ -516,15 +527,11 @@ class Session:
             self.last_diagnostics = entry.verdict
         return constants
 
-    def _prepared_plan(
-        self,
-        node: ast.Query,
-        options: ExecOptions,
-        lookup: _Lookup,
-        analysis: AnalysisResult | None,
+    def _miss(
+        self, source: str, lookup: _Lookup, options: ExecOptions, *, prune: bool
     ) -> tuple[PreparedPlan, tuple]:
-        """The miss path's plan for ``node``, the gated parse of
-        ``lookup.tokens``.
+        """The miss path's plan for ``source``: lexed (unless the lookup
+        had to), parsed and gated by :meth:`_statement_node`.
 
         The entry the lookup found is reused when its plan has this shape
         (a text whose verdict is not cached takes this path every time);
@@ -532,6 +539,9 @@ class Session:
         of the found one, which could not serve this text (another fixed
         literal, or another pruning).
         """
+        if lookup.tokens is None:
+            lookup = lookup._replace(tokens=tokenize(source))
+        node, analysis = self._statement_node(source, lookup.tokens, options, prune=prune)
         operands: list = []
         shape, constants = parameterize(node, operands)
         entry = lookup.entry
@@ -577,14 +587,11 @@ class Session:
         ``execute`` advances their held values to the live state.
         """
         options = self._call_options(options)
-        lookup = self._lookup(tokenize(source), options)
+        lookup = self._lookup(source, options)
         constants = self._hit(lookup, options.analysis)
         if constants is not None:
             return PreparedQuery(lookup.entry.plan, constants, source)
-        node, analysis = self._statement_node(
-            source, lookup.tokens, options, prune=False
-        )
-        plan, constants = self._prepared_plan(node, options, lookup, analysis)
+        plan, constants = self._miss(source, lookup, options, prune=False)
         return PreparedQuery(plan, constants, source)
 
     def subscribe(

@@ -610,16 +610,35 @@ class Relation:
         head = self._head
         return self._store if head[1] is None and head[2] == self._store.row_count else None
 
+    @property
+    def scan_store(self):
+        """The store a scan pushes down to: :attr:`cold_store` until this
+        handle's pushed scans have read as many id cells as loading the
+        relation would (``row_count * arity``), else None.
+
+        From then on a scan loads the relation instead (the callers'
+        fallback), after which indexes serve it: a read repeated on one
+        handle reads at most three loads' worth of id cells (the scans,
+        the one that crosses the budget, the load), not one page walk
+        per call for as long as the handle lives.
+        """
+        store = self.cold_store
+        if store is not None:
+            read = store.counters.cells_decoded
+            if read and read >= store.row_count * store.arity:
+                return None
+        return store
+
     def scan_pushdown(self, projection, selection, params=None):
         """Rows via the store's projection/predicate-pushdown reader.
 
-        Returns a full-width row list (dead columns None) when the
-        relation is cold and store-backed, else None — the caller falls
-        back to :meth:`raw_list` and its own filters.  The pushed
-        predicates are re-checked downstream, so this is a pure
-        pre-filter: dropping any of them is always safe.
+        Returns a full-width row list (dead columns None) through the
+        :attr:`scan_store`, else None — the caller falls back to
+        :meth:`raw_list` and its own filters.  The pushed predicates are
+        re-checked downstream, so this is a pure pre-filter: dropping any
+        of them is always safe.
         """
-        store = self.cold_store
+        store = self.scan_store
         if store is None:
             return None
         return store.scan(projection, selection, params)
@@ -627,8 +646,9 @@ class Relation:
     def scan_cost_fraction(self, restrictions) -> float:
         """Fraction of rows a pushdown scan would decode under
         ``restrictions`` (concrete ``(pos, op, value)`` triples) — the
-        cost model's partition-pruning discount.  1.0 when warm."""
-        store = self.cold_store
+        cost model's partition-pruning discount.  1.0 when a scan would
+        not push down."""
+        store = self.scan_store
         if store is None:
             return 1.0
         return store.prune_fraction(restrictions)
@@ -667,6 +687,7 @@ class PinnedRelation:
     __slots__ = ("_rel", "head", "name", "element_type", "_held")
 
     cold_store = None
+    scan_store = None
 
     def __init__(self, rel: Relation, head: tuple) -> None:
         self._rel = rel

@@ -153,7 +153,8 @@ class _ValuePage:
     keeps what it decoded for its store's lifetime: a dict while partly
     decoded (ints to strings only, so the collector stops traversing it,
     and a dead handle that read one partition frees that partition's
-    values, not a slot per id), the ``array`` itself for an int64 page.
+    values, not a slot per id), the list :meth:`all` decoded, the
+    ``array`` itself for an int64 page.
     """
 
     __slots__ = ("filename", "count", "values", "_offsets", "_text", "_item",
@@ -190,12 +191,14 @@ class _ValuePage:
 
     def cite(self, ids):
         """``values`` with every id of ``ids`` (all below ``count``) decoded."""
-        values = self.values
-        if self._text is None:
-            return values
+        if self._text is None:  # ``_text`` first: :meth:`all` sets ``values`` before it
+            return self.values
         with self._lock:
+            values, text = self.values, self._text
+            if text is None:  # another thread decoded the page whole
+                return values
             missing = set(ids).difference(values)  # empty once another thread completed it
-            offsets, text, item = self._offsets, self._text, self._item
+            offsets, item = self._offsets, self._item
             if item is None:
                 for i in missing:
                     values[i] = text[offsets[i] : offsets[i + 1]]
@@ -213,8 +216,26 @@ class _ValuePage:
         return values
 
     def all(self) -> list:
-        """Every value, in id order."""
-        return list(map(self.cite(range(self.count)).__getitem__, range(self.count)))
+        """Every value, in id order: a page not yet decoded whole is
+        decoded in one pass over its offsets, and kept like cited ids."""
+        with self._lock:
+            values, text = self.values, self._text
+            if text is None:  # an int64 page, or every id decoded
+                if type(values) is dict:
+                    return list(map(values.__getitem__, range(self.count)))
+                return list(values)
+            offsets, item = self._offsets, self._item
+            decoded = [text[start:end] for start, end in zip(offsets, offsets[1:])]
+            if item is not None:
+                try:
+                    decoded = [item(value) for value in decoded]
+                except (ValueError, KeyError, IndexError) as exc:
+                    raise StorageError(
+                        f"undecodable value in {self.filename!r}: {exc!r}"
+                    ) from None
+            self._counters.values_decoded += self.count - len(values)
+            self.values, self._text = decoded, None
+            return decoded[:]
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ from operator import eq, ge, gt, le, lt, ne
 import pytest
 
 from repro.compiler import compile_query
+from repro.compiler.plans import CostModel, Source
+from repro.compiler.options import ExecOptions
 from repro.dbpl import Session, parse_expression
 from repro.relational import Database, open_database
 from repro.relational.stats import TableStats
+from repro.relational.vectors import get_numpy
 from repro.types import BOOLEAN, INTEGER, REAL, STRING, record, relation_type
 
 PER_PARTITION = 25
@@ -104,9 +107,6 @@ class TestIdSpaceFiltering:
 
     @pytest.mark.parametrize("executor", ["batch", "vector", "sharded"])
     def test_queries_answer_like_the_warm_database(self, kinds, executor):
-        from repro.compiler.options import ExecOptions
-        from repro.relational.vectors import get_numpy
-
         if executor == "vector" and get_numpy() is None:
             pytest.skip("vector needs numpy")
         warm = Session(kinds_db())
@@ -133,6 +133,50 @@ class TestFullDictionaries:
         for got, want in zip(store.load_dictionaries(), warm):
             assert got.values == want.values and got.ids == want.ids
             assert [type(v) for v in got.values] == [type(v) for v in want.values]
+
+    def test_a_whole_page_decode_racing_cited_reads(self, folk):
+        """Readers cite ids while another thread decodes the page whole:
+        each sees the values it cited, and each value counts once."""
+        _db, path = folk
+        reference = fresh_store(path, "People")._values(0).all()
+        errors: list = []
+
+        def trial() -> None:
+            store = fresh_store(path, "People")
+            page = store._values(0)
+
+            def reader(offset: int) -> None:
+                try:
+                    for start in range(offset, page.count, 7):
+                        ids = range(start, min(start + 5, page.count))
+                        values = page.cite(ids)
+                        assert [values[i] for i in ids] == reference[start : ids.stop]
+                except Exception as exc:  # noqa: BLE001 - recorded for the assert
+                    errors.append(exc)
+
+            def whole() -> None:
+                try:
+                    assert page.all() == reference
+                except Exception as exc:  # noqa: BLE001 - recorded for the assert
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=reader, args=(i,)) for i in range(3)]
+            threads.append(threading.Thread(target=whole))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert store.counters.values_decoded == page.count
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                trial()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
 
 
 class TestNoLiveColumn:
@@ -186,28 +230,152 @@ class TestLateDecoding:
         assert store._dicts is None and store._stats is False
 
 
-class TestPlanningFromTheSummary:
-    QUERY = "{<p.name, f.b> OF EACH p IN People, EACH f IN Friends: p.name = f.a AND p.age > 30}"
+class TestColdEqualities:
+    """A one-shot equality on a cold relation scans what the manifest's
+    bounds admit: an index would read and decode the whole relation
+    first, and leave it warm."""
 
-    def test_a_fresh_handle_plans_like_the_warm_database(self, folk):
+    @pytest.mark.parametrize("executor", ["batch", "vector", "sharded"])
+    @pytest.mark.parametrize(
+        "text, restriction",
+        [
+            ("{<p.name> OF EACH p IN People: p.age = 3}", (1, "=", 3)),
+            ('{<p.name> OF EACH p IN People: p.name = "p0042"}', (0, "=", "p0042")),
+        ],
+    )
+    def test_reads_only_the_admitting_partitions_and_stays_cold(
+        self, folk, executor, text, restriction
+    ):
+        if executor == "vector" and get_numpy() is None:
+            pytest.skip("vector needs numpy")
         db, path = folk
         cold = open_database(path)
+        rel = cold.relation("People")
+        store = rel.cold_store
+        admitted = round(store.prune_fraction((restriction,)) * len(rel) / PER_PARTITION)
+        got = Session(cold, options=ExecOptions(executor=executor)).query(text)
+        assert got and got == Session(db).query(text)
+        assert store.counters.partitions_read == admitted
+        assert store.counters.partitions_pruned == len(rel) // PER_PARTITION - admitted
+        assert rel.is_cold
 
-        def shape(plan):
-            return [
-                ([(s.source.describe(), tuple(s.key_positions)) for s in b.steps], b.est_out)
-                for b in plan.branches
-            ]
+    def test_a_join_still_indexes_its_inner_relation(self, folk):
+        """Probed once per outer row, the inner index repays the read."""
+        _db, path = folk
+        cold = open_database(path)
+        plan = compile_query(cold, parse_expression(
+            '{<p.name, f.b> OF EACH f IN Friends, EACH p IN People: p.name = f.a}'
+        ))
+        assert [tuple(step.key_positions) for step in plan.branches[0].steps] == [(), (0,)]
 
-        warm_plan = compile_query(db, parse_expression(self.QUERY))
-        cold_plan = compile_query(cold, parse_expression(self.QUERY))
-        assert shape(cold_plan) == shape(warm_plan)
+    def test_a_constant_key_prunes_the_priced_scan(self, folk):
+        """The scan a cold step is priced at reads what the bounds admit
+        under its constant keys too, not only under its restrictions."""
+        db, path = folk
+        cold = open_database(path)
+        model = CostModel(cold)
+        people = Source("relation", name="People")
+        key = ((0, "=", "p0042"),)
+        assert model.price_step(people, (), key_constants=key).per_invocation == PER_PARTITION
+        est = model.price_step(people, (0,), key_constants=key)
+        assert not est.use_index and est.per_invocation == PER_PARTITION
+        warm = CostModel(db).price_step(people, (), key_constants=key)
+        assert warm.per_invocation == len(db.relation("People"))
+
+    @pytest.mark.parametrize("executor", ["batch", "vector", "sharded"])
+    @pytest.mark.parametrize(
+        "text, bind",
+        [
+            ("{<p.name> OF EACH p IN People: p.age = 3}", lambda k: (k % 37,)),
+            ('{<p.name> OF EACH p IN People: p.name = "p0042"}', lambda k: (f"p{k * 7 % 500:04d}",)),
+        ],
+    )
+    def test_a_repeated_equality_loads_the_relation_once_its_scans_read_as_much(
+        self, folk, executor, text, bind
+    ):
+        """A prepared equality run over and over on one handle scans until
+        its scans have read as many id cells as one load, then the
+        relation loads and an index serves the rest: what it reads is
+        bounded however often it runs."""
+        if executor == "vector" and get_numpy() is None:
+            pytest.skip("vector needs numpy")
+        db, path = folk
+        cold = open_database(path)
+        rel = cold.relation("People")
+        store = rel.cold_store
+        parts = len(rel) // PER_PARTITION
+        options = ExecOptions(executor=executor)
+        handle = Session(cold, options=options).prepare(text)
+        warm = Session(db).prepare(text)
+        for k in range(200):
+            assert handle.execute(*bind(k)) == warm.execute(*bind(k))
+        # Scans up to one load's worth of id cells (the last may overrun
+        # it by one whole read), then the load: three loads at most.
+        load = len(rel) * store.arity
+        assert store.counters.cells_decoded <= 3 * load
+        assert store.counters.partitions_read <= 4 * parts  # not 200 reads' worth
+        assert "EACH p IN People via index" in handle.explain()
+
+    def test_a_standing_join_re_plans_once_its_inner_relation_loads(self, folk):
+        """A subscription's differential joins each inserted row to the
+        cold relation by scanning it; once the scans have spent the
+        relation's budget it loads, and the differential re-plans to an
+        index probe."""
+        db, path = folk
+        cold = open_database(path)
+        session = Session(cold)
+        store = cold.relation("People").cold_store
+        text = '{<f.b, p.city> OF EACH f IN Friends, EACH p IN People: p.name = f.a AND f.b = "p0007"}'
+        sub = session.subscribe(text)
+        for i in range(60):
+            session.insert("Friends", [(f"p{i * 13 % 500:04d}", "p0007")])
+        assert sub.rows() == session.query(text)
+        assert store.counters.cells_decoded <= 3 * len(cold.relation("People")) * store.arity
+        plan = sub.family.plans["Friends"].plan
+        assert "EACH p IN People via index" in plan.explain()
+
+
+class TestPlanningFromTheSummary:
+    QUERY = "{<p.name, f.b> OF EACH p IN People, EACH f IN Friends: p.name = f.a AND p.age > 30}"
+    RANGES = '{<p.name, f.b> OF EACH p IN People, EACH f IN Friends: p.age > 30 AND f.b >= "p0400"}'
+
+    @staticmethod
+    def shape(plan):
+        return [
+            ([(s.source.describe(), tuple(s.key_positions)) for s in b.steps], b.est_out)
+            for b in plan.branches
+        ]
+
+    def test_a_fresh_handle_plans_like_the_warm_database(self, folk):
+        """With no index step to price a load for, a fresh handle planned
+        from the summary plans a read as the warm database does."""
+        db, path = folk
+        cold = open_database(path)
+        for text in (self.RANGES, '{<p.name> OF EACH p IN People: p.age > 30}'):
+            cold_plan = compile_query(cold, parse_expression(text))
+            warm_plan = compile_query(db, parse_expression(text))
+            assert self.shape(cold_plan) == self.shape(warm_plan)
+            assert all(not s.key_positions for b in cold_plan.branches for s in b.steps)
+        assert cold.relation("People").is_cold and cold.relation("Friends").is_cold
+
+    def test_planning_from_the_summary_equals_planning_from_full_statistics(self, folk):
+        """Both handles cold, so both price an index build's load: the
+        summary in ``stats.json`` plans the join as full statistics do."""
+        db, path = folk
+        summary, full = open_database(path), open_database(path)
         for name in ("People", "Friends"):
-            rel = cold.relation(name)
-            assert rel.is_cold
+            rel = full.relation(name)
+            arity = len(rel.element_type.attribute_names)
+            rel._stats = TableStats.from_rows(db.relation(name).rows(), arity)
+        summary_plan = compile_query(summary, parse_expression(self.QUERY))
+        full_plan = compile_query(full, parse_expression(self.QUERY))
+        assert self.shape(summary_plan) == self.shape(full_plan)
+        for name in ("People", "Friends"):
+            rel = summary.relation(name)
+            assert rel.is_cold and full.relation(name).is_cold
             for column in rel.stats().columns:
                 assert column.histogram_builds == 0 and column.counts is None
-        people = cold.relation("People").stats()
+        people = summary.relation("People").stats()
         assert people.range_selectivity(1, ">", 30) == db.relation("People").stats().range_selectivity(1, ">", 30)
 
     def test_stats_after_cold_inserts_equal_a_recount(self, folk):

@@ -12,6 +12,11 @@ character.  (The library also rejects an integer literal too long for
 ``int()``, which the oracle passed on to the parser; no drawn text is
 that long.)  Whatever the text, the parsers raise nothing but a
 ``DBPLError``, and ``Session.check`` reports instead of raising.
+
+A plan-cache hit never tokenizes: :func:`repro.dbpl.lexer.shape_of`
+finds the cache key in one regex scan.  On any text it either declines
+(None) or returns exactly ``token_shape(tokenize(text))`` — and then
+``tokenize`` accepts the text.
 """
 
 import sys
@@ -23,7 +28,8 @@ from hypothesis import strategies as st
 from helpers import FRONT_DOOR_SCHEMA, FRONT_DOOR_TEMPLATES
 from lexer_oracle import tokenize as oracle_tokenize
 from repro.dbpl import Session, parse_expression, parse_module, tokenize
-from repro.dbpl.lexer import KEYWORDS, SYMBOLS
+from repro.dbpl.lexer import KEYWORDS, SYMBOLS, shape_of
+from repro.dbpl.serving import token_shape
 from repro.errors import DBPLError, DBPLSyntaxError
 
 FIELDS = ("kind", "text", "line", "column", "end_line", "end_column")
@@ -51,6 +57,14 @@ def assert_lexers_agree(text: str) -> None:
     assert got[0] == "DBPLSyntaxError", (text, got, want)
     bad = char_at(text, got[1], got[2])
     assert bad.isdigit() and not bad.isascii(), (text, got, want)
+
+
+def assert_scan_agrees(text: str) -> None:
+    """``shape_of`` declines or equals the token list's shape (and then
+    ``tokenize`` raises nothing)."""
+    scanned = shape_of(text)
+    if scanned is not None:
+        assert scanned == token_shape(tokenize(text)), text
 
 
 def assert_parsers_raise_only_dbpl_errors(text: str) -> None:
@@ -144,6 +158,58 @@ def test_parsers_raise_only_dbpl_errors(text):
     assert_lexers_agree(text)
     assert_parsers_raise_only_dbpl_errors(text)
     CHECKER.check(text)
+
+
+#: Any text, ASCII text (which the scan mostly accepts), the token
+#: alphabet, and token-level edits of real queries.
+SCANNED = st.one_of(
+    st.text(), st.text(st.characters(max_codepoint=127)), dbpl_text, mutated()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCANNED)
+def test_the_scan_declines_or_equals_the_token_shape(text):
+    assert_scan_agrees(text)
+
+
+@pytest.mark.property
+@settings(max_examples=2000, deadline=None)
+@given(SCANNED)
+def test_the_scan_declines_or_equals_the_token_shape_at_length(text):
+    assert_scan_agrees(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("", (("",), [])),
+        ("r  \n\n", (("r", ""), [])),
+        ('{EACH r IN R: r.a = ""} \r\n\t', (
+            ("{", "EACH", "r", "IN", "R", ":", "r", ".", "a", "=", str, "}", ""), [""]
+        )),
+        ("*)", (("*", ")", ""), [])),
+        ("12abc", ((int, "abc", ""), [12])),
+        ("1..007", ((int, "..", int, ""), [1, 7])),
+        ('"a(*b" x', ((str, "x", ""), ["a(*b"])),
+        ("(*", None),
+        ("x (* c *) = 1", None),
+        ("\f", None),
+        ("x²", None),
+        ('r.a = "é"', None),
+        ('r.a = "open', None),
+        ("r.a = " + "9" * 5000, None),
+    ],
+)
+def test_the_scan_on_edge_cases(text, want):
+    assert shape_of(text) == want
+    assert_scan_agrees(text)
+
+
+@pytest.mark.parametrize("seed", SEEDS[: len(FRONT_DOOR_TEMPLATES)])
+def test_the_scan_serves_every_front_door_template(seed):
+    assert shape_of(seed) is not None
+    assert_scan_agrees(seed)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.analysis.checks as checks_module
+import repro.compiler.plans as plans_module
 import repro.dbpl.parser as parser_module
 import repro.dbpl.session as session_module
 from helpers import FRONT_DOOR_SCHEMA, FRONT_DOOR_TEMPLATES, random_front_door_session
@@ -781,9 +782,10 @@ def parameterized_shape(text: str):
 
 
 class CallCounter:
-    """Counts the front door's parse/analysis/parameterize calls."""
+    """Counts the front door's parse/analysis/parameterize calls, and
+    with ``lex=True`` its ``tokenize`` calls too."""
 
-    def __init__(self, monkeypatch) -> None:
+    def __init__(self, monkeypatch, *, lex: bool = False) -> None:
         self.calls = Counter()
         calls = self.calls
 
@@ -808,6 +810,10 @@ class CallCounter:
             session_module, "parameterize",
             counted("parameterize", session_module.parameterize),
         )
+        if lex:
+            monkeypatch.setattr(
+                session_module, "tokenize", counted("tokenize", session_module.tokenize)
+            )
 
 
 GAPS = st.lists(
@@ -891,6 +897,47 @@ class TestTokenFrontDoor:
             s.query(SERVE_RANGE % bounds)
         assert counter.calls == {"Parser": 2, "analyze_query": 2, "parameterize": 2}
         assert s.plan_cache.misses == 2
+
+    def test_a_hit_lexes_nothing(self, monkeypatch):
+        """A hot ASCII text without a comment is looked up by the scan
+        alone: no ``tokenize`` call, through ``query`` and ``prepare``.  A
+        commented one is tokenized once for its shape and reaches the
+        same entry; neither builds a Parser."""
+        s = serve_session()
+        text = SERVE_JOIN3 % ("k2", 60)
+        reference = s.query(text, mode="interpreted")
+        commented = rendered(text, ["\n (* x *) "])
+        counter = CallCounter(monkeypatch, lex=True)
+        s.query(SERVE_JOIN3 % ("k1", 40))
+        assert counter.calls == {
+            "tokenize": 1, "Parser": 1, "analyze_query": 1, "parameterize": 1
+        }
+        counter.calls.clear()
+        assert s.query(text) == reference
+        assert s.prepare(SERVE_JOIN3 % ("k6", 20)).execute("k2", 60) == reference
+        assert counter.calls == {}
+        assert s.query(commented) == reference
+        assert counter.calls == {"tokenize": 1}
+        assert s.prepare(commented).execute() == reference
+        assert counter.calls == {"tokenize": 2}
+        assert s.plan_cache.misses == 1 and s.plan_cache.hits == 4
+
+    def test_a_hit_builds_no_evaluator(self, monkeypatch):
+        """Only computed ranges and interpreted residuals read the
+        context's evaluator, so a served point read builds none."""
+        s = serve_session()
+        s.query(SERVE_POINT % "k1")
+        built = []
+
+        class CountingEvaluator(plans_module.Evaluator):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(plans_module, "Evaluator", CountingEvaluator)
+        want = s.query(SERVE_POINT % "k2", mode="interpreted")
+        assert s.query(SERVE_POINT % "k2") == want
+        assert s.plan_cache.hits == 1 and built == []
 
     def test_a_changed_selector_argument_misses(self, monkeypatch):
         """``SEL`` is baked into the plan: the same token shape with
