@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain, compress, repeat
-from operator import ge, gt, itemgetter, le, lt
+from operator import ge, gt, is_not, itemgetter, le, lt
 
 from ..calculus import ast
 from ..calculus.analysis import free_tuple_vars
@@ -212,9 +212,10 @@ class HashJoin(Operator):
     their version-cached hash indexes, fixpoint variables (deltas, new
     values) are hashed once per execution context — there is no
     per-tuple index maintenance anywhere in the loop.  ``fn`` is the
-    generated probe loop over the index's one bucket dict, building
-    each key in the index's own form (a one-column key is the bare
-    value, so a probe allocates no key tuple).
+    generated probe loop over the index's one dict, building each key in
+    the index's own form (a one-column key is the bare value, so a probe
+    allocates no key tuple).  ``unique`` (``LoopStep.unique``) is the
+    index form the loop was generated for: ``get(key)`` a row or None.
 
     When the cost model gates a selective single-variable filter into
     the join (``push_fn``), the probe goes through a per-execution
@@ -223,10 +224,11 @@ class HashJoin(Operator):
     expansion) see only surviving rows.
     """
 
-    __slots__ = ("source", "positions", "fn", "push_fn")
+    __slots__ = ("source", "positions", "fn", "push_fn", "unique")
 
     def __init__(
-        self, source, positions: tuple[int, ...], fn, push_fn=None, push_desc: str = ""
+        self, source, positions: tuple[int, ...], fn, push_fn=None, push_desc: str = "",
+        unique: bool = False,
     ) -> None:
         label = f"HASHJOIN {source.describe()} build{list(positions)}"
         if push_fn is not None:
@@ -236,6 +238,7 @@ class HashJoin(Operator):
         self.positions = positions
         self.fn = fn
         self.push_fn = push_fn
+        self.unique = unique
 
     def run(self, ctx, batch):
         if not batch:
@@ -252,7 +255,7 @@ class HashJoin(Operator):
         return out
 
     def _pushed_get(self, ctx, buckets):
-        """A ``get`` over filtered buckets, memoized per distinct key.
+        """A ``get`` over filtered buckets (rows), memoized per distinct key.
 
         The memo lives on the execution context keyed by this operator
         *object* (not its id — a recycled id after garbage collection
@@ -272,6 +275,17 @@ class HashJoin(Operator):
         keep = self.push_fn
         raw_get = buckets.get
         memo_get = memo.get
+
+        if self.unique:
+
+            def get_row(key):
+                row = memo_get(key, memo)  # the memo itself marks "not seen"
+                if row is memo:
+                    row = raw_get(key)
+                    row = memo[key] = row if row is not None and keep(row) else None
+                return row
+
+            return get_row
 
         def get(key, default):
             bucket = memo_get(key)
@@ -581,6 +595,8 @@ class _CodeGen:
         self.schemas = schemas
         self.ns: dict = {"_params": params}
         self._n = 0
+        #: Parameter name → the local a generated function reads it into.
+        self._param_locals: dict[str, str] = {}
 
     def const(self, value) -> str:
         """Bind a constant into the namespace (no repr round-trips)."""
@@ -590,7 +606,13 @@ class _CodeGen:
         return name
 
     def define(self, name: str, src: str):
-        exec(src, self.ns)  # noqa: S102 - compile-time codegen, own AST only
+        # A parameter the function reads is fetched once per call, not per row.
+        head, _, body = src.partition("\n")
+        reads = "".join(
+            f"    {local} = _params[{param!r}]\n"
+            for param, local in self._param_locals.items() if local in body
+        )
+        exec(f"{head}\n{reads}{body}", self.ns)  # noqa: S102 - own AST only
         return self.ns[name]
 
     # -- expressions --------------------------------------------------------
@@ -600,7 +622,8 @@ class _CodeGen:
         if isinstance(term, ast.Const):
             return self.const(term.value)
         if isinstance(term, ast.ParamRef):
-            return f"_params[{term.name!r}]"
+            locals_ = self._param_locals  # "_p1_" is no part of "_p10_"
+            return locals_.setdefault(term.name, f"_p{len(locals_)}_")
         if isinstance(term, ast.AttrRef):
             idx = _bound_schema(self.schemas, term.var).index_of(term.attr)
             return self.attr_expr(term.var, idx, env, cur_var)
@@ -819,13 +842,16 @@ def lower_branch(
                         step.source, step.key_positions, key_fn, fn
                     )
                 else:
+                    key = _key_src(key_exprs)
+                    probe = f"get({key}, EMPTY)"
+                    if step.unique:  # a row or None: bind it, no bucket loop
+                        probe = f"[get({key})] if r is not None"
                     fn = gen.define(
                         "_join",
                         "def _join(get, batch, EMPTY):\n"
-                        f"    return [{emit_src} for e in batch "
-                        f"for r in get({_key_src(key_exprs)}, EMPTY)]\n",
+                        f"    return [{emit_src} for e in batch for r in {probe}]\n",
                     )
-                    op = HashJoin(step.source, step.key_positions, fn)
+                    op = HashJoin(step.source, step.key_positions, fn, unique=step.unique)
             else:
                 body = f"    return [{emit_src} for e in batch for r in rows]\n"
                 if identity:
@@ -903,6 +929,7 @@ _COLUMNAR_NS = {
     "_rep": repeat,
     "_cmp": compress,
     "_ig": itemgetter,
+    "_isnot": is_not,
     "_len": len,
     "_list": list,
     "_map": map,
@@ -1024,6 +1051,11 @@ class _ColumnarKernels:
         read = [v for v in sorted(slot_of, key=slot_of.get) if v in gen.touched]
         unp = ", ".join(f"e{slot_of[v]}" for v in read)
         srcs = ", ".join(f"s{slot_of[v]}" for v in read)
+        if arg_rows == "_r":  # unique-index probes: a row or None per carry
+            cond = " if " + " and ".join(["r is not None", *cond_srcs])
+            if read:
+                return f"    return [{target} for {unp}, r in _zip({srcs}, _r){cond}]\n"
+            return f"    return [{target} for r in _r{cond}]\n"
         if arg_rows == "_b":  # hash-join buckets aligned with the batch
             if read:
                 return (
@@ -1068,7 +1100,21 @@ class _ColumnarKernels:
         if is_join:
             cols = self._key_columns(step, slot_of, names)
             key = cols[0] if len(cols) == 1 else f"_zip({', '.join(cols)})"
-            if final:
+            # A unique index maps a key to its row: one get per carry and a
+            # None test, no bucket to expand.
+            if step.unique and final:
+                body += f"    _r = _map(get, {key})\n"
+                body += self._emit_comprehension(step, slot_of, names, conds_pairs, "_r", False)
+            elif step.unique:
+                body += f"    _r = _list(_map(get, {key}))\n"
+                kept = [j for j in map(slot_of.get, layout_after) if j is not None]
+                body += "    if None in _r:\n"
+                body += "        _m = _list(_map(_isnot, _r, _rep(None)))\n"
+                body += "        _r = _list(_cmp(_r, _m))\n"
+                body += "".join(f"        s{j} = _list(_cmp(s{j}, _m))\n" for j in kept)
+                outs = ["_r" if v == var else f"s{slot_of[v]}" for v in layout_after]
+                body += f"    return (_len(_r), [{', '.join(outs)}])\n"
+            elif final:
                 body += f"    _b = _map(get, {key}, _rep(EMPTY))\n"
                 body += self._emit_comprehension(step, slot_of, names, conds_pairs, "_b", False)
             else:
@@ -1089,7 +1135,9 @@ class _ColumnarKernels:
                     body += "    return (_sum(_c), [])\n"
             fn = gen.define("_join", "def _join(get, batch, EMPTY):\n" + body)
             push_fn, push_desc = self.step_push.get(s, (None, ""))
-            return HashJoin(step.source, step.key_positions, fn, push_fn, push_desc)
+            return HashJoin(
+                step.source, step.key_positions, fn, push_fn, push_desc, step.unique
+            )
 
         # Scan or constant-key IndexLookup: one shared row source.
         arg = "bucket" if const_key else "rows"

@@ -67,6 +67,7 @@ from ..calculus.rewrite import (
 from ..calculus.subst import FreshNames, bound_vars, substitute_free
 from ..errors import DBPLError, EvaluationError, NameResolutionError, SchemaError
 from ..relational import Database, HashIndex
+from ..relational.indexes import covers_key
 from ..types import ANY, Field, RecordType
 from .executors import EXECUTOR_NAMES, get_backend
 from .options import (
@@ -247,6 +248,8 @@ class Source:
     token: object = None
     rexpr: ast.RangeExpr | None = None
     schema: RecordType | None = None
+    #: A relation's declared key positions: they decide its index forms.
+    key: tuple[int, ...] | None = None
 
     def rows_and_indexable(self, ctx: ExecutionContext):
         """Returns (rows, index_provider) where index_provider(positions)
@@ -309,7 +312,8 @@ def _source_for(db: Database, rexpr: ast.RangeExpr, params: dict) -> Source:
             # Parameters bound to Relations are resolved at run time via
             # the computed path so rebinding works; plain relations scan.
             if name in db:
-                return Source("relation", name=name, schema=db[name].element_type)
+                rel = db[name]
+                return Source("relation", name=name, schema=rel.element_type, key=rel.key)
         return Source("computed", rexpr=rexpr)
     if isinstance(rexpr, ast.ApplyVar):
         return Source("apply", token=rexpr.token, schema=rexpr.schema)
@@ -839,6 +843,12 @@ class LoopStep:
     #: reader may apply so only live columns of matching partitions are
     #: ever decoded.  Advisory — warm relations ignore it.
     pushdown: object | None = None
+
+    @property
+    def unique(self) -> bool:
+        """Whether this step probes a stored relation's index on positions
+        covering its declared key: a key → row map (``HashIndex.unique``)."""
+        return covers_key(self.source.key, self.key_positions)
 
     def describe(self) -> str:
         access = "scan"
@@ -1397,10 +1407,10 @@ def compile_branch(
         if group in consumed or group in placed_groups:
             continue
         placed_groups.add(group)
-        left = ast.AttrRef(v, schemas[v].attribute_names[pos])
-        fn = _compile_cmp(ast.Cmp("=", left, other), schemas, params)
+        conj = ast.Cmp("=", ast.AttrRef(v, schemas[v].attribute_names[pos]), other)
+        fn = _compile_cmp(conj, schemas, params)
         if fn is None:
-            residual.append(ast.Cmp("=", left, other))
+            residual.append(conj)
             continue
         needed = {v} | _term_vars(other)
         placed = False
@@ -1409,12 +1419,12 @@ def compile_branch(
             bound = {s.var for s in steps[: i + 1]}
             if needed <= bound:
                 step.filters = step.filters + (fn,)
-                step.filter_descs = step.filter_descs + (f"{v}[{pos}] = ...",)
-                step.filter_conjs = step.filter_conjs + (ast.Cmp("=", left, other),)
+                step.filter_descs = step.filter_descs + (render_pred(conj),)
+                step.filter_conjs = step.filter_conjs + (conj,)
                 placed = True
                 break
         if not placed:
-            residual.append(ast.Cmp("=", left, other))
+            residual.append(conj)
 
     # Every residual conjunct, a step's or the leaf's, compiles as a
     # query over its groups.

@@ -437,9 +437,11 @@ class ShardedBackend(BatchBackend):
         build_views = None
         if align is not None:
             build_views = _build_partitions(ctx, align[0], k)
+        # A keyed lead's local indexes take the form the lowering chose.
+        key = ctx.db.relation(source.name).key if stored else None
         overrides: list[dict[int, ShardView]] = []
         for i in range(k):
-            per_shard = {id(source): ShardView(lead_parts[i])}
+            per_shard = {id(source): ShardView(lead_parts[i], key)}
             if build_views is not None:
                 per_shard[id(align[0].source)] = build_views[i]
             overrides.append(per_shard)

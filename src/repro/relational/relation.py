@@ -53,7 +53,7 @@ from operator import itemgetter
 
 from ..errors import TypeMismatchError
 from ..types import RelationType, check_relation_assignment
-from .indexes import HashIndex, ShardView, partition_views
+from .indexes import HashIndex, ShardView, covers_key, partition_views
 from .rows import Row
 from .stats import TableStats
 from .vectors import Dictionary, EncodedTable
@@ -79,8 +79,11 @@ _VIEW_KINDS = {
         lambda rel, head: frozenset(head[1][: head[2]]),
         lambda rel, head, old, fresh: old.union(fresh),
     ),
+    # The declared key decides the index form; an extension keeps it.
     "index": (
-        lambda rel, head, positions: HashIndex(positions, rel._view(_ROWS, head)),
+        lambda rel, head, positions: HashIndex(
+            positions, rel._view(_ROWS, head), covers_key(rel.key, positions)
+        ),
         lambda rel, head, old, fresh: old.extended(fresh),
     ),
     "encoded": (
@@ -90,7 +93,9 @@ _VIEW_KINDS = {
     ),
     # ``sharded`` is on trial (ROADMAP item 5a): partitions simply rebuild.
     "shards": (
-        lambda rel, head, positions, k: partition_views(rel._view(_ROWS, head), positions, k),
+        lambda rel, head, positions, k: partition_views(
+            rel._view(_ROWS, head), positions, k, rel.key
+        ),
         None,
     ),
 }
@@ -106,6 +111,7 @@ class Relation:
         "_members",
         "_key_of",
         "_key_positions",
+        "key",
         "_views",
         "_publish_lock",
         "_stats",
@@ -134,6 +140,9 @@ class Relation:
         #: tuple per row); the row itself (``tuple(row) is row``) when keyless.
         self._key_of = itemgetter(*key) if key else tuple
         self._key_positions = key or tuple(range(len(rtype.element.attribute_names)))
+        #: The declared key's positions (None when keyless): they decide
+        #: each index's form (``indexes.covers_key``).
+        self.key = key or None
         #: slot → (head, payload) generations (invariant 2).  Replaced by
         #: a fresh dict whenever a new log is installed, so views of a
         #: dead lineage are dropped with it.
@@ -377,6 +386,9 @@ class Relation:
     def assign(self, rows: Iterable[object]) -> None:
         """``rel := rex`` with full type and key checking.
 
+        The log is the commit order: the rows keep their first occurrence
+        in ``rows``, as inserts and deletes keep theirs — so a scan walks
+        rows in allocation order, and no order depends on string hashing.
         The assignment's pass over the new value also installs fresh
         table statistics (one batched absorption), so the first
         post-assign compilation is priced from real numbers.  The old
@@ -386,18 +398,19 @@ class Relation:
         raw = tuple(self._coerce(r) for r in rows)
         checked = check_relation_assignment(self.rtype, raw)
         with self._write_lock:
-            new_rows = set(checked)
+            new_rows = dict.fromkeys(checked)
+            log = list(new_rows)
             inserted = deleted = ()
             if self._sink is not None:
                 old_rows = self._view(_SET)
-                inserted = [r for r in new_rows if r not in old_rows]
-                deleted = [r for r in old_rows if r not in new_rows]
+                inserted = [r for r in log if r not in old_rows]
+                deleted = [r for r in self._view(_ROWS) if r not in new_rows]
             guard, sink = self._delta_guard(inserted or deleted)
             with guard:
                 stats = TableStats(len(self.rtype.element.attribute_names))
-                stats.add_rows_batch(new_rows)
+                stats.add_rows_batch(log)
                 self._stats = stats
-                self._install(list(new_rows))
+                self._install(log)
                 if sink is not None:
                     sink.emit(self, inserted, deleted)
 
@@ -465,7 +478,7 @@ class Relation:
         The keys leave the map in O(delta); the surviving rows — the
         map's values, still in commit order — become a new log.
         """
-        raw = {self._coerce(r) for r in rows}
+        raw = dict.fromkeys(map(self._coerce, rows))
         with self._write_lock:
             head = self._materialize()
             removed = [row for row in raw if self._holds(head, row)]
@@ -684,7 +697,7 @@ class PinnedRelation:
     push scans down to.  Nothing writes through it.
     """
 
-    __slots__ = ("_rel", "head", "name", "element_type", "_held")
+    __slots__ = ("_rel", "head", "name", "element_type", "key", "_held")
 
     cold_store = None
     scan_store = None
@@ -694,6 +707,7 @@ class PinnedRelation:
         self.head = head
         self.name = rel.name
         self.element_type = rel.rtype.element
+        self.key = rel.key
         self._held: dict = {}
 
     def _view(self, slot: tuple):

@@ -268,6 +268,16 @@ class TestColdEqualities:
         ))
         assert [tuple(step.key_positions) for step in plan.branches[0].steps] == [(), (0,)]
 
+    def test_a_declined_equality_key_explains_as_its_conjunct(self, folk):
+        """A fresh handle scans the admitting partition instead of indexing
+        on ``age``; the equality it keeps as a filter reads as written."""
+        _db, path = folk
+        cold = open_database(path)
+        plan = compile_query(cold, parse_expression("{<p.name> OF EACH p IN People: p.age = 3}"))
+        (step,) = plan.branches[0].steps
+        assert step.key_positions == () and step.filter_descs == ("p.age = 3",)
+        assert "filter[p.age = 3]" in plan.explain()
+
     def test_a_constant_key_prunes_the_priced_scan(self, folk):
         """The scan a cold step is priced at reads what the bounds admit
         under its constant keys too, not only under its restrictions."""

@@ -234,10 +234,10 @@ class TestAdvanceOutcomes:
         built = []
         original = HashIndex.__init__
 
-        def spy(index, positions, rows):
+        def spy(index, positions, rows, *form):
             rows = list(rows)
             built.append(len(rows))
-            original(index, positions, rows)
+            original(index, positions, rows, *form)
 
         monkeypatch.setattr(HashIndex, "__init__", spy)
         s.insert("E", [("n13", "n14")])

@@ -7,7 +7,9 @@ A :class:`~repro.relational.HashIndex` must equal grouping the rows by
 of several, ``()`` for none — with each bucket in row order; its
 copy-on-write growth must equal a fresh build and share every bucket it
 did not touch; and its lookups and planner statistics must agree with
-the grouping.
+the grouping.  The unique form (a key → row map, built when the
+positions cover the rows' declared key) is the same grouping over rows
+with distinct keys, one row per key.
 """
 
 import pytest
@@ -73,3 +75,43 @@ def test_extended_is_a_fresh_build_sharing_untouched_buckets(old_rows, fresh, po
         if all(key != t for t in touched):
             assert grown.buckets[key] is bucket
     assert old.buckets == before  # the published index is left untouched
+
+
+def one_per_key(rows, positions) -> list:
+    """The first row of each key: rows a declared key would admit."""
+    return [bucket[0] for _key, bucket in naive_groups(rows, positions)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS, POSITIONS)
+def test_unique_build_maps_each_key_to_its_one_row(rows, positions):
+    rows = one_per_key(rows, positions)
+    index = HashIndex(positions, rows, unique=True)
+    groups = naive_groups(rows, positions)
+    assert index.unique
+    assert list(index.buckets.items()) == [(key, bucket[0]) for key, bucket in groups]
+    for key, bucket in groups:
+        assert index.lookup(key) == (bucket[0],)
+    assert index.lookup(("missing",)) == () and index.lookup("missing") == ()
+    buckets = HashIndex(positions, rows)
+    assert index.selectivity() == buckets.selectivity()
+    assert index.max_bucket_fraction() == buckets.max_bucket_fraction()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROWS, POSITIONS, st.data())
+def test_unique_extended_is_a_fresh_build_leaving_the_old_index(rows, positions, data):
+    rows = one_per_key(rows, positions)
+    cut = data.draw(st.integers(0, len(rows)))
+    old_rows, fresh = rows[:cut], rows[cut:]
+    old = HashIndex(positions, old_rows, unique=True)
+    before = dict(old.buckets)
+    grown = old.extended(fresh)
+    rebuilt = HashIndex(positions, rows, unique=True)
+    assert grown.unique
+    assert list(grown.buckets.items()) == list(rebuilt.buckets.items())
+    assert grown.selectivity() == rebuilt.selectivity()
+    assert grown.max_bucket_fraction() == rebuilt.max_bucket_fraction()
+    for row in fresh:
+        assert grown.lookup(naive_key(row, positions)) == (row,)
+    assert old.buckets == before and len(old.buckets) == len(before)

@@ -3,8 +3,11 @@ the writer-owned key map, and the hit/extend/rebuild rule every cached
 view follows (see the module docstring of ``repro.relational.relation``)."""
 
 import copy
+import os
+import pathlib
 import random
 import statistics
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -12,6 +15,7 @@ from functools import partial
 
 import pytest
 
+import repro
 from repro.errors import KeyConstraintError, TypeMismatchError
 from repro.relational import Database, HashIndex, Relation, open_database
 from repro.types import INTEGER, STRING, record, relation_type
@@ -277,12 +281,67 @@ class TestModel:
                 assert (probe in rel) == (probe in model)
             for attrs in attr_sets[: 1 + seed % 3]:
                 index = rel.index_on(attrs)
-                fresh = HashIndex(index.positions, rows)
+                # Positions covering the declared key index as a key → row map.
+                unique = keyed and "seq" in attrs
+                fresh = HashIndex(index.positions, rows, unique)
+                assert index.unique == unique
                 assert index.buckets == fresh.buckets
                 assert index.max_bucket_fraction() == fresh.max_bucket_fraction()
             table = rel.encoded()
             assert decoded(table) == rows and table.rows == rows
             assert rel.stats().row_count == len(model)
+
+
+class TestCommitOrder:
+    """The log is the commit order: an assignment keeps its rows' first
+    occurrences, inserts append, deletes keep the survivors' order, and
+    no order depends on string hashing."""
+
+    def test_assign_insert_delete_and_snapshot_keep_commit_order(self):
+        rng = random.Random(7)
+        rows = [(f"p{i}", i) for i in range(40)]
+        drawn = rows + rng.sample(rows, 15)  # duplicates
+        rng.shuffle(drawn)
+        first_seen = list(dict.fromkeys(drawn))
+        db = Database()
+        rel = db.declare("Parts", PARTS)
+        rel.assign(drawn)
+        assert rel.raw_list() == first_seen
+        assert [row.values for row in rel] == first_seen
+        rel.insert([("q1", 1), ("q0", 0)])
+        order = first_seen + [("q1", 1), ("q0", 0)]
+        assert rel.raw_list() == order
+        gone = set(rng.sample(order, 10))
+        rel.delete(gone)
+        order = [row for row in order if row not in gone]
+        assert rel.raw_list() == order
+        assert db.snapshot()["Parts"].raw_list() == order
+        assert rel.snapshot().raw_list() == order
+        rel.insert([("r", 2)])
+        assert db.snapshot()["Parts"].raw_list() == order + [("r", 2)]
+
+    SCRIPT = (
+        "from repro.relational import Relation\n"
+        "from repro.types import INTEGER, STRING, record, relation_type\n"
+        "rtype = relation_type('r', record('rec', name=STRING, n=INTEGER), key=('name',))\n"
+        "rel = Relation('R', rtype)\n"
+        "rel.assign([(f'row{i % 97}', i % 97) for i in range(300)])\n"
+        "print([row[0] for row in rel.raw_list()])\n"
+    )
+
+    def test_scan_order_does_not_depend_on_the_hash_seed(self):
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        orders = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            result = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr[-2000:]
+            orders.append(result.stdout)
+        assert orders[0] == orders[1]
+        assert orders[0].strip() == str([f"row{i}" for i in range(97)])
 
 
 class TestConcurrentWriter:
