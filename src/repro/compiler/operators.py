@@ -214,8 +214,8 @@ class HashJoin(Operator):
     per-tuple index maintenance anywhere in the loop.  ``fn`` is the
     generated probe loop over the index's one dict, building each key in
     the index's own form (a one-column key is the bare value, so a probe
-    allocates no key tuple).  ``unique`` (``LoopStep.unique``) is the
-    index form the loop was generated for: ``get(key)`` a row or None.
+    allocates no key tuple).  A loop generated for a unique index
+    (``LoopStep.unique``) takes ``get(key)`` as a row or None.
 
     When the cost model gates a selective single-variable filter into
     the join (``push_fn``), the probe goes through a per-execution
@@ -224,11 +224,10 @@ class HashJoin(Operator):
     expansion) see only surviving rows.
     """
 
-    __slots__ = ("source", "positions", "fn", "push_fn", "unique")
+    __slots__ = ("source", "positions", "fn", "push_fn")
 
     def __init__(
-        self, source, positions: tuple[int, ...], fn, push_fn=None, push_desc: str = "",
-        unique: bool = False,
+        self, source, positions: tuple[int, ...], fn, push_fn=None, push_desc: str = ""
     ) -> None:
         label = f"HASHJOIN {source.describe()} build{list(positions)}"
         if push_fn is not None:
@@ -238,24 +237,24 @@ class HashJoin(Operator):
         self.positions = positions
         self.fn = fn
         self.push_fn = push_fn
-        self.unique = unique
 
     def run(self, ctx, batch):
         if not batch:
             return batch
         _rows, index_provider = self.source.rows_and_indexable(ctx)
-        buckets = index_provider(self.positions).buckets
-        get = buckets.get
+        index = index_provider(self.positions)
+        get = index.buckets.get
         if self.push_fn is not None:
-            get = self._pushed_get(ctx, buckets)
+            get = self._pushed_get(ctx, index)
         stats = ctx.stats
         stats.index_lookups += _batch_len(batch)
         out = self.fn(get, batch, _EMPTY)
         stats.rows_scanned += _batch_len(out)
         return out
 
-    def _pushed_get(self, ctx, buckets):
-        """A ``get`` over filtered buckets (rows), memoized per distinct key.
+    def _pushed_get(self, ctx, index):
+        """A ``get`` over ``index``'s filtered buckets (or, in its unique
+        form, rows), memoized per distinct key.
 
         The memo lives on the execution context keyed by this operator
         *object* (not its id — a recycled id after garbage collection
@@ -266,6 +265,7 @@ class HashJoin(Operator):
         repeated executions against the same index pay the filter once
         per key.
         """
+        buckets = index.buckets
         entry = ctx.pushed_buckets.get(self)
         if entry is None or entry[0] is not buckets:
             memo: dict = {}
@@ -276,7 +276,7 @@ class HashJoin(Operator):
         raw_get = buckets.get
         memo_get = memo.get
 
-        if self.unique:
+        if index.unique:
 
             def get_row(key):
                 row = memo_get(key, memo)  # the memo itself marks "not seen"
@@ -605,14 +605,15 @@ class _CodeGen:
         self.ns[name] = value
         return name
 
-    def define(self, name: str, src: str):
-        # A parameter the function reads is fetched once per call, not per row.
-        head, _, body = src.partition("\n")
+    def define(self, name: str, args: str, body: str):
+        """``def name(args):`` over ``body`` (indented source lines).  A
+        parameter the body reads (its ``_pN_`` local, a name no other
+        generated identifier contains) is fetched once per call, not per row."""
         reads = "".join(
             f"    {local} = _params[{param!r}]\n"
             for param, local in self._param_locals.items() if local in body
         )
-        exec(f"{head}\n{reads}{body}", self.ns)  # noqa: S102 - own AST only
+        exec(f"def {name}({args}):\n{reads}{body}", self.ns)  # noqa: S102 - own AST only
         return self.ns[name]
 
     # -- expressions --------------------------------------------------------
@@ -829,13 +830,10 @@ def lower_branch(
                 ]
                 if all(not free_tuple_vars(term) for term in step.key_terms):
                     # Constant key: one lookup shared by the batch.
-                    key_fn = gen.define(
-                        "_key",
-                        f"def _key():\n    return {_key_src(key_exprs)}\n",
-                    )
+                    key_fn = gen.define("_key", "", f"    return {_key_src(key_exprs)}\n")
                     fn = gen.define(
                         "_lookup",
-                        "def _lookup(bucket, batch):\n"
+                        "bucket, batch",
                         f"    return [{emit_src} for e in batch for r in bucket]\n",
                     )
                     op: Operator = IndexLookup(
@@ -848,10 +846,10 @@ def lower_branch(
                         probe = f"[get({key})] if r is not None"
                     fn = gen.define(
                         "_join",
-                        "def _join(get, batch, EMPTY):\n"
+                        "get, batch, EMPTY",
                         f"    return [{emit_src} for e in batch for r in {probe}]\n",
                     )
-                    op = HashJoin(step.source, step.key_positions, fn, unique=step.unique)
+                    op = HashJoin(step.source, step.key_positions, fn)
             else:
                 body = f"    return [{emit_src} for e in batch for r in rows]\n"
                 if identity:
@@ -860,7 +858,7 @@ def lower_branch(
                         "    if len(batch) == 1:\n"
                         "        return list(rows)\n" + body
                     )
-                fn = gen.define("_scan", "def _scan(rows, batch):\n" + body)
+                fn = gen.define("_scan", "rows, batch", body)
                 op = Scan(step.source, fn, step.pushdown)
             current = [op]
             step_ops.append(current)
@@ -870,7 +868,7 @@ def lower_branch(
             conds = [gen.cmp_expr(conj, prev_pos) for conj in step.filter_conjs]
             fn = gen.define(
                 "_filter",
-                "def _filter(batch):\n"
+                "batch",
                 f"    return [e for e in batch if {' and '.join(conds)}]\n",
             )
             current.append(Filter(step.filter_descs, fn))
@@ -896,7 +894,7 @@ def lower_branch(
                 out_src = exprs[0] if single else _tuple_src(exprs)
                 fn = gen.define(
                     "_project",
-                    "def _project(batch):\n"
+                    "batch",
                     f"    return [{out_src} for e in batch]\n",
                 )
             tail_ops.append(Project(target_desc, fn))
@@ -1133,11 +1131,9 @@ class _ColumnarKernels:
                     body += f"    return (_len({outs[0]}), [{', '.join(outs)}])\n"
                 else:
                     body += "    return (_sum(_c), [])\n"
-            fn = gen.define("_join", "def _join(get, batch, EMPTY):\n" + body)
+            fn = gen.define("_join", "get, batch, EMPTY", body)
             push_fn, push_desc = self.step_push.get(s, (None, ""))
-            return HashJoin(
-                step.source, step.key_positions, fn, push_fn, push_desc, step.unique
-            )
+            return HashJoin(step.source, step.key_positions, fn, push_fn, push_desc)
 
         # Scan or constant-key IndexLookup: one shared row source.
         arg = "bucket" if const_key else "rows"
@@ -1168,11 +1164,11 @@ class _ColumnarKernels:
         if const_key:
             key_exprs = [gen.term_expr(t, {}, None) for t in step.key_terms]
             key_fn = gen.define(
-                "_key", f"def _key():\n    return {_key_src(key_exprs)}\n"
+                "_key", "", f"    return {_key_src(key_exprs)}\n"
             )
-            fn = gen.define("_lookup", "def _lookup(bucket, batch):\n" + body)
+            fn = gen.define("_lookup", "bucket, batch", body)
             return IndexLookup(step.source, step.key_positions, key_fn, fn)
-        fn = gen.define("_scan", "def _scan(rows, batch):\n" + body)
+        fn = gen.define("_scan", "rows, batch", body)
         return Scan(step.source, fn, step.pushdown)
 
     def filter(self, s, layout_before, layout_after):
@@ -1212,7 +1208,7 @@ class _ColumnarKernels:
                 body += f"    return (_len({outs[0]}), [{', '.join(outs)}])\n"
             else:
                 body += "    return (_sum(_m), [])\n"
-        fn = self.gen.define("_filter", "def _filter(batch):\n" + body)
+        fn = self.gen.define("_filter", "batch", body)
         return Filter(tuple(descs), fn)
 
     def residual(self, pred, read_vars, layout_before, layout_after):
@@ -1228,7 +1224,7 @@ class _ColumnarKernels:
             [f"e{slot_of[v]}[{schemas[v].index_of(a)}]" for v, a in program.items] or ["None"]
         )
         body = _per_row_src(key, {slot_of[v] for v, _a in program.items})
-        key_fn = self.gen.define("_rkey", "def _rkey(n, slots):\n" + body)
+        key_fn = self.gen.define("_rkey", "n, slots", body)
         keep_slots = [slot_of[v] for v in layout_after]
         return BatchedResidualFilter(program, key_fn, keep_slots, self.backend)
 
@@ -1242,7 +1238,7 @@ class _ColumnarKernels:
             exprs = [self.gen.term_expr(t, names, None) for t in self.target_terms]
             read = {slot_of[v] for t in self.target_terms for v in free_tuple_vars(t)}
             body += _per_row_src(_tuple_src(exprs), read)
-        fn = self.gen.define("_project", "def _project(batch):\n" + body)
+        fn = self.gen.define("_project", "batch", body)
         return Project(self.target_desc, fn)
 
 
@@ -1384,7 +1380,7 @@ def lower_branch_columnar(
         step_conjs[s] = kept
         if push_srcs:
             fn = gen.define(
-                "_push", "def _push(r):\n    return " + " and ".join(push_srcs) + "\n"
+                "_push", "r", "    return " + " and ".join(push_srcs) + "\n"
             )
             step_push[s] = (fn, ", ".join(push_descs))
 

@@ -1566,8 +1566,8 @@ def compile_residual(
         if _quantifier_free(p):
             gen = _ColGen({var: schema}, params)
             src = _pred_src(p, gen, {var: "k"})
-            test = f"def _test(groups):\n    return {{k for k in groups if {src}}}\n"
-            return GroupTest(render_pred(p), gen.define("_test", test))
+            test = f"    return {{k for k in groups if {src}}}\n"
+            return GroupTest(render_pred(p), gen.define("_test", "groups", test))
         if isinstance(p, (ast.And, ast.Or)):
             free = [q for q in p.parts if _quantifier_free(q)]
             parts = [node(q) for q in p.parts if not _quantifier_free(q)]

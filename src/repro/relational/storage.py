@@ -153,8 +153,8 @@ class _ValuePage:
     keeps what it decoded for its store's lifetime: a dict while partly
     decoded (ints to strings only, so the collector stops traversing it,
     and a dead handle that read one partition frees that partition's
-    values, not a slot per id), the list :meth:`all` decoded, the
-    ``array`` itself for an int64 page.
+    values, not a slot per id), a list once every id is decoded (by
+    :meth:`cite` or :meth:`all`), the ``array`` itself for an int64 page.
     """
 
     __slots__ = ("filename", "count", "values", "_offsets", "_text", "_item",
@@ -212,7 +212,10 @@ class _ValuePage:
                     ) from None
             self._counters.values_decoded += len(missing)
             if len(values) == self.count:
-                self._text = None  # every id decoded: nothing left to cite
+                # Every id decoded: nothing left to cite, and a list holds the
+                # values in a slot per id, not a dict entry plus an int key.
+                self.values = values = list(map(values.__getitem__, range(self.count)))
+                self._offsets = self._text = None
         return values
 
     def all(self) -> list:
@@ -221,8 +224,6 @@ class _ValuePage:
         with self._lock:
             values, text = self.values, self._text
             if text is None:  # an int64 page, or every id decoded
-                if type(values) is dict:
-                    return list(map(values.__getitem__, range(self.count)))
                 return list(values)
             offsets, item = self._offsets, self._item
             decoded = [text[start:end] for start, end in zip(offsets, offsets[1:])]
@@ -234,7 +235,7 @@ class _ValuePage:
                         f"undecodable value in {self.filename!r}: {exc!r}"
                     ) from None
             self._counters.values_decoded += self.count - len(values)
-            self.values, self._text = decoded, None
+            self.values, self._offsets, self._text = decoded, None, None
             return decoded[:]
 
 

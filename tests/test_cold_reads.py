@@ -220,6 +220,17 @@ class TestLateDecoding:
         assert decoded_on_read(store) == len(again)  # the first read's names are kept
         assert cold.relation("People").is_cold
 
+    def test_a_page_whose_every_id_is_cited_keeps_a_list(self, folk):
+        _db, path = folk
+        store = fresh_store(path, "People")
+        store.scan((0,), ((0, ">=", ("const", "p0480")),))
+        assert type(store._values(0).values) is dict  # one partition's names
+        store.scan((0,), ())
+        page = store._values(0)
+        assert type(page.values) is list
+        assert page.values == fresh_store(path, "People")._values(0).all()
+        assert decoded_on_read(store) == page.count  # each name decoded once
+
     def test_the_first_in_bounds_cold_insert_decodes_only_the_admitting_partition(self, folk):
         _db, path = folk
         rel = open_database(path).relation("People")
